@@ -462,11 +462,6 @@ impl FarArray {
         Self { base, len }
     }
 
-    /// Wraps an existing allocation.
-    pub fn from_raw(base: u64, len: usize) -> Self {
-        Self { base, len }
-    }
-
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.len

@@ -1,10 +1,9 @@
 //! `dilos-bench` — the harness that regenerates every table and figure of
 //! the DiLOS paper.
 //!
-//! Each experiment is a library function returning a [`table::Report`], so
-//! the Criterion benches (`benches/`) and the `repro` binary share one
-//! implementation. The experiment ↔ paper mapping lives in DESIGN.md; the
-//! measured-vs-paper comparison in EXPERIMENTS.md.
+//! Each experiment is a library function returning a [`table::Report`];
+//! the `repro` binary runs them. The experiment ↔ paper mapping lives in
+//! DESIGN.md; the measured-vs-paper comparison in EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
 
@@ -15,7 +14,6 @@ pub mod micro;
 pub mod recover;
 pub mod redis_exp;
 pub mod serve;
-pub mod simbench;
 pub mod table;
 pub mod telemetry;
 pub mod timeline;

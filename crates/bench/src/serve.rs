@@ -208,50 +208,6 @@ pub fn serve_timeline_tracks(scale: ServeScale, qos: bool) -> Vec<(String, Causa
         .collect()
 }
 
-/// Cluster-wide census of the contended pass, for `sim_bench`: total trace
-/// events across all tenants, total demand faults (major + minor), and the
-/// per-tenant trace digests. Tenants run with plain tracing — no causal
-/// assembly — so the census measures the bare event loop.
-pub fn serve_census(scale: ServeScale, qos: bool) -> (u64, u64, Vec<u64>) {
-    let obs = [
-        Observability::tracing(),
-        Observability::tracing(),
-        Observability::tracing(),
-    ];
-    let tenants = vec![
-        victim_spec(obs[0].clone()),
-        victim_spec(obs[1].clone()),
-        TenantSpec {
-            obs: obs[2].clone(),
-            ..noisy_spec()
-        },
-    ];
-    let loads = vec![
-        victim_load(scale, 0xA0),
-        victim_load(scale, 0xB1),
-        noisy_load(scale),
-    ];
-    let mut cluster = ServingCluster::boot(ClusterConfig {
-        qos,
-        tenants,
-        ..ClusterConfig::default()
-    });
-    drive(&mut cluster, &loads);
-    // Digest first: digesting quiesces each tenant, which may flush a few
-    // final events into the sinks.
-    let digests: Vec<u64> = (0..cluster.len())
-        .map(|i| cluster.tenant(i).trace_digest())
-        .collect();
-    let events = obs.iter().map(|o| o.trace().count()).sum();
-    let faults = (0..cluster.len())
-        .map(|i| {
-            let s = cluster.tenant_ref(i).stats();
-            s.major_faults + s.minor_faults
-        })
-        .sum();
-    (events, faults, digests)
-}
-
 /// The serving table: per-pass, per-tenant latency percentiles.
 pub fn serve_qos(scale: ServeScale) -> Report {
     let mut report = Report::new(

@@ -1,8 +1,7 @@
 //! Plain-text table rendering for experiment reports.
 //!
-//! Every experiment runner returns a [`Report`]; the Criterion benches and
-//! the `repro` binary print it and (for `repro`) persist it under
-//! `results/`.
+//! Every experiment runner returns a [`Report`]; the `repro` binary prints
+//! it and persists it under `results/`.
 
 use std::fmt::Write as _;
 

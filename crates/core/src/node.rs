@@ -240,11 +240,7 @@ pub struct Dilos {
     prefetch_buf: Vec<u64>,
     /// Scratch for guided-fetch segment vectors (reused across faults).
     seg_buf: Vec<Segment>,
-    /// Optional major-fault trace for diagnostics (VPNs, in order).
-    fault_log: Option<Vec<u64>>,
-    /// Optional eviction trace: `(vpn, last_access, eviction_time)`.
-    evict_log: Option<Vec<(u64, Ns, Ns)>>,
-    /// Structured event trace (dark unless `cfg.trace`/`cfg.audit`).
+    /// Structured event trace (dark unless `cfg.obs` records).
     trace: TraceSink,
     /// Online invariant checker attached to the trace.
     audit: Option<Rc<RefCell<Auditor>>>,
@@ -361,8 +357,6 @@ impl Dilos {
             cfg,
             prefetch_buf: Vec::new(),
             seg_buf: Vec::new(),
-            fault_log: None,
-            evict_log: None,
             trace,
             audit,
             metrics,
@@ -394,26 +388,6 @@ impl Dilos {
         self.paging_guide = Some(g);
     }
 
-    /// Enables major-fault tracing (diagnostics).
-    pub fn enable_fault_log(&mut self) {
-        self.fault_log = Some(Vec::new());
-    }
-
-    /// Takes the recorded major-fault VPN trace.
-    pub fn take_fault_log(&mut self) -> Vec<u64> {
-        self.fault_log.take().unwrap_or_default()
-    }
-
-    /// Enables eviction tracing (diagnostics).
-    pub fn enable_evict_log(&mut self) {
-        self.evict_log = Some(Vec::new());
-    }
-
-    /// Takes the recorded eviction trace: `(vpn, last_access, when)`.
-    pub fn take_evict_log(&mut self) -> Vec<(u64, Ns, Ns)> {
-        self.evict_log.take().unwrap_or_default()
-    }
-
     /// Node statistics.
     pub fn stats(&self) -> &DilosStats {
         &self.stats
@@ -430,20 +404,20 @@ impl Dilos {
         &self.rdma
     }
 
-    /// The node's trace sink (disabled unless booted with
-    /// `DilosConfig::trace` or `DilosConfig::audit`).
+    /// The node's trace sink (disabled when [`DilosConfig::obs`] is
+    /// `Observability::none()`).
     pub fn trace(&self) -> &TraceSink {
         &self.trace
     }
 
-    /// The telemetry registry (disabled unless booted with
-    /// `DilosConfig::metrics`).
+    /// The telemetry registry (disabled unless [`DilosConfig::obs`] is
+    /// `Observability::metered()` or `full()`).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
-    /// The span profiler (disabled unless booted with
-    /// `DilosConfig::metrics`).
+    /// The span profiler (disabled unless [`DilosConfig::obs`] is
+    /// `Observability::metered()` or `full()`).
     pub fn profiler(&self) -> &SpanProfiler {
         &self.profiler
     }
@@ -1120,9 +1094,6 @@ impl Dilos {
         let t_end = t_ready + costs.map_ns;
         self.clocks[core].wait_until(t_end);
         self.stats.major_faults += 1;
-        if let Some(log) = &mut self.fault_log {
-            log.push(vpn);
-        }
         let check = costs.pte_check_ns
             + if self.cfg.swap_cache_mode {
                 costs.swapcache_mgmt_ns
@@ -1694,9 +1665,6 @@ impl Dilos {
         t: Ns,
         class: ServiceClass,
     ) -> Ns {
-        if let Some(log) = &mut self.evict_log {
-            log.push((vpn, self.frames.meta(frame).last_access, t));
-        }
         // Each eviction is its own causal request (whether it runs on the
         // background reclaimer or as direct reclaim inside a fault).
         let prev_req = self.trace.begin_request();

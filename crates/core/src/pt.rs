@@ -292,11 +292,6 @@ impl PageTable {
         }
         false
     }
-
-    /// Bytes of memory consumed by the table structure itself.
-    pub fn footprint_bytes(&self) -> usize {
-        self.tables.len() * ENTRIES * 8
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!
 //! | rule | slug | invariant it protects |
 //! |------|------|-----------------------|
-//! | R1 | `no-wall-clock` | virtual time only — `Instant`/`SystemTime` banned outside `crates/criterion`/`crates/bench` |
+//! | R1 | `no-wall-clock` | virtual time only — `Instant`/`SystemTime` banned outside `crates/bench` |
 //! | R2 | `no-hash-iteration` | digest/trace/audit/stats order — no `HashMap`/`HashSet` iteration in the deterministic core |
 //! | R3 | `no-unwrap-in-hot-path` | survivability — no `unwrap`/`expect`/`panic!` in `crates/core`/`crates/sim` non-test code |
 //! | R4 | `calendar-time-only` | trace fidelity — `TraceSink::emit` times come from the live clock |
@@ -158,8 +158,6 @@ mod tests {
         assert!(core.r1 && core.r2 && core.r3 && core.r4 && core.r5);
         let bench = Scope::for_path("crates/bench/src/bin/repro.rs");
         assert!(!bench.r1 && !bench.r4 && bench.r5);
-        let criterion = Scope::for_path("crates/criterion/src/lib.rs");
-        assert!(!criterion.r1);
         let baseline = Scope::for_path("crates/baselines/src/aifm.rs");
         assert!(baseline.r2 && !baseline.r3);
         let sim_test = Scope::for_path("crates/sim/tests/sim_properties.rs");

@@ -38,8 +38,8 @@ pub struct Scope {
 impl Scope {
     /// Path-based scoping (workspace-relative, forward slashes):
     ///
-    /// - **R1/R4**: everywhere except `crates/criterion` and `crates/bench`,
-    ///   which legitimately measure host time.
+    /// - **R1/R4**: everywhere except `crates/bench`, which legitimately
+    ///   measures host time.
     /// - **R2**: the deterministic simulation core (`crates/core`,
     ///   `crates/sim`, `crates/baselines`, `crates/alloc`) plus any file
     ///   whose name marks it as a digest/trace/audit/stats path.
@@ -47,8 +47,7 @@ impl Scope {
     ///   path, where a panic takes down the whole simulated machine.
     /// - **R5**: everywhere.
     pub fn for_path(path: &str) -> Scope {
-        let host_time_ok =
-            path.starts_with("crates/criterion/") || path.starts_with("crates/bench/");
+        let host_time_ok = path.starts_with("crates/bench/");
         let det_core = path.starts_with("crates/core/")
             || path.starts_with("crates/sim/")
             || path.starts_with("crates/baselines/")
@@ -129,7 +128,7 @@ fn rule_wall_clock(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
         if let TokKind::Ident(s) = &t.kind {
             if s == "Instant" || s == "SystemTime" {
                 out.push(violation(file, t.line, 0, vec![], format!(
-                    "`{s}` reads the host wall clock; simulation time must come from the Calendar/Timeline (host time is only legitimate in crates/criterion and crates/bench)"
+                    "`{s}` reads the host wall clock; simulation time must come from the Calendar/Timeline (host time is only legitimate in crates/bench)"
                 )));
             }
         }

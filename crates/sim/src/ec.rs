@@ -66,11 +66,6 @@ impl Gf256 {
         assert!(a != 0, "zero has no inverse in GF(256)");
         self.exp[255 - self.log[a as usize] as usize]
     }
-
-    /// `α^e` for the generator α = 2.
-    pub fn pow_alpha(&self, e: usize) -> u8 {
-        self.exp[e % 255]
-    }
 }
 
 /// A systematic Reed–Solomon coder: `k` data shards, `m` parity shards.

@@ -121,17 +121,6 @@ impl Observability {
         self
     }
 
-    /// Adds the auditor flag to an existing bundle (the sink must already
-    /// be recording, which every non-`none` constructor guarantees).
-    pub fn with_audit(mut self) -> Self {
-        debug_assert!(
-            self.trace.is_enabled(),
-            "audit requires a recording trace sink"
-        );
-        self.audit = true;
-        self
-    }
-
     /// The shared trace sink handle.
     pub fn trace(&self) -> &TraceSink {
         &self.trace

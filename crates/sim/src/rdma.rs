@@ -682,11 +682,6 @@ impl RdmaEndpoint {
         });
     }
 
-    /// Whether [`arm_recovery`](Self::arm_recovery) has been called.
-    pub fn recovery_armed(&self) -> bool {
-        self.recover.is_some()
-    }
-
     /// Counters of the most recent crash/recovery cycle (zeroes when the
     /// machinery is disarmed or the injector has not fired).
     pub fn recovery_stats(&self) -> RecoveryStats {

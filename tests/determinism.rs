@@ -9,6 +9,7 @@
 //! wall-clock use, allocator-address dependence) changes the digest.
 
 use dilos::apps::farmem::{FarMemory, SystemKind, SystemSpec};
+use dilos::apps::seqrw::SeqWorkload;
 use dilos::sim::Observability;
 
 /// SplitMix64: a tiny deterministic PRNG for the driver workload.
@@ -49,12 +50,18 @@ fn drive(mem: &mut dyn FarMemory, seed: u64) {
     }
 }
 
-fn digest_of(kind: SystemKind, ratio: u32, seed: u64) -> u64 {
-    let spec = SystemSpec::for_working_set(kind, WS_PAGES * 4096, ratio)
-        .observed(Observability::tracing());
+/// `(trace digest, events emitted)` of one fresh traced boot. Digesting
+/// comes first: it quiesces the system, which can flush a few last events.
+fn trace_of(kind: SystemKind, ratio: u32, seed: u64) -> (u64, u64) {
+    let obs = Observability::tracing();
+    let spec = SystemSpec::for_working_set(kind, WS_PAGES * 4096, ratio).observed(obs.clone());
     let mut mem = spec.boot();
     drive(mem.as_mut(), seed);
-    mem.trace_digest()
+    (mem.trace_digest(), obs.trace().count())
+}
+
+fn digest_of(kind: SystemKind, ratio: u32, seed: u64) -> u64 {
+    trace_of(kind, ratio, seed).0
 }
 
 #[test]
@@ -66,10 +73,11 @@ fn trace_digests_are_reproducible_across_boots() {
         SystemKind::Aifm,
     ] {
         for ratio in [13u32, 100] {
-            let a = digest_of(kind, ratio, 0xD15C0);
-            let b = digest_of(kind, ratio, 0xD15C0);
+            let (a, na) = trace_of(kind, ratio, 0xD15C0);
+            let (b, nb) = trace_of(kind, ratio, 0xD15C0);
             assert_ne!(a, 0, "{} @ {ratio}%: trace must record", kind.label());
             assert_eq!(a, b, "{} @ {ratio}%: nondeterministic trace", kind.label());
+            assert_eq!(na, nb, "{} @ {ratio}%: event count drifted", kind.label());
         }
     }
 }
@@ -140,6 +148,37 @@ fn reclaim_episodes_evict_at_distinct_virtual_times() {
         multi_evict_episodes > 0,
         "need at least one multi-eviction episode for the check to bite"
     );
+}
+
+/// Tracing must be a pure observer of the *model*, not just of the digest:
+/// the three DiLOS tab01 configurations booted dark and booted traced do
+/// the same simulated work — same faults, same wire bytes, same virtual
+/// completion time — on the tab01 sequential workload.
+#[test]
+fn tracing_leaves_the_model_unchanged() {
+    const PAGES: usize = 1024;
+    let wl = SeqWorkload { pages: PAGES };
+    // Fastswap is left out: traced `RdmaCompletion` calendar entries steer
+    // `get_frame`'s `next_due` wake-up, so its dark and lit stats can differ
+    // (`dilos_perf` reports `dark_equals_lit=false` on `fastswap_seq`).
+    for kind in [
+        SystemKind::DilosNoPrefetch,
+        SystemKind::DilosReadahead,
+        SystemKind::DilosTrend,
+    ] {
+        let run = |obs: Observability| {
+            let mut mem = SystemSpec::for_working_set(kind, (PAGES * 4096) as u64, 13)
+                .observed(obs)
+                .boot();
+            let base = wl.populate(mem.as_mut());
+            wl.read_pass(mem.as_mut(), base);
+            (mem.fault_counters(), mem.net_bytes(), mem.max_now())
+        };
+        let dark = run(Observability::none());
+        let lit = run(Observability::tracing());
+        assert!(dark.0 .0 > 0, "{}: workload must fault", kind.label());
+        assert_eq!(dark, lit, "{}: tracing changed the model", kind.label());
+    }
 }
 
 /// The metrics registry, sampler, and span profiler must be pure observers:
