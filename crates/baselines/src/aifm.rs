@@ -21,8 +21,9 @@
 use std::collections::BTreeMap;
 
 use dilos_sim::{
-    Calendar, CoreClock, EventId, FaultKind, MetricsRegistry, Ns, Observability, RdmaEndpoint,
-    SchedEvent, ServiceClass, SimConfig, SpanProfiler, TraceEvent, TraceSink, PAGE_SIZE,
+    page_chunks, Calendar, CoreClock, EventId, FaultKind, MetricsRegistry, Ns, Observability,
+    RdmaEndpoint, SchedEvent, ServiceClass, SimConfig, SpanProfiler, TraceEvent, TraceSink,
+    PAGE_SIZE,
 };
 
 /// AIFM runtime costs, in virtual nanoseconds.
@@ -353,40 +354,28 @@ impl Aifm {
 
     /// Reads through a remoteable pointer.
     pub fn read(&mut self, core: usize, va: u64, buf: &mut [u8]) {
-        let len = buf.len();
-        let mut done = 0usize;
-        while done < len {
-            let a = va + done as u64;
-            let chunk = a >> 12;
-            let off = (a & 0xFFF) as usize;
-            let n = (CHUNK - off).min(len - done);
+        for (chunk, off, span) in page_chunks(va, buf.len()) {
+            let n = span.len();
             self.deref(core, chunk, false);
             let ChunkState::Local { data, .. } = &self.chunks[&chunk] else {
                 unreachable!("deref localizes the chunk");
             };
-            buf[done..done + n].copy_from_slice(&data[off..off + n]);
+            buf[span].copy_from_slice(&data[off..off + n]);
             self.charge_copy(core, n);
-            done += n;
         }
     }
 
     /// Writes through a remoteable pointer.
     pub fn write(&mut self, core: usize, va: u64, buf: &[u8]) {
-        let len = buf.len();
-        let mut done = 0usize;
-        while done < len {
-            let a = va + done as u64;
-            let chunk = a >> 12;
-            let off = (a & 0xFFF) as usize;
-            let n = (CHUNK - off).min(len - done);
+        for (chunk, off, span) in page_chunks(va, buf.len()) {
+            let n = span.len();
             self.deref(core, chunk, true);
             let Some(ChunkState::Local { data, dirty, .. }) = self.chunks.get_mut(&chunk) else {
                 unreachable!("deref localizes the chunk");
             };
-            data[off..off + n].copy_from_slice(&buf[done..done + n]);
+            data[off..off + n].copy_from_slice(&buf[span]);
             *dirty = true;
             self.charge_copy(core, n);
-            done += n;
         }
     }
 

@@ -16,8 +16,9 @@
 
 
 use dilos_sim::{
-    Calendar, CoreClock, FaultKind, LruChain, MetricsRegistry, Ns, Observability, RdmaEndpoint,
-    SchedEvent, ServiceClass, SimConfig, SpanProfiler, Timeline, TraceEvent, TraceSink, PAGE_SIZE,
+    page_chunks, Calendar, CoreClock, FaultKind, LruChain, MetricsRegistry, Ns, Observability,
+    RdmaEndpoint, SchedEvent, ServiceClass, SimConfig, SpanProfiler, Timeline, TraceEvent,
+    TraceSink, PAGE_SIZE,
 };
 
 /// Fastswap software costs, in virtual nanoseconds.
@@ -447,17 +448,11 @@ impl Fastswap {
     ///
     /// Panics on access outside the allocated region.
     pub fn read(&mut self, core: usize, va: u64, buf: &mut [u8]) {
-        let len = buf.len();
-        let mut done = 0usize;
-        while done < len {
-            let a = va + done as u64;
-            let vpn = a >> 12;
-            let off = (a & 0xFFF) as usize;
-            let n = (PAGE_SIZE - off).min(len - done);
+        for (vpn, off, span) in page_chunks(va, buf.len()) {
+            let n = span.len();
             let frame = self.touch(core, vpn, false);
-            buf[done..done + n].copy_from_slice(&self.frames[frame as usize][off..off + n]);
+            buf[span].copy_from_slice(&self.frames[frame as usize][off..off + n]);
             self.charge_copy(core, n);
-            done += n;
         }
     }
 
@@ -467,19 +462,13 @@ impl Fastswap {
     ///
     /// Panics on access outside the allocated region.
     pub fn write(&mut self, core: usize, va: u64, buf: &[u8]) {
-        let len = buf.len();
-        let mut done = 0usize;
-        while done < len {
-            let a = va + done as u64;
-            let vpn = a >> 12;
-            let off = (a & 0xFFF) as usize;
-            let n = (PAGE_SIZE - off).min(len - done);
+        for (vpn, off, span) in page_chunks(va, buf.len()) {
+            let end = off + span.len();
             let frame = self.touch(core, vpn, true);
-            self.frames[frame as usize][off..off + n].copy_from_slice(&buf[done..done + n]);
+            self.frames[frame as usize][off..end].copy_from_slice(&buf[span]);
             let live = &mut self.frame_live[frame as usize];
-            *live = (*live).max((off + n) as u32);
-            self.charge_copy(core, n);
-            done += n;
+            *live = (*live).max(end as u32);
+            self.charge_copy(core, end - off);
         }
     }
 

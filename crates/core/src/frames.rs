@@ -16,11 +16,6 @@ pub struct FrameMeta {
     /// When the frame's payload is valid (fetch completion time). Accesses
     /// before this wait on the in-flight fetch.
     pub ready_at: Ns,
-    /// Index into the resident ring, for O(1) removal on eviction.
-    pub ring_slot: usize,
-    /// Virtual time of the most recent access (recency diagnostics; the
-    /// eviction order itself lives in the node's exact LRU chain).
-    pub last_access: Ns,
 }
 
 const NO_VPN: u64 = u64::MAX;
@@ -61,8 +56,6 @@ impl FrameArena {
                 FrameMeta {
                     vpn: NO_VPN,
                     ready_at: 0,
-                    ring_slot: usize::MAX,
-                    last_access: 0,
                 };
                 frames
             ],
@@ -137,8 +130,6 @@ impl FrameArena {
         self.meta[frame as usize] = FrameMeta {
             vpn: NO_VPN,
             ready_at: 0,
-            ring_slot: usize::MAX,
-            last_access: 0,
         };
         self.free.push(FreeFrame {
             frame,

@@ -14,8 +14,8 @@
 //! - [`prefetch`] — the **page prefetcher** (§4.3): readahead and Leap-style
 //!   trend prefetchers plus the PTE **hit tracker** that replaces swap-cache
 //!   statistics.
-//! - [`pagemgr`] — the **page manager** (§4.4): resident ring, clock
-//!   eviction, watermarks for eager background reclamation.
+//! - [`pagemgr`] — the **page manager** (§4.4): the watermarks for eager
+//!   background reclamation (eviction order is the node's exact LRU).
 //! - [`guide`] — the **app-aware guide API** (§4.1/§4.3/§4.4): prefetch
 //!   guides with subpage fetches, paging guides, action PTE vectors, and the
 //!   allocator-bitmap paging guide.
@@ -47,7 +47,7 @@ pub use cluster::{ClusterConfig, ServingCluster, TenantSpec, LANES_PER_TENANT};
 pub use compat::{PatchReport, SymbolKind, SymbolPatcher, SymbolTable, MAP_DDC};
 pub use guide::{ActionTable, FetchVector, GuideOps, HeapPagingGuide, PagingGuide, PrefetchGuide};
 pub use node::{Dilos, DilosConfig, SoftCosts, DDC_BASE, LOCAL_BASE};
-pub use pagemgr::{ResidentRing, Watermarks};
+pub use pagemgr::Watermarks;
 pub use prefetch::{HitTracker, NoPrefetch, Prefetcher, Readahead, TrendBased};
 pub use pt::{PageTable, Pte};
 pub use stats::{DilosStats, FaultBreakdown};

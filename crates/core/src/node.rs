@@ -25,16 +25,17 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos_sim::{
-    Calendar, CoreClock, EventId, FaultKind, FaultPhase, MetricsRegistry, Ns, Observability,
-    PteClass, RdmaEndpoint, RdmaPort, RecoverConfig, RecoveryStats, ReqId, SchedEvent, Segment,
-    ServiceClass, SimConfig, SpanProfiler, TraceEvent, TraceSink, PAGE_SIZE,
+    page_chunks, Calendar, CoreClock, EventId, FaultKind, FaultPhase, MetricsRegistry, Ns,
+    Observability, PteClass, RdmaEndpoint, RdmaError, RdmaPort, RecoverConfig, RecoveryStats,
+    ReqId, SchedEvent, Segment, ServiceClass, SimConfig, SpanProfiler, TraceEvent, TraceSink,
+    PAGE_SIZE,
 };
 
 use crate::audit::Auditor;
 use crate::compat::MAP_DDC;
 use crate::frames::FrameArena;
 use crate::guide::{ActionTable, GuideOps, PagingGuide, PrefetchGuide};
-use crate::pagemgr::{ResidentRing, Watermarks};
+use crate::pagemgr::Watermarks;
 use crate::prefetch::{HitTracker, NoPrefetch, Prefetcher};
 use crate::pt::{PageTable, Pte};
 use crate::stats::DilosStats;
@@ -57,7 +58,7 @@ const DDC_BASE_VPN: u64 = DDC_BASE >> 12;
 pub struct SoftCosts {
     /// Unified-page-table check in the fault handler.
     pub pte_check_ns: Ns,
-    /// Mapping a fetched page (PTE write + ring insert).
+    /// Mapping a fetched page (PTE write + LRU insert).
     pub map_ns: Ns,
     /// Zero-filling a first-touch page.
     pub zero_fill_ns: Ns,
@@ -198,7 +199,6 @@ pub struct Dilos {
     rdma: RdmaPort,
     pt: PageTable,
     frames: FrameArena,
-    ring: ResidentRing,
     wm: Watermarks,
     prefetcher: Box<dyn Prefetcher>,
     tracker: HitTracker,
@@ -331,7 +331,6 @@ impl Dilos {
             frames,
             rdma,
             pt: PageTable::new(),
-            ring: ResidentRing::new(),
             wm,
             prefetcher: Box::new(NoPrefetch),
             tracker: HitTracker::new(),
@@ -668,11 +667,9 @@ impl Dilos {
         for vpn in start..end {
             match self.pt.get(vpn) {
                 Pte::Local { frame, .. } => {
-                    let slot = self.frames.meta(frame).ring_slot;
                     self.trace
                         .emit(t, TraceEvent::LruRemove { vpn: frame as u64 });
                     self.lru.remove(frame as u64);
-                    self.unlink_ring(slot);
                     self.frames.push_free(frame, 0);
                 }
                 Pte::Fetching { inflight } => {
@@ -719,17 +716,11 @@ impl Dilos {
             self.local_read(core, va, buf);
             return;
         }
-        let len = buf.len();
-        let mut done = 0usize;
-        while done < len {
-            let a = va + done as u64;
-            let vpn = a >> 12;
-            let off = (a & 0xFFF) as usize;
-            let n = (PAGE_SIZE - off).min(len - done);
+        for (vpn, off, span) in page_chunks(va, buf.len()) {
+            let n = span.len();
             let frame = self.touch(core, vpn, false);
-            buf[done..done + n].copy_from_slice(&self.frames.bytes(frame)[off..off + n]);
+            buf[span].copy_from_slice(&self.frames.bytes(frame)[off..off + n]);
             self.charge_copy(core, n);
-            done += n;
         }
     }
 
@@ -739,7 +730,17 @@ impl Dilos {
     ///
     /// Panics on access outside any mapping.
     pub fn write(&mut self, core: usize, va: u64, buf: &[u8]) {
-        self.access_write(core, va, buf);
+        if va >= LOCAL_BASE {
+            self.local_write(core, va, buf);
+            return;
+        }
+        for (vpn, off, span) in page_chunks(va, buf.len()) {
+            let end = off + span.len();
+            let frame = self.touch(core, vpn, true);
+            self.frames.bytes_mut(frame)[off..end].copy_from_slice(&buf[span]);
+            self.frames.note_write(frame, end);
+            self.charge_copy(core, end - off);
+        }
     }
 
     /// Reads a little-endian `u64` at `va`.
@@ -754,26 +755,6 @@ impl Dilos {
         self.write(core, va, &v.to_le_bytes());
     }
 
-    fn access_write(&mut self, core: usize, va: u64, buf: &[u8]) {
-        if va >= LOCAL_BASE {
-            self.local_write(core, va, buf);
-            return;
-        }
-        let len = buf.len();
-        let mut done = 0usize;
-        while done < len {
-            let a = va + done as u64;
-            let vpn = a >> 12;
-            let off = (a & 0xFFF) as usize;
-            let n = (PAGE_SIZE - off).min(len - done);
-            let frame = self.touch(core, vpn, true);
-            self.frames.bytes_mut(frame)[off..off + n].copy_from_slice(&buf[done..done + n]);
-            self.frames.note_write(frame, off + n);
-            self.charge_copy(core, n);
-            done += n;
-        }
-    }
-
     fn charge_copy(&mut self, core: usize, bytes: usize) {
         let ns =
             self.cfg.sim.local_access_ns + (bytes as f64 * self.cfg.costs.dram_per_byte_ns) as Ns;
@@ -781,39 +762,26 @@ impl Dilos {
     }
 
     fn local_read(&mut self, core: usize, va: u64, buf: &mut [u8]) {
-        let len = buf.len();
-        let mut done = 0usize;
-        while done < len {
-            let a = va + done as u64;
-            let vpn = a >> 12;
-            let off = (a & 0xFFF) as usize;
-            let n = (PAGE_SIZE - off).min(len - done);
-            let page = self
-                .local_pages_map
-                .entry(vpn)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            buf[done..done + n].copy_from_slice(&page[off..off + n]);
-            done += n;
+        for (vpn, off, span) in page_chunks(va, buf.len()) {
+            let n = span.len();
+            buf[span].copy_from_slice(&self.local_page(vpn)[off..off + n]);
         }
-        self.charge_copy(core, len);
+        self.charge_copy(core, buf.len());
     }
 
     fn local_write(&mut self, core: usize, va: u64, buf: &[u8]) {
-        let len = buf.len();
-        let mut done = 0usize;
-        while done < len {
-            let a = va + done as u64;
-            let vpn = a >> 12;
-            let off = (a & 0xFFF) as usize;
-            let n = (PAGE_SIZE - off).min(len - done);
-            let page = self
-                .local_pages_map
-                .entry(vpn)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + n].copy_from_slice(&buf[done..done + n]);
-            done += n;
+        for (vpn, off, span) in page_chunks(va, buf.len()) {
+            let n = span.len();
+            self.local_page(vpn)[off..off + n].copy_from_slice(&buf[span]);
         }
-        self.charge_copy(core, len);
+        self.charge_copy(core, buf.len());
+    }
+
+    /// The local-only page backing `vpn`, zero-filled on first touch.
+    fn local_page(&mut self, vpn: u64) -> &mut [u8; PAGE_SIZE] {
+        self.local_pages_map
+            .entry(vpn)
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
     /// Resolves `vpn` to a resident frame, faulting as needed, and marks the
@@ -835,12 +803,10 @@ impl Dilos {
                 self.tlb[core][way].dirty_marked = true;
             }
             self.stats.local_hits += 1;
-            self.frames.meta_mut(e.frame).last_access = self.clocks[core].now();
             self.lru.touch(e.frame as u64);
             return e.frame;
         }
         let frame = self.resolve(core, vpn, is_write);
-        self.frames.meta_mut(frame).last_access = self.clocks[core].now();
         self.lru.touch(frame as u64);
         let gen = self.pt.generation();
         self.tlb[core][way] = TlbEntry {
@@ -1011,79 +977,28 @@ impl Dilos {
         );
         let hw = self.cfg.sim.hw_exception_ns;
         let costs = self.cfg.costs.clone();
-        let mut t = now + hw + costs.pte_check_ns;
+        let mut check = costs.pte_check_ns;
         if self.cfg.swap_cache_mode {
-            t += costs.swapcache_mgmt_ns;
+            check += costs.swapcache_mgmt_ns;
         }
+        let t = now + hw + check;
         // Transition through the `fetching` tag, exactly as §4.2 describes
         // (other cores reading the PTE would wait instead of re-fetching).
         self.set_pte(t, vpn, Pte::Fetching { inflight: u32::MAX });
         let (frame, t_alloc, reclaim_ns) = self.alloc_frame(core, t);
-        let remote = (vpn - DDC_BASE_VPN) << 12;
-
-        let done = match &vector {
-            None => {
-                // The verb fills every byte of the frame (absent remote
-                // ranges read as zeros), so no pre-zeroing is needed.
-                //
-                // A demand fault cannot degrade gracefully: the faulting
-                // load needs the bytes now, so data loss here is fatal by
-                // design (mirrors a real machine taking SIGBUS).
-                #[allow(clippy::expect_used)]
-                let (done, live) = self
-                    .rdma
-                    .read_live(
-                        t_alloc,
-                        core,
-                        ServiceClass::Fault,
-                        remote,
-                        self.frames.bytes_mut(frame),
-                    )
-                    // dilos-lint: allow(no-unwrap-in-hot-path, "demand fault with all replicas down is unrecoverable data loss")
-                    .expect("demand fetch failed: address out of region or all replicas down");
-                self.frames.set_live(frame, live);
-                done
-            }
-            Some(v) if v.is_empty() => {
-                // Guided fetch of a fully-dead page: nothing on the wire.
-                self.frames.zero(frame);
-                self.stats.guided_fetches += 1;
-                self.stats.fetch_bytes_saved += PAGE_SIZE as u64;
-                t_alloc + costs.zero_fill_ns
-            }
-            Some(v) => {
-                let mut segs = std::mem::take(&mut self.seg_buf);
-                segs.clear();
-                segs.extend(v.iter().map(|&(o, l)| Segment {
-                    remote: remote + o as u64,
-                    offset: o as usize,
-                    len: l as usize,
-                }));
-                // The vectored verb touches only its segments; the rest of
-                // the (possibly recycled) frame must read as dead zeros.
-                self.frames.zero(frame);
-                // Fatal by design, as in the unguided demand-fetch arm.
-                #[allow(clippy::expect_used)]
-                let done = self
-                    .rdma
-                    .read_v(
-                        t_alloc,
-                        core,
-                        ServiceClass::Fault,
-                        &segs,
-                        self.frames.bytes_mut(frame),
-                    )
-                    // dilos-lint: allow(no-unwrap-in-hot-path, "demand fault with all replicas down is unrecoverable data loss")
-                    .expect("guided fetch failed: address out of region or all replicas down");
-                self.frames
-                    .set_live(frame, v.iter().map(|&(o, l)| o as usize + l as usize).max().unwrap_or(0));
-                self.seg_buf = segs;
-                let live: usize = v.iter().map(|&(_, l)| l as usize).sum();
-                self.stats.guided_fetches += 1;
-                self.stats.fetch_bytes_saved += (PAGE_SIZE - live) as u64;
-                done
-            }
-        };
+        let class = ServiceClass::Fault;
+        // A demand fault cannot degrade gracefully: the faulting load needs
+        // the bytes now, so data loss here is fatal by design (mirrors a
+        // real machine taking SIGBUS).
+        #[allow(clippy::expect_used)]
+        let mut done = self
+            .fill_frame(t_alloc, core, class, vpn, frame, vector.as_deref())
+            // dilos-lint: allow(no-unwrap-in-hot-path, "demand fault with all replicas down is unrecoverable data loss")
+            .expect("demand fetch failed: address out of region or all replicas down");
+        if vector.is_some_and(|v| v.is_empty()) {
+            // Fully-dead page: the handler zero-fills instead of waiting.
+            done += costs.zero_fill_ns;
+        }
 
         // Hidden-window work: hit-tracker sweep + prefetch decision/issue,
         // plus the app-aware guide. All of it runs while the demand fetch is
@@ -1094,12 +1009,6 @@ impl Dilos {
         let t_end = t_ready + costs.map_ns;
         self.clocks[core].wait_until(t_end);
         self.stats.major_faults += 1;
-        let check = costs.pte_check_ns
-            + if self.cfg.swap_cache_mode {
-                costs.swapcache_mgmt_ns
-            } else {
-                0
-            };
         let b = &mut self.stats.breakdown;
         b.exception += hw;
         b.check += check;
@@ -1139,6 +1048,55 @@ impl Dilos {
         );
         self.trace.set_request(prev_req);
         frame
+    }
+
+    /// Fills `frame` with `vpn`'s remote content, posting at `t`: the whole
+    /// page, or only the live chunks an action `vector` names (an empty
+    /// vector is a fully-dead page — nothing on the wire). The demand fault
+    /// and the prefetch both fill through here; they differ only in `class`
+    /// and in whether an `Err` is fatal. Returns when the payload lands.
+    fn fill_frame(
+        &mut self,
+        t: Ns,
+        core: usize,
+        class: ServiceClass,
+        vpn: u64,
+        frame: u32,
+        vector: Option<&[(u16, u16)]>,
+    ) -> Result<Ns, RdmaError> {
+        let remote = (vpn - DDC_BASE_VPN) << 12;
+        let Some(v) = vector else {
+            // The verb fills every byte of the frame (absent remote ranges
+            // read as zeros), so no pre-zeroing is needed.
+            let buf = self.frames.bytes_mut(frame);
+            let (done, live) = self.rdma.read_live(t, core, class, remote, buf)?;
+            self.frames.set_live(frame, live);
+            return Ok(done);
+        };
+        // A vectored verb touches only its segments; the rest of the
+        // (possibly recycled) frame must read as dead zeros.
+        self.frames.zero(frame);
+        let mut done = t;
+        if !v.is_empty() {
+            let mut segs = std::mem::take(&mut self.seg_buf);
+            segs.clear();
+            segs.extend(v.iter().map(|&(o, l)| Segment {
+                remote: remote + o as u64,
+                offset: o as usize,
+                len: l as usize,
+            }));
+            let r = self
+                .rdma
+                .read_v(t, core, class, &segs, self.frames.bytes_mut(frame));
+            self.seg_buf = segs;
+            done = r?;
+            let end = v.iter().map(|&(o, l)| o as usize + l as usize).max();
+            self.frames.set_live(frame, end.unwrap_or(0));
+        }
+        let live: usize = v.iter().map(|&(_, l)| l as usize).sum();
+        self.stats.guided_fetches += 1;
+        self.stats.fetch_bytes_saved += (PAGE_SIZE - live) as u64;
+        Ok(done)
     }
 
     /// Runs the tracker sweep, the prefetcher, and the prefetch guide in the
@@ -1203,86 +1161,31 @@ impl Dilos {
         // window issued it.
         let prev_req = self.trace.begin_request();
         let req = self.trace.current_request();
-        let Some(frame) = self.try_alloc_prefetch_frame(t) else {
-            // Out of reserve: put an action vector back if we took one.
+        let filled = self.try_alloc_prefetch_frame(t).and_then(|frame| {
+            let class = ServiceClass::Prefetch;
+            match self.fill_frame(t, core, class, vpn, frame, vector.as_deref()) {
+                Ok(done) => Some((frame, done)),
+                Err(_) => {
+                    // The failed verb may have landed partial segment
+                    // payloads, so the frame's content bound is unknown.
+                    self.frames.set_live(frame, PAGE_SIZE);
+                    self.frames.push_free(frame, t);
+                    None
+                }
+            }
+        });
+        let Some((frame, ready_at)) = filled else {
+            // Out of reserve, or the fetch failed. Prefetch is best-effort:
+            // on a degraded fabric (all replicas of this page down) drop the
+            // attempt and put an action vector back if we took one, so the
+            // demand path can retry — and surface the failure — if the page
+            // is ever actually touched.
             if let Some(v) = vector {
                 let idx = self.actions.insert(v);
                 self.set_pte(t, vpn, Pte::Action { action: idx });
             }
             self.trace.set_request(prev_req);
             return;
-        };
-        let remote = (vpn - DDC_BASE_VPN) << 12;
-        let fetched = match &vector {
-            None => {
-                // Fills the whole frame; no pre-zeroing needed.
-                self.rdma
-                    .read_live(
-                        t,
-                        core,
-                        ServiceClass::Prefetch,
-                        remote,
-                        self.frames.bytes_mut(frame),
-                    )
-                    .map(|(done, live)| {
-                        self.frames.set_live(frame, live);
-                        done
-                    })
-            }
-            Some(v) if v.is_empty() => {
-                self.frames.zero(frame);
-                self.stats.guided_fetches += 1;
-                self.stats.fetch_bytes_saved += PAGE_SIZE as u64;
-                Ok(t)
-            }
-            Some(v) => {
-                let mut segs = std::mem::take(&mut self.seg_buf);
-                segs.clear();
-                segs.extend(v.iter().map(|&(o, l)| Segment {
-                    remote: remote + o as u64,
-                    offset: o as usize,
-                    len: l as usize,
-                }));
-                // Only the segments are fetched; the rest must be zeros.
-                self.frames.zero(frame);
-                let r = self.rdma.read_v(
-                    t,
-                    core,
-                    ServiceClass::Prefetch,
-                    &segs,
-                    self.frames.bytes_mut(frame),
-                );
-                if r.is_ok() {
-                    self.frames
-                        .set_live(frame, v.iter().map(|&(o, l)| o as usize + l as usize).max().unwrap_or(0));
-                }
-                self.seg_buf = segs;
-                if r.is_ok() {
-                    let live: usize = v.iter().map(|&(_, l)| l as usize).sum();
-                    self.stats.guided_fetches += 1;
-                    self.stats.fetch_bytes_saved += (PAGE_SIZE - live) as u64;
-                }
-                r
-            }
-        };
-        let ready_at = match fetched {
-            Ok(done) => done,
-            Err(_) => {
-                // Prefetch is best-effort: on a degraded fabric (all
-                // replicas of this page down) drop the attempt, return the
-                // frame, and restore the action vector so the demand path
-                // can retry — and surface the failure — if the page is ever
-                // actually touched. The failed verb may have landed partial
-                // segment payloads, so the frame's content bound is unknown.
-                self.frames.set_live(frame, PAGE_SIZE);
-                self.frames.push_free(frame, t);
-                if let Some(v) = vector {
-                    let idx = self.actions.insert(v);
-                    self.set_pte(t, vpn, Pte::Action { action: idx });
-                }
-                self.trace.set_request(prev_req);
-                return;
-            }
         };
         let idx = match self.inflight_free.pop() {
             Some(i) => i,
@@ -1399,16 +1302,14 @@ impl Dilos {
         }
     }
 
-    /// Maps `vpn` to `frame` as a local page and inserts it in the ring.
+    /// Maps `vpn` to `frame` as a local page and inserts it in the LRU.
     fn map_page(&mut self, t: Ns, vpn: u64, frame: u32, ready_at: Ns) {
         self.trace
             .emit(t, TraceEvent::LruInsert { vpn: frame as u64 });
         self.lru.insert(frame as u64);
-        let slot = self.ring.push(vpn);
         let m = self.frames.meta_mut(frame);
         m.vpn = vpn;
         m.ready_at = ready_at;
-        m.ring_slot = slot;
         self.set_pte(
             t,
             vpn,
@@ -1433,15 +1334,6 @@ impl Dilos {
             );
         }
         self.pt.set(vpn, pte);
-    }
-
-    /// Removes the ring entry at `slot`, fixing up the moved page's frame.
-    fn unlink_ring(&mut self, slot: usize) {
-        if let Some(moved_vpn) = self.ring.remove(slot) {
-            if let Pte::Local { frame, .. } = self.pt.get(moved_vpn) {
-                self.frames.meta_mut(frame).ring_slot = slot;
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1572,7 +1464,7 @@ impl Dilos {
             self.close_episode(t);
             return;
         }
-        let Some((slot, vpn, frame, dirty, scan_end)) = self.pick_victim(t) else {
+        let Some((vpn, frame, dirty, scan_end)) = self.pick_victim(t) else {
             // Nothing evictable this round (everything cold is in flight).
             self.close_episode(t);
             return;
@@ -1587,7 +1479,7 @@ impl Dilos {
                 },
             );
         }
-        let _ = self.evict(vpn, frame, slot, dirty, scan_end, ServiceClass::Cleaner);
+        let _ = self.evict(vpn, frame, dirty, scan_end, ServiceClass::Cleaner);
         self.episode_freed += 1;
         self.tick_pending = true;
         self.cal
@@ -1611,7 +1503,7 @@ impl Dilos {
 
     /// Chooses the eviction victim: the least-recently-used resident frame
     /// whose payload is not in flight (§4.4's LRU list, exactly).
-    fn pick_victim(&mut self, now: Ns) -> Option<(usize, u64, u32, bool, Ns)> {
+    fn pick_victim(&mut self, now: Ns) -> Option<(u64, u32, bool, Ns)> {
         let mut chosen: Option<u32> = None;
         let mut scan_end = now;
         for (i, key) in self.lru.iter_cold().enumerate() {
@@ -1628,24 +1520,22 @@ impl Dilos {
             break;
         }
         let frame = chosen?;
-        let m = self.frames.meta(frame);
-        let vpn = m.vpn;
-        let slot = m.ring_slot;
+        let vpn = self.frames.meta(frame).vpn;
         let Pte::Local { dirty, .. } = self.pt.get(vpn) else {
             return None;
         };
-        Some((slot, vpn, frame, dirty, scan_end))
+        Some((vpn, frame, dirty, scan_end))
     }
 
     /// Fastswap-ablation direct reclaim: evict one page synchronously,
     /// returning the handler time consumed.
     fn direct_reclaim_one(&mut self, now: Ns) -> Ns {
         let bg0 = self.bg.busy_until().max(now);
-        if let Some((slot, vpn, frame, dirty, scan_end)) = self.pick_victim(now) {
+        if let Some((vpn, frame, dirty, scan_end)) = self.pick_victim(now) {
             // Direct reclaim runs in the handler: it pays the scan *and*
             // waits for any writeback before the frame is reusable — the
             // cost Fastswap's Figure 1 "reclaim" bar charges.
-            let avail = self.evict(vpn, frame, slot, dirty, scan_end, ServiceClass::Cleaner);
+            let avail = self.evict(vpn, frame, dirty, scan_end, ServiceClass::Cleaner);
             return avail
                 .max(scan_end)
                 .saturating_sub(bg0)
@@ -1656,100 +1546,45 @@ impl Dilos {
 
     /// Evicts `vpn` (writing back if dirty), freeing its frame. Returns
     /// when the frame becomes reusable (writeback completion).
-    fn evict(
-        &mut self,
-        vpn: u64,
-        frame: u32,
-        slot: usize,
-        dirty: bool,
-        t: Ns,
-        class: ServiceClass,
-    ) -> Ns {
+    fn evict(&mut self, vpn: u64, frame: u32, dirty: bool, t: Ns, class: ServiceClass) -> Ns {
         // Each eviction is its own causal request (whether it runs on the
         // background reclaimer or as direct reclaim inside a fault).
         let prev_req = self.trace.begin_request();
         self.trace.emit(t, TraceEvent::Evict { vpn, dirty });
-        let remote = (vpn - DDC_BASE_VPN) << 12;
         if self.paging_guide.is_some() {
             self.trace
                 .emit(t, TraceEvent::GuideInvoke { vpn, fetch: false });
         }
-        let liveness = self
-            .paging_guide
-            .as_ref()
-            .map(|g| g.borrow().live_ranges(vpn << 12));
-
+        // What survives the eviction: `None` is the whole page, `Some` only
+        // the ranges the guide calls live (none at all for an empty page).
+        let guide = self.paging_guide.as_ref();
+        let live_ranges = guide.and_then(|g| match g.borrow().live_ranges(vpn << 12) {
+            PageLiveness::Full => None,
+            PageLiveness::Empty => Some(Vec::new()),
+            PageLiveness::Partial(ranges) => Some(ranges),
+        });
         let mut available_at = t;
-        let mut new_pte = Pte::Remote {
-            slot: vpn - DDC_BASE_VPN,
-        };
-
-        match liveness {
-            None | Some(PageLiveness::Full) => {
-                if dirty {
-                    // Dropping a dirty writeback would silently lose the
-                    // application's stores; fatal by design.
-                    #[allow(clippy::expect_used)]
-                    let done = self
-                        .rdma
-                        .write_live(
-                            t,
-                            0,
-                            class,
-                            remote,
-                            self.frames.bytes(frame),
-                            self.frames.live(frame),
-                        )
-                        // dilos-lint: allow(no-unwrap-in-hot-path, "losing a dirty writeback is silent data corruption")
-                        .expect("writeback failed: all replicas of the page are down");
-                    available_at = done;
-                    self.stats.writebacks += 1;
-                }
-            }
-            Some(PageLiveness::Empty) => {
-                // Nothing live: nothing to write, and the later fetch is a
-                // zero-fill. Log an empty vector.
-                if dirty {
-                    self.stats.writeback_bytes_saved += PAGE_SIZE as u64;
-                }
-                let idx = self.actions.insert(Vec::new());
-                new_pte = Pte::Action { action: idx };
-                self.stats.guided_evictions += 1;
-            }
-            Some(PageLiveness::Partial(ranges)) => {
-                let vector: Vec<(u16, u16)> =
-                    ranges.iter().map(|&(o, l)| (o as u16, l as u16)).collect();
-                if dirty {
-                    let segs: Vec<Segment> = ranges
-                        .iter()
-                        .map(|&(o, l)| Segment {
-                            remote: remote + o as u64,
-                            offset: o,
-                            len: l,
-                        })
-                        .collect();
-                    // Fatal by design, as in the full-page writeback arm.
-                    #[allow(clippy::expect_used)]
-                    let done = self
-                        .rdma
-                        .write_v(t, 0, class, &segs, self.frames.bytes(frame))
-                        // dilos-lint: allow(no-unwrap-in-hot-path, "losing a dirty writeback is silent data corruption")
-                        .expect("guided writeback failed: all replicas of the page are down");
-                    available_at = done;
-                    let live: usize = ranges.iter().map(|&(_, l)| l).sum();
-                    self.stats.writebacks += 1;
-                    self.stats.writeback_bytes_saved += (PAGE_SIZE - live) as u64;
-                }
-                let idx = self.actions.insert(vector);
-                new_pte = Pte::Action { action: idx };
-                self.stats.guided_evictions += 1;
-            }
+        if dirty {
+            available_at = self.flush_frame(t, class, vpn, frame, live_ranges.as_deref());
         }
+        let new_pte = match live_ranges {
+            None => Pte::Remote {
+                slot: vpn - DDC_BASE_VPN,
+            },
+            Some(ranges) => {
+                // Log the live ranges so the later fetch is guided too (an
+                // empty vector makes it a zero-fill).
+                let vector = ranges.iter().map(|&(o, l)| (o as u16, l as u16)).collect();
+                self.stats.guided_evictions += 1;
+                Pte::Action {
+                    action: self.actions.insert(vector),
+                }
+            }
+        };
 
         self.trace
             .emit(t, TraceEvent::LruRemove { vpn: frame as u64 });
         self.lru.remove(frame as u64);
-        self.unlink_ring(slot);
         self.set_pte(t, vpn, new_pte);
         if !self.cfg.direct_reclaim && available_at > t {
             // Background eviction with the writeback still on the wire: the
@@ -1766,6 +1601,51 @@ impl Dilos {
         self.stats.evictions += 1;
         self.trace.set_request(prev_req);
         available_at
+    }
+
+    /// Writes dirty `frame` back to `vpn`'s remote slot, posting at `t`: the
+    /// whole page, or only the `ranges` a paging guide reports live (none
+    /// at all for an empty page — nothing on the wire). Returns when the
+    /// write-back completes.
+    fn flush_frame(
+        &mut self,
+        t: Ns,
+        class: ServiceClass,
+        vpn: u64,
+        frame: u32,
+        ranges: Option<&[(usize, usize)]>,
+    ) -> Ns {
+        let remote = (vpn - DDC_BASE_VPN) << 12;
+        let buf = self.frames.bytes(frame);
+        let posted = match ranges {
+            None => {
+                let live = self.frames.live(frame);
+                self.rdma.write_live(t, 0, class, remote, buf, live)
+            }
+            Some(ranges) => {
+                let live: usize = ranges.iter().map(|&(_, l)| l).sum();
+                self.stats.writeback_bytes_saved += (PAGE_SIZE - live) as u64;
+                if ranges.is_empty() {
+                    return t;
+                }
+                let segs: Vec<Segment> = ranges
+                    .iter()
+                    .map(|&(o, l)| Segment {
+                        remote: remote + o as u64,
+                        offset: o,
+                        len: l,
+                    })
+                    .collect();
+                self.rdma.write_v(t, 0, class, &segs, buf)
+            }
+        };
+        self.stats.writebacks += 1;
+        // Dropping a dirty writeback would silently lose the application's
+        // stores; fatal by design.
+        #[allow(clippy::expect_used)]
+        posted
+            // dilos-lint: allow(no-unwrap-in-hot-path, "losing a dirty writeback is silent data corruption")
+            .expect("writeback failed: all replicas of the page are down")
     }
 
     /// Page-table residency (for tests/diagnostics).
@@ -1999,6 +1879,83 @@ mod tests {
             report.iter().any(|m| m.contains("resurrected in the LRU")),
             "resurrection not detected: {report:#?}"
         );
+    }
+
+    /// A paging guide calling the first 64 bytes of every page live.
+    struct HeadLive;
+
+    impl PagingGuide for HeadLive {
+        fn live_ranges(&self, _page_va: u64) -> PageLiveness {
+            PageLiveness::Partial(vec![(0, 64)])
+        }
+    }
+
+    /// Best-effort prefetch failure through `fill_frame`: pages stripe over
+    /// two unreplicated memory nodes, node 1 dies, and a fault on page 0
+    /// (node 0) makes readahead target page 1 (node 1). The prefetch must
+    /// vanish without a trace: frame back on the free list, action vector
+    /// back in the PTE, nothing issued.
+    #[test]
+    fn failed_prefetch_is_dropped_cleanly() {
+        for guided in [false, true] {
+            let mut node = Dilos::new(DilosConfig {
+                local_pages: 32,
+                remote_bytes: 1 << 24,
+                memory_nodes: 2,
+                obs: dilos_sim::Observability::audited(),
+                ..DilosConfig::default()
+            });
+            node.set_prefetcher(Box::new(Readahead::new()));
+            if guided {
+                node.set_paging_guide(Rc::new(RefCell::new(HeadLive)));
+            }
+            let pages = 128u64;
+            let va = node.ddc_alloc(pages as usize * PAGE_SIZE);
+            let page_va = |i: u64| va + i * PAGE_SIZE as u64;
+            for i in 0..pages {
+                node.write_u64(0, page_va(i), i + 1);
+            }
+            // A read pass leaves only clean pages resident, so evictions
+            // after the failure never need the dead node.
+            for i in 0..pages {
+                assert_eq!(node.read_u64(0, page_va(i)), i + 1);
+            }
+            let before = node.pte_of(page_va(1));
+            assert_eq!(matches!(before, Pte::Action { .. }), guided);
+            assert_eq!(matches!(before, Pte::Remote { .. }), !guided);
+
+            node.fail_memory_node(1);
+            let issued = node.stats().prefetch_issued;
+            let posted = node.rdma().ops(ServiceClass::Prefetch).reads;
+            let traced = |n: &Dilos| {
+                let vpn = page_va(1) >> 12;
+                let issue = TraceEvent::PrefetchIssue { vpn };
+                let events = n.trace().events();
+                events.iter().filter(|(_, e)| *e == issue).count()
+            };
+            let traced_before = traced(&node);
+            assert_eq!(node.read_u64(0, page_va(0)), 1);
+
+            assert_eq!(
+                node.rdma().ops(ServiceClass::Prefetch).reads,
+                posted + 1,
+                "readahead must have posted (and lost) the fetch of page 1"
+            );
+            assert_eq!(node.stats().prefetch_issued, issued);
+            assert_eq!(traced(&node), traced_before, "no PrefetchIssue traced");
+            match node.pte_of(page_va(1)) {
+                Pte::Action { action } => {
+                    assert!(guided);
+                    assert_eq!(node.actions.take(action), vec![(0, 64)]);
+                }
+                Pte::Remote { .. } => assert!(!guided),
+                other => panic!("page 1 must stay remote, got {other:?}"),
+            }
+            let report = node.audit_report();
+            assert!(report.is_empty(), "unexpected violations: {report:#?}");
+            let in_use = node.frames.total() - node.frames.free_count();
+            assert_eq!(in_use, node.resident_pages(), "prefetch frame leaked");
+        }
     }
 
     #[test]

@@ -1,95 +1,12 @@
-//! Page-manager bookkeeping: the resident ring and eviction policy (§4.4).
+//! Page-manager policy: the free-memory watermarks (§4.4).
 //!
-//! "The allocator inserts all newly allocated pages into an LRU list. The
-//! cleaner periodically scans the LRU list to find dirty pages … When the
-//! system is under memory pressure, the reclaimer evicts the least frequently
-//! accessed clean pages according to the clock algorithm."
-//!
-//! [`ResidentRing`] is that list: a ring of resident VPNs in allocation
-//! order, with a clock hand for the reclaimer and a second hand for the
-//! cleaner. The actual eviction I/O is orchestrated by the node
-//! ([`crate::node::Dilos`]); this module owns the policy decisions, which
-//! keeps them unit-testable in isolation.
-
-/// The resident-page ring shared by the cleaner and the reclaimer.
-#[derive(Debug, Default)]
-pub struct ResidentRing {
-    slots: Vec<u64>,
-    clock: usize,
-    cleaner: usize,
-}
-
-impl ResidentRing {
-    /// Creates an empty ring.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of resident pages tracked.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Inserts a newly mapped page; returns its slot for O(1) removal.
-    pub fn push(&mut self, vpn: u64) -> usize {
-        self.slots.push(vpn);
-        self.slots.len() - 1
-    }
-
-    /// Removes the page at `slot`.
-    ///
-    /// Returns the VPN that was moved into `slot` to fill the hole (the
-    /// caller must update that page's stored slot), or `None` if the ring
-    /// shrank in place.
-    pub fn remove(&mut self, slot: usize) -> Option<u64> {
-        let last = self.slots.len() - 1;
-        self.slots.swap_remove(slot);
-        if self.clock > self.slots.len() {
-            self.clock = 0;
-        }
-        if self.cleaner > self.slots.len() {
-            self.cleaner = 0;
-        }
-        (slot != last).then(|| self.slots[slot])
-    }
-
-    /// Advances the reclaimer's clock hand one step, returning the VPN under
-    /// it and its slot.
-    pub fn clock_next(&mut self) -> Option<(usize, u64)> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        if self.clock >= self.slots.len() {
-            self.clock = 0;
-        }
-        let slot = self.clock;
-        self.clock = (self.clock + 1) % self.slots.len();
-        Some((slot, self.slots[slot]))
-    }
-
-    /// Advances the cleaner's scan hand one step.
-    pub fn cleaner_next(&mut self) -> Option<(usize, u64)> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        if self.cleaner >= self.slots.len() {
-            self.cleaner = 0;
-        }
-        let slot = self.cleaner;
-        self.cleaner = (self.cleaner + 1) % self.slots.len();
-        Some((slot, self.slots[slot]))
-    }
-
-    /// The VPN at `slot` (test/diagnostic use).
-    pub fn vpn_at(&self, slot: usize) -> u64 {
-        self.slots[slot]
-    }
-}
+//! "The allocator inserts all newly allocated pages into an LRU list … When
+//! the system is under memory pressure, the reclaimer evicts" from it. That
+//! list is the node's exact LRU chain ([`dilos_sim::LruChain`]), and the
+//! eviction I/O is orchestrated by the node ([`crate::node::Dilos`]); this
+//! module owns the one policy decision left over — when the background
+//! reclaimer starts and how far it refills — which keeps it unit-testable
+//! in isolation.
 
 /// Free-memory watermarks driving eager background eviction.
 ///
@@ -117,57 +34,6 @@ impl Watermarks {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn push_remove_tracks_slots() {
-        let mut r = ResidentRing::new();
-        let a = r.push(10);
-        let b = r.push(20);
-        let _c = r.push(30);
-        assert_eq!(r.len(), 3);
-        // Removing the middle slot moves the last element into it.
-        let moved = r.remove(b);
-        assert_eq!(moved, Some(30));
-        assert_eq!(r.vpn_at(b), 30);
-        // Removing the final slot fills nothing.
-        assert_eq!(r.remove(1), None);
-        assert_eq!(r.remove(a), None);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn clock_cycles_through_all_pages() {
-        let mut r = ResidentRing::new();
-        for v in [1u64, 2, 3] {
-            r.push(v);
-        }
-        let seen: Vec<u64> = (0..6).map(|_| r.clock_next().unwrap().1).collect();
-        assert_eq!(seen, vec![1, 2, 3, 1, 2, 3]);
-    }
-
-    #[test]
-    fn hands_survive_removals() {
-        let mut r = ResidentRing::new();
-        for v in 0..5u64 {
-            r.push(v);
-        }
-        r.clock_next();
-        r.clock_next();
-        r.remove(4);
-        r.remove(3);
-        // The hand may have been clamped; it must still cycle safely.
-        for _ in 0..10 {
-            assert!(r.clock_next().is_some());
-        }
-        assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn empty_ring_yields_none() {
-        let mut r = ResidentRing::new();
-        assert!(r.clock_next().is_none());
-        assert!(r.cleaner_next().is_none());
-    }
 
     #[test]
     fn watermarks_scale_with_cache() {

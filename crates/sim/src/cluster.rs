@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 use crate::fabric::ServiceClass;
 use crate::obs::Observability;
-use crate::rdma::{RdmaEndpoint, RdmaError, Segment};
+use crate::rdma::{Local, RdmaEndpoint, RdmaError, Segment};
 use crate::sched::Calendar;
 use crate::time::Ns;
 
@@ -145,6 +145,32 @@ impl RdmaPort {
         ep
     }
 
+    /// The one place the tenant's address base and lane base are applied:
+    /// every verb below is a segment list posted through here into the
+    /// endpoint's verb core.
+    fn post(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        segments: &[Segment],
+        local: Local<'_>,
+    ) -> Result<(Ns, usize), RdmaError> {
+        let core = self.lane_base + core;
+        if self.base == 0 {
+            return self.ep_mut().post(now, core, class, segments, local);
+        }
+        let mut shifted = std::mem::take(&mut self.seg_scratch);
+        shifted.clear();
+        shifted.extend(segments.iter().map(|s| Segment {
+            remote: self.base + s.remote,
+            ..*s
+        }));
+        let r = self.ep_mut().post(now, core, class, &shifted, local);
+        self.seg_scratch = shifted;
+        r
+    }
+
     /// Posts a one-sided read (tenant-relative `remote`).
     pub fn read(
         &mut self,
@@ -154,8 +180,8 @@ impl RdmaPort {
         remote: u64,
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
-        self.ep_mut()
-            .read(now, self.lane_base + core, class, self.base + remote, buf)
+        self.read_live(now, core, class, remote, buf)
+            .map(|(t, _)| t)
     }
 
     /// [`read`](Self::read), also returning the payload's non-zero bound
@@ -168,8 +194,8 @@ impl RdmaPort {
         remote: u64,
         buf: &mut [u8],
     ) -> Result<(Ns, usize), RdmaError> {
-        self.ep_mut()
-            .read_live(now, self.lane_base + core, class, self.base + remote, buf)
+        let seg = [Segment::whole(remote, buf.len())];
+        self.post(now, core, class, &seg, Local::Read(buf))
     }
 
     /// Posts a one-sided write (tenant-relative `remote`).
@@ -181,8 +207,7 @@ impl RdmaPort {
         remote: u64,
         buf: &[u8],
     ) -> Result<Ns, RdmaError> {
-        self.ep_mut()
-            .write(now, self.lane_base + core, class, self.base + remote, buf)
+        self.write_live(now, core, class, remote, buf, buf.len())
     }
 
     /// [`write`](Self::write) with the caller's promise that `buf[live..]`
@@ -196,14 +221,9 @@ impl RdmaPort {
         buf: &[u8],
         live: usize,
     ) -> Result<Ns, RdmaError> {
-        self.ep_mut().write_live(
-            now,
-            self.lane_base + core,
-            class,
-            self.base + remote,
-            buf,
-            live,
-        )
+        let seg = [Segment::whole(remote, buf.len())];
+        self.post(now, core, class, &seg, Local::Write { buf, live })
+            .map(|(t, _)| t)
     }
 
     /// Posts a vectored read; segment addresses are tenant-relative.
@@ -215,14 +235,8 @@ impl RdmaPort {
         segments: &[Segment],
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
-        let core = self.lane_base + core;
-        if self.base == 0 {
-            return self.ep_mut().read_v(now, core, class, segments, buf);
-        }
-        let shifted = self.shift(segments);
-        let r = self.ep_mut().read_v(now, core, class, &shifted, buf);
-        self.seg_scratch = shifted;
-        r
+        self.post(now, core, class, segments, Local::Read(buf))
+            .map(|(t, _)| t)
     }
 
     /// Posts a vectored write; segment addresses are tenant-relative.
@@ -234,26 +248,9 @@ impl RdmaPort {
         segments: &[Segment],
         buf: &[u8],
     ) -> Result<Ns, RdmaError> {
-        let core = self.lane_base + core;
-        if self.base == 0 {
-            return self.ep_mut().write_v(now, core, class, segments, buf);
-        }
-        let shifted = self.shift(segments);
-        let r = self.ep_mut().write_v(now, core, class, &shifted, buf);
-        self.seg_scratch = shifted;
-        r
-    }
-
-    /// Rebases segment addresses by the tenant base into the reusable
-    /// scratch buffer (returned to `seg_scratch` by the caller).
-    fn shift(&mut self, segments: &[Segment]) -> Vec<Segment> {
-        let mut shifted = std::mem::take(&mut self.seg_scratch);
-        shifted.clear();
-        shifted.extend(segments.iter().map(|s| Segment {
-            remote: self.base + s.remote,
-            ..*s
-        }));
-        shifted
+        let live = buf.len();
+        self.post(now, core, class, segments, Local::Write { buf, live })
+            .map(|(t, _)| t)
     }
 
     /// Emits the deferred completion for a calendar-delivered

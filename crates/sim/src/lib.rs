@@ -86,6 +86,6 @@ pub use rng::{MixedSizes, SplitMix64, Zipf};
 pub use sched::{Calendar, EventId, SchedEvent};
 pub use stats::{BandwidthRecorder, LatencyHistogram};
 pub use store::{BTreeStore, FlatStore, MemStore};
-pub use time::{CoreClock, Ns, PAGE_SIZE};
+pub use time::{page_chunks, CoreClock, Ns, PAGE_SIZE};
 pub use timeline::Timeline;
 pub use trace::{FaultKind, FaultPhase, PteClass, ReqId, TraceEvent, TraceObserver, TraceSink};

@@ -18,7 +18,7 @@ use crate::metrics::MetricsRegistry;
 use crate::obs::Observability;
 use crate::recover::DurableState;
 use crate::store::{BTreeStore, FlatStore, MemStore};
-use crate::time::{Ns, PAGE_SIZE};
+use crate::time::{page_chunks, Ns, PAGE_SIZE};
 use crate::trace::{TraceEvent, TraceSink};
 
 /// A registered memory region's access handle (rkey analogue).
@@ -186,18 +186,13 @@ impl MemoryNode {
         );
         self.metrics.inc("memnode_reads", 0);
         self.metrics.add("memnode_read_bytes", 0, buf.len() as u64);
-        let mut off = 0usize;
         let mut bound = 0usize;
-        while off < buf.len() {
-            let a = addr + off as u64;
-            let page = a / PAGE_SIZE as u64;
-            let in_page = (a % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(buf.len() - off);
-            let live = self.pages.read_into(page, in_page, &mut buf[off..off + n]);
+        for (page, in_page, span) in page_chunks(addr, buf.len()) {
+            let off = span.start;
+            let live = self.pages.read_into(page, in_page, &mut buf[span]);
             if live > 0 {
                 bound = off + live;
             }
-            off += n;
         }
         Ok(bound)
     }
@@ -256,16 +251,9 @@ impl MemoryNode {
     /// The page-copy loop shared by the data-path write and intent replay.
     /// `live` bounds the non-zero prefix of `buf` (`buf.len()` if unknown).
     fn copy_in(&mut self, addr: u64, buf: &[u8], live: usize) {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let a = addr + off as u64;
-            let page = a / PAGE_SIZE as u64;
-            let in_page = (a % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(buf.len() - off);
-            let chunk_live = live.saturating_sub(off).min(n);
-            self.pages
-                .write_at(page, in_page, &buf[off..off + n], chunk_live);
-            off += n;
+        for (page, in_page, span) in page_chunks(addr, buf.len()) {
+            let chunk_live = live.saturating_sub(span.start).min(span.len());
+            self.pages.write_at(page, in_page, &buf[span], chunk_live);
         }
     }
 

@@ -42,6 +42,28 @@ pub struct Segment {
     pub len: usize,
 }
 
+impl Segment {
+    /// The one-segment vector of a plain verb: `len` bytes at `remote`,
+    /// landing at the start of the local buffer.
+    pub(crate) fn whole(remote: u64, len: usize) -> Self {
+        Self {
+            remote,
+            offset: 0,
+            len,
+        }
+    }
+}
+
+/// The local side of a verb: which way the payload moves, and the buffer
+/// the segments' offsets index into.
+pub(crate) enum Local<'a> {
+    /// Remote → local (one-sided read).
+    Read(&'a mut [u8]),
+    /// Local → remote (one-sided write). `buf[live..]` is promised all
+    /// zero; the hint only bounds the store's trailing-zero scan.
+    Write { buf: &'a [u8], live: usize },
+}
+
 /// Errors surfaced by the verb layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RdmaError {
@@ -765,30 +787,6 @@ impl RdmaEndpoint {
         (0..self.replication).map(move |i| (shard + i) % n)
     }
 
-    /// Picks the serving node for a read: the first live replica. Charges
-    /// the retry-timeout penalty the first time a death is observed.
-    fn pick_read_node(&mut self, remote: u64) -> Result<(usize, Ns), RdmaError> {
-        let n = self.nodes.len();
-        let shard = ((remote >> 12) as usize) % n;
-        let mut penalty = 0;
-        for rank in 0..self.replication {
-            let ni = (shard + rank) % n;
-            if self.nodes[ni].alive {
-                if rank > 0 {
-                    self.failovers += 1;
-                }
-                return Ok((ni, penalty));
-            }
-            if !self.nodes[ni].death_detected {
-                // First contact after the failure: the RNIC retries until
-                // its transport timeout fires.
-                self.nodes[ni].death_detected = true;
-                penalty = penalty.saturating_add(self.nodes[ni].fabric.cfg().failover_detect_ns);
-            }
-        }
-        Err(RdmaError::AllReplicasDown)
-    }
-
     /// Enables the shared-queue ablation (head-of-line blocking returns).
     pub fn set_shared_queue(&mut self, on: bool) {
         self.shared_queue = on;
@@ -921,6 +919,129 @@ impl RdmaEndpoint {
             .saturating_add(tcp_extra)
     }
 
+    /// The one verb body: every public verb is a segment list plus a
+    /// [`Local`] buffer posted here. Checks the vector, counts the op,
+    /// traces issue and completion, moves the bytes under the endpoint's
+    /// redundancy strategy, and runs the crash injector's completion hook.
+    /// Returns the completion time and, for reads, an upper bound on the
+    /// non-zero prefix of the buffer.
+    pub(crate) fn post(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        segments: &[Segment],
+        mut local: Local<'_>,
+    ) -> Result<(Ns, usize), RdmaError> {
+        let (write, buf_len) = match &local {
+            Local::Read(buf) => (false, buf.len()),
+            Local::Write { buf, .. } => (true, buf.len()),
+        };
+        let bytes = Self::check_segments(segments, buf_len)?;
+        let counts = &mut self.ops[class.idx()];
+        if write {
+            counts.writes += 1;
+            self.metrics.inc("rdma_writes", core);
+        } else {
+            counts.reads += 1;
+            self.metrics.inc("rdma_reads", core);
+        }
+        let shard = self.shard_of(segments[0].remote);
+        self.trace_issue(now, core, class, write, shard, bytes);
+        let moved = if self.ec.is_some() {
+            // One degraded-capable transfer per segment (a slight overcharge
+            // vs a true vectored verb), decoded straight into the buffer.
+            let mut xfer = |s: &Segment| {
+                let span = s.offset..s.offset + s.len;
+                match &mut local {
+                    Local::Read(buf) => self.ec_read(now, core, class, s.remote, &mut buf[span]),
+                    Local::Write { buf, .. } => {
+                        self.ec_write(now, core, class, s.remote, &buf[span])
+                    }
+                }
+            };
+            segments
+                .iter()
+                .try_fold(now, |done, s| Ok(done.max(xfer(s)?)))
+                .map(|done| (done, shard, buf_len))
+        } else {
+            self.replica_transfer(now, core, class, segments, bytes, &mut local)
+        };
+        // A failed verb still completes — the RNIC reports the error in a
+        // CQE — so every traced issue is paired with a completion.
+        let (done, node, live) =
+            moved.inspect_err(|_| self.trace_complete(core, class, write, shard, now))?;
+        self.trace_complete(core, class, write, node, done);
+        self.maybe_crash(done);
+        Ok((done, live))
+    }
+
+    /// Striping + replication: a read is served by the page's first live
+    /// replica, a write goes to every live replica and completes with the
+    /// slowest (the writes ride distinct links, so with symmetric nodes the
+    /// cost is one write plus doorbells). Returns the completion time, the
+    /// node it is attributed to (serving replica for a read, primary for a
+    /// write), and the read's live bound.
+    fn replica_transfer(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        segments: &[Segment],
+        bytes: usize,
+        local: &mut Local<'_>,
+    ) -> Result<(Ns, u8, usize), RdmaError> {
+        let write = matches!(local, Local::Write { .. });
+        let n = self.nodes.len();
+        // Vectored verbs address one page, so every segment shares a shard.
+        let shard = self.shard_of(segments[0].remote) as usize;
+        let mut served = shard;
+        let mut penalty: Ns = 0;
+        let mut done: Option<Ns> = None;
+        let mut live = 0usize;
+        for rank in 0..self.replication {
+            let ni = (shard + rank) % n;
+            if !self.nodes[ni].alive {
+                if !write && !self.nodes[ni].death_detected {
+                    // First contact after the failure: the RNIC retries
+                    // until its transport timeout fires.
+                    self.nodes[ni].death_detected = true;
+                    let detect = self.nodes[ni].fabric.cfg().failover_detect_ns;
+                    penalty = penalty.saturating_add(detect);
+                }
+                continue;
+            }
+            if !write && rank > 0 {
+                self.failovers += 1;
+            }
+            let start = now.saturating_add(penalty);
+            let d = self.verb_timing(ni, start, core, class, bytes, segments.len(), !write);
+            let region = self.region_of(ni);
+            let node = &mut self.nodes[ni].node;
+            for s in segments {
+                let span = s.offset..s.offset + s.len;
+                match local {
+                    Local::Read(buf) => {
+                        let seg_live = node.read(region, s.remote, &mut buf[span])?;
+                        if seg_live > 0 {
+                            live = live.max(s.offset + seg_live);
+                        }
+                    }
+                    Local::Write { buf, live: hint } => {
+                        let seg_live = hint.saturating_sub(s.offset).min(s.len);
+                        node.write_live(region, s.remote, &buf[span], seg_live)?;
+                    }
+                }
+            }
+            done = Some(done.map_or(d, |x| x.max(d)));
+            if !write {
+                served = ni;
+                break;
+            }
+        }
+        Ok((done.ok_or(RdmaError::AllReplicasDown)?, served as u8, live))
+    }
+
     /// Posts a one-sided read of `buf.len()` bytes from `remote`.
     ///
     /// Returns the virtual completion time; the caller decides whether to
@@ -933,7 +1054,8 @@ impl RdmaEndpoint {
         remote: u64,
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
-        self.read_live(now, core, class, remote, buf).map(|(t, _)| t)
+        self.read_live(now, core, class, remote, buf)
+            .map(|(t, _)| t)
     }
 
     /// [`read`](Self::read), additionally returning an upper bound on the
@@ -948,30 +1070,8 @@ impl RdmaEndpoint {
         remote: u64,
         buf: &mut [u8],
     ) -> Result<(Ns, usize), RdmaError> {
-        self.ops[class.idx()].reads += 1;
-        self.metrics.inc("rdma_reads", core);
-        let shard = self.shard_of(remote);
-        self.trace_issue(now, core, class, false, shard, buf.len());
-        if self.ec.is_some() {
-            let done = self.ec_read(now, core, class, remote, buf)?;
-            self.trace_complete(core, class, false, shard, done);
-            self.maybe_crash(done);
-            return Ok((done, buf.len()));
-        }
-        let (ni, penalty) = self.pick_read_node(remote)?;
-        let done = self.verb_timing(
-            ni,
-            now.saturating_add(penalty),
-            core,
-            class,
-            buf.len(),
-            1,
-            true,
-        );
-        let live = self.nodes[ni].node.read(self.region_of(ni), remote, buf)?;
-        self.trace_complete(core, class, false, ni as u8, done);
-        self.maybe_crash(done);
-        Ok((done, live))
+        let seg = [Segment::whole(remote, buf.len())];
+        self.post(now, core, class, &seg, Local::Read(buf))
     }
 
     /// Posts a one-sided write of `buf` to `remote`.
@@ -999,36 +1099,39 @@ impl RdmaEndpoint {
         buf: &[u8],
         live: usize,
     ) -> Result<Ns, RdmaError> {
-        self.ops[class.idx()].writes += 1;
-        self.metrics.inc("rdma_writes", core);
-        let shard = self.shard_of(remote);
-        self.trace_issue(now, core, class, true, shard, buf.len());
-        if self.ec.is_some() {
-            let done = self.ec_write(now, core, class, remote, buf)?;
-            self.trace_complete(core, class, true, shard, done);
-            self.maybe_crash(done);
-            return Ok(done);
-        }
-        // Synchronous replication: every live replica is written; the
-        // completion is the slowest (the writes ride distinct links, so
-        // with symmetric nodes the cost is one write plus doorbells).
-        let n = self.nodes.len();
-        let shard_base = ((remote >> 12) as usize) % n;
-        let mut done = None;
-        for rank in 0..self.replication {
-            let ni = (shard_base + rank) % n;
-            if !self.nodes[ni].alive {
-                continue;
-            }
-            let d = self.verb_timing(ni, now, core, class, buf.len(), 1, false);
-            let region = self.region_of(ni);
-            self.nodes[ni].node.write_live(region, remote, buf, live)?;
-            done = Some(done.map_or(d, |x: Ns| x.max(d)));
-        }
-        let done = done.ok_or(RdmaError::AllReplicasDown)?;
-        self.trace_complete(core, class, true, shard, done);
-        self.maybe_crash(done);
-        Ok(done)
+        let seg = [Segment::whole(remote, buf.len())];
+        self.post(now, core, class, &seg, Local::Write { buf, live })
+            .map(|(t, _)| t)
+    }
+
+    /// Posts a vectored (scatter) read: each segment lands at its offset in
+    /// `buf`. Guided paging uses this to fetch only the live chunks of a
+    /// page (§4.4).
+    pub fn read_v(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        segments: &[Segment],
+        buf: &mut [u8],
+    ) -> Result<Ns, RdmaError> {
+        self.post(now, core, class, segments, Local::Read(buf))
+            .map(|(t, _)| t)
+    }
+
+    /// Posts a vectored (gather) write: each segment is taken from its
+    /// offset in `buf`.
+    pub fn write_v(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        segments: &[Segment],
+        buf: &[u8],
+    ) -> Result<Ns, RdmaError> {
+        let live = buf.len();
+        self.post(now, core, class, segments, Local::Write { buf, live })
+            .map(|(t, _)| t)
     }
 
     // ------------------------------------------------------------------
@@ -1037,7 +1140,7 @@ impl RdmaEndpoint {
 
     /// The erasure-coding state. Every `ec_*` data-path function is only
     /// dispatched when [`connect_ec`](Self::connect_ec) configured EC mode;
-    /// reaching one without it is a mode-dispatch bug in `read`/`write`,
+    /// reaching one without it is a mode-dispatch bug in [`post`](Self::post),
     /// and a deterministic panic here beats silently mis-routing a verb.
     #[allow(clippy::expect_used)]
     fn ec_state(&self) -> &EcState {
@@ -1205,120 +1308,22 @@ impl RdmaEndpoint {
         Ok(done.saturating_add(decode_ns))
     }
 
+    /// Validates a scatter/gather vector against a `buf_len`-byte local
+    /// buffer and returns its payload size. A vectored verb addresses one
+    /// page — the serving shard is chosen from the first segment — so a
+    /// segment starting in any other page is rejected rather than served
+    /// from the wrong memory node.
     fn check_segments(segments: &[Segment], buf_len: usize) -> Result<usize, RdmaError> {
-        if segments.is_empty() {
-            return Err(RdmaError::EmptyVector);
-        }
+        let first = segments.first().ok_or(RdmaError::EmptyVector)?;
         let mut bytes = 0usize;
         for s in segments {
             let end = s.offset.checked_add(s.len).ok_or(RdmaError::BadSegment)?;
-            if end > buf_len {
+            if end > buf_len || s.remote >> 12 != first.remote >> 12 {
                 return Err(RdmaError::BadSegment);
             }
             bytes += s.len;
         }
         Ok(bytes)
-    }
-
-    /// Posts a vectored (scatter) read: each segment lands at its offset in
-    /// `buf`. Guided paging uses this to fetch only the live chunks of a
-    /// page (§4.4).
-    pub fn read_v(
-        &mut self,
-        now: Ns,
-        core: usize,
-        class: ServiceClass,
-        segments: &[Segment],
-        buf: &mut [u8],
-    ) -> Result<Ns, RdmaError> {
-        let bytes = Self::check_segments(segments, buf.len())?;
-        self.ops[class.idx()].reads += 1;
-        self.metrics.inc("rdma_reads", core);
-        let shard = self.shard_of(segments[0].remote);
-        self.trace_issue(now, core, class, false, shard, bytes);
-        if self.ec.is_some() {
-            // Per-segment degraded-capable reads (slight overcharge vs a
-            // true vectored verb; documented in DESIGN.md).
-            let mut done = now;
-            for s in segments {
-                let mut tmp = vec![0u8; s.len];
-                let d = self.ec_read(now, core, class, s.remote, &mut tmp)?;
-                buf[s.offset..s.offset + s.len].copy_from_slice(&tmp);
-                done = done.max(d);
-            }
-            self.trace_complete(core, class, false, shard, done);
-            self.maybe_crash(done);
-            return Ok(done);
-        }
-        // Vectored verbs address one page, so every segment shares a shard.
-        let (ni, penalty) = self.pick_read_node(segments[0].remote)?;
-        let done = self.verb_timing(
-            ni,
-            now.saturating_add(penalty),
-            core,
-            class,
-            bytes,
-            segments.len(),
-            true,
-        );
-        for s in segments {
-            let region = self.region_of(ni);
-            self.nodes[ni]
-                .node
-                .read(region, s.remote, &mut buf[s.offset..s.offset + s.len])?;
-        }
-        self.trace_complete(core, class, false, ni as u8, done);
-        self.maybe_crash(done);
-        Ok(done)
-    }
-
-    /// Posts a vectored (gather) write: each segment is taken from its
-    /// offset in `buf`.
-    pub fn write_v(
-        &mut self,
-        now: Ns,
-        core: usize,
-        class: ServiceClass,
-        segments: &[Segment],
-        buf: &[u8],
-    ) -> Result<Ns, RdmaError> {
-        let bytes = Self::check_segments(segments, buf.len())?;
-        self.ops[class.idx()].writes += 1;
-        self.metrics.inc("rdma_writes", core);
-        let shard = self.shard_of(segments[0].remote);
-        self.trace_issue(now, core, class, true, shard, bytes);
-        if self.ec.is_some() {
-            let mut done = now;
-            for s in segments {
-                let seg = &buf[s.offset..s.offset + s.len];
-                let d = self.ec_write(now, core, class, s.remote, seg)?;
-                done = done.max(d);
-            }
-            self.trace_complete(core, class, true, shard, done);
-            self.maybe_crash(done);
-            return Ok(done);
-        }
-        let n = self.nodes.len();
-        let shard_base = ((segments[0].remote >> 12) as usize) % n;
-        let mut done = None;
-        for rank in 0..self.replication {
-            let ni = (shard_base + rank) % n;
-            if !self.nodes[ni].alive {
-                continue;
-            }
-            let d = self.verb_timing(ni, now, core, class, bytes, segments.len(), false);
-            for s in segments {
-                let region = self.region_of(ni);
-                self.nodes[ni]
-                    .node
-                    .write(region, s.remote, &buf[s.offset..s.offset + s.len])?;
-            }
-            done = Some(done.map_or(d, |x: Ns| x.max(d)));
-        }
-        let done = done.ok_or(RdmaError::AllReplicasDown)?;
-        self.trace_complete(core, class, true, shard, done);
-        self.maybe_crash(done);
-        Ok(done)
     }
 }
 
@@ -1468,6 +1473,82 @@ mod tests {
             e.read_v(0, 0, ServiceClass::Guide, &bad, &mut page),
             Err(RdmaError::BadSegment)
         );
+        // On a striped pool the shard comes from the first segment, so a
+        // segment starting in another page would be served from the wrong
+        // memory node: rejected, in both directions.
+        let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 2, 1);
+        e.write(0, 0, ServiceClass::App, 4096, &[7; 64]).unwrap();
+        let seg = |remote, offset| Segment {
+            remote,
+            offset,
+            len: 64,
+        };
+        let stray = [seg(0, 0), seg(4096, 64)];
+        assert_eq!(
+            e.read_v(0, 0, ServiceClass::Guide, &stray, &mut page),
+            Err(RdmaError::BadSegment)
+        );
+        assert_eq!(
+            e.write_v(0, 0, ServiceClass::Guide, &stray, &page),
+            Err(RdmaError::BadSegment)
+        );
+        let same_page = [seg(4096, 0), seg(4096 + 64, 64)];
+        e.read_v(0, 0, ServiceClass::Guide, &same_page, &mut page)
+            .unwrap();
+        assert!(page[..64].iter().all(|&b| b == 7));
+    }
+
+    /// Everything a caller can observe about an endpoint after a run.
+    fn observable(e: &RdmaEndpoint, obs: &Observability) -> ((u64, u64), [u64; 2], u64) {
+        let ops = e.ops(ServiceClass::App);
+        let counts = [ops.reads, ops.writes];
+        (e.total_bytes(), counts, obs.trace().digest())
+    }
+
+    /// The shim/core relation: a plain verb *is* the one-segment vectored
+    /// verb — same completion times, bytes, op counts and trace — on every
+    /// redundancy strategy, healthy and degraded.
+    #[test]
+    fn plain_verbs_equal_one_segment_vectors() {
+        let boots: [fn() -> RdmaEndpoint; 3] = [
+            || RdmaEndpoint::connect(SimConfig::default(), 1 << 22),
+            || RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 22, 3, 2),
+            || RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 5, 3, 2),
+        ];
+        let class = ServiceClass::App;
+        // Page 0 lives on node 0 under every placement (stripe, EC lane).
+        let remote = 64;
+        let data: Vec<u8> = (0..256).map(|i| i as u8 | 1).collect();
+        let seg = [Segment {
+            remote,
+            offset: 0,
+            len: data.len(),
+        }];
+        for boot in boots {
+            let (mut plain, mut vectored) = (boot(), boot());
+            let (obs_p, obs_v) = (Observability::tracing(), Observability::tracing());
+            plain.observe(&obs_p);
+            vectored.observe(&obs_v);
+            let (mut out_p, mut out_v) = (vec![0u8; data.len()], vec![0u8; data.len()]);
+            assert_eq!(
+                plain.write(100, 1, class, remote, &data),
+                vectored.write_v(100, 1, class, &seg, &data)
+            );
+            // Healthy read, then the page's node dies: failover on the
+            // replicated pool, erasure-decode on the EC pool, a typed error
+            // on the plain one — identically through either verb.
+            for t in [50_000, 100_000] {
+                assert_eq!(
+                    plain.read(t, 1, class, remote, &mut out_p),
+                    vectored.read_v(t, 1, class, &seg, &mut out_v)
+                );
+                assert_eq!(out_p, out_v);
+                plain.fail_node(0);
+                vectored.fail_node(0);
+            }
+            assert_eq!(observable(&plain, &obs_p), observable(&vectored, &obs_v));
+            assert_ne!(obs_p.trace().digest(), 0, "the runs were traced");
+        }
     }
 
     #[test]
