@@ -101,6 +101,26 @@ impl PageBitmap {
     pub fn live_runs(&self) -> LiveRuns<'_> {
         LiveRuns { bm: self, pos: 0 }
     }
+
+    /// End of the run of blocks whose liveness is `live` starting at `from`:
+    /// the first block at or after `from` with the other liveness, capped at
+    /// the block count. Scans a word at a time.
+    fn run_end(&self, from: usize, live: bool) -> usize {
+        let n = self.blocks as usize;
+        let mut i = from;
+        while i < n {
+            let bit = i % 64;
+            // Flip free-run words so the run's blocks read as ones; the
+            // shift feeds zeros in at the top, so `run <= 64 - bit`.
+            let w = self.words[i / 64] ^ if live { 0 } else { u64::MAX };
+            let run = (w >> bit).trailing_ones() as usize;
+            i += run;
+            if run < 64 - bit {
+                break;
+            }
+        }
+        i.min(n)
+    }
 }
 
 /// Iterator over maximal live-block runs.
@@ -114,17 +134,11 @@ impl Iterator for LiveRuns<'_> {
     type Item = (usize, usize);
 
     fn next(&mut self) -> Option<(usize, usize)> {
-        let n = self.bm.blocks();
-        while self.pos < n && !self.bm.is_set(self.pos) {
-            self.pos += 1;
-        }
-        if self.pos >= n {
+        let start = self.bm.run_end(self.pos, false);
+        if start >= self.bm.blocks() {
             return None;
         }
-        let start = self.pos;
-        while self.pos < n && self.bm.is_set(self.pos) {
-            self.pos += 1;
-        }
+        self.pos = self.bm.run_end(start, true);
         Some((start, self.pos - start))
     }
 }
@@ -177,6 +191,61 @@ mod tests {
         }
         let runs: Vec<_> = b.live_runs().collect();
         assert_eq!(runs, vec![(0, 3), (5, 1), (9, 2), (15, 1)]);
+    }
+
+    /// The word scan must yield exactly the runs a bit-by-bit walk does,
+    /// for every block count a size class produces (word-aligned or not)
+    /// and every density from nearly empty to nearly full.
+    #[test]
+    fn live_runs_match_a_bit_walk_for_every_size_class() {
+        fn bit_walk(b: &PageBitmap) -> Vec<(usize, usize)> {
+            let (n, mut runs, mut i) = (b.blocks(), Vec::new(), 0);
+            while i < n {
+                if !b.is_set(i) {
+                    i += 1;
+                    continue;
+                }
+                let start = i;
+                while i < n && b.is_set(i) {
+                    i += 1;
+                }
+                runs.push((start, i - start));
+            }
+            runs
+        }
+        let mut rng = proptest::test_runner::TestRng::new(0x5EED_0014);
+        let mut counts: Vec<usize> = crate::size_class::SIZE_CLASSES
+            .iter()
+            .map(|&c| crate::PAGE_SIZE / c)
+            .collect();
+        counts.dedup();
+        assert!(counts.contains(&512) && counts.contains(&2));
+        for &blocks in &counts {
+            // Every bitmap of a tiny class; seeded ones at eight densities
+            // (plus all-free and all-live) for the rest.
+            let exhaustive = blocks <= 10;
+            let cases = if exhaustive {
+                1usize << blocks
+            } else {
+                10 * 40
+            };
+            for case in 0..cases {
+                let mut b = PageBitmap::new(blocks);
+                for i in 0..blocks {
+                    let live = if exhaustive {
+                        case >> i & 1 == 1
+                    } else {
+                        (rng.next_u64() % 9) < (case / 40) as u64
+                    };
+                    if live {
+                        b.set(i);
+                    }
+                }
+                let runs: Vec<_> = b.live_runs().collect();
+                assert_eq!(runs, bit_walk(&b), "{blocks} blocks, case {case}");
+                assert_eq!(runs.iter().map(|r| r.1).sum::<usize>(), b.live());
+            }
+        }
     }
 
     #[test]

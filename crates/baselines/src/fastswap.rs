@@ -14,10 +14,9 @@
 //! DiLOS removes (swap-cache management, minor-fault storms, in-handler
 //! reclaim, TLB shootdowns on unmap) is present here and absent there.
 
-
 use dilos_sim::{
     page_chunks, Calendar, CoreClock, FaultKind, LruChain, MetricsRegistry, Ns, Observability,
-    RdmaEndpoint, SchedEvent, ServiceClass, SimConfig, SpanProfiler, Timeline, TraceEvent,
+    RdmaEndpoint, SchedEvent, Segment, ServiceClass, SimConfig, SpanProfiler, Timeline, TraceEvent,
     TraceSink, PAGE_SIZE,
 };
 
@@ -628,19 +627,13 @@ impl Fastswap {
         t = t_frame;
         // Demand fetch (synchronous).
         let remote = (vpn - (BASE_VA >> 12)) << 12;
-        // The verb fills the whole frame (dead bytes read as zeros), so it
-        // can land directly — no bounce buffer, no extra 4 KiB copy.
-        let (done, live) = self
-            .rdma
-            .read_live(
-                t + costs.kernel_io_ns,
-                core,
-                ServiceClass::Fault,
-                remote,
-                &mut self.frames[frame as usize][..],
-            )
-            .expect("swap-in inside swap device");
-        self.frame_live[frame as usize] = live as u32;
+        let done = self.swap_in(
+            t + costs.kernel_io_ns,
+            core,
+            ServiceClass::Fault,
+            remote,
+            frame,
+        );
         // Readahead the rest of the cluster into the swap cache
         // (asynchronous; pages cost a minor fault on first touch).
         self.readahead(core, vpn, done);
@@ -665,6 +658,22 @@ impl Fastswap {
         );
         self.trace.set_request(prev_req);
         frame
+    }
+
+    /// Reads the page at `remote` into `frame`, posting at `t`; returns when
+    /// it lands. The verb fills the whole frame (dead bytes read as zeros),
+    /// so it lands directly — no bounce buffer — and the frame's old extent
+    /// tells the store how much of the recycled frame is left to zero.
+    fn swap_in(&mut self, t: Ns, core: usize, class: ServiceClass, remote: u64, frame: u32) -> Ns {
+        let f = frame as usize;
+        let seg = [Segment::whole(remote, PAGE_SIZE)];
+        let live_in = self.frame_live[f] as usize;
+        let (done, live) = self
+            .rdma
+            .read_hinted(t, core, class, &seg, &mut self.frames[f][..], live_in)
+            .expect("swap-in inside swap device");
+        self.frame_live[f] = live as u32;
+        done
     }
 
     /// Linux-style cluster readahead into the swap cache.
@@ -694,17 +703,7 @@ impl Fastswap {
             let prev_req = self.trace.begin_request();
             self.trace
                 .emit(t.max(avail), TraceEvent::PrefetchIssue { vpn: target });
-            let (done, live) = self
-                .rdma
-                .read_live(
-                    t.max(avail),
-                    core,
-                    ServiceClass::Prefetch,
-                    remote,
-                    &mut self.frames[frame as usize][..],
-                )
-                .expect("readahead inside swap device");
-            self.frame_live[frame as usize] = live as u32;
+            let done = self.swap_in(t.max(avail), core, ServiceClass::Prefetch, remote, frame);
             self.st_set(
                 target,
                 PageState::Cached {

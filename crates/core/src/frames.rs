@@ -5,6 +5,14 @@
 //! set). Frames carry the metadata the page manager needs: the VPN they back
 //! and, for frames filled by an in-flight fetch, the virtual time at which
 //! the payload actually arrives.
+//!
+//! Frames are recycled without being wiped. Instead each carries a *live
+//! extent* — an upper bound on its non-zero prefix — that bounds the work
+//! in both directions of the data path: a write-back promises the store
+//! that `buf[live..]` is zero, a fill promises it that `buf[live..]` is
+//! *already* zero, and so neither scans nor rewrites a cold tail (DESIGN.md,
+//! "The extent contract"). The arena owns the bound; whoever writes a
+//! frame's bytes keeps it one (`set_live` / `note_write` / `zero`).
 
 use dilos_sim::{Ns, Observability, TraceEvent, TraceSink, PAGE_SIZE};
 
@@ -36,8 +44,9 @@ pub struct FrameArena {
     free: Vec<FreeFrame>,
     /// Per-frame live extent: an upper bound on the frame's non-zero prefix
     /// (every byte at offset `>= live[f]` is zero). Fill paths set it, app
-    /// writes raise it, and eviction hands it to the store so write-back
-    /// never has to re-scan a mostly-zero page for its content length.
+    /// writes raise it; eviction hands it to the store so write-back never
+    /// re-scans a mostly-zero page for its content length, and the next fill
+    /// hands it to the store so only the stale prefix is cleared.
     live: Vec<u32>,
     trace: TraceSink,
 }
@@ -72,6 +81,8 @@ impl FrameArena {
     }
 
     /// Upper bound on the frame's non-zero prefix; bytes past it are zero.
+    /// It is the `live` of a write-back ([`bytes`](Self::bytes) is what
+    /// goes out) and the `live_in` of the fill that recycles the frame.
     pub fn live(&self, frame: u32) -> usize {
         self.live[frame as usize] as usize
     }
@@ -153,6 +164,15 @@ impl FrameArena {
     pub fn bytes(&self, frame: u32) -> &[u8] {
         let o = frame as usize * PAGE_SIZE;
         &self.data[o..o + PAGE_SIZE]
+    }
+
+    /// The frame's bytes together with its live extent — the two halves of
+    /// a hinted fill (`buf`, `live_in`), borrowed in one call so a fill
+    /// cannot pair one frame's buffer with another frame's extent. The
+    /// filler reports the new extent through [`set_live`](Self::set_live).
+    pub(crate) fn bytes_mut_with_live(&mut self, frame: u32) -> (&mut [u8], usize) {
+        let live = self.live(frame);
+        (self.bytes_mut(frame), live)
     }
 
     /// Mutable backing bytes. Callers that write non-zero content must pair

@@ -1065,37 +1065,39 @@ impl Dilos {
         vector: Option<&[(u16, u16)]>,
     ) -> Result<Ns, RdmaError> {
         let remote = (vpn - DDC_BASE_VPN) << 12;
-        let Some(v) = vector else {
-            // The verb fills every byte of the frame (absent remote ranges
-            // read as zeros), so no pre-zeroing is needed.
-            let buf = self.frames.bytes_mut(frame);
-            let (done, live) = self.rdma.read_live(t, core, class, remote, buf)?;
-            self.frames.set_live(frame, live);
-            return Ok(done);
-        };
-        // A vectored verb touches only its segments; the rest of the
-        // (possibly recycled) frame must read as dead zeros.
-        self.frames.zero(frame);
-        let mut done = t;
-        if !v.is_empty() {
-            let mut segs = std::mem::take(&mut self.seg_buf);
-            segs.clear();
-            segs.extend(v.iter().map(|&(o, l)| Segment {
-                remote: remote + o as u64,
-                offset: o as usize,
-                len: l as usize,
-            }));
-            let r = self
-                .rdma
-                .read_v(t, core, class, &segs, self.frames.bytes_mut(frame));
-            self.seg_buf = segs;
-            done = r?;
-            let end = v.iter().map(|&(o, l)| o as usize + l as usize).max();
-            self.frames.set_live(frame, end.unwrap_or(0));
+        let mut segs = std::mem::take(&mut self.seg_buf);
+        segs.clear();
+        match vector {
+            // The whole page lands on top of whatever the recycled frame
+            // last held (absent remote ranges read as zeros); the frame's
+            // old extent tells the store how much of that is left to zero.
+            None => segs.push(Segment::whole(remote, PAGE_SIZE)),
+            // A vectored verb touches only its segments; the rest of the
+            // frame must read as dead zeros, so it is zeroed first and the
+            // verb is told there is nothing left to clear.
+            Some(v) => {
+                self.frames.zero(frame);
+                segs.extend(v.iter().map(|&(o, l)| Segment {
+                    remote: remote + o as u64,
+                    offset: o as usize,
+                    len: l as usize,
+                }));
+            }
         }
-        let live: usize = v.iter().map(|&(_, l)| l as usize).sum();
-        self.stats.guided_fetches += 1;
-        self.stats.fetch_bytes_saved += (PAGE_SIZE - live) as u64;
+        let posted = if segs.is_empty() {
+            Ok((t, 0))
+        } else {
+            let (buf, live_in) = self.frames.bytes_mut_with_live(frame);
+            self.rdma.read_hinted(t, core, class, &segs, buf, live_in)
+        };
+        self.seg_buf = segs;
+        let (done, live) = posted?;
+        self.frames.set_live(frame, live);
+        if let Some(v) = vector {
+            let fetched: usize = v.iter().map(|&(_, l)| l as usize).sum();
+            self.stats.guided_fetches += 1;
+            self.stats.fetch_bytes_saved += (PAGE_SIZE - fetched) as u64;
+        }
         Ok(done)
     }
 
@@ -1628,15 +1630,16 @@ impl Dilos {
                 if ranges.is_empty() {
                     return t;
                 }
-                let segs: Vec<Segment> = ranges
-                    .iter()
-                    .map(|&(o, l)| Segment {
-                        remote: remote + o as u64,
-                        offset: o,
-                        len: l,
-                    })
-                    .collect();
-                self.rdma.write_v(t, 0, class, &segs, buf)
+                let mut segs = std::mem::take(&mut self.seg_buf);
+                segs.clear();
+                segs.extend(ranges.iter().map(|&(o, l)| Segment {
+                    remote: remote + o as u64,
+                    offset: o,
+                    len: l,
+                }));
+                let r = self.rdma.write_v(t, 0, class, &segs, buf);
+                self.seg_buf = segs;
+                r
             }
         };
         self.stats.writebacks += 1;

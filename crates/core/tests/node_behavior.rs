@@ -60,6 +60,55 @@ fn data_survives_eviction() {
 }
 
 #[test]
+fn recycled_frames_show_nothing_of_their_previous_page() {
+    // Frames are recycled without being wiped: a fill lands on top of the
+    // previous page's bytes and clears only what the frame's tracked extent
+    // says can be stale. Walk every frame through full page → sparse page →
+    // never-written page; a fill that is told the *new* page's extent (or
+    // none) instead of the old one leaves 0xC7 bytes behind.
+    let group = 48usize;
+    let mut n = node(16);
+    let va = n.ddc_alloc(3 * group * PAGE);
+    let at = |g: usize, p: usize| va + ((g * group + p) * PAGE) as u64;
+    for p in 0..group {
+        n.write(0, at(0, p), &[0xC7; PAGE]);
+        n.write_u64(0, at(1, p), 0x5EED_0000 + p as u64);
+        // First touched by a read: evicted clean, so the memory node never
+        // materializes it and the re-fault fetches an absent page.
+        assert_eq!(n.read_u64(0, at(2, p)), 0);
+    }
+    let mut page = vec![0u8; PAGE];
+    for round in 0..2 {
+        for p in 0..group {
+            n.read(0, at(0, p), &mut page);
+            assert!(page.iter().all(|&b| b == 0xC7), "full page {p}");
+        }
+        for p in 0..group {
+            n.read(0, at(1, p), &mut page);
+            assert_eq!(page[..8], (0x5EED_0000 + p as u64).to_le_bytes());
+            let stale = page[8..].iter().position(|&b| b != 0);
+            assert_eq!(
+                stale, None,
+                "round {round}: sparse page {p} shows stale bytes"
+            );
+        }
+        for p in 0..group {
+            n.read(0, at(2, p), &mut page);
+            let stale = page.iter().position(|&b| b != 0);
+            assert_eq!(
+                stale, None,
+                "round {round}: blank page {p} shows stale bytes"
+            );
+        }
+    }
+    let s = n.stats();
+    assert!(
+        s.major_faults + s.minor_faults >= 6 * group as u64 - 16,
+        "every page was re-fetched on every pass"
+    );
+}
+
+#[test]
 fn reclaim_stays_off_the_critical_path() {
     // DiLOS's claim: background eager eviction keeps direct reclaim at zero.
     let mut n = node(64);

@@ -195,7 +195,24 @@ impl RdmaPort {
         buf: &mut [u8],
     ) -> Result<(Ns, usize), RdmaError> {
         let seg = [Segment::whole(remote, buf.len())];
-        self.post(now, core, class, &seg, Local::Read(buf))
+        let live_in = buf.len();
+        self.read_hinted(now, core, class, &seg, buf, live_in)
+    }
+
+    /// The general read — tenant-relative segments into `buf`, with the
+    /// caller's promise that `buf[live_in..]` is already all zero (see
+    /// [`RdmaEndpoint::read_hinted`]).
+    pub fn read_hinted(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        segments: &[Segment],
+        buf: &mut [u8],
+        live_in: usize,
+    ) -> Result<(Ns, usize), RdmaError> {
+        let local = Local::Read { buf, live: live_in };
+        self.post(now, core, class, segments, local)
     }
 
     /// Posts a one-sided write (tenant-relative `remote`).
@@ -235,7 +252,8 @@ impl RdmaPort {
         segments: &[Segment],
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
-        self.post(now, core, class, segments, Local::Read(buf))
+        let live_in = buf.len();
+        self.read_hinted(now, core, class, segments, buf, live_in)
             .map(|(t, _)| t)
     }
 
@@ -256,7 +274,8 @@ impl RdmaPort {
     /// Emits the deferred completion for a calendar-delivered
     /// [`SchedEvent::RdmaCompletion`](crate::sched::SchedEvent::RdmaCompletion).
     pub fn deliver_completion(&self, t: Ns, class: ServiceClass, write: bool, node: u8, core: u8) {
-        self.ep_mut().deliver_completion(t, class, write, node, core);
+        self.ep_mut()
+            .deliver_completion(t, class, write, node, core);
     }
 
     /// Wire bytes attributed to this port's tenant and `class`: `(tx, rx)`.

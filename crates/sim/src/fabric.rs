@@ -193,8 +193,7 @@ impl Fabric {
         // who calls after it).
         let end = match &mut self.qos {
             Some(q) => {
-                let share =
-                    u64::from(q.shares.get(tenant as usize).copied().unwrap_or(1).max(1));
+                let share = u64::from(q.shares.get(tenant as usize).copied().unwrap_or(1).max(1));
                 let ri = tenant as usize * 2 + usize::from(inbound);
                 if q.release.len() <= ri {
                     q.release.resize(ri + 1, 0);

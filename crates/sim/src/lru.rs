@@ -137,7 +137,8 @@ impl LruChain {
             Some(at) => at,
             None => self.open_chunk(c),
         };
-        let chunk = self.dir[e].chunks[i].get_or_insert_with(|| Box::new([Slot::EMPTY; CHUNK as usize]));
+        let chunk =
+            self.dir[e].chunks[i].get_or_insert_with(|| Box::new([Slot::EMPTY; CHUNK as usize]));
         &mut chunk[(key % CHUNK) as usize]
     }
 
@@ -162,7 +163,8 @@ impl LruChain {
         if e + 1 < self.dir.len() && self.dir[e + 1].base - (c + 1) <= GROW_CHUNKS {
             let right = self.dir.remove(e + 1);
             let ext = &mut self.dir[e];
-            ext.chunks.resize_with((right.base - ext.base) as usize, || None);
+            ext.chunks
+                .resize_with((right.base - ext.base) as usize, || None);
             ext.chunks.extend(right.chunks);
         }
         if e > 0 {
@@ -171,7 +173,8 @@ impl LruChain {
                 let cur = self.dir.remove(e);
                 e -= 1;
                 let ext = &mut self.dir[e];
-                ext.chunks.resize_with((cur.base - ext.base) as usize, || None);
+                ext.chunks
+                    .resize_with((cur.base - ext.base) as usize, || None);
                 ext.chunks.extend(cur.chunks);
             }
         }

@@ -173,8 +173,29 @@ impl MemoryNode {
     ///
     /// Returns an upper bound on the non-zero prefix of `buf` (every byte at
     /// or past the bound is zero), so callers that cache the payload can
-    /// track its live extent without re-scanning it.
-    pub fn read(&self, key: RegionHandle, addr: u64, buf: &mut [u8]) -> Result<usize, MemNodeError> {
+    /// track its live extent without re-scanning it. Every byte of `buf` is
+    /// written: this is the hinted read the verbs use (`read_hinted`) with
+    /// nothing known about the buffer (`live_in = buf.len()`).
+    pub fn read(
+        &self,
+        key: RegionHandle,
+        addr: u64,
+        buf: &mut [u8],
+    ) -> Result<usize, MemNodeError> {
+        self.read_hinted(key, addr, buf, buf.len())
+    }
+
+    /// [`read`](Self::read) with a caller promise that `buf[live_in..]` is
+    /// already all zero. Checks, tracing, counters, the bytes `buf` ends up
+    /// holding and the returned bound are identical; the hint only lets the
+    /// store skip re-zeroing the part of the tail that is zero already.
+    pub(crate) fn read_hinted(
+        &self,
+        key: RegionHandle,
+        addr: u64,
+        buf: &mut [u8],
+        live_in: usize,
+    ) -> Result<usize, MemNodeError> {
         self.check(key, addr, buf.len())?;
         self.trace.emit(
             self.access_time.get(),
@@ -189,7 +210,10 @@ impl MemoryNode {
         let mut bound = 0usize;
         for (page, in_page, span) in page_chunks(addr, buf.len()) {
             let off = span.start;
-            let live = self.pages.read_into(page, in_page, &mut buf[span]);
+            let chunk_live = live_in.saturating_sub(off).min(span.len());
+            let live = self
+                .pages
+                .read_hinted(page, in_page, &mut buf[span], chunk_live);
             if live > 0 {
                 bound = off + live;
             }

@@ -45,7 +45,7 @@ pub struct Segment {
 impl Segment {
     /// The one-segment vector of a plain verb: `len` bytes at `remote`,
     /// landing at the start of the local buffer.
-    pub(crate) fn whole(remote: u64, len: usize) -> Self {
+    pub fn whole(remote: u64, len: usize) -> Self {
         Self {
             remote,
             offset: 0,
@@ -57,8 +57,9 @@ impl Segment {
 /// The local side of a verb: which way the payload moves, and the buffer
 /// the segments' offsets index into.
 pub(crate) enum Local<'a> {
-    /// Remote → local (one-sided read).
-    Read(&'a mut [u8]),
+    /// Remote → local (one-sided read). `buf[live..]` is promised all zero
+    /// on entry; the hint only spares the store re-zeroing that tail.
+    Read { buf: &'a mut [u8], live: usize },
     /// Local → remote (one-sided write). `buf[live..]` is promised all
     /// zero; the hint only bounds the store's trailing-zero scan.
     Write { buf: &'a [u8], live: usize },
@@ -934,7 +935,7 @@ impl RdmaEndpoint {
         mut local: Local<'_>,
     ) -> Result<(Ns, usize), RdmaError> {
         let (write, buf_len) = match &local {
-            Local::Read(buf) => (false, buf.len()),
+            Local::Read { buf, .. } => (false, buf.len()),
             Local::Write { buf, .. } => (true, buf.len()),
         };
         let bytes = Self::check_segments(segments, buf_len)?;
@@ -950,11 +951,16 @@ impl RdmaEndpoint {
         self.trace_issue(now, core, class, write, shard, bytes);
         let moved = if self.ec.is_some() {
             // One degraded-capable transfer per segment (a slight overcharge
-            // vs a true vectored verb), decoded straight into the buffer.
+            // vs a true vectored verb), decoded straight into the buffer. A
+            // decode writes every byte of its segment, so the read hint is
+            // ignored and the live bound is the end of the last segment.
+            let end = segments.iter().map(|s| s.offset + s.len).max();
             let mut xfer = |s: &Segment| {
                 let span = s.offset..s.offset + s.len;
                 match &mut local {
-                    Local::Read(buf) => self.ec_read(now, core, class, s.remote, &mut buf[span]),
+                    Local::Read { buf, .. } => {
+                        self.ec_read(now, core, class, s.remote, &mut buf[span])
+                    }
                     Local::Write { buf, .. } => {
                         self.ec_write(now, core, class, s.remote, &buf[span])
                     }
@@ -963,7 +969,7 @@ impl RdmaEndpoint {
             segments
                 .iter()
                 .try_fold(now, |done, s| Ok(done.max(xfer(s)?)))
-                .map(|done| (done, shard, buf_len))
+                .map(|done| (done, shard, end.unwrap_or(0)))
         } else {
             self.replica_transfer(now, core, class, segments, bytes, &mut local)
         };
@@ -1021,8 +1027,12 @@ impl RdmaEndpoint {
             for s in segments {
                 let span = s.offset..s.offset + s.len;
                 match local {
-                    Local::Read(buf) => {
-                        let seg_live = node.read(region, s.remote, &mut buf[span])?;
+                    Local::Read { buf, live: hint } => {
+                        // What may be non-zero by now: the caller's bound,
+                        // or what an earlier segment of this verb landed.
+                        let seg_hint = (*hint).max(live).saturating_sub(s.offset).min(s.len);
+                        let seg_live =
+                            node.read_hinted(region, s.remote, &mut buf[span], seg_hint)?;
                         if seg_live > 0 {
                             live = live.max(s.offset + seg_live);
                         }
@@ -1060,8 +1070,9 @@ impl RdmaEndpoint {
 
     /// [`read`](Self::read), additionally returning an upper bound on the
     /// non-zero prefix of `buf` (bytes at or past it are zero). Callers that
-    /// cache the payload — the compute node filling a frame — use the bound
-    /// to track the frame's live extent without scanning it.
+    /// cache the payload use the bound to track its live extent without
+    /// scanning it. Every byte of `buf` is written — the
+    /// `live_in = buf.len()` case of [`read_hinted`](Self::read_hinted).
     pub fn read_live(
         &mut self,
         now: Ns,
@@ -1071,7 +1082,33 @@ impl RdmaEndpoint {
         buf: &mut [u8],
     ) -> Result<(Ns, usize), RdmaError> {
         let seg = [Segment::whole(remote, buf.len())];
-        self.post(now, core, class, &seg, Local::Read(buf))
+        let live_in = buf.len();
+        self.read_hinted(now, core, class, &seg, buf, live_in)
+    }
+
+    /// The general read: each segment lands at its offset in `buf`, given
+    /// the caller's promise that `buf[live_in..]` is already all zero — what
+    /// a frame's tracked live extent says about a recycled frame. Wire
+    /// traffic, timing, tracing, the bytes `buf` ends up holding and the
+    /// returned bound are identical for every `live_in` that keeps the
+    /// promise; the hint only spares the memory node's store re-zeroing a
+    /// tail that is zero already (erasure-coded endpoints ignore it).
+    ///
+    /// Returns the completion time and a bound `live` such that every byte
+    /// the verb landed at or past `live` is zero: after a whole-buffer read
+    /// `buf[live..]` is zero; after a vector, `buf[live.max(live_in)..]` is
+    /// (bytes between segments are not touched).
+    pub fn read_hinted(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        segments: &[Segment],
+        buf: &mut [u8],
+        live_in: usize,
+    ) -> Result<(Ns, usize), RdmaError> {
+        let local = Local::Read { buf, live: live_in };
+        self.post(now, core, class, segments, local)
     }
 
     /// Posts a one-sided write of `buf` to `remote`.
@@ -1115,7 +1152,8 @@ impl RdmaEndpoint {
         segments: &[Segment],
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
-        self.post(now, core, class, segments, Local::Read(buf))
+        let live_in = buf.len();
+        self.read_hinted(now, core, class, segments, buf, live_in)
             .map(|(t, _)| t)
     }
 
@@ -1549,6 +1587,137 @@ mod tests {
             assert_eq!(observable(&plain, &obs_p), observable(&vectored, &obs_v));
             assert_ne!(obs_p.trace().digest(), 0, "the runs were traced");
         }
+    }
+
+    /// The read hint is invisible: for any prior buffer content that keeps
+    /// the promise (`buf[live_in..]` zero), the hinted read and the
+    /// full-fill read (`live_in = buf.len()`, what the un-hinted verbs post)
+    /// leave the same bytes and return the same completion time and live
+    /// bound, with equal wire bytes, op counts and trace — on every
+    /// redundancy strategy, for whole-page, multi-page and vectored shapes.
+    /// Both run the one store body, so a third endpoint on the reference
+    /// store (which ignores the hint) vouches for the bytes themselves.
+    #[test]
+    fn hinted_reads_equal_full_fill_reads() {
+        use crate::rng::SplitMix64;
+        const PAGES: u64 = 12;
+        type Boot = fn() -> RdmaEndpoint;
+        // (boot, kill node 0 after the writes, erasure-coded)
+        let boots: [(Boot, bool, bool); 4] = [
+            (
+                || RdmaEndpoint::connect(SimConfig::default(), 1 << 22),
+                false,
+                false,
+            ),
+            (
+                || RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 22, 2, 1),
+                false,
+                false,
+            ),
+            (
+                || RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 22, 3, 2),
+                true,
+                false,
+            ),
+            (
+                || RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 5, 3, 2),
+                false,
+                true,
+            ),
+        ];
+        let class = ServiceClass::App;
+        for (bi, (boot, kill0, ec)) in boots.into_iter().enumerate() {
+            let mut rng = SplitMix64::new(0x0014_0000 + bi as u64);
+            let mut below = |n: usize| rng.gen_range(n as u64) as usize;
+            let (mut hinted, mut full, mut oracle) = (boot(), boot(), boot());
+            oracle.use_reference_stores();
+            let (obs_h, obs_f) = (Observability::tracing(), Observability::tracing());
+            hinted.observe(&obs_h);
+            full.observe(&obs_f);
+            // Seeded store: absent pages, fully non-zero pages, sparse ones.
+            for page in 0..PAGES {
+                let extent = match below(4) {
+                    0 => continue,
+                    1 => PAGE_SIZE,
+                    _ => 1 + below(PAGE_SIZE - 1),
+                };
+                let data: Vec<u8> = (0..extent).map(|_| below(255) as u8 + 1).collect();
+                for e in [&mut hinted, &mut full, &mut oracle] {
+                    e.write(0, 0, class, page << 12, &data).unwrap();
+                }
+            }
+            if kill0 {
+                for e in [&mut hinted, &mut full, &mut oracle] {
+                    e.fail_node(0);
+                }
+            }
+            for round in 0..300u64 {
+                let t = 1_000_000 + round * 50_000;
+                let base = (below(PAGES as usize) as u64) << 12;
+                let shape = below(3);
+                let (segs, len) = match shape {
+                    0 => (vec![Segment::whole(base, PAGE_SIZE)], PAGE_SIZE),
+                    // An unaligned span over three or four pages (an EC
+                    // transfer never crosses a page).
+                    1 if !ec => {
+                        let len = (2 + below(2)) * PAGE_SIZE;
+                        let start = base + below(PAGE_SIZE) as u64;
+                        (vec![Segment::whole(start, len)], len)
+                    }
+                    // One to three segments of the page, anywhere in the
+                    // buffer — overlapping ones included.
+                    _ => {
+                        let segs = (0..1 + below(3))
+                            .map(|_| {
+                                let len = 1 + below(1024);
+                                Segment {
+                                    remote: base + below(PAGE_SIZE - len + 1) as u64,
+                                    offset: below(PAGE_SIZE - len + 1),
+                                    len,
+                                }
+                            })
+                            .collect();
+                        (segs, PAGE_SIZE)
+                    }
+                };
+                let live_in = below(len + 1);
+                let mut buf_h = vec![0u8; len];
+                buf_h[..live_in].fill_with(|| below(256) as u8);
+                let (mut buf_f, mut buf_o) = (buf_h.clone(), buf_h.clone());
+                let r_h = hinted.read_hinted(t, 1, class, &segs, &mut buf_h, live_in);
+                // The whole-page case goes through the un-hinted verb, so
+                // the shim is held to the same equality.
+                let r_f = if shape == 0 {
+                    full.read_live(t, 1, class, base, &mut buf_f)
+                } else {
+                    full.read_hinted(t, 1, class, &segs, &mut buf_f, len)
+                };
+                assert!(r_h.is_ok(), "boot {bi} round {round}: {r_h:?}");
+                assert_eq!(r_h, r_f, "boot {bi} round {round} {segs:?}");
+                assert_eq!(buf_h, buf_f, "boot {bi} round {round} {segs:?}");
+                let r_o = oracle.read_v(t, 1, class, &segs, &mut buf_o);
+                assert_eq!(r_o, r_h.map(|(done, _)| done));
+                assert_eq!(
+                    buf_h, buf_o,
+                    "boot {bi} round {round} {segs:?} vs reference"
+                );
+            }
+            assert_eq!(observable(&hinted, &obs_h), observable(&full, &obs_f));
+            assert_ne!(obs_h.trace().digest(), 0, "the runs were traced");
+        }
+    }
+
+    /// A caller that breaks the promise would leak stale bytes into its
+    /// buffer; debug builds (tier-1 tests) refuse instead.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "read hint broken")]
+    fn a_dirty_byte_past_the_read_hint_panics_in_debug() {
+        let mut e = ep();
+        let mut buf = vec![0u8; PAGE_SIZE];
+        buf[100] = 7;
+        let seg = [Segment::whole(0, PAGE_SIZE)];
+        let _ = e.read_hinted(0, 0, ServiceClass::App, &seg, &mut buf, 100);
     }
 
     #[test]

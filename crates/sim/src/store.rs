@@ -42,7 +42,22 @@ pub trait MemStore: std::fmt::Debug {
     /// `out` at or past the returned index is zero. Backends without extent
     /// metadata may return `out.len()` — the bound is a performance hint for
     /// the caller's own extent bookkeeping, never a semantic contract.
-    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]) -> usize;
+    ///
+    /// This is [`read_hinted`](Self::read_hinted) for a buffer of unknown
+    /// prior content (`live_in = out.len()`): every byte of `out` is written.
+    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]) -> usize {
+        self.read_hinted(page, in_page, out, out.len())
+    }
+
+    /// [`read_into`](Self::read_into) for a buffer whose prior content the
+    /// caller knows: `live_in` is the caller's promise that `out[live_in..]`
+    /// is already all zero (the mirror image of [`write_at`](Self::write_at)'s
+    /// `live`). It lets extent-tracking backends zero only the stale bytes
+    /// between the page's live prefix and `live_in` instead of the whole
+    /// tail; it never changes the bytes `out` ends up holding or the returned
+    /// bound, and a backend may ignore it. A broken promise leaves stale
+    /// bytes in `out`, so backends that rely on it check it in debug builds.
+    fn read_hinted(&self, page: u64, in_page: usize, out: &mut [u8], live_in: usize) -> usize;
 
     /// Copies `data` into `page` at `in_page`, materializing the page if
     /// absent (even for all-zero data — materialization is observable via
@@ -149,21 +164,25 @@ impl FlatStore {
 }
 
 impl MemStore for FlatStore {
-    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]) -> usize {
-        match self.slot_of(page) {
+    fn read_hinted(&self, page: u64, in_page: usize, out: &mut [u8], live_in: usize) -> usize {
+        let stale = live_in.min(out.len());
+        debug_assert!(
+            out[stale..].iter().all(|&b| b == 0),
+            "read hint broken: non-zero byte at or past live_in = {live_in}"
+        );
+        let live = match self.slot_of(page) {
             Some(s) => {
                 let live = (self.extents[s] as usize)
                     .saturating_sub(in_page)
                     .min(out.len());
                 out[..live].copy_from_slice(&self.slots[s][in_page..in_page + live]);
-                out[live..].fill(0);
                 live
             }
-            None => {
-                out.fill(0);
-                0
-            }
-        }
+            None => 0,
+        };
+        // Past `live` the page is zero; past `stale` the buffer already is.
+        out[live..live.max(stale)].fill(0);
+        live
     }
 
     fn write_at(&mut self, page: u64, in_page: usize, data: &[u8], live: usize) {
@@ -246,7 +265,7 @@ impl From<BTreeMap<u64, Box<[u8; PAGE_SIZE]>>> for BTreeStore {
 }
 
 impl MemStore for BTreeStore {
-    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]) -> usize {
+    fn read_hinted(&self, page: u64, in_page: usize, out: &mut [u8], _live_in: usize) -> usize {
         match self.pages.get(&page) {
             Some(p) => {
                 out.copy_from_slice(&p[in_page..in_page + out.len()]);
@@ -326,7 +345,7 @@ mod tests {
             (700, 128, &[0xAB; 256], 256),
             (700, 128, &[0; 256], 256), // overwrite content with zeros
             (u64::from(u32::MAX) + 5, 0, &[42], 1), // far chunk
-            (1, 0, &[0; 16], 16),     // all-zero write still materializes
+            (1, 0, &[0; 16], 16),       // all-zero write still materializes
         ];
         for &(page, off, data, live) in writes {
             flat.write_at(page, off, data, live);
@@ -354,6 +373,33 @@ mod tests {
         assert_eq!(flat.len(), 0);
         assert_eq!(btree.len(), 0);
         assert!(flat.page_numbers().is_empty());
+    }
+
+    /// The hinted read zeroes exactly `out[live_out..live_in]`: nothing when
+    /// the page's prefix covers the stale bytes, the whole stale prefix when
+    /// the page is absent — and the result never differs from a full fill.
+    #[test]
+    fn hinted_read_zeroes_only_the_stale_gap() {
+        let mut s = FlatStore::new();
+        s.write_at(2, 0, &[0xEE; 300], 300);
+        for (page, in_page, live_in, live_out) in [
+            (2, 0, 1000, 300),  // stale bytes past the page's prefix
+            (2, 0, 100, 300),   // live_in < live_out: the copy covers them
+            (2, 0, 0, 300),     // clean buffer
+            (2, 200, 512, 100), // offset read: extent is relative to in_page
+            (2, 400, 64, 0),    // read entirely past the extent
+            (9, 0, 777, 0),     // absent page
+            (9, 0, 0, 0),       // absent page, clean buffer
+        ] {
+            let mut hinted = [0u8; 1024];
+            hinted[..live_in].fill(0x55);
+            let mut full = hinted;
+            assert_eq!(s.read_hinted(page, in_page, &mut hinted, live_in), live_out);
+            assert_eq!(s.read_into(page, in_page, &mut full), live_out);
+            assert_eq!(hinted, full, "page {page} +{in_page} live_in {live_in}");
+            assert!(hinted[..live_out].iter().all(|&b| b == 0xEE));
+            assert!(hinted[live_out..].iter().all(|&b| b == 0));
+        }
     }
 
     #[test]
