@@ -27,7 +27,7 @@ use dilos_sim::{
 };
 
 /// AIFM runtime costs, in virtual nanoseconds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct AifmCosts {
     /// Smart-pointer locality check per dereference (the "extra
     /// instructions" §6.2 blames for AIFM's 100 %-local slowdown).
@@ -251,7 +251,6 @@ impl Aifm {
             };
             self.dispatch(t, ev);
         }
-        // Telemetry rides the registry's private calendar, never this one.
         while let Some(t) = self.metrics.next_sample_due(now) {
             self.record_gauges(t);
         }
@@ -288,9 +287,6 @@ impl Aifm {
                 node,
                 core,
             } => self.rdma.deliver_completion(t, class, write, node, core),
-            // Sample ticks never ride the main calendar (the registry owns
-            // its own — see `drain_events`).
-            SchedEvent::SampleTick => self.record_gauges(t),
             _ => {}
         }
     }
@@ -463,7 +459,7 @@ impl Aifm {
             },
         );
         self.make_room(core, 1, Some(chunk));
-        let costs = self.cfg.costs.clone();
+        let costs = self.cfg.costs;
         let t = self.clocks[core].now() + costs.miss_handling_ns;
         let remote = (chunk - (BASE_VA >> 12)) << 12;
         let mut data = vec![0u8; CHUNK].into_boxed_slice();

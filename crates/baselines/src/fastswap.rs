@@ -25,7 +25,7 @@ use dilos_sim::{
 /// Calibrated against Figure 1 (average major fault ≈ 6.3 µs: 46 % fetch,
 /// 9 % exception, 29 % reclaim, the rest swap-cache bookkeeping) and the
 /// sequential-read throughput of Table 2.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct FastswapCosts {
     /// Hardware exception + kernel entry (shared with DiLOS: 0.57 µs).
     pub exception_ns: Ns,
@@ -212,6 +212,10 @@ pub struct Fastswap {
     /// thread's CPU is actually free, and traced verb completions are
     /// delivered at their completion times.
     cal: Calendar,
+    /// Due times of the `ReclaimTick`s scheduled and not yet delivered —
+    /// what `get_frame` may wake up for. The calendar itself also carries
+    /// trace-only completions, which must not steer the model.
+    reclaim_due: Vec<Ns>,
     reclaim_round: u32,
     stats: FastswapStats,
     brk: u64,
@@ -260,6 +264,7 @@ impl Fastswap {
             metrics,
             profiler,
             cal,
+            reclaim_due: Vec::new(),
             state: Vec::new(),
             frames: (0..cfg.local_pages)
                 .map(|_| Box::new([0u8; PAGE_SIZE]))
@@ -328,8 +333,6 @@ impl Fastswap {
             };
             self.dispatch(t, ev);
         }
-        // Telemetry rides the registry's private calendar so it cannot
-        // perturb `get_frame`'s `next_due`-driven spin loop.
         while let Some(t) = self.metrics.next_sample_due(now) {
             self.record_gauges(t);
         }
@@ -357,6 +360,9 @@ impl Fastswap {
         let drained_req = self.trace.set_request(None);
         match ev {
             SchedEvent::ReclaimTick => {
+                if let Some(i) = self.reclaim_due.iter().position(|&due| due == t) {
+                    self.reclaim_due.swap_remove(i);
+                }
                 // One offloaded reclaim batch, running at the offload
                 // thread's true time.
                 self.reclaim_batch(0, t, true);
@@ -368,9 +374,6 @@ impl Fastswap {
                 node,
                 core,
             } => self.rdma.deliver_completion(t, class, write, node, core),
-            // Sample ticks never ride the main calendar (the registry owns
-            // its own — see `drain_events`).
-            SchedEvent::SampleTick => self.record_gauges(t),
             _ => {}
         }
         self.trace.set_request(drained_req);
@@ -549,7 +552,7 @@ impl Fastswap {
         ready_at: Ns,
         is_write: bool,
     ) -> u32 {
-        let costs = self.cfg.costs.clone();
+        let costs = self.cfg.costs;
         self.stats.minor_faults += 1;
         let now = self.clocks[core].now();
         let prev_req = self.trace.begin_request();
@@ -578,7 +581,7 @@ impl Fastswap {
     }
 
     fn zero_fill(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
-        let costs = self.cfg.costs.clone();
+        let costs = self.cfg.costs;
         let now = self.clocks[core].now();
         let prev_req = self.trace.begin_request();
         self.trace.emit(
@@ -611,7 +614,7 @@ impl Fastswap {
 
     /// A major fault: swap-in through the swap cache, with readahead.
     fn major_fault(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
-        let costs = self.cfg.costs.clone();
+        let costs = self.cfg.costs;
         let now = self.clocks[core].now();
         let prev_req = self.trace.begin_request();
         self.trace.emit(
@@ -805,8 +808,9 @@ impl Fastswap {
                 // free — a calendar event, not an instantaneous favour. If
                 // the thread is idle that is right now; the drain below
                 // delivers it before the handler re-checks the free list.
-                self.cal
-                    .schedule(self.offload.next_free(now), SchedEvent::ReclaimTick);
+                let due = self.offload.next_free(now);
+                self.cal.schedule(due, SchedEvent::ReclaimTick);
+                self.reclaim_due.push(due);
                 self.drain_events(now);
             } else {
                 let spent = self.reclaim_batch(core, now, false);
@@ -825,13 +829,9 @@ impl Fastswap {
             }
             if self.free.is_empty() {
                 // Wait for whichever comes first: a pending writeback's
-                // completion or the next calendar event (a scheduled
-                // offload batch, typically).
-                let mut next = self.pending_free.iter().map(|&(_, a)| a).min();
-                if let Some(due) = self.cal.next_due() {
-                    next = Some(next.map_or(due, |n| n.min(due)));
-                }
-                if let Some(n) = next {
+                // completion or a scheduled offload batch.
+                let frees = self.pending_free.iter().map(|&(_, a)| a);
+                if let Some(n) = frees.chain(self.reclaim_due.iter().copied()).min() {
                     now = now.max(n);
                 }
             }
@@ -847,7 +847,7 @@ impl Fastswap {
     /// charged to the offload timeline, and clean frames are available
     /// immediately from the handler's perspective.
     fn reclaim_batch(&mut self, _core: usize, t: Ns, offloaded: bool) -> Ns {
-        let costs = self.cfg.costs.clone();
+        let costs = self.cfg.costs;
         let mut spent = 0;
         // Victim: the LRU tail (Linux's inactive-list tail). Swap-cache
         // pages that were read ahead but never touched are first-class

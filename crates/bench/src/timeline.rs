@@ -124,11 +124,7 @@ pub fn chrome_trace_json(tracks: &[(String, &CausalTracer)]) -> String {
         let mut tids: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
         for r in &reqs {
             tids.insert(span_tid(r));
-            for (_, ev) in &r.events {
-                if let TraceEvent::RdmaIssue { node, .. } = ev {
-                    tids.insert(TID_NODE_BASE + u32::from(*node));
-                }
-            }
+            tids.extend(r.verbs.iter().map(|v| TID_NODE_BASE + u32::from(v.node)));
         }
         if !episodes.is_empty() {
             tids.insert(TID_RECLAIM);
@@ -182,57 +178,23 @@ pub fn chrome_trace_json(tracks: &[(String, &CausalTracer)]) -> String {
                     b.dominant(),
                 ),
             );
-            // Verb sub-spans: FIFO-pair issues with completions per queue
-            // pair, drawn on the serving memnode's lane.
-            let mut open: std::collections::BTreeMap<(u8, bool, u8, u8), Vec<Ns>> =
-                std::collections::BTreeMap::new();
-            for (t, ev) in &r.events {
-                match *ev {
-                    TraceEvent::RdmaIssue {
-                        class,
-                        write,
-                        node,
-                        core,
-                        ..
-                    } => open
-                        .entry((class.idx() as u8, write, node, core))
-                        .or_default()
-                        .push(*t),
-                    TraceEvent::RdmaComplete {
-                        class,
-                        write,
-                        node,
-                        core,
-                        done,
-                    } => {
-                        let key = (class.idx() as u8, write, node, core);
-                        let issued = open.get_mut(&key).and_then(|q| {
-                            if q.is_empty() {
-                                None
-                            } else {
-                                Some(q.remove(0))
-                            }
-                        });
-                        if let Some(issued) = issued {
-                            push_event(
-                                &mut out,
-                                &mut first,
-                                &format!(
-                                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\
-                                     \"dur\":{},\"name\":\"rdma {} ({})\",\
-                                     \"args\":{{\"req\":{}}}}}",
-                                    TID_NODE_BASE + u32::from(node),
-                                    ts_us(issued),
-                                    ts_us(done.saturating_sub(issued)),
-                                    if write { "write" } else { "read" },
-                                    class.label(),
-                                    r.id,
-                                ),
-                            );
-                        }
-                    }
-                    _ => {}
-                }
+            // Verb sub-spans, drawn on the serving memnode's lane.
+            for v in &r.verbs {
+                push_event(
+                    &mut out,
+                    &mut first,
+                    &format!(
+                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\
+                         \"dur\":{},\"name\":\"rdma {} ({})\",\
+                         \"args\":{{\"req\":{}}}}}",
+                        TID_NODE_BASE + u32::from(v.node),
+                        ts_us(v.issued),
+                        ts_us(v.done.saturating_sub(v.issued)),
+                        if v.write { "write" } else { "read" },
+                        v.class.label(),
+                        r.id,
+                    ),
+                );
             }
         }
         for (begin, end, freed) in &episodes {

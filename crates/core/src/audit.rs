@@ -5,7 +5,7 @@
 //! invariants the paging subsystem must never break:
 //!
 //! - **Frame conservation** — a frame is allocated at most once at a time;
-//!   every free matches a prior alloc; `allocs − frees` equals the number
+//!   every free matches a prior alloc; allocations minus frees equal the number
 //!   of frames in use.
 //! - **PTE state-machine legality** — every `PteTransition` follows an edge
 //!   of the DiLOS unified-page-table automaton (§4.1/§4.2): pages reach
@@ -74,8 +74,6 @@ pub struct Auditor {
     suppressed: u64,
 
     allocated: BTreeSet<u32>,
-    allocs: u64,
-    frees: u64,
     /// Per-tenant frame-conservation bound: the node's local-frame quota.
     /// When set, holding more frames than this at any instant is flagged —
     /// in a shared cluster it means one tenant is eating a neighbour's
@@ -110,11 +108,6 @@ pub struct Auditor {
     /// Per-memnode acknowledged intents not yet covered by a checkpoint
     /// (mirrors each node's durable write-intent log).
     pending_intents: BTreeMap<u8, BTreeSet<u64>>,
-    intent_appends: u64,
-    checkpoints: u64,
-    replays: u64,
-    crashes: u64,
-    recoveries: u64,
 
     /// Frames currently on the free list (freed and not re-allocated):
     /// none of these may re-enter the LRU.
@@ -173,11 +166,6 @@ impl Auditor {
         self.frame_quota = Some(quota);
     }
 
-    /// `(allocs, frees)` observed so far.
-    pub fn frame_flow(&self) -> (u64, u64) {
-        (self.allocs, self.frees)
-    }
-
     /// VPNs with an issued but not yet landed/cancelled fetch, sorted.
     pub fn outstanding_fetches(&self) -> Vec<u64> {
         self.outstanding.iter().copied().collect()
@@ -222,16 +210,6 @@ impl Auditor {
     /// Reclaim episodes observed.
     pub fn reclaim_episodes(&self) -> u64 {
         self.reclaim_episodes
-    }
-
-    /// `(appends, checkpoints, replays)` write-intent lifecycle counts.
-    pub fn intent_flow(&self) -> (u64, u64, u64) {
-        (self.intent_appends, self.checkpoints, self.replays)
-    }
-
-    /// `(crashes, recoveries)` observed on the trace.
-    pub fn crash_flow(&self) -> (u64, u64) {
-        (self.crashes, self.recoveries)
     }
 
     /// Acknowledged intents not yet covered by a checkpoint, summed over
@@ -379,7 +357,6 @@ impl TraceObserver for Auditor {
                 }
             }
             TraceEvent::FrameAlloc { frame } => {
-                self.allocs += 1;
                 self.freed_frames.remove(&frame);
                 if !self.allocated.insert(frame) {
                     self.flag(
@@ -400,7 +377,6 @@ impl TraceObserver for Auditor {
                 }
             }
             TraceEvent::FrameFree { frame } => {
-                self.frees += 1;
                 self.freed_frames.insert(frame);
                 if !self.allocated.remove(&frame) {
                     self.flag(t, format!("double free of frame {frame}"));
@@ -456,28 +432,22 @@ impl TraceObserver for Auditor {
                 self.guide_invocations += 1;
             }
             TraceEvent::IntentAppend { node, seq } => {
-                self.intent_appends += 1;
                 if !self.pending_intents.entry(node).or_default().insert(seq) {
                     self.flag(t, format!("node {node} acknowledged intent {seq} twice"));
                 }
             }
             TraceEvent::Checkpoint { node, upto } => {
-                self.checkpoints += 1;
                 // The checkpoint durably covers every intent up to `upto`:
                 // only later acks remain pending.
                 if let Some(set) = self.pending_intents.get_mut(&node) {
                     *set = set.split_off(&(upto + 1));
                 }
             }
-            TraceEvent::NodeCrash { node } => {
-                self.crashes += 1;
-                // The crash loses only volatile state; the pending set
-                // mirrors the durable log, which survives — nothing to do
-                // until recovery reports what it replayed.
-                let _ = node;
-            }
+            // A crash loses only volatile state; the pending set mirrors
+            // the durable log, which survives — nothing to do until
+            // recovery reports what it replayed.
+            TraceEvent::NodeCrash { .. } => {}
             TraceEvent::RecoveryReplay { node, seq } => {
-                self.replays += 1;
                 if !self.pending_intents.entry(node).or_default().remove(&seq) {
                     self.flag(
                         t,
@@ -489,7 +459,6 @@ impl TraceObserver for Auditor {
                 }
             }
             TraceEvent::RecoveryComplete { node, .. } => {
-                self.recoveries += 1;
                 // No acknowledged write lost: every intent acked before the
                 // crash must have been checkpointed or replayed by now.
                 if let Some(set) = self.pending_intents.get_mut(&node) {
@@ -542,7 +511,6 @@ mod tests {
         a.borrow_mut().final_checks();
         assert!(a.borrow().is_clean(), "{:?}", a.borrow().violations());
         assert_eq!(a.borrow().frames_in_use(), 0);
-        assert_eq!(a.borrow().frame_flow(), (1, 1));
     }
 
     #[test]
@@ -686,8 +654,6 @@ mod tests {
         let mut aud = a.borrow_mut();
         aud.final_checks();
         assert!(aud.is_clean(), "{:?}", aud.violations());
-        assert_eq!(aud.intent_flow(), (3, 1, 2));
-        assert_eq!(aud.crash_flow(), (1, 1));
         assert_eq!(aud.pending_intents(), 0);
     }
 

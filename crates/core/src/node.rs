@@ -54,7 +54,7 @@ const DDC_BASE_VPN: u64 = DDC_BASE >> 12;
 /// These are the *short* paths the paper claims: the handler touches one
 /// data structure before the RDMA post. Fastswap's far larger equivalents
 /// live in `dilos-baselines`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SoftCosts {
     /// Unified-page-table check in the fault handler.
     pub pte_check_ns: Ns,
@@ -879,7 +879,7 @@ impl Dilos {
         // fire later against a reused slot.
         self.cal.cancel(entry.event);
         let now = self.clocks[core].now();
-        let costs = self.cfg.costs.clone();
+        let costs = self.cfg.costs;
         if entry.ready_at <= now {
             // Completed in the past; mapping it cost the completion path,
             // not this access. The landing closes the *prefetch's* span.
@@ -976,7 +976,7 @@ impl Dilos {
             },
         );
         let hw = self.cfg.sim.hw_exception_ns;
-        let costs = self.cfg.costs.clone();
+        let costs = self.cfg.costs;
         let mut check = costs.pte_check_ns;
         if self.cfg.swap_cache_mode {
             check += costs.swapcache_mgmt_ns;
@@ -1105,7 +1105,7 @@ impl Dilos {
     /// demand-fetch window starting at `t0`; returns when that software
     /// finishes (usually before the fetch completes).
     fn fetch_window_work(&mut self, core: usize, vpn: u64, t0: Ns) -> Ns {
-        let costs = self.cfg.costs.clone();
+        let costs = self.cfg.costs;
         let mut sw = t0;
         if self.cfg.hit_tracker {
             if let Some((hits, total)) = self.tracker.sweep_if_due(&self.pt) {
@@ -1360,9 +1360,8 @@ impl Dilos {
                 break;
             }
         }
-        // Telemetry rides its own calendar (see `SchedEvent::SampleTick`):
-        // gauge snapshots are taken here, at the node's existing drain
-        // points, so enabling them cannot perturb the main calendar.
+        // Gauge snapshots are taken here, at the node's existing drain
+        // points; the sampler schedules nothing.
         while let Some(t) = self.metrics.next_sample_due(now) {
             self.record_gauges(t);
         }
@@ -1409,9 +1408,6 @@ impl Dilos {
                 core,
             } => self.rdma.deliver_completion(t, class, write, node, core),
             SchedEvent::NodeRepair { node } => self.rdma.repair_node_at(t, node),
-            // Sample ticks never ride the main calendar (the registry owns
-            // its own — see `drain_events`), but the match must be total.
-            SchedEvent::SampleTick => self.record_gauges(t),
         }
         self.trace.set_request(drained_req);
     }

@@ -255,43 +255,6 @@ impl PageTable {
             }
         }
     }
-
-    /// Clears the accessed flag (clock algorithm / hit tracker sweep) and
-    /// returns whether it was set.
-    ///
-    /// Clearing bumps the generation: like the TLB flush a kernel issues
-    /// when harvesting A-bits, it forces subsequent accesses through the
-    /// walk path so they re-set the flag — otherwise hot pages cached in
-    /// the TLB would look permanently cold to the reclaimer.
-    pub fn clear_accessed(&mut self, vpn: u64) -> bool {
-        if let Some((t, i)) = self.walk_index(vpn) {
-            let e = &mut self.tables[t].entries[i];
-            if *e & P != 0 && *e & ACCESSED != 0 {
-                *e &= !ACCESSED;
-                self.generation += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Returns whether the accessed flag is set on a local PTE.
-    pub fn is_accessed(&self, vpn: u64) -> bool {
-        matches!(self.get(vpn), Pte::Local { accessed: true, .. })
-    }
-
-    /// Clears the dirty flag (cleaner writeback) and returns whether it was
-    /// set.
-    pub fn clear_dirty(&mut self, vpn: u64) -> bool {
-        if let Some((t, i)) = self.walk_index(vpn) {
-            let e = &mut self.tables[t].entries[i];
-            if *e & P != 0 && *e & DIRTY != 0 {
-                *e &= !DIRTY;
-                return true;
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -421,15 +384,11 @@ mod tests {
         );
         let gen = pt.generation();
         pt.mark_access(9, false);
-        assert!(pt.is_accessed(9));
+        assert!(matches!(pt.get(9), Pte::Local { accessed: true, .. }));
         assert_eq!(pt.generation(), gen, "MMU flag updates don't shoot TLBs");
         assert!(!matches!(pt.get(9), Pte::Local { dirty: true, .. }));
         pt.mark_access(9, true);
         assert!(matches!(pt.get(9), Pte::Local { dirty: true, .. }));
-        assert!(pt.clear_accessed(9));
-        assert!(!pt.clear_accessed(9));
-        assert!(pt.clear_dirty(9));
-        assert!(!pt.clear_dirty(9));
         // Flags on non-local PTEs are inert.
         pt.set(10, Pte::Remote { slot: 10 });
         pt.mark_access(10, true);

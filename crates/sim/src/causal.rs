@@ -17,11 +17,91 @@
 //! report in `dilos-bench` can name the dominant phase of the p99.9
 //! exemplars instead of an aggregate mean.
 
+use crate::fabric::ServiceClass;
 use crate::time::Ns;
 use crate::trace::{FaultKind, FaultPhase, ReqId, TraceEvent, TraceObserver, TraceSink};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+
+/// One RDMA verb from `RdmaIssue` to the `done` horizon of its
+/// `RdmaComplete`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerbSpan {
+    pub issued: Ns,
+    pub done: Ns,
+    pub class: ServiceClass,
+    pub write: bool,
+    pub node: u8,
+    pub core: u8,
+}
+
+/// The one place a span is closed: in-flight verbs, FIFO per queue pair
+/// `(class, write, node, core)` within a caller-chosen `scope`, and the
+/// open background reclaim episode. The profiler pairs over the whole
+/// stream (`scope = ()`), the causal tracer within each request. Only
+/// in-flight verbs are held, so a linear scan for the oldest match is the
+/// FIFO rule and the whole store.
+#[derive(Debug, Default)]
+pub(crate) struct OpenSpans<S> {
+    verbs: Vec<(S, VerbSpan)>,
+    reclaim: Option<Ns>,
+}
+
+impl<S: PartialEq> OpenSpans<S> {
+    /// Feeds a verb event: an `RdmaIssue` opens a span, an `RdmaComplete`
+    /// closes and returns the oldest open span of its queue pair (none if
+    /// the issue was never seen).
+    pub(crate) fn verb(&mut self, scope: S, t: Ns, ev: &TraceEvent) -> Option<VerbSpan> {
+        match *ev {
+            TraceEvent::RdmaIssue {
+                class,
+                write,
+                node,
+                core,
+                ..
+            } => {
+                let span = VerbSpan {
+                    issued: t,
+                    done: t,
+                    class,
+                    write,
+                    node,
+                    core,
+                };
+                self.verbs.push((scope, span));
+                None
+            }
+            TraceEvent::RdmaComplete {
+                class,
+                write,
+                node,
+                core,
+                done,
+            } => {
+                let i = self.verbs.iter().position(|(s, v)| {
+                    *s == scope && (v.class, v.write, v.node, v.core) == (class, write, node, core)
+                })?;
+                let (_, span) = self.verbs.remove(i);
+                Some(VerbSpan { done, ..span })
+            }
+            _ => None,
+        }
+    }
+
+    /// Feeds a reclaim event: `ReclaimEnd` closes the episode the latest
+    /// `ReclaimBegin` opened and returns `(begin, end, frames freed)`.
+    pub(crate) fn reclaim(&mut self, t: Ns, ev: &TraceEvent) -> Option<(Ns, Ns, u32)> {
+        match *ev {
+            TraceEvent::ReclaimBegin { .. } => {
+                self.reclaim = Some(t);
+                None
+            }
+            TraceEvent::ReclaimEnd { freed } => self.reclaim.take().map(|begin| (begin, t, freed)),
+            _ => None,
+        }
+    }
+}
 
 /// What kind of causal request a span tree describes, inferred from the
 /// first kind-bearing event emitted under its id.
@@ -72,6 +152,13 @@ pub struct RequestTrace {
     pub end: Ns,
     /// Every event attributed to this request, in emission order.
     pub events: Vec<(Ns, TraceEvent)>,
+    /// The request's verbs, closed at assembly, in completion order.
+    pub verbs: Vec<VerbSpan>,
+    /// Summed `FaultPhase` durations indexed by `FaultPhase as usize`;
+    /// `None` when the request emitted no phase event.
+    pub phases: Option<[Ns; 6]>,
+    /// A crash / recovery-replay event fell inside the request's window.
+    pub recovery: bool,
 }
 
 impl RequestTrace {
@@ -135,51 +222,42 @@ pub fn critical_path(r: &RequestTrace) -> PhaseBreakdown {
         total,
         ..PhaseBreakdown::default()
     };
-    let mut saw_phase = false;
-    for (_, ev) in &r.events {
-        if let TraceEvent::FaultPhase { phase, dur, .. } = ev {
-            saw_phase = true;
-            match phase {
-                FaultPhase::Alloc => b.queueing = b.queueing.saturating_add(*dur),
-                FaultPhase::Fetch => b.transfer = b.transfer.saturating_add(*dur),
-                FaultPhase::Exception
-                | FaultPhase::Check
-                | FaultPhase::Map
-                | FaultPhase::Reclaim => b.service = b.service.saturating_add(*dur),
-            }
-        }
-    }
-    if !saw_phase {
+    if let Some(p) = r.phases {
+        let at = |phase: FaultPhase| p[phase as usize];
+        b.queueing = at(FaultPhase::Alloc);
+        b.transfer = at(FaultPhase::Fetch);
+        b.service = at(FaultPhase::Exception)
+            .saturating_add(at(FaultPhase::Check))
+            .saturating_add(at(FaultPhase::Map))
+            .saturating_add(at(FaultPhase::Reclaim));
+    } else {
+        // Time on the wire: issue to completion horizon over the verbs.
+        let wire = r
+            .verbs
+            .iter()
+            .fold(0, |sum: Ns, v| {
+                sum.saturating_add(v.done.saturating_sub(v.issued))
+            })
+            .min(total);
         match r.kind {
             ReqKind::MinorFault => b.queueing = total,
             ReqKind::ZeroFill | ReqKind::Other => b.service = total,
-            ReqKind::Prefetch | ReqKind::Evict => {
-                b.transfer = wire_time(r).min(total);
-                if r.kind == ReqKind::Prefetch {
-                    b.queueing = total.saturating_sub(b.transfer);
-                } else {
-                    b.service = total.saturating_sub(b.transfer);
-                }
+            ReqKind::Prefetch => {
+                b.transfer = wire;
+                b.queueing = total - wire;
             }
-            // A phase-less major fault (a baseline that does not emit
-            // phases): charge wire time to transfer, the rest to service.
-            ReqKind::MajorFault => {
-                b.transfer = wire_time(r).min(total);
-                b.service = total.saturating_sub(b.transfer);
+            // Evictions, and a phase-less major fault (a baseline that does
+            // not emit phases): the rest is service.
+            ReqKind::Evict | ReqKind::MajorFault => {
+                b.transfer = wire;
+                b.service = total - wire;
             }
         }
     }
     // A crash-recovery replay observed inside the window converts the
     // transfer share into replay stall: the fetch was not moving bytes, it
     // was waiting for the memnode to redo its intent log.
-    if r.events.iter().any(|(_, ev)| {
-        matches!(
-            ev,
-            TraceEvent::NodeCrash { .. }
-                | TraceEvent::RecoveryReplay { .. }
-                | TraceEvent::RecoveryComplete { .. }
-        )
-    }) {
+    if r.recovery {
         b.replay = b.transfer;
         b.transfer = 0;
     }
@@ -192,49 +270,10 @@ pub fn critical_path(r: &RequestTrace) -> PhaseBreakdown {
     b
 }
 
-/// Total wire time of the request: per-QP FIFO pairing of `RdmaIssue` with
-/// the matching `RdmaComplete` `done` horizon.
-fn wire_time(r: &RequestTrace) -> Ns {
-    let mut open: BTreeMap<(u8, bool, u8, u8), Vec<Ns>> = BTreeMap::new();
-    let mut sum: Ns = 0;
-    for (t, ev) in &r.events {
-        match *ev {
-            TraceEvent::RdmaIssue {
-                class,
-                write,
-                node,
-                core,
-                ..
-            } => {
-                open.entry((class.idx() as u8, write, node, core))
-                    .or_default()
-                    .push(*t);
-            }
-            TraceEvent::RdmaComplete {
-                class,
-                write,
-                node,
-                core,
-                done,
-            } => {
-                let key = (class.idx() as u8, write, node, core);
-                if let Some(q) = open.get_mut(&key) {
-                    if !q.is_empty() {
-                        let issued = q.remove(0);
-                        sum = sum.saturating_add(done.saturating_sub(issued));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    sum
-}
-
 #[derive(Debug, Default)]
 struct CausalCore {
     reqs: BTreeMap<ReqId, RequestTrace>,
-    open_reclaim: Option<(Ns, u32)>,
+    open: OpenSpans<ReqId>,
     /// Background reclaim episodes: (begin, end, frames freed).
     reclaim_episodes: Vec<(Ns, Ns, u32)>,
 }
@@ -244,15 +283,7 @@ impl CausalCore {
         let Some(id) = req else {
             // Unattributed stream: only the background reclaim envelope is
             // interesting (per-request reclaim shows up via FaultPhase).
-            match *ev {
-                TraceEvent::ReclaimBegin { free } => self.open_reclaim = Some((t, free)),
-                TraceEvent::ReclaimEnd { freed } => {
-                    if let Some((begin, _)) = self.open_reclaim.take() {
-                        self.reclaim_episodes.push((begin, t, freed));
-                    }
-                }
-                _ => {}
-            }
+            self.reclaim_episodes.extend(self.open.reclaim(t, ev));
             return;
         };
         let r = self.reqs.entry(id).or_insert_with(|| RequestTrace {
@@ -263,6 +294,9 @@ impl CausalCore {
             begin: t,
             end: t,
             events: Vec::new(),
+            verbs: Vec::new(),
+            phases: None,
+            recovery: false,
         });
         r.end = r.end.max(t);
         match *ev {
@@ -295,8 +329,21 @@ impl CausalCore {
                     r.vpn = vpn;
                 }
             }
-            TraceEvent::RdmaComplete { done, .. } => r.end = r.end.max(done),
+            TraceEvent::FaultPhase { phase, dur, .. } => {
+                let sum = &mut r.phases.get_or_insert([0; 6])[phase as usize];
+                *sum = sum.saturating_add(dur);
+            }
+            TraceEvent::RdmaIssue { .. } => {
+                self.open.verb(id, t, ev);
+            }
+            TraceEvent::RdmaComplete { done, .. } => {
+                r.end = r.end.max(done);
+                r.verbs.extend(self.open.verb(id, t, ev));
+            }
             TraceEvent::LinkTransfer { done, .. } => r.end = r.end.max(done),
+            TraceEvent::NodeCrash { .. }
+            | TraceEvent::RecoveryReplay { .. }
+            | TraceEvent::RecoveryComplete { .. } => r.recovery = true,
             _ => {}
         }
         r.events.push((t, *ev));
@@ -370,7 +417,6 @@ impl CausalTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::ServiceClass;
 
     fn armed() -> (TraceSink, CausalTracer) {
         let sink = TraceSink::recording();
@@ -517,6 +563,46 @@ mod tests {
         assert_eq!(pf.total, 60);
         assert_eq!(pf.transfer, 40, "issue@20 -> done@60");
         assert_eq!(pf.queueing, 20, "landing deferral");
+    }
+
+    /// Two requests share a queue pair and complete in reverse order: each
+    /// closed span pairs the issue of its own request, where the profiler's
+    /// stream-wide FIFO crosses them.
+    #[test]
+    fn verbs_pair_within_their_request() {
+        let (sink, tracer) = armed();
+        let verb = |done: Option<Ns>| match done {
+            None => TraceEvent::RdmaIssue {
+                class: ServiceClass::Prefetch,
+                write: false,
+                node: 1,
+                core: 0,
+                bytes: 4096,
+            },
+            Some(done) => TraceEvent::RdmaComplete {
+                class: ServiceClass::Prefetch,
+                write: false,
+                node: 1,
+                core: 0,
+                done,
+            },
+        };
+        let a = sink.begin_request();
+        sink.emit(10, verb(None));
+        let a = sink.set_request(a);
+        let b = sink.begin_request();
+        sink.emit(20, verb(None));
+        sink.emit(50, verb(Some(50)));
+        sink.set_request(a);
+        sink.emit(90, verb(Some(90)));
+        sink.set_request(b);
+
+        let spans: Vec<_> = tracer
+            .requests()
+            .iter()
+            .map(|r| (r.verbs[0].issued, r.verbs[0].done, r.verbs.len()))
+            .collect();
+        assert_eq!(spans, vec![(10, 90, 1), (20, 50, 1)]);
     }
 
     #[test]

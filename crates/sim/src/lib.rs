@@ -85,7 +85,7 @@ pub use recover::{RecoverConfig, RecoveryStats};
 pub use rng::{MixedSizes, SplitMix64, Zipf};
 pub use sched::{Calendar, EventId, SchedEvent};
 pub use stats::{BandwidthRecorder, LatencyHistogram};
-pub use store::{BTreeStore, FlatStore, MemStore};
+pub use store::{FlatStore, MemStore};
 pub use time::{page_chunks, CoreClock, Ns, PAGE_SIZE};
 pub use timeline::Timeline;
 pub use trace::{FaultKind, FaultPhase, PteClass, ReqId, TraceEvent, TraceObserver, TraceSink};

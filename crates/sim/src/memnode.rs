@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use crate::metrics::MetricsRegistry;
 use crate::obs::Observability;
 use crate::recover::DurableState;
-use crate::store::{BTreeStore, FlatStore, MemStore};
+use crate::store::{FlatStore, MemStore};
 use crate::time::{page_chunks, Ns, PAGE_SIZE};
 use crate::trace::{TraceEvent, TraceSink};
 
@@ -51,13 +51,21 @@ impl std::fmt::Display for MemNodeError {
 
 impl std::error::Error for MemNodeError {}
 
+/// The node's page store: [`FlatStore`], concretely, so the hottest read is
+/// a direct call. This crate's unit tests box it instead, so differential
+/// tests can swap in the reference `BTreeStore`.
+#[cfg(not(test))]
+type Pages = FlatStore;
+#[cfg(test)]
+type Pages = Box<dyn MemStore>;
+
 /// The memory node's registered memory pool.
 #[derive(Debug)]
 pub struct MemoryNode {
     // The store contract guarantees ascending page enumeration: repair
     // walks it, and walk order feeds the trace — hash order must never
     // leak into it.
-    pages: Box<dyn MemStore>,
+    pages: Pages,
     /// Region table indexed by protection key (keys are handed out
     /// sequentially, so the table is dense).
     regions: Vec<Option<Region>>,
@@ -77,8 +85,12 @@ pub struct MemoryNode {
 
 impl Default for MemoryNode {
     fn default() -> Self {
+        #[cfg(not(test))]
+        let pages = FlatStore::new();
+        #[cfg(test)]
+        let pages = Box::new(FlatStore::new());
         Self {
-            pages: Box::new(FlatStore::new()),
+            pages,
             regions: Vec::new(),
             next_key: 0,
             huge_pages: false,
@@ -97,11 +109,12 @@ impl MemoryNode {
         Self::default()
     }
 
-    /// Swaps the page store for the [`BTreeStore`] reference backend,
+    /// Swaps the page store for the `BTreeStore` reference backend,
     /// migrating any resident pages. Differential tests use this to prove
     /// the flat backend is observationally identical to the original map.
-    pub fn use_reference_store(&mut self) {
-        self.pages = Box::new(BTreeStore::from(self.pages.snapshot_all()));
+    #[cfg(test)]
+    pub(crate) fn use_reference_store(&mut self) {
+        self.pages = Box::new(crate::store::BTreeStore::from(self.pages.snapshot_all()));
     }
 
     /// Enables 2 MB huge-page backing for registered regions.
@@ -340,11 +353,6 @@ impl MemoryNode {
         self.durable.as_ref().map_or(0, |d| d.log_depth())
     }
 
-    /// Checkpoints sealed since persistence was armed.
-    pub fn checkpoints_sealed(&self) -> u64 {
-        self.durable.as_ref().map_or(0, |d| d.checkpoints)
-    }
-
     /// The region table as plain `(key, (base, len))` rows, for the
     /// checkpoint image.
     fn region_table(&self) -> BTreeMap<u32, (u64, u64)> {
@@ -515,7 +523,7 @@ mod tests {
         // The second ack reached the depth: the log sealed into checkpoint 2
         // (the arming checkpoint was the first).
         assert_eq!(n.intent_log_depth(), 0);
-        assert_eq!(n.checkpoints_sealed(), 2);
+        assert_eq!(n.durable.as_ref().map(|d| d.checkpoints), Some(2));
         // A crash now recovers everything from the checkpoint alone.
         n.crash();
         assert_eq!(n.recover_from_durable(0), 0);

@@ -1,5 +1,5 @@
-//! Virtual-time telemetry: a metrics registry, a calendar-driven gauge
-//! sampler, and a span profiler over the trace stream.
+//! Virtual-time telemetry: a metrics registry, a gauge sampler, and a span
+//! profiler over the trace stream.
 //!
 //! The paper's headline evidence is observability output — fault-latency
 //! breakdowns (Figs. 1/6), RDMA curves (Fig. 2), bandwidth and occupancy
@@ -10,16 +10,10 @@
 //!    gauges, all `BTreeMap`-keyed so no enumeration can leak hash order.
 //!    The node, RDMA endpoint, memory node, LRU chain, scheduler, and the
 //!    baselines all register into the same handle.
-//! 2. The **calendar-driven sampler** — the registry owns a *private*
-//!    [`Calendar`] of recurring [`SchedEvent::SampleTick`] events. Hosts
-//!    poll it at their existing event-drain points and snapshot every gauge
-//!    into a virtual-time series. Keeping the ticks off the systems' main
-//!    calendars is a purity requirement, not a convenience: wait loops
-//!    (e.g. Fastswap's frame-allocation spin) consult `Calendar::next_due`,
-//!    so a foreign tick in the main calendar would change how many spins —
-//!    and therefore how many reclaim batches — a run executes. With a
-//!    private calendar the main calendars' contents (including sequence
-//!    numbers) are bit-identical with metrics on or off.
+//! 2. The **gauge sampler** — a `next_sample` time advanced by the
+//!    interval. Hosts poll [`MetricsRegistry::next_sample_due`] at their
+//!    existing event-drain points and snapshot every gauge into a
+//!    virtual-time series; nothing is scheduled on any calendar.
 //! 3. [`SpanProfiler`] — a [`TraceObserver`] that folds the existing
 //!    [`TraceEvent`] stream (fault begin/phase/end, RDMA verbs, reclaim
 //!    episodes) into per-core hierarchical spans, emitting a
@@ -29,9 +23,8 @@
 //! Like [`TraceSink`], both handles follow the `Option`-branch pattern:
 //! `disabled()` (the default) is a `None` that makes every operation a
 //! single branch, and telemetry is a pure observer either way — it never
-//! emits trace events, never schedules on a shared calendar, and never
-//! feeds back into simulation decisions, so trace digests are byte-stable
-//! under it.
+//! emits trace events, never schedules calendar work, and never feeds back
+//! into simulation decisions, so trace digests are byte-stable under it.
 //!
 //! All JSON emitted here is hand-rolled (the workspace deliberately has no
 //! serialization dependency) and byte-stable: map iteration order is the
@@ -39,11 +32,11 @@
 //! so no string escaping is needed.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::sched::{Calendar, SchedEvent};
+use crate::causal::OpenSpans;
 use crate::stats::LatencyHistogram;
 use crate::time::Ns;
 use crate::trace::{FaultKind, FaultPhase, TraceEvent, TraceObserver, TraceSink};
@@ -85,9 +78,8 @@ struct RegistryCore {
     /// Gauge name → sampled `(virtual time, value)` series.
     series: BTreeMap<&'static str, Vec<(Ns, u64)>>,
     interval: Ns,
-    /// The sampler's own calendar of recurring `SampleTick`s — deliberately
-    /// never shared with a system's main calendar (see module docs).
-    sampler: Calendar,
+    /// Virtual time of the next gauge sample: `k · interval`.
+    next_sample: Ns,
     samples: u64,
 }
 
@@ -134,15 +126,13 @@ impl MetricsRegistry {
     /// least 1 ns). The first tick is due at `interval`.
     pub fn with_interval(interval: Ns) -> Self {
         let interval = interval.max(1);
-        let sampler = Calendar::new();
-        sampler.schedule(interval, SchedEvent::SampleTick);
         Self {
             inner: Some(Rc::new(RefCell::new(RegistryCore {
                 counters: BTreeMap::new(),
                 gauges: BTreeMap::new(),
                 series: BTreeMap::new(),
                 interval,
-                sampler,
+                next_sample: interval,
                 samples: 0,
             }))),
         }
@@ -182,17 +172,6 @@ impl MetricsRegistry {
         })
     }
 
-    /// The per-lane values of counter `name` (empty if never touched).
-    pub fn counter_lanes(&self, name: &str) -> Vec<u64> {
-        self.inner.as_ref().map_or_else(Vec::new, |core| {
-            core.borrow()
-                .counters
-                .get(name)
-                .cloned()
-                .unwrap_or_default()
-        })
-    }
-
     /// Sets gauge `name` to `value` (registering it on first use).
     #[inline]
     pub fn set_gauge(&self, name: &'static str, value: u64) {
@@ -217,9 +196,8 @@ impl MetricsRegistry {
         self.inner.as_ref().map_or(0, |core| core.borrow().samples)
     }
 
-    /// Pops the next sample tick due at or before `now` from the private
-    /// sampler calendar, rescheduling the recurring tick, and returns the
-    /// tick's virtual time. Hosts call this in a `while let` at their
+    /// The next sample time `k · interval` at or before `now`, advancing the
+    /// sampler past it. Hosts call this in a `while let` at their
     /// event-drain points and record a gauge snapshot per returned tick:
     ///
     /// ```text
@@ -232,14 +210,12 @@ impl MetricsRegistry {
     /// virtual time `T` is observed at the host's first drain at or after
     /// `T`, and the snapshot is timestamped `T`.
     pub fn next_sample_due(&self, now: Ns) -> Option<Ns> {
-        let core = self.inner.as_ref()?;
-        let c = core.borrow();
-        if !c.sampler.has_due(now) {
+        let mut c = self.inner.as_ref()?.borrow_mut();
+        let t = c.next_sample;
+        if t > now {
             return None;
         }
-        let (t, _) = c.sampler.pop_due(now)?;
-        let next = t + c.interval;
-        c.sampler.schedule(next, SchedEvent::SampleTick);
+        c.next_sample = t + c.interval;
         Some(t)
     }
 
@@ -354,21 +330,16 @@ struct ProfilerCore {
     /// Folded stack → accumulated virtual ns. `String` keys in a `BTreeMap`
     /// give byte-stable output order.
     folded: BTreeMap<String, u128>,
-    /// End-to-end fault latency per fault kind.
-    hist: BTreeMap<&'static str, LatencyHistogram>,
-    /// Completed fault spans per kind (cross-checked against the systems'
+    /// End-to-end fault latency per fault kind; its `count()` is the number
+    /// of completed spans (cross-checked against the systems'
     /// hand-maintained counters).
-    counts: BTreeMap<&'static str, u64>,
-    /// Total virtual ns per fault phase across all spans.
-    phase_sums: BTreeMap<&'static str, Ns>,
+    hist: BTreeMap<&'static str, LatencyHistogram>,
     /// Per-phase duration distribution across all spans (one sample per
-    /// `FaultPhase` event), backing the per-phase latency quantiles.
+    /// `FaultPhase` event): `sum()` is the phase total, the buckets back the
+    /// per-phase latency quantiles.
     phase_hist: BTreeMap<&'static str, LatencyHistogram>,
-    /// In-flight verbs per `(class, write, node, core)` queue-pair key.
-    /// Same-key verbs complete FIFO, so issue times pop front-first.
-    rdma_open: BTreeMap<(u8, bool, u8, u8), VecDeque<Ns>>,
-    /// The open background reclaim episode, if any.
-    reclaim_open: Option<Ns>,
+    /// In-flight verbs and the open background reclaim episode.
+    spans: OpenSpans<()>,
 }
 
 impl TraceObserver for ProfilerCore {
@@ -390,7 +361,6 @@ impl TraceObserver for ProfilerCore {
                     let kind = kind_label(f.kind);
                     let key = format!("core{core};fault:{kind};{}", phase_label(phase));
                     *self.folded.entry(key).or_default() += dur as u128;
-                    *self.phase_sums.entry(phase_label(phase)).or_default() += dur;
                     self.phase_hist
                         .entry(phase_label(phase))
                         .or_default()
@@ -402,7 +372,6 @@ impl TraceObserver for ProfilerCore {
                     let total = t.saturating_sub(f.begin);
                     let kind = kind_label(f.kind);
                     self.hist.entry(kind).or_default().record(total);
-                    *self.counts.entry(kind).or_default() += 1;
                     // Phases may double-charge overlapped work (reclaim
                     // hidden inside the fetch window), so the residual is
                     // saturating.
@@ -413,39 +382,18 @@ impl TraceObserver for ProfilerCore {
                     }
                 }
             }
-            TraceEvent::RdmaIssue {
-                class,
-                write,
-                node,
-                core,
-                ..
-            } => {
-                self.rdma_open
-                    .entry((class.idx() as u8, write, node, core))
-                    .or_default()
-                    .push_back(t);
-            }
-            TraceEvent::RdmaComplete {
-                class,
-                write,
-                node,
-                core,
-                done,
-            } => {
-                let key = (class.idx() as u8, write, node, core);
-                if let Some(t0) = self.rdma_open.get_mut(&key).and_then(VecDeque::pop_front) {
-                    let rw = if write { "write" } else { "read" };
-                    let stack = format!("core{core};rdma:{}:{rw}", class.label());
-                    *self.folded.entry(stack).or_default() += done.saturating_sub(t0) as u128;
+            TraceEvent::RdmaIssue { .. } | TraceEvent::RdmaComplete { .. } => {
+                if let Some(v) = self.spans.verb((), t, ev) {
+                    let rw = if v.write { "write" } else { "read" };
+                    let stack = format!("core{};rdma:{}:{rw}", v.core, v.class.label());
+                    *self.folded.entry(stack).or_default() +=
+                        v.done.saturating_sub(v.issued) as u128;
                 }
             }
-            TraceEvent::ReclaimBegin { .. } => {
-                self.reclaim_open = Some(t);
-            }
-            TraceEvent::ReclaimEnd { .. } => {
-                if let Some(t0) = self.reclaim_open.take() {
+            TraceEvent::ReclaimBegin { .. } | TraceEvent::ReclaimEnd { .. } => {
+                if let Some((begin, end, _)) = self.spans.reclaim(t, ev) {
                     *self.folded.entry("bg;reclaim".to_string()).or_default() +=
-                        t.saturating_sub(t0) as u128;
+                        end.saturating_sub(begin) as u128;
                 }
             }
             _ => {}
@@ -510,7 +458,10 @@ impl SpanProfiler {
     /// `"zero_fill"`).
     pub fn fault_count(&self, kind: &str) -> u64 {
         self.inner.as_ref().map_or(0, |core| {
-            core.borrow().counts.get(kind).copied().unwrap_or(0)
+            core.borrow()
+                .hist
+                .get(kind)
+                .map_or(0, LatencyHistogram::count)
         })
     }
 
@@ -518,7 +469,8 @@ impl SpanProfiler {
     /// `"alloc"`, `"fetch"`, `"map"`, `"reclaim"`) across all spans.
     pub fn phase_sum(&self, phase: &str) -> Ns {
         self.inner.as_ref().map_or(0, |core| {
-            core.borrow().phase_sums.get(phase).copied().unwrap_or(0)
+            let sum = core.borrow().phase_hist.get(phase).map_or(0, |h| h.sum());
+            Ns::try_from(sum).unwrap_or(Ns::MAX)
         })
     }
 
@@ -528,15 +480,6 @@ impl SpanProfiler {
         self.inner
             .as_ref()
             .and_then(|core| core.borrow().hist.get(kind).cloned())
-    }
-
-    /// The per-phase duration histogram for `phase` (`"exception"`,
-    /// `"check"`, `"alloc"`, `"fetch"`, `"map"`, `"reclaim"`), if any span
-    /// charged it.
-    pub fn phase_histogram(&self, phase: &str) -> Option<LatencyHistogram> {
-        self.inner
-            .as_ref()
-            .and_then(|core| core.borrow().phase_hist.get(phase).cloned())
     }
 
     /// The folded-stack output, one `stack value` line per stack in
@@ -653,7 +596,6 @@ mod tests {
         m.inc("faults", 2);
         m.add("faults", 2, 4);
         assert_eq!(m.counter_total("faults"), 6);
-        assert_eq!(m.counter_lanes("faults"), vec![1, 0, 5]);
         assert_eq!(m.counter_total("absent"), 0);
         assert_eq!(m.counters_json(), "{\"faults\": [1, 0, 5]}");
     }
@@ -671,6 +613,12 @@ mod tests {
         }
         assert_eq!(ticks, vec![100, 200, 300]);
         assert_eq!(m.samples(), 3);
+        // The progression is exactly `k * interval`: a tick due at `now` is
+        // yielded, once, and a disabled registry yields nothing.
+        assert_eq!(m.next_sample_due(400), Some(400));
+        assert_eq!(m.next_sample_due(400), None);
+        assert_eq!(m.next_sample_due(1_000), Some(500));
+        assert_eq!(MetricsRegistry::disabled().next_sample_due(1_000), None);
         assert_eq!(m.series("free"), vec![(100, 10), (200, 10), (300, 10)]);
         assert_eq!(
             m.series_json(),
@@ -777,9 +725,7 @@ mod tests {
         assert!(json.contains("\"p90\": "));
         assert!(json.contains("\"p999\": "));
         assert_eq!(json, p.phase_quantiles_json(), "byte-stable");
-        let h = p.phase_histogram("fetch").expect("fetch phase histogram");
-        assert_eq!(h.count(), 3);
-        assert!(h.quantile(0.999) >= h.quantile(0.50));
+        assert_eq!(p.phase_sum("fetch"), 1_100);
     }
 
     #[test]

@@ -489,11 +489,6 @@ impl RdmaEndpoint {
         ep
     }
 
-    /// Number of memory nodes in the pool.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Kills memory node `i`: its contents become unreachable. Reads fail
     /// over to replicas (or return [`RdmaError::AllReplicasDown`]).
     pub fn fail_node(&mut self, i: usize) {
@@ -836,8 +831,9 @@ impl RdmaEndpoint {
     }
 
     /// Swaps every node's page store for the `BTreeStore` reference backend
-    /// (differential tests only — see [`MemoryNode::use_reference_store`]).
-    pub fn use_reference_stores(&mut self) {
+    /// (see [`MemoryNode::use_reference_store`]).
+    #[cfg(test)]
+    fn use_reference_stores(&mut self) {
         for n in &mut self.nodes {
             n.node.use_reference_store();
         }
@@ -1369,6 +1365,7 @@ impl RdmaEndpoint {
 mod tests {
     use super::*;
     use crate::time::PAGE_SIZE;
+    use proptest::prelude::*;
 
     fn ep() -> RdmaEndpoint {
         RdmaEndpoint::connect(SimConfig::default(), 1 << 30)
@@ -1707,6 +1704,64 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential test for the page-store backends: the same verb
+    /// sequence driven through a flat-store cluster and a reference
+    /// `BTreeStore` cluster produces byte-identical trace digests, the
+    /// same read contents, and the same resident-page enumeration.
+    #[test]
+    fn flat_and_reference_stores_trace_identically(
+        ops in prop::collection::vec(
+            (0u64..60, 1usize..9_000, any::<u8>(), any::<bool>(), 0usize..4),
+            1..80,
+        ),
+    ) {
+        const SIZE: u64 = 1 << 18;
+        let mk = |reference: bool| {
+            let mut ep = RdmaEndpoint::connect_cluster(SimConfig::default(), SIZE, 3, 2);
+            if reference {
+                ep.use_reference_stores();
+            }
+            let obs = Observability::tracing();
+            ep.observe(&obs);
+            (ep, obs)
+        };
+        let (mut flat, flat_obs) = mk(false);
+        let (mut reference, ref_obs) = mk(true);
+        let mut now = 0;
+        for &(page, len, stamp, is_write, core) in &ops {
+            let at = page * 4096 + u64::from(stamp % 64);
+            let len = len.min((SIZE - at) as usize);
+            if len == 0 {
+                continue;
+            }
+            if is_write {
+                // Trailing zeros exercise the extent-trim path.
+                let mut data = vec![stamp; len];
+                let keep = len - (len * usize::from(stamp % 4) / 4);
+                data[keep..].fill(0);
+                flat.write(now, core, ServiceClass::Cleaner, at, &data).expect("in bounds");
+                reference.write(now, core, ServiceClass::Cleaner, at, &data).expect("in bounds");
+            } else {
+                let mut a = vec![0u8; len];
+                let mut b = vec![1u8; len];
+                flat.read(now, core, ServiceClass::Fault, at, &mut a).expect("in bounds");
+                reference.read(now, core, ServiceClass::Fault, at, &mut b).expect("in bounds");
+                prop_assert_eq!(a, b, "read contents at {}", at);
+            }
+            now += 1_000;
+        }
+        prop_assert_eq!(flat_obs.trace().count(), ref_obs.trace().count());
+        prop_assert_eq!(flat_obs.trace().digest(), ref_obs.trace().digest());
+        prop_assert_eq!(
+            flat.node().resident_page_numbers(),
+            reference.node().resident_page_numbers()
+        );
+    }
+    }
+
     /// A caller that breaks the promise would leak stale bytes into its
     /// buffer; debug builds (tier-1 tests) refuse instead.
     #[test]
@@ -1737,7 +1792,7 @@ mod tests {
     #[test]
     fn cluster_stripes_pages_across_nodes() {
         let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 4, 1);
-        assert_eq!(e.node_count(), 4);
+        assert_eq!(e.nodes.len(), 4);
         // Write one page to each shard and read them back.
         for p in 0..8u64 {
             let data = [p as u8 + 1; 64];

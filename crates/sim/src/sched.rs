@@ -77,12 +77,6 @@ pub enum SchedEvent {
     },
     /// A failed memory node comes back and must be resynced.
     NodeRepair { node: usize },
-    /// A recurring telemetry tick: snapshot every registered gauge into its
-    /// virtual-time series. These live on the metrics registry's *private*
-    /// calendar — never on a system's main calendar, where they would
-    /// perturb `next_due`-driven wait loops and break the purity guarantee
-    /// that trace digests are identical with metrics on or off.
-    SampleTick,
 }
 
 /// One heap entry. Ordered by `(at, seq)` — earliest first, insertion

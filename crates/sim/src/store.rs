@@ -6,15 +6,13 @@
 //! page-number order. [`MemStore`] captures exactly that contract; the
 //! node itself does not care how pages are laid out.
 //!
-//! Two backends implement it:
-//!
-//! - [`FlatStore`] (the default): a chunked page directory mapping page
-//!   numbers to dense slots, with a per-slot *extent* — the byte length of
-//!   the non-zero prefix. Lookups are two array indexes instead of a
-//!   `BTreeMap` walk, and reads/writes touch only the live prefix of each
-//!   page (workloads that write a few bytes per page never pay 4 KB copies).
-//! - [`BTreeStore`]: the original ordered-map layout, kept as the reference
-//!   implementation for differential tests.
+//! [`FlatStore`] implements it: a chunked page directory mapping page
+//! numbers to dense slots, with a per-slot *extent* — the byte length of
+//! the non-zero prefix. Lookups are two array indexes instead of a
+//! `BTreeMap` walk, and reads/writes touch only the live prefix of each
+//! page (workloads that write a few bytes per page never pay 4 KB copies).
+//! Unit tests hold it against `BTreeStore`, the original ordered-map layout
+//! kept as their reference implementation.
 //!
 //! The extent invariant: every byte of a slot at offset `>= extent` is zero.
 //! Writes maintain it by trimming trailing zeros off the incoming data and
@@ -246,24 +244,20 @@ impl MemStore for FlatStore {
 
 /// Ordered-map page store: the original layout, kept as the reference
 /// backend for differential tests against [`FlatStore`].
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct BTreeStore {
+pub(crate) struct BTreeStore {
     pages: BTreeMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
-impl BTreeStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
+#[cfg(test)]
 impl From<BTreeMap<u64, Box<[u8; PAGE_SIZE]>>> for BTreeStore {
     fn from(pages: BTreeMap<u64, Box<[u8; PAGE_SIZE]>>) -> Self {
         Self { pages }
     }
 }
 
+#[cfg(test)]
 impl MemStore for BTreeStore {
     fn read_hinted(&self, page: u64, in_page: usize, out: &mut [u8], _live_in: usize) -> usize {
         match self.pages.get(&page) {
@@ -333,7 +327,7 @@ mod tests {
     #[test]
     fn flat_and_btree_stores_agree() {
         let mut flat = FlatStore::new();
-        let mut btree = BTreeStore::new();
+        let mut btree = BTreeStore::default();
         // Deterministic mix of aligned/misaligned, zero/non-zero writes,
         // overwrites that shrink the live prefix, and far-apart pages.
         // `(page, off, data, live)`: `live` is the caller hint — sometimes

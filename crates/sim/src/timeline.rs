@@ -59,12 +59,6 @@ impl Timeline {
     pub fn acquisitions(&self) -> u64 {
         self.acquisitions
     }
-
-    /// Pushes the free time forward to at least `t` without accounting busy
-    /// time (used to model a resource parked until an external event).
-    pub fn delay_until(&mut self, t: Ns) {
-        self.busy_until = self.busy_until.max(t);
-    }
 }
 
 #[cfg(test)]
@@ -106,14 +100,5 @@ mod tests {
         t.acquire(0, 100);
         assert_eq!(t.next_free(40), 100);
         assert_eq!(t.next_free(250), 250);
-    }
-
-    #[test]
-    fn delay_until_parks_without_busy_time() {
-        let mut t = Timeline::new();
-        t.delay_until(500);
-        assert_eq!(t.total_busy(), 0);
-        let (s, _) = t.acquire(0, 10);
-        assert_eq!(s, 500);
     }
 }

@@ -6,8 +6,7 @@
 //! against a flat buffer, and LRU-chain equivalence with a naive list.
 
 use dilos_sim::{
-    LatencyHistogram, LruChain, MemoryNode, Observability, RdmaEndpoint, ServiceClass, SimConfig,
-    Timeline,
+    LatencyHistogram, LruChain, MemoryNode, RdmaEndpoint, ServiceClass, SimConfig, Timeline,
 };
 use proptest::prelude::*;
 
@@ -62,60 +61,6 @@ proptest! {
         }
         prop_assert_eq!(t.total_busy(), total);
         prop_assert_eq!(t.acquisitions() as usize, reqs.len());
-    }
-
-    /// Differential test for the page-store backends: the same verb
-    /// sequence driven through a flat-store cluster and a reference
-    /// `BTreeStore` cluster produces byte-identical trace digests, the
-    /// same read contents, and the same resident-page enumeration.
-    #[test]
-    fn flat_and_reference_stores_trace_identically(
-        ops in prop::collection::vec(
-            (0u64..60, 1usize..9_000, any::<u8>(), any::<bool>(), 0usize..4),
-            1..80,
-        ),
-    ) {
-        const SIZE: u64 = 1 << 18;
-        let mk = |reference: bool| {
-            let mut ep = RdmaEndpoint::connect_cluster(SimConfig::default(), SIZE, 3, 2);
-            if reference {
-                ep.use_reference_stores();
-            }
-            let obs = Observability::tracing();
-            ep.observe(&obs);
-            (ep, obs)
-        };
-        let (mut flat, flat_obs) = mk(false);
-        let (mut reference, ref_obs) = mk(true);
-        let mut now = 0;
-        for &(page, len, stamp, is_write, core) in &ops {
-            let at = page * 4096 + u64::from(stamp % 64);
-            let len = len.min((SIZE - at) as usize);
-            if len == 0 {
-                continue;
-            }
-            if is_write {
-                // Trailing zeros exercise the extent-trim path.
-                let mut data = vec![stamp; len];
-                let keep = len - (len * usize::from(stamp % 4) / 4);
-                data[keep..].fill(0);
-                flat.write(now, core, ServiceClass::Cleaner, at, &data).expect("in bounds");
-                reference.write(now, core, ServiceClass::Cleaner, at, &data).expect("in bounds");
-            } else {
-                let mut a = vec![0u8; len];
-                let mut b = vec![1u8; len];
-                flat.read(now, core, ServiceClass::Fault, at, &mut a).expect("in bounds");
-                reference.read(now, core, ServiceClass::Fault, at, &mut b).expect("in bounds");
-                prop_assert_eq!(a, b, "read contents at {}", at);
-            }
-            now += 1_000;
-        }
-        prop_assert_eq!(flat_obs.trace().count(), ref_obs.trace().count());
-        prop_assert_eq!(flat_obs.trace().digest(), ref_obs.trace().digest());
-        prop_assert_eq!(
-            flat.node().resident_page_numbers(),
-            reference.node().resident_page_numbers()
-        );
     }
 
     /// The memory node is a flat byte array with protection: any sequence

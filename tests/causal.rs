@@ -13,51 +13,19 @@
 //! 3. **Byte stability** — two fresh boots produce byte-identical
 //!    `timeline.json` / `serve_timeline.json` / `tail.md` / `tail.json`.
 
+mod common;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dilos::apps::farmem::{FarMemory, SystemKind, SystemSpec};
+use common::{drive, WS_PAGES};
+use dilos::apps::farmem::{SystemKind, SystemSpec};
 use dilos::apps::seqrw::SeqWorkload;
 use dilos::sim::trace::{FaultKind, FaultPhase, PteClass, TraceEvent, TraceObserver};
 use dilos::sim::{Observability, ServiceClass};
 use dilos_bench::micro::MicroScale;
 use dilos_bench::serve::ServeScale;
 use dilos_bench::timeline::{chrome_trace_json, collect_timeline, write_timeline_artifacts};
-
-/// SplitMix64: the same deterministic driver as `tests/determinism.rs`.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-const WS_PAGES: u64 = 192;
-
-fn drive(mem: &mut dyn FarMemory, seed: u64) {
-    let va = mem.alloc((WS_PAGES * 4096) as usize);
-    for p in 0..WS_PAGES {
-        mem.write_u64(0, va + p * 4096, seed ^ p);
-    }
-    let mut rng = Rng(seed);
-    for _ in 0..600 {
-        let p = rng.next() % WS_PAGES;
-        let addr = va + p * 4096 + (rng.next() % 500) * 8;
-        if rng.next().is_multiple_of(3) {
-            mem.write_u64(0, addr, rng.next());
-        } else {
-            let _ = mem.read_u64(0, addr);
-        }
-    }
-    for p in (0..WS_PAGES).step_by(3) {
-        let _ = mem.read_u64(0, va + p * 4096);
-    }
-}
 
 fn digest_of(kind: SystemKind, ratio: u32, obs: Observability) -> (u64, Observability) {
     let spec = SystemSpec::for_working_set(kind, WS_PAGES * 4096, ratio).observed(obs.clone());

@@ -10,7 +10,7 @@ use dilos::apps::gapbs::GraphWorkload;
 use dilos::apps::kmeans::KmeansWorkload;
 use dilos::apps::quicksort::QuicksortWorkload;
 use dilos::apps::snappy::SnappyWorkload;
-use dilos::sim::Observability;
+use dilos::sim::{Observability, SplitMix64};
 
 const SYSTEMS: [SystemKind; 4] = [
     SystemKind::DilosReadahead,
@@ -130,19 +130,6 @@ fn snappy_output_is_system_independent_and_correct() {
     assert!(sizes.windows(2).all(|w| w[0] == w[1]), "{sizes:?}");
 }
 
-/// SplitMix64, for the seeded differential workload below.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 /// A seeded random mix of reads and writes of varying lengths, replayed on
 /// every system at every paper ratio. Each run is checked three ways: reads
 /// must match a flat-memory model byte for byte, the fold of all reads must
@@ -168,13 +155,13 @@ fn randomized_mixed_rw_is_system_independent() {
                 .boot();
             let base = mem.alloc(WS);
             let mut model = vec![0u8; WS];
-            let mut rng = Rng(SEED);
+            let mut rng = SplitMix64::new(SEED);
             let mut fold = 0u64;
             for _ in 0..400 {
-                let at = (rng.next() as usize) % WS;
-                let len = 1 + (rng.next() as usize) % 6000.min(WS - at);
-                if rng.next().is_multiple_of(2) {
-                    let stamp = rng.next() as u8;
+                let at = (rng.next_u64() as usize) % WS;
+                let len = 1 + (rng.next_u64() as usize) % 6000.min(WS - at);
+                if rng.next_u64().is_multiple_of(2) {
+                    let stamp = rng.next_u64() as u8;
                     let data: Vec<u8> = (0..len).map(|i| stamp.wrapping_add(i as u8)).collect();
                     mem.write(0, base + at as u64, &data);
                     model[at..at + len].copy_from_slice(&data);
@@ -229,15 +216,15 @@ fn trace_derived_metrics_match_hand_counters() {
                 .observed(Observability::metered())
                 .boot();
             let base = mem.alloc(WS);
-            let mut rng = Rng(0xFEED_F00D);
+            let mut rng = SplitMix64::new(0xFEED_F00D);
             // A write pass to force zero-fills, then a random mix to force
             // majors/minors under pressure.
             for p in 0..WS_PAGES {
                 mem.write_u64(0, base + (p * 4096) as u64, p as u64);
             }
             for _ in 0..500 {
-                let at = ((rng.next() as usize) % WS) & !7;
-                if rng.next().is_multiple_of(2) {
+                let at = ((rng.next_u64() as usize) % WS) & !7;
+                if rng.next_u64().is_multiple_of(2) {
                     mem.write_u64(0, base + at as u64, at as u64);
                 } else {
                     mem.read_u64(0, base + at as u64);
@@ -300,12 +287,12 @@ fn degraded_reads_with_concurrent_crash_match_healthy_systems() {
     }
 
     fn storm_and_fold(mem: &mut dyn FarMemory, base: u64) -> u64 {
-        let mut rng = Rng(SEED);
+        let mut rng = SplitMix64::new(SEED);
         for _ in 0..300 {
-            let p = rng.next() % WS_PAGES;
-            let addr = base + p * 4096 + (rng.next() % 500) * 8;
-            if rng.next().is_multiple_of(3) {
-                mem.write_u64(0, addr, rng.next());
+            let p = rng.next_u64() % WS_PAGES;
+            let addr = base + p * 4096 + (rng.next_u64() % 500) * 8;
+            if rng.next_u64().is_multiple_of(3) {
+                mem.write_u64(0, addr, rng.next_u64());
             } else {
                 let _ = mem.read_u64(0, addr);
             }

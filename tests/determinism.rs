@@ -8,47 +8,12 @@
 //! Any hidden nondeterminism (hash-map iteration leaking into decisions,
 //! wall-clock use, allocator-address dependence) changes the digest.
 
+mod common;
+
+use common::{drive, WS_PAGES};
 use dilos::apps::farmem::{FarMemory, SystemKind, SystemSpec};
 use dilos::apps::seqrw::SeqWorkload;
-use dilos::sim::Observability;
-
-/// SplitMix64: a tiny deterministic PRNG for the driver workload.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-const WS_PAGES: u64 = 192;
-
-/// A seeded mixed workload: sequential warm-up, then random reads/writes,
-/// then a strided sweep — enough to exercise faults, prefetch, eviction,
-/// and writeback on every system.
-fn drive(mem: &mut dyn FarMemory, seed: u64) {
-    let va = mem.alloc((WS_PAGES * 4096) as usize);
-    for p in 0..WS_PAGES {
-        mem.write_u64(0, va + p * 4096, seed ^ p);
-    }
-    let mut rng = Rng(seed);
-    for _ in 0..600 {
-        let p = rng.next() % WS_PAGES;
-        let addr = va + p * 4096 + (rng.next() % 500) * 8;
-        if rng.next().is_multiple_of(3) {
-            mem.write_u64(0, addr, rng.next());
-        } else {
-            let _ = mem.read_u64(0, addr);
-        }
-    }
-    for p in (0..WS_PAGES).step_by(3) {
-        let _ = mem.read_u64(0, va + p * 4096);
-    }
-}
+use dilos::sim::{Observability, SplitMix64};
 
 /// `(trace digest, events emitted)` of one fresh traced boot. Digesting
 /// comes first: it quiesces the system, which can flush a few last events.
@@ -151,40 +116,68 @@ fn reclaim_episodes_evict_at_distinct_virtual_times() {
 }
 
 /// Tracing must be a pure observer of the *model*, not just of the digest:
-/// the three DiLOS tab01 configurations booted dark and booted traced do
-/// the same simulated work — same faults, same wire bytes, same virtual
-/// completion time — on the tab01 sequential workload.
+/// every system booted dark and booted traced does the same simulated work
+/// — same faults, same wire bytes, same virtual completion time — on the
+/// tab01 sequential workload and on the benchmark's cyclic scan (sparse
+/// pages, write-populate, one warm-up pass, then passes from seeded random
+/// starts), the shape on which a trace-only calendar entry once woke
+/// Fastswap's frame-allocation spin early.
 #[test]
 fn tracing_leaves_the_model_unchanged() {
-    const PAGES: usize = 1024;
-    let wl = SeqWorkload { pages: PAGES };
-    // Fastswap is left out: traced `RdmaCompletion` calendar entries steer
-    // `get_frame`'s `next_due` wake-up, so its dark and lit stats can differ
-    // (`dilos_perf` reports `dark_equals_lit=false` on `fastswap_seq`).
+    const SEQ_PAGES: u64 = 1024;
+    const CYCLIC_PAGES: u64 = 256;
+    fn seq(mem: &mut dyn FarMemory) {
+        let wl = SeqWorkload {
+            pages: SEQ_PAGES as usize,
+        };
+        let base = wl.populate(mem);
+        wl.read_pass(mem, base);
+    }
+    fn cyclic(mem: &mut dyn FarMemory) {
+        let mut rng = SplitMix64::new(1);
+        let base = mem.alloc((CYCLIC_PAGES * 4096) as usize);
+        for p in 0..CYCLIC_PAGES {
+            mem.write_u64(0, base + p * 4096, p + 1);
+        }
+        // A warm-up pass from page 0, then three from seeded starts.
+        let mut pick = || rng.gen_range(CYCLIC_PAGES);
+        for start in [0, pick(), pick(), pick()] {
+            for i in 0..CYCLIC_PAGES {
+                mem.read_u64(0, base + (start + i) % CYCLIC_PAGES * 4096);
+            }
+        }
+    }
+    type Work = fn(&mut dyn FarMemory);
+    let shapes: [(&str, u64, Work); 2] =
+        [("seq", SEQ_PAGES, seq), ("cyclic", CYCLIC_PAGES, cyclic)];
     for kind in [
         SystemKind::DilosNoPrefetch,
         SystemKind::DilosReadahead,
         SystemKind::DilosTrend,
+        SystemKind::Fastswap,
+        SystemKind::Aifm,
     ] {
-        let run = |obs: Observability| {
-            let mut mem = SystemSpec::for_working_set(kind, (PAGES * 4096) as u64, 13)
-                .observed(obs)
-                .boot();
-            let base = wl.populate(mem.as_mut());
-            wl.read_pass(mem.as_mut(), base);
-            (mem.fault_counters(), mem.net_bytes(), mem.max_now())
-        };
-        let dark = run(Observability::none());
-        let lit = run(Observability::tracing());
-        assert!(dark.0 .0 > 0, "{}: workload must fault", kind.label());
-        assert_eq!(dark, lit, "{}: tracing changed the model", kind.label());
+        for (shape, pages, work) in shapes {
+            let run = |obs: Observability| {
+                let mut mem = SystemSpec::for_working_set(kind, pages * 4096, 13)
+                    .observed(obs)
+                    .boot();
+                work(mem.as_mut());
+                (mem.fault_counters(), mem.net_bytes(), mem.max_now())
+            };
+            let dark = run(Observability::none());
+            let lit = run(Observability::tracing());
+            let tag = format!("{} / {shape}", kind.label());
+            assert!(dark.0 .0 > 0, "{tag}: workload must fault");
+            assert_eq!(dark, lit, "{tag}: tracing changed the model");
+        }
     }
 }
 
 /// The metrics registry, sampler, and span profiler must be pure observers:
 /// booting with metrics on cannot change a single event in the trace. The
-/// sampler runs on a registry-private calendar precisely so its ticks never
-/// reach the systems' event loops.
+/// sampler is arithmetic on the registry, so no tick ever reaches a
+/// system's event loop.
 #[test]
 fn metrics_leave_trace_digests_unchanged() {
     for kind in [
