@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 
 use crate::bitmap::PageBitmap;
+use crate::liveness::{live_vector, PageLiveness};
 use crate::size_class::{size_class_of, SizeClass, SIZE_CLASSES};
 use crate::PAGE_SIZE;
 
@@ -42,23 +43,14 @@ enum PageState {
     Small {
         class: SizeClass,
         bitmap: PageBitmap,
+        /// Whether this page is on its class's `class_pages` list.
+        queued: bool,
     },
     LargeHead {
         pages: usize,
         len: usize,
     },
     LargeBody,
-}
-
-/// What is live within one heap page, as byte ranges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PageLiveness {
-    /// The page holds no live data (nothing to transfer).
-    Empty,
-    /// The whole page is live (fall back to a full-page transfer).
-    Full,
-    /// Only these `(offset, len)` ranges are live.
-    Partial(Vec<(usize, usize)>),
 }
 
 /// Heap occupancy statistics.
@@ -81,7 +73,9 @@ pub struct Heap {
     npages: usize,
     pages: Vec<PageState>,
     /// Partially-filled pages per size class (may contain stale entries;
-    /// validated on pop — mimalloc's lazy page-queue maintenance).
+    /// validated on pop — mimalloc's lazy page-queue maintenance). A page's
+    /// `queued` bit says whether it is on its class's list, so `free` need
+    /// not search for it.
     class_pages: Vec<Vec<usize>>,
     /// Next-fit cursor for fresh-page claims.
     cursor: usize,
@@ -183,9 +177,17 @@ impl Heap {
         // Pop stale (full or recycled) entries until a usable page surfaces.
         let page_idx = loop {
             match self.class_pages[ci].last().copied() {
-                Some(idx) => match &self.pages[idx] {
-                    PageState::Small { class: c, bitmap } if *c == class && !bitmap.is_full() => {
-                        break Some(idx)
+                Some(idx) => match &mut self.pages[idx] {
+                    PageState::Small {
+                        class: c,
+                        bitmap,
+                        queued,
+                    } if *c == class => {
+                        if !bitmap.is_full() {
+                            break Some(idx);
+                        }
+                        *queued = false;
+                        self.class_pages[ci].pop();
                     }
                     _ => {
                         self.class_pages[ci].pop();
@@ -201,12 +203,13 @@ impl Heap {
                 self.pages[idx] = PageState::Small {
                     class,
                     bitmap: PageBitmap::new(class.blocks_per_page()),
+                    queued: true,
                 };
                 self.class_pages[ci].push(idx);
                 idx
             }
         };
-        let PageState::Small { bitmap, .. } = &mut self.pages[idx] else {
+        let PageState::Small { bitmap, queued, .. } = &mut self.pages[idx] else {
             unreachable!("selected page is a small page");
         };
         // The page was selected (or just created) as non-full above.
@@ -214,8 +217,8 @@ impl Heap {
         let block = bitmap.first_free().expect("page was not full");
         bitmap.set(block);
         if bitmap.is_full() {
-            // Leave it in the queue; it is validated away on the next pop.
             self.class_pages[ci].retain(|&p| p != idx);
+            *queued = false;
         }
         self.stats.allocs += 1;
         self.stats.live_bytes += class.block_size() as u64;
@@ -266,7 +269,11 @@ impl Heap {
         let idx = self.page_idx(va).ok_or(AllocError::InvalidFree)?;
         let page_va = self.page_va(idx);
         match &mut self.pages[idx] {
-            PageState::Small { class, bitmap } => {
+            PageState::Small {
+                class,
+                bitmap,
+                queued,
+            } => {
                 let class = *class;
                 let off = (va - page_va) as usize;
                 if !off.is_multiple_of(class.block_size()) {
@@ -281,7 +288,9 @@ impl Heap {
                 if bitmap.is_empty() {
                     self.class_pages[class.index()].retain(|&p| p != idx);
                     self.release_page(idx);
-                } else if !bitmap.is_full() && !self.class_pages[class.index()].contains(&idx) {
+                } else if !*queued {
+                    // A block was just cleared, so the page has room again.
+                    *queued = true;
                     self.class_pages[class.index()].push(idx);
                 }
                 Ok(())
@@ -307,7 +316,7 @@ impl Heap {
     pub fn alloc_size(&self, va: u64) -> Option<usize> {
         let idx = self.page_idx(va)?;
         match &self.pages[idx] {
-            PageState::Small { class, bitmap } => {
+            PageState::Small { class, bitmap, .. } => {
                 let off = (va - self.page_va(idx)) as usize;
                 if !off.is_multiple_of(class.block_size()) {
                     return None;
@@ -322,11 +331,12 @@ impl Heap {
 
     /// Reports what is live within the page containing `page_va`.
     ///
-    /// This is the allocator-semantics query the paging guide performs.
-    /// `max_segments` caps the vector length (the paper's guide uses three —
-    /// vectored RDMA slows down beyond that, §6.3); extra runs are coalesced
-    /// by absorbing the smallest gaps, so the result always *covers* every
-    /// live byte.
+    /// This is the allocator-semantics query the paging guide performs, on
+    /// every eviction. `max_segments` caps the vector length (the paper's
+    /// guide uses three — vectored RDMA slows down beyond that, §6.3) and is
+    /// itself clamped to `1..=LiveVector::CAPACITY`; extra runs are
+    /// coalesced by absorbing the smallest gaps, so the result always
+    /// *covers* every live byte.
     pub fn live_segments(&self, page_va: u64, max_segments: usize) -> PageLiveness {
         let Some(idx) = self.page_idx(page_va) else {
             return PageLiveness::Full;
@@ -337,44 +347,20 @@ impl Heap {
         match state {
             PageState::Free => PageLiveness::Empty,
             PageState::LargeHead { .. } | PageState::LargeBody => PageLiveness::Full,
-            PageState::Small { class, bitmap } => {
+            PageState::Small { class, bitmap, .. } => {
                 if bitmap.is_empty() {
                     return PageLiveness::Empty;
                 }
                 if bitmap.is_full() {
                     return PageLiveness::Full;
                 }
-                let bs = class.block_size();
-                let mut runs: Vec<(usize, usize)> =
-                    bitmap.live_runs().map(|(b, n)| (b * bs, n * bs)).collect();
-                coalesce_to(&mut runs, max_segments.max(1));
-                if runs.len() == 1 && runs[0] == (0, PAGE_SIZE) {
+                let live = live_vector(bitmap, class.block_size(), max_segments);
+                if *live == [(0, PAGE_SIZE as u16)] {
                     PageLiveness::Full
                 } else {
-                    PageLiveness::Partial(runs)
+                    PageLiveness::Partial(live)
                 }
             }
-        }
-    }
-}
-
-/// Coalesces `(offset, len)` runs to at most `k` by merging across the
-/// smallest inter-run gaps.
-fn coalesce_to(runs: &mut Vec<(usize, usize)>, k: usize) {
-    while runs.len() > k {
-        // Find the smallest gap between consecutive runs.
-        let mut best = 0;
-        let mut best_gap = usize::MAX;
-        for (i, w) in runs.windows(2).enumerate() {
-            let gap = w[1].0 - (w[0].0 + w[0].1);
-            if gap < best_gap {
-                best_gap = gap;
-                best = i;
-            }
-        }
-        let (o2, l2) = runs.remove(best + 1);
-        if let Some(r) = runs.get_mut(best) {
-            r.1 = (o2 + l2) - r.0;
         }
     }
 }
@@ -450,6 +436,41 @@ mod tests {
         assert_eq!(h.free(a), Err(AllocError::InvalidFree), "double free");
     }
 
+    /// `free` trusts the `queued` bit instead of searching the class list,
+    /// so the bit must equal list membership after every operation.
+    #[test]
+    fn queued_bit_tracks_class_list_membership() {
+        let mut rng = proptest::test_runner::TestRng::new(0x5EED_0018);
+        let mut h = Heap::new(0, 64 * PAGE_SIZE as u64);
+        let mut live: Vec<u64> = Vec::new();
+        for step in 0..20_000 {
+            // Fill in the first half of each 2 000-step cycle, drain in the
+            // second, so pages go full, partial and empty many times over.
+            let grow = rng.next_u64() % 100 < if step % 2000 < 1000 { 70 } else { 30 };
+            if grow || live.is_empty() {
+                let size = SIZE_CLASSES[(rng.next_u64() % 6) as usize * 4 + 3];
+                if let Ok(va) = h.malloc(size) {
+                    live.push(va);
+                }
+            } else {
+                let va = live.swap_remove((rng.next_u64() % live.len() as u64) as usize);
+                h.free(va).unwrap();
+            }
+            for (idx, page) in h.pages.iter().enumerate() {
+                if let PageState::Small { class, queued, .. } = page {
+                    let listed = h.class_pages[class.index()].contains(&idx);
+                    assert_eq!(*queued, listed, "page {idx} at step {step}");
+                }
+            }
+            let listed: usize = h.class_pages.iter().map(Vec::len).sum();
+            let queued = h
+                .pages
+                .iter()
+                .filter(|p| matches!(p, PageState::Small { queued: true, .. }));
+            assert_eq!(listed, queued.count(), "a list names a non-small page");
+        }
+    }
+
     #[test]
     fn live_segments_reflect_the_bitmap() {
         let mut h = heap();
@@ -462,7 +483,7 @@ mod tests {
         }
         match h.live_segments(page, 3) {
             PageLiveness::Partial(segs) => {
-                assert_eq!(segs, vec![(0, 1024), (3072, 1024)]);
+                assert_eq!(*segs, [(0, 1024), (3072, 1024)]);
             }
             other => panic!("expected partial liveness, got {other:?}"),
         }
@@ -489,7 +510,8 @@ mod tests {
         for (i, v) in vas.iter().enumerate().step_by(2) {
             let off = (*v - page) as usize;
             assert!(
-                segs.iter().any(|&(o, l)| off >= o && off + 64 <= o + l),
+                segs.iter()
+                    .any(|&(o, l)| off >= o as usize && off + 64 <= (o + l) as usize),
                 "block {i} uncovered"
             );
         }

@@ -11,9 +11,10 @@
 //! - each 4 KiB heap page serves blocks of exactly one size class,
 //! - a **per-page allocation bitmap** records which blocks are live,
 //! - large allocations take contiguous page runs,
-//! - [`Heap::live_segments`] coalesces the bitmap into at most `max_segments`
-//!   covering ranges — the scatter/gather vectors guided paging (§4.4) posts
-//!   instead of whole-page transfers.
+//! - [`Heap::live_segments`] coalesces the bitmap, in one pass, into at most
+//!   `max_segments` covering ranges held inline in a [`LiveVector`] — the
+//!   scatter/gather vectors guided paging (§4.4) posts instead of
+//!   whole-page transfers.
 //!
 //! The allocator manages *virtual addresses* in a disaggregated heap; it
 //! never touches the bytes itself, so the same instance can serve a DiLOS
@@ -21,10 +22,12 @@
 
 mod bitmap;
 mod heap;
+mod liveness;
 mod size_class;
 
 pub use bitmap::PageBitmap;
-pub use heap::{AllocError, Heap, HeapStats, PageLiveness};
+pub use heap::{AllocError, Heap, HeapStats};
+pub use liveness::{LiveVector, PageLiveness};
 pub use size_class::{size_class_of, SizeClass, SIZE_CLASSES};
 
 /// The heap page size (matches the OS/DiLOS page size).

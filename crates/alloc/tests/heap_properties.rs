@@ -3,11 +3,12 @@
 //! A reference model (a map of live allocations) is driven in lockstep with
 //! the real heap by random malloc/free scripts; the invariants checked are
 //! the ones guided paging depends on: allocations never overlap, frees
-//! round-trip, and `live_segments` always covers every live byte.
+//! round-trip, and `live_segments` always covers every live byte with a
+//! well-formed vector of at most the requested length.
 
 use std::collections::BTreeMap;
 
-use dilos_alloc::{Heap, PageLiveness, PAGE_SIZE};
+use dilos_alloc::{Heap, LiveVector, PageLiveness, PAGE_SIZE};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -19,8 +20,10 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (1usize..9000).prop_map(Op::Malloc),
-        2 => (0usize..64).prop_map(Op::Free),
+        // Mostly small blocks, so pages fragment into many live runs.
+        3 => (1usize..200).prop_map(Op::Malloc),
+        1 => (1usize..9000).prop_map(Op::Malloc),
+        3 => (0usize..64).prop_map(Op::Free),
     ]
 }
 
@@ -28,7 +31,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn heap_matches_reference_model(ops in prop::collection::vec(op_strategy(), 1..200)) {
+    fn heap_matches_reference_model(
+        ops in prop::collection::vec(op_strategy(), 1..400),
+        k in 1..LiveVector::CAPACITY + 1,
+    ) {
         let base = 0x4000_0000u64;
         let mut heap = Heap::new(base, 1 << 20);
         // Model: va -> requested size.
@@ -78,14 +84,21 @@ proptest! {
                 let page = cursor & !(PAGE_SIZE as u64 - 1);
                 let page_end = page + PAGE_SIZE as u64;
                 let chunk_end = end.min(page_end);
-                match heap.live_segments(page, 3) {
+                match heap.live_segments(page, k) {
                     PageLiveness::Full => {}
                     PageLiveness::Partial(segs) => {
-                        prop_assert!(segs.len() <= 3);
+                        prop_assert!(!segs.is_empty() && segs.len() <= k);
+                        prop_assert!(*segs != [(0, PAGE_SIZE as u16)], "that is `Full`");
+                        prop_assert!(segs.iter().all(|&(o, l)| l > 0 && (o + l) as usize <= PAGE_SIZE));
+                        prop_assert!(
+                            segs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0),
+                            "unsorted, overlapping or abutting: {segs:?}"
+                        );
                         let off = (cursor - page) as usize;
                         let len = (chunk_end - cursor) as usize;
                         prop_assert!(
-                            segs.iter().any(|&(o, l)| off >= o && off + len <= o + l),
+                            segs.iter()
+                                .any(|&(o, l)| off >= o as usize && off + len <= (o + l) as usize),
                             "{va:#x} chunk at page {page:#x} not covered by {segs:?}"
                         );
                     }

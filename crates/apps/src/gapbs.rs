@@ -392,26 +392,22 @@ impl PrefetchGuide for GraphGuide {
             // Subpage-fetch offsets `ptr[v]` and `ptr[v + 1]` (16 bytes;
             // two reads when the pair straddles a page boundary).
             let addr = ptr_base + v as u64 * 8;
-            let (s, e) = if (addr >> 12) == ((addr + 15) >> 12) {
-                let Some((bytes, _)) = ops.subpage_read(addr, 16) else {
+            let mut bytes = [0u8; 16];
+            if (addr >> 12) == ((addr + 15) >> 12) {
+                let Some((16, _)) = ops.subpage_read(addr, &mut bytes) else {
                     continue;
                 };
-                (
-                    u64::from_le_bytes(bytes[0..8].try_into().expect("8")),
-                    u64::from_le_bytes(bytes[8..16].try_into().expect("8")),
-                )
             } else {
-                let Some((lo, _)) = ops.subpage_read(addr, 8) else {
+                let (lo, hi) = bytes.split_at_mut(8);
+                let Some((8, _)) = ops.subpage_read(addr, lo) else {
                     continue;
                 };
-                let Some((hi, _)) = ops.subpage_read(addr + 8, 8) else {
+                let Some((8, _)) = ops.subpage_read(addr + 8, hi) else {
                     continue;
                 };
-                (
-                    u64::from_le_bytes(lo[0..8].try_into().expect("8")),
-                    u64::from_le_bytes(hi[0..8].try_into().expect("8")),
-                )
-            };
+            }
+            let s = u64::from_le_bytes(bytes[0..8].try_into().expect("8"));
+            let e = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
             if e <= s {
                 continue;
             }

@@ -73,9 +73,11 @@ impl RedisGuide {
     }
 
     fn assist_get(&mut self, sds_va: u64, ops: &mut dyn GuideOps) {
-        // Subpage-fetch the SDS header; its length tells us exactly which
+        // Subpage-fetch the SDS header (all of it — a read cut short by the
+        // page boundary is no header); its length tells us exactly which
         // pages the value spans.
-        let Some((hdr, _)) = ops.subpage_read(sds_va, SDS_HDR) else {
+        let mut hdr = [0u8; SDS_HDR];
+        let Some((SDS_HDR, _)) = ops.subpage_read(sds_va, &mut hdr) else {
             return;
         };
         let len = u32::from_le_bytes(hdr[..4].try_into().expect("4-byte len")) as u64;
@@ -93,10 +95,11 @@ impl RedisGuide {
         let Some(mut node_va) = self.lrange_node else {
             return;
         };
+        let mut bytes = [0u8; NODE_SIZE];
         for _ in 0..CHASE_DEPTH {
-            // Subpage-fetch the node struct; it lands ahead of any full
+            // Subpage-fetch the whole node struct; it lands ahead of any full
             // page fetch, giving us the ziplist and next pointers early.
-            let Some((bytes, _)) = ops.subpage_read(node_va, NODE_SIZE) else {
+            let Some((NODE_SIZE, _)) = ops.subpage_read(node_va, &mut bytes) else {
                 break;
             };
             let node = decode_node(&bytes);
@@ -149,16 +152,14 @@ mod tests {
     }
 
     impl GuideOps for FakeOps {
-        fn subpage_read(&mut self, va: u64, len: usize) -> Option<(Vec<u8>, Ns)> {
-            self.memory
-                .get(&va)
-                .map(|d| (d[..len.min(d.len())].to_vec(), 100))
+        fn subpage_read(&mut self, va: u64, buf: &mut [u8]) -> Option<(usize, Ns)> {
+            let d = self.memory.get(&va)?;
+            let n = buf.len().min(d.len());
+            buf[..n].copy_from_slice(&d[..n]);
+            Some((n, 100))
         }
         fn prefetch_page(&mut self, va: u64) {
             self.prefetched.push(va);
-        }
-        fn resident_read(&mut self, _va: u64, _buf: &mut [u8]) -> bool {
-            false
         }
         fn now(&self) -> Ns {
             0

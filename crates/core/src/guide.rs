@@ -31,20 +31,17 @@ use dilos_sim::Ns;
 /// Implemented by the node; the indirection keeps guides compilable as
 /// separate "binaries" (crates) that know nothing of node internals.
 pub trait GuideOps {
-    /// Issues a subpage fetch of `len` bytes at `va` on the guide queue.
+    /// Issues a subpage fetch at `va` on the guide queue into `buf`, stopping
+    /// at the page boundary; a resident page is read in place, off the wire.
     ///
-    /// Returns the bytes and the virtual time they arrive. Subpages are
-    /// small, so they typically arrive *before* the 4 KiB demand fetch that
-    /// triggered the guide — the window the quicklist prefetcher exploits.
-    fn subpage_read(&mut self, va: u64, len: usize) -> Option<(Vec<u8>, Ns)>;
+    /// Returns the bytes fetched and the virtual time they arrive. Subpages
+    /// are small, so they typically arrive *before* the 4 KiB demand fetch
+    /// that triggered the guide — the window the quicklist prefetcher
+    /// exploits.
+    fn subpage_read(&mut self, va: u64, buf: &mut [u8]) -> Option<(usize, Ns)>;
 
     /// Enqueues an asynchronous full-page prefetch covering `va`.
     fn prefetch_page(&mut self, va: u64);
-
-    /// Reads memory that is already resident without touching the fault
-    /// machinery. Returns `false` (and leaves `buf` untouched) if the page
-    /// is not resident.
-    fn resident_read(&mut self, va: u64, buf: &mut [u8]) -> bool;
 
     /// The current virtual time on the faulting core.
     fn now(&self) -> Ns;
@@ -79,7 +76,16 @@ pub struct HeapPagingGuide {
 impl HeapPagingGuide {
     /// Wraps a shared heap; vectors are capped at `max_segments` (the paper
     /// uses three — vectored RDMA slows down beyond that).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `max_segments` is in `1..=FetchVector::CAPACITY`.
     pub fn new(heap: Rc<RefCell<Heap>>, max_segments: usize) -> Self {
+        assert!(
+            (1..=FetchVector::CAPACITY).contains(&max_segments),
+            "a fetch vector holds 1..={} segments, not {max_segments}",
+            FetchVector::CAPACITY
+        );
         Self { heap, max_segments }
     }
 }
@@ -90,8 +96,12 @@ impl PagingGuide for HeapPagingGuide {
     }
 }
 
-/// A logged fetch vector: `(offset, len)` ranges live within one page.
-pub type FetchVector = Vec<(u16, u16)>;
+/// A logged fetch vector: the `(offset, len)` ranges live within one page
+/// (none at all for a fully-dead page). It *is* the allocator's liveness
+/// vector, a small inline `Copy` value, so what [`Heap::live_segments`]
+/// computes at eviction reaches the [`ActionTable`] and later the vectored
+/// verb without being re-collected or heap-allocated on the way.
+pub type FetchVector = dilos_alloc::LiveVector;
 
 /// Storage for the fetch vectors referenced by action PTEs.
 #[derive(Debug, Default)]
@@ -154,16 +164,16 @@ mod tests {
     #[test]
     fn action_table_recycles_slots() {
         let mut t = ActionTable::new();
-        let a = t.insert(vec![(0, 64)]);
-        let b = t.insert(vec![(128, 32)]);
+        let a = t.insert([(0, 64)].into());
+        let b = t.insert([(128, 32)].into());
         assert_ne!(a, b);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.take(a), vec![(0, 64)]);
+        assert_eq!(*t.take(a), [(0, 64)]);
         assert_eq!(t.len(), 1);
-        let c = t.insert(vec![(256, 16)]);
+        let c = t.insert([(256, 16)].into());
         assert_eq!(c, a, "freed slot is reused");
-        assert_eq!(t.take(b), vec![(128, 32)]);
-        assert_eq!(t.take(c), vec![(256, 16)]);
+        assert_eq!(*t.take(b), [(128, 32)]);
+        assert_eq!(*t.take(c), [(256, 16)]);
         assert!(t.is_empty());
     }
 
@@ -171,7 +181,7 @@ mod tests {
     #[should_panic(expected = "empty action-table slot")]
     fn double_take_is_an_invariant_violation() {
         let mut t = ActionTable::new();
-        let a = t.insert(vec![(0, 8)]);
+        let a = t.insert([(0, 8)].into());
         t.take(a);
         t.take(a);
     }
@@ -185,7 +195,7 @@ mod tests {
         let va = heap.borrow_mut().malloc(512).unwrap();
         let page = va & !4095;
         match guide.live_ranges(page) {
-            PageLiveness::Partial(segs) => assert_eq!(segs, vec![(0, 512)]),
+            PageLiveness::Partial(segs) => assert_eq!(*segs, [(0, 512)]),
             other => panic!("expected partial, got {other:?}"),
         }
     }

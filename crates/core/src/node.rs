@@ -34,7 +34,7 @@ use dilos_sim::{
 use crate::audit::Auditor;
 use crate::compat::MAP_DDC;
 use crate::frames::FrameArena;
-use crate::guide::{ActionTable, GuideOps, PagingGuide, PrefetchGuide};
+use crate::guide::{ActionTable, FetchVector, GuideOps, PagingGuide, PrefetchGuide};
 use crate::pagemgr::Watermarks;
 use crate::prefetch::{HitTracker, NoPrefetch, Prefetcher};
 use crate::pt::{PageTable, Pte};
@@ -963,7 +963,7 @@ impl Dilos {
         core: usize,
         vpn: u64,
         is_write: bool,
-        vector: Option<Vec<(u16, u16)>>,
+        vector: Option<FetchVector>,
     ) -> u32 {
         let now = self.clocks[core].now();
         let prev_req = self.trace.begin_request();
@@ -992,7 +992,7 @@ impl Dilos {
         // real machine taking SIGBUS).
         #[allow(clippy::expect_used)]
         let mut done = self
-            .fill_frame(t_alloc, core, class, vpn, frame, vector.as_deref())
+            .fill_frame(t_alloc, core, class, vpn, frame, vector.as_ref())
             // dilos-lint: allow(no-unwrap-in-hot-path, "demand fault with all replicas down is unrecoverable data loss")
             .expect("demand fetch failed: address out of region or all replicas down");
         if vector.is_some_and(|v| v.is_empty()) {
@@ -1062,7 +1062,7 @@ impl Dilos {
         class: ServiceClass,
         vpn: u64,
         frame: u32,
-        vector: Option<&[(u16, u16)]>,
+        vector: Option<&FetchVector>,
     ) -> Result<Ns, RdmaError> {
         let remote = (vpn - DDC_BASE_VPN) << 12;
         let mut segs = std::mem::take(&mut self.seg_buf);
@@ -1077,11 +1077,7 @@ impl Dilos {
             // verb is told there is nothing left to clear.
             Some(v) => {
                 self.frames.zero(frame);
-                segs.extend(v.iter().map(|&(o, l)| Segment {
-                    remote: remote + o as u64,
-                    offset: o as usize,
-                    len: l as usize,
-                }));
+                segs.extend(v.iter().map(|&range| page_segment(remote, range)));
             }
         }
         let posted = if segs.is_empty() {
@@ -1094,9 +1090,8 @@ impl Dilos {
         let (done, live) = posted?;
         self.frames.set_live(frame, live);
         if let Some(v) = vector {
-            let fetched: usize = v.iter().map(|&(_, l)| l as usize).sum();
             self.stats.guided_fetches += 1;
-            self.stats.fetch_bytes_saved += (PAGE_SIZE - fetched) as u64;
+            self.stats.fetch_bytes_saved += (PAGE_SIZE - v.live_bytes()) as u64;
         }
         Ok(done)
     }
@@ -1165,7 +1160,7 @@ impl Dilos {
         let req = self.trace.current_request();
         let filled = self.try_alloc_prefetch_frame(t).and_then(|frame| {
             let class = ServiceClass::Prefetch;
-            match self.fill_frame(t, core, class, vpn, frame, vector.as_deref()) {
+            match self.fill_frame(t, core, class, vpn, frame, vector.as_ref()) {
                 Ok(done) => Some((frame, done)),
                 Err(_) => {
                     // The failed verb may have landed partial segment
@@ -1558,21 +1553,20 @@ impl Dilos {
         let guide = self.paging_guide.as_ref();
         let live_ranges = guide.and_then(|g| match g.borrow().live_ranges(vpn << 12) {
             PageLiveness::Full => None,
-            PageLiveness::Empty => Some(Vec::new()),
+            PageLiveness::Empty => Some(FetchVector::new()),
             PageLiveness::Partial(ranges) => Some(ranges),
         });
         let mut available_at = t;
         if dirty {
-            available_at = self.flush_frame(t, class, vpn, frame, live_ranges.as_deref());
+            available_at = self.flush_frame(t, class, vpn, frame, live_ranges.as_ref());
         }
         let new_pte = match live_ranges {
             None => Pte::Remote {
                 slot: vpn - DDC_BASE_VPN,
             },
-            Some(ranges) => {
+            Some(vector) => {
                 // Log the live ranges so the later fetch is guided too (an
                 // empty vector makes it a zero-fill).
-                let vector = ranges.iter().map(|&(o, l)| (o as u16, l as u16)).collect();
                 self.stats.guided_evictions += 1;
                 Pte::Action {
                     action: self.actions.insert(vector),
@@ -1611,7 +1605,7 @@ impl Dilos {
         class: ServiceClass,
         vpn: u64,
         frame: u32,
-        ranges: Option<&[(usize, usize)]>,
+        ranges: Option<&FetchVector>,
     ) -> Ns {
         let remote = (vpn - DDC_BASE_VPN) << 12;
         let buf = self.frames.bytes(frame);
@@ -1621,18 +1615,13 @@ impl Dilos {
                 self.rdma.write_live(t, 0, class, remote, buf, live)
             }
             Some(ranges) => {
-                let live: usize = ranges.iter().map(|&(_, l)| l).sum();
-                self.stats.writeback_bytes_saved += (PAGE_SIZE - live) as u64;
+                self.stats.writeback_bytes_saved += (PAGE_SIZE - ranges.live_bytes()) as u64;
                 if ranges.is_empty() {
                     return t;
                 }
                 let mut segs = std::mem::take(&mut self.seg_buf);
                 segs.clear();
-                segs.extend(ranges.iter().map(|&(o, l)| Segment {
-                    remote: remote + o as u64,
-                    offset: o,
-                    len: l,
-                }));
+                segs.extend(ranges.iter().map(|&range| page_segment(remote, range)));
                 let r = self.rdma.write_v(t, 0, class, &segs, buf);
                 self.seg_buf = segs;
                 r
@@ -1683,6 +1672,16 @@ impl Dilos {
     }
 }
 
+/// One range of a fetch vector as the verb's [`Segment`]: the same bytes of
+/// the page whose remote copy starts at `remote` and of its local frame.
+fn page_segment(remote: u64, (offset, len): (u16, u16)) -> Segment {
+    Segment {
+        remote: remote + u64::from(offset),
+        offset: usize::from(offset),
+        len: usize::from(len),
+    }
+}
+
 /// The trace-visible class of a PTE (drops per-variant payloads).
 fn pte_class(p: &Pte) -> PteClass {
     match p {
@@ -1702,49 +1701,36 @@ struct NodeGuideOps<'a> {
 }
 
 impl GuideOps for NodeGuideOps<'_> {
-    fn subpage_read(&mut self, va: u64, len: usize) -> Option<(Vec<u8>, Ns)> {
+    fn subpage_read(&mut self, va: u64, buf: &mut [u8]) -> Option<(usize, Ns)> {
         let vpn = va >> 12;
         if vpn < DDC_BASE_VPN || ((vpn - DDC_BASE_VPN) << 12) >= self.node.cfg.remote_bytes {
             return None;
         }
-        // Resident pages are read directly (no wire traffic).
-        if let Pte::Local { frame, .. } = self.node.pt.get(vpn) {
-            let off = (va & 0xFFF) as usize;
-            let n = len.min(PAGE_SIZE - off);
-            let data = self.node.frames.bytes(frame)[off..off + n].to_vec();
-            return Some((data, self.now));
-        }
         // Subpage reads never cross the page boundary: with a sharded pool
         // the next page may live on a different memory node.
-        let remote = va - DDC_BASE;
         let off = (va & 0xFFF) as usize;
-        let mut data = vec![0u8; len.min(PAGE_SIZE - off)];
+        let n = buf.len().min(PAGE_SIZE - off);
+        let data = &mut buf[..n];
+        // Resident pages are read directly (no wire traffic).
+        if let Pte::Local { frame, .. } = self.node.pt.get(vpn) {
+            data.copy_from_slice(&self.node.frames.bytes(frame)[off..off + n]);
+            return Some((n, self.now));
+        }
+        let remote = va - DDC_BASE;
         let done = self
             .node
             .rdma
-            .read(self.now, self.core, ServiceClass::Guide, remote, &mut data)
+            .read(self.now, self.core, ServiceClass::Guide, remote, data)
             .ok()?;
         self.node.stats.subpage_fetches += 1;
         // The guide's decision logic runs when the subpage lands.
         self.now = self.now.max(done);
-        Some((data, done))
+        Some((n, done))
     }
 
     fn prefetch_page(&mut self, va: u64) {
         let t = self.now;
         self.node.prefetch_vpn(self.core, va >> 12, t);
-    }
-
-    fn resident_read(&mut self, va: u64, buf: &mut [u8]) -> bool {
-        let vpn = va >> 12;
-        if let Pte::Local { frame, .. } = self.node.pt.get(vpn) {
-            let off = (va & 0xFFF) as usize;
-            if off + buf.len() <= PAGE_SIZE {
-                buf.copy_from_slice(&self.node.frames.bytes(frame)[off..off + buf.len()]);
-                return true;
-            }
-        }
-        false
     }
 
     fn now(&self) -> Ns {
@@ -1885,7 +1871,7 @@ mod tests {
 
     impl PagingGuide for HeadLive {
         fn live_ranges(&self, _page_va: u64) -> PageLiveness {
-            PageLiveness::Partial(vec![(0, 64)])
+            PageLiveness::Partial([(0, 64)].into())
         }
     }
 
@@ -1919,9 +1905,18 @@ mod tests {
             for i in 0..pages {
                 assert_eq!(node.read_u64(0, page_va(i)), i + 1);
             }
-            let before = node.pte_of(page_va(1));
-            assert_eq!(matches!(before, Pte::Action { .. }), guided);
-            assert_eq!(matches!(before, Pte::Remote { .. }), !guided);
+            // Page 1's logged vector: taken, then put back in its slot.
+            let logged = |n: &mut Dilos| match n.pte_of(page_va(1)) {
+                Pte::Action { action } => {
+                    let v = n.actions.take(action);
+                    assert_eq!(n.actions.insert(v), action);
+                    Some(v)
+                }
+                Pte::Remote { .. } => None,
+                other => panic!("page 1 must stay remote, got {other:?}"),
+            };
+            let before = logged(&mut node);
+            assert_eq!(before, guided.then(|| [(0, 64)].into()));
 
             node.fail_memory_node(1);
             let issued = node.stats().prefetch_issued;
@@ -1942,14 +1937,8 @@ mod tests {
             );
             assert_eq!(node.stats().prefetch_issued, issued);
             assert_eq!(traced(&node), traced_before, "no PrefetchIssue traced");
-            match node.pte_of(page_va(1)) {
-                Pte::Action { action } => {
-                    assert!(guided);
-                    assert_eq!(node.actions.take(action), vec![(0, 64)]);
-                }
-                Pte::Remote { .. } => assert!(!guided),
-                other => panic!("page 1 must stay remote, got {other:?}"),
-            }
+            // The declined prefetch restored, by copy, the vector it took.
+            assert_eq!(logged(&mut node), before);
             let report = node.audit_report();
             assert!(report.is_empty(), "unexpected violations: {report:#?}");
             let in_use = node.frames.total() - node.frames.free_count();

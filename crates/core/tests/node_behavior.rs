@@ -8,6 +8,7 @@ use dilos_alloc::Heap;
 use dilos_core::{
     Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Pte, Readahead, MAP_DDC,
 };
+use dilos_sim::ServiceClass;
 
 const PAGE: usize = 4096;
 
@@ -265,18 +266,24 @@ fn local_mmap_never_touches_the_network() {
     assert!(ddc < va);
 }
 
+/// A 64-frame node whose first 4 MiB of DDC space is a heap, evicted under
+/// the stock paging guide with vectors capped at `max_segments`.
+fn guided_node(max_segments: usize) -> (Dilos, Rc<RefCell<Heap>>) {
+    let heap = Rc::new(RefCell::new(Heap::new(dilos_core::DDC_BASE, 1 << 22)));
+    let mut n = node(64);
+    assert_eq!(n.ddc_alloc(1 << 22), dilos_core::DDC_BASE);
+    n.set_paging_guide(Rc::new(RefCell::new(HeapPagingGuide::new(
+        Rc::clone(&heap),
+        max_segments,
+    ))));
+    (n, heap)
+}
+
 #[test]
 fn guided_paging_saves_bandwidth_and_preserves_data() {
     // A heap page with one live 512-byte object; eviction under the guide
     // must transfer only that object, and the refetch must restore it.
-    let heap = Rc::new(RefCell::new(Heap::new(dilos_core::DDC_BASE, 1 << 22)));
-    let mut n = node(64);
-    let region = n.ddc_alloc(1 << 22);
-    assert_eq!(region, dilos_core::DDC_BASE);
-    n.set_paging_guide(Rc::new(RefCell::new(HeapPagingGuide::new(
-        Rc::clone(&heap),
-        3,
-    ))));
+    let (mut n, heap) = guided_node(3);
 
     // One live object on its page, rest of the page dead.
     let obj = heap.borrow_mut().malloc(512).unwrap();
@@ -308,6 +315,72 @@ fn guided_paging_saves_bandwidth_and_preserves_data() {
     assert!(n.stats().fetch_bytes_saved > 0);
 }
 
+#[test]
+#[should_panic(expected = "a fetch vector holds 1..=12 segments, not 13")]
+fn heap_guide_rejects_a_cap_the_vector_cannot_hold() {
+    let heap = Rc::new(RefCell::new(Heap::new(0, 1 << 16)));
+    HeapPagingGuide::new(heap, dilos_core::FetchVector::CAPACITY + 1);
+}
+
+/// The liveness vector's whole journey: bitmap → dirty guided eviction →
+/// action PTE → refault. The vector is hand-computed, and the refault must
+/// move exactly the ranges the eviction logged — no more, no fewer.
+#[test]
+fn guided_refault_fetches_exactly_the_logged_segments() {
+    // A cap of two forces a merge across one of two equally wide gaps.
+    let (mut n, heap) = guided_node(2);
+
+    // Eight 512 B blocks; 0, 3, 4 and 7 stay live. Live runs (0, 512),
+    // (1536, 1024), (3584, 512) with 1 KiB gaps either side of the middle
+    // one: the earlier gap is absorbed, so the vector is
+    // [(0, 2560), (3584, 512)] — 3 072 bytes named, 1 024 saved.
+    let blocks: Vec<u64> = (0..8)
+        .map(|_| heap.borrow_mut().malloc(512).unwrap())
+        .collect();
+    let page = blocks[0];
+    assert_eq!(page % PAGE as u64, 0);
+    // Dirty the whole page first, dead blocks included.
+    n.write(0, page, &[0xEE; PAGE]);
+    for (i, &b) in blocks.iter().enumerate() {
+        if matches!(i, 0 | 3 | 4 | 7) {
+            n.write(0, b, &[i as u8 + 1; 512]);
+        } else {
+            heap.borrow_mut().free(b).unwrap();
+        }
+    }
+
+    // Pages outside the heap are whole-page evictions: no guided counts.
+    let churn = n.ddc_alloc(512 * PAGE);
+    for p in 0..512u64 {
+        n.write_u64(0, churn + p * PAGE as u64, p);
+    }
+    assert!(matches!(n.pte_of(page), Pte::Action { .. }));
+    let s = n.stats();
+    assert_eq!(s.guided_evictions, 1);
+    assert_eq!(s.writeback_bytes_saved, 1024);
+    assert_eq!(s.guided_fetches, 0);
+
+    let (_, fetched_before) = n.rdma().class_bytes(ServiceClass::Fault);
+    let mut got = vec![0u8; PAGE];
+    n.read(0, page, &mut got);
+    let (_, fetched_after) = n.rdma().class_bytes(ServiceClass::Fault);
+    let s = n.stats();
+    assert_eq!(s.guided_fetches, 1);
+    assert_eq!(s.fetch_bytes_saved, 1024);
+    assert_eq!(s.guided_evictions, 1);
+    assert_eq!(fetched_after - fetched_before, 3072, "wire bytes");
+
+    // Inside the vector the frame holds what was written — the absorbed
+    // gap's garbage too — and the one dead range left out reads as zeros,
+    // because neither the write-back nor the fetch moved it.
+    let mut want = vec![0xEE; PAGE];
+    for i in [0usize, 3, 4, 7] {
+        want[i * 512..(i + 1) * 512].fill(i as u8 + 1);
+    }
+    want[2560..3584].fill(0);
+    assert!(got == want, "refetched page differs from the logged ranges");
+}
+
 /// A linked-list prefetch guide: follows `next` pointers stored at offset 0
 /// of each node (one node per page), exactly the Figure 5 scenario.
 struct ListGuide {
@@ -318,8 +391,9 @@ impl PrefetchGuide for ListGuide {
     fn on_fault(&mut self, va: u64, ops: &mut dyn GuideOps) {
         // Subpage-fetch the node header (its `next` pointer) and prefetch
         // the page it points to.
-        if let Some((bytes, _ready)) = ops.subpage_read(va & !0xFFF, 8) {
-            let next = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte subpage"));
+        let mut bytes = [0u8; 8];
+        if let Some((8, _ready)) = ops.subpage_read(va & !0xFFF, &mut bytes) {
+            let next = u64::from_le_bytes(bytes);
             if next != 0 {
                 ops.prefetch_page(next);
                 self.issued += 1;
