@@ -168,13 +168,6 @@ pub struct FastswapStats {
     pub breakdown: FastswapBreakdown,
 }
 
-impl FastswapStats {
-    /// Total faults.
-    pub fn total_faults(&self) -> u64 {
-        self.major_faults + self.minor_faults + self.zero_fills
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PageState {
     /// Mapped in the page table; payload in `frame` (recency lives in the

@@ -1882,6 +1882,12 @@ mod tests {
     /// back in the PTE, nothing issued.
     #[test]
     fn failed_prefetch_is_dropped_cleanly() {
+        struct Recorder(Vec<(Ns, TraceEvent)>);
+        impl dilos_sim::TraceObserver for Recorder {
+            fn on_event(&mut self, t: Ns, ev: &TraceEvent) {
+                self.0.push((t, *ev));
+            }
+        }
         for guided in [false, true] {
             let mut node = Dilos::new(DilosConfig {
                 local_pages: 32,
@@ -1890,6 +1896,8 @@ mod tests {
                 obs: dilos_sim::Observability::audited(),
                 ..DilosConfig::default()
             });
+            let seen = Rc::new(RefCell::new(Recorder(Vec::new())));
+            node.trace().attach(seen.clone());
             node.set_prefetcher(Box::new(Readahead::new()));
             if guided {
                 node.set_paging_guide(Rc::new(RefCell::new(HeadLive)));
@@ -1921,13 +1929,13 @@ mod tests {
             node.fail_memory_node(1);
             let issued = node.stats().prefetch_issued;
             let posted = node.rdma().ops(ServiceClass::Prefetch).reads;
-            let traced = |n: &Dilos| {
+            let traced = || {
                 let vpn = page_va(1) >> 12;
                 let issue = TraceEvent::PrefetchIssue { vpn };
-                let events = n.trace().events();
-                events.iter().filter(|(_, e)| *e == issue).count()
+                let events = seen.borrow();
+                events.0.iter().filter(|(_, e)| *e == issue).count()
             };
-            let traced_before = traced(&node);
+            let traced_before = traced();
             assert_eq!(node.read_u64(0, page_va(0)), 1);
 
             assert_eq!(
@@ -1936,7 +1944,7 @@ mod tests {
                 "readahead must have posted (and lost) the fetch of page 1"
             );
             assert_eq!(node.stats().prefetch_issued, issued);
-            assert_eq!(traced(&node), traced_before, "no PrefetchIssue traced");
+            assert_eq!(traced(), traced_before, "no PrefetchIssue traced");
             // The declined prefetch restored, by copy, the vector it took.
             assert_eq!(logged(&mut node), before);
             let report = node.audit_report();

@@ -96,13 +96,6 @@ pub struct DilosStats {
     pub breakdown: FaultBreakdown,
 }
 
-impl DilosStats {
-    /// Total page faults (major + minor).
-    pub fn total_faults(&self) -> u64 {
-        self.major_faults + self.minor_faults
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -360,10 +360,10 @@ fn guided_refault_fetches_exactly_the_logged_segments() {
     assert_eq!(s.writeback_bytes_saved, 1024);
     assert_eq!(s.guided_fetches, 0);
 
-    let (_, fetched_before) = n.rdma().class_bytes(ServiceClass::Fault);
+    let (_, fetched_before) = n.rdma().tenant_class_bytes(0, ServiceClass::Fault);
     let mut got = vec![0u8; PAGE];
     n.read(0, page, &mut got);
-    let (_, fetched_after) = n.rdma().class_bytes(ServiceClass::Fault);
+    let (_, fetched_after) = n.rdma().tenant_class_bytes(0, ServiceClass::Fault);
     let s = n.stats();
     assert_eq!(s.guided_fetches, 1);
     assert_eq!(s.fetch_bytes_saved, 1024);

@@ -124,11 +124,6 @@ impl RdmaPort {
         self.cal = cal;
     }
 
-    /// The owning tenant's id.
-    pub fn tenant(&self) -> u8 {
-        self.tenant
-    }
-
     /// Immutable view of the underlying endpoint.
     pub fn endpoint(&self) -> Ref<'_, RdmaEndpoint> {
         self.ep.borrow()
@@ -279,15 +274,10 @@ impl RdmaPort {
     }
 
     /// Wire bytes attributed to this port's tenant and `class`: `(tx, rx)`.
-    /// An exclusive port owns all traffic, so it reports the endpoint-wide
-    /// per-class totals.
+    /// An exclusive port never activates a tenant, so all of the endpoint's
+    /// traffic is on tenant 0's rows — its own.
     pub fn class_bytes(&self, class: ServiceClass) -> (u64, u64) {
-        let ep = self.ep.borrow();
-        if self.exclusive {
-            ep.class_bytes(class)
-        } else {
-            ep.tenant_class_bytes(self.tenant, class)
-        }
+        self.ep.borrow().tenant_class_bytes(self.tenant, class)
     }
 
     /// Queue pairs still occupied at `now` (endpoint-wide gauge).
@@ -304,11 +294,6 @@ impl RdmaPort {
     /// Kills memory node `i` on the shared pool.
     pub fn fail_node(&mut self, i: usize) {
         self.ep.borrow_mut().fail_node(i);
-    }
-
-    /// Brings memory node `i` back online.
-    pub fn repair_node(&mut self, i: usize) {
-        self.ep.borrow_mut().repair_node(i);
     }
 
     /// Brings memory node `i` back online at virtual time `now`, running
@@ -358,6 +343,26 @@ mod tests {
             .ok();
         assert_eq!(r1, r2);
         assert_eq!(buf, data);
+    }
+
+    #[test]
+    fn exclusive_port_owns_all_the_endpoints_traffic() {
+        use ServiceClass::{Cleaner, Fault};
+        // Two nodes, so the totals sum over more than one link.
+        let ep = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 2, 1);
+        let mut port = RdmaPort::exclusive(ep);
+        let mut buf = [0x5Au8; PAGE_SIZE];
+        for (page, class) in [(0, Cleaner), (1, Fault), (2, Cleaner), (3, Fault)] {
+            port.write(0, 0, class, page * 4096, &buf[..512]).unwrap();
+            port.read(0, 1, class, page * 4096, &mut buf[..64]).unwrap();
+        }
+        let (tx, rx) = ServiceClass::ALL.iter().fold((0, 0), |(tx, rx), &c| {
+            let (t, r) = port.class_bytes(c);
+            (tx + t, rx + r)
+        });
+        assert_eq!((tx, rx), port.endpoint().total_bytes());
+        assert_eq!(port.class_bytes(Cleaner), (1024, 128));
+        assert_eq!(port.class_bytes(Fault), (1024, 128));
     }
 
     #[test]

@@ -103,8 +103,6 @@ pub struct Fabric {
     /// duplex, so the two directions do not contend.
     link_down: Timeline,
     bw: BandwidthRecorder,
-    class_tx: [u64; 5],
-    class_rx: [u64; 5],
     /// Tenant whose traffic is currently on the wire (single-tenant boots
     /// never change this from 0). Set by the cluster layer around each verb.
     active_tenant: u8,
@@ -128,8 +126,6 @@ impl Fabric {
             link_up: Timeline::new(),
             link_down: Timeline::new(),
             bw: BandwidthRecorder::new(bw_bucket_ns),
-            class_tx: [0; 5],
-            class_rx: [0; 5],
             active_tenant: 0,
             tenant_tx: Vec::new(),
             tenant_rx: Vec::new(),
@@ -218,13 +214,11 @@ impl Fabric {
         let ti = tenant as usize * 5 + class.idx();
         if inbound {
             self.bw.record_rx(end, bytes as u64);
-            self.class_rx[class.idx()] += bytes as u64;
             Self::bump(&mut self.tenant_rx, ti, bytes as u64);
             self.metrics
                 .add("fabric_rx_bytes", class.idx(), bytes as u64);
         } else {
             self.bw.record_tx(end, bytes as u64);
-            self.class_tx[class.idx()] += bytes as u64;
             Self::bump(&mut self.tenant_tx, ti, bytes as u64);
             self.metrics
                 .add("fabric_tx_bytes", class.idx(), bytes as u64);
@@ -244,16 +238,6 @@ impl Fabric {
     /// The bandwidth time series recorder.
     pub fn bandwidth(&self) -> &BandwidthRecorder {
         &self.bw
-    }
-
-    /// Outbound (eviction) bytes attributed to `class`.
-    pub fn class_tx(&self, class: ServiceClass) -> u64 {
-        self.class_tx[class.idx()]
-    }
-
-    /// Inbound (fetch) bytes attributed to `class`.
-    pub fn class_rx(&self, class: ServiceClass) -> u64 {
-        self.class_rx[class.idx()]
     }
 
     fn bump(v: &mut Vec<u64>, i: usize, by: u64) {
@@ -311,8 +295,6 @@ mod tests {
         let mut f = Fabric::new(SimConfig::default(), 1_000_000);
         f.transfer(0, ServiceClass::Cleaner, 100, false);
         f.transfer(0, ServiceClass::Fault, 200, true);
-        assert_eq!(f.class_tx(ServiceClass::Cleaner), 100);
-        assert_eq!(f.class_rx(ServiceClass::Fault), 200);
         assert_eq!(f.bandwidth().total_tx(), 100);
         assert_eq!(f.bandwidth().total_rx(), 200);
         // Single-tenant traffic lands on tenant 0's ledger.
@@ -330,7 +312,43 @@ mod tests {
         f.transfer(0, ServiceClass::Fault, 8192, true);
         assert_eq!(f.tenant_rx(1, ServiceClass::Fault), 4096);
         assert_eq!(f.tenant_rx(2, ServiceClass::Fault), 8192);
-        assert_eq!(f.class_rx(ServiceClass::Fault), 4096 + 8192);
+        assert_eq!(f.bandwidth().total_rx(), 4096 + 8192);
+    }
+
+    #[test]
+    fn wire_bytes_land_on_exactly_one_tenant_row() {
+        use ServiceClass::{Cleaner, Fault};
+        let mut f = Fabric::new(SimConfig::default(), 1_000_000);
+        // Two tenants, two classes, both directions, interleaved.
+        for (tenant, class, bytes, inbound) in [
+            (3u8, Fault, 4096usize, true),
+            (1, Cleaner, 512, false),
+            (1, Fault, 64, true),
+            (3, Cleaner, 4096, false),
+            (1, Fault, 4096, true),
+            (3, Fault, 128, false),
+        ] {
+            f.set_active_tenant(tenant);
+            f.transfer(0, class, bytes, inbound);
+        }
+        assert_eq!(f.tenant_rx(1, Fault), 64 + 4096);
+        assert_eq!(f.tenant_rx(3, Fault), 4096);
+        assert_eq!(f.tenant_tx(3, Fault), 128);
+        assert_eq!(f.tenant_tx(1, Cleaner), 512);
+        assert_eq!(f.tenant_tx(3, Cleaner), 4096);
+        // The rows partition the link's traffic: nothing counted twice,
+        // nothing dropped.
+        let (mut tx, mut rx) = (0, 0);
+        for class in ServiceClass::ALL {
+            for t in 0..=u8::MAX {
+                tx += f.tenant_tx(t, class);
+                rx += f.tenant_rx(t, class);
+            }
+        }
+        assert_eq!(tx, f.bandwidth().total_tx());
+        assert_eq!(rx, f.bandwidth().total_rx());
+        assert_eq!(f.bandwidth().total_rx(), 4096 + 64 + 4096);
+        assert_eq!(f.bandwidth().total_tx(), 512 + 4096 + 128);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::stats::LatencyHistogram;
 use crate::time::Ns;
 use crate::trace::{FaultKind, FaultPhase, TraceEvent, TraceObserver, TraceSink};
 
-/// Default gauge-sampling interval: 50 µs of virtual time — fine enough to
+/// The gauge-sampling interval: 50 µs of virtual time — fine enough to
 /// see reclaim episodes, coarse enough that bench-scale runs keep their
 /// series small.
 pub const DEFAULT_SAMPLE_INTERVAL_NS: Ns = 50_000;
@@ -77,7 +77,6 @@ struct RegistryCore {
     gauges: BTreeMap<&'static str, u64>,
     /// Gauge name → sampled `(virtual time, value)` series.
     series: BTreeMap<&'static str, Vec<(Ns, u64)>>,
-    interval: Ns,
     /// Virtual time of the next gauge sample: `k · interval`.
     next_sample: Ns,
     samples: u64,
@@ -117,22 +116,14 @@ impl MetricsRegistry {
     }
 
     /// A recording registry sampling gauges every
-    /// [`DEFAULT_SAMPLE_INTERVAL_NS`].
+    /// [`DEFAULT_SAMPLE_INTERVAL_NS`]; the first tick is due one interval in.
     pub fn recording() -> Self {
-        Self::with_interval(DEFAULT_SAMPLE_INTERVAL_NS)
-    }
-
-    /// A recording registry with a custom sampling interval (clamped to at
-    /// least 1 ns). The first tick is due at `interval`.
-    pub fn with_interval(interval: Ns) -> Self {
-        let interval = interval.max(1);
         Self {
             inner: Some(Rc::new(RefCell::new(RegistryCore {
                 counters: BTreeMap::new(),
                 gauges: BTreeMap::new(),
                 series: BTreeMap::new(),
-                interval,
-                next_sample: interval,
+                next_sample: DEFAULT_SAMPLE_INTERVAL_NS,
                 samples: 0,
             }))),
         }
@@ -188,7 +179,9 @@ impl MetricsRegistry {
 
     /// The gauge-sampling interval (zero when disabled).
     pub fn sample_interval_ns(&self) -> Ns {
-        self.inner.as_ref().map_or(0, |core| core.borrow().interval)
+        self.inner
+            .as_ref()
+            .map_or(0, |_| DEFAULT_SAMPLE_INTERVAL_NS)
     }
 
     /// Number of samples taken so far.
@@ -215,7 +208,7 @@ impl MetricsRegistry {
         if t > now {
             return None;
         }
-        c.next_sample = t + c.interval;
+        c.next_sample = t + DEFAULT_SAMPLE_INTERVAL_NS;
         Some(t)
     }
 
@@ -602,27 +595,33 @@ mod tests {
 
     #[test]
     fn sampler_ticks_at_the_interval_and_catches_up() {
-        let m = MetricsRegistry::with_interval(100);
+        // One interval is `I`; every time below is a multiple of it.
+        const I: Ns = DEFAULT_SAMPLE_INTERVAL_NS;
+        let m = MetricsRegistry::recording();
         m.set_gauge("free", 10);
-        assert_eq!(m.next_sample_due(99), None, "first tick is due at 100");
-        // The host drains at t=350: three ticks (100, 200, 300) are due.
+        assert_eq!(m.next_sample_due(I - 1), None, "first tick is due at I");
+        // The host drains at t=3.5·I: three ticks (I, 2I, 3I) are due.
         let mut ticks = Vec::new();
-        while let Some(t) = m.next_sample_due(350) {
+        while let Some(t) = m.next_sample_due(3 * I + I / 2) {
             m.record_sample(t);
             ticks.push(t);
         }
-        assert_eq!(ticks, vec![100, 200, 300]);
+        assert_eq!(ticks, vec![I, 2 * I, 3 * I]);
         assert_eq!(m.samples(), 3);
         // The progression is exactly `k * interval`: a tick due at `now` is
         // yielded, once, and a disabled registry yields nothing.
-        assert_eq!(m.next_sample_due(400), Some(400));
-        assert_eq!(m.next_sample_due(400), None);
-        assert_eq!(m.next_sample_due(1_000), Some(500));
-        assert_eq!(MetricsRegistry::disabled().next_sample_due(1_000), None);
-        assert_eq!(m.series("free"), vec![(100, 10), (200, 10), (300, 10)]);
+        assert_eq!(m.next_sample_due(4 * I), Some(4 * I));
+        assert_eq!(m.next_sample_due(4 * I), None);
+        assert_eq!(m.next_sample_due(10 * I), Some(5 * I));
+        assert_eq!(MetricsRegistry::disabled().next_sample_due(10 * I), None);
+        assert_eq!(m.series("free"), vec![(I, 10), (2 * I, 10), (3 * I, 10)]);
         assert_eq!(
             m.series_json(),
-            "{\"free\": [[100, 10], [200, 10], [300, 10]]}"
+            format!(
+                "{{\"free\": [[{I}, 10], [{}, 10], [{}, 10]]}}",
+                2 * I,
+                3 * I
+            )
         );
     }
 

@@ -10,9 +10,14 @@
 //!
 //! The bundle is a set of `Rc` handles (the same "dark when disabled"
 //! pattern the sink and registry already use): cloning it shares the
-//! underlying buffers, so one bundle describes one booted system. Boot two
+//! underlying state, so one bundle describes one booted system. Boot two
 //! systems from two bundles — sharing a bundle would interleave their
 //! event streams and change both digests.
+//!
+//! The sink keeps a digest and a count, never events: anything that reads
+//! the stream — the profiler and tracer bundled here, the auditor a boot
+//! path adds, a test's recorder — is an observer attached to
+//! [`Observability::trace`] before the run.
 
 use crate::causal::CausalTracer;
 use crate::metrics::{MetricsRegistry, SpanProfiler};
@@ -61,18 +66,6 @@ impl Observability {
         }
     }
 
-    /// Event tracing with an event ring of at least `events` entries
-    /// (rounded up to a power of two). The default ring is deliberately
-    /// small — big enough for digests, small enough to stay cache-resident —
-    /// so consumers that replay [`TraceSink::events`] over a long run (tests,
-    /// trace exporters) must size the ring to the run.
-    pub fn tracing_with_ring(events: usize) -> Self {
-        Self {
-            trace: TraceSink::with_capacity(events.next_power_of_two()),
-            ..Self::none()
-        }
-    }
-
     /// Tracing plus an online auditor attached at boot.
     pub fn audited() -> Self {
         Self {
@@ -108,12 +101,9 @@ impl Observability {
     /// recording [`CausalTracer`] to the trace sink (once). The tracer is a
     /// pure observer riding the side-band request ids, so arming it leaves
     /// the run's digest byte-identical — see `crates/sim/src/causal.rs`.
+    /// A dark bundle has no stream to observe and is returned unchanged.
     pub fn with_timeline(mut self) -> Self {
-        debug_assert!(
-            self.trace.is_enabled(),
-            "timeline requires a recording trace sink"
-        );
-        if !self.causal.is_enabled() {
+        if self.trace.is_enabled() && !self.causal.is_enabled() {
             let causal = CausalTracer::recording();
             causal.attach_to(&self.trace);
             self.causal = causal;
@@ -195,6 +185,8 @@ mod tests {
         assert_eq!(again.causal().request_count(), 1);
         let reqs = again.causal().requests();
         assert_eq!(reqs[0].events.len(), 1, "one observer, one record");
+        // No sink, nothing to attach to: a dark bundle stays dark.
+        assert!(!Observability::none().with_timeline().causal().is_enabled());
     }
 
     #[test]

@@ -337,8 +337,8 @@ impl RdmaEndpoint {
     }
 
     /// Bytes attributed to `(tenant, class)` across every node's link:
-    /// `(tx, rx)`. The per-tenant analogue of
-    /// [`class_bytes`](Self::class_bytes).
+    /// `(tx, rx)`. An endpoint that never activates a tenant carries all
+    /// its traffic on tenant 0's rows.
     pub fn tenant_class_bytes(&self, tenant: u8, class: ServiceClass) -> (u64, u64) {
         self.nodes.iter().fold((0, 0), |(tx, rx), n| {
             (
@@ -500,23 +500,18 @@ impl RdmaEndpoint {
         self.nodes[i].alive
     }
 
-    /// Brings memory node `i` back online and resynchronizes its contents
-    /// from the surviving redundancy: replica copies in replication mode,
-    /// Reed–Solomon reconstruction in erasure-coding mode. A no-op if the
-    /// node is already alive.
+    /// Brings memory node `i` back online at virtual time `now` and
+    /// resynchronizes its contents from the surviving redundancy: replica
+    /// copies in replication mode, Reed–Solomon reconstruction in
+    /// erasure-coding mode. A no-op if the node is already alive.
     ///
     /// This is the dispatch target of a [`SchedEvent::NodeRepair`] calendar
     /// event, so an operator can schedule the repair at a future virtual
     /// time; it is also safe to call directly. Resync is a control-path
     /// operation: it moves bytes without charging verb latency or emitting
-    /// data-path trace events.
-    pub fn repair_node(&mut self, i: usize) {
-        self.repair_node_at(0, i);
-    }
-
-    /// [`repair_node`](Self::repair_node) with the repair's virtual time,
-    /// so the crash-recovery protocol can stamp its trace events. With
-    /// recovery armed on the node, the repair runs the full protocol:
+    /// data-path trace events. `now` stamps the crash-recovery protocol's
+    /// trace events: with recovery armed on the node, the repair runs the
+    /// full protocol:
     ///
     /// 1. restore the last durable checkpoint,
     /// 2. replay the write-intent log (each replay emits
@@ -813,14 +808,6 @@ impl RdmaEndpoint {
         self.nodes.iter().fold((0, 0), |(tx, rx), n| {
             let bw = n.fabric.bandwidth();
             (tx + bw.total_tx(), rx + bw.total_rx())
-        })
-    }
-
-    /// Bytes attributed to `class` across every node's link: `(tx, rx)`.
-    /// The auditor cross-checks these against trace-accumulated totals.
-    pub fn class_bytes(&self, class: ServiceClass) -> (u64, u64) {
-        self.nodes.iter().fold((0, 0), |(tx, rx), n| {
-            (tx + n.fabric.class_tx(class), rx + n.fabric.class_rx(class))
         })
     }
 
@@ -1462,7 +1449,7 @@ mod tests {
         }];
         e.read_v(0, 0, ServiceClass::Guide, &segs, &mut page)
             .unwrap();
-        assert_eq!(e.fabric().class_rx(ServiceClass::Guide), 128);
+        assert_eq!(e.fabric().tenant_rx(0, ServiceClass::Guide), 128);
     }
 
     #[test]
@@ -1964,7 +1951,7 @@ mod tests {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0x22; 32])
                 .unwrap();
         }
-        e.repair_node(0);
+        e.repair_node_at(0, 0);
         let failovers_before = e.failovers();
         let mut buf = [0u8; 32];
         for p in 0..6u64 {
@@ -1982,7 +1969,7 @@ mod tests {
     fn repair_is_a_noop_on_a_live_node() {
         let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 3, 2);
         e.write(0, 0, ServiceClass::App, 0, &[5; 16]).unwrap();
-        e.repair_node(1);
+        e.repair_node_at(0, 1);
         let mut buf = [0u8; 16];
         e.read(0, 0, ServiceClass::App, 0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 5));
@@ -2004,7 +1991,7 @@ mod tests {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0x32; 96])
                 .unwrap();
         }
-        e.repair_node(0);
+        e.repair_node_at(0, 0);
         e.fail_node(1);
         e.fail_node(2);
         let mut buf = [0u8; 96];
@@ -2020,10 +2007,20 @@ mod tests {
     #[test]
     fn calendar_defers_traced_completions_to_delivery_time() {
         use crate::sched::{Calendar, SchedEvent};
+        use crate::trace::TraceObserver;
+        use std::{cell::RefCell, rc::Rc};
+
+        struct Recorder(Vec<(Ns, TraceEvent)>);
+        impl TraceObserver for Recorder {
+            fn on_event(&mut self, t: Ns, ev: &TraceEvent) {
+                self.0.push((t, *ev));
+            }
+        }
 
         let mut e = ep();
         let obs = Observability::tracing();
-        let trace = obs.trace().clone();
+        let trace = Rc::new(RefCell::new(Recorder(Vec::new())));
+        obs.trace().attach(trace.clone());
         let cal = Calendar::new();
         e.observe(&obs);
         e.set_calendar(cal.clone());
@@ -2031,7 +2028,8 @@ mod tests {
         let done = e.read(1_000, 0, ServiceClass::Fault, 0, &mut buf).unwrap();
         assert!(
             !trace
-                .events()
+                .borrow()
+                .0
                 .iter()
                 .any(|(_, ev)| matches!(ev, TraceEvent::RdmaComplete { .. })),
             "completion must not be emitted at issue time"
@@ -2050,7 +2048,7 @@ mod tests {
         };
         assert_eq!(t, done);
         e.deliver_completion(t, class, write, node, core);
-        assert!(trace.events().iter().any(|&(at, ev)| at == done
+        assert!(trace.borrow().0.iter().any(|&(at, ev)| at == done
             && matches!(ev, TraceEvent::RdmaComplete { done: d, .. } if d == done)));
     }
 }

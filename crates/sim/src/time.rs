@@ -79,88 +79,6 @@ impl CoreClock {
     }
 }
 
-/// A small set of per-core clocks plus helpers for barrier-style joins.
-///
-/// Multi-threaded workloads (GAPBS runs with four threads in §6.2) are
-/// simulated by advancing each core's clock independently and synchronizing
-/// at algorithmic barriers.
-#[derive(Debug, Clone)]
-pub struct Cores {
-    clocks: Vec<CoreClock>,
-}
-
-impl Cores {
-    /// Creates `n` cores, all at time zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "at least one core is required");
-        Self {
-            clocks: vec![CoreClock::new(); n],
-        }
-    }
-
-    /// Number of cores.
-    pub fn len(&self) -> usize {
-        self.clocks.len()
-    }
-
-    /// Returns true when there are no cores. The constructor rejects
-    /// `n == 0`, so this is always false today — but it is derived from the
-    /// actual length so the API cannot lie if the invariant ever changes.
-    pub fn is_empty(&self) -> bool {
-        self.clocks.is_empty()
-    }
-
-    /// Returns core `id`'s current time.
-    pub fn now(&self, id: usize) -> Ns {
-        self.clocks[id].now()
-    }
-
-    /// Charges `dur` to core `id`.
-    pub fn advance(&mut self, id: usize, dur: Ns) {
-        self.clocks[id].advance(dur);
-    }
-
-    /// Blocks core `id` until `deadline`.
-    pub fn wait_until(&mut self, id: usize, deadline: Ns) {
-        self.clocks[id].wait_until(deadline);
-    }
-
-    /// Synchronizes all cores to the latest clock (a barrier).
-    ///
-    /// Returns the barrier time.
-    pub fn barrier(&mut self) -> Ns {
-        let t = self.max_now();
-        for c in &mut self.clocks {
-            c.wait_until(t);
-        }
-        t
-    }
-
-    /// Returns the maximum clock across cores (completion time of a
-    /// fork/join region).
-    pub fn max_now(&self) -> Ns {
-        self.clocks.iter().map(CoreClock::now).max().unwrap_or(0)
-    }
-
-    /// Returns the id of the core with the smallest clock.
-    ///
-    /// Workload drivers use this to interleave per-core work in virtual-time
-    /// order, which keeps contention on shared timelines causally sensible.
-    pub fn earliest(&self) -> usize {
-        let mut best = 0;
-        for (i, c) in self.clocks.iter().enumerate() {
-            if c.now() < self.clocks[best].now() {
-                best = i;
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,31 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn cores_barrier_syncs_to_max() {
-        let mut cores = Cores::new(3);
-        cores.advance(0, 10);
-        cores.advance(1, 30);
-        cores.advance(2, 20);
-        assert_eq!(cores.earliest(), 0);
-        assert!(!cores.is_empty());
-        assert_eq!(cores.len(), 3);
-        let t = cores.barrier();
-        assert_eq!(t, 30);
-        for i in 0..3 {
-            assert_eq!(cores.now(i), 30);
-        }
-    }
-
-    #[test]
     fn cycles_conversion_matches_paper_handicap() {
         // 14,000 cycles at 2.3 GHz is roughly 6.09 µs (§6.2 footnote 2).
         let ns = cycles_to_ns(14_000, 2.3);
         assert!((6_000..6_200).contains(&ns), "got {ns}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one core")]
-    fn zero_cores_rejected() {
-        let _ = Cores::new(0);
     }
 }

@@ -13,10 +13,37 @@
 //! Tracing is opt-in and zero-cost when disabled: a [`TraceSink`] is a
 //! cloneable handle that is either dark (`TraceSink::disabled()`, the
 //! default — `emit` is a single branch on a `None`, inlined into the caller)
-//! or backed by a shared ring buffer plus a running digest. Components hold
-//! their own clone of the sink, so one recorder observes a whole system:
-//! node, page table, RDMA endpoint, fabric, and memory node all append to
-//! the same ordered stream.
+//! or lit: a running digest, an event count and a list of observers.
+//! Components hold their own clone of the sink, so one sink sees a whole
+//! system: node, page table, RDMA endpoint, fabric, and memory node all emit
+//! into the same ordered stream.
+//!
+//! # Reading the stream
+//!
+//! The sink stores no event. Whoever wants more than the digest and the
+//! count — the auditor, the span profiler, the causal tracer, a test that
+//! needs history — is a [`TraceObserver`], attached with
+//! [`TraceSink::attach`] and called once per event, in emission order. How
+//! much to keep is the observer's business; keeping everything takes six
+//! lines:
+//!
+//! ```
+//! use dilos_sim::{Ns, TraceEvent, TraceObserver, TraceSink};
+//! use std::{cell::RefCell, rc::Rc};
+//!
+//! struct Recorder(Vec<(Ns, TraceEvent)>);
+//! impl TraceObserver for Recorder {
+//!     fn on_event(&mut self, t: Ns, ev: &TraceEvent) {
+//!         self.0.push((t, *ev));
+//!     }
+//! }
+//!
+//! let sink = TraceSink::recording();
+//! let seen = Rc::new(RefCell::new(Recorder(Vec::new())));
+//! sink.attach(seen.clone());
+//! sink.emit(7, TraceEvent::FrameAlloc { frame: 3 });
+//! assert_eq!(seen.borrow().0, [(7, TraceEvent::FrameAlloc { frame: 3 })]);
+//! ```
 //!
 //! # The digest
 //!
@@ -370,7 +397,7 @@ fn verb(class: ServiceClass, write: bool, node: u8, core: u8) -> u64 {
 /// Consumes events as they are emitted (the auditor implements this).
 ///
 /// Observers run synchronously inside `emit`, in attach order, *after* the
-/// event has been folded into the digest and stored.
+/// event has been folded into the digest and counted.
 pub trait TraceObserver {
     fn on_event(&mut self, t: Ns, ev: &TraceEvent);
 
@@ -385,23 +412,16 @@ pub trait TraceObserver {
     }
 }
 
-/// Small enough (4 Ki events ≈ 160 KiB) that the ring stays cache-resident
-/// on the emit path; the digest and count still cover every event ever
-/// emitted, the ring only bounds how much history `events()` can replay.
-const DEFAULT_RING_CAP: usize = 1 << 12;
-
 /// Observers as the sink holds them: an immutable snapshot that `attach`
 /// replaces, so an emission shares it with one refcount bump.
 type Observers = Rc<[Rc<RefCell<dyn TraceObserver>>]>;
 
+/// What a lit sink keeps: a running digest, a count, the observer list and
+/// the request register. No event is stored.
 struct TraceCore {
-    /// Ring of the most recent events (oldest at `head` once wrapped).
-    ring: Vec<(Ns, TraceEvent)>,
-    cap: usize,
-    head: usize,
-    /// Order-sensitive digest over *all* events ever emitted.
+    /// Order-sensitive digest over every event emitted.
     digest: u64,
-    /// Total emitted (≥ ring contents when the ring has wrapped).
+    /// Total emitted.
     count: u64,
     observers: Observers,
     /// Next request id to hand out (ids start at 1; 0 is never issued).
@@ -417,15 +437,6 @@ impl TraceCore {
         ev.encode(|w| h = fold(h, w));
         self.digest = h;
         self.count += 1;
-        if self.ring.len() < self.cap {
-            self.ring.push((t, ev));
-        } else {
-            self.ring[self.head] = (t, ev);
-            self.head += 1;
-            if self.head == self.cap {
-                self.head = 0;
-            }
-        }
     }
 }
 
@@ -451,7 +462,7 @@ fn fold(h: u64, w: u64) -> u64 {
 
 /// Cloneable handle to a (possibly absent) trace recorder.
 ///
-/// All clones share one buffer; `TraceSink::disabled()` (and `Default`) is
+/// All clones share one stream; `TraceSink::disabled()` (and `Default`) is
 /// the dark handle whose `emit` compiles to a null check.
 #[derive(Clone, Default)]
 pub struct TraceSink {
@@ -478,19 +489,11 @@ impl TraceSink {
         Self { inner: None }
     }
 
-    /// A recording sink with the default ring capacity (4 Ki events).
+    /// A lit sink: every event is folded into the digest, counted and
+    /// handed to the attached observers.
     pub fn recording() -> Self {
-        Self::with_capacity(DEFAULT_RING_CAP)
-    }
-
-    /// A recording sink keeping at most `cap` events (digest and count still
-    /// cover everything emitted).
-    pub fn with_capacity(cap: usize) -> Self {
         Self {
             inner: Some(Rc::new(RefCell::new(TraceCore {
-                ring: Vec::new(),
-                cap: cap.max(1),
-                head: 0,
                 digest: DIGEST_SEED,
                 count: 0,
                 observers: Rc::new([]),
@@ -574,23 +577,9 @@ impl TraceSink {
         self.inner.as_ref().map_or(0, |c| c.borrow().digest)
     }
 
-    /// Total events emitted (including any the ring has since dropped).
+    /// Total events emitted.
     pub fn count(&self) -> u64 {
         self.inner.as_ref().map_or(0, |c| c.borrow().count)
-    }
-
-    /// Events still held by the ring, oldest first.
-    pub fn events(&self) -> Vec<(Ns, TraceEvent)> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(core) => {
-                let c = core.borrow();
-                let mut out = Vec::with_capacity(c.ring.len());
-                out.extend_from_slice(&c.ring[c.head..]);
-                out.extend_from_slice(&c.ring[..c.head]);
-                out
-            }
-        }
     }
 }
 
@@ -605,7 +594,6 @@ mod tests {
         assert!(!s.is_enabled());
         assert_eq!(s.digest(), 0);
         assert_eq!(s.count(), 0);
-        assert!(s.events().is_empty());
     }
 
     #[test]
@@ -637,19 +625,6 @@ mod tests {
             s.digest()
         };
         assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn ring_drops_oldest_but_digest_covers_all() {
-        let s = TraceSink::with_capacity(4);
-        for i in 0..10u64 {
-            s.emit(i, TraceEvent::FrameAlloc { frame: i as u32 });
-        }
-        let evs = s.events();
-        assert_eq!(evs.len(), 4);
-        assert_eq!(evs[0].0, 6, "oldest surviving event");
-        assert_eq!(evs[3].0, 9);
-        assert_eq!(s.count(), 10);
     }
 
     #[test]

@@ -13,7 +13,9 @@ mod common;
 use common::{drive, WS_PAGES};
 use dilos::apps::farmem::{FarMemory, SystemKind, SystemSpec};
 use dilos::apps::seqrw::SeqWorkload;
-use dilos::sim::{Observability, SplitMix64};
+use dilos::sim::{Observability, SplitMix64, TraceEvent, TraceObserver};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// `(trace digest, events emitted)` of one fresh traced boot. Digesting
 /// comes first: it quiesces the system, which can flush a few last events.
@@ -54,63 +56,74 @@ fn different_seeds_produce_different_traces() {
     assert_ne!(a, b, "the digest must be sensitive to the workload");
 }
 
-#[test]
-fn reclaim_episodes_evict_at_distinct_virtual_times() {
-    use dilos::sim::TraceEvent;
+/// The reclaim-episode check as a streaming fold: the run's history is
+/// never held, each event is judged as it is emitted.
+#[derive(Default)]
+struct EpisodeCheck {
+    in_episode: bool,
+    last_evict: Option<u64>,
+    episodes: u32,
+    multi_evict_episodes: u32,
+    evicts_this_episode: u32,
+}
 
-    // This test replays the event ring, so it must hold the whole run —
-    // the default ring is sized for digests (cache-resident), not replay.
-    let spec = SystemSpec::for_working_set(SystemKind::DilosReadahead, WS_PAGES * 4096, 13)
-        .observed(Observability::tracing_with_ring(1 << 18));
-    let mut mem = spec.boot();
-    drive(mem.as_mut(), 0xEC);
-    // trace_digest() quiesces the event calendar, so every in-flight
-    // reclaim tick has landed and every open episode is closed.
-    let _ = mem.trace_digest();
-    let events = mem.as_dilos().expect("DiLOS node").trace().events();
-
-    let mut in_episode = false;
-    let mut last_evict: Option<u64> = None;
-    let mut episodes = 0u32;
-    let mut multi_evict_episodes = 0u32;
-    let mut evicts_this_episode = 0u32;
-    for (t, ev) in events {
-        match ev {
+impl TraceObserver for EpisodeCheck {
+    fn on_event(&mut self, t: u64, ev: &TraceEvent) {
+        match *ev {
             TraceEvent::ReclaimBegin { .. } => {
-                assert!(!in_episode, "nested ReclaimBegin at {t}");
-                in_episode = true;
-                last_evict = None;
-                evicts_this_episode = 0;
-                episodes += 1;
+                assert!(!self.in_episode, "nested ReclaimBegin at {t}");
+                self.in_episode = true;
+                self.last_evict = None;
+                self.evicts_this_episode = 0;
+                self.episodes += 1;
             }
             TraceEvent::ReclaimEnd { .. } => {
-                assert!(in_episode, "ReclaimEnd without ReclaimBegin at {t}");
-                in_episode = false;
-                if evicts_this_episode > 1 {
-                    multi_evict_episodes += 1;
+                assert!(self.in_episode, "ReclaimEnd without ReclaimBegin at {t}");
+                self.in_episode = false;
+                if self.evicts_this_episode > 1 {
+                    self.multi_evict_episodes += 1;
                 }
             }
-            TraceEvent::Evict { vpn, .. } if in_episode => {
+            TraceEvent::Evict { vpn, .. } if self.in_episode => {
                 // Each eviction is one calendar tick: virtual time must
                 // advance strictly between victims. The old lazy-pull model
                 // stamped an entire episode at a single instant.
-                if let Some(prev) = last_evict {
+                if let Some(prev) = self.last_evict {
                     assert!(
                         t > prev,
                         "evictions of vpn {vpn:#x} and its predecessor share \
                          virtual time {t} within one reclaim episode"
                     );
                 }
-                last_evict = Some(t);
-                evicts_this_episode += 1;
+                self.last_evict = Some(t);
+                self.evicts_this_episode += 1;
             }
             _ => {}
         }
     }
-    assert!(!in_episode, "quiesce must close the final episode");
-    assert!(episodes > 0, "workload must trigger background reclaim");
+}
+
+#[test]
+fn reclaim_episodes_evict_at_distinct_virtual_times() {
+    let obs = Observability::tracing();
+    let check = Rc::new(RefCell::new(EpisodeCheck::default()));
+    obs.trace().attach(check.clone());
+    let spec =
+        SystemSpec::for_working_set(SystemKind::DilosReadahead, WS_PAGES * 4096, 13).observed(obs);
+    let mut mem = spec.boot();
+    drive(mem.as_mut(), 0xEC);
+    // trace_digest() quiesces the event calendar, so every in-flight
+    // reclaim tick has landed and every open episode is closed.
+    let _ = mem.trace_digest();
+
+    let check = check.borrow();
+    assert!(!check.in_episode, "quiesce must close the final episode");
     assert!(
-        multi_evict_episodes > 0,
+        check.episodes > 0,
+        "workload must trigger background reclaim"
+    );
+    assert!(
+        check.multi_evict_episodes > 0,
         "need at least one multi-eviction episode for the check to bite"
     );
 }
