@@ -177,7 +177,6 @@ impl Aifm {
         let profiler = obs.profiler().clone();
         rdma.observe(&obs);
         let cal = Calendar::new();
-        cal.observe(&obs);
         rdma.set_calendar(cal.clone());
         Self {
             rdma,

@@ -247,10 +247,7 @@ impl Fastswap {
         let profiler = obs.profiler().clone();
         rdma.observe(&obs);
         let cal = Calendar::new();
-        cal.observe(&obs);
         rdma.set_calendar(cal.clone());
-        let mut lru = LruChain::new();
-        lru.observe(&obs);
         Self {
             rdma,
             trace,
@@ -265,7 +262,7 @@ impl Fastswap {
             frame_live: vec![0; cfg.local_pages],
             free: (0..cfg.local_pages as u32).rev().collect(),
             pending_free: Vec::new(),
-            lru,
+            lru: LruChain::new(),
             clocks: vec![CoreClock::new(); cfg.cores],
             offload: Timeline::new(),
             reclaim_round: 0,

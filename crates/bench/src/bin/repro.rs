@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--full] [--only <id>...] [--out <dir>] [--metrics]
+//! repro [--full] [--only <id>...] [--out <dir>] [--metrics] [--timeline]
 //! ```
 //!
 //! Ids: fig01 fig02 fig06 tab01 tab02 tab03 fig07a fig07b fig07cd fig08
@@ -15,12 +15,18 @@
 //! experiment id that ran to its measured rows, notes, and trace digests;
 //! `serve` and `recover` additionally write their own byte-stable
 //! `serve.json` / `recover.json` (the CI determinism gate compares two
-//! fresh runs of each). `--metrics` also runs the metered tab01 systems
-//! and writes `metrics.json`, `timeseries.json`, and `profile.folded` to
-//! the output directory. `--timeline` runs the causally-traced systems
-//! and writes `timeline.json` / `serve_timeline.json` (Chrome trace-event
-//! JSON, openable at ui.perfetto.dev) plus the critical-path tail report
-//! `tail.md` / `tail.json`.
+//! fresh runs of each).
+//!
+//! `--metrics` and `--timeline` select artifacts and boot nothing: they arm
+//! observers on the experiments' own runs and render what those observed.
+//! `--metrics` meters the `tab01` run and writes `metrics.json`,
+//! `timeseries.json`, and `profile.folded`, so `tab01` must be among the
+//! selected ids. `--timeline` arms the causal tracer on the `tab01` and
+//! `serve` runs and writes `timeline.json` / `serve_timeline.json` (Chrome
+//! trace-event JSON, openable at ui.perfetto.dev) plus the critical-path
+//! tail report `tail.md` / `tail.json`, so both ids must be selected. An
+//! unknown `--flag`, an unknown id, or a flag whose experiment is not
+//! selected exits 2.
 
 use std::io::Write as _;
 
@@ -36,9 +42,19 @@ use dilos_bench::recover::{recover_crash_sweep, RecoverScale};
 use dilos_bench::redis_exp::{fig10_redis, fig12_bandwidth, tab04_tail_latency, RedisScale};
 use dilos_bench::serve::{serve_qos, ServeScale};
 use dilos_bench::Report;
+use dilos_sim::Observability;
+
+const FLAGS: [&str; 5] = ["--full", "--only", "--out", "--metrics", "--timeline"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("[repro] unknown flag {bad:?}; known: {}", FLAGS.join(" "));
+        std::process::exit(2);
+    }
     let full = args.iter().any(|a| a == "--full");
     let metrics = args.iter().any(|a| a == "--metrics");
     let timeline = args.iter().any(|a| a == "--timeline");
@@ -60,6 +76,18 @@ fn main() {
     if let Some(ids) = &only {
         if ids.is_empty() {
             eprintln!("[repro] --only requires at least one experiment id");
+            std::process::exit(2);
+        }
+    }
+    // Artifacts are renderings of the experiments' own runs, so a flag needs
+    // its experiments selected.
+    let selected = |id: &str| only.as_ref().is_none_or(|ids| ids.iter().any(|o| o == id));
+    for (flag, on, needs) in [
+        ("--metrics", metrics, &["tab01"][..]),
+        ("--timeline", timeline, &["tab01", "serve"]),
+    ] {
+        if let Some(missing) = needs.iter().find(|id| on && !selected(id)) {
+            eprintln!("[repro] {flag} renders the {missing} run: add {missing} to --only");
             std::process::exit(2);
         }
     }
@@ -122,11 +150,40 @@ fn main() {
     let graph_scale = if full { 13 } else { 11 };
     let fig12_keys = if full { 16_384 } else { 4_096 };
 
-    type Experiment = (&'static str, Box<dyn FnOnce() -> Report>);
+    // What `--metrics` / `--timeline` arm on the tab01 and serve runs, and
+    // where those runs leave their bundles for the renderers below.
+    let arm_tab01 = move || {
+        let obs = if metrics {
+            Observability::full()
+        } else {
+            Observability::audited()
+        };
+        if timeline {
+            obs.with_timeline()
+        } else {
+            obs
+        }
+    };
+    let arm_serve = if timeline {
+        Observability::with_timeline
+    } else {
+        |obs| obs
+    };
+    let mut tab01_runs = Vec::new();
+    let mut serve_tracks = Vec::new();
+
+    type Experiment<'a> = (&'static str, Box<dyn FnOnce() -> Report + 'a>);
     let experiments: Vec<Experiment> = vec![
         ("fig01", Box::new(move || fig01_fastswap_breakdown(micro))),
         ("fig02", Box::new(fig02_rdma_latency)),
-        ("tab01", Box::new(move || tab01_tab03_fault_counts(micro))),
+        (
+            "tab01",
+            Box::new(|| {
+                let (report, runs) = tab01_tab03_fault_counts(micro, arm_tab01);
+                tab01_runs = runs;
+                report
+            }),
+        ),
         ("tab02", Box::new(move || tab02_seq_throughput(micro))),
         ("fig06", Box::new(move || fig06_latency_breakdown(micro))),
         ("fig07a", Box::new(move || fig07a_quicksort(simple))),
@@ -140,7 +197,14 @@ fn main() {
             "fig12",
             Box::new(move || fig12_bandwidth(fig12_keys, 2_000)),
         ),
-        ("serve", Box::new(move || serve_qos(serve))),
+        (
+            "serve",
+            Box::new(|| {
+                let (report, tracks) = serve_qos(serve, arm_serve);
+                serve_tracks = tracks;
+                report
+            }),
+        ),
         ("recover", Box::new(move || recover_crash_sweep(recover))),
         (
             "ablation",
@@ -198,9 +262,8 @@ fn main() {
     std::fs::write(format!("{out_dir}/bench.json"), json).expect("write bench.json");
     eprintln!("[repro] reports written to {out_dir}/ (machine-readable: {out_dir}/bench.json)");
     if metrics {
-        eprintln!("[repro] running metered telemetry pass …");
-        let report =
-            dilos_bench::telemetry::write_artifacts(micro, &out_dir).expect("write telemetry");
+        let report = dilos_bench::telemetry::write_artifacts(&tab01_runs, &out_dir)
+            .expect("write telemetry");
         println!("{}", report.render());
         eprintln!(
             "[repro] telemetry written to {out_dir}/metrics.json, {out_dir}/timeseries.json, \
@@ -208,9 +271,13 @@ fn main() {
         );
     }
     if timeline {
-        eprintln!("[repro] running causal timeline pass …");
-        let report = dilos_bench::timeline::write_timeline_artifacts(micro, serve, &out_dir)
-            .expect("write timeline");
+        let micro_tracks: Vec<(String, Observability)> = tab01_runs
+            .iter()
+            .map(|(id, _, obs)| (id.to_string(), obs.clone()))
+            .collect();
+        let report =
+            dilos_bench::timeline::write_timeline_artifacts(&micro_tracks, &serve_tracks, &out_dir)
+                .expect("write timeline");
         println!("{}", report.render());
         eprintln!(
             "[repro] timelines written to {out_dir}/timeline.json, \

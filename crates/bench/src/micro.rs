@@ -26,14 +26,9 @@ impl Default for MicroScale {
     }
 }
 
-fn fastswap_at(pages: usize, ratio: u32, offload_percent: u32, traced: bool) -> Fastswap {
+fn fastswap_at(pages: usize, ratio: u32, offload_percent: u32, obs: Observability) -> Fastswap {
     let ws = (pages * PAGE_SIZE) as u64;
     let local_pages = ((pages as u64 * ratio as u64) / 100).max(32) as usize;
-    let obs = if traced {
-        Observability::tracing()
-    } else {
-        Observability::none()
-    };
     let mut cfg = FastswapConfig {
         local_pages,
         remote_bytes: (ws * 2).next_power_of_two().max(1 << 24),
@@ -61,7 +56,7 @@ pub fn fig01_fastswap_breakdown(scale: MicroScale) -> Report {
         ],
     );
     for (label, offload) in [("average", 50u32), ("no reclamation", 100)] {
-        let mut n = fastswap_at(scale.pages, scale.ratio, offload, false);
+        let mut n = fastswap_at(scale.pages, scale.ratio, offload, Observability::none());
         let wl = SeqWorkload { pages: scale.pages };
         let base = wl.populate(&mut n);
         wl.read_pass(&mut n, base);
@@ -105,40 +100,39 @@ pub fn fig02_rdma_latency() -> Report {
     report
 }
 
+/// The tab01 set, in table order. The id keys everything rendered from a
+/// run of it: `metrics.json` objects, folded-stack prefixes, timeline
+/// process names.
+const TAB01: [(&str, SystemKind); 4] = [
+    ("fastswap", SystemKind::Fastswap),
+    ("dilos-noprefetch", SystemKind::DilosNoPrefetch),
+    ("dilos-readahead", SystemKind::DilosReadahead),
+    ("dilos-trend", SystemKind::DilosTrend),
+];
+
 /// Tables 1 & 3: page-fault counts during sequential read.
-pub fn tab01_tab03_fault_counts(scale: MicroScale) -> Report {
+///
+/// Every system boots under a fresh bundle from `arm` (an audited one makes
+/// the run double as an invariant check). The bundles come back beside the
+/// table as `(id, kind, bundle)` in table order, settled, so telemetry and
+/// timelines are rendered from the run the table was computed from rather
+/// than from a re-boot.
+pub fn tab01_tab03_fault_counts(
+    scale: MicroScale,
+    arm: impl Fn() -> Observability,
+) -> (Report, Vec<(&'static str, SystemKind, Observability)>) {
     let mut report = Report::new(
         "Tables 1 & 3 — page faults during sequential read",
         &["system", "major", "minor", "total", "pages"],
     );
-    // Fastswap (Table 1 and the first row of Table 3).
-    {
-        let mut n = fastswap_at(scale.pages, scale.ratio, 50, true);
-        let wl = SeqWorkload { pages: scale.pages };
-        let base = wl.populate(&mut n);
-        wl.read_pass(&mut n, base);
-        let s = n.stats();
-        report.row(vec![
-            "Fastswap".into(),
-            s.major_faults.to_string(),
-            s.minor_faults.to_string(),
-            (s.major_faults + s.minor_faults).to_string(),
-            scale.pages.to_string(),
-        ]);
-        report.digest("Fastswap", n.trace_digest());
-    }
-    for kind in [
-        SystemKind::DilosNoPrefetch,
-        SystemKind::DilosReadahead,
-        SystemKind::DilosTrend,
-    ] {
-        let ws = (scale.pages * PAGE_SIZE) as u64;
-        // Audited boot: the run doubles as an invariant check, and the
-        // digest pins the exact event stream this table was computed from.
+    let ws = (scale.pages * PAGE_SIZE) as u64;
+    let wl = SeqWorkload { pages: scale.pages };
+    let mut runs = Vec::new();
+    for (id, kind) in TAB01 {
+        let obs = arm();
         let mut mem = SystemSpec::for_working_set(kind, ws, scale.ratio)
-            .observed(Observability::audited())
+            .observed(obs.clone())
             .boot();
-        let wl = SeqWorkload { pages: scale.pages };
         let base = wl.populate(mem.as_mut());
         wl.read_pass(mem.as_mut(), base);
         let (major, minor) = mem.fault_counts();
@@ -150,21 +144,28 @@ pub fn tab01_tab03_fault_counts(scale: MicroScale) -> Report {
             scale.pages.to_string(),
         ]);
         let violations = mem.audit_report();
+        // Digesting quiesces the system (which also flushes sampler ticks up
+        // to the completion horizon), and the digest pins the exact event
+        // stream this row was computed from.
         let digest = mem.trace_digest();
         report.digest(kind.label(), digest);
-        report.note(format!(
-            "{}: trace digest {digest:#018x}, audit {}",
-            kind.label(),
-            if violations.is_empty() {
-                "clean".to_string()
-            } else {
-                format!("{} VIOLATIONS: {violations:?}", violations.len())
-            }
-        ));
+        // Only DiLOS carries an auditor; Fastswap has nothing to report.
+        if obs.audit() && kind != SystemKind::Fastswap {
+            report.note(format!(
+                "{}: trace digest {digest:#018x}, audit {}",
+                kind.label(),
+                if violations.is_empty() {
+                    "clean".to_string()
+                } else {
+                    format!("{} VIOLATIONS: {violations:?}", violations.len())
+                }
+            ));
+        }
+        runs.push((id, kind, obs));
     }
     report.note("Paper Table 1: Fastswap 12.5 % major / 87.5 % minor.");
     report.note("Paper Table 3: DiLOS prefetchers cut minors ~25 % vs Fastswap.");
-    report
+    (report, runs)
 }
 
 /// Table 2: sequential read/write throughput (GB/s).
@@ -176,10 +177,10 @@ pub fn tab02_seq_throughput(scale: MicroScale) -> Report {
     // Fastswap row.
     {
         let wl = SeqWorkload { pages: scale.pages };
-        let mut n = fastswap_at(scale.pages, scale.ratio, 50, true);
+        let mut n = fastswap_at(scale.pages, scale.ratio, 50, Observability::tracing());
         let base = wl.populate(&mut n);
         let r = wl.read_pass(&mut n, base);
-        let mut n2 = fastswap_at(scale.pages, scale.ratio, 50, true);
+        let mut n2 = fastswap_at(scale.pages, scale.ratio, 50, Observability::tracing());
         let base2 = wl.populate(&mut n2);
         let w = wl.write_pass(&mut n2, base2);
         report.row(vec!["Fastswap".into(), f2(r.gbps()), f2(w.gbps())]);
@@ -229,7 +230,7 @@ pub fn fig06_latency_breakdown(scale: MicroScale) -> Report {
         ],
     );
     {
-        let mut n = fastswap_at(scale.pages, scale.ratio, 50, false);
+        let mut n = fastswap_at(scale.pages, scale.ratio, 50, Observability::none());
         let wl = SeqWorkload { pages: scale.pages };
         let base = wl.populate(&mut n);
         wl.read_pass(&mut n, base);

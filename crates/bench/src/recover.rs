@@ -208,7 +208,7 @@ mod tests {
     /// table still lands on its pinned trace digests.
     #[test]
     fn disarmed_tab01_digests_are_unchanged() {
-        let report = tab01_tab03_fault_counts(MicroScale::default());
+        let (report, _) = tab01_tab03_fault_counts(MicroScale::default(), Observability::audited);
         for (label, digest) in [
             ("DiLOS no-prefetch", 0x72868b6c6c8f6be7_u64),
             ("DiLOS readahead", 0xa05d4ca934983990),

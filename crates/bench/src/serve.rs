@@ -19,7 +19,7 @@
 //! bound fails, which is the point.
 
 use dilos_core::{ClusterConfig, ServingCluster, TenantSpec};
-use dilos_sim::{CausalTracer, Observability, ServiceClass};
+use dilos_sim::{Observability, ServiceClass};
 
 use crate::loadgen::{drive, Arrival, RequestKind, TenantLoad, TenantResult};
 use crate::table::{us, Report};
@@ -63,7 +63,7 @@ fn victim_spec(obs: Observability) -> TenantSpec {
     }
 }
 
-fn noisy_spec() -> TenantSpec {
+fn noisy_spec(obs: Observability) -> TenantSpec {
     TenantSpec {
         local_quota: VICTIM_QUOTA,
         // Demands 8× its quota: without QoS the demand-proportional split
@@ -72,7 +72,7 @@ fn noisy_spec() -> TenantSpec {
         remote_bytes: 1 << 25,
         bandwidth_share: 1,
         cores: 1,
-        obs: Observability::none(),
+        obs,
     }
 }
 
@@ -112,8 +112,9 @@ struct TenantLane {
 struct Pass {
     results: Vec<TenantResult>,
     lanes: Vec<TenantLane>,
-    digest: u64,
     audit: Vec<(u8, Vec<String>)>,
+    /// The bundle each tenant ran under, settled.
+    obs: Vec<Observability>,
 }
 
 fn tenant_lanes(cluster: &ServingCluster) -> Vec<TenantLane> {
@@ -138,14 +139,27 @@ fn tenant_lanes(cluster: &ServingCluster) -> Vec<TenantLane> {
 }
 
 /// Runs one pass: victims (+ optionally the noisy neighbor), QoS on/off.
-fn run_pass(scale: ServeScale, with_noisy: bool, qos: bool) -> Pass {
-    let mut tenants = vec![
-        victim_spec(Observability::audited()),
-        victim_spec(Observability::tracing()),
-    ];
+/// `arm` finishes every lit tenant's bundle.
+fn run_pass(
+    scale: ServeScale,
+    with_noisy: bool,
+    qos: bool,
+    arm: fn(Observability) -> Observability,
+) -> Pass {
+    let mut obs = vec![arm(Observability::audited()), arm(Observability::tracing())];
+    let mut tenants: Vec<TenantSpec> = obs.iter().cloned().map(victim_spec).collect();
     let mut loads = vec![victim_load(scale, 0xA0), victim_load(scale, 0xB1)];
     if with_noisy {
-        tenants.push(noisy_spec());
+        // Nothing but a timeline reads the neighbor's stream: it boots dark
+        // unless `arm` put a causal tracer on it.
+        let lit = arm(Observability::tracing());
+        let noisy = if lit.causal().is_enabled() {
+            lit
+        } else {
+            Observability::none()
+        };
+        tenants.push(noisy_spec(noisy.clone()));
+        obs.push(noisy);
         loads.push(noisy_load(scale));
     }
     let mut cluster = ServingCluster::boot(ClusterConfig {
@@ -156,60 +170,32 @@ fn run_pass(scale: ServeScale, with_noisy: bool, qos: bool) -> Pass {
     let results = drive(&mut cluster, &loads);
     let lanes = tenant_lanes(&cluster);
     let audit = cluster.audit_reports();
-    let digest = cluster.tenant(0).trace_digest();
+    // Digesting quiesces: every tenant's stream is settled before its
+    // bundle is handed back.
+    for i in 0..cluster.len() {
+        cluster.tenant(i).trace_digest();
+    }
     Pass {
         results,
         lanes,
-        digest,
         audit,
+        obs,
     }
 }
 
-/// Boots the contended pass (victims + noisy neighbor) with causal tracing
-/// armed on every traced tenant and returns one labelled track per tenant:
-/// `(label, tracer, trace digest)`. The labels become Perfetto process
-/// names, so a cluster timeline reads as one track group per tenant.
-pub fn serve_timeline_tracks(scale: ServeScale, qos: bool) -> Vec<(String, CausalTracer, u64)> {
-    let obs = [
-        Observability::audited().with_timeline(),
-        Observability::tracing().with_timeline(),
-        Observability::tracing().with_timeline(),
-    ];
-    let tenants = vec![
-        victim_spec(obs[0].clone()),
-        victim_spec(obs[1].clone()),
-        TenantSpec {
-            obs: obs[2].clone(),
-            ..noisy_spec()
-        },
-    ];
-    let loads = vec![
-        victim_load(scale, 0xA0),
-        victim_load(scale, 0xB1),
-        noisy_load(scale),
-    ];
-    let mut cluster = ServingCluster::boot(ClusterConfig {
-        qos,
-        tenants,
-        ..ClusterConfig::default()
-    });
-    drive(&mut cluster, &loads);
-    let roles = ["victim", "victim", "noisy"];
-    let mode = if qos { "qos-on" } else { "qos-off" };
-    obs.iter()
-        .enumerate()
-        .map(|(i, o)| {
-            (
-                format!("tenant{i} ({}, {mode})", roles[i]),
-                o.causal().clone(),
-                cluster.tenant(i).trace_digest(),
-            )
-        })
-        .collect()
-}
-
 /// The serving table: per-pass, per-tenant latency percentiles.
-pub fn serve_qos(scale: ServeScale) -> Report {
+///
+/// `arm` finishes the bundle of every lit tenant of the two contended
+/// passes: the identity for the table alone,
+/// [`Observability::with_timeline`] to also assemble span trees (which
+/// lights the noisy tenant too). Those passes' bundles come back beside
+/// the table, one per tenant, labelled as timeline process names
+/// (`tenant0 (victim, qos-off)` …), so a cluster timeline reads as one
+/// track group per tenant.
+pub fn serve_qos(
+    scale: ServeScale,
+    arm: fn(Observability) -> Observability,
+) -> (Report, Vec<(String, Observability)>) {
     let mut report = Report::new(
         "Serve — multi-tenant tail latency under a noisy neighbor",
         &[
@@ -218,14 +204,16 @@ pub fn serve_qos(scale: ServeScale) -> Report {
         ],
     );
     let passes = [
-        ("solo", run_pass(scale, false, false)),
-        ("qos-off", run_pass(scale, true, false)),
-        ("qos-on", run_pass(scale, true, true)),
+        ("solo", run_pass(scale, false, false, |obs| obs)),
+        ("qos-off", run_pass(scale, true, false, arm)),
+        ("qos-on", run_pass(scale, true, true, arm)),
     ];
+    let role_of = |id: usize| if id < 2 { "victim" } else { "noisy" };
     let mut solo_p999 = 0u64;
+    let mut tracks = Vec::new();
     for (name, pass) in &passes {
         for (id, r) in pass.results.iter().enumerate() {
-            let role = if id < 2 { "victim" } else { "noisy" };
+            let role = role_of(id);
             let lane = pass.lanes.get(id);
             report.row(vec![
                 (*name).into(),
@@ -243,7 +231,15 @@ pub fn serve_qos(scale: ServeScale) -> Report {
                 (lane.map_or(0, |l| l.tx_bytes) / 1024).to_string(),
             ]);
         }
-        report.digest(format!("{name} (victim 0)"), pass.digest);
+        report.digest(format!("{name} (victim 0)"), pass.obs[0].trace().digest());
+        if *name != "solo" {
+            tracks.extend(
+                pass.obs
+                    .iter()
+                    .enumerate()
+                    .map(|(id, o)| (format!("tenant{id} ({}, {name})", role_of(id)), o.clone())),
+            );
+        }
         let victim_p999 = pass.results[..2]
             .iter()
             .map(|r| r.latency.p999())
@@ -277,7 +273,7 @@ pub fn serve_qos(scale: ServeScale) -> Report {
          with QoS off shows up as transfer-dominated exemplars while the noisy \
          tenant's rx lane saturates.",
     );
-    report
+    (report, tracks)
 }
 
 #[cfg(test)]
@@ -291,8 +287,8 @@ mod tests {
             victim_mean_ns: 50_000,
             noisy_requests: 60,
         };
-        let a = serve_qos(scale).to_json();
-        let b = serve_qos(scale).to_json();
+        let a = serve_qos(scale, |obs| obs).0.to_json();
+        let b = serve_qos(scale, |obs| obs).0.to_json();
         assert_eq!(a, b, "serve table must be byte-stable");
         assert!(a.contains("HELD"), "QoS-on must hold the stated bound");
         assert!(a.contains("rx KiB"), "per-tenant wire lanes missing");
@@ -305,14 +301,26 @@ mod tests {
             victim_mean_ns: 50_000,
             noisy_requests: 30,
         };
-        let a = serve_timeline_tracks(scale, true);
-        let b = serve_timeline_tracks(scale, true);
-        assert_eq!(a.len(), 3);
-        assert!(a[0].0.contains("victim") && a[2].0.contains("noisy"));
-        for ((_, ta, da), (_, tb, db)) in a.iter().zip(&b) {
-            assert_eq!(da, db, "per-tenant digests must be deterministic");
+        let (table, a) = serve_qos(scale, Observability::with_timeline);
+        let (_, b) = serve_qos(scale, Observability::with_timeline);
+        // Both contended passes, three tenants each, qos-off first.
+        assert_eq!(a.len(), 6);
+        assert!(a[3].0.contains("victim") && a[5].0.contains("noisy"));
+        assert!(a[2].0.contains("qos-off") && a[5].0.contains("qos-on"));
+        for ((_, oa), (_, ob)) in a.iter().zip(&b) {
+            let (ta, tb) = (oa.causal(), ob.causal());
+            assert_eq!(
+                oa.trace().digest(),
+                ob.trace().digest(),
+                "per-tenant digests must be deterministic"
+            );
             assert_eq!(ta.request_count(), tb.request_count());
             assert!(ta.request_count() > 0, "tenant saw no requests");
         }
+        // Arming the timeline lights the noisy tenant and changes no row.
+        let (dark, none) = serve_qos(scale, |obs| obs);
+        assert_eq!(table.to_json(), dark.to_json());
+        assert!(none.iter().all(|(_, o)| !o.causal().is_enabled()));
+        assert!(!none[2].1.trace().is_enabled(), "noisy tenant boots dark");
     }
 }

@@ -1,8 +1,8 @@
 //! Causal timeline export and critical-path tail analysis.
 //!
-//! `repro --timeline` boots the tab01 systems (and the contended serving
-//! cluster) with the [`CausalTracer`] armed, then renders two kinds of
-//! artifact from the assembled span trees:
+//! `repro --timeline` arms the [`CausalTracer`] on the tab01 systems and on
+//! the contended serving passes; this module renders two kinds of artifact
+//! from the span trees those runs assembled, and boots nothing itself:
 //!
 //! * **`timeline.json` / `serve_timeline.json`** — Chrome trace-event JSON
 //!   (the format `chrome://tracing` and <https://ui.perfetto.dev> open
@@ -17,21 +17,16 @@
 //!   causally ("this fault spent 92 % of its life queueing behind the
 //!   noisy tenant's transfers") instead of statistically.
 //!
-//! Arming the tracer never perturbs data-path timing: the per-track trace
-//! digests recorded here equal the unarmed tab01 digests, and a tier-1 test
-//! pins that equality.
+//! Arming the tracer never perturbs data-path timing: the tab01 table
+//! computed under it lands on the unarmed digests, and a tier-1 test pins
+//! that equality.
 
 use std::fmt::Write as _;
 
-use dilos_apps::farmem::SystemSpec;
-use dilos_apps::seqrw::SeqWorkload;
 use dilos_sim::TraceEvent;
-use dilos_sim::{critical_path, CausalTracer, Ns, Observability, ReqKind, RequestTrace, PAGE_SIZE};
+use dilos_sim::{critical_path, CausalTracer, Ns, Observability, ReqKind, RequestTrace};
 
-use crate::micro::MicroScale;
-use crate::serve::{serve_timeline_tracks, ServeScale};
 use crate::table::{us, Report};
-use crate::telemetry::METERED;
 
 /// How many worst-case exemplars the tail report keeps per track.
 pub const TAIL_K: usize = 5;
@@ -41,40 +36,6 @@ const TID_PREFETCH: u32 = 80;
 const TID_EVICT: u32 = 81;
 const TID_RECLAIM: u32 = 82;
 const TID_NODE_BASE: u32 = 100;
-
-/// One armed run: a Perfetto process track plus its causal record.
-#[derive(Debug, Clone)]
-pub struct TimelineTrack {
-    /// Process name in the exported timeline.
-    pub label: String,
-    /// Trace digest of the armed run (must equal the unarmed digest).
-    pub digest: u64,
-    /// The assembled span trees.
-    pub tracer: CausalTracer,
-}
-
-/// Boots every tab01 system with the causal tracer armed and drives the
-/// sequential-read workload, returning one labelled track per system.
-pub fn collect_timeline(scale: MicroScale) -> Vec<TimelineTrack> {
-    let ws = (scale.pages * PAGE_SIZE) as u64;
-    let wl = SeqWorkload { pages: scale.pages };
-    let mut out = Vec::new();
-    for (id, kind) in METERED {
-        let obs = Observability::tracing().with_timeline();
-        let mut mem = SystemSpec::for_working_set(kind, ws, scale.ratio)
-            .observed(obs.clone())
-            .boot();
-        let base = wl.populate(mem.as_mut());
-        wl.read_pass(mem.as_mut(), base);
-        let digest = mem.trace_digest();
-        out.push(TimelineTrack {
-            label: id.to_string(),
-            digest,
-            tracer: obs.causal().clone(),
-        });
-    }
-    out
-}
 
 /// Formats a virtual-ns stamp as Chrome's microsecond field. Pure integer
 /// arithmetic in, fixed three-decimal rendering out: byte-stable.
@@ -375,31 +336,31 @@ pub fn tail_json(exemplars: &[TailExemplar]) -> String {
     out
 }
 
-/// Runs the armed tab01 systems and the contended serving cluster, writes
-/// `timeline.json`, `serve_timeline.json`, `tail.md`, and `tail.json`
-/// under `out_dir`, and returns a human summary table.
+/// A track's label beside its tracer, the shape the renderers take.
+fn tracers(tracks: &[(String, Observability)]) -> Vec<(String, &CausalTracer)> {
+    tracks
+        .iter()
+        .map(|(label, obs)| (label.clone(), obs.causal()))
+        .collect()
+}
+
+/// Writes `timeline.json` (the `micro` tracks), `serve_timeline.json` (the
+/// `serve` tracks), and `tail.md` / `tail.json` (both) under `out_dir`, and
+/// returns a human summary table. A track is a label — the Perfetto
+/// process name — and the settled bundle of the run it names.
 pub fn write_timeline_artifacts(
-    scale: MicroScale,
-    serve_scale: ServeScale,
+    micro: &[(String, Observability)],
+    serve: &[(String, Observability)],
     out_dir: &str,
 ) -> std::io::Result<Report> {
-    let micro = collect_timeline(scale);
-    let micro_tracks: Vec<(String, &CausalTracer)> =
-        micro.iter().map(|t| (t.label.clone(), &t.tracer)).collect();
+    let micro_tracks = tracers(micro);
     std::fs::write(
         format!("{out_dir}/timeline.json"),
         chrome_trace_json(&micro_tracks),
     )?;
     // The serving cluster, contended, with and without QoS: the per-tenant
     // tracks cross-check the serve table's lanes.
-    let mut serve_owned: Vec<(String, CausalTracer, u64)> = Vec::new();
-    for qos in [false, true] {
-        serve_owned.extend(serve_timeline_tracks(serve_scale, qos));
-    }
-    let serve_tracks: Vec<(String, &CausalTracer)> = serve_owned
-        .iter()
-        .map(|(label, tracer, _)| (label.clone(), tracer))
-        .collect();
+    let serve_tracks = tracers(serve);
     std::fs::write(
         format!("{out_dir}/serve_timeline.json"),
         chrome_trace_json(&serve_tracks),
@@ -426,59 +387,57 @@ pub fn write_timeline_artifacts(
             dominant.to_string(),
         ]);
     }
-    for t in &micro {
-        report.digest(t.label.clone(), t.digest);
-    }
-    for (label, _, digest) in &serve_owned {
-        report.digest(label.clone(), *digest);
+    for (label, obs) in micro.iter().chain(serve) {
+        report.digest(label.clone(), obs.trace().digest());
     }
     report.note(format!(
         "Artifacts: {out_dir}/timeline.json, {out_dir}/serve_timeline.json, \
          {out_dir}/tail.md, {out_dir}/tail.json."
     ));
     report.note("Open the timelines at https://ui.perfetto.dev (or chrome://tracing).");
-    report.note("Digests match the unarmed tab01 run: the causal tracer is a pure observer.");
+    report.note(
+        "Read from the tab01 and serve runs themselves: the causal tracer is a pure observer.",
+    );
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::micro::{tab01_tab03_fault_counts, MicroScale};
 
-    fn tiny() -> MicroScale {
-        MicroScale {
+    /// The tracks of one timeline-armed tab01 run at test scale.
+    fn armed() -> Vec<(String, Observability)> {
+        let tiny = MicroScale {
             pages: 256,
             ratio: 25,
-        }
+        };
+        let arm = || Observability::audited().with_timeline();
+        let (_, runs) = tab01_tab03_fault_counts(tiny, arm);
+        runs.into_iter()
+            .map(|(id, _, obs)| (id.to_string(), obs))
+            .collect()
     }
 
     #[test]
-    fn collect_covers_every_system_and_is_deterministic() {
-        let a = collect_timeline(tiny());
-        let b = collect_timeline(tiny());
-        assert_eq!(a.len(), METERED.len());
-        for (ta, tb) in a.iter().zip(&b) {
-            assert_eq!(ta.digest, tb.digest, "{}", ta.label);
-            assert!(ta.tracer.request_count() > 0, "{}: no requests", ta.label);
+    fn the_tab01_run_covers_every_system_and_is_deterministic() {
+        let a = armed();
+        let b = armed();
+        assert_eq!(a.len(), 4);
+        for ((label, oa), (_, ob)) in a.iter().zip(&b) {
+            assert_eq!(oa.trace().digest(), ob.trace().digest(), "{label}");
+            assert!(oa.causal().request_count() > 0, "{label}: no requests");
             assert_eq!(
-                ta.tracer.request_count(),
-                tb.tracer.request_count(),
-                "{}",
-                ta.label
+                oa.causal().request_count(),
+                ob.causal().request_count(),
+                "{label}"
             );
         }
     }
 
     #[test]
     fn chrome_export_is_byte_stable_and_well_formed() {
-        let mk = || {
-            let tracks = collect_timeline(tiny());
-            let pairs: Vec<(String, &CausalTracer)> = tracks
-                .iter()
-                .map(|t| (t.label.clone(), &t.tracer))
-                .collect();
-            chrome_trace_json(&pairs)
-        };
+        let mk = || chrome_trace_json(&tracers(&armed()));
         let a = mk();
         assert_eq!(a, mk(), "timeline must be byte-stable");
         assert!(a.starts_with("{\n"));
@@ -491,12 +450,8 @@ mod tests {
 
     #[test]
     fn tail_picks_the_slowest_faults_first() {
-        let tracks = collect_timeline(tiny());
-        let pairs: Vec<(String, &CausalTracer)> = tracks
-            .iter()
-            .map(|t| (t.label.clone(), &t.tracer))
-            .collect();
-        let exemplars = tail_exemplars(&pairs, TAIL_K);
+        let tracks = armed();
+        let exemplars = tail_exemplars(&tracers(&tracks), TAIL_K);
         assert!(!exemplars.is_empty());
         let mut track = "";
         let mut last = Ns::MAX;

@@ -244,10 +244,10 @@ pub struct Dilos {
     trace: TraceSink,
     /// Online invariant checker attached to the trace.
     audit: Option<Rc<RefCell<Auditor>>>,
-    /// Telemetry registry shared with the scheduler, RDMA endpoint, memory
-    /// nodes, fabric, and LRU (dark unless `cfg.metrics`).
+    /// Gauge registry and sampler (dark unless `cfg.obs` is metered).
     metrics: MetricsRegistry,
-    /// Span profiler attached to the trace (dark unless `cfg.metrics`).
+    /// Span profiler attached to the trace (dark unless `cfg.obs` is
+    /// metered); also folds the stream's counters.
     profiler: SpanProfiler,
 }
 
@@ -316,8 +316,6 @@ impl Dilos {
         };
         let metrics = obs.metrics().clone();
         let profiler = obs.profiler().clone();
-        let mut lru = dilos_sim::LruChain::new();
-        lru.observe(&obs);
         let mut frames = FrameArena::new(cfg.local_pages);
         frames.observe(&obs);
         let wm = Watermarks::for_cache(cfg.local_pages);
@@ -325,7 +323,6 @@ impl Dilos {
         // completions onto it, and the node delivers them (plus landings,
         // reclaim ticks, and writebacks) whenever virtual time passes them.
         let cal = Calendar::new();
-        cal.observe(&obs);
         rdma.bind(obs, cal.clone());
         Self {
             frames,
@@ -348,7 +345,7 @@ impl Dilos {
             tick_pending: false,
             episode_freed: 0,
             pending_clean: 0,
-            lru,
+            lru: dilos_sim::LruChain::new(),
             stats: DilosStats::default(),
             ddc_brk: DDC_BASE,
             local_pages_map: std::collections::HashMap::new(),

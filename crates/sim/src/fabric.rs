@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use crate::config::SimConfig;
-use crate::metrics::MetricsRegistry;
 use crate::obs::Observability;
 use crate::stats::BandwidthRecorder;
 use crate::time::Ns;
@@ -114,7 +113,6 @@ pub struct Fabric {
     /// QoS bandwidth arbitration; `None` (the default) is free-for-all.
     qos: Option<QosShaper>,
     trace: TraceSink,
-    metrics: MetricsRegistry,
 }
 
 impl Fabric {
@@ -131,17 +129,13 @@ impl Fabric {
             tenant_rx: Vec::new(),
             qos: None,
             trace: TraceSink::disabled(),
-            metrics: MetricsRegistry::disabled(),
         }
     }
 
     /// Routes this fabric's wire-occupancy events into the bundle's trace
-    /// sink and its per-class byte counters (`fabric_tx_bytes` /
-    /// `fabric_rx_bytes`, lane = service-class index) into the bundle's
-    /// metrics registry.
+    /// sink.
     pub fn observe(&mut self, obs: &Observability) {
         self.trace = obs.trace().clone();
-        self.metrics = obs.metrics().clone();
     }
 
     /// Attributes subsequent transfers to `tenant` (accounting and, when
@@ -215,13 +209,9 @@ impl Fabric {
         if inbound {
             self.bw.record_rx(end, bytes as u64);
             Self::bump(&mut self.tenant_rx, ti, bytes as u64);
-            self.metrics
-                .add("fabric_rx_bytes", class.idx(), bytes as u64);
         } else {
             self.bw.record_tx(end, bytes as u64);
             Self::bump(&mut self.tenant_tx, ti, bytes as u64);
-            self.metrics
-                .add("fabric_tx_bytes", class.idx(), bytes as u64);
         }
         self.trace.emit(
             t,

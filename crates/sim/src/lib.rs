@@ -28,9 +28,9 @@
 //! - [`stats`]: latency histograms and bandwidth time series used to
 //!   regenerate the paper's tables and figures.
 //! - [`metrics`]: the virtual-time telemetry layer — a deterministic
-//!   [`MetricsRegistry`] of per-core counters and sampled gauges, plus the
-//!   [`SpanProfiler`] that folds the trace stream into flamegraph stacks
-//!   and fault-latency histograms.
+//!   [`MetricsRegistry`] of sampled gauges, plus the [`SpanProfiler`] that
+//!   folds the trace stream into counters, flamegraph stacks and
+//!   fault-latency histograms.
 //! - [`rng`]: deterministic random streams and the size/popularity
 //!   distributions the evaluation workloads need.
 //! - [`obs`]: the unified [`Observability`] bundle (trace + metrics +
@@ -78,7 +78,7 @@ pub use ec::{EcError, Gf256, ReedSolomon};
 pub use fabric::{Fabric, ServiceClass};
 pub use lru::LruChain;
 pub use memnode::{MemoryNode, RegionHandle};
-pub use metrics::{MetricsRegistry, SpanProfiler, DEFAULT_SAMPLE_INTERVAL_NS};
+pub use metrics::{MetricsRegistry, SpanProfiler, SAMPLE_INTERVAL_NS};
 pub use obs::Observability;
 pub use rdma::{RdmaEndpoint, RdmaError, Segment};
 pub use recover::{RecoverConfig, RecoveryStats};

@@ -12,9 +12,12 @@
 //! Recency order lives in the chain itself — the store is position-blind,
 //! so no allocator or hash order can leak into victim selection or the
 //! trace.
-
-use crate::metrics::MetricsRegistry;
-use crate::obs::Observability;
+//!
+//! The chain emits nothing and counts nothing. Its owner traces
+//! `LruInsert` when a key enters and `LruRemove` when one leaves
+//! (re-inserting a tracked key is a touch and traces nothing), and the
+//! `lru_inserts` / `lru_removes` counters are folded from those events by
+//! the span profiler.
 
 /// Keys per directory chunk (power of two).
 const CHUNK: u64 = 256;
@@ -63,7 +66,6 @@ pub struct LruChain {
     head: u64,
     /// Least recently used key, [`NONE`] when empty.
     tail: u64,
-    metrics: MetricsRegistry,
 }
 
 impl Default for LruChain {
@@ -80,14 +82,7 @@ impl LruChain {
             len: 0,
             head: NONE,
             tail: NONE,
-            metrics: MetricsRegistry::default(),
         }
-    }
-
-    /// Routes recency-churn counters (`lru_inserts` / `lru_touches` /
-    /// `lru_removes`) into the bundle's metrics registry.
-    pub fn observe(&mut self, obs: &Observability) {
-        self.metrics = obs.metrics().clone();
     }
 
     /// Number of keys tracked.
@@ -229,7 +224,6 @@ impl LruChain {
             self.len += 1;
         }
         self.push_head(key);
-        self.metrics.inc("lru_inserts", 0);
     }
 
     /// Marks `key` most recently used; no-op if untracked.
@@ -240,7 +234,6 @@ impl LruChain {
         if self.contains(key) {
             self.unlink(key);
             self.push_head(key);
-            self.metrics.inc("lru_touches", 0);
         }
     }
 
@@ -252,7 +245,6 @@ impl LruChain {
                 *s = Slot::EMPTY;
             }
             self.len -= 1;
-            self.metrics.inc("lru_removes", 0);
             true
         } else {
             false

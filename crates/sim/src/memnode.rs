@@ -14,7 +14,6 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use crate::metrics::MetricsRegistry;
 use crate::obs::Observability;
 use crate::recover::DurableState;
 use crate::store::{FlatStore, MemStore};
@@ -72,7 +71,6 @@ pub struct MemoryNode {
     next_key: u32,
     huge_pages: bool,
     trace: TraceSink,
-    metrics: MetricsRegistry,
     /// Virtual time of the in-flight verb, stamped by the endpoint before
     /// each data-path access (the passive node has no clock of its own).
     access_time: Cell<Ns>,
@@ -95,7 +93,6 @@ impl Default for MemoryNode {
             next_key: 0,
             huge_pages: false,
             trace: TraceSink::default(),
-            metrics: MetricsRegistry::default(),
             access_time: Cell::new(0),
             node_id: 0,
             durable: None,
@@ -133,12 +130,9 @@ impl MemoryNode {
         self.huge_pages
     }
 
-    /// Routes this node's served accesses into the bundle's trace sink and
-    /// its served-access counters (`memnode_reads` / `memnode_writes` plus
-    /// byte totals) into the bundle's metrics registry.
+    /// Routes this node's served accesses into the bundle's trace sink.
     pub fn observe(&mut self, obs: &Observability) {
         self.trace = obs.trace().clone();
-        self.metrics = obs.metrics().clone();
     }
 
     /// Stamps the virtual time of the next served access (set by the RDMA
@@ -199,7 +193,7 @@ impl MemoryNode {
     }
 
     /// [`read`](Self::read) with a caller promise that `buf[live_in..]` is
-    /// already all zero. Checks, tracing, counters, the bytes `buf` ends up
+    /// already all zero. Checks, tracing, the bytes `buf` ends up
     /// holding and the returned bound are identical; the hint only lets the
     /// store skip re-zeroing the part of the tail that is zero already.
     pub(crate) fn read_hinted(
@@ -218,8 +212,6 @@ impl MemoryNode {
                 len: buf.len() as u32,
             },
         );
-        self.metrics.inc("memnode_reads", 0);
-        self.metrics.add("memnode_read_bytes", 0, buf.len() as u64);
         let mut bound = 0usize;
         for (page, in_page, span) in page_chunks(addr, buf.len()) {
             let off = span.start;
@@ -276,8 +268,6 @@ impl MemoryNode {
                 len: buf.len() as u32,
             },
         );
-        self.metrics.inc("memnode_writes", 0);
-        self.metrics.add("memnode_write_bytes", 0, buf.len() as u64);
         self.copy_in(addr, buf, live);
         if self.durable.as_ref().is_some_and(|d| d.should_checkpoint()) {
             self.checkpoint_now(t);

@@ -1,24 +1,28 @@
-//! Virtual-time telemetry: a metrics registry, a gauge sampler, and a span
-//! profiler over the trace stream.
+//! Virtual-time telemetry: a gauge registry with its sampler, and a span
+//! profiler that folds everything else out of the trace stream.
 //!
 //! The paper's headline evidence is observability output — fault-latency
 //! breakdowns (Figs. 1/6), RDMA curves (Fig. 2), bandwidth and occupancy
-//! behaviour under eager reclaim — and this module unifies the repo's
-//! fragmented instrumentation behind three deterministic surfaces:
+//! behaviour under eager reclaim — and this module offers it through two
+//! deterministic surfaces:
 //!
-//! 1. [`MetricsRegistry`] — shared-nothing per-core counters and named
-//!    gauges, all `BTreeMap`-keyed so no enumeration can leak hash order.
-//!    The node, RDMA endpoint, memory node, LRU chain, scheduler, and the
-//!    baselines all register into the same handle.
-//! 2. The **gauge sampler** — a `next_sample` time advanced by the
-//!    interval. Hosts poll [`MetricsRegistry::next_sample_due`] at their
-//!    existing event-drain points and snapshot every gauge into a
-//!    virtual-time series; nothing is scheduled on any calendar.
-//! 3. [`SpanProfiler`] — a [`TraceObserver`] that folds the existing
-//!    [`TraceEvent`] stream (fault begin/phase/end, RDMA verbs, reclaim
-//!    episodes) into per-core hierarchical spans, emitting a
+//! 1. [`MetricsRegistry`] — named gauges (`BTreeMap`-keyed, so no
+//!    enumeration can leak hash order) and the **gauge sampler**: a
+//!    `next_sample` time advanced by [`SAMPLE_INTERVAL_NS`]. A system sets
+//!    its gauges from state no event carries (free frames, busy QPs) and
+//!    polls [`MetricsRegistry::next_sample_due`] at its existing
+//!    event-drain points to snapshot every gauge into a virtual-time
+//!    series; nothing is scheduled on any calendar. Only the three systems
+//!    hold a registry handle — no `sim` component does.
+//! 2. [`SpanProfiler`] — a [`TraceObserver`] that folds the existing
+//!    [`TraceEvent`] stream into per-core hierarchical spans (fault
+//!    begin/phase/end, RDMA verbs, reclaim episodes: a
 //!    flamegraph.pl/inferno-compatible folded-stack file plus end-to-end
-//!    fault-latency histograms per fault kind.
+//!    fault-latency histograms per fault kind) and into **counters**: verbs
+//!    per core, wire bytes per service class, memory-node accesses and
+//!    bytes, LRU churn. A counter is a reading of the run that happened —
+//!    whatever the events say, counted once, here — never a second ledger
+//!    kept beside an `emit`.
 //!
 //! Like [`TraceSink`], both handles follow the `Option`-branch pattern:
 //! `disabled()` (the default) is a `None` that makes every operation a
@@ -44,7 +48,7 @@ use crate::trace::{FaultKind, FaultPhase, TraceEvent, TraceObserver, TraceSink};
 /// The gauge-sampling interval: 50 µs of virtual time — fine enough to
 /// see reclaim episodes, coarse enough that bench-scale runs keep their
 /// series small.
-pub const DEFAULT_SAMPLE_INTERVAL_NS: Ns = 50_000;
+pub const SAMPLE_INTERVAL_NS: Ns = 50_000;
 
 /// Stable label for a fault kind (histogram keys, folded-stack frames).
 pub fn kind_label(kind: FaultKind) -> &'static str {
@@ -70,9 +74,6 @@ pub fn phase_label(phase: FaultPhase) -> &'static str {
 
 #[derive(Debug)]
 struct RegistryCore {
-    /// Counter name → per-core lanes (lane 0 for global/background work).
-    /// Lanes grow on demand so components need no core-count plumbing.
-    counters: BTreeMap<&'static str, Vec<u64>>,
     /// Latest value of each registered gauge.
     gauges: BTreeMap<&'static str, u64>,
     /// Gauge name → sampled `(virtual time, value)` series.
@@ -99,8 +100,7 @@ impl std::fmt::Debug for MetricsRegistry {
                 let c = core.borrow();
                 write!(
                     f,
-                    "MetricsRegistry(counters={}, gauges={}, samples={})",
-                    c.counters.len(),
+                    "MetricsRegistry(gauges={}, samples={})",
                     c.gauges.len(),
                     c.samples
                 )
@@ -116,14 +116,13 @@ impl MetricsRegistry {
     }
 
     /// A recording registry sampling gauges every
-    /// [`DEFAULT_SAMPLE_INTERVAL_NS`]; the first tick is due one interval in.
+    /// [`SAMPLE_INTERVAL_NS`]; the first tick is due one interval in.
     pub fn recording() -> Self {
         Self {
             inner: Some(Rc::new(RefCell::new(RegistryCore {
-                counters: BTreeMap::new(),
                 gauges: BTreeMap::new(),
                 series: BTreeMap::new(),
-                next_sample: DEFAULT_SAMPLE_INTERVAL_NS,
+                next_sample: SAMPLE_INTERVAL_NS,
                 samples: 0,
             }))),
         }
@@ -132,35 +131,6 @@ impl MetricsRegistry {
     /// Whether metrics are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Adds `delta` to counter `name` on per-core `lane`. No-op (one
-    /// branch) when disabled.
-    #[inline]
-    pub fn add(&self, name: &'static str, lane: usize, delta: u64) {
-        let Some(core) = &self.inner else { return };
-        let mut c = core.borrow_mut();
-        let lanes = c.counters.entry(name).or_default();
-        if lanes.len() <= lane {
-            lanes.resize(lane + 1, 0);
-        }
-        lanes[lane] += delta;
-    }
-
-    /// Increments counter `name` on `lane` by one.
-    #[inline]
-    pub fn inc(&self, name: &'static str, lane: usize) {
-        self.add(name, lane, 1);
-    }
-
-    /// Sum of counter `name` across all lanes (zero if never touched).
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.inner.as_ref().map_or(0, |core| {
-            core.borrow()
-                .counters
-                .get(name)
-                .map_or(0, |lanes| lanes.iter().sum())
-        })
     }
 
     /// Sets gauge `name` to `value` (registering it on first use).
@@ -175,13 +145,6 @@ impl MetricsRegistry {
         self.inner
             .as_ref()
             .and_then(|core| core.borrow().gauges.get(name).copied())
-    }
-
-    /// The gauge-sampling interval (zero when disabled).
-    pub fn sample_interval_ns(&self) -> Ns {
-        self.inner
-            .as_ref()
-            .map_or(0, |_| DEFAULT_SAMPLE_INTERVAL_NS)
     }
 
     /// Number of samples taken so far.
@@ -208,7 +171,7 @@ impl MetricsRegistry {
         if t > now {
             return None;
         }
-        c.next_sample = t + DEFAULT_SAMPLE_INTERVAL_NS;
+        c.next_sample = t + SAMPLE_INTERVAL_NS;
         Some(t)
     }
 
@@ -234,31 +197,6 @@ impl MetricsRegistry {
         self.inner.as_ref().map_or_else(Vec::new, |core| {
             core.borrow().series.get(name).cloned().unwrap_or_default()
         })
-    }
-
-    /// Counters as a byte-stable JSON object: `{"name": [lane0, …], …}`.
-    /// Disabled registries emit `{}`.
-    pub fn counters_json(&self) -> String {
-        let Some(core) = &self.inner else {
-            return "{}".to_string();
-        };
-        let c = core.borrow();
-        let mut out = String::from("{");
-        for (i, (name, lanes)) in c.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": [");
-            for (j, v) in lanes.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
     }
 
     /// Latest gauge values as a byte-stable JSON object:
@@ -316,6 +254,27 @@ struct OpenFault {
     charged: Ns,
 }
 
+/// The counters the profiler folds, by index. Sorted, like every map here,
+/// which puts the two directions of each kind side by side: an event's
+/// counter is its kind's base below plus its direction flag (outbound,
+/// remove, write) — the memory node has a bytes/ops pair per direction.
+const COUNTER_NAMES: [&str; 10] = [
+    "fabric_rx_bytes",
+    "fabric_tx_bytes",
+    "lru_inserts",
+    "lru_removes",
+    "memnode_read_bytes",
+    "memnode_reads",
+    "memnode_write_bytes",
+    "memnode_writes",
+    "rdma_reads",
+    "rdma_writes",
+];
+const FABRIC_BYTES: usize = 0;
+const LRU: usize = 2;
+const MEMNODE: usize = 4;
+const RDMA: usize = 8;
+
 #[derive(Debug, Default)]
 struct ProfilerCore {
     /// Per-core open fault span (the handler is synchronous per core).
@@ -333,6 +292,20 @@ struct ProfilerCore {
     phase_hist: BTreeMap<&'static str, LatencyHistogram>,
     /// In-flight verbs and the open background reclaim episode.
     spans: OpenSpans<()>,
+    /// Lanes of each of [`COUNTER_NAMES`] (the issuing core for verbs, the
+    /// service-class index for wire bytes, lane 0 otherwise). A counter is
+    /// reported from its first event on and its lanes grow on demand.
+    counters: [Vec<u64>; COUNTER_NAMES.len()],
+}
+
+impl ProfilerCore {
+    fn count(&mut self, counter: usize, lane: usize, delta: u64) {
+        let lanes = &mut self.counters[counter];
+        if lanes.len() <= lane {
+            lanes.resize(lane + 1, 0);
+        }
+        lanes[lane] += delta;
+    }
 }
 
 impl TraceObserver for ProfilerCore {
@@ -376,6 +349,9 @@ impl TraceObserver for ProfilerCore {
                 }
             }
             TraceEvent::RdmaIssue { .. } | TraceEvent::RdmaComplete { .. } => {
+                if let TraceEvent::RdmaIssue { write, core, .. } = *ev {
+                    self.count(RDMA + usize::from(write), core.into(), 1);
+                }
                 if let Some(v) = self.spans.verb((), t, ev) {
                     let rw = if v.write { "write" } else { "read" };
                     let stack = format!("core{};rdma:{}:{rw}", v.core, v.class.label());
@@ -389,6 +365,22 @@ impl TraceObserver for ProfilerCore {
                         end.saturating_sub(begin) as u128;
                 }
             }
+            TraceEvent::LinkTransfer {
+                class,
+                bytes,
+                inbound,
+                ..
+            } => {
+                let counter = FABRIC_BYTES + usize::from(!inbound);
+                self.count(counter, class.idx(), bytes.into());
+            }
+            TraceEvent::MemAccess { write, len, .. } => {
+                let bytes = MEMNODE + 2 * usize::from(write);
+                self.count(bytes, 0, len.into());
+                self.count(bytes + 1, 0, 1);
+            }
+            TraceEvent::LruInsert { .. } => self.count(LRU, 0, 1),
+            TraceEvent::LruRemove { .. } => self.count(LRU + 1, 0, 1),
             _ => {}
         }
     }
@@ -473,6 +465,44 @@ impl SpanProfiler {
         self.inner
             .as_ref()
             .and_then(|core| core.borrow().hist.get(kind).cloned())
+    }
+
+    /// Sum of counter `name` across all lanes (zero if no event fed it).
+    pub fn counter_total(&self, name: &str) -> u64 {
+        let (Some(core), Some(i)) = (&self.inner, COUNTER_NAMES.iter().position(|n| *n == name))
+        else {
+            return 0;
+        };
+        core.borrow().counters[i].iter().sum()
+    }
+
+    /// Counters as a byte-stable JSON object: `{"name": [lane0, …], …}`.
+    /// Disabled profilers emit `{}`.
+    pub fn counters_json(&self) -> String {
+        let Some(core) = &self.inner else {
+            return "{}".to_string();
+        };
+        let c = core.borrow();
+        let mut out = String::from("{");
+        let seen = COUNTER_NAMES
+            .iter()
+            .zip(&c.counters)
+            .filter(|(_, lanes)| !lanes.is_empty());
+        for (i, (name, lanes)) in seen.enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "\"{name}\": [");
+            for (j, v) in lanes.iter().enumerate() {
+                if j > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "{v}");
+            }
+            out.push(']');
+        }
+        out.push('}');
+        out
     }
 
     /// The folded-stack output, one `stack value` line per stack in
@@ -569,34 +599,20 @@ mod tests {
     #[test]
     fn disabled_registry_is_inert_and_emits_nothing() {
         let m = MetricsRegistry::disabled();
-        m.inc("faults", 0);
         m.set_gauge("free", 7);
         m.record_sample(100);
         assert!(!m.is_enabled());
-        assert_eq!(m.counter_total("faults"), 0);
         assert_eq!(m.gauge("free"), None);
         assert_eq!(m.samples(), 0);
         assert_eq!(m.next_sample_due(u64::MAX), None);
-        assert_eq!(m.counters_json(), "{}");
         assert_eq!(m.gauges_json(), "{}");
         assert_eq!(m.series_json(), "{}");
     }
 
     #[test]
-    fn counters_have_independent_lanes() {
-        let m = MetricsRegistry::recording();
-        m.inc("faults", 0);
-        m.inc("faults", 2);
-        m.add("faults", 2, 4);
-        assert_eq!(m.counter_total("faults"), 6);
-        assert_eq!(m.counter_total("absent"), 0);
-        assert_eq!(m.counters_json(), "{\"faults\": [1, 0, 5]}");
-    }
-
-    #[test]
     fn sampler_ticks_at_the_interval_and_catches_up() {
         // One interval is `I`; every time below is a multiple of it.
-        const I: Ns = DEFAULT_SAMPLE_INTERVAL_NS;
+        const I: Ns = SAMPLE_INTERVAL_NS;
         let m = MetricsRegistry::recording();
         m.set_gauge("free", 10);
         assert_eq!(m.next_sample_due(I - 1), None, "first tick is due at I");
@@ -639,9 +655,67 @@ mod tests {
     fn clones_share_one_store() {
         let m = MetricsRegistry::recording();
         let m2 = m.clone();
-        m.inc("evictions", 0);
-        m2.inc("evictions", 0);
-        assert_eq!(m.counter_total("evictions"), 2);
+        m.set_gauge("free", 3);
+        assert_eq!(m2.gauge("free"), Some(3));
+    }
+
+    #[test]
+    fn profiler_folds_counters_with_independent_lanes() {
+        let p = SpanProfiler::recording();
+        let sink = TraceSink::recording();
+        p.attach_to(&sink);
+        for (core, write) in [(0, false), (2, false), (2, true)] {
+            sink.emit(
+                10,
+                TraceEvent::RdmaIssue {
+                    class: ServiceClass::Fault,
+                    write,
+                    node: 0,
+                    core,
+                    bytes: 4096,
+                },
+            );
+        }
+        for (class, bytes, inbound) in [
+            (ServiceClass::Fault, 4096, true),
+            (ServiceClass::Cleaner, 100, false),
+            (ServiceClass::Cleaner, 28, false),
+        ] {
+            sink.emit(
+                20,
+                TraceEvent::LinkTransfer {
+                    class,
+                    bytes,
+                    inbound,
+                    done: 30,
+                },
+            );
+        }
+        for (write, len) in [(true, 128), (false, 64)] {
+            sink.emit(
+                20,
+                TraceEvent::MemAccess {
+                    write,
+                    offset: 0,
+                    len,
+                },
+            );
+        }
+        sink.emit(40, TraceEvent::LruInsert { vpn: 1 });
+        sink.emit(40, TraceEvent::LruInsert { vpn: 2 });
+        sink.emit(50, TraceEvent::LruRemove { vpn: 1 });
+        assert!(COUNTER_NAMES.windows(2).all(|w| w[0] < w[1]), "JSON order");
+        assert_eq!(p.counter_total("rdma_reads"), 2);
+        assert_eq!(p.counter_total("fabric_tx_bytes"), 128);
+        assert_eq!(p.counter_total("absent"), 0);
+        assert_eq!(
+            p.counters_json(),
+            "{\"fabric_rx_bytes\": [4096], \"fabric_tx_bytes\": [0, 0, 0, 128], \
+             \"lru_inserts\": [2], \"lru_removes\": [1], \
+             \"memnode_read_bytes\": [64], \"memnode_reads\": [1], \
+             \"memnode_write_bytes\": [128], \"memnode_writes\": [1], \
+             \"rdma_reads\": [1, 0, 1], \"rdma_writes\": [0, 0, 1]}"
+        );
     }
 
     #[test]
@@ -789,6 +863,7 @@ mod tests {
         assert!(!p.is_enabled());
         assert_eq!(p.folded(), "");
         assert_eq!(p.histograms_json(), "{}");
+        assert_eq!(p.counters_json(), "{}");
         assert_eq!(p.fault_count("minor"), 0);
     }
 

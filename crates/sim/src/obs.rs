@@ -1,12 +1,13 @@
 //! The unified observability bundle.
 //!
-//! Before this module, every component (rdma, fabric, memnode, lru) grew a
-//! parallel pair of `set_trace`/`set_metrics` setters and every boot path
-//! threaded three booleans (`trace`/`audit`/`metrics`) through its config.
-//! An [`Observability`] value bundles the trace sink, metrics registry,
-//! span profiler, and the audit flag into one handle that is built once,
-//! handed to the boot path once, and threaded down via a single
-//! `observe(&Observability)` call per component.
+//! An [`Observability`] value bundles the trace sink, the gauge registry,
+//! the span profiler, the causal tracer and the audit flag into one handle
+//! that is built once and handed to a system's boot path once. The system
+//! keeps the registry (it alone knows its gauges) and threads the bundle to
+//! its emitting components — rdma, fabric, memnode, frame arena — with one
+//! `observe(&Observability)` call each; all those take from it is the trace
+//! sink. Counters are not threaded anywhere: the profiler folds them from
+//! the stream (see `crate::metrics`).
 //!
 //! The bundle is a set of `Rc` handles (the same "dark when disabled"
 //! pattern the sink and registry already use): cloning it shares the

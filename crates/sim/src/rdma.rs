@@ -22,7 +22,6 @@ use crate::config::SimConfig;
 use crate::ec::ReedSolomon;
 use crate::fabric::{Fabric, ServiceClass};
 use crate::memnode::{MemNodeError, MemoryNode, RegionHandle};
-use crate::metrics::MetricsRegistry;
 use crate::obs::Observability;
 use crate::recover::{RecoverConfig, RecoveryStats};
 use crate::sched::{Calendar, SchedEvent};
@@ -170,7 +169,6 @@ pub struct RdmaEndpoint {
     tcp_mode: bool,
     failovers: u64,
     trace: TraceSink,
-    metrics: MetricsRegistry,
     /// When attached, traced verb completions are delivered through the
     /// event calendar at their true virtual time instead of being emitted
     /// inline at issue time.
@@ -264,7 +262,6 @@ impl RdmaEndpoint {
             tcp_mode: false,
             failovers: 0,
             trace: TraceSink::disabled(),
-            metrics: MetricsRegistry::disabled(),
             calendar: None,
             tenants: BTreeMap::new(),
             active: None,
@@ -274,17 +271,15 @@ impl RdmaEndpoint {
         }
     }
 
-    /// Routes verb events into the bundle's trace sink and verb counters
-    /// (`rdma_reads` / `rdma_writes`, lane = issuing core) into its metrics
-    /// registry, and fans the bundle out to every node's fabric and memory
-    /// node — all components of one endpoint share one stream.
+    /// Routes verb events into the bundle's trace sink and fans the bundle
+    /// out to every node's fabric and memory node — all components of one
+    /// endpoint share one stream.
     pub fn observe(&mut self, obs: &Observability) {
         for n in &mut self.nodes {
             n.fabric.observe(obs);
             n.node.observe(obs);
         }
         self.trace = obs.trace().clone();
-        self.metrics = obs.metrics().clone();
     }
 
     /// Registers tenant `tenant`'s slice `[base, base + bytes)` on every
@@ -315,7 +310,6 @@ impl RdmaEndpoint {
             n.node.observe(obs);
         }
         self.trace = obs.trace().clone();
-        self.metrics = obs.metrics().clone();
         self.calendar = Some(cal.clone());
     }
 
@@ -925,10 +919,8 @@ impl RdmaEndpoint {
         let counts = &mut self.ops[class.idx()];
         if write {
             counts.writes += 1;
-            self.metrics.inc("rdma_writes", core);
         } else {
             counts.reads += 1;
-            self.metrics.inc("rdma_reads", core);
         }
         let shard = self.shard_of(segments[0].remote);
         self.trace_issue(now, core, class, write, shard, bytes);

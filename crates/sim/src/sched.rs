@@ -29,6 +29,10 @@
 //! earliest pending due time is mirrored into a `Cell` outside the
 //! `RefCell`, so the hot "anything due yet?" probe on the access path
 //! ([`Calendar::has_due`]) is a single load with no borrow traffic.
+//!
+//! The calendar carries no telemetry handle and keeps no tallies beyond
+//! [`Calendar::len`]; its ledger — every scheduled event is delivered once,
+//! cancelled once, or still pending — is pinned by a seeded unit test.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -36,8 +40,6 @@ use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use crate::fabric::ServiceClass;
-use crate::metrics::MetricsRegistry;
-use crate::obs::Observability;
 use crate::time::Ns;
 
 /// Identifies a scheduled event so it can be cancelled before delivery.
@@ -132,10 +134,6 @@ struct CalendarCore {
     /// Live (non-tombstoned) entries, i.e. what `len()` reports.
     live: usize,
     next_seq: u64,
-    /// Scheduler telemetry (`sched_scheduled` / `sched_delivered` /
-    /// `sched_cancelled`). Disabled by default; pure observation either
-    /// way — counters never influence ordering or sequence numbers.
-    metrics: MetricsRegistry,
 }
 
 impl CalendarCore {
@@ -169,7 +167,6 @@ impl CalendarCore {
         let ev = self.slots[e.slot as usize].ev;
         self.release(e.slot);
         self.live -= 1;
-        self.metrics.inc("sched_delivered", 0);
         Some((e.at, ev))
     }
 
@@ -218,13 +215,6 @@ impl Calendar {
         c
     }
 
-    /// Routes scheduler counters into the bundle's metrics registry. The
-    /// registry is write-only from here: it cannot perturb event order,
-    /// timing, or sequence numbers.
-    pub fn observe(&self, obs: &Observability) {
-        self.inner.core.borrow_mut().metrics = obs.metrics().clone();
-    }
-
     /// Schedules `ev` for delivery at virtual time `at`.
     ///
     /// Events due at the same instant are delivered in scheduling order.
@@ -252,7 +242,6 @@ impl Calendar {
         let gen = c.slots[slot as usize].gen;
         c.heap.push(Entry { at, seq, slot });
         c.live += 1;
-        c.metrics.inc("sched_scheduled", 0);
         if at < self.inner.next_at.get() {
             self.inner.next_at.set(at);
         }
@@ -269,7 +258,6 @@ impl Calendar {
             Some(s) if s.gen == id.gen && s.live => {
                 s.live = false;
                 c.live -= 1;
-                c.metrics.inc("sched_cancelled", 0);
                 true
             }
             _ => false,
@@ -521,6 +509,39 @@ mod tests {
         };
         assert_eq!(run(), run());
         assert_eq!(run().len(), 3);
+    }
+
+    /// The calendar's ledger, exactly: on a seeded mix of schedules,
+    /// cancels (some through stale handles) and pops, every scheduled event
+    /// is delivered once, cancelled once, or still pending.
+    #[test]
+    fn every_scheduled_event_is_delivered_cancelled_or_pending() {
+        let mut rng = crate::rng::SplitMix64::new(0x5C4ED);
+        let c = Calendar::new();
+        let mut ids = Vec::new();
+        let (mut scheduled, mut delivered, mut cancelled) = (0usize, 0usize, 0usize);
+        let mut now = 0;
+        for _ in 0..4_000 {
+            match rng.gen_range(4) {
+                0 | 1 => {
+                    ids.push(c.schedule(now + rng.gen_range(500), SchedEvent::ReclaimTick));
+                    scheduled += 1;
+                }
+                // Handles are never retired, so many of these are stale.
+                2 if !ids.is_empty() => {
+                    let id = ids[rng.gen_range(ids.len() as u64) as usize];
+                    cancelled += usize::from(c.cancel(id));
+                }
+                _ => {
+                    now += rng.gen_range(200);
+                    while c.pop_due(now).is_some() {
+                        delivered += 1;
+                    }
+                }
+            }
+            assert_eq!(scheduled, delivered + cancelled + c.len());
+        }
+        assert!(delivered > 0 && cancelled > 0 && !c.is_empty());
     }
 
     #[test]

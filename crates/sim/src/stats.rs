@@ -181,17 +181,6 @@ impl LatencyHistogram {
             .map(|(i, &c)| (Self::bucket_low(i), Self::bucket_high(i), c))
             .collect()
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-        self.sum += other.sum;
-    }
 }
 
 /// Byte counts bucketed by virtual time, per direction.
@@ -298,56 +287,6 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.quantile(0.0), 0);
         assert!(h.quantile(1.0) <= u64::MAX / 2);
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(100);
-        b.record(200);
-        b.record(300);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), 300);
-        assert_eq!(a.min(), 100);
-    }
-
-    #[test]
-    fn histogram_merge_empty_and_self() {
-        // empty ⊕ nonempty, both directions.
-        let mut filled = LatencyHistogram::new();
-        filled.record(100);
-        filled.record(300);
-        let mut a = LatencyHistogram::new();
-        a.merge(&filled);
-        assert_eq!(
-            (a.count(), a.sum(), a.mean(), a.min(), a.max()),
-            (2, 400, 200, 100, 300)
-        );
-        let mut b = filled.clone();
-        b.merge(&LatencyHistogram::new());
-        assert_eq!(
-            (b.count(), b.sum(), b.mean(), b.min(), b.max()),
-            (2, 400, 200, 100, 300)
-        );
-        // Self-merge doubles count and sum, keeps min/max/mean.
-        let twin = filled.clone();
-        filled.merge(&twin);
-        assert_eq!(
-            (
-                filled.count(),
-                filled.sum(),
-                filled.mean(),
-                filled.min(),
-                filled.max()
-            ),
-            (4, 800, 200, 100, 300)
-        );
-        // Empty ⊕ empty stays safe.
-        let mut e = LatencyHistogram::new();
-        e.merge(&LatencyHistogram::new());
-        assert_eq!((e.count(), e.sum(), e.mean(), e.min()), (0, 0, 0, 0));
     }
 
     #[test]

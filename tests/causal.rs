@@ -23,9 +23,19 @@ use dilos::apps::farmem::{SystemKind, SystemSpec};
 use dilos::apps::seqrw::SeqWorkload;
 use dilos::sim::trace::{FaultKind, FaultPhase, PteClass, TraceEvent, TraceObserver};
 use dilos::sim::{Observability, ServiceClass};
-use dilos_bench::micro::MicroScale;
-use dilos_bench::serve::ServeScale;
-use dilos_bench::timeline::{chrome_trace_json, collect_timeline, write_timeline_artifacts};
+use dilos_bench::micro::{tab01_tab03_fault_counts, MicroScale};
+use dilos_bench::serve::{serve_qos, ServeScale};
+use dilos_bench::timeline::{chrome_trace_json, write_timeline_artifacts};
+
+/// The tracks of one tab01 run with everything armed, as `repro --metrics
+/// --timeline` makes it: `(id, settled bundle)` per system.
+fn tab01_tracks(scale: MicroScale) -> Vec<(String, Observability)> {
+    let arm = || Observability::full().with_timeline();
+    let (_, runs) = tab01_tab03_fault_counts(scale, arm);
+    runs.into_iter()
+        .map(|(id, _, obs)| (id.to_string(), obs))
+        .collect()
+}
 
 fn digest_of(kind: SystemKind, ratio: u32, obs: Observability) -> (u64, Observability) {
     let spec = SystemSpec::for_working_set(kind, WS_PAGES * 4096, ratio).observed(obs.clone());
@@ -144,11 +154,11 @@ impl TraceObserver for LegacyFnvDigest {
     }
 }
 
-/// One tab01 boot exactly as `collect_timeline` makes it (timeline armed),
-/// with the legacy fold riding along: (sink digest, legacy digest).
+/// One tab01 boot exactly as `tab01_tracks` arms it, with the legacy fold
+/// riding along: (sink digest, legacy digest).
 fn tab01_boot_with_legacy_fold(kind: SystemKind) -> (u64, u64) {
     let scale = MicroScale::default();
-    let obs = Observability::tracing().with_timeline();
+    let obs = Observability::full().with_timeline();
     let legacy = Rc::new(RefCell::new(LegacyFnvDigest(0xCBF2_9CE4_8422_2325)));
     obs.trace().attach(legacy.clone());
     let mut mem = SystemSpec::for_working_set(kind, (scale.pages * 4096) as u64, scale.ratio)
@@ -169,7 +179,7 @@ fn tab01_boot_with_legacy_fold(kind: SystemKind) -> (u64, u64) {
 /// hold if the event stream itself is what it has always been.
 #[test]
 fn tab01_digests_pinned_with_timeline_armed() {
-    let tracks = collect_timeline(MicroScale::default());
+    let tracks = tab01_tracks(MicroScale::default());
     for (id, kind, digest, legacy) in [
         (
             "fastswap",
@@ -197,11 +207,13 @@ fn tab01_digests_pinned_with_timeline_armed() {
         ),
     ] {
         assert!(
-            tracks.iter().any(|t| t.label == id && t.digest == digest),
+            tracks
+                .iter()
+                .any(|(label, obs)| label == id && obs.trace().digest() == digest),
             "{id}: pinned digest {digest:#018x} missing or changed: {:?}",
             tracks
                 .iter()
-                .map(|t| (t.label.clone(), format!("{:#018x}", t.digest)))
+                .map(|(label, obs)| (label.clone(), format!("{:#018x}", obs.trace().digest())))
                 .collect::<Vec<_>>()
         );
         let (now, then) = tab01_boot_with_legacy_fold(kind);
@@ -212,9 +224,9 @@ fn tab01_digests_pinned_with_timeline_armed() {
              no longer lands on the digest recorded since PR 1"
         );
     }
-    let fastswap = tracks.iter().find(|t| t.label == "fastswap");
+    let fastswap = tracks.iter().find(|(label, _)| label == "fastswap");
     assert!(
-        fastswap.is_some_and(|t| t.tracer.request_count() > 0),
+        fastswap.is_some_and(|(_, obs)| obs.causal().request_count() > 0),
         "fastswap track missing from the armed run"
     );
 }
@@ -403,13 +415,13 @@ impl<'a> Parser<'a> {
 
 #[test]
 fn timeline_json_is_valid_chrome_trace_event_json() {
-    let tracks = collect_timeline(MicroScale {
+    let tracks = tab01_tracks(MicroScale {
         pages: 256,
         ratio: 25,
     });
     let pairs: Vec<(String, &dilos::sim::CausalTracer)> = tracks
         .iter()
-        .map(|t| (t.label.clone(), &t.tracer))
+        .map(|(label, obs)| (label.clone(), obs.causal()))
         .collect();
     let json = chrome_trace_json(&pairs);
     let doc = Parser::new(&json)
@@ -480,7 +492,9 @@ fn timeline_artifacts_are_byte_identical_across_boots() {
     let run = |tag: &str| {
         let dir = std::env::temp_dir().join(format!("dilos-causal-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
-        write_timeline_artifacts(micro, serve, &dir.to_string_lossy()).expect("write artifacts");
+        let (_, serve_tracks) = serve_qos(serve, Observability::with_timeline);
+        write_timeline_artifacts(&tab01_tracks(micro), &serve_tracks, &dir.to_string_lossy())
+            .expect("write artifacts");
         let contents: Vec<String> = files
             .iter()
             .map(|f| std::fs::read_to_string(dir.join(f)).expect("read artifact"))

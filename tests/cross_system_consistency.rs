@@ -10,7 +10,7 @@ use dilos::apps::gapbs::GraphWorkload;
 use dilos::apps::kmeans::KmeansWorkload;
 use dilos::apps::quicksort::QuicksortWorkload;
 use dilos::apps::snappy::SnappyWorkload;
-use dilos::sim::{Observability, SplitMix64};
+use dilos::sim::{Observability, ServiceClass, SplitMix64};
 
 const SYSTEMS: [SystemKind; 4] = [
     SystemKind::DilosReadahead,
@@ -202,9 +202,11 @@ fn randomized_mixed_rw_is_system_independent() {
 }
 
 /// Trace-derived telemetry must agree with the hand-maintained counters:
-/// the span profiler counts faults by watching `FaultBegin` events, while
-/// each system increments its own stats fields on the fault path. A
-/// divergence means either the trace or the stats lies about what ran.
+/// the span profiler counts faults by watching `FaultBegin` events and
+/// verbs and wire bytes by watching `RdmaIssue` / `LinkTransfer`, while
+/// each system increments its own stats fields on the fault path and the
+/// endpoint and fabric keep their own ledgers. A divergence means either
+/// the trace or the stats lies about what ran.
 #[test]
 fn trace_derived_metrics_match_hand_counters() {
     const WS_PAGES: usize = 128;
@@ -249,16 +251,26 @@ fn trace_derived_metrics_match_hand_counters() {
                     "{tag}: phase {phase} diverged"
                 );
             }
-            // The registry's scheduler counters must balance: everything
-            // scheduled was either delivered or cancelled.
-            let metrics = mem.metrics();
-            let scheduled = metrics.counter_total("sched_scheduled");
-            let done =
-                metrics.counter_total("sched_delivered") + metrics.counter_total("sched_cancelled");
-            assert!(
-                done <= scheduled,
-                "{tag}: delivered+cancelled {done} > scheduled {scheduled}"
+            // The profiler's counters are folded from the stream; pin each
+            // against a ledger that never reads it. Wire bytes: the fabric's
+            // bandwidth recorder, on every system.
+            let wire = (
+                profiler.counter_total("fabric_tx_bytes"),
+                profiler.counter_total("fabric_rx_bytes"),
             );
+            assert_eq!(wire, mem.net_bytes(), "{tag}: wire bytes (tx, rx)");
+            // Verbs: the endpoint's per-class op counts (DiLOS exposes its
+            // endpoint).
+            if let Some(node) = mem.as_dilos() {
+                let posted: u64 = ServiceClass::ALL
+                    .iter()
+                    .map(|&class| node.rdma().ops(class))
+                    .map(|ops| ops.reads + ops.writes)
+                    .sum();
+                let issued =
+                    profiler.counter_total("rdma_reads") + profiler.counter_total("rdma_writes");
+                assert_eq!(issued, posted, "{tag}: verbs");
+            }
         }
     }
 }

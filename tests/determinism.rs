@@ -13,7 +13,7 @@ mod common;
 use common::{drive, WS_PAGES};
 use dilos::apps::farmem::{FarMemory, SystemKind, SystemSpec};
 use dilos::apps::seqrw::SeqWorkload;
-use dilos::sim::{Observability, SplitMix64, TraceEvent, TraceObserver};
+use dilos::sim::{Observability, SplitMix64, TraceEvent, TraceObserver, SAMPLE_INTERVAL_NS};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -217,10 +217,9 @@ fn metrics_leave_trace_digests_unchanged() {
             // horizon — exactly floor(max_now / interval) times. (AIFM at
             // 100% local finishes inside one interval: zero ticks is
             // correct there, not a telemetry hole.)
-            let m = mem.metrics();
             assert_eq!(
-                m.samples(),
-                mem.max_now() / m.sample_interval_ns(),
+                mem.metrics().samples(),
+                mem.max_now() / SAMPLE_INTERVAL_NS,
                 "{} @ {ratio}%: wrong sampler tick count",
                 kind.label()
             );
@@ -241,7 +240,7 @@ fn telemetry_artifacts_are_byte_identical_across_boots() {
         let m = mem.metrics();
         let p = mem.profiler();
         (
-            m.counters_json(),
+            p.counters_json(),
             m.gauges_json(),
             m.series_json(),
             p.folded(),
@@ -270,7 +269,7 @@ fn disabled_telemetry_emits_nothing() {
     assert!(!m.is_enabled());
     assert!(!p.is_enabled());
     assert_eq!(m.samples(), 0);
-    assert_eq!(m.counters_json(), "{}");
+    assert_eq!(p.counters_json(), "{}");
     assert_eq!(m.gauges_json(), "{}");
     assert_eq!(m.series_json(), "{}");
     assert_eq!(p.folded(), "");

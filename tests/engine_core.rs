@@ -9,6 +9,7 @@
 //! histories — and pin the rendered JSON byte-identical, the same
 //! comparison CI's double-run `cmp` performs on the full artifacts.
 
+use dilos::sim::Observability;
 use dilos_bench::micro::{tab01_tab03_fault_counts, MicroScale};
 use dilos_bench::serve::{serve_qos, ServeScale};
 
@@ -17,6 +18,13 @@ fn micro() -> MicroScale {
         pages: 256,
         ratio: 25,
     }
+}
+
+/// The tab01 table as `repro` boots it by default, rendered.
+fn tab01(scale: MicroScale) -> String {
+    tab01_tab03_fault_counts(scale, Observability::audited)
+        .0
+        .to_json()
 }
 
 fn serve() -> ServeScale {
@@ -29,23 +37,23 @@ fn serve() -> ServeScale {
 
 #[test]
 fn tab01_json_is_byte_identical_across_boots() {
-    let a = tab01_tab03_fault_counts(micro()).to_json();
-    let b = tab01_tab03_fault_counts(micro()).to_json();
+    let a = tab01(micro());
+    let b = tab01(micro());
     assert!(!a.is_empty());
     assert_eq!(a, b, "bench.json content must be byte-stable across boots");
 }
 
 #[test]
 fn serve_json_is_byte_identical_across_boots() {
-    let a = serve_qos(serve()).to_json();
-    let b = serve_qos(serve()).to_json();
+    let a = serve_qos(serve(), |obs| obs).0.to_json();
+    let b = serve_qos(serve(), |obs| obs).0.to_json();
     assert!(!a.is_empty());
     assert_eq!(a, b, "serve.json must be byte-stable across boots");
 }
 
 #[test]
 fn tab01_json_carries_digests_and_no_host_time() {
-    let json = tab01_tab03_fault_counts(micro()).to_json();
+    let json = tab01(micro());
     assert!(
         json.contains("0x"),
         "tab01 notes should carry trace digests: {json}"

@@ -121,7 +121,10 @@ fn serve_report_json_is_byte_stable() {
         victim_mean_ns: 50_000,
         noisy_requests: 40,
     };
-    assert_eq!(serve_qos(scale).to_json(), serve_qos(scale).to_json());
+    assert_eq!(
+        serve_qos(scale, |obs| obs).0.to_json(),
+        serve_qos(scale, |obs| obs).0.to_json()
+    );
 }
 
 #[test]
