@@ -232,24 +232,15 @@ impl Aifm {
     /// completion records are delivered, so the digest covers a settled
     /// trace. Idempotent.
     pub fn trace_digest(&mut self) -> u64 {
-        while let Some((t, ev)) = self.cal.pop_next() {
-            self.dispatch(t, ev);
-        }
-        let horizon = self.max_now();
-        while let Some(t) = self.metrics.next_sample_due(horizon) {
-            self.record_gauges(t);
-        }
+        self.deliver_due(Ns::MAX);
+        // Nothing is left to deliver: this samples the gauges to the horizon.
+        self.drain_events(self.max_now());
         self.trace.digest()
     }
 
     /// Delivers every calendar event due at or before `now`.
     fn drain_events(&mut self, now: Ns) {
-        while self.cal.has_due(now) {
-            let Some((t, ev)) = self.cal.pop_due(now) else {
-                break;
-            };
-            self.dispatch(t, ev);
-        }
+        self.deliver_due(now);
         while let Some(t) = self.metrics.next_sample_due(now) {
             self.record_gauges(t);
         }
@@ -267,6 +258,18 @@ impl Aifm {
         self.metrics
             .set_gauge("link_busy_ns", self.rdma.fabric().link_busy());
         self.metrics.record_sample(t);
+    }
+
+    /// Runs the calendar's delivery loop up to `bound`; no handler here
+    /// chains a follow-up.
+    fn deliver_due(&mut self, bound: Ns) {
+        if self.cal.has_due(bound) {
+            let cal = self.cal.clone();
+            cal.deliver_due(bound, |t, ev| {
+                self.dispatch(t, ev);
+                None
+            });
+        }
     }
 
     /// Delivers one calendar event at its scheduled time.

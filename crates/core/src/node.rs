@@ -215,9 +215,6 @@ pub struct Dilos {
     /// landings, reclaim ticks, cleaner writebacks, verb completions, and
     /// node repairs are delivered from here at their true virtual times.
     cal: Calendar,
-    /// Reusable scratch for `drain_events` batches (taken/restored around
-    /// dispatch so handlers can re-enter the drain safely).
-    drain_buf: Vec<(Ns, SchedEvent)>,
     /// A reclaim episode is open (`ReclaimBegin` emitted, no `End` yet).
     /// Invariant: an open episode always has a tick pending, so draining
     /// the calendar always closes it.
@@ -340,7 +337,6 @@ impl Dilos {
             tlb: vec![[TlbEntry::default(); TLB_WAYS]; cfg.cores],
             bg: dilos_sim::Timeline::new(),
             cal,
-            drain_buf: Vec::new(),
             episode_open: false,
             tick_pending: false,
             episode_freed: 0,
@@ -433,16 +429,12 @@ impl Dilos {
 
     /// Delivers every still-pending calendar event at its scheduled time.
     ///
-    /// Deliveries may schedule follow-ups (a reclaim tick chains until the
-    /// watermark target is met), so this loops until the calendar is empty.
+    /// Deliveries may chain follow-ups (a reclaim tick, until the watermark
+    /// target is met); the delivery loop runs until the calendar is empty.
     pub fn quiesce(&mut self) {
-        while let Some((t, ev)) = self.cal.pop_next() {
-            self.dispatch(t, ev);
-        }
-        let horizon = self.max_now();
-        while let Some(t) = self.metrics.next_sample_due(horizon) {
-            self.record_gauges(t);
-        }
+        self.deliver_due(Ns::MAX);
+        // Nothing is left to deliver: this samples the gauges to the horizon.
+        self.drain_events(self.max_now());
     }
 
     /// Runs the auditor's end-of-run checks plus cross-checks of the traced
@@ -1335,23 +1327,8 @@ impl Dilos {
     // ------------------------------------------------------------------
 
     /// Delivers every calendar event due at or before `now`.
-    ///
-    /// The common case — nothing due — is a single borrow-free probe
-    /// ([`Calendar::has_due`]); when work is pending, whole same-instant
-    /// groups are drained per calendar borrow.
     fn drain_events(&mut self, now: Ns) {
-        while self.cal.has_due(now) {
-            let mut buf = std::mem::take(&mut self.drain_buf);
-            let n = self.cal.drain_due(now, &mut buf);
-            for (t, ev) in buf.drain(..) {
-                self.dispatch(t, ev);
-            }
-            self.drain_buf = buf;
-            if n == 0 {
-                // The due bound was a tombstone; the drain skimmed it.
-                break;
-            }
-        }
+        self.deliver_due(now);
         // Gauge snapshots are taken here, at the node's existing drain
         // points; the sampler schedules nothing.
         while let Some(t) = self.metrics.next_sample_due(now) {
@@ -1366,7 +1343,7 @@ impl Dilos {
         self.metrics.set_gauge("lru_pages", self.lru.len() as u64);
         self.metrics.set_gauge(
             "inflight_fetches",
-            self.inflight.iter().flatten().count() as u64,
+            (self.inflight.len() - self.inflight_free.len()) as u64,
         );
         self.metrics
             .set_gauge("pending_clean", self.pending_clean as u64);
@@ -1379,16 +1356,28 @@ impl Dilos {
         self.metrics.record_sample(t);
     }
 
-    /// Delivers one calendar event at its scheduled time `t`.
-    fn dispatch(&mut self, t: Ns, ev: SchedEvent) {
+    /// Runs the calendar's delivery loop up to `bound` against
+    /// [`Dilos::dispatch`]: nothing due is one borrow-free probe, otherwise
+    /// a handle clone keeps the node unborrowed while a handler runs.
+    fn deliver_due(&mut self, bound: Ns) {
+        if self.cal.has_due(bound) {
+            let cal = self.cal.clone();
+            cal.deliver_due(bound, |t, ev| self.dispatch(t, ev));
+        }
+    }
+
+    /// Delivers one calendar event at its scheduled time `t`, returning
+    /// the follow-up the handler wants delivered next, if any.
+    fn dispatch(&mut self, t: Ns, ev: SchedEvent) -> Option<(Ns, SchedEvent)> {
         // Calendar work is background: it must never inherit the request id
         // of whatever handler happened to drain it (e.g. a reclaim tick
         // delivered inside a fault's allocation spin). Handlers that know
         // better (prefetch landings, deferred completions) re-attribute.
         let drained_req = self.trace.set_request(None);
+        let mut follow_up = None;
         match ev {
             SchedEvent::PrefetchLand { vpn, token } => self.on_prefetch_land(t, vpn, token),
-            SchedEvent::ReclaimTick => self.on_reclaim_tick(t),
+            SchedEvent::ReclaimTick => follow_up = self.on_reclaim_tick(t),
             SchedEvent::CleanerWriteback { frame } => {
                 self.pending_clean -= 1;
                 self.frames.push_free(frame, t);
@@ -1402,6 +1391,7 @@ impl Dilos {
             SchedEvent::NodeRepair { node } => self.rdma.repair_node_at(t, node),
         }
         self.trace.set_request(drained_req);
+        follow_up
     }
 
     /// A (pre)fetch completed at `t`: map the page into the unified page
@@ -1445,19 +1435,20 @@ impl Dilos {
     /// One reclaimer tick: scan for a victim, evict it, and chain the next
     /// tick — one victim per tick, each at the background core's true time,
     /// so an episode's evictions spread across virtual time instead of
-    /// collapsing onto a single instant.
-    fn on_reclaim_tick(&mut self, t: Ns) {
+    /// collapsing onto a single instant. The next tick is *returned*: the
+    /// delivery loop runs it in place when nothing else is due first.
+    fn on_reclaim_tick(&mut self, t: Ns) -> Option<(Ns, SchedEvent)> {
         self.tick_pending = false;
         // Target met? Frames whose cleaner writeback is in flight count:
         // they are already committed to return.
         if self.frames.free_count() + self.pending_clean >= self.wm.high {
             self.close_episode(t);
-            return;
+            return None;
         }
         let Some((vpn, frame, dirty, scan_end)) = self.pick_victim(t) else {
             // Nothing evictable this round (everything cold is in flight).
             self.close_episode(t);
-            return;
+            return None;
         };
         if !self.episode_open {
             self.episode_open = true;
@@ -1472,8 +1463,7 @@ impl Dilos {
         let _ = self.evict(vpn, frame, dirty, scan_end, ServiceClass::Cleaner);
         self.episode_freed += 1;
         self.tick_pending = true;
-        self.cal
-            .schedule(self.bg.next_free(scan_end), SchedEvent::ReclaimTick);
+        Some((self.bg.next_free(scan_end), SchedEvent::ReclaimTick))
     }
 
     /// Emits `ReclaimEnd` for the open episode, if any.

@@ -26,7 +26,7 @@
 //! | R7 | `refcell-borrow-overlap` | no runtime `BorrowMutError` — a live `borrow_mut()` may not span a call that re-borrows the same cell |
 //! | R8 | `ns-arithmetic-safety` | no silent time wraparound — `+`/`*` on `Ns` in sched/fabric/rdma/timeline must be `saturating_`/`checked_` |
 //! | R9 | `trace-event-coverage` | observability — every `TraceEvent`/`SchedEvent` variant is emitted *and* consumed |
-//! | R10 | `schedule-time-monotonicity` | calendar sanity — `schedule(...)` times derive from `now`, never literals or host clocks |
+//! | R10 | `schedule-time-monotonicity` | calendar sanity — `schedule(...)` times, and the follow-up times delivery handlers return, derive from `now`, never literals or host clocks |
 //!
 //! Sites that are individually justified carry an inline suppression:
 //!

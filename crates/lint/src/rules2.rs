@@ -11,7 +11,7 @@
 //! | R7 | `refcell-borrow-overlap` | every non-test fn with a live `borrow_mut()` span |
 //! | R8 | `ns-arithmetic-safety` | `crates/sim` files named `sched`/`fabric`/`rdma`/`timeline` |
 //! | R9 | `trace-event-coverage` | `TraceEvent`/`SchedEvent` enums declared in `crates/sim`/`crates/core` |
-//! | R10 | `schedule-time-monotonicity` | `.schedule*(...)` call sites in `crates/core`/`crates/sim`/`crates/baselines` |
+//! | R10 | `schedule-time-monotonicity` | `.schedule*(...)` call sites and returned `(time, SchedEvent::…)` follow-ups in `crates/core`/`crates/sim`/`crates/baselines` |
 //!
 //! All five anchor their violations at file-local lines, so the existing
 //! `// dilos-lint: allow(<rule>, "<reason>")` mechanism shields them with
@@ -134,28 +134,26 @@ pub fn r10_in_scope(path: &str) -> bool {
 /// Identifier prefixes that mark a foreign (host/wall) clock.
 const HOST_CLOCK_PREFIXES: [&str; 2] = ["host_", "wall_"];
 
-/// R10: the first argument of every `.schedule*(...)` call must derive
-/// from a live virtual-time expression — never a bare literal, never a
-/// cached/stale value, never a host clock.
+/// R10: the delivery time of every schedule site must derive from a live
+/// virtual-time expression — never a bare literal, never a cached/stale
+/// value, never a host clock. A schedule site is the first argument of a
+/// `.schedule*(...)` call, or the first element of a `(time, SchedEvent::…)`
+/// tuple: the follow-up a delivery handler returns for
+/// `Calendar::deliver_due` to deliver in place or schedule on its behalf.
 pub fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
     for i in 0..tokens.len() {
-        if tokens[i].in_test {
+        if tokens[i].in_test || !punct_at(tokens, i, '(') {
             continue;
         }
-        let Some(name) = ident_at(tokens, i) else {
-            continue;
-        };
-        if !name.starts_with("schedule")
-            || i == 0
-            || !punct_at(tokens, i - 1, '.')
-            || !punct_at(tokens, i + 1, '(')
-        {
-            continue;
-        }
-        // First argument: tokens to the first top-level comma.
+        // The paren opens the argument list of a `.schedule*(` call, or
+        // possibly a follow-up tuple (decided once its first element ends).
+        let call = ident_at(tokens, i.wrapping_sub(1)).filter(|name| {
+            name.starts_with("schedule") && punct_at(tokens, i.wrapping_sub(2), '.')
+        });
+        // The time: tokens up to the first top-level comma.
         let mut depth = 0i32;
         let mut arg: Vec<&Token> = Vec::new();
-        let mut j = i + 2;
+        let mut j = i + 1;
         while j < tokens.len() {
             match &tokens[j].kind {
                 TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
@@ -169,13 +167,23 @@ pub fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>
             arg.push(&tokens[j]);
             j += 1;
         }
+        let site = match call {
+            Some(name) => format!("`.{name}()`"),
+            None if punct_at(tokens, j, ',')
+                && ident_at(tokens, j + 1) == Some("SchedEvent")
+                && punct_at(tokens, j + 2, ':') =>
+            {
+                "a returned follow-up".to_string()
+            }
+            None => continue,
+        };
         if arg.is_empty() {
             continue;
         }
         let has_ident = arg.iter().any(|t| matches!(&t.kind, TokKind::Ident(_)));
         if !has_ident {
             out.push(violation(file, tokens[i].line, 9, vec![], format!(
-                "`.{name}()` given a raw literal delivery time; schedule times must derive from `now`/config so the calendar stays monotone with the causing access"
+                "{site} given a raw literal delivery time; schedule times must derive from `now`/config so the calendar stays monotone with the causing access"
             )));
             continue;
         }
@@ -185,7 +193,7 @@ pub fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>
                     || HOST_CLOCK_PREFIXES.iter().any(|p| s.starts_with(p))
                 {
                     out.push(violation(file, tokens[i].line, 9, vec![], format!(
-                        "`.{name}()` delivery time derives from `{s}`, a cached/foreign clock; recompute from the live virtual `now` at the schedule site"
+                        "{site} delivery time derives from `{s}`, a cached/foreign clock; recompute from the live virtual `now` at the schedule site"
                     )));
                     break;
                 }
@@ -584,6 +592,24 @@ mod tests {
         let r10: Vec<&Violation> = v.iter().filter(|v| v.rule == "R10").collect();
         assert_eq!(r10.len(), 1, "{r10:?}");
         assert_eq!(r10[0].line, 2);
+    }
+
+    #[test]
+    fn r10_checks_returned_follow_ups_like_schedule_calls() {
+        let v = run_all(&[(
+            "crates/core/src/pump.rs",
+            "fn tick(&mut self, t: Ns) -> Option<(Ns, SchedEvent)> {\n\
+             if self.idle { return Some((1000, SchedEvent::ReclaimTick)); }\n\
+             if self.lazy { return Some((last_tick, SchedEvent::ReclaimTick)); }\n\
+             let (at, ev) = (t, SchedEvent::ReclaimTick);\n\
+             Some((self.bg.next_free(t), SchedEvent::ReclaimTick))\n}\n",
+        )]);
+        let r10: Vec<u32> = v
+            .iter()
+            .filter(|v| v.rule == "R10")
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(r10, [2, 3], "{v:?}");
     }
 
     #[test]

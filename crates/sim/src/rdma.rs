@@ -2026,20 +2026,20 @@ mod tests {
                 .any(|(_, ev)| matches!(ev, TraceEvent::RdmaComplete { .. })),
             "completion must not be emitted at issue time"
         );
-        let Some((
-            t,
-            SchedEvent::RdmaCompletion {
+        cal.deliver_due(done, |t, ev| {
+            let SchedEvent::RdmaCompletion {
                 class,
                 write,
                 node,
                 core,
-            },
-        )) = cal.pop_due(done)
-        else {
-            panic!("expected a scheduled completion");
-        };
-        assert_eq!(t, done);
-        e.deliver_completion(t, class, write, node, core);
+            } = ev
+            else {
+                panic!("expected a scheduled completion, got {ev:?}");
+            };
+            assert_eq!(t, done);
+            e.deliver_completion(t, class, write, node, core);
+            None
+        });
         assert!(trace.borrow().0.iter().any(|&(at, ev)| at == done
             && matches!(ev, TraceEvent::RdmaComplete { done: d, .. } if d == done)));
     }

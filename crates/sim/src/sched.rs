@@ -1,14 +1,11 @@
 //! The discrete-event calendar: background work at true virtual times.
 //!
-//! Earlier revisions of this simulator modeled background concurrency
-//! lazily — a whole reclaim episode executed at one virtual instant, and
-//! landed prefetches were only mapped when a reclaim episode happened to
-//! run. The [`Calendar`] replaces that with a real discrete-event engine:
-//! components *schedule* typed [`SchedEvent`]s at their true completion
-//! times and the owning node *drains* everything due before each access, so
-//! prefetch landings, incremental reclaim ticks, cleaner writebacks, RDMA
-//! completions, and node repairs all interleave with foreground faults on
-//! one shared virtual timeline.
+//! Components *schedule* typed [`SchedEvent`]s on the [`Calendar`] at their
+//! true completion times and the owning node has everything due
+//! *delivered* before each access, through one loop
+//! ([`Calendar::deliver_due`]) — so prefetch landings, incremental reclaim
+//! ticks, cleaner writebacks, RDMA completions, and node repairs all
+//! interleave with foreground faults on one shared virtual timeline.
 //!
 //! Determinism is part of the contract: the heap is keyed on `(Ns, seq)`
 //! where `seq` is a monotone insertion counter, so two events due at the
@@ -267,7 +264,7 @@ impl Calendar {
     /// Whether any entry *might* be due at or before `now` — a single load,
     /// no borrow. False is exact ("nothing is due"); true may be a
     /// tombstone about to be skimmed, which the subsequent
-    /// [`Calendar::pop_due`] or [`Calendar::drain_due`] resolves.
+    /// [`Calendar::deliver_due`] or [`Calendar::drain_due`] resolves.
     #[inline]
     pub fn has_due(&self, now: Ns) -> bool {
         self.inner.next_at.get() <= now
@@ -283,7 +280,7 @@ impl Calendar {
     }
 
     /// Pops the next event due at or before `now`, with its delivery time.
-    pub fn pop_due(&self, now: Ns) -> Option<(Ns, SchedEvent)> {
+    fn pop_due(&self, now: Ns) -> Option<(Ns, SchedEvent)> {
         let mut c = self.inner.core.borrow_mut();
         c.skim();
         let popped = if c.heap.peek().is_some_and(|e| e.at <= now) {
@@ -295,15 +292,41 @@ impl Calendar {
         popped
     }
 
+    /// The one delivery loop: hands every event due at or before `bound`
+    /// (`Ns::MAX` quiesces) to `handler`, one at a time in `(at, seq)`
+    /// order. No borrow is held across the handler, which may schedule,
+    /// cancel, or re-enter the loop.
+    ///
+    /// A handler that knows its successor (a reclaim tick chaining the
+    /// next) returns it. The follow-up `(at, ev)` skips the heap and is
+    /// delivered in place when `at <= bound && !has_due(at)` — exactly
+    /// where schedule-then-pop would put it: `!has_due(at)` says no entry,
+    /// live or tombstoned, is (1) strictly earlier or (2) at `at` itself,
+    /// the only ones that sort ahead of the newest `seq`; and (3)
+    /// `at <= bound`, so this loop would pop it next. One-at-a-time
+    /// delivery keeps the rule local: a same-instant sibling is still in
+    /// the heap, where `has_due` sees it, not parked in a batch buffer.
+    pub fn deliver_due(
+        &self,
+        bound: Ns,
+        mut handler: impl FnMut(Ns, SchedEvent) -> Option<(Ns, SchedEvent)>,
+    ) {
+        while let Some((mut t, mut ev)) = self.pop_due(bound) {
+            while let Some((at, next)) = handler(t, ev) {
+                debug_assert!(at >= t, "follow-up at {at} precedes its cause at {t}");
+                if at > bound || self.has_due(at) {
+                    self.schedule(at, next);
+                    break;
+                }
+                (t, ev) = (at, next);
+            }
+        }
+    }
+
     /// Pops every event due at the *earliest* pending instant `t ≤ now`
     /// into `out`, returning how many were delivered (0 when nothing is
-    /// due). One borrow amortizes the whole same-instant group.
-    ///
-    /// Only same-instant groups are batched: a delivery handler may
-    /// schedule follow-up events, and anything it schedules is at or after
-    /// the instant being delivered, so it sorts after the batch — exactly
-    /// where a one-at-a-time pop loop would put it. Draining a *range* of
-    /// instants in one batch would not have that property.
+    /// due). Batch delivery lost to [`Calendar::deliver_due`] and no system
+    /// calls this any more; it stays for `dilos_perf`'s calendar replay.
     pub fn drain_due(&self, now: Ns, out: &mut Vec<(Ns, SchedEvent)>) -> usize {
         let mut c = self.inner.core.borrow_mut();
         c.skim();
@@ -321,17 +344,6 @@ impl Calendar {
         n
     }
 
-    /// Pops the next event regardless of its due time (used to quiesce the
-    /// system at end of run, when no more foreground work will advance the
-    /// clocks past pending deliveries).
-    pub fn pop_next(&self) -> Option<(Ns, SchedEvent)> {
-        let mut c = self.inner.core.borrow_mut();
-        c.skim();
-        let popped = c.take_top();
-        self.inner.next_at.set(c.heap_min());
-        popped
-    }
-
     /// Pending (non-cancelled) events.
     pub fn len(&self) -> usize {
         self.inner.core.borrow().live
@@ -346,23 +358,33 @@ impl Calendar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+
+    /// What the delivery loop hands out up to `bound`, chaining nothing.
+    fn delivered(c: &Calendar, bound: Ns) -> Vec<(Ns, SchedEvent)> {
+        let mut out = Vec::new();
+        c.deliver_due(bound, |t, ev| {
+            out.push((t, ev));
+            None
+        });
+        out
+    }
 
     #[test]
-    fn pops_in_time_order() {
+    fn delivers_in_time_order() {
         let c = Calendar::new();
         c.schedule(300, SchedEvent::ReclaimTick);
         c.schedule(100, SchedEvent::CleanerWriteback { frame: 1 });
         c.schedule(200, SchedEvent::NodeRepair { node: 0 });
         assert_eq!(c.next_due(), Some(100));
         assert_eq!(
-            c.pop_next(),
-            Some((100, SchedEvent::CleanerWriteback { frame: 1 }))
+            delivered(&c, Ns::MAX),
+            vec![
+                (100, SchedEvent::CleanerWriteback { frame: 1 }),
+                (200, SchedEvent::NodeRepair { node: 0 }),
+                (300, SchedEvent::ReclaimTick),
+            ]
         );
-        assert_eq!(
-            c.pop_next(),
-            Some((200, SchedEvent::NodeRepair { node: 0 }))
-        );
-        assert_eq!(c.pop_next(), Some((300, SchedEvent::ReclaimTick)));
         assert!(c.is_empty());
     }
 
@@ -372,24 +394,22 @@ mod tests {
         for token in 0..16u32 {
             c.schedule(50, SchedEvent::PrefetchLand { vpn: 0, token });
         }
-        for expect in 0..16u32 {
-            let Some((50, SchedEvent::PrefetchLand { token, .. })) = c.pop_next() else {
-                panic!("expected a tie-broken landing");
-            };
-            assert_eq!(token, expect, "ties must pop in scheduling order");
-        }
+        let want: Vec<_> = (0..16u32)
+            .map(|token| (50, SchedEvent::PrefetchLand { vpn: 0, token }))
+            .collect();
+        assert_eq!(delivered(&c, 50), want, "ties pop in scheduling order");
     }
 
     #[test]
-    fn pop_due_respects_now() {
+    fn delivery_respects_the_bound() {
         let c = Calendar::new();
         c.schedule(100, SchedEvent::ReclaimTick);
         c.schedule(200, SchedEvent::ReclaimTick);
-        assert!(c.pop_due(99).is_none());
-        assert_eq!(c.pop_due(100), Some((100, SchedEvent::ReclaimTick)));
-        assert!(c.pop_due(150).is_none());
-        assert_eq!(c.pop_due(250), Some((200, SchedEvent::ReclaimTick)));
-        assert!(c.pop_due(u64::MAX).is_none());
+        assert!(delivered(&c, 99).is_empty());
+        assert_eq!(delivered(&c, 100), vec![(100, SchedEvent::ReclaimTick)]);
+        assert!(delivered(&c, 150).is_empty());
+        assert_eq!(delivered(&c, 250), vec![(200, SchedEvent::ReclaimTick)]);
+        assert!(delivered(&c, Ns::MAX).is_empty());
     }
 
     #[test]
@@ -401,8 +421,8 @@ mod tests {
         assert!(!c.cancel(a), "double cancel reports false");
         assert_eq!(c.len(), 1);
         assert_eq!(
-            c.pop_next(),
-            Some((20, SchedEvent::PrefetchLand { vpn: 2, token: 1 }))
+            delivered(&c, Ns::MAX),
+            vec![(20, SchedEvent::PrefetchLand { vpn: 2, token: 1 })]
         );
         assert!(!c.cancel(b), "cancel after delivery reports false");
     }
@@ -411,14 +431,14 @@ mod tests {
     fn stale_handle_never_cancels_a_reused_slot() {
         let c = Calendar::new();
         let a = c.schedule(10, SchedEvent::ReclaimTick);
-        assert_eq!(c.pop_due(10), Some((10, SchedEvent::ReclaimTick)));
+        assert_eq!(delivered(&c, 10), vec![(10, SchedEvent::ReclaimTick)]);
         // The slot is recycled for an unrelated event; the old handle must
         // be inert against it.
         let b = c.schedule(20, SchedEvent::PrefetchLand { vpn: 9, token: 3 });
         assert!(!c.cancel(a), "stale handle must not cancel the new tenant");
         assert_eq!(c.len(), 1);
         assert!(c.cancel(b));
-        assert!(c.pop_next().is_none());
+        assert!(delivered(&c, Ns::MAX).is_empty());
     }
 
     #[test]
@@ -432,9 +452,9 @@ mod tests {
         assert!(!c.has_due(99));
         assert!(c.has_due(100));
         // After a cancel the cached bound may still answer "maybe" — the
-        // pop resolves it to nothing and tightens the bound.
+        // delivery loop resolves it to nothing and tightens the bound.
         assert!(c.cancel(a));
-        assert!(c.pop_due(100).is_none());
+        assert!(delivered(&c, 100).is_empty());
         assert!(!c.has_due(horizon));
     }
 
@@ -484,42 +504,35 @@ mod tests {
         let c2 = c.clone();
         c.schedule(5, SchedEvent::ReclaimTick);
         assert_eq!(c2.len(), 1);
-        assert_eq!(c2.pop_due(5), Some((5, SchedEvent::ReclaimTick)));
+        assert_eq!(delivered(&c2, 5), vec![(5, SchedEvent::ReclaimTick)]);
         assert!(c.is_empty());
     }
 
     #[test]
-    fn interleaved_schedule_and_pop_is_deterministic() {
-        let run = || {
-            let c = Calendar::new();
-            let mut order = Vec::new();
-            c.schedule(10, SchedEvent::CleanerWriteback { frame: 0 });
-            c.schedule(30, SchedEvent::CleanerWriteback { frame: 1 });
-            while let Some((t, ev)) = c.pop_due(20) {
-                order.push((t, ev));
-                // Deliveries may reschedule.
-                if order.len() == 1 {
-                    c.schedule(15, SchedEvent::CleanerWriteback { frame: 2 });
-                }
+    fn a_handler_may_schedule_into_the_loop_that_runs_it() {
+        let c = Calendar::new();
+        c.schedule(10, SchedEvent::ReclaimTick);
+        c.schedule(30, SchedEvent::ReclaimTick);
+        let mut times = Vec::new();
+        c.deliver_due(20, |t, _| {
+            times.push(t);
+            if t == 10 {
+                c.schedule(15, SchedEvent::ReclaimTick);
             }
-            while let Some(e) = c.pop_next() {
-                order.push(e);
-            }
-            order
-        };
-        assert_eq!(run(), run());
-        assert_eq!(run().len(), 3);
+            None
+        });
+        assert_eq!((times, c.next_due()), (vec![10, 15], Some(30)));
     }
 
     /// The calendar's ledger, exactly: on a seeded mix of schedules,
-    /// cancels (some through stale handles) and pops, every scheduled event
-    /// is delivered once, cancelled once, or still pending.
+    /// cancels (some through stale handles) and deliveries, every scheduled
+    /// event is delivered once, cancelled once, or still pending.
     #[test]
     fn every_scheduled_event_is_delivered_cancelled_or_pending() {
-        let mut rng = crate::rng::SplitMix64::new(0x5C4ED);
+        let mut rng = SplitMix64::new(0x5C4ED);
         let c = Calendar::new();
         let mut ids = Vec::new();
-        let (mut scheduled, mut delivered, mut cancelled) = (0usize, 0usize, 0usize);
+        let (mut scheduled, mut delivered_n, mut cancelled) = (0usize, 0usize, 0usize);
         let mut now = 0;
         for _ in 0..4_000 {
             match rng.gen_range(4) {
@@ -534,14 +547,12 @@ mod tests {
                 }
                 _ => {
                     now += rng.gen_range(200);
-                    while c.pop_due(now).is_some() {
-                        delivered += 1;
-                    }
+                    delivered_n += delivered(&c, now).len();
                 }
             }
-            assert_eq!(scheduled, delivered + cancelled + c.len());
+            assert_eq!(scheduled, delivered_n + cancelled + c.len());
         }
-        assert!(delivered > 0 && cancelled > 0 && !c.is_empty());
+        assert!(delivered_n > 0 && cancelled > 0 && !c.is_empty());
     }
 
     #[test]
@@ -556,11 +567,7 @@ mod tests {
             for id in ids.drain(..).step_by(2) {
                 assert!(c.cancel(id));
             }
-            let mut n = 0;
-            while c.pop_due(round * 100 + 99).is_some() {
-                n += 1;
-            }
-            assert_eq!(n, 8, "round {round}");
+            assert_eq!(delivered(&c, round * 100 + 99).len(), 8, "round {round}");
             assert!(c.is_empty());
         }
     }
