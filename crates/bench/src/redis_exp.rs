@@ -6,7 +6,9 @@ use std::rc::Rc;
 
 use dilos_alloc::Heap;
 use dilos_apps::farmem::{FarMemory, SystemKind, SystemSpec};
-use dilos_apps::redis::{LrangeBench, RedisBench, RedisGuide, RedisServer, ValueSizes};
+use dilos_apps::redis::{
+    BenchResult, LrangeBench, RedisBench, RedisGuide, RedisServer, ValueSizes,
+};
 use dilos_core::{Dilos, DilosConfig, HeapPagingGuide, Readahead};
 
 use crate::table::{f2, ms, Report};
@@ -171,6 +173,24 @@ fn get_working_set(spec: &GetSpec) -> u64 {
     spec.keys as u64 * (avg + 64)
 }
 
+/// One LRANGE cell of Figure 10 / Table 4: `sys` at `ratio` percent local.
+/// Element and ziplist sizes follow the paper's geometry: a 100-element
+/// range crosses several quicklist nodes, so the query is a pointer chase,
+/// not a stream.
+pub fn lrange_run(scale: &RedisScale, sys: RedisSystem, ratio: u32) -> BenchResult {
+    let bench = LrangeBench {
+        lists: scale.lists,
+        elements: scale.list_elements,
+        elem_size: 400,
+        seed: 12,
+    };
+    let ws = (bench.elements * (bench.elem_size + 40)) as u64;
+    let heap_bytes = (ws * 2).next_power_of_two().max(1 << 22);
+    let mut setup = boot_redis(sys, heap_bytes, ws, ratio, 4096, false);
+    bench.populate(&mut setup.server, setup.mem.as_mut());
+    bench.run(&mut setup.server, setup.mem.as_mut(), scale.queries / 4)
+}
+
 /// Figure 10: Redis GET and LRANGE throughput vs local memory ratio.
 pub fn fig10_redis(scale: RedisScale) -> Report {
     let mut report = Report::new(
@@ -196,29 +216,12 @@ pub fn fig10_redis(scale: RedisScale) -> Report {
             report.row(row);
         }
     }
-    // LRANGE workload. Element and ziplist sizes follow the paper's
-    // geometry: a 100-element range crosses several quicklist nodes, so the
-    // query is a pointer chase, not a stream.
-    {
-        let elem_size = 400usize;
-        let ws = (scale.list_elements * (elem_size + 40)) as u64;
-        let heap_bytes = (ws * 2).next_power_of_two().max(1 << 22);
-        for sys in RedisSystem::FIG10 {
-            let mut row = vec!["LRANGE".to_string(), sys.label()];
-            for ratio in crate::apps_exp::RATIOS {
-                let mut setup = boot_redis(sys, heap_bytes, ws, ratio, 4096, false);
-                let bench = LrangeBench {
-                    lists: scale.lists,
-                    elements: scale.list_elements,
-                    elem_size,
-                    seed: 12,
-                };
-                bench.populate(&mut setup.server, setup.mem.as_mut());
-                let r = bench.run(&mut setup.server, setup.mem.as_mut(), scale.queries / 4);
-                row.push(format!("{:.0}", r.qps()));
-            }
-            report.row(row);
+    for sys in RedisSystem::FIG10 {
+        let mut row = vec!["LRANGE".to_string(), sys.label()];
+        for ratio in crate::apps_exp::RATIOS {
+            row.push(format!("{:.0}", lrange_run(&scale, sys, ratio).qps()));
         }
+        report.row(row);
     }
     report.note(
         "Paper: DiLOS no-prefetch already 1.37–1.52× Fastswap at 12.5 %; prefetchers up to 2.51×.",
@@ -255,19 +258,7 @@ pub fn tab04_tail_latency(scale: RedisScale) -> Report {
         bench.populate(&mut setup.server, setup.mem.as_mut());
         let get = bench.run_gets(&mut setup.server, setup.mem.as_mut(), scale.queries);
 
-        // LRANGE (same geometry as Figure 10).
-        let elem_size = 400usize;
-        let lws = (scale.list_elements * (elem_size + 40)) as u64;
-        let lheap = (lws * 2).next_power_of_two().max(1 << 22);
-        let mut lsetup = boot_redis(sys, lheap, lws, 13, 4096, false);
-        let lbench = LrangeBench {
-            lists: scale.lists,
-            elements: scale.list_elements,
-            elem_size,
-            seed: 12,
-        };
-        lbench.populate(&mut lsetup.server, lsetup.mem.as_mut());
-        let lr = lbench.run(&mut lsetup.server, lsetup.mem.as_mut(), scale.queries / 4);
+        let lr = lrange_run(&scale, sys, 13);
 
         report.row(vec![
             sys.label(),

@@ -338,10 +338,10 @@ fn write_heavy_traced_digest_is_pinned() {
             sum
         ),
         (
-            0xb783feea60fa4573,
-            (3529, 6, 256),
-            (5_799_936, 21_803_008),
-            10_332_150,
+            0x4b4a9ca291143a1a,
+            (3550, 1, 256),
+            (5_750_784, 16_769_024),
+            10_386_628,
             0x1a3214a12e603cf
         ),
         "write-heavy DiLOS run moved"
@@ -396,7 +396,7 @@ fn two_tenant_cluster_digests_are_pinned() {
     assert_eq!(
         pins,
         [
-            (0x12c314a9d93407d2, 5_510_208),
+            (0x639c2ee6920a3cfc, 5_510_208),
             (0x5fbfe3dab4eb2a, 3_554_022)
         ],
         "two-tenant serving pass moved"

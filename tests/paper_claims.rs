@@ -14,6 +14,7 @@ use dilos::apps::redis::{LrangeBench, RedisBench, RedisGuide, RedisServer, Value
 use dilos::apps::seqrw::SeqWorkload;
 use dilos::baselines::{Fastswap, FastswapConfig};
 use dilos::core::{Dilos, DilosConfig, HeapPagingGuide, Readahead};
+use dilos_bench::redis_exp::{lrange_run, RedisScale, RedisSystem};
 
 /// C1 (µ-bench form): DiLOS beats Fastswap on sequential read at 12.5 %
 /// local memory, and the paging subsystem's fault handler is ~2× cheaper.
@@ -106,6 +107,31 @@ fn c2_app_aware_prefetcher_wins_on_lrange() {
     assert!(
         aware > 1.25 * plain,
         "app-aware {aware:.0} req/s vs readahead {plain:.0} req/s"
+    );
+}
+
+/// Fig. 10's LRANGE sentence, on the rows `results/fig10.md` prints:
+/// "general-purpose prefetchers gain nothing" — a range query is a pointer
+/// chase across quicklist nodes, so readahead lands within a few percent of
+/// no-prefetch at every local ratio, and only the app-aware guide wins
+/// (C2, +62 % in the paper). Readahead used to gain 27 % at 50 % local by
+/// fetching `vpn + 1` on every fault whether or not anyone touched it.
+#[test]
+fn lrange_general_purpose_prefetch_gains_nothing() {
+    let qps = |sys, ratio| lrange_run(&RedisScale::default(), sys, ratio).qps();
+    let readahead = RedisSystem::Kind(SystemKind::DilosReadahead);
+    for ratio in [13, 25, 50] {
+        let none = qps(RedisSystem::Kind(SystemKind::DilosNoPrefetch), ratio);
+        let ra = qps(readahead, ratio);
+        assert!(
+            (ra / none - 1.0).abs() <= 0.06,
+            "readahead {ra:.0} req/s vs no-prefetch {none:.0} req/s at {ratio} % local"
+        );
+    }
+    let (aware, ra) = (qps(RedisSystem::AppAware, 13), qps(readahead, 13));
+    assert!(
+        aware > 1.5 * ra,
+        "app-aware {aware:.0} req/s vs readahead {ra:.0} req/s at 12.5 % local"
     );
 }
 
