@@ -34,6 +34,7 @@ use dilos_bench::ablation::{ablation_design_choices, ablation_transport, ablatio
 use dilos_bench::apps_exp::{
     fig07a_quicksort, fig07b_kmeans, fig07cd_snappy, fig08_dataframe, fig09_gapbs, SimpleScale,
 };
+use dilos_bench::json;
 use dilos_bench::micro::{
     fig01_fastswap_breakdown, fig02_rdma_latency, fig06_latency_breakdown,
     tab01_tab03_fault_counts, tab02_seq_throughput, MicroScale,
@@ -41,6 +42,7 @@ use dilos_bench::micro::{
 use dilos_bench::recover::{recover_crash_sweep, RecoverScale};
 use dilos_bench::redis_exp::{fig10_redis, fig12_bandwidth, tab04_tail_latency, RedisScale};
 use dilos_bench::serve::{serve_qos, ServeScale};
+use dilos_bench::table::bench_json;
 use dilos_bench::Report;
 use dilos_sim::Observability;
 
@@ -231,7 +233,7 @@ fn main() {
     }
 
     let mut combined = String::new();
-    let mut json_entries: Vec<String> = Vec::new();
+    let mut reports: Vec<(&str, Report)> = Vec::new();
     for (id, run) in experiments {
         if let Some(ids) = &only {
             if !ids.iter().any(|o| o == id) {
@@ -254,12 +256,14 @@ fn main() {
             std::fs::write(format!("{out_dir}/{id}.json"), report.to_json())
                 .expect("write per-id json");
         }
-        json_entries.push(format!("  \"{id}\": {}", report.to_json()));
+        reports.push((id, report));
     }
     let mut f = std::fs::File::create(format!("{out_dir}/all.md")).expect("create all.md");
     f.write_all(combined.as_bytes()).expect("write all.md");
-    let json = format!("{{\n{}\n}}\n", json_entries.join(",\n"));
-    std::fs::write(format!("{out_dir}/bench.json"), json).expect("write bench.json");
+    json::write_file(&format!("{out_dir}/bench.json"), |w| {
+        bench_json(w, &reports)
+    })
+    .expect("write bench.json");
     eprintln!("[repro] reports written to {out_dir}/ (machine-readable: {out_dir}/bench.json)");
     if metrics {
         let report = dilos_bench::telemetry::write_artifacts(&tab01_runs, &out_dir)

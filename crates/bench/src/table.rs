@@ -5,6 +5,11 @@
 
 use std::fmt::Write as _;
 
+use crate::json::{
+    self, JsonWriter,
+    Layout::{Broken, Inline},
+};
+
 /// A rendered experiment report: a title, column headers, and rows.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -51,46 +56,32 @@ impl Report {
         self.digests.push((label.into(), digest));
     }
 
-    /// Renders the report as a JSON object (hand-rolled; the workspace
-    /// deliberately has no serialization dependency). Digests are emitted
-    /// as hex strings — JSON numbers lose precision past 2^53.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
+    /// Writes the report as one JSON object: title, headers, rows, notes,
+    /// digests. Digests are hex strings — JSON numbers lose precision past
+    /// 2^53.
+    pub fn write_json<W: std::io::Write>(&self, w: &mut JsonWriter<W>) {
+        fn strings<W: std::io::Write>(w: &mut JsonWriter<W>, items: &[String]) {
+            w.array(Inline, |w| items.iter().for_each(|s| w.string(s)));
         }
-        let arr = |items: &[String]| {
-            let cells: Vec<String> = items.iter().map(|c| format!("\"{}\"", esc(c))).collect();
-            format!("[{}]", cells.join(", "))
-        };
-        let rows: Vec<String> = self.rows.iter().map(|r| arr(r)).collect();
-        let digests: Vec<String> = self
-            .digests
-            .iter()
-            .map(|(label, d)| format!("\"{}\": \"{d:#018x}\"", esc(label)))
-            .collect();
-        format!(
-            "{{\n    \"title\": \"{}\",\n    \"headers\": {},\n    \"rows\": [{}],\n    \
-             \"notes\": {},\n    \"digests\": {{{}}}\n  }}",
-            esc(&self.title),
-            arr(&self.headers),
-            rows.join(", "),
-            arr(&self.notes),
-            digests.join(", ")
-        )
+        w.object(Broken, |w| {
+            w.key("title").string(&self.title);
+            strings(w.key("headers"), &self.headers);
+            w.key("rows")
+                .array(Broken, |w| self.rows.iter().for_each(|r| strings(w, r)));
+            w.key("notes")
+                .array(Broken, |w| self.notes.iter().for_each(|n| w.string(n)));
+            w.key("digests").object(Broken, |w| {
+                for (label, digest) in &self.digests {
+                    w.key(label).hex(*digest);
+                }
+            });
+        });
+    }
+
+    /// The report as a standalone JSON document (`serve.json`,
+    /// `recover.json`).
+    pub fn to_json(&self) -> String {
+        json::document(|w| self.write_json(w))
     }
 
     /// Renders the report as an aligned text table.
@@ -124,6 +115,15 @@ impl Report {
         }
         out
     }
+}
+
+/// Writes `bench.json`: each experiment id that ran, mapped to its report.
+pub fn bench_json<W: std::io::Write>(w: &mut JsonWriter<W>, reports: &[(&str, Report)]) {
+    w.object(Broken, |w| {
+        for (id, report) in reports {
+            report.write_json(w.key(id));
+        }
+    });
 }
 
 /// Formats nanoseconds as microseconds with two decimals.
@@ -163,11 +163,12 @@ mod tests {
         r.row(vec!["a".into(), "1".into()]);
         r.note("line1\nline2");
         r.digest("sys", 0x1234_5678_9abc_def0);
-        let j = r.to_json();
-        assert!(j.contains("\"title\": \"Test \\\"q\\\"\""));
-        assert!(j.contains("[\"a\", \"1\"]"));
-        assert!(j.contains("line1\\nline2"));
-        assert!(j.contains("\"sys\": \"0x123456789abcdef0\""));
+        assert_eq!(
+            r.to_json(),
+            "{\n  \"title\": \"Test \\\"q\\\"\",\n  \"headers\": [\"name\", \"value\"],\n  \
+             \"rows\": [\n    [\"a\", \"1\"]\n  ],\n  \"notes\": [\n    \"line1\\nline2\"\n  ],\n  \
+             \"digests\": {\n    \"sys\": \"0x123456789abcdef0\"\n  }\n}\n"
+        );
     }
 
     #[test]

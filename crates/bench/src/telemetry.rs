@@ -14,80 +14,115 @@
 //!
 //! Nothing here boots a system: every number is read from the registry and
 //! the profiler of the run the tab01 table was computed from, so the
-//! digests recorded here are that table's. Everything is hand-rolled,
-//! byte-stable JSON: same seed and scale produce byte-identical files, so
-//! CI can `cmp` two runs.
+//! digests recorded here are that table's. The observers hand out data and
+//! [`JsonWriter`] renders it: same seed and scale produce byte-identical
+//! files, so CI can `cmp` two runs.
 
 use std::fmt::Write as _;
+use std::io;
 
 use dilos_apps::farmem::SystemKind;
-use dilos_sim::{Observability, SAMPLE_INTERVAL_NS};
+use dilos_sim::{LatencyHistogram, Observability, SAMPLE_INTERVAL_NS};
 
+use crate::json::{
+    self, JsonWriter,
+    Layout::{Broken, Inline},
+};
 use crate::table::{us, Report};
 
 /// One metered tab01 system: `(id, kind, the bundle it ran under)`. The id
 /// is the JSON key and the folded-stack prefix.
 type Metered = (&'static str, SystemKind, Observability);
 
-/// Indents every line of a JSON fragment after the first by `pad` spaces.
-fn indent(json: &str, pad: usize) -> String {
-    let mut out = String::with_capacity(json.len());
-    for (i, line) in json.lines().enumerate() {
-        if i > 0 {
-            out.push('\n');
-            for _ in 0..pad {
-                out.push(' ');
-            }
+/// Writes an inline array of integers.
+fn uints<W: io::Write>(w: &mut JsonWriter<W>, values: &[u64]) {
+    w.array(Inline, |w| values.iter().for_each(|v| w.uint(*v)));
+}
+
+/// Writes one member per quantile of `h`: `"p50": …`, `"p99": …`.
+fn quantiles<W: io::Write>(w: &mut JsonWriter<W>, h: &LatencyHistogram, qs: &[(&str, f64)]) {
+    for (key, q) in qs {
+        w.key(key).uint(h.quantile(*q));
+    }
+}
+
+/// Renders `metrics.json`: per-system fault counts (the profiler's
+/// completed spans per kind), counters with their lanes, final gauges,
+/// fault-latency histograms — summary statistics plus the occupied buckets
+/// (`[low_ns, high_ns, count]`, bounds inclusive) so a consumer can re-plot
+/// the distribution — and per-phase latency quantiles.
+pub fn metrics_json<W: io::Write>(w: &mut JsonWriter<W>, systems: &[Metered]) {
+    w.object(Broken, |w| {
+        for (id, kind, obs) in systems {
+            let p = obs.profiler();
+            w.key(id).object(Broken, |w| {
+                w.key("label").string(kind.label());
+                w.key("digest").hex(obs.trace().digest());
+                for kind in ["major", "minor", "zero_fill"] {
+                    w.key(kind).uint(p.fault_count(kind));
+                }
+                w.key("counters").object(Broken, |w| {
+                    for (name, lanes) in p.counters() {
+                        uints(w.key(name), &lanes);
+                    }
+                });
+                w.key("gauges").object(Broken, |w| {
+                    for (name, value) in obs.metrics().gauges() {
+                        w.key(name).uint(value);
+                    }
+                });
+                w.key("histograms").object(Broken, |w| {
+                    for (kind, h) in p.histograms() {
+                        w.key(kind).object(Inline, |w| {
+                            w.key("count").uint(h.count());
+                            w.key("sum").uint(h.sum());
+                            w.key("mean").uint(h.mean());
+                            w.key("min").uint(h.min());
+                            w.key("max").uint(h.max());
+                            quantiles(w, &h, &[("p50", 0.50), ("p99", 0.99), ("p999", 0.999)]);
+                            w.key("buckets").array(Inline, |w| {
+                                for (lo, hi, n) in h.nonzero_buckets() {
+                                    uints(w, &[lo, hi, n]);
+                                }
+                            });
+                        });
+                    }
+                });
+                w.key("phase_quantiles").object(Broken, |w| {
+                    for (phase, h) in p.phase_histograms() {
+                        w.key(phase).object(Inline, |w| {
+                            w.key("count").uint(h.count());
+                            let qs = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)];
+                            quantiles(w, &h, &qs);
+                        });
+                    }
+                });
+            });
         }
-        out.push_str(line);
-    }
-    out
+    });
 }
 
-/// Renders `metrics.json`: per-system counters, gauges, and histograms.
-/// Fault counts are the profiler's completed spans per kind.
-pub fn metrics_json(systems: &[Metered]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (id, kind, obs)) in systems.iter().enumerate() {
-        let p = obs.profiler();
-        let _ = write!(
-            out,
-            "  \"{id}\": {{\n    \"label\": \"{}\",\n    \"digest\": \"{:#018x}\",\n    \
-             \"major\": {},\n    \"minor\": {},\n    \"zero_fill\": {},\n    \
-             \"counters\": {},\n    \"gauges\": {},\n    \"histograms\": {},\n    \
-             \"phase_quantiles\": {}\n  }}",
-            kind.label(),
-            obs.trace().digest(),
-            p.fault_count("major"),
-            p.fault_count("minor"),
-            p.fault_count("zero_fill"),
-            indent(&p.counters_json(), 4),
-            indent(&obs.metrics().gauges_json(), 4),
-            indent(&p.histograms_json(), 4),
-            indent(&p.phase_quantiles_json(), 4),
-        );
-        out.push_str(if i + 1 < systems.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Renders `timeseries.json`: per-system sampler output.
-pub fn timeseries_json(systems: &[Metered]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (id, _, obs)) in systems.iter().enumerate() {
-        let m = obs.metrics();
-        let _ = write!(
-            out,
-            "  \"{id}\": {{\n    \"interval_ns\": {SAMPLE_INTERVAL_NS},\n    \
-             \"samples\": {},\n    \"series\": {}\n  }}",
-            m.samples(),
-            indent(&m.series_json(), 4),
-        );
-        out.push_str(if i + 1 < systems.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
+/// Renders `timeseries.json`: per-system sampler output, each series an
+/// array of `[t_ns, value]` points.
+pub fn timeseries_json<W: io::Write>(w: &mut JsonWriter<W>, systems: &[Metered]) {
+    w.object(Broken, |w| {
+        for (id, _, obs) in systems {
+            let m = obs.metrics();
+            w.key(id).object(Broken, |w| {
+                w.key("interval_ns").uint(SAMPLE_INTERVAL_NS);
+                w.key("samples").uint(m.samples());
+                w.key("series").object(Broken, |w| {
+                    for (name, points) in m.series() {
+                        w.key(name).array(Inline, |w| {
+                            for (t, v) in points {
+                                uints(w, &[t, v]);
+                            }
+                        });
+                    }
+                });
+            });
+        }
+    });
 }
 
 /// Renders `profile.folded`: all systems' folded stacks concatenated, each
@@ -95,8 +130,8 @@ pub fn timeseries_json(systems: &[Metered]) -> String {
 pub fn profile_folded(systems: &[Metered]) -> String {
     let mut out = String::new();
     for (id, _, obs) in systems {
-        for line in obs.profiler().folded().lines() {
-            let _ = writeln!(out, "{id};{line}");
+        for (stack, ns) in obs.profiler().folded() {
+            let _ = writeln!(out, "{id};{stack} {ns}");
         }
     }
     out
@@ -105,11 +140,12 @@ pub fn profile_folded(systems: &[Metered]) -> String {
 /// Writes the three artifacts under `out_dir` and returns a human summary
 /// table.
 pub fn write_artifacts(systems: &[Metered], out_dir: &str) -> std::io::Result<Report> {
-    std::fs::write(format!("{out_dir}/metrics.json"), metrics_json(systems))?;
-    std::fs::write(
-        format!("{out_dir}/timeseries.json"),
-        timeseries_json(systems),
-    )?;
+    json::write_file(&format!("{out_dir}/metrics.json"), |w| {
+        metrics_json(w, systems)
+    })?;
+    json::write_file(&format!("{out_dir}/timeseries.json"), |w| {
+        timeseries_json(w, systems)
+    })?;
     std::fs::write(format!("{out_dir}/profile.folded"), profile_folded(systems))?;
     let mut report = Report::new(
         "Telemetry — metered sequential read (tab01 systems)",
@@ -124,13 +160,15 @@ pub fn write_artifacts(systems: &[Metered], out_dir: &str) -> std::io::Result<Re
     );
     for (_, kind, obs) in systems {
         let p = obs.profiler();
+        let hists = p.histograms();
+        let major = hists.iter().find(|(kind, _)| *kind == "major");
         report.row(vec![
             kind.label().to_string(),
             p.fault_count("major").to_string(),
             p.fault_count("minor").to_string(),
             p.fault_count("zero_fill").to_string(),
             obs.metrics().samples().to_string(),
-            us(p.histogram("major").map_or(0, |h| h.quantile(0.99))),
+            us(major.map_or(0, |(_, h)| h.quantile(0.99))),
         ]);
         report.digest(kind.label(), obs.trace().digest());
     }
@@ -180,38 +218,69 @@ mod tests {
 
     #[test]
     fn artifacts_are_byte_stable() {
+        let render = |systems: &[Metered]| {
+            (
+                json::document(|w| metrics_json(w, systems)),
+                json::document(|w| timeseries_json(w, systems)),
+                profile_folded(systems),
+            )
+        };
         let a = metered();
-        let b = metered();
-        assert_eq!(metrics_json(&a), metrics_json(&b));
-        assert_eq!(timeseries_json(&a), timeseries_json(&b));
-        assert_eq!(profile_folded(&a), profile_folded(&b));
+        let (metrics, series, folded) = render(&a);
+        assert_eq!((metrics.clone(), series, folded), render(&metered()));
         // Sanity: the JSON opens and closes as an object and names every
         // system.
-        let m = metrics_json(&a);
-        assert!(m.starts_with("{\n") && m.ends_with("}\n"));
+        assert!(metrics.starts_with("{\n") && metrics.ends_with("}\n"));
         for (id, ..) in &a {
-            assert!(m.contains(&format!("\"{id}\"")), "{id} missing");
+            assert!(metrics.contains(&format!("\"{id}\"")), "{id} missing");
         }
     }
 
     #[test]
-    fn metrics_json_carries_phase_quantiles() {
+    fn metrics_json_carries_histograms_and_phase_quantiles() {
         let systems = metered();
-        let m = metrics_json(&systems);
-        assert!(m.contains("\"phase_quantiles\": {"));
+        let m = json::document(|w| metrics_json(w, &systems));
         for (id, _, obs) in &systems {
-            let quantiles = obs.profiler().phase_quantiles_json();
-            if *id == "fastswap" {
-                // Baselines do not emit FaultPhase events; their object is
-                // empty but present.
-                assert_eq!(quantiles, "{}", "{id}");
-                continue;
-            }
-            assert!(
-                quantiles.contains("\"fetch\""),
-                "{id}: fetch phase missing from {quantiles}"
+            let p = obs.profiler();
+            let (kind, h) = &p.histograms()[0];
+            assert_eq!(*kind, "major");
+            let (lo, hi, n) = h.nonzero_buckets()[0];
+            let line = format!(
+                "\"major\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"min\": {}, \
+                 \"max\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \
+                 \"buckets\": [[{lo}, {hi}, {n}]",
+                h.count(),
+                h.sum(),
+                h.mean(),
+                h.min(),
+                h.max(),
+                h.quantile(0.50),
+                h.quantile(0.99),
+                h.quantile(0.999),
             );
-            assert!(quantiles.contains("\"p999\""), "{id}");
+            assert!(m.contains(&line), "{id}: {line} missing");
+            let phases = p.phase_histograms();
+            // Baselines do not emit FaultPhase events; their object is
+            // empty but present.
+            assert_eq!(phases.is_empty(), *id == "fastswap", "{id}");
+            assert_eq!(
+                phases.iter().any(|(name, _)| *name == "fetch"),
+                *id != "fastswap"
+            );
+            for (phase, h) in phases {
+                let line = format!(
+                    "\"{phase}\": {{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
+                     \"p999\": {}}}",
+                    h.count(),
+                    h.quantile(0.50),
+                    h.quantile(0.90),
+                    h.quantile(0.99),
+                    h.quantile(0.999),
+                );
+                assert!(m.contains(&line), "{id}: {line} missing");
+            }
         }
+        assert_eq!(m.matches("\"phase_quantiles\": {").count(), systems.len());
+        assert!(m.contains("\"phase_quantiles\": {}"));
     }
 }

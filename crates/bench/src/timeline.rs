@@ -22,10 +22,15 @@
 //! that equality.
 
 use std::fmt::Write as _;
+use std::io;
 
 use dilos_sim::TraceEvent;
 use dilos_sim::{critical_path, CausalTracer, Ns, Observability, ReqKind, RequestTrace};
 
+use crate::json::{
+    self, JsonWriter,
+    Layout::{Broken, Inline},
+};
 use crate::table::{us, Report};
 
 /// How many worst-case exemplars the tail report keeps per track.
@@ -36,21 +41,6 @@ const TID_PREFETCH: u32 = 80;
 const TID_EVICT: u32 = 81;
 const TID_RECLAIM: u32 = 82;
 const TID_NODE_BASE: u32 = 100;
-
-/// Formats a virtual-ns stamp as Chrome's microsecond field. Pure integer
-/// arithmetic in, fixed three-decimal rendering out: byte-stable.
-fn ts_us(t: Ns) -> String {
-    format!("{}.{:03}", t / 1_000, t % 1_000)
-}
-
-fn push_event(out: &mut String, first: &mut bool, ev: &str) {
-    if !*first {
-        out.push_str(",\n");
-    }
-    *first = false;
-    out.push_str("    ");
-    out.push_str(ev);
-}
 
 fn span_tid(r: &RequestTrace) -> u32 {
     match r.kind {
@@ -70,109 +60,124 @@ fn tid_name(tid: u32) -> String {
     }
 }
 
+/// Writes one trace event: the fields every record carries, then what
+/// `rest` adds (`ts`/`dur` of a slice, `name`, `args`).
+fn event<W: io::Write>(
+    w: &mut JsonWriter<W>,
+    ph: &str,
+    pid: u64,
+    tid: u32,
+    rest: impl FnOnce(&mut JsonWriter<W>),
+) {
+    w.object(Inline, |w| {
+        w.key("ph").string(ph);
+        w.key("pid").uint(pid);
+        w.key("tid").uint(tid);
+        rest(w);
+    });
+}
+
+/// A metadata record naming a process or one of its threads.
+fn name_record<W: io::Write>(w: &mut JsonWriter<W>, pid: u64, tid: u32, what: &str, name: &str) {
+    event(w, "M", pid, tid, |w| {
+        w.key("name").string(what);
+        w.key("args").object(Inline, |w| {
+            w.key("name").string(name);
+        });
+    });
+}
+
+/// The `ts` / `dur` pair of a complete slice: virtual ns rendered as
+/// Chrome's microsecond field.
+fn slice_span<W: io::Write>(w: &mut JsonWriter<W>, begin: Ns, dur: Ns) {
+    w.key("ts").thousandths(begin);
+    w.key("dur").thousandths(dur);
+}
+
 /// Renders a set of tracks as Chrome trace-event JSON (`{"traceEvents":
-/// [...]}`). Every value derives from the virtual clock and the request
-/// register, so the output is byte-identical across runs.
-pub fn chrome_trace_json(tracks: &[(String, &CausalTracer)]) -> String {
-    let mut out = String::from("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n");
-    let mut first = true;
-    for (pid0, (label, tracer)) in tracks.iter().enumerate() {
-        let pid = pid0 + 1;
-        let reqs = tracer.requests();
-        let episodes = tracer.reclaim_episodes();
-        // Thread metadata for every lane this track actually uses, in
-        // ascending tid order.
-        let mut tids: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        for r in &reqs {
-            tids.insert(span_tid(r));
-            tids.extend(r.verbs.iter().map(|v| TID_NODE_BASE + u32::from(v.node)));
-        }
-        if !episodes.is_empty() {
-            tids.insert(TID_RECLAIM);
-        }
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{label}\"}}}}"
-            ),
-        );
-        for tid in &tids {
-            push_event(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    tid_name(*tid)
-                ),
-            );
-        }
-        // One complete ("X") slice per request, plus verb slices on the
-        // owning memnode lane.
-        for r in &reqs {
-            let b = critical_path(r);
-            let vpn = if r.vpn == u64::MAX {
-                "-".to_string()
-            } else {
-                format!("{:#x}", r.vpn)
-            };
-            push_event(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\
-                     \"name\":\"{} vpn={vpn}\",\"args\":{{\"req\":{},\
-                     \"queueing_ns\":{},\"transfer_ns\":{},\"service_ns\":{},\
-                     \"replay_ns\":{},\"other_ns\":{},\"dominant\":\"{}\"}}}}",
-                    span_tid(r),
-                    ts_us(r.begin),
-                    ts_us(r.total()),
-                    r.kind.label(),
-                    r.id,
-                    b.queueing,
-                    b.transfer,
-                    b.service,
-                    b.replay,
-                    b.other,
-                    b.dominant(),
-                ),
-            );
-            // Verb sub-spans, drawn on the serving memnode's lane.
-            for v in &r.verbs {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\
-                         \"dur\":{},\"name\":\"rdma {} ({})\",\
-                         \"args\":{{\"req\":{}}}}}",
-                        TID_NODE_BASE + u32::from(v.node),
-                        ts_us(v.issued),
-                        ts_us(v.done.saturating_sub(v.issued)),
-                        if v.write { "write" } else { "read" },
-                        v.class.label(),
-                        r.id,
-                    ),
-                );
+/// [...]}`), streamed — the serving timeline runs to tens of megabytes.
+/// Every value derives from the virtual clock and the request register, so
+/// the output is byte-identical across runs.
+pub fn chrome_trace_json<W: io::Write>(w: &mut JsonWriter<W>, tracks: &[(String, &CausalTracer)]) {
+    w.object(Broken, |w| {
+        w.key("displayTimeUnit").string("ns");
+        w.key("traceEvents").array(Broken, |w| {
+            for (pid, (label, tracer)) in (1..).zip(tracks) {
+                track_events(w, pid, label, tracer);
             }
-        }
-        for (begin, end, freed) in &episodes {
-            push_event(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{TID_RECLAIM},\"ts\":{},\"dur\":{},\
-                     \"name\":\"reclaim\",\"args\":{{\"freed\":{freed}}}}}",
-                    ts_us(*begin),
-                    ts_us(end.saturating_sub(*begin)),
-                ),
-            );
+        });
+    });
+}
+
+/// One track's records: its process and thread names, then its slices.
+fn track_events<W: io::Write>(w: &mut JsonWriter<W>, pid: u64, label: &str, tracer: &CausalTracer) {
+    let reqs = tracer.requests();
+    let episodes = tracer.reclaim_episodes();
+    // Thread metadata for every lane this track actually uses, in
+    // ascending tid order.
+    let mut tids: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
+    for r in &reqs {
+        tids.insert(span_tid(r));
+        tids.extend(r.verbs.iter().map(|v| TID_NODE_BASE + u32::from(v.node)));
+    }
+    if !episodes.is_empty() {
+        tids.insert(TID_RECLAIM);
+    }
+    name_record(w, pid, 0, "process_name", label);
+    for tid in tids {
+        name_record(w, pid, tid, "thread_name", &tid_name(tid));
+    }
+    // One complete ("X") slice per request, plus verb slices on the
+    // owning memnode lane.
+    for r in &reqs {
+        let b = critical_path(r);
+        event(w, "X", pid, span_tid(r), |w| {
+            slice_span(w, r.begin, r.total());
+            let kind = r.kind.label();
+            if r.vpn == u64::MAX {
+                w.key("name").string(format_args!("{kind} vpn=-"));
+            } else {
+                w.key("name")
+                    .string(format_args!("{kind} vpn={:#x}", r.vpn));
+            }
+            w.key("args").object(Inline, |w| {
+                w.key("req").uint(r.id);
+                breakdown_fields(w, &b);
+            });
+        });
+        // Verb sub-spans, drawn on the serving memnode's lane.
+        for v in &r.verbs {
+            event(w, "X", pid, TID_NODE_BASE + u32::from(v.node), |w| {
+                slice_span(w, v.issued, v.done.saturating_sub(v.issued));
+                let rw = if v.write { "write" } else { "read" };
+                w.key("name")
+                    .string(format_args!("rdma {rw} ({})", v.class.label()));
+                w.key("args").object(Inline, |w| {
+                    w.key("req").uint(r.id);
+                });
+            });
         }
     }
-    out.push_str("\n  ]\n}\n");
-    out
+    for (begin, end, freed) in episodes {
+        event(w, "X", pid, TID_RECLAIM, |w| {
+            slice_span(w, begin, end.saturating_sub(begin));
+            w.key("name").string("reclaim");
+            w.key("args").object(Inline, |w| {
+                w.key("freed").uint(freed);
+            });
+        });
+    }
+}
+
+/// The critical-path components and the dominant one, as object members
+/// (shared by the timeline slices and the tail exemplars).
+fn breakdown_fields<W: io::Write>(w: &mut JsonWriter<W>, b: &dilos_sim::PhaseBreakdown) {
+    w.key("queueing_ns").uint(b.queueing);
+    w.key("transfer_ns").uint(b.transfer);
+    w.key("service_ns").uint(b.service);
+    w.key("replay_ns").uint(b.replay);
+    w.key("other_ns").uint(b.other);
+    w.key("dominant").string(b.dominant());
 }
 
 /// One tail exemplar: a worst-case demand fault and where its time went.
@@ -294,46 +299,32 @@ pub fn tail_md(exemplars: &[TailExemplar]) -> String {
 }
 
 /// Renders `tail.json`: the same exemplars, machine-readable.
-pub fn tail_json(exemplars: &[TailExemplar]) -> String {
-    let mut out = String::from("{\n  \"exemplars\": [\n");
-    for (i, e) in exemplars.iter().enumerate() {
-        let r = &e.request;
-        let b = &e.breakdown;
-        let mut events = String::new();
-        for (j, (t, ev)) in r.events.iter().enumerate() {
-            let _ = write!(
-                events,
-                "{}\n        {{\"t_ns\": {t}, \"event\": \"{ev:?}\"}}",
-                if j > 0 { "," } else { "" }
-            );
-        }
-        let _ = write!(
-            out,
-            "    {{\n      \"track\": \"{}\",\n      \"req\": {},\n      \
-             \"kind\": \"{}\",\n      \"core\": {},\n      \"vpn\": {},\n      \
-             \"begin_ns\": {},\n      \"total_ns\": {},\n      \
-             \"queueing_ns\": {},\n      \"transfer_ns\": {},\n      \
-             \"service_ns\": {},\n      \"replay_ns\": {},\n      \
-             \"other_ns\": {},\n      \"dominant\": \"{}\",\n      \
-             \"events\": [{events}\n      ]\n    }}{}\n",
-            e.track,
-            r.id,
-            r.kind.label(),
-            r.core,
-            r.vpn,
-            r.begin,
-            b.total,
-            b.queueing,
-            b.transfer,
-            b.service,
-            b.replay,
-            b.other,
-            b.dominant(),
-            if i + 1 < exemplars.len() { "," } else { "" },
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn tail_json<W: io::Write>(w: &mut JsonWriter<W>, exemplars: &[TailExemplar]) {
+    w.object(Broken, |w| {
+        w.key("exemplars").array(Broken, |w| {
+            for e in exemplars {
+                let r = &e.request;
+                w.object(Broken, |w| {
+                    w.key("track").string(&e.track);
+                    w.key("req").uint(r.id);
+                    w.key("kind").string(r.kind.label());
+                    w.key("core").uint(r.core);
+                    w.key("vpn").uint(r.vpn);
+                    w.key("begin_ns").uint(r.begin);
+                    w.key("total_ns").uint(e.breakdown.total);
+                    breakdown_fields(w, &e.breakdown);
+                    w.key("events").array(Broken, |w| {
+                        for (t, ev) in &r.events {
+                            w.object(Inline, |w| {
+                                w.key("t_ns").uint(*t);
+                                w.key("event").string(format_args!("{ev:?}"));
+                            });
+                        }
+                    });
+                });
+            }
+        });
+    });
 }
 
 /// A track's label beside its tracer, the shape the renderers take.
@@ -354,22 +345,22 @@ pub fn write_timeline_artifacts(
     out_dir: &str,
 ) -> std::io::Result<Report> {
     let micro_tracks = tracers(micro);
-    std::fs::write(
-        format!("{out_dir}/timeline.json"),
-        chrome_trace_json(&micro_tracks),
-    )?;
+    json::write_file(&format!("{out_dir}/timeline.json"), |w| {
+        chrome_trace_json(w, &micro_tracks)
+    })?;
     // The serving cluster, contended, with and without QoS: the per-tenant
     // tracks cross-check the serve table's lanes.
     let serve_tracks = tracers(serve);
-    std::fs::write(
-        format!("{out_dir}/serve_timeline.json"),
-        chrome_trace_json(&serve_tracks),
-    )?;
+    json::write_file(&format!("{out_dir}/serve_timeline.json"), |w| {
+        chrome_trace_json(w, &serve_tracks)
+    })?;
     let mut all_tracks = micro_tracks;
     all_tracks.extend(serve_tracks);
     let exemplars = tail_exemplars(&all_tracks, TAIL_K);
     std::fs::write(format!("{out_dir}/tail.md"), tail_md(&exemplars))?;
-    std::fs::write(format!("{out_dir}/tail.json"), tail_json(&exemplars))?;
+    json::write_file(&format!("{out_dir}/tail.json"), |w| {
+        tail_json(w, &exemplars)
+    })?;
 
     let mut report = Report::new(
         "Timeline — causal span trees (tab01 systems + serving cluster)",
@@ -437,13 +428,13 @@ mod tests {
 
     #[test]
     fn chrome_export_is_byte_stable_and_well_formed() {
-        let mk = || chrome_trace_json(&tracers(&armed()));
+        let mk = || json::document(|w| chrome_trace_json(w, &tracers(&armed())));
         let a = mk();
         assert_eq!(a, mk(), "timeline must be byte-stable");
         assert!(a.starts_with("{\n"));
         assert!(a.contains("\"traceEvents\""));
         assert!(a.contains("\"process_name\""));
-        assert!(a.contains("\"ph\":\"X\""));
+        assert!(a.contains("\"ph\": \"X\""));
         assert!(a.contains("major-fault"));
         assert!(a.contains("rdma read (fault)"));
     }
@@ -473,8 +464,7 @@ mod tests {
         let md = tail_md(&exemplars);
         assert!(md.contains("| req | kind |"));
         assert!(md.contains("FaultBegin"));
-        let json = tail_json(&exemplars);
-        assert_eq!(json, tail_json(&exemplars));
+        let json = json::document(|w| tail_json(w, &exemplars));
         assert!(json.contains("\"dominant\""));
     }
 }

@@ -183,8 +183,9 @@ impl Report {
     }
 }
 
-/// Appends `v` to `out` as a JSON string literal.
-fn json_str(out: &mut String, v: &str) {
+/// Appends `v` to `out` as a JSON string literal: the one escaper behind
+/// both `--json` and SARIF.
+pub(crate) fn json_str(out: &mut String, v: &str) {
     out.push('"');
     for c in v.chars() {
         match c {

@@ -6,7 +6,7 @@
 //! when the finding has one (R6/R7). The report is sorted before
 //! rendering, so two scans of the same tree emit byte-identical SARIF.
 
-use crate::report::Report;
+use crate::report::{json_str, Report};
 use crate::rules::RULES;
 
 /// Short description per rule, indexed like [`RULES`].
@@ -98,24 +98,6 @@ fn push_flow_location(s: &mut String, label: &str, file: &str, line: u32) {
     s.push_str("}, \"physicalLocation\": {\"artifactLocation\": {\"uri\": ");
     json_str(s, file);
     s.push_str(&format!("}}, \"region\": {{\"startLine\": {line}}}}}}}"));
-}
-
-/// Appends `v` as a JSON string literal (same escaping as the report
-/// writer).
-fn json_str(out: &mut String, v: &str) {
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

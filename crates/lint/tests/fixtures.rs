@@ -50,8 +50,8 @@ fn r1_wall_clock() {
     assert_violations(&r, file, &[("R1", "no-wall-clock", 2)]);
     // The same source is legitimate where host time is allowed.
     clean(
-        &lint_source("crates/bench/src/bin/lint_bench.rs", src),
-        "crates/bench/src/bin/lint_bench.rs",
+        &lint_source("crates/bench/src/bin/repro.rs", src),
+        "crates/bench/src/bin/repro.rs",
     );
     let file = "crates/sim/src/fabric.rs";
     clean(

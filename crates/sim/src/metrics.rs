@@ -30,14 +30,12 @@
 //! emits trace events, never schedules calendar work, and never feeds back
 //! into simulation decisions, so trace digests are byte-stable under it.
 //!
-//! All JSON emitted here is hand-rolled (the workspace deliberately has no
-//! serialization dependency) and byte-stable: map iteration order is the
-//! `BTreeMap` key order. Metric names are `&'static str` ASCII identifiers,
-//! so no string escaping is needed.
+//! Nothing here renders: both handles hand out what they hold as plain
+//! data — names and values in `BTreeMap` key order (index order for the
+//! counters), empty when disabled — and `dilos-bench` writes the artefacts.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::causal::OpenSpans;
@@ -70,6 +68,18 @@ pub fn phase_label(phase: FaultPhase) -> &'static str {
         FaultPhase::Map => "map",
         FaultPhase::Reclaim => "reclaim",
     }
+}
+
+/// What `read` sees in a handle's store — `T::default()` for a dark handle.
+fn read<C, T: Default>(inner: &Option<Rc<RefCell<C>>>, read: impl FnOnce(&C) -> T) -> T {
+    inner
+        .as_ref()
+        .map_or_else(T::default, |c| read(&c.borrow()))
+}
+
+/// Every `(name, value)` of a map, cloned out in key order.
+fn entries<K: Clone, V: Clone>(map: &BTreeMap<K, V>) -> Vec<(K, V)> {
+    map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
 }
 
 #[derive(Debug)]
@@ -140,16 +150,14 @@ impl MetricsRegistry {
         core.borrow_mut().gauges.insert(name, value);
     }
 
-    /// The latest value of gauge `name`, if it was ever set.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .and_then(|core| core.borrow().gauges.get(name).copied())
+    /// The latest value of every gauge, in name order.
+    pub fn gauges(&self) -> Vec<(&'static str, u64)> {
+        read(&self.inner, |c| entries(&c.gauges))
     }
 
     /// Number of samples taken so far.
     pub fn samples(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |core| core.borrow().samples)
+        read(&self.inner, |c| c.samples)
     }
 
     /// The next sample time `k · interval` at or before `now`, advancing the
@@ -192,54 +200,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// The sampled series for gauge `name` (empty if never sampled).
-    pub fn series(&self, name: &str) -> Vec<(Ns, u64)> {
-        self.inner.as_ref().map_or_else(Vec::new, |core| {
-            core.borrow().series.get(name).cloned().unwrap_or_default()
-        })
-    }
-
-    /// Latest gauge values as a byte-stable JSON object:
-    /// `{"name": value, …}`. Disabled registries emit `{}`.
-    pub fn gauges_json(&self) -> String {
-        let Some(core) = &self.inner else {
-            return "{}".to_string();
-        };
-        let c = core.borrow();
-        let mut out = String::from("{");
-        for (i, (name, value)) in c.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": {value}");
-        }
-        out.push('}');
-        out
-    }
-
-    /// Sampled time series as a byte-stable JSON object:
-    /// `{"name": [[t_ns, value], …], …}`. Disabled registries emit `{}`.
-    pub fn series_json(&self) -> String {
-        let Some(core) = &self.inner else {
-            return "{}".to_string();
-        };
-        let c = core.borrow();
-        let mut out = String::from("{");
-        for (i, (name, points)) in c.series.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": [");
-            for (j, (t, v)) in points.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "[{t}, {v}]");
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
+    /// Every sampled series, in name order: `(virtual time, value)` points.
+    pub fn series(&self) -> Vec<(&'static str, Vec<(Ns, u64)>)> {
+        read(&self.inner, |c| entries(&c.series))
     }
 }
 
@@ -442,152 +405,53 @@ impl SpanProfiler {
     /// Completed fault spans of `kind` (`"major"`, `"minor"`,
     /// `"zero_fill"`).
     pub fn fault_count(&self, kind: &str) -> u64 {
-        self.inner.as_ref().map_or(0, |core| {
-            core.borrow()
-                .hist
-                .get(kind)
-                .map_or(0, LatencyHistogram::count)
+        read(&self.inner, |c| {
+            c.hist.get(kind).map_or(0, LatencyHistogram::count)
         })
     }
 
     /// Total virtual ns attributed to `phase` (`"exception"`, `"check"`,
     /// `"alloc"`, `"fetch"`, `"map"`, `"reclaim"`) across all spans.
     pub fn phase_sum(&self, phase: &str) -> Ns {
-        self.inner.as_ref().map_or(0, |core| {
-            let sum = core.borrow().phase_hist.get(phase).map_or(0, |h| h.sum());
+        read(&self.inner, |c| {
+            let sum = c.phase_hist.get(phase).map_or(0, |h| h.sum());
             Ns::try_from(sum).unwrap_or(Ns::MAX)
         })
     }
 
-    /// The end-to-end latency histogram for fault `kind`, if any span of
-    /// that kind completed.
-    pub fn histogram(&self, kind: &str) -> Option<LatencyHistogram> {
-        self.inner
-            .as_ref()
-            .and_then(|core| core.borrow().hist.get(kind).cloned())
-    }
-
     /// Sum of counter `name` across all lanes (zero if no event fed it).
     pub fn counter_total(&self, name: &str) -> u64 {
-        let (Some(core), Some(i)) = (&self.inner, COUNTER_NAMES.iter().position(|n| *n == name))
-        else {
-            return 0;
-        };
-        core.borrow().counters[i].iter().sum()
+        let lanes = COUNTER_NAMES.iter().position(|n| *n == name);
+        read(&self.inner, |c| {
+            lanes.map_or(0, |i| c.counters[i].iter().sum())
+        })
     }
 
-    /// Counters as a byte-stable JSON object: `{"name": [lane0, …], …}`.
-    /// Disabled profilers emit `{}`.
-    pub fn counters_json(&self) -> String {
-        let Some(core) = &self.inner else {
-            return "{}".to_string();
-        };
-        let c = core.borrow();
-        let mut out = String::from("{");
-        let seen = COUNTER_NAMES
-            .iter()
-            .zip(&c.counters)
-            .filter(|(_, lanes)| !lanes.is_empty());
-        for (i, (name, lanes)) in seen.enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": [");
-            for (j, v) in lanes.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
+    /// Every counter an event has fed, in name order, with its lanes.
+    pub fn counters(&self) -> Vec<(&'static str, Vec<u64>)> {
+        read(&self.inner, |c| {
+            let seen = COUNTER_NAMES.iter().zip(&c.counters);
+            seen.filter(|(_, lanes)| !lanes.is_empty())
+                .map(|(&name, lanes)| (name, lanes.clone()))
+                .collect()
+        })
     }
 
-    /// The folded-stack output, one `stack value` line per stack in
-    /// byte-stable (sorted) order — the format flamegraph.pl and inferno
-    /// consume directly. Disabled profilers emit the empty string.
-    pub fn folded(&self) -> String {
-        let Some(core) = &self.inner else {
-            return String::new();
-        };
-        let c = core.borrow();
-        let mut out = String::new();
-        for (stack, value) in &c.folded {
-            let _ = writeln!(out, "{stack} {value}");
-        }
-        out
+    /// The folded stacks and their accumulated virtual ns, in stack order.
+    pub fn folded(&self) -> Vec<(String, u128)> {
+        read(&self.inner, |c| entries(&c.folded))
     }
 
-    /// Fault-latency histograms as a byte-stable JSON object keyed by fault
-    /// kind. Each entry carries summary statistics plus the occupied bucket
-    /// boundaries (`[low_ns, high_ns, count]`, bounds inclusive) so
-    /// consumers can re-plot the distribution without the binary. Disabled
-    /// profilers emit `{}`.
-    pub fn histograms_json(&self) -> String {
-        let Some(core) = &self.inner else {
-            return "{}".to_string();
-        };
-        let c = core.borrow();
-        let mut out = String::from("{");
-        for (i, (kind, h)) in c.hist.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "\"{kind}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"min\": {}, \
-                 \"max\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \"buckets\": [",
-                h.count(),
-                h.sum(),
-                h.mean(),
-                h.min(),
-                h.max(),
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.quantile(0.999),
-            );
-            for (j, (lo, hi, n)) in h.nonzero_buckets().iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "[{lo}, {hi}, {n}]");
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
-        out
+    /// End-to-end fault-latency histograms, in fault-kind order.
+    pub fn histograms(&self) -> Vec<(&'static str, LatencyHistogram)> {
+        read(&self.inner, |c| entries(&c.hist))
     }
 
-    /// Per-phase latency quantiles as a byte-stable JSON object keyed by
-    /// phase label: count plus p50/p90/p99/p999 of the per-span phase
-    /// durations. Complements [`SpanProfiler::phase_sum`] (aggregate) with
-    /// tail shape — the question the causal tail report asks in bulk.
-    /// Disabled profilers emit `{}`.
-    pub fn phase_quantiles_json(&self) -> String {
-        let Some(core) = &self.inner else {
-            return "{}".to_string();
-        };
-        let c = core.borrow();
-        let mut out = String::from("{");
-        for (i, (phase, h)) in c.phase_hist.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "\"{phase}\": {{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-                 \"p999\": {}}}",
-                h.count(),
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-                h.quantile(0.999),
-            );
-        }
-        out.push('}');
-        out
+    /// Per-phase duration histograms (one sample per `FaultPhase` event),
+    /// in phase order: [`SpanProfiler::phase_sum`] is each one's `sum()`,
+    /// the buckets carry the tail shape.
+    pub fn phase_histograms(&self) -> Vec<(&'static str, LatencyHistogram)> {
+        read(&self.inner, |c| entries(&c.phase_hist))
     }
 }
 
@@ -602,11 +466,10 @@ mod tests {
         m.set_gauge("free", 7);
         m.record_sample(100);
         assert!(!m.is_enabled());
-        assert_eq!(m.gauge("free"), None);
         assert_eq!(m.samples(), 0);
         assert_eq!(m.next_sample_due(u64::MAX), None);
-        assert_eq!(m.gauges_json(), "{}");
-        assert_eq!(m.series_json(), "{}");
+        assert!(m.gauges().is_empty());
+        assert!(m.series().is_empty());
     }
 
     #[test]
@@ -630,25 +493,19 @@ mod tests {
         assert_eq!(m.next_sample_due(4 * I), None);
         assert_eq!(m.next_sample_due(10 * I), Some(5 * I));
         assert_eq!(MetricsRegistry::disabled().next_sample_due(10 * I), None);
-        assert_eq!(m.series("free"), vec![(I, 10), (2 * I, 10), (3 * I, 10)]);
         assert_eq!(
-            m.series_json(),
-            format!(
-                "{{\"free\": [[{I}, 10], [{}, 10], [{}, 10]]}}",
-                2 * I,
-                3 * I
-            )
+            m.series(),
+            vec![("free", vec![(I, 10), (2 * I, 10), (3 * I, 10)])]
         );
     }
 
     #[test]
-    fn gauges_json_tracks_latest_values() {
+    fn gauges_track_latest_values_in_name_order() {
         let m = MetricsRegistry::recording();
         m.set_gauge("lru", 3);
         m.set_gauge("free", 12);
         m.set_gauge("lru", 4);
-        assert_eq!(m.gauge("lru"), Some(4));
-        assert_eq!(m.gauges_json(), "{\"free\": 12, \"lru\": 4}");
+        assert_eq!(m.gauges(), vec![("free", 12), ("lru", 4)]);
     }
 
     #[test]
@@ -656,7 +513,7 @@ mod tests {
         let m = MetricsRegistry::recording();
         let m2 = m.clone();
         m.set_gauge("free", 3);
-        assert_eq!(m2.gauge("free"), Some(3));
+        assert_eq!(m2.gauges(), vec![("free", 3)]);
     }
 
     #[test]
@@ -704,17 +561,24 @@ mod tests {
         sink.emit(40, TraceEvent::LruInsert { vpn: 1 });
         sink.emit(40, TraceEvent::LruInsert { vpn: 2 });
         sink.emit(50, TraceEvent::LruRemove { vpn: 1 });
-        assert!(COUNTER_NAMES.windows(2).all(|w| w[0] < w[1]), "JSON order");
+        assert!(COUNTER_NAMES.windows(2).all(|w| w[0] < w[1]), "name order");
         assert_eq!(p.counter_total("rdma_reads"), 2);
         assert_eq!(p.counter_total("fabric_tx_bytes"), 128);
         assert_eq!(p.counter_total("absent"), 0);
         assert_eq!(
-            p.counters_json(),
-            "{\"fabric_rx_bytes\": [4096], \"fabric_tx_bytes\": [0, 0, 0, 128], \
-             \"lru_inserts\": [2], \"lru_removes\": [1], \
-             \"memnode_read_bytes\": [64], \"memnode_reads\": [1], \
-             \"memnode_write_bytes\": [128], \"memnode_writes\": [1], \
-             \"rdma_reads\": [1, 0, 1], \"rdma_writes\": [0, 0, 1]}"
+            p.counters(),
+            vec![
+                ("fabric_rx_bytes", vec![4096]),
+                ("fabric_tx_bytes", vec![0, 0, 0, 128]),
+                ("lru_inserts", vec![2]),
+                ("lru_removes", vec![1]),
+                ("memnode_read_bytes", vec![64]),
+                ("memnode_reads", vec![1]),
+                ("memnode_write_bytes", vec![128]),
+                ("memnode_writes", vec![1]),
+                ("rdma_reads", vec![1, 0, 1]),
+                ("rdma_writes", vec![0, 0, 1]),
+            ]
         );
     }
 
@@ -751,19 +615,23 @@ mod tests {
         assert_eq!(p.fault_count("major"), 1);
         assert_eq!(p.phase_sum("exception"), 500);
         assert_eq!(p.phase_sum("fetch"), 1_200);
-        let folded = p.folded();
-        assert!(folded.contains("core1;fault:major;exception 500\n"));
-        assert!(folded.contains("core1;fault:major;fetch 1200\n"));
         // Total span = 2000, phases charged 1700 → 300 ns residual.
-        assert!(folded.contains("core1;fault:major 300\n"));
-        let h = p.histogram("major").expect("major histogram");
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean(), 2_000);
+        assert_eq!(
+            p.folded(),
+            vec![
+                ("core1;fault:major".to_string(), 300),
+                ("core1;fault:major;exception".to_string(), 500),
+                ("core1;fault:major;fetch".to_string(), 1_200),
+            ]
+        );
+        let hists = p.histograms();
+        assert_eq!(hists.len(), 1);
+        assert_eq!((hists[0].0, hists[0].1.mean()), ("major", 2_000));
     }
 
     #[test]
-    fn phase_quantiles_json_carries_tail_shape() {
-        assert_eq!(SpanProfiler::disabled().phase_quantiles_json(), "{}");
+    fn phase_histograms_carry_tail_shape() {
+        assert!(SpanProfiler::disabled().phase_histograms().is_empty());
         let p = SpanProfiler::recording();
         let sink = TraceSink::recording();
         p.attach_to(&sink);
@@ -793,11 +661,16 @@ mod tests {
                 },
             );
         }
-        let json = p.phase_quantiles_json();
-        assert!(json.starts_with("{\"fetch\": {\"count\": 3, \"p50\": "));
-        assert!(json.contains("\"p90\": "));
-        assert!(json.contains("\"p999\": "));
-        assert_eq!(json, p.phase_quantiles_json(), "byte-stable");
+        let phases = p.phase_histograms();
+        assert_eq!(phases.len(), 1);
+        let (phase, h) = &phases[0];
+        assert_eq!((*phase, h.count(), h.sum()), ("fetch", 3, 1_100));
+        // Two of three samples are 100 ns: the median sits there, the tail
+        // quantiles on the 900 ns outlier.
+        assert!(h.quantile(0.50) < 200, "p50 {}", h.quantile(0.50));
+        for q in [0.90, 0.99, 0.999] {
+            assert!(h.quantile(q) >= 800, "q{q}: {}", h.quantile(q));
+        }
         assert_eq!(p.phase_sum("fetch"), 1_100);
     }
 
@@ -831,7 +704,10 @@ mod tests {
             );
         }
         // FIFO: (400-100) + (900-150) = 1050.
-        assert!(p.folded().contains("core2;rdma:fault:read 1050\n"));
+        assert_eq!(
+            p.folded(),
+            vec![("core2;rdma:fault:read".to_string(), 1_050)]
+        );
     }
 
     #[test]
@@ -843,7 +719,7 @@ mod tests {
         sink.emit(60, TraceEvent::ReclaimEnd { freed: 4 });
         sink.emit(100, TraceEvent::ReclaimBegin { free: 6 });
         sink.emit(130, TraceEvent::ReclaimEnd { freed: 1 });
-        assert_eq!(p.folded(), "bg;reclaim 80\n");
+        assert_eq!(p.folded(), vec![("bg;reclaim".to_string(), 80)]);
     }
 
     #[test]
@@ -861,41 +737,45 @@ mod tests {
         );
         sink.emit(9, TraceEvent::FaultEnd { core: 0, vpn: 1 });
         assert!(!p.is_enabled());
-        assert_eq!(p.folded(), "");
-        assert_eq!(p.histograms_json(), "{}");
-        assert_eq!(p.counters_json(), "{}");
+        assert!(p.folded().is_empty());
+        assert!(p.histograms().is_empty());
+        assert!(p.counters().is_empty());
         assert_eq!(p.fault_count("minor"), 0);
     }
 
     #[test]
-    fn histograms_json_is_byte_stable_and_carries_buckets() {
-        let run = || {
-            let p = SpanProfiler::recording();
-            let sink = TraceSink::recording();
-            p.attach_to(&sink);
-            for (i, dur) in [2_000u64, 3_000, 2_500].iter().enumerate() {
-                let t0 = i as Ns * 10_000;
-                sink.emit(
-                    t0,
-                    TraceEvent::FaultBegin {
-                        core: 0,
-                        vpn: i as u64,
-                        kind: FaultKind::Major,
-                    },
-                );
-                sink.emit(
-                    t0 + dur,
-                    TraceEvent::FaultEnd {
-                        core: 0,
-                        vpn: i as u64,
-                    },
-                );
-            }
-            p.histograms_json()
-        };
-        let a = run();
-        assert_eq!(a, run(), "histogram JSON must be byte-stable");
-        assert!(a.contains("\"major\": {\"count\": 3"));
-        assert!(a.contains("\"buckets\": [["));
+    fn histograms_carry_summary_and_buckets() {
+        let p = SpanProfiler::recording();
+        let sink = TraceSink::recording();
+        p.attach_to(&sink);
+        for (i, dur) in [2_000u64, 3_000, 2_500].iter().enumerate() {
+            let t0 = i as Ns * 10_000;
+            sink.emit(
+                t0,
+                TraceEvent::FaultBegin {
+                    core: 0,
+                    vpn: i as u64,
+                    kind: FaultKind::Major,
+                },
+            );
+            sink.emit(
+                t0 + dur,
+                TraceEvent::FaultEnd {
+                    core: 0,
+                    vpn: i as u64,
+                },
+            );
+        }
+        let hists = p.histograms();
+        assert_eq!(hists.len(), 1);
+        let (kind, h) = &hists[0];
+        assert_eq!(*kind, "major");
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max()),
+            (3, 7_500, 2_000, 3_000)
+        );
+        let buckets = h.nonzero_buckets();
+        assert_eq!(buckets.iter().map(|b| b.2).sum::<u64>(), 3);
+        assert!(buckets.iter().all(|(lo, hi, _)| lo <= hi));
     }
 }

@@ -18,14 +18,30 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use common::json::Json;
 use common::{drive, WS_PAGES};
 use dilos::apps::farmem::{SystemKind, SystemSpec};
 use dilos::apps::seqrw::SeqWorkload;
 use dilos::sim::trace::{FaultKind, FaultPhase, PteClass, TraceEvent, TraceObserver};
 use dilos::sim::{Observability, ServiceClass};
+use dilos_bench::json;
 use dilos_bench::micro::{tab01_tab03_fault_counts, MicroScale};
+use dilos_bench::recover::{recover_crash_sweep, RecoverScale};
 use dilos_bench::serve::{serve_qos, ServeScale};
+use dilos_bench::table::{bench_json, Report};
+use dilos_bench::telemetry::write_artifacts;
 use dilos_bench::timeline::{chrome_trace_json, write_timeline_artifacts};
+
+/// Test-scale runs: big enough to fault, evict and fill every lane.
+const TINY: MicroScale = MicroScale {
+    pages: 256,
+    ratio: 25,
+};
+const TINY_SERVE: ServeScale = ServeScale {
+    victim_requests: 60,
+    victim_mean_ns: 50_000,
+    noisy_requests: 30,
+};
 
 /// The tracks of one tab01 run with everything armed, as `repro --metrics
 /// --timeline` makes it: `(id, settled bundle)` per system.
@@ -34,6 +50,14 @@ fn tab01_tracks(scale: MicroScale) -> Vec<(String, Observability)> {
     let (_, runs) = tab01_tab03_fault_counts(scale, arm);
     runs.into_iter()
         .map(|(id, _, obs)| (id.to_string(), obs))
+        .collect()
+}
+
+/// Each track's label beside its tracer, the shape the renderers take.
+fn tracers(tracks: &[(String, Observability)]) -> Vec<(String, &dilos::sim::CausalTracer)> {
+    tracks
+        .iter()
+        .map(|(label, obs)| (label.clone(), obs.causal()))
         .collect()
 }
 
@@ -231,210 +255,13 @@ fn tab01_digests_pinned_with_timeline_armed() {
     );
 }
 
-// --- a minimal JSON parser, enough to validate the trace-event schema ---
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            s: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.ws();
-        if self.s.get(self.i) == Some(&b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.i,
-                self.s.get(self.i).map(|&c| c as char)
-            ))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn literal(&mut self, lit: &str, val: Json) -> Result<Json, String> {
-        if self.s[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(val)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        while let Some(&b) = self.s.get(self.i) {
-            self.i += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.s.get(self.i).ok_or("dangling escape")?;
-                    self.i += 1;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'u' => {
-                            let hex = self.s.get(self.i..self.i + 4).ok_or("short \\u")?;
-                            self.i += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            char::from_u32(code).ok_or("bad \\u code point")?
-                        }
-                        c => c as char,
-                    });
-                }
-                c => out.push(c as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while let Some(&b) = self.s.get(self.i) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => {
-                self.eat(b'{')?;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.eat(b'}')?;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    let key = self.string()?;
-                    self.eat(b':')?;
-                    fields.push((key, self.value()?));
-                    match self.peek() {
-                        Some(b',') => self.eat(b',')?,
-                        _ => break,
-                    }
-                }
-                self.eat(b'}')?;
-                Ok(Json::Obj(fields))
-            }
-            b'[' => {
-                self.eat(b'[')?;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.eat(b']')?;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.eat(b',')?,
-                        _ => break,
-                    }
-                }
-                self.eat(b']')?;
-                Ok(Json::Arr(items))
-            }
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn parse(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.ws();
-        if self.i == self.s.len() {
-            Ok(v)
-        } else {
-            Err(format!("trailing garbage at byte {}", self.i))
-        }
-    }
-}
-
-#[test]
-fn timeline_json_is_valid_chrome_trace_event_json() {
-    let tracks = tab01_tracks(MicroScale {
-        pages: 256,
-        ratio: 25,
-    });
-    let pairs: Vec<(String, &dilos::sim::CausalTracer)> = tracks
-        .iter()
-        .map(|(label, obs)| (label.clone(), obs.causal()))
-        .collect();
-    let json = chrome_trace_json(&pairs);
-    let doc = Parser::new(&json)
-        .parse()
-        .expect("timeline.json must parse");
-    let events = match doc.get("traceEvents") {
-        Some(Json::Arr(events)) => events,
-        other => panic!("traceEvents must be an array, got {other:?}"),
-    };
-    assert!(events.len() > 100, "suspiciously empty timeline");
+/// Asserts `doc` is Chrome trace-event JSON and returns how many metadata
+/// records and complete slices it holds.
+fn check_trace_events(doc: &Json) -> (u32, u32) {
+    assert_eq!(doc.keys(), ["displayTimeUnit", "traceEvents"]);
     let mut saw_meta = 0u32;
     let mut saw_complete = 0u32;
-    for ev in events {
+    for ev in doc["traceEvents"].items() {
         let ph = ev
             .get("ph")
             .and_then(Json::as_str)
@@ -468,21 +295,245 @@ fn timeline_json_is_valid_chrome_trace_event_json() {
             other => panic!("unexpected phase {other:?}"),
         }
     }
+    (saw_meta, saw_complete)
+}
+
+#[test]
+fn timeline_json_is_valid_chrome_trace_event_json() {
+    let tracks = tab01_tracks(TINY);
+    let json = json::document(|w| chrome_trace_json(w, &tracers(&tracks)));
+    let doc = Json::parse(&json).expect("timeline.json must parse");
+    let (saw_meta, saw_complete) = check_trace_events(&doc);
     assert!(saw_meta >= 8, "process/thread metadata missing");
     assert!(saw_complete > 100, "no spans exported");
 }
 
+/// A track label is data, not syntax: quotes, backslashes and control
+/// characters in it must come back out of a parse unchanged. (The
+/// `format!`-built timeline interpolated labels raw and broke here.)
+#[test]
+fn timeline_escapes_track_labels() {
+    let label = "a\"b\\c\n";
+    let tracks = tab01_tracks(TINY);
+    let hostile = [(label.to_string(), tracks[0].1.causal())];
+    let json = json::document(|w| chrome_trace_json(w, &hostile));
+    let doc = Json::parse(&json).expect("a hostile label must not break the document");
+    let first = &doc.get("traceEvents").expect("traceEvents").items()[0];
+    assert_eq!(
+        first.get("name").and_then(Json::as_str),
+        Some("process_name")
+    );
+    let name = first.get("args").and_then(|a| a.get("name"));
+    assert_eq!(name.and_then(Json::as_str), Some(label));
+    check_trace_events(&doc);
+}
+
+/// The names of an accessor's `(name, data)` pairs, in its order.
+fn names<T>(pairs: &[(&'static str, T)]) -> Vec<&'static str> {
+    pairs.iter().map(|(name, _)| *name).collect()
+}
+
+/// A `Report` object as `bench.json` / `serve.json` / `recover.json` carry
+/// it: parsed back, it is the report.
+fn check_report(doc: &Json, report: &Report) {
+    assert_eq!(doc.keys(), ["title", "headers", "rows", "notes", "digests"]);
+    let strings = |v: &Json| -> Vec<String> {
+        let items = v.items().iter();
+        items
+            .map(|s| s.as_str().expect("string cell").to_string())
+            .collect()
+    };
+    assert_eq!(
+        doc.get("title").and_then(Json::as_str),
+        Some(&*report.title)
+    );
+    assert_eq!(strings(&doc["headers"]), report.headers);
+    let rows: Vec<Vec<String>> = doc["rows"].items().iter().map(strings).collect();
+    assert_eq!(rows, report.rows);
+    assert_eq!(strings(&doc["notes"]), report.notes);
+    // Digests are 16-digit hex strings keyed by label, in recording order.
+    let digests: Vec<(String, String)> = doc["digests"]
+        .members()
+        .iter()
+        .map(|(label, hex)| (label.clone(), hex.as_str().expect("hex string").to_string()))
+        .collect();
+    let recorded: Vec<(String, String)> = report
+        .digests
+        .iter()
+        .map(|(label, d)| (label.clone(), format!("{d:#018x}")))
+        .collect();
+    assert_eq!(digests, recorded);
+}
+
+/// Every `.json` artefact `repro` can write, rendered from tiny runs the
+/// way `repro --metrics --timeline` renders them, must parse back and hold
+/// its schema: the same keys in the same order, the values the runs report.
+#[test]
+fn every_json_artifact_parses_back_to_its_schema() {
+    let dir = std::env::temp_dir().join(format!("dilos-artifacts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = dir.to_string_lossy().to_string();
+    let arm = || Observability::full().with_timeline();
+    let (tab01, runs) = tab01_tab03_fault_counts(TINY, arm);
+    let (serve, serve_tracks) = serve_qos(TINY_SERVE, Observability::with_timeline);
+    let recover = recover_crash_sweep(RecoverScale::default());
+    let micro_tracks: Vec<(String, Observability)> = runs
+        .iter()
+        .map(|(id, _, obs)| (id.to_string(), obs.clone()))
+        .collect();
+    write_artifacts(&runs, &out).expect("write telemetry");
+    write_timeline_artifacts(&micro_tracks, &serve_tracks, &out).expect("write timelines");
+    let reports = [("tab01", tab01), ("serve", serve), ("recover", recover)];
+    json::write_file(&format!("{out}/bench.json"), |w| bench_json(w, &reports))
+        .expect("bench.json");
+    for (id, report) in &reports[1..] {
+        std::fs::write(dir.join(format!("{id}.json")), report.to_json()).expect("per-id json");
+    }
+    let parse = |file: &str| {
+        let text = std::fs::read_to_string(dir.join(file)).expect("read artefact");
+        assert!(text.ends_with("}\n"), "{file}: no closing newline");
+        Json::parse(&text).unwrap_or_else(|e| panic!("{file} must parse: {e}"))
+    };
+
+    let bench = parse("bench.json");
+    assert_eq!(bench.keys(), ["tab01", "serve", "recover"]);
+    for (id, report) in &reports {
+        check_report(&bench[id], report);
+    }
+    check_report(&parse("serve.json"), &reports[1].1);
+    check_report(&parse("recover.json"), &reports[2].1);
+
+    let ids: Vec<&str> = runs.iter().map(|(id, ..)| *id).collect();
+    let metrics = parse("metrics.json");
+    let series = parse("timeseries.json");
+    assert_eq!(metrics.keys(), ids);
+    assert_eq!(series.keys(), ids);
+    for (id, kind, obs) in &runs {
+        let m = &metrics[id];
+        assert_eq!(
+            m.keys(),
+            [
+                "label",
+                "digest",
+                "major",
+                "minor",
+                "zero_fill",
+                "counters",
+                "gauges",
+                "histograms",
+                "phase_quantiles"
+            ]
+        );
+        assert_eq!(m["label"].as_str(), Some(kind.label()));
+        let digest = format!("{:#018x}", obs.trace().digest());
+        assert_eq!(m["digest"].as_str(), Some(&*digest), "{id}");
+        let p = obs.profiler();
+        assert_eq!(m["major"], Json::Num(p.fault_count("major") as f64));
+        assert_eq!(m["counters"].keys(), names(&p.counters()));
+        assert_eq!(m["histograms"].keys(), names(&p.histograms()));
+        assert_eq!(m["phase_quantiles"].keys(), names(&p.phase_histograms()));
+        for (_, h) in m["histograms"].members() {
+            let keys = [
+                "count", "sum", "mean", "min", "max", "p50", "p99", "p999", "buckets",
+            ];
+            assert_eq!(h.keys(), keys);
+            let in_buckets: f64 = h["buckets"]
+                .items()
+                .iter()
+                .map(|b| match b.items() {
+                    [Json::Num(_), Json::Num(_), Json::Num(n)] => *n,
+                    other => panic!("bucket must be [lo, hi, count]: {other:?}"),
+                })
+                .sum();
+            assert_eq!(
+                Json::Num(in_buckets),
+                h["count"],
+                "{id}: buckets lose samples"
+            );
+        }
+        let gauges = obs.metrics().gauges();
+        assert_eq!(m["gauges"].keys(), names(&gauges));
+        for (name, value) in gauges {
+            assert_eq!(m["gauges"][name], Json::Num(value as f64), "{id}: {name}");
+        }
+
+        let s = &series[id];
+        assert_eq!(s.keys(), ["interval_ns", "samples", "series"]);
+        assert_eq!(s["samples"], Json::Num(obs.metrics().samples() as f64));
+        let sampled = obs.metrics().series();
+        assert_eq!(s["series"].keys(), names(&sampled));
+        for (name, points) in sampled {
+            let parsed: Vec<(f64, f64)> = s["series"][name]
+                .items()
+                .iter()
+                .map(|p| match p.items() {
+                    [Json::Num(t), Json::Num(v)] => (*t, *v),
+                    other => panic!("point must be [t_ns, value]: {other:?}"),
+                })
+                .collect();
+            let held: Vec<(f64, f64)> = points.iter().map(|&(t, v)| (t as f64, v as f64)).collect();
+            assert_eq!(parsed, held, "{id}: {name}");
+        }
+    }
+
+    let (meta, slices) = check_trace_events(&parse("timeline.json"));
+    assert!(
+        meta >= 8 && slices > 100,
+        "timeline.json: {meta} / {slices}"
+    );
+    let (meta, slices) = check_trace_events(&parse("serve_timeline.json"));
+    assert!(
+        meta >= 8 && slices > 100,
+        "serve_timeline.json: {meta} / {slices}"
+    );
+
+    let tail = parse("tail.json");
+    assert_eq!(tail.keys(), ["exemplars"]);
+    let exemplars = tail["exemplars"].items();
+    assert!(!exemplars.is_empty(), "no tail exemplars");
+    for e in exemplars {
+        assert_eq!(
+            e.keys(),
+            [
+                "track",
+                "req",
+                "kind",
+                "core",
+                "vpn",
+                "begin_ns",
+                "total_ns",
+                "queueing_ns",
+                "transfer_ns",
+                "service_ns",
+                "replay_ns",
+                "other_ns",
+                "dominant",
+                "events"
+            ]
+        );
+        let part = |key: &str| match e[key] {
+            Json::Num(n) => n,
+            ref other => panic!("{key} must be a number: {other:?}"),
+        };
+        let parts = [
+            "queueing_ns",
+            "transfer_ns",
+            "service_ns",
+            "replay_ns",
+            "other_ns",
+        ];
+        assert_eq!(parts.map(part).iter().sum::<f64>(), part("total_ns"));
+        assert!(!e["events"].items().is_empty());
+        for ev in e["events"].items() {
+            assert_eq!(ev.keys(), ["t_ns", "event"]);
+            assert!(matches!(ev["t_ns"], Json::Num(_)) && ev["event"].as_str().is_some());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn timeline_artifacts_are_byte_identical_across_boots() {
-    let micro = MicroScale {
-        pages: 256,
-        ratio: 25,
-    };
-    let serve = ServeScale {
-        victim_requests: 60,
-        victim_mean_ns: 50_000,
-        noisy_requests: 30,
-    };
     let files = [
         "timeline.json",
         "serve_timeline.json",
@@ -492,8 +543,8 @@ fn timeline_artifacts_are_byte_identical_across_boots() {
     let run = |tag: &str| {
         let dir = std::env::temp_dir().join(format!("dilos-causal-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
-        let (_, serve_tracks) = serve_qos(serve, Observability::with_timeline);
-        write_timeline_artifacts(&tab01_tracks(micro), &serve_tracks, &dir.to_string_lossy())
+        let (_, serve_tracks) = serve_qos(TINY_SERVE, Observability::with_timeline);
+        write_timeline_artifacts(&tab01_tracks(TINY), &serve_tracks, &dir.to_string_lossy())
             .expect("write artifacts");
         let contents: Vec<String> = files
             .iter()

@@ -1,5 +1,7 @@
 //! Helpers shared by the tier-1 test binaries.
 
+pub mod json;
+
 use dilos::apps::farmem::FarMemory;
 use dilos::sim::SplitMix64;
 

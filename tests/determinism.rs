@@ -14,7 +14,9 @@ use common::{drive, WS_PAGES};
 use dilos::apps::farmem::{FarMemory, SystemKind, SystemSpec};
 use dilos::apps::seqrw::SeqWorkload;
 use dilos::core::{ClusterConfig, ServingCluster, TenantSpec};
-use dilos::sim::{Observability, SplitMix64, TraceEvent, TraceObserver, SAMPLE_INTERVAL_NS};
+use dilos::sim::{
+    LatencyHistogram, Observability, SplitMix64, TraceEvent, TraceObserver, SAMPLE_INTERVAL_NS,
+};
 use dilos_bench::loadgen::{self, Arrival, RequestKind, TenantLoad};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -229,8 +231,10 @@ fn metrics_leave_trace_digests_unchanged() {
     }
 }
 
-/// Same seed, two fresh metered boots: every telemetry artifact must come
-/// out byte-identical — counters, gauge series, and folded profiler stacks.
+/// Same seed, two fresh metered boots: everything the telemetry artifacts
+/// are rendered from must come out identical — counters, gauges, gauge
+/// series, folded profiler stacks, and both histogram families. (The
+/// writer's output is a function of this data alone.)
 #[test]
 fn telemetry_artifacts_are_byte_identical_across_boots() {
     let run = || {
@@ -241,12 +245,18 @@ fn telemetry_artifacts_are_byte_identical_across_boots() {
         mem.trace_digest();
         let m = mem.metrics();
         let p = mem.profiler();
+        let shape = |hists: Vec<(&'static str, LatencyHistogram)>| -> Vec<_> {
+            let each = hists.into_iter();
+            each.map(|(name, h)| (name, h.count(), h.sum(), h.nonzero_buckets()))
+                .collect()
+        };
         (
-            p.counters_json(),
-            m.gauges_json(),
-            m.series_json(),
+            p.counters(),
+            m.gauges(),
+            m.series(),
             p.folded(),
-            p.histograms_json(),
+            shape(p.histograms()),
+            shape(p.phase_histograms()),
         )
     };
     let a = run();
@@ -256,11 +266,13 @@ fn telemetry_artifacts_are_byte_identical_across_boots() {
     assert_eq!(a.2, b.2, "series diverged");
     assert_eq!(a.3, b.3, "folded stacks diverged");
     assert_eq!(a.4, b.4, "histograms diverged");
+    assert_eq!(a.5, b.5, "phase histograms diverged");
     assert!(!a.3.is_empty(), "metered run must produce profiler spans");
+    assert!(!a.0.is_empty() && !a.1.is_empty() && !a.2.is_empty() && !a.4.is_empty());
 }
 
 /// A system booted without `--metrics` carries disabled handles that record
-/// nothing and emit empty artifacts — the zero-cost-when-off contract.
+/// nothing and hand out no data — the zero-cost-when-off contract.
 #[test]
 fn disabled_telemetry_emits_nothing() {
     let spec = SystemSpec::for_working_set(SystemKind::DilosReadahead, WS_PAGES * 4096, 13);
@@ -271,11 +283,12 @@ fn disabled_telemetry_emits_nothing() {
     assert!(!m.is_enabled());
     assert!(!p.is_enabled());
     assert_eq!(m.samples(), 0);
-    assert_eq!(p.counters_json(), "{}");
-    assert_eq!(m.gauges_json(), "{}");
-    assert_eq!(m.series_json(), "{}");
-    assert_eq!(p.folded(), "");
-    assert_eq!(p.histograms_json(), "{}");
+    assert!(p.counters().is_empty());
+    assert!(m.gauges().is_empty());
+    assert!(m.series().is_empty());
+    assert!(p.folded().is_empty());
+    assert!(p.histograms().is_empty());
+    assert!(p.phase_histograms().is_empty());
 }
 
 #[test]
