@@ -14,7 +14,9 @@
 //! - [`Heap::live_segments`] coalesces the bitmap, in one pass, into at most
 //!   `max_segments` covering ranges held inline in a [`LiveVector`] — the
 //!   scatter/gather vectors guided paging (§4.4) posts instead of
-//!   whole-page transfers.
+//!   whole-page transfers. Each page caches the last vector it produced,
+//!   so the pass runs once per change to the page's bitmap, not once per
+//!   eviction.
 //!
 //! The allocator manages *virtual addresses* in a disaggregated heap; it
 //! never touches the bytes itself, so the same instance can serve a DiLOS

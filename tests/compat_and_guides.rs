@@ -7,9 +7,10 @@ use std::rc::Rc;
 
 use dilos::alloc::{Heap, PageLiveness};
 use dilos::core::{
-    Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, SymbolKind, SymbolPatcher,
+    Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Pte, SymbolKind, SymbolPatcher,
     SymbolTable, MAP_DDC,
 };
+use dilos::sim::Observability;
 
 #[test]
 fn loader_patches_an_unmodified_binary() {
@@ -141,6 +142,75 @@ fn paging_guide_and_allocator_compose_through_the_umbrella_crate() {
     }
     assert!(node.stats().guided_evictions > 0);
     assert!(node.stats().writeback_bytes_saved > 0);
+}
+
+/// Writes one word per page over `churn`'s 256 pages, four times the node's
+/// 64 local frames, so every page touched before has been evicted.
+fn churn_out(node: &mut Dilos, churn: u64, round: u64) {
+    for p in 0..256u64 {
+        node.write_u64(0, churn + p * 4096, p ^ round);
+    }
+}
+
+/// The heap's per-page liveness cache, end to end: a block handed out
+/// after a guided eviction must make the next eviction write it back. A
+/// vector left over from before the `malloc` names only the bottom half of
+/// the page, so the write-back would drop the block and the refault would
+/// read zeros.
+#[test]
+fn a_block_allocated_between_guided_evictions_keeps_its_bytes() {
+    let mut node = Dilos::new(DilosConfig {
+        local_pages: 64,
+        remote_bytes: 1 << 24,
+        obs: Observability::audited(),
+        ..DilosConfig::default()
+    });
+    let region = node.ddc_alloc(1 << 22);
+    let heap = Rc::new(RefCell::new(Heap::new(region, 1 << 22)));
+    node.set_paging_guide(Rc::new(RefCell::new(HeapPagingGuide::new(
+        Rc::clone(&heap),
+        3,
+    ))));
+    let churn = node.ddc_alloc(256 * 4096);
+
+    // Fill one 256 B-class page (16 blocks), free blocks 8..15 and write
+    // the eight survivors.
+    let blocks: Vec<u64> = (0..16)
+        .map(|_| heap.borrow_mut().malloc(256).expect("room"))
+        .collect();
+    let page = blocks[0];
+    assert!(blocks.iter().all(|&b| b & !4095 == page), "one page");
+    for &b in &blocks[8..] {
+        heap.borrow_mut().free(b).expect("live");
+    }
+    for (i, &b) in blocks[..8].iter().enumerate() {
+        node.write(0, b, &[i as u8 + 1; 256]);
+    }
+    churn_out(&mut node, churn, 1);
+    assert!(matches!(node.pte_of(page), Pte::Action { .. }));
+    assert_eq!(
+        heap.borrow().live_segments(page, 3),
+        PageLiveness::Partial([(0, 2048)].into()),
+        "the first eviction logged the bottom half"
+    );
+
+    // The freed top half hands out block 8 again; fill it and evict again.
+    let block8 = heap.borrow_mut().malloc(256).expect("room");
+    assert_eq!(block8, blocks[8]);
+    node.write(0, block8, &[0xAB; 256]);
+    churn_out(&mut node, churn, 2);
+    assert!(matches!(node.pte_of(page), Pte::Action { .. }));
+
+    let mut buf = [0u8; 256];
+    node.read(0, block8, &mut buf);
+    assert!(buf.iter().all(|&b| b == 0xAB), "block 8 lost its bytes");
+    for (i, &b) in blocks[..8].iter().enumerate() {
+        node.read(0, b, &mut buf);
+        assert!(buf.iter().all(|&v| v == i as u8 + 1), "survivor {i}");
+    }
+    assert!(node.stats().guided_evictions >= 2);
+    let report = node.audit_report();
+    assert!(report.is_empty(), "audit violations: {report:#?}");
 }
 
 #[test]
