@@ -226,8 +226,10 @@ impl Heap {
         else {
             unreachable!("selected page is a small page");
         };
-        // The page was selected (or just created) as non-full above.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "the page was selected (or just created) as non-full above"
+        )]
         let block = bitmap.first_free().expect("page was not full");
         bitmap.set(block);
         cached.set(None);

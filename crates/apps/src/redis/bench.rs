@@ -152,7 +152,7 @@ impl RedisBench {
         deleted: &[usize],
         queries: usize,
     ) -> BenchResult {
-        let dead: std::collections::HashSet<usize> = deleted.iter().copied().collect();
+        let dead: std::collections::BTreeSet<usize> = deleted.iter().copied().collect();
         let alive: Vec<usize> = (0..self.keys).filter(|i| !dead.contains(i)).collect();
         assert!(!alive.is_empty(), "some keys must survive");
         let mut rng = SplitMix64::new(self.seed ^ 0x6E76);

@@ -147,7 +147,7 @@ mod tests {
     /// A scripted GuideOps for testing the guide's decisions in isolation.
     #[derive(Default)]
     struct FakeOps {
-        memory: std::collections::HashMap<u64, Vec<u8>>,
+        memory: std::collections::BTreeMap<u64, Vec<u8>>,
         prefetched: Vec<u64>,
     }
 

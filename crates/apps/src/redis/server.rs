@@ -9,6 +9,11 @@
 //! reads and list traversals, exactly where the paper's ELF-loader hooks
 //! intercept real Redis.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "`kinds` is lookup-only on kv_guided's per-command path; nothing iterates it"
+)]
+
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;

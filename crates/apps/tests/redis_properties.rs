@@ -1,12 +1,12 @@
 //! Model-based property tests for the Redis data structures on far memory.
 //!
-//! The dict is driven against a `HashMap`, the quicklist against a `Vec`,
-//! and the whole server against a `BTreeMap`, all under memory pressure, so
-//! every structural invariant (chains, rehash, ziplist packing) is checked
-//! against ground truth while pages churn through the memory node.
+//! The dict and the whole server are driven against a `BTreeMap`, the
+//! quicklist against a `Vec`, all under memory pressure, so every
+//! structural invariant (chains, rehash, ziplist packing) is checked against
+//! ground truth while pages churn through the memory node.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use dilos_alloc::Heap;
@@ -41,10 +41,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn dict_matches_hashmap(ops in prop::collection::vec(dict_op(), 1..250)) {
+    fn dict_matches_map_model(ops in prop::collection::vec(dict_op(), 1..250)) {
         let (mut mem, heap) = setup(1 << 22, 25);
         let mut dict = Dict::new(Rc::clone(&heap), mem.as_mut(), 4);
-        let mut model: HashMap<u8, u64> = HashMap::new();
+        let mut model: BTreeMap<u8, u64> = BTreeMap::new();
         for op in ops {
             match op {
                 DictOp::Insert(k, v) => {

@@ -42,7 +42,10 @@ pub fn ablation_design_choices(pages: usize) -> Report {
             "minor",
         ],
     );
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a local table of labelled config edits, read once below"
+    )]
     let cases: Vec<(&str, Box<dyn Fn(&mut DilosConfig)>)> = vec![
         ("DiLOS (full)", Box::new(|_: &mut DilosConfig| {})),
         (

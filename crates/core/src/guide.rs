@@ -136,11 +136,10 @@ impl ActionTable {
     ///
     /// Panics if `i` does not hold a logged vector — an action PTE pointing
     /// at an empty slot is a paging-subsystem invariant violation.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "an action PTE names a live slot")]
     pub fn take(&mut self, i: u32) -> FetchVector {
         let v = self.entries[i as usize]
             .take()
-            // dilos-lint: allow(no-unwrap-in-hot-path, "action PTE <-> table slot is a paging invariant; an empty slot is corruption")
             .expect("action PTE references an empty action-table slot");
         self.free.push(i);
         v

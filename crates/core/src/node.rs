@@ -232,7 +232,9 @@ pub struct Dilos {
     lru: dilos_sim::LruChain,
     stats: DilosStats,
     ddc_brk: u64,
-    local_pages_map: std::collections::HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    /// Local-only pages, indexed by `vpn - (LOCAL_BASE >> 12)`; `None`
+    /// until first touched.
+    local_pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
     local_brk: u64,
     prefetch_buf: Vec<u64>,
     /// Scratch for guided-fetch segment vectors (reused across faults).
@@ -344,7 +346,7 @@ impl Dilos {
             lru: dilos_sim::LruChain::new(),
             stats: DilosStats::default(),
             ddc_brk: DDC_BASE,
-            local_pages_map: std::collections::HashMap::new(),
+            local_pages: Vec::new(),
             local_brk: LOCAL_BASE,
             cfg,
             prefetch_buf: Vec::new(),
@@ -476,7 +478,7 @@ impl Dilos {
                 ));
             }
         }
-        let traced: std::collections::HashSet<u64> = a.outstanding_fetches().into_iter().collect();
+        let traced: std::collections::BTreeSet<u64> = a.outstanding_fetches().into_iter().collect();
         for &vpn in &actual {
             if !traced.contains(&vpn) {
                 v.push(format!(
@@ -768,9 +770,11 @@ impl Dilos {
 
     /// The local-only page backing `vpn`, zero-filled on first touch.
     fn local_page(&mut self, vpn: u64) -> &mut [u8; PAGE_SIZE] {
-        self.local_pages_map
-            .entry(vpn)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+        let idx = (vpn - (LOCAL_BASE >> 12)) as usize;
+        if idx >= self.local_pages.len() {
+            self.local_pages.resize_with(idx + 1, || None);
+        }
+        self.local_pages[idx].get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
     /// Resolves `vpn` to a resident frame, faulting as needed, and marks the
@@ -847,11 +851,10 @@ impl Dilos {
     /// A `Fetching` PTE always names a live slot: the entry is installed
     /// before the PTE and the PTE is rewritten before the entry is taken,
     /// so an empty slot is page-table corruption and unrecoverable.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "a Fetching PTE names a live slot")]
     fn take_inflight(&mut self, idx: u32) -> InflightEntry {
         let entry = self.inflight[idx as usize]
             .take()
-            // dilos-lint: allow(no-unwrap-in-hot-path, "Fetching PTE <-> inflight slot is a page-table invariant; an empty slot is corruption")
             .expect("fetching PTE has an in-flight entry");
         self.inflight_free.push(idx);
         entry
@@ -979,10 +982,9 @@ impl Dilos {
         // A demand fault cannot degrade gracefully: the faulting load needs
         // the bytes now, so data loss here is fatal by design (mirrors a
         // real machine taking SIGBUS).
-        #[allow(clippy::expect_used)]
+        #[expect(clippy::expect_used, reason = "all replicas down is unrecoverable")]
         let mut done = self
             .fill_frame(t_alloc, core, class, vpn, frame, vector.as_ref())
-            // dilos-lint: allow(no-unwrap-in-hot-path, "demand fault with all replicas down is unrecoverable data loss")
             .expect("demand fetch failed: address out of region or all replicas down");
         if vector.is_some_and(|v| v.is_empty()) {
             // Fully-dead page: the handler zero-fills instead of waiting.
@@ -1617,10 +1619,8 @@ impl Dilos {
         self.stats.writebacks += 1;
         // Dropping a dirty writeback would silently lose the application's
         // stores; fatal by design.
-        #[allow(clippy::expect_used)]
-        posted
-            // dilos-lint: allow(no-unwrap-in-hot-path, "losing a dirty writeback is silent data corruption")
-            .expect("writeback failed: all replicas of the page are down")
+        #[expect(clippy::expect_used, reason = "a lost dirty writeback corrupts data")]
+        posted.expect("writeback failed: all replicas of the page are down")
     }
 
     /// Page-table residency (for tests/diagnostics).

@@ -259,6 +259,18 @@ fn local_mmap_never_touches_the_network() {
     let mut out = vec![0u8; data.len()];
     n.read(0, va + 100, &mut out);
     assert_eq!(out, data);
+    // An untouched page far into the mapping reads as zeros.
+    let far = n.mmap(1 << 20, 0);
+    let mut page = vec![0xFF; PAGE];
+    n.read(0, far + (200 * PAGE) as u64, &mut page);
+    assert!(page.iter().all(|&b| b == 0));
+    // A write spanning two local pages reads back intact.
+    let span: Vec<u8> = (0..PAGE).map(|i| (i % 251) as u8).collect();
+    let at = far + (3 * PAGE + PAGE / 2) as u64;
+    n.write(0, at, &span);
+    let mut back = vec![0u8; PAGE];
+    n.read(0, at, &mut back);
+    assert_eq!(back, span);
     assert_eq!(n.stats().major_faults, 0);
     assert_eq!(n.stats().zero_fills, 0);
     // DDC mappings live elsewhere.

@@ -440,7 +440,7 @@ mod tests {
 
     #[test]
     fn comment_text_is_captured_with_line() {
-        let src = "let a = 1;\n// dilos-lint: allow(no-wall-clock, \"why\")\nlet b = 2;\n";
+        let src = "let a = 1;\n// dilos-lint: allow(calendar-time-only, \"why\")\nlet b = 2;\n";
         let l = lex(src);
         assert_eq!(l.comments.len(), 1);
         assert_eq!(l.comments[0].line, 2);

@@ -1,9 +1,9 @@
 //! Findings, the suppression ledger, and deterministic output.
 //!
 //! Reports are value types sorted by `(file, line, rule)` before any
-//! rendering, and the JSON writer walks those sorted vectors — the linter
-//! obeys its own no-hash-iteration rule, so two runs over the same tree
-//! produce byte-identical output.
+//! rendering, and the JSON writer walks those sorted vectors — nothing
+//! iterates a hash container, so two runs over the same tree produce
+//! byte-identical output.
 
 /// One step of an interprocedural call path.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -23,9 +23,9 @@ pub struct Violation {
     pub file: String,
     /// 1-indexed line of the offending token.
     pub line: u32,
-    /// Short rule id: `R1`..`R10`.
+    /// Short rule id: `R4`, `R6`..`R10`.
     pub rule: &'static str,
-    /// Rule slug: `no-wall-clock`, `transitive-panic-freedom`, ...
+    /// Rule slug: `calendar-time-only`, `transitive-panic-freedom`, ...
     pub id: &'static str,
     /// Human explanation of this site.
     pub message: String,
@@ -214,16 +214,16 @@ mod tests {
         r.violations.push(Violation {
             file: "b.rs".into(),
             line: 9,
-            rule: "R1",
-            id: "no-wall-clock",
+            rule: "R4",
+            id: "calendar-time-only",
             message: "say \"no\"".into(),
             path: vec![],
         });
         r.violations.push(Violation {
             file: "a.rs".into(),
             line: 3,
-            rule: "R3",
-            id: "no-unwrap-in-hot-path",
+            rule: "R6",
+            id: "transitive-panic-freedom",
             message: "x".into(),
             path: vec![PathStep {
                 label: "Node::fault".into(),

@@ -1,13 +1,13 @@
 //! dilos-lint v2: the interprocedural rule families (R6–R10).
 //!
 //! R8 and R10 are per-file passes (they need only one file's tokens) and
-//! run from the same phase as R1–R5. R6, R7, and R9 need the whole
+//! run from the same phase as R4. R6, R7, and R9 need the whole
 //! workspace: the call graph for R6/R7, and every file's token stream for
 //! R9's emit/match coverage census. Scope:
 //!
 //! | rule | slug | scope |
 //! |------|------|-------|
-//! | R6 | `transitive-panic-freedom` | roots: non-test fns in `crates/core`/`crates/sim`; sinks: panic sites in non-test fns *outside* those crates (inside them, R3 already governs direct sites) |
+//! | R6 | `transitive-panic-freedom` | roots: non-test fns in `crates/core`/`crates/sim`; sinks: panic sites in non-test fns *outside* those crates (inside them, clippy's `unwrap_used`/`expect_used`/`panic` deny governs direct sites) |
 //! | R7 | `refcell-borrow-overlap` | every non-test fn with a live `borrow_mut()` span |
 //! | R8 | `ns-arithmetic-safety` | `crates/sim` files named `sched`/`fabric`/`rdma`/`timeline` |
 //! | R9 | `trace-event-coverage` | `TraceEvent`/`SchedEvent` enums declared in `crates/sim`/`crates/core` |
@@ -25,14 +25,14 @@ use crate::report::Violation;
 use crate::rules::{violation, STALE_TIME_PREFIXES};
 use std::collections::{BTreeMap, BTreeSet};
 
-fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
+pub(crate) fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
     match tokens.get(i).map(|t| &t.kind) {
         Some(TokKind::Ident(s)) => Some(s.as_str()),
         _ => None,
     }
 }
 
-fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
+pub(crate) fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
     matches!(tokens.get(i).map(|t| &t.kind), Some(TokKind::Punct(p)) if *p == c)
 }
 
@@ -110,7 +110,7 @@ pub fn rule_ns_arithmetic(file: &str, tokens: &[Token], out: &mut Vec<Violation>
                             _ => false,
                         };
                     if binary && flagged_lines.insert(t.line) {
-                        out.push(violation(file, t.line, 7, vec![], format!(
+                        out.push(violation(file, t.line, 3, vec![], format!(
                             "unchecked `{op}` in virtual-time (`Ns`) arithmetic; use saturating_add/saturating_mul (or checked_) so a pathological time sum cannot wrap the timeline"
                         )));
                     }
@@ -182,7 +182,7 @@ pub fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>
         }
         let has_ident = arg.iter().any(|t| matches!(&t.kind, TokKind::Ident(_)));
         if !has_ident {
-            out.push(violation(file, tokens[i].line, 9, vec![], format!(
+            out.push(violation(file, tokens[i].line, 5, vec![], format!(
                 "{site} given a raw literal delivery time; schedule times must derive from `now`/config so the calendar stays monotone with the causing access"
             )));
             continue;
@@ -192,7 +192,7 @@ pub fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>
                 if STALE_TIME_PREFIXES.iter().any(|p| s.starts_with(p))
                     || HOST_CLOCK_PREFIXES.iter().any(|p| s.starts_with(p))
                 {
-                    out.push(violation(file, tokens[i].line, 9, vec![], format!(
+                    out.push(violation(file, tokens[i].line, 5, vec![], format!(
                         "{site} delivery time derives from `{s}`, a cached/foreign clock; recompute from the live virtual `now` at the schedule site"
                     )));
                     break;
@@ -208,8 +208,9 @@ pub fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>
 
 /// R6: no non-test fn in `crates/core`/`crates/sim` may transitively
 /// reach a panic site in a helper crate. Direct sites inside core/sim are
-/// R3's jurisdiction (and carry its allows); R6 closes the loophole where
-/// a "clean" hot-path function calls an `unwrap`-ing helper elsewhere.
+/// clippy's (the workspace lint table, escaped by `#[expect]`); R6 closes
+/// the loophole where a "clean" hot-path function calls an `unwrap`-ing
+/// helper elsewhere.
 pub fn rule_transitive_panic(model: &Model, out: &mut Vec<Violation>) {
     let roots: Vec<usize> = (0..model.fns.len())
         .filter(|&i| {
@@ -236,7 +237,7 @@ pub fn rule_transitive_panic(model: &Model, out: &mut Vec<Violation>) {
             } else {
                 format!("`{}`", p.what)
             };
-            out.push(violation(&node.file, p.line, 5, chain, format!(
+            out.push(violation(&node.file, p.line, 1, chain, format!(
                 "{sink_desc} in `{}` is reachable from hot-path `{root}`; a panic here takes down the simulated machine — return an Err, use .get(), or add a documented dilos-lint allow at this sink",
                 node.qual_name()
             )));
@@ -260,7 +261,7 @@ pub fn rule_borrow_overlap(model: &Model, out: &mut Vec<Violation>) {
             for &b in &span.overlaps {
                 let site = &node.summary.borrows[b];
                 if seen.insert((node.file.clone(), site.line, span.cell.clone())) {
-                    out.push(violation(&node.file, site.line, 6, vec![], format!(
+                    out.push(violation(&node.file, site.line, 2, vec![], format!(
                         "`{}` re-borrows `{}` while the borrow_mut guard taken at line {} is still live; this panics with BorrowMutError at runtime",
                         if site.mutable { ".borrow_mut()" } else { ".borrow()" },
                         span.cell, span.line
@@ -281,7 +282,7 @@ pub fn rule_borrow_overlap(model: &Model, out: &mut Vec<Violation>) {
                 }
                 let mut chain = vec![node.path_step()];
                 chain.extend(model.borrow_chain(callee, &span.cell));
-                out.push(violation(&node.file, line, 6, chain, format!(
+                out.push(violation(&node.file, line, 2, chain, format!(
                     "call into `{}` while the borrow_mut guard on `{}` (taken at line {}) is live; the callee transitively borrows the same cell, which panics with BorrowMutError",
                     model.fns[callee].qual_name(), span.cell, span.line
                 )));
@@ -477,7 +478,7 @@ pub fn rule_event_coverage(files: &[FileAnalysis], model: &Model, out: &mut Vec<
     for ((enum_name, var_name), u) in &usage {
         let (file, line) = &decl[&(enum_name.clone(), var_name.clone())];
         if !u.emitted {
-            out.push(violation(file, *line, 8, vec![], format!(
+            out.push(violation(file, *line, 4, vec![], format!(
                 "variant `{enum_name}::{var_name}` is never constructed in live sim/core/baselines code; dead events rot — emit it or remove it"
             )));
         }
@@ -487,7 +488,7 @@ pub fn rule_event_coverage(files: &[FileAnalysis], model: &Model, out: &mut Vec<
             } else {
                 "any live dispatch"
             };
-            out.push(violation(file, *line, 8, vec![], format!(
+            out.push(violation(file, *line, 4, vec![], format!(
                 "variant `{enum_name}::{var_name}` is never matched by {consumer}; the auditor cannot see it — extend the consumer or remove the variant"
             )));
         }

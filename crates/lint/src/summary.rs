@@ -443,7 +443,10 @@ impl<'a> Summarizer<'a> {
     /// Lookahead over a `let` statement starting at the `let` keyword.
     /// Returns `(binding name, Some((ty, refcell, opens_guard)))` when the
     /// binding's type can be inferred.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a one-off tuple read only by its single caller"
+    )]
     fn infer_let(
         &self,
         let_idx: usize,

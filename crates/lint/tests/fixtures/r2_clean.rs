@@ -1,8 +1,7 @@
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 pub struct Store {
     pages: BTreeMap<u64, u32>,
-    scratch: HashMap<u64, u32>,
 }
 
 impl Store {
@@ -12,9 +11,5 @@ impl Store {
             acc ^= *k;
         }
         acc
-    }
-
-    pub fn lookup(&self, k: u64) -> Option<u32> {
-        self.scratch.get(&k).copied()
     }
 }

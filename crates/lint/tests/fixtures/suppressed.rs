@@ -1,10 +1,9 @@
-pub fn pick(v: &[u64]) -> u64 {
-    // dilos-lint: allow(no-unwrap-in-hot-path, "fixture: head is non-empty by construction")
-    let first = v.first().unwrap();
-    *first
+pub fn boot(sink: &Sink) {
+    // dilos-lint: allow(calendar-time-only, "fixture: the boot record is stamped at time zero")
+    sink.emit(0, 1);
 }
 
 pub fn noop() -> u32 {
-    // dilos-lint: allow(no-wall-clock, "fixture: shields nothing")
+    // dilos-lint: allow(ns-arithmetic-safety, "fixture: shields nothing")
     7
 }

@@ -30,7 +30,7 @@ impl Default for Gf256 {
 
 impl Gf256 {
     /// Builds the log/antilog tables.
-    #[allow(clippy::needless_range_loop)] // Index-coupled table fills.
+    #[expect(clippy::needless_range_loop, reason = "index-coupled table fills")]
     pub fn new() -> Self {
         let mut exp = [0u8; 512];
         let mut log = [0u8; 256];
@@ -173,7 +173,7 @@ impl ReedSolomon {
     /// `shards` holds `k + m` entries (data first, then parity); `None`
     /// marks an erasure. On success every entry is `Some` and the data
     /// shards carry their original contents.
-    #[allow(clippy::needless_range_loop)] // Row/column indices are the math.
+    #[expect(clippy::needless_range_loop, reason = "the indices are the math")]
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         assert_eq!(shards.len(), self.k + self.m, "expected k+m shards");
         let present: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_some()).collect();

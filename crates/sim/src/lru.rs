@@ -365,7 +365,7 @@ mod tests {
     fn heavy_mixed_usage_stays_consistent() {
         let mut l = LruChain::new();
         let mut rng = crate::rng::SplitMix64::new(1);
-        let mut present = std::collections::HashSet::new();
+        let mut present = std::collections::BTreeSet::new();
         for _ in 0..10_000 {
             let k = rng.gen_range(64);
             match rng.gen_range(3) {

@@ -858,7 +858,7 @@ impl RdmaEndpoint {
     /// the wire time (FIFO ordering of same-QP verbs); the wire is shared
     /// across QPs; the remaining fixed latency (NIC processing, PCIe DMA,
     /// propagation) rides on top.
-    #[allow(clippy::too_many_arguments)] // A verb's timing genuinely has this many inputs.
+    #[expect(clippy::too_many_arguments, reason = "a verb's timing needs them all")]
     fn verb_timing(
         &mut self,
         node: usize,
@@ -1155,9 +1155,8 @@ impl RdmaEndpoint {
     /// dispatched when [`connect_ec`](Self::connect_ec) configured EC mode;
     /// reaching one without it is a mode-dispatch bug in [`post`](Self::post),
     /// and a deterministic panic here beats silently mis-routing a verb.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "ec_* is only entered in EC mode")]
     fn ec_state(&self) -> &EcState {
-        // dilos-lint: allow(no-unwrap-in-hot-path, "mode invariant: ec_* is only entered from EC dispatch in connect_ec endpoints")
         self.ec.as_ref().expect("ec mode")
     }
 
@@ -1237,7 +1236,7 @@ impl RdmaEndpoint {
 
     /// Erasure-coded read: direct when the data node lives, otherwise a
     /// degraded read rebuilding the range from `k` surviving shards.
-    #[allow(clippy::needless_range_loop)] // Lane indices drive shard slots.
+    #[expect(clippy::needless_range_loop, reason = "lane indices drive shard slots")]
     fn ec_read(
         &mut self,
         now: Ns,

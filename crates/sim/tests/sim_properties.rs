@@ -139,7 +139,7 @@ proptest! {
             nodes,
             replication,
         );
-        let mut model = std::collections::HashMap::new();
+        let mut model = std::collections::BTreeMap::new();
         for &(page, stamp) in &writes {
             e.write(0, 0, ServiceClass::App, page * 4096, &[stamp; 32]).expect("write");
             model.insert(page, stamp);

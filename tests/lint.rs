@@ -38,7 +38,7 @@ fn every_suppression_is_justified_and_live() {
     }
     // A ratchet, not a budget: lower it whenever an entry is retired.
     assert!(
-        report.suppressions.len() <= 6,
+        report.suppressions.len() <= 1,
         "the suppression ledger grew:\n{}",
         report.to_human()
     );
@@ -47,7 +47,7 @@ fn every_suppression_is_justified_and_live() {
 #[test]
 fn lint_output_is_deterministic() {
     // Two independent scans must serialize byte-identically: the linter
-    // obeys its own no-hash-iteration rule.
+    // iterates no hash container.
     let a = scan().to_json();
     let b = scan().to_json();
     assert_eq!(a, b, "dilos-lint --json output is not deterministic");
@@ -57,7 +57,7 @@ fn lint_output_is_deterministic() {
 #[test]
 fn sarif_output_is_deterministic_and_well_formed() {
     // SARIF is what CI uploads; two scans must be byte-identical and the
-    // log must carry the full ten-rule table even on a clean tree.
+    // log must carry the full six-rule table even on a clean tree.
     let a = dilos_lint::sarif::to_sarif(&scan());
     let b = dilos_lint::sarif::to_sarif(&scan());
     assert_eq!(
