@@ -92,10 +92,36 @@ struct QosShaper {
     shaped_busy: Ns,
 }
 
+/// A verb's size-only costs: wire occupancy and total latency of `bytes`.
+#[derive(Debug, Clone, Copy)]
+struct VerbCost {
+    bytes: usize,
+    wire: Ns,
+    total: Ns,
+}
+
+impl VerbCost {
+    fn of(cfg: &SimConfig, bytes: usize, read: bool) -> Self {
+        let total = if read {
+            cfg.rdma_read_ns(bytes)
+        } else {
+            cfg.rdma_write_ns(bytes)
+        };
+        Self {
+            bytes,
+            wire: cfg.wire_ns(bytes),
+            total,
+        }
+    }
+}
+
 /// The shared wire plus bandwidth accounting.
 #[derive(Debug)]
 pub struct Fabric {
     cfg: SimConfig,
+    /// The last size's [`VerbCost`], one entry per direction (`[write,
+    /// read]`). `cfg` never changes after construction, so a hit is exact.
+    memo: [VerbCost; 2],
     /// Compute-node → memory-node direction (evictions/writebacks).
     link_up: Timeline,
     /// Memory-node → compute-node direction (fetches). RoCE links are full
@@ -120,6 +146,7 @@ impl Fabric {
     /// `bw_bucket_ns` for the Figure 12 time series.
     pub fn new(cfg: SimConfig, bw_bucket_ns: Ns) -> Self {
         Self {
+            memo: [VerbCost::of(&cfg, 0, false), VerbCost::of(&cfg, 0, true)],
             cfg,
             link_up: Timeline::new(),
             link_down: Timeline::new(),
@@ -169,12 +196,22 @@ impl Fabric {
         &self.cfg
     }
 
+    /// `(wire_ns, rdma_{read,write}_ns)` of a `bytes`-byte verb, recomputed
+    /// only when the size differs from the direction's last one.
+    pub(crate) fn verb_cost(&mut self, bytes: usize, read: bool) -> (Ns, Ns) {
+        let m = &mut self.memo[usize::from(read)];
+        if m.bytes != bytes {
+            *m = VerbCost::of(&self.cfg, bytes, read);
+        }
+        (m.wire, m.total)
+    }
+
     /// Occupies the wire for `bytes` starting no earlier than `t`, returning
     /// the wire-completion time, and accounts the bytes to `class`.
     ///
     /// `inbound` is memory-node → compute-node (fetch) traffic.
     pub fn transfer(&mut self, t: Ns, class: ServiceClass, bytes: usize, inbound: bool) -> Ns {
-        let wire = self.cfg.wire_ns(bytes);
+        let (wire, _) = self.verb_cost(bytes, inbound);
         let tenant = self.active_tenant;
         // QoS shaping: hold the transfer until the tenant's release horizon,
         // advance the horizon by the share-scaled wire cost, and run on the
@@ -189,9 +226,9 @@ impl Fabric {
                     q.release.resize(ri + 1, 0);
                 }
                 let start = t.max(q.release[ri]);
-                q.release[ri] = start + wire * q.total / share;
+                q.release[ri] = start.saturating_add(wire.saturating_mul(q.total) / share);
                 q.shaped_busy = q.shaped_busy.saturating_add(wire);
-                start + wire
+                start.saturating_add(wire)
             }
             None => {
                 let link = if inbound {

@@ -869,16 +869,11 @@ impl RdmaEndpoint {
         segments: usize,
         is_read: bool,
     ) -> Ns {
+        let (wire, total) = self.nodes[node].fabric.verb_cost(bytes, is_read);
         // Fold the config into scalars up front so the mutable QP/fabric
         // borrows below don't force a per-verb SimConfig clone.
         let cfg = self.nodes[node].fabric.cfg();
-        let wire = cfg.wire_ns(bytes);
         let doorbell = cfg.qp_doorbell_ns;
-        let total = if is_read {
-            cfg.rdma_read_ns(bytes)
-        } else {
-            cfg.rdma_write_ns(bytes)
-        };
         let mut rest = total.saturating_sub(wire + doorbell);
         rest = rest.saturating_add(cfg.sg_extra_ns(segments));
         if self.nodes[node].node.huge_pages() {
@@ -946,7 +941,7 @@ impl RdmaEndpoint {
                 .try_fold(now, |done, s| Ok(done.max(xfer(s)?)))
                 .map(|done| (done, shard, end.unwrap_or(0)))
         } else {
-            self.replica_transfer(now, core, class, segments, bytes, &mut local)
+            self.replica_transfer(now, core, class, shard, segments, bytes, &mut local)
         };
         // A failed verb still completes — the RNIC reports the error in a
         // CQE — so every traced issue is paired with a completion.
@@ -962,20 +957,22 @@ impl RdmaEndpoint {
     /// slowest (the writes ride distinct links, so with symmetric nodes the
     /// cost is one write plus doorbells). Returns the completion time, the
     /// node it is attributed to (serving replica for a read, primary for a
-    /// write), and the read's live bound.
+    /// write), and the read's live bound. `shard` is the page's primary
+    /// node (vectored verbs address one page, so every segment shares it).
+    #[expect(clippy::too_many_arguments, reason = "post's verb, decomposed")]
     fn replica_transfer(
         &mut self,
         now: Ns,
         core: usize,
         class: ServiceClass,
+        shard: u8,
         segments: &[Segment],
         bytes: usize,
         local: &mut Local<'_>,
     ) -> Result<(Ns, u8, usize), RdmaError> {
         let write = matches!(local, Local::Write { .. });
         let n = self.nodes.len();
-        // Vectored verbs address one page, so every segment shares a shard.
-        let shard = self.shard_of(segments[0].remote) as usize;
+        let shard = usize::from(shard);
         let mut served = shard;
         let mut penalty: Ns = 0;
         let mut done: Option<Ns> = None;

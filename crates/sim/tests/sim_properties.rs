@@ -3,10 +3,14 @@
 //! The virtual-time model underpins every number in the reproduction, so
 //! its primitives get ground-truth checks: histogram quantiles against a
 //! sorted reference, timeline conservation laws, memory-node consistency
-//! against a flat buffer, and LRU-chain equivalence with a naive list.
+//! against a flat buffer, LRU-chain equivalence with a naive list, and verb
+//! timings against `SimConfig`'s formulas.
+
+use std::collections::BTreeMap;
 
 use dilos_sim::{
-    LatencyHistogram, LruChain, MemoryNode, RdmaEndpoint, ServiceClass, SimConfig, Timeline,
+    Fabric, LatencyHistogram, LruChain, MemoryNode, Ns, RdmaEndpoint, ServiceClass, SimConfig,
+    Timeline,
 };
 use proptest::prelude::*;
 
@@ -148,6 +152,84 @@ proptest! {
             let mut buf = [0u8; 32];
             e.read(0, 0, ServiceClass::App, page * 4096, &mut buf).expect("read");
             prop_assert!(buf.iter().all(|&b| b == stamp), "page {}", page);
+        }
+    }
+}
+
+/// Verb sizes that revisit each other, paired with alternating directions;
+/// the second pass flips every direction.
+fn interleaved_verbs() -> Vec<(usize, bool)> {
+    let sizes = [4096usize, 128, 0, 4096, 8192];
+    (0..2)
+        .flat_map(|pass| (0..sizes.len()).map(move |i| (sizes[i], (i + pass) % 2 == 1)))
+        .collect()
+}
+
+/// Tenant 0 holds a quarter of the link when shaped.
+fn shares(qos: bool) -> Option<BTreeMap<u8, u32>> {
+    qos.then(|| BTreeMap::from([(0, 1), (1, 3)]))
+}
+
+/// The fabric keeps each direction's last verb size and costs. On one
+/// endpoint and one fabric, reads and writes of interleaved sizes, FCFS and
+/// QoS-shaped, must each complete when a fresh endpoint (fabric) would and
+/// when `SimConfig`'s formulas say — a stale cost would show as a wrong
+/// completion time.
+#[test]
+fn verb_costs_follow_size_and_direction() {
+    let cfg = SimConfig::default();
+    let endpoint = |qos: bool| {
+        let mut e = RdmaEndpoint::connect(cfg.clone(), 1 << 20);
+        if let Some(s) = shares(qos) {
+            e.set_qos(s);
+        }
+        e
+    };
+    let post = |e: &mut RdmaEndpoint, t: Ns, bytes: usize, write: bool| {
+        let mut buf = vec![7u8; bytes];
+        if write {
+            e.write(t, 0, ServiceClass::Cleaner, 0, &buf)
+        } else {
+            e.read(t, 0, ServiceClass::Fault, 0, &mut buf)
+        }
+        .expect("verb")
+    };
+    for qos in [false, true] {
+        // Verbs far apart: each completes at its isolated latency.
+        let mut e = endpoint(qos);
+        for (i, &(bytes, write)) in interleaved_verbs().iter().enumerate() {
+            let t = i as Ns * 1_000_000;
+            let total = if write {
+                cfg.rdma_write_ns(bytes)
+            } else {
+                cfg.rdma_read_ns(bytes)
+            };
+            let want = t + total - cfg.memnode_hugepage_saving_ns;
+            assert_eq!(post(&mut e, t, bytes, write), want, "qos {qos}, verb {i}");
+            assert_eq!(post(&mut endpoint(qos), t, bytes, write), want);
+        }
+        // Transfers back to back: each queues behind its direction's last.
+        let fabric = || {
+            let mut f = Fabric::new(cfg.clone(), 1_000_000);
+            if let Some(s) = shares(qos) {
+                f.set_qos(s);
+            }
+            f
+        };
+        let mut f = fabric();
+        let mut free: [Ns; 2] = [0; 2];
+        for (i, &(bytes, inbound)) in interleaved_verbs().iter().enumerate() {
+            let t = i as Ns * 100;
+            let wire = cfg.wire_ns(bytes);
+            let d = usize::from(inbound);
+            let start = t.max(free[d]);
+            free[d] = if qos { start + wire * 4 } else { start + wire };
+            let end = f.transfer(t, ServiceClass::App, bytes, inbound);
+            assert_eq!(end, start + wire, "qos {qos}, transfer {i}");
+            assert_eq!(
+                fabric().transfer(start, ServiceClass::App, bytes, inbound),
+                end
+            );
         }
     }
 }

@@ -243,3 +243,205 @@ fn a_follow_up_may_not_precede_its_cause() {
     cal.schedule(100, SchedEvent::ReclaimTick);
     cal.deliver_due(100, |t, ev| Some((t - 1, ev)));
 }
+
+/// The calendar's ground truth: every pending entry in one `Vec` sorted by
+/// `(at, seq)`, popped from the front.
+#[derive(Default)]
+struct SortedReference {
+    pending: Vec<(Ns, u64, SchedEvent)>,
+    next_seq: u64,
+}
+
+impl SortedReference {
+    /// Files an event and returns its `seq` (also its payload's `vpn`, so
+    /// every delivery is identifiable).
+    fn schedule(&mut self, at: Ns) -> (u64, SchedEvent) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let ev = SchedEvent::PrefetchLand { vpn: seq, token: 0 };
+        let i = self.pending.partition_point(|e| e.0 <= at);
+        self.pending.insert(i, (at, seq, ev));
+        (seq, ev)
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        let i = self.pending.iter().position(|e| e.1 == seq);
+        i.map(|i| self.pending.remove(i)).is_some()
+    }
+
+    fn pop(&mut self, bound: Ns) -> Option<(Ns, SchedEvent)> {
+        let &(at, _, ev) = self.pending.first().filter(|e| e.0 <= bound)?;
+        self.pending.remove(0);
+        Some((at, ev))
+    }
+
+    fn next_due(&self) -> Option<Ns> {
+        self.pending.first().map(|e| e.0)
+    }
+}
+
+/// One side of the lane differential: the calendar, its reference, and
+/// every handle ever minted (with the reference `seq` it stands for).
+#[derive(Default)]
+struct LaneRig {
+    cal: Calendar,
+    model: SortedReference,
+    handles: Vec<(EventId, u64)>,
+    /// Provable placements and cancels the script reached, by kind.
+    hits: std::collections::BTreeMap<&'static str, u32>,
+}
+
+impl LaneRig {
+    fn schedule(&mut self, at: Ns) -> usize {
+        let (seq, ev) = self.model.schedule(at);
+        self.handles.push((self.cal.schedule(at, ev), seq));
+        self.handles.len() - 1
+    }
+
+    fn cancel(&mut self, h: usize, kind: &'static str) {
+        let (id, seq) = self.handles[h];
+        let live = self.model.cancel(seq);
+        assert_eq!(self.cal.cancel(id), live, "cancel of handle {h} ({kind})");
+        self.hit(if live { kind } else { "stale" });
+    }
+
+    fn hit(&mut self, kind: &'static str) {
+        *self.hits.entry(kind).or_default() += 1;
+    }
+
+    /// Delivers up to `bound` in lockstep with the reference; every
+    /// `spawn_every`-th of the first eight deliveries schedules a new event
+    /// from inside the handler, `delay` after the instant in hand.
+    fn deliver(&mut self, bound: Ns, spawn_every: usize, delay: Ns) {
+        let cal = self.cal.clone();
+        let mut n = 0;
+        cal.deliver_due(bound, |t, ev| {
+            assert_eq!(Some((t, ev)), self.model.pop(bound), "delivery order");
+            n += 1;
+            if n <= 8 && n % spawn_every == 0 {
+                self.schedule(t + delay);
+                self.hit("from a handler");
+            }
+            None
+        });
+        assert_eq!(self.model.pop(bound), None, "the loop stopped early");
+    }
+
+    fn drain(&mut self, now: Ns) {
+        let mut got = Vec::new();
+        let n = self.cal.drain_due(now, &mut got);
+        let mut want: Vec<_> = self.model.pop(now).into_iter().collect();
+        while let Some(d) = want.first().and_then(|&(t, _)| self.model.pop(t)) {
+            want.push(d);
+        }
+        assert_eq!((n, got), (want.len(), want), "drain_due group");
+    }
+
+    fn check(&self) {
+        assert_eq!(self.cal.len(), self.model.pending.len(), "len");
+        assert_eq!(self.cal.next_due(), self.model.next_due(), "next_due");
+    }
+}
+
+/// The lane + heap merge pops exactly what one sorted run would. The
+/// script knows where each entry lands without looking inside: a schedule
+/// at or after every time scheduled so far appends to the lane, one below
+/// the time scheduled just before it goes to the heap, and a quiesced
+/// calendar has both runs empty, so a round that starts quiesced knows the
+/// lane's front and middle and the heap's top exactly. Each round is an
+/// in-order run (ties included), then inserts below the run's tail (some
+/// tying a lane entry), then cancels, then a delivery.
+#[test]
+fn calendar_lane_matches_a_sorted_reference() {
+    let mut rig = LaneRig::default();
+    let mut rng = SplitMix64::new(0x1A4E);
+    let (mut now, mut hi, mut quiesced) = (0, 0, true);
+    for _ in 0..3_000 {
+        let base = hi.max(now) + rng.gen_range(4);
+        let mut run = Vec::new();
+        let mut at = base;
+        for _ in 0..2 + rng.gen_range(5) {
+            run.push((at, rig.schedule(at)));
+            at += rng.gen_range(3);
+        }
+        rig.hit("lane");
+        hi = at;
+        let tail = run[run.len() - 1].0;
+        let mut outs = Vec::new();
+        if tail > now {
+            for _ in 0..1 + rng.gen_range(2) {
+                let below = if rng.gen_range(2) == 0 {
+                    let j = rng.gen_range(run.len() as u64) as usize;
+                    run[j].0.min(tail - 1)
+                } else {
+                    now + rng.gen_range(tail - now)
+                };
+                outs.push((below, rig.schedule(below)));
+                rig.hit(if run.iter().any(|r| r.0 == below) {
+                    "tie: lane older"
+                } else {
+                    "heap"
+                });
+            }
+        }
+        rig.check();
+        if quiesced && !outs.is_empty() {
+            match rng.gen_range(4) {
+                0 => rig.cancel(run[0].1, "lane front"),
+                1 => rig.cancel(run[run.len() / 2].1, "mid-lane"),
+                2 => {
+                    let top = *outs.iter().min().expect("an out-of-order insert");
+                    rig.cancel(top.1, "heap top");
+                }
+                _ => {
+                    // Empty the lane; a reschedule at the heap's top time
+                    // then heads a fresh lane, tying a senior heap entry.
+                    for &(_, h) in &run {
+                        rig.cancel(h, "lane");
+                    }
+                    rig.check();
+                    let (t, _) = *outs.iter().min().expect("an out-of-order insert");
+                    rig.schedule(t);
+                    rig.hit("tie: heap older");
+                }
+            }
+            rig.check();
+        }
+        let stale = rng.gen_range(rig.handles.len() as u64) as usize;
+        rig.cancel(stale, "any");
+        rig.check();
+        quiesced = false;
+        match rng.gen_range(5) {
+            0 => rig.drain(now + rng.gen_range(8)),
+            1 => {
+                // Unbounded, so it also delivers what its handler schedules.
+                rig.deliver(Ns::MAX, 1 + rng.gen_range(3) as usize, rng.gen_range(10));
+                quiesced = true;
+            }
+            _ => {
+                now += rng.gen_range(8);
+                rig.deliver(now, 1 + rng.gen_range(4) as usize, rng.gen_range(10));
+            }
+        }
+        // Past anything a handler scheduled (at most eight hops of < 10).
+        hi = hi.max(now) + 80;
+        rig.check();
+    }
+    for kind in [
+        "lane",
+        "heap",
+        "tie: lane older",
+        "tie: heap older",
+        "lane front",
+        "mid-lane",
+        "heap top",
+        "stale",
+        "from a handler",
+    ] {
+        assert!(
+            rig.hits.get(kind).copied().unwrap_or(0) > 0,
+            "the script never reached {kind:?}: {:?}",
+            rig.hits
+        );
+    }
+}
