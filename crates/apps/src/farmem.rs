@@ -7,7 +7,7 @@
 
 use dilos_baselines::{Aifm, AifmConfig, Fastswap, FastswapConfig};
 use dilos_core::{Dilos, DilosConfig, NoPrefetch, Readahead, TrendBased};
-use dilos_sim::{MetricsRegistry, Ns, Observability, SpanProfiler};
+use dilos_sim::{ComputeNode, MetricsRegistry, Ns, Observability, SpanProfiler};
 
 /// Observation surface of a far-memory system: counters, traces, telemetry.
 ///
@@ -171,10 +171,10 @@ impl Introspect for Dilos {
         Dilos::audit_report(self)
     }
     fn metrics(&self) -> MetricsRegistry {
-        Dilos::metrics(self).clone()
+        self.machine().metrics.clone()
     }
     fn profiler(&self) -> SpanProfiler {
-        Dilos::profiler(self).clone()
+        self.machine().profiler.clone()
     }
     fn fault_counters(&self) -> (u64, u64, u64) {
         let s = self.stats();
@@ -199,16 +199,16 @@ impl FarMemory for Dilos {
         Dilos::write(self, core, va, buf);
     }
     fn compute(&mut self, core: usize, ns: Ns) {
-        Dilos::compute(self, core, ns);
+        self.machine_mut().advance(core, ns);
     }
     fn now(&self, core: usize) -> Ns {
-        Dilos::now(self, core)
+        self.machine().now(core)
     }
     fn barrier(&mut self) -> Ns {
-        Dilos::barrier(self)
+        self.machine_mut().barrier()
     }
     fn max_now(&self) -> Ns {
-        Dilos::max_now(self)
+        self.machine().max_now()
     }
     fn label(&self) -> String {
         let transport = if self.config().tcp_mode {
@@ -230,13 +230,14 @@ impl Introspect for Fastswap {
         (bw.total_tx(), bw.total_rx())
     }
     fn trace_digest(&mut self) -> u64 {
-        Fastswap::trace_digest(self)
+        self.quiesce();
+        self.machine().trace.digest()
     }
     fn metrics(&self) -> MetricsRegistry {
-        Fastswap::metrics(self).clone()
+        self.machine().metrics.clone()
     }
     fn profiler(&self) -> SpanProfiler {
-        Fastswap::profiler(self).clone()
+        self.machine().profiler.clone()
     }
     fn fault_counters(&self) -> (u64, u64, u64) {
         let s = self.stats();
@@ -258,16 +259,16 @@ impl FarMemory for Fastswap {
         Fastswap::write(self, core, va, buf);
     }
     fn compute(&mut self, core: usize, ns: Ns) {
-        Fastswap::compute(self, core, ns);
+        self.machine_mut().advance(core, ns);
     }
     fn now(&self, core: usize) -> Ns {
-        Fastswap::now(self, core)
+        self.machine().now(core)
     }
     fn barrier(&mut self) -> Ns {
-        Fastswap::barrier(self)
+        self.machine_mut().barrier()
     }
     fn max_now(&self) -> Ns {
-        Fastswap::max_now(self)
+        self.machine().max_now()
     }
     fn label(&self) -> String {
         "Fastswap".to_string()
@@ -284,13 +285,14 @@ impl Introspect for Aifm {
         (bw.total_tx(), bw.total_rx())
     }
     fn trace_digest(&mut self) -> u64 {
-        Aifm::trace_digest(self)
+        self.quiesce();
+        self.machine().trace.digest()
     }
     fn metrics(&self) -> MetricsRegistry {
-        Aifm::metrics(self).clone()
+        self.machine().metrics.clone()
     }
     fn profiler(&self) -> SpanProfiler {
-        Aifm::profiler(self).clone()
+        self.machine().profiler.clone()
     }
     fn fault_counters(&self) -> (u64, u64, u64) {
         // AIFM's trace only marks demand misses as faults; in-flight waits
@@ -313,16 +315,16 @@ impl FarMemory for Aifm {
         Aifm::write(self, core, va, buf);
     }
     fn compute(&mut self, core: usize, ns: Ns) {
-        Aifm::compute(self, core, ns);
+        self.machine_mut().advance(core, ns);
     }
     fn now(&self, core: usize) -> Ns {
-        Aifm::now(self, core)
+        self.machine().now(core)
     }
     fn barrier(&mut self) -> Ns {
-        Aifm::barrier(self)
+        self.machine_mut().barrier()
     }
     fn max_now(&self) -> Ns {
-        Aifm::max_now(self)
+        self.machine().max_now()
     }
     fn label(&self) -> String {
         "AIFM".to_string()
@@ -551,6 +553,39 @@ mod tests {
             mem.write_u64(0, va + 16, 0xDEAD_BEEF);
             assert_eq!(mem.read_u64(0, va + 16), 0xDEAD_BEEF, "{}", kind.label());
             assert!(mem.now(0) > 0);
+        }
+    }
+
+    /// The chassis every system stands on: per-core clocks, the barrier,
+    /// and a quiesce that a second digest finds nothing left to do.
+    #[test]
+    fn every_system_shares_the_chassis() {
+        for kind in SystemKind::ALL {
+            let obs = Observability::metered();
+            let mut spec = SystemSpec::for_working_set(kind, 1 << 20, 13).observed(obs.clone());
+            spec.cores = 2;
+            let mut mem = spec.boot();
+            let va = mem.alloc(1 << 20);
+            for p in 0..256 {
+                mem.write_u64(0, va + p * 4096, p);
+            }
+            let label = kind.label();
+            for p in 0..256 {
+                assert_eq!(mem.read_u64(0, va + p * 4096), p, "{label}");
+            }
+            let (t0, t1) = (mem.now(0), mem.now(1));
+            mem.compute(1, 5_000);
+            assert_eq!((mem.now(0), mem.now(1)), (t0, t1 + 5_000), "{label}");
+            let t = mem.barrier();
+            assert_eq!(t, mem.max_now(), "{label}");
+            assert_eq!((mem.now(0), mem.now(1)), (t, t), "{label}");
+
+            let digest = mem.trace_digest();
+            let settled = (obs.trace().count(), mem.metrics().samples());
+            assert!(settled.1 > 0, "{label}: the sampler never ran");
+            assert_eq!(mem.trace_digest(), digest, "{label}");
+            let again = (obs.trace().count(), mem.metrics().samples());
+            assert_eq!(again, settled, "{label}: a second quiesce did work");
         }
     }
 

@@ -21,9 +21,8 @@
 use std::collections::BTreeMap;
 
 use dilos_sim::{
-    page_chunks, Calendar, CoreClock, EventId, FaultKind, MetricsRegistry, Ns, Observability,
-    RdmaEndpoint, SchedEvent, ServiceClass, SimConfig, SpanProfiler, TraceEvent, TraceSink,
-    PAGE_SIZE,
+    page_chunks, ComputeNode, DeliverCompletion, EventId, FaultKind, Machine, MetricsRegistry, Ns,
+    Observability, RdmaEndpoint, SchedEvent, ServiceClass, SimConfig, TraceEvent, PAGE_SIZE,
 };
 
 /// AIFM runtime costs, in virtual nanoseconds.
@@ -132,23 +131,17 @@ pub struct Aifm {
     local_count: usize,
     lru: Vec<u64>,
     clock_hand: usize,
-    clocks: Vec<CoreClock>,
     last_chunk: u64,
     stream_window: usize,
     stats: AifmStats,
     brk: u64,
-    /// Event calendar: the background streamer's landings are delivered at
-    /// their true completion times, and traced verb completions ride it too.
-    cal: Calendar,
+    /// The chassis. Its calendar delivers the background streamer's
+    /// landings at their true completion times; traced verb completions
+    /// ride it too.
+    m: Machine,
     /// Pending `PrefetchLand` event per streamed-but-unlanded chunk, so a
     /// consuming dereference (or a free) can cancel the landing.
     pending_land: BTreeMap<u64, EventId>,
-    /// Structured event trace (dark unless the bundle records).
-    trace: TraceSink,
-    /// Telemetry registry (dark unless the bundle is metered).
-    metrics: MetricsRegistry,
-    /// Span profiler attached to the trace (dark unless metered).
-    profiler: SpanProfiler,
 }
 
 impl std::fmt::Debug for Aifm {
@@ -167,30 +160,21 @@ impl Aifm {
     ///
     /// Panics on a degenerate configuration.
     pub fn new(cfg: AifmConfig) -> Self {
-        assert!(cfg.cores > 0, "at least one core");
+        let m = Machine::new(cfg.cores, &cfg.sim, &cfg.obs);
         assert!(cfg.local_chunks >= 16, "cache too small");
         let mut rdma = RdmaEndpoint::connect(cfg.sim.clone(), cfg.remote_bytes);
         rdma.set_tcp_mode(cfg.tcp);
-        let obs = cfg.obs.clone();
-        let trace = obs.trace().clone();
-        let metrics = obs.metrics().clone();
-        let profiler = obs.profiler().clone();
-        rdma.observe(&obs);
-        let cal = Calendar::new();
-        rdma.set_calendar(cal.clone());
+        rdma.observe(&cfg.obs);
+        rdma.set_calendar(m.cal.clone());
         Self {
             rdma,
-            trace,
-            metrics,
-            profiler,
-            cal,
+            m,
             pending_land: BTreeMap::new(),
             chunks: BTreeMap::new(),
             allocs: Vec::new(),
             local_count: 0,
             lru: Vec::new(),
             clock_hand: 0,
-            clocks: vec![CoreClock::new(); cfg.cores],
             last_chunk: u64::MAX,
             stream_window: 2,
             stats: AifmStats::default(),
@@ -209,114 +193,6 @@ impl Aifm {
         &self.rdma
     }
 
-    /// The structured event trace (dark unless [`AifmConfig::obs`] records).
-    pub fn trace(&self) -> &TraceSink {
-        &self.trace
-    }
-
-    /// The telemetry registry (dark unless [`AifmConfig::obs`] is metered).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// The span profiler (dark unless [`AifmConfig::obs`] is metered).
-    pub fn profiler(&self) -> &SpanProfiler {
-        &self.profiler
-    }
-
-    /// Order-sensitive digest over every traced event (0 when tracing is
-    /// off). Identical seeds and configurations must produce identical
-    /// digests.
-    ///
-    /// Quiesces first: in-flight streamed chunks land and deferred
-    /// completion records are delivered, so the digest covers a settled
-    /// trace. Idempotent.
-    pub fn trace_digest(&mut self) -> u64 {
-        self.deliver_due(Ns::MAX);
-        // Nothing is left to deliver: this samples the gauges to the horizon.
-        self.drain_events(self.max_now());
-        self.trace.digest()
-    }
-
-    /// Delivers every calendar event due at or before `now`.
-    fn drain_events(&mut self, now: Ns) {
-        self.deliver_due(now);
-        while let Some(t) = self.metrics.next_sample_due(now) {
-            self.record_gauges(t);
-        }
-    }
-
-    /// Snapshots every sampled gauge at virtual time `t`.
-    fn record_gauges(&mut self, t: Ns) {
-        self.metrics
-            .set_gauge("local_chunks", self.local_count as u64);
-        self.metrics.set_gauge("lru_chunks", self.lru.len() as u64);
-        self.metrics
-            .set_gauge("pending_land", self.pending_land.len() as u64);
-        self.metrics
-            .set_gauge("busy_qps", self.rdma.busy_qps(t) as u64);
-        self.metrics
-            .set_gauge("link_busy_ns", self.rdma.fabric().link_busy());
-        self.metrics.record_sample(t);
-    }
-
-    /// Runs the calendar's delivery loop up to `bound`; no handler here
-    /// chains a follow-up.
-    fn deliver_due(&mut self, bound: Ns) {
-        if self.cal.has_due(bound) {
-            let cal = self.cal.clone();
-            cal.deliver_due(bound, |t, ev| {
-                self.dispatch(t, ev);
-                None
-            });
-        }
-    }
-
-    /// Delivers one calendar event at its scheduled time.
-    fn dispatch(&mut self, t: Ns, ev: SchedEvent) {
-        match ev {
-            SchedEvent::PrefetchLand { vpn, .. } => {
-                self.pending_land.remove(&vpn);
-                if let Some(ChunkState::Local { prefetched, .. }) = self.chunks.get_mut(&vpn) {
-                    if std::mem::take(prefetched) {
-                        self.trace.emit(t, TraceEvent::PrefetchLand { vpn });
-                    }
-                }
-            }
-            SchedEvent::RdmaCompletion {
-                class,
-                write,
-                node,
-                core,
-            } => self.rdma.deliver_completion(t, class, write, node, core),
-            _ => {}
-        }
-    }
-
-    /// Current virtual time on `core`.
-    pub fn now(&self, core: usize) -> Ns {
-        self.clocks[core].now()
-    }
-
-    /// Charges application compute.
-    pub fn compute(&mut self, core: usize, ns: Ns) {
-        self.clocks[core].advance(ns);
-    }
-
-    /// Joins all core clocks.
-    pub fn barrier(&mut self) -> Ns {
-        let t = self.clocks.iter().map(CoreClock::now).max().unwrap_or(0);
-        for c in &mut self.clocks {
-            c.wait_until(t);
-        }
-        t
-    }
-
-    /// Completion time across cores.
-    pub fn max_now(&self) -> Ns {
-        self.clocks.iter().map(CoreClock::now).max().unwrap_or(0)
-    }
-
     /// Allocates a remoteable object/array of `len` bytes.
     pub fn alloc(&mut self, len: usize) -> u64 {
         let va = self.brk;
@@ -332,16 +208,16 @@ impl Aifm {
 
     /// Frees the object at `va` spanning `len` bytes.
     pub fn free(&mut self, va: u64, len: usize) {
-        let t = self.max_now();
+        let t = self.m.max_now();
         let start = va >> 12;
         let end = (va + len as u64 + CHUNK as u64 - 1) >> 12;
         for c in start..end {
             if let Some(ChunkState::Local { prefetched, .. }) = self.chunks.remove(&c) {
                 if prefetched {
                     if let Some(id) = self.pending_land.remove(&c) {
-                        self.cal.cancel(id);
+                        self.m.cal.cancel(id);
                     }
-                    self.trace.emit(t, TraceEvent::PrefetchCancel { vpn: c });
+                    self.m.trace.emit(t, TraceEvent::PrefetchCancel { vpn: c });
                 }
                 self.local_count -= 1;
                 self.lru.retain(|&v| v != c);
@@ -359,7 +235,7 @@ impl Aifm {
                 unreachable!("deref localizes the chunk");
             };
             buf[span].copy_from_slice(&data[off..off + n]);
-            self.charge_copy(core, n);
+            self.m.charge_copy(core, n);
         }
     }
 
@@ -373,7 +249,7 @@ impl Aifm {
             };
             data[off..off + n].copy_from_slice(&buf[span]);
             *dirty = true;
-            self.charge_copy(core, n);
+            self.m.charge_copy(core, n);
         }
     }
 
@@ -389,18 +265,13 @@ impl Aifm {
         self.write(core, va, &v.to_le_bytes());
     }
 
-    fn charge_copy(&mut self, core: usize, bytes: usize) {
-        let ns = self.cfg.sim.local_access_ns + (bytes as f64 * 0.05) as Ns;
-        self.clocks[core].advance(ns);
-    }
-
     /// The smart-pointer dereference: check, localize if needed.
     fn deref(&mut self, core: usize, chunk: u64, _is_write: bool) {
         self.stats.derefs += 1;
-        self.clocks[core].advance(self.cfg.costs.deref_check_ns);
+        self.m.advance(core, self.cfg.costs.deref_check_ns);
         // Deliver the background streamer's completed landings first: a
         // chunk that finished streaming in the past is simply local by now.
-        self.drain_events(self.clocks[core].now());
+        self.drain_events(self.m.now(core));
         match self.chunks.get_mut(&chunk) {
             Some(ChunkState::Local {
                 accessed,
@@ -411,21 +282,22 @@ impl Aifm {
                 *accessed = true;
                 let landed = std::mem::take(prefetched);
                 let ready = *ready_at;
-                let now = self.clocks[core].now();
+                let now = self.m.now(core);
                 if ready > now {
                     // In-flight prefetch: wait, but no exception — AIFM's
                     // edge over paging on tight sequential scans.
                     self.stats.inflight_waits += 1;
-                    self.clocks[core].wait_until(ready);
+                    self.m.wait_until(core, ready);
                 }
                 if landed {
                     // Dereferenced before the landing delivered: this access
                     // consumes the stream; the scheduled event must not fire
                     // later against a recycled chunk.
                     if let Some(id) = self.pending_land.remove(&chunk) {
-                        self.cal.cancel(id);
+                        self.m.cal.cancel(id);
                     }
-                    self.trace
+                    self.m
+                        .trace
                         .emit(ready.max(now), TraceEvent::PrefetchLand { vpn: chunk });
                 }
             }
@@ -452,8 +324,8 @@ impl Aifm {
     /// Demand-fetch a chunk and stream ahead.
     fn miss(&mut self, core: usize, chunk: u64) {
         self.stats.misses += 1;
-        self.trace.emit(
-            self.clocks[core].now(),
+        self.m.trace.emit(
+            self.m.now(core),
             TraceEvent::FaultBegin {
                 core: core as u8,
                 vpn: chunk,
@@ -462,7 +334,7 @@ impl Aifm {
         );
         self.make_room(core, 1, Some(chunk));
         let costs = self.cfg.costs;
-        let t = self.clocks[core].now() + costs.miss_handling_ns;
+        let t = self.m.now(core) + costs.miss_handling_ns;
         let remote = (chunk - (BASE_VA >> 12)) << 12;
         let mut data = vec![0u8; CHUNK].into_boxed_slice();
         let done = self
@@ -495,8 +367,8 @@ impl Aifm {
         for i in 1..=window as u64 {
             self.prefetch(core, chunk + i, t, chunk);
         }
-        self.clocks[core].wait_until(done);
-        self.trace.emit(
+        self.m.wait_until(core, done);
+        self.m.trace.emit(
             done,
             TraceEvent::FaultEnd {
                 core: core as u8,
@@ -522,12 +394,15 @@ impl Aifm {
         }
         let remote = (chunk - (BASE_VA >> 12)) << 12;
         let mut data = vec![0u8; CHUNK].into_boxed_slice();
-        self.trace.emit(t, TraceEvent::PrefetchIssue { vpn: chunk });
+        self.m
+            .trace
+            .emit(t, TraceEvent::PrefetchIssue { vpn: chunk });
         let Ok(done) = self
             .rdma
             .read(t, core, ServiceClass::Prefetch, remote, &mut data)
         else {
-            self.trace
+            self.m
+                .trace
                 .emit(t, TraceEvent::PrefetchCancel { vpn: chunk });
             return;
         };
@@ -544,7 +419,7 @@ impl Aifm {
         // The landing is a calendar event at the fetch's completion time —
         // the streamer's thread marks the chunk ready then, whether or not
         // the mutator ever looks at it.
-        let id = self.cal.schedule(
+        let id = self.m.cal.schedule(
             done,
             SchedEvent::PrefetchLand {
                 vpn: chunk,
@@ -579,7 +454,7 @@ impl Aifm {
                 self.clock_hand += 1;
                 continue;
             }
-            let now = self.clocks[core].now();
+            let now = self.m.now(core);
             let Some(ChunkState::Local {
                 dirty,
                 accessed,
@@ -609,12 +484,14 @@ impl Aifm {
             if prefetched {
                 // Evacuated before the landing delivered or any deref saw it.
                 if let Some(id) = self.pending_land.remove(&victim) {
-                    self.cal.cancel(id);
+                    self.m.cal.cancel(id);
                 }
-                self.trace
+                self.m
+                    .trace
                     .emit(now, TraceEvent::PrefetchCancel { vpn: victim });
             }
-            self.trace
+            self.m
+                .trace
                 .emit(now, TraceEvent::Evict { vpn: victim, dirty });
             if dirty {
                 let remote = (victim - (BASE_VA >> 12)) << 12;
@@ -628,6 +505,42 @@ impl Aifm {
             self.local_count -= 1;
             self.stats.evictions += 1;
         }
+    }
+}
+
+impl ComputeNode for Aifm {
+    #[inline]
+    fn machine(&self) -> &Machine {
+        &self.m
+    }
+
+    #[inline]
+    fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.m
+    }
+
+    fn endpoint(&mut self) -> &mut dyn DeliverCompletion {
+        &mut self.rdma
+    }
+
+    fn dispatch(&mut self, t: Ns, ev: SchedEvent) -> Option<(Ns, SchedEvent)> {
+        if let SchedEvent::PrefetchLand { vpn, .. } = ev {
+            self.pending_land.remove(&vpn);
+            if let Some(ChunkState::Local { prefetched, .. }) = self.chunks.get_mut(&vpn) {
+                if std::mem::take(prefetched) {
+                    self.m.trace.emit(t, TraceEvent::PrefetchLand { vpn });
+                }
+            }
+        }
+        None
+    }
+
+    fn record_gauges(&self, t: Ns, g: &MetricsRegistry) {
+        g.set_gauge("local_chunks", self.local_count as u64);
+        g.set_gauge("lru_chunks", self.lru.len() as u64);
+        g.set_gauge("pending_land", self.pending_land.len() as u64);
+        g.set_gauge("busy_qps", self.rdma.busy_qps(t) as u64);
+        g.set_gauge("link_busy_ns", self.rdma.fabric().link_busy());
     }
 }
 
@@ -664,13 +577,13 @@ mod tests {
         let mut n = node(64);
         let va = n.alloc(CHUNK);
         n.write_u64(0, va, 1);
-        let t0 = n.now(0);
+        let t0 = n.m.now(0);
         let d0 = n.stats().derefs;
         for _ in 0..1_000 {
             let _ = n.read_u64(0, va);
         }
         assert_eq!(n.stats().derefs - d0, 1_000);
-        let per_access = (n.now(0) - t0) / 1_000;
+        let per_access = (n.m.now(0) - t0) / 1_000;
         assert!(
             per_access >= n.cfg.costs.deref_check_ns,
             "deref tax missing: {per_access}"
@@ -693,7 +606,7 @@ mod tests {
             for p in 0..512u64 {
                 let _ = n.read_u64(0, va + p * CHUNK as u64);
             }
-            (n.now(0), n.stats().prefetched)
+            (n.m.now(0), n.stats().prefetched)
         };
         let (t_stream, pf) = run(16);
         let (t_none, _) = run(1);
@@ -731,7 +644,7 @@ mod tests {
             for p in (0..200u64).rev() {
                 let _ = n.read_u64(0, va + p * CHUNK as u64);
             }
-            n.now(0)
+            n.m.now(0)
         };
         assert_eq!(run(), run());
     }

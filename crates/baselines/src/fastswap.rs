@@ -15,9 +15,9 @@
 //! reclaim, TLB shootdowns on unmap) is present here and absent there.
 
 use dilos_sim::{
-    page_chunks, Calendar, CoreClock, FaultKind, LruChain, MetricsRegistry, Ns, Observability,
-    RdmaEndpoint, SchedEvent, Segment, ServiceClass, SimConfig, SpanProfiler, Timeline, TraceEvent,
-    TraceSink, PAGE_SIZE,
+    page_chunks, ComputeNode, DeliverCompletion, FaultKind, LruChain, Machine, MetricsRegistry, Ns,
+    Observability, RdmaEndpoint, SchedEvent, Segment, ServiceClass, SimConfig, Timeline,
+    TraceEvent, TraceSink, PAGE_SIZE,
 };
 
 /// Fastswap software costs, in virtual nanoseconds.
@@ -198,13 +198,12 @@ pub struct Fastswap {
     /// Resident pages (mapped *and* swap-cached) in LRU order — the Linux
     /// two-list LRU, which tracks swap-cache pages too.
     lru: LruChain,
-    clocks: Vec<CoreClock>,
+    /// The chassis. Its calendar runs offloaded reclaim batches when the
+    /// offload thread's CPU is actually free, and delivers traced verb
+    /// completions at their completion times.
+    m: Machine,
     /// The dedicated reclaim-offload kernel thread.
     offload: Timeline,
-    /// Event calendar: offloaded reclaim batches run when the offload
-    /// thread's CPU is actually free, and traced verb completions are
-    /// delivered at their completion times.
-    cal: Calendar,
     /// Due times of the `ReclaimTick`s scheduled and not yet delivered —
     /// what `get_frame` may wake up for. The calendar itself also carries
     /// trace-only completions, which must not steer the model.
@@ -212,12 +211,6 @@ pub struct Fastswap {
     reclaim_round: u32,
     stats: FastswapStats,
     brk: u64,
-    /// Structured event trace (dark unless the bundle records).
-    trace: TraceSink,
-    /// Telemetry registry (dark unless the bundle is metered).
-    metrics: MetricsRegistry,
-    /// Span profiler attached to the trace (dark unless metered).
-    profiler: SpanProfiler,
 }
 
 impl std::fmt::Debug for Fastswap {
@@ -238,22 +231,14 @@ impl Fastswap {
     ///
     /// Panics on a degenerate configuration.
     pub fn new(cfg: FastswapConfig) -> Self {
-        assert!(cfg.cores > 0, "at least one core");
+        let m = Machine::new(cfg.cores, &cfg.sim, &cfg.obs);
         assert!(cfg.local_pages >= 16, "cache too small for the cluster");
         let mut rdma = RdmaEndpoint::connect(cfg.sim.clone(), cfg.remote_bytes);
-        let obs = cfg.obs.clone();
-        let trace = obs.trace().clone();
-        let metrics = obs.metrics().clone();
-        let profiler = obs.profiler().clone();
-        rdma.observe(&obs);
-        let cal = Calendar::new();
-        rdma.set_calendar(cal.clone());
+        rdma.observe(&cfg.obs);
+        rdma.set_calendar(m.cal.clone());
         Self {
             rdma,
-            trace,
-            metrics,
-            profiler,
-            cal,
+            m,
             reclaim_due: Vec::new(),
             state: Vec::new(),
             frames: (0..cfg.local_pages)
@@ -263,7 +248,6 @@ impl Fastswap {
             free: (0..cfg.local_pages as u32).rev().collect(),
             pending_free: Vec::new(),
             lru: LruChain::new(),
-            clocks: vec![CoreClock::new(); cfg.cores],
             offload: Timeline::new(),
             reclaim_round: 0,
             stats: FastswapStats::default(),
@@ -284,116 +268,7 @@ impl Fastswap {
 
     /// The structured event trace (dark unless [`FastswapConfig::obs`] records).
     pub fn trace(&self) -> &TraceSink {
-        &self.trace
-    }
-
-    /// The telemetry registry (dark unless [`FastswapConfig::obs`] is metered).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// The span profiler (dark unless [`FastswapConfig::obs`] is metered).
-    pub fn profiler(&self) -> &SpanProfiler {
-        &self.profiler
-    }
-
-    /// Order-sensitive digest over every traced event (0 when tracing is
-    /// off). Identical seeds and configurations must produce identical
-    /// digests.
-    ///
-    /// Quiesces first: scheduled offload batches and deferred completion
-    /// records are delivered so the digest covers a settled trace.
-    /// Idempotent.
-    pub fn trace_digest(&mut self) -> u64 {
-        self.deliver_due(Ns::MAX);
-        // Nothing is left to deliver: this samples the gauges to the horizon.
-        self.drain_events(self.max_now());
-        self.trace.digest()
-    }
-
-    /// Delivers every calendar event due at or before `now`.
-    fn drain_events(&mut self, now: Ns) {
-        self.deliver_due(now);
-        while let Some(t) = self.metrics.next_sample_due(now) {
-            self.record_gauges(t);
-        }
-    }
-
-    /// Snapshots every sampled gauge at virtual time `t`.
-    fn record_gauges(&mut self, t: Ns) {
-        self.metrics
-            .set_gauge("free_frames", self.free.len() as u64);
-        self.metrics.set_gauge("lru_pages", self.lru.len() as u64);
-        self.metrics
-            .set_gauge("pending_writebacks", self.pending_free.len() as u64);
-        self.metrics
-            .set_gauge("busy_qps", self.rdma.busy_qps(t) as u64);
-        self.metrics
-            .set_gauge("link_busy_ns", self.rdma.fabric().link_busy());
-        self.metrics.record_sample(t);
-    }
-
-    /// Runs the calendar's delivery loop up to `bound`; no handler here
-    /// chains a follow-up.
-    fn deliver_due(&mut self, bound: Ns) {
-        if self.cal.has_due(bound) {
-            let cal = self.cal.clone();
-            cal.deliver_due(bound, |t, ev| {
-                self.dispatch(t, ev);
-                None
-            });
-        }
-    }
-
-    /// Delivers one calendar event at its scheduled time.
-    fn dispatch(&mut self, t: Ns, ev: SchedEvent) {
-        // Calendar work drained inside a fault's frame-allocation spin must
-        // not inherit the fault's causal request id; completions re-attach
-        // their own id from the endpoint's pending-request FIFO.
-        let drained_req = self.trace.set_request(None);
-        match ev {
-            SchedEvent::ReclaimTick => {
-                if let Some(i) = self.reclaim_due.iter().position(|&due| due == t) {
-                    self.reclaim_due.swap_remove(i);
-                }
-                // One offloaded reclaim batch, running at the offload
-                // thread's true time.
-                self.reclaim_batch(0, t, true);
-                self.stats.offloaded_reclaims += 1;
-            }
-            SchedEvent::RdmaCompletion {
-                class,
-                write,
-                node,
-                core,
-            } => self.rdma.deliver_completion(t, class, write, node, core),
-            _ => {}
-        }
-        self.trace.set_request(drained_req);
-    }
-
-    /// Current virtual time on `core`.
-    pub fn now(&self, core: usize) -> Ns {
-        self.clocks[core].now()
-    }
-
-    /// Charges application compute.
-    pub fn compute(&mut self, core: usize, ns: Ns) {
-        self.clocks[core].advance(ns);
-    }
-
-    /// Joins all core clocks.
-    pub fn barrier(&mut self) -> Ns {
-        let t = self.clocks.iter().map(CoreClock::now).max().unwrap_or(0);
-        for c in &mut self.clocks {
-            c.wait_until(t);
-        }
-        t
-    }
-
-    /// Completion time across cores.
-    pub fn max_now(&self) -> Ns {
-        self.clocks.iter().map(CoreClock::now).max().unwrap_or(0)
+        &self.m.trace
     }
 
     /// Allocates `len` bytes of (swappable) anonymous memory.
@@ -410,25 +285,25 @@ impl Fastswap {
 
     /// Unmaps `len` bytes at `va`.
     pub fn free(&mut self, va: u64, len: usize) {
-        let t = self.max_now();
+        let t = self.m.max_now();
         let start = va >> 12;
         let end = (va + len as u64 + PAGE_SIZE as u64 - 1) >> 12;
         for vpn in start..end {
             if let Some(state) = self.st_clear(vpn) {
                 match state {
                     PageState::Mapped { frame, .. } => {
-                        self.trace.emit(t, TraceEvent::LruRemove { vpn });
+                        self.m.trace.emit(t, TraceEvent::LruRemove { vpn });
                         self.lru.remove(vpn);
-                        self.trace.emit(t, TraceEvent::FrameFree { frame });
+                        self.m.trace.emit(t, TraceEvent::FrameFree { frame });
                         self.free.push(frame);
                     }
                     PageState::Cached { frame, ready_at } => {
-                        self.trace.emit(t, TraceEvent::LruRemove { vpn });
+                        self.m.trace.emit(t, TraceEvent::LruRemove { vpn });
                         self.lru.remove(vpn);
                         // The readahead that filled this frame will never be
                         // consumed.
-                        self.trace.emit(t, TraceEvent::PrefetchCancel { vpn });
-                        self.trace.emit(ready_at, TraceEvent::FrameFree { frame });
+                        self.m.trace.emit(t, TraceEvent::PrefetchCancel { vpn });
+                        self.m.trace.emit(ready_at, TraceEvent::FrameFree { frame });
                         self.pending_free.push((frame, ready_at));
                     }
                     PageState::Swapped => {}
@@ -447,7 +322,7 @@ impl Fastswap {
             let n = span.len();
             let frame = self.touch(core, vpn, false);
             buf[span].copy_from_slice(&self.frames[frame as usize][off..off + n]);
-            self.charge_copy(core, n);
+            self.m.charge_copy(core, n);
         }
     }
 
@@ -463,7 +338,7 @@ impl Fastswap {
             self.frames[frame as usize][off..end].copy_from_slice(&buf[span]);
             let live = &mut self.frame_live[frame as usize];
             *live = (*live).max(end as u32);
-            self.charge_copy(core, end - off);
+            self.m.charge_copy(core, end - off);
         }
     }
 
@@ -477,11 +352,6 @@ impl Fastswap {
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, core: usize, va: u64, v: u64) {
         self.write(core, va, &v.to_le_bytes());
-    }
-
-    fn charge_copy(&mut self, core: usize, bytes: usize) {
-        let ns = self.cfg.sim.local_access_ns + (bytes as f64 * 0.05) as Ns;
-        self.clocks[core].advance(ns);
     }
 
     /// Dense index of `vpn` in the swap-state table.
@@ -547,77 +417,39 @@ impl Fastswap {
     ) -> u32 {
         let costs = self.cfg.costs;
         self.stats.minor_faults += 1;
-        let now = self.clocks[core].now();
-        let prev_req = self.trace.begin_request();
-        self.trace.emit(
-            now,
-            TraceEvent::FaultBegin {
-                core: core as u8,
-                vpn,
-                kind: FaultKind::Minor,
-            },
-        );
+        let now = self.m.now(core);
+        let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Minor);
         let t = (now + costs.minor_fault_ns).max(ready_at);
-        self.clocks[core].wait_until(t);
+        self.m.wait_until(core, t);
         // First touch consumes the readahead.
-        self.trace.emit(t, TraceEvent::PrefetchLand { vpn });
+        self.m.trace.emit(t, TraceEvent::PrefetchLand { vpn });
         self.map(t, vpn, frame, is_write);
-        self.trace.emit(
-            t,
-            TraceEvent::FaultEnd {
-                core: core as u8,
-                vpn,
-            },
-        );
-        self.trace.set_request(prev_req);
+        self.m.end_fault(t, core, vpn, prev_req);
         frame
     }
 
     fn zero_fill(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
         let costs = self.cfg.costs;
-        let now = self.clocks[core].now();
-        let prev_req = self.trace.begin_request();
-        self.trace.emit(
-            now,
-            TraceEvent::FaultBegin {
-                core: core as u8,
-                vpn,
-                kind: FaultKind::ZeroFill,
-            },
-        );
+        let now = self.m.now(core);
+        let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::ZeroFill);
         let t = now + costs.exception_ns + costs.page_alloc_ns;
         let (frame, t_frame, _) = self.get_frame(core, t);
         let live = self.frame_live[frame as usize] as usize;
         self.frames[frame as usize][..live].fill(0);
         self.frame_live[frame as usize] = 0;
         let t_end = t_frame + costs.map_ns;
-        self.clocks[core].wait_until(t_end);
+        self.m.wait_until(core, t_end);
         self.stats.zero_fills += 1;
         self.map(t_end, vpn, frame, is_write);
-        self.trace.emit(
-            t_end,
-            TraceEvent::FaultEnd {
-                core: core as u8,
-                vpn,
-            },
-        );
-        self.trace.set_request(prev_req);
+        self.m.end_fault(t_end, core, vpn, prev_req);
         frame
     }
 
     /// A major fault: swap-in through the swap cache, with readahead.
     fn major_fault(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
         let costs = self.cfg.costs;
-        let now = self.clocks[core].now();
-        let prev_req = self.trace.begin_request();
-        self.trace.emit(
-            now,
-            TraceEvent::FaultBegin {
-                core: core as u8,
-                vpn,
-                kind: FaultKind::Major,
-            },
-        );
+        let now = self.m.now(core);
+        let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Major);
         let mut t = now + costs.exception_ns + costs.swap_cache_ns;
         let (frame, t_frame, reclaim_ns) = self.get_frame(core, t + costs.page_alloc_ns);
         t = t_frame;
@@ -634,7 +466,7 @@ impl Fastswap {
         // (asynchronous; pages cost a minor fault on first touch).
         self.readahead(core, vpn, done);
         let t_end = done + costs.map_ns;
-        self.clocks[core].wait_until(t_end);
+        self.m.wait_until(core, t_end);
         self.stats.major_faults += 1;
         let b = &mut self.stats.breakdown;
         b.exception += costs.exception_ns;
@@ -645,14 +477,7 @@ impl Fastswap {
         b.map += costs.map_ns;
         b.count += 1;
         self.map(t_end, vpn, frame, is_write);
-        self.trace.emit(
-            t_end,
-            TraceEvent::FaultEnd {
-                core: core as u8,
-                vpn,
-            },
-        );
-        self.trace.set_request(prev_req);
+        self.m.end_fault(t_end, core, vpn, prev_req);
         frame
     }
 
@@ -696,8 +521,9 @@ impl Fastswap {
             let remote = (target - (BASE_VA >> 12)) << 12;
             // Each readahead page is its own causal request, issued at
             // origin; the faulting request resumes once it lands.
-            let prev_req = self.trace.begin_request();
-            self.trace
+            let prev_req = self.m.trace.begin_request();
+            self.m
+                .trace
                 .emit(t.max(avail), TraceEvent::PrefetchIssue { vpn: target });
             let done = self.swap_in(t.max(avail), core, ServiceClass::Prefetch, remote, frame);
             self.st_set(
@@ -707,11 +533,12 @@ impl Fastswap {
                     ready_at: done,
                 },
             );
-            self.trace
+            self.m
+                .trace
                 .emit(t.max(avail), TraceEvent::LruInsert { vpn: target });
             self.lru.insert(target);
             self.stats.readahead_pages += 1;
-            self.trace.set_request(prev_req);
+            self.m.trace.set_request(prev_req);
         }
     }
 
@@ -720,7 +547,7 @@ impl Fastswap {
     /// reclaim batch. Returns `(frame, available_at)`.
     fn frame_for_readahead(&mut self, t: Ns, reclaim_budget: &mut u32) -> Option<(u32, Ns)> {
         if let Some(f) = self.free.pop() {
-            self.trace.emit(t, TraceEvent::FrameAlloc { frame: f });
+            self.m.trace.emit(t, TraceEvent::FrameAlloc { frame: f });
             return Some((f, t));
         }
         if self.pending_free.is_empty() {
@@ -734,7 +561,7 @@ impl Fastswap {
             self.reclaim_gentle(t);
         }
         if let Some(f) = self.free.pop() {
-            self.trace.emit(t, TraceEvent::FrameAlloc { frame: f });
+            self.m.trace.emit(t, TraceEvent::FrameAlloc { frame: f });
             return Some((f, t));
         }
         let i = self
@@ -744,7 +571,7 @@ impl Fastswap {
             .min_by_key(|(_, &(_, a))| a)
             .map(|(i, _)| i)?;
         let (f, a) = self.pending_free.swap_remove(i);
-        self.trace.emit(a, TraceEvent::FrameAlloc { frame: f });
+        self.m.trace.emit(a, TraceEvent::FrameAlloc { frame: f });
         Some((f, a))
     }
 
@@ -769,7 +596,7 @@ impl Fastswap {
         // A swap-cached page is already an LRU member; mapping it is a
         // touch, not an insert.
         if !self.lru.contains(vpn) {
-            self.trace.emit(t, TraceEvent::LruInsert { vpn });
+            self.m.trace.emit(t, TraceEvent::LruInsert { vpn });
         }
         self.lru.insert(vpn);
     }
@@ -786,7 +613,7 @@ impl Fastswap {
         loop {
             self.drain_events(now);
             if let Some(f) = self.free.pop() {
-                self.trace.emit(now, TraceEvent::FrameAlloc { frame: f });
+                self.m.trace.emit(now, TraceEvent::FrameAlloc { frame: f });
                 return (f, now, direct_ns);
             }
             // The free list is empty: kernel reclaim runs *now*, before the
@@ -802,7 +629,7 @@ impl Fastswap {
                 // the thread is idle that is right now; the drain below
                 // delivers it before the handler re-checks the free list.
                 let due = self.offload.next_free(now);
-                self.cal.schedule(due, SchedEvent::ReclaimTick);
+                self.m.cal.schedule(due, SchedEvent::ReclaimTick);
                 self.reclaim_due.push(due);
                 self.drain_events(now);
             } else {
@@ -817,7 +644,7 @@ impl Fastswap {
                 .position(|&(_, avail)| avail <= now)
             {
                 let (f, _) = self.pending_free.swap_remove(i);
-                self.trace.emit(now, TraceEvent::FrameAlloc { frame: f });
+                self.m.trace.emit(now, TraceEvent::FrameAlloc { frame: f });
                 return (f, now, direct_ns);
             }
             if self.free.is_empty() {
@@ -870,18 +697,20 @@ impl Fastswap {
         };
         // Each eviction is its own causal request, whether produced by the
         // offload thread or by direct reclaim inside a fault.
-        let prev_req = self.trace.begin_request();
+        let prev_req = self.m.trace.begin_request();
         match st {
             PageState::Cached { frame, .. } => {
                 // Drop from the swap cache: clean by construction. The
                 // readahead that fetched this page goes unconsumed.
                 let at = if offloaded { t } else { t + spent };
-                self.trace.emit(at, TraceEvent::PrefetchCancel { vpn });
-                self.trace.emit(at, TraceEvent::Evict { vpn, dirty: false });
+                self.m.trace.emit(at, TraceEvent::PrefetchCancel { vpn });
+                self.m
+                    .trace
+                    .emit(at, TraceEvent::Evict { vpn, dirty: false });
                 self.st_set(vpn, PageState::Swapped);
-                self.trace.emit(at, TraceEvent::LruRemove { vpn });
+                self.m.trace.emit(at, TraceEvent::LruRemove { vpn });
                 self.lru.remove(vpn);
-                self.trace.emit(at, TraceEvent::FrameFree { frame });
+                self.m.trace.emit(at, TraceEvent::FrameFree { frame });
                 self.pending_free.push((frame, at));
                 self.stats.evictions += 1;
             }
@@ -911,19 +740,23 @@ impl Fastswap {
                         available_at = t + spent;
                     }
                 }
-                self.trace
+                self.m
+                    .trace
                     .emit(available_at, TraceEvent::Evict { vpn, dirty });
                 self.st_set(vpn, PageState::Swapped);
-                self.trace.emit(available_at, TraceEvent::LruRemove { vpn });
+                self.m
+                    .trace
+                    .emit(available_at, TraceEvent::LruRemove { vpn });
                 self.lru.remove(vpn);
-                self.trace
+                self.m
+                    .trace
                     .emit(available_at, TraceEvent::FrameFree { frame });
                 self.pending_free.push((frame, available_at));
                 self.stats.evictions += 1;
             }
             PageState::Swapped => unreachable!("victims are resident"),
         }
-        self.trace.set_request(prev_req);
+        self.m.trace.set_request(prev_req);
         if offloaded {
             // The offload thread's CPU time rides its own timeline.
             self.offload.acquire(t, spent);
@@ -931,6 +764,43 @@ impl Fastswap {
         } else {
             spent
         }
+    }
+}
+
+impl ComputeNode for Fastswap {
+    #[inline]
+    fn machine(&self) -> &Machine {
+        &self.m
+    }
+
+    #[inline]
+    fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.m
+    }
+
+    fn endpoint(&mut self) -> &mut dyn DeliverCompletion {
+        &mut self.rdma
+    }
+
+    fn dispatch(&mut self, t: Ns, ev: SchedEvent) -> Option<(Ns, SchedEvent)> {
+        if ev == SchedEvent::ReclaimTick {
+            if let Some(i) = self.reclaim_due.iter().position(|&due| due == t) {
+                self.reclaim_due.swap_remove(i);
+            }
+            // One offloaded reclaim batch, running at the offload thread's
+            // true time.
+            self.reclaim_batch(0, t, true);
+            self.stats.offloaded_reclaims += 1;
+        }
+        None
+    }
+
+    fn record_gauges(&self, t: Ns, g: &MetricsRegistry) {
+        g.set_gauge("free_frames", self.free.len() as u64);
+        g.set_gauge("lru_pages", self.lru.len() as u64);
+        g.set_gauge("pending_writebacks", self.pending_free.len() as u64);
+        g.set_gauge("busy_qps", self.rdma.busy_qps(t) as u64);
+        g.set_gauge("link_busy_ns", self.rdma.fabric().link_busy());
     }
 }
 
@@ -1035,7 +905,7 @@ mod tests {
             for p in (0..300u64).rev() {
                 let _ = n.read_u64(0, va + p * PAGE_SIZE as u64);
             }
-            n.now(0)
+            n.m.now(0)
         };
         assert_eq!(run(), run());
     }

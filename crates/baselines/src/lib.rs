@@ -1,8 +1,10 @@
 //! `dilos-baselines` — the comparison systems of the DiLOS evaluation.
 //!
 //! The paper compares DiLOS against two systems, both re-implemented here
-//! from scratch on the same `dilos-sim` substrate so the comparison isolates
-//! the *data-path design*, not the hardware:
+//! from scratch on the same `dilos-sim` substrate — the same
+//! [`Machine`](dilos_sim::Machine) chassis of clocks, calendar and delivery
+//! loop DiLOS stands on — so the comparison isolates the *data-path
+//! design*, not the hardware:
 //!
 //! - [`fastswap`] — the state-of-the-art kernel paging system: Linux swap
 //!   cache, cluster readahead, direct + offloaded reclamation, kernel

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos_alloc::Heap;
-use dilos_apps::farmem::Introspect;
+use dilos_apps::farmem::{FarMemory, Introspect};
 use dilos_apps::seqrw::SeqWorkload;
 use dilos_core::{Dilos, DilosConfig, HeapPagingGuide, Readahead};
 

@@ -14,6 +14,7 @@
 //! ties broken by tenant id. Same seeds + same cluster ⇒ byte-identical
 //! latency tables and trace digests.
 
+use dilos_apps::farmem::FarMemory;
 use dilos_core::ServingCluster;
 use dilos_sim::{LatencyHistogram, Ns, SplitMix64};
 

@@ -1,6 +1,6 @@
 //! Microbenchmark experiments: Figures 1, 2, 6 and Tables 1, 2, 3.
 
-use dilos_apps::farmem::{SystemKind, SystemSpec};
+use dilos_apps::farmem::{Introspect, SystemKind, SystemSpec};
 use dilos_apps::seqrw::SeqWorkload;
 use dilos_baselines::{Fastswap, FastswapConfig};
 use dilos_sim::{Observability, RdmaEndpoint, ServiceClass, SimConfig, PAGE_SIZE};

@@ -97,11 +97,14 @@ impl ServingCluster {
     ///
     /// # Panics
     ///
-    /// Panics on an empty tenant list, more than 255 tenants, a tenant with
-    /// more than [`LANES_PER_TENANT`] cores, or an unaligned slice size.
+    /// Panics on an empty tenant list, more than 256 / [`LANES_PER_TENANT`]
+    /// tenants, a tenant with more cores than that, or an unaligned slice.
     pub fn boot(cfg: ClusterConfig) -> Self {
         assert!(!cfg.tenants.is_empty(), "at least one tenant");
-        assert!(cfg.tenants.len() <= u8::MAX as usize, "tenant id fits u8");
+        assert!(
+            cfg.tenants.len() * LANES_PER_TENANT <= 256,
+            "lane ids fit u8"
+        );
         let total_remote: u64 = cfg.tenants.iter().map(|t| t.remote_bytes).sum();
         let pool = SharedPool::new(RdmaEndpoint::connect(cfg.sim.clone(), total_remote));
 

@@ -25,9 +25,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos_sim::{
-    page_chunks, Calendar, CoreClock, EventId, FaultKind, FaultPhase, MetricsRegistry, Ns,
-    Observability, PteClass, RdmaEndpoint, RdmaError, RdmaPort, RecoverConfig, RecoveryStats,
-    ReqId, SchedEvent, Segment, ServiceClass, SimConfig, SpanProfiler, TraceEvent, TraceSink,
+    page_chunks, ComputeNode, DeliverCompletion, EventId, FaultKind, FaultPhase, Machine,
+    MetricsRegistry, Ns, Observability, PteClass, RdmaEndpoint, RdmaError, RdmaPort, RecoverConfig,
+    RecoveryStats, ReqId, SchedEvent, Segment, ServiceClass, SimConfig, TraceEvent, TraceSink,
     PAGE_SIZE,
 };
 
@@ -75,8 +75,6 @@ pub struct SoftCosts {
     pub swapcache_mgmt_ns: Ns,
     /// Minor-fault service from the swap cache (ablation only).
     pub swapcache_minor_ns: Ns,
-    /// Local DRAM copy cost per byte.
-    pub dram_per_byte_ns: f64,
 }
 
 impl Default for SoftCosts {
@@ -91,7 +89,6 @@ impl Default for SoftCosts {
             tlb_miss_walk_ns: 30,
             swapcache_mgmt_ns: 900,
             swapcache_minor_ns: 800,
-            dram_per_byte_ns: 0.05,
         }
     }
 }
@@ -207,14 +204,11 @@ pub struct Dilos {
     inflight_free: Vec<u32>,
     paging_guide: Option<Rc<RefCell<dyn PagingGuide>>>,
     prefetch_guide: Option<Rc<RefCell<dyn PrefetchGuide>>>,
-    clocks: Vec<CoreClock>,
+    /// The chassis: per-core clocks, the calendar, the trace and metrics.
+    m: Machine,
     tlb: Vec<[TlbEntry; TLB_WAYS]>,
     /// Background reclaimer/cleaner CPU timeline.
     bg: dilos_sim::Timeline,
-    /// The discrete-event calendar shared with the RDMA endpoint: prefetch
-    /// landings, reclaim ticks, cleaner writebacks, verb completions, and
-    /// node repairs are delivered from here at their true virtual times.
-    cal: Calendar,
     /// A reclaim episode is open (`ReclaimBegin` emitted, no `End` yet).
     /// Invariant: an open episode always has a tick pending, so draining
     /// the calendar always closes it.
@@ -239,15 +233,8 @@ pub struct Dilos {
     prefetch_buf: Vec<u64>,
     /// Scratch for guided-fetch segment vectors (reused across faults).
     seg_buf: Vec<Segment>,
-    /// Structured event trace (dark unless `cfg.obs` records).
-    trace: TraceSink,
     /// Online invariant checker attached to the trace.
     audit: Option<Rc<RefCell<Auditor>>>,
-    /// Gauge registry and sampler (dark unless `cfg.obs` is metered).
-    metrics: MetricsRegistry,
-    /// Span profiler attached to the trace (dark unless `cfg.obs` is
-    /// metered); also folds the stream's counters.
-    profiler: SpanProfiler,
 }
 
 impl std::fmt::Debug for Dilos {
@@ -297,32 +284,23 @@ impl Dilos {
     }
 
     fn boot(cfg: DilosConfig, mut rdma: RdmaPort) -> Self {
-        assert!(cfg.cores > 0, "at least one core");
+        let m = Machine::new(cfg.cores, &cfg.sim, &cfg.obs);
         assert!(
             cfg.local_pages >= 16,
             "local cache below 16 pages cannot hold the prefetch window"
         );
-        let obs = cfg.obs.clone();
-        let trace = obs.trace().clone();
-        let audit = if obs.audit() {
+        let audit = cfg.obs.audit().then(|| {
             let mut auditor = Auditor::new();
             auditor.set_frame_quota(cfg.local_pages);
             let a = Rc::new(RefCell::new(auditor));
-            trace.attach(a.clone());
-            Some(a)
-        } else {
-            None
-        };
-        let metrics = obs.metrics().clone();
-        let profiler = obs.profiler().clone();
+            m.trace.attach(a.clone());
+            a
+        });
         let mut frames = FrameArena::new(cfg.local_pages);
-        frames.observe(&obs);
+        frames.observe(&cfg.obs);
         let wm = Watermarks::for_cache(cfg.local_pages);
-        // One calendar for the whole node: the endpoint posts its traced
-        // completions onto it, and the node delivers them (plus landings,
-        // reclaim ticks, and writebacks) whenever virtual time passes them.
-        let cal = Calendar::new();
-        rdma.bind(obs, cal.clone());
+        // The endpoint posts its traced completions on the node's calendar.
+        rdma.bind(cfg.obs.clone(), m.cal.clone());
         Self {
             frames,
             rdma,
@@ -335,10 +313,9 @@ impl Dilos {
             inflight_free: Vec::new(),
             paging_guide: None,
             prefetch_guide: None,
-            clocks: vec![CoreClock::new(); cfg.cores],
+            m,
             tlb: vec![[TlbEntry::default(); TLB_WAYS]; cfg.cores],
             bg: dilos_sim::Timeline::new(),
-            cal,
             episode_open: false,
             tick_pending: false,
             episode_freed: 0,
@@ -351,10 +328,7 @@ impl Dilos {
             cfg,
             prefetch_buf: Vec::new(),
             seg_buf: Vec::new(),
-            trace,
             audit,
-            metrics,
-            profiler,
         }
     }
 
@@ -393,50 +367,17 @@ impl Dilos {
         self.rdma.endpoint()
     }
 
-    /// The node's port on the endpoint (tenant-scoped accounting).
-    pub fn port(&self) -> &RdmaPort {
-        &self.rdma
-    }
-
-    /// The node's trace sink (disabled when [`DilosConfig::obs`] is
-    /// `Observability::none()`).
+    /// The node's trace sink (dark unless [`DilosConfig::obs`] records).
     pub fn trace(&self) -> &TraceSink {
-        &self.trace
-    }
-
-    /// The telemetry registry (disabled unless [`DilosConfig::obs`] is
-    /// `Observability::metered()` or `full()`).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// The span profiler (disabled unless [`DilosConfig::obs`] is
-    /// `Observability::metered()` or `full()`).
-    pub fn profiler(&self) -> &SpanProfiler {
-        &self.profiler
+        &self.m.trace
     }
 
     /// Order-sensitive digest over every traced event so far (0 when
-    /// tracing is off). Two runs of the same seed and configuration must
-    /// produce the same digest.
-    ///
-    /// Quiesces first: pending calendar work (in-flight landings, open
-    /// reclaim episodes, deferred writebacks) is delivered so the digest
-    /// covers a settled system. Idempotent — a second call delivers nothing
-    /// new and returns the same value.
+    /// tracing is off); equal seeds and configurations give equal digests.
+    /// Quiesces first, so the digest covers a settled system. Idempotent.
     pub fn trace_digest(&mut self) -> u64 {
         self.quiesce();
-        self.trace.digest()
-    }
-
-    /// Delivers every still-pending calendar event at its scheduled time.
-    ///
-    /// Deliveries may chain follow-ups (a reclaim tick, until the watermark
-    /// target is met); the delivery loop runs until the calendar is empty.
-    pub fn quiesce(&mut self) {
-        self.deliver_due(Ns::MAX);
-        // Nothing is left to deliver: this samples the gauges to the horizon.
-        self.drain_events(self.max_now());
+        self.m.trace.digest()
     }
 
     /// Runs the auditor's end-of-run checks plus cross-checks of the traced
@@ -560,7 +501,7 @@ impl Dilos {
     /// the node's pages from the surviving redundancy (replica copy or
     /// erasure-coded reconstruction).
     pub fn schedule_memory_node_repair(&mut self, at: Ns, node: usize) {
-        self.cal.schedule(at, SchedEvent::NodeRepair { node });
+        self.m.cal.schedule(at, SchedEvent::NodeRepair { node });
     }
 
     /// Crash–recovery counters: crashes fired, recoveries completed, log
@@ -586,43 +527,15 @@ impl Dilos {
     pub(crate) fn inject_resurrected_frame(&mut self, t: Ns) -> Option<u32> {
         let frame = self.frames.pop_free(t)?;
         self.frames.push_free(frame, t);
-        self.trace.emit(
-            t,
-            TraceEvent::LruInsert {
-                vpn: u64::from(frame),
-            },
-        );
-        self.lru.insert(u64::from(frame));
+        let vpn = u64::from(frame);
+        self.m.trace.emit(t, TraceEvent::LruInsert { vpn });
+        self.lru.insert(vpn);
         Some(frame)
     }
 
     /// The node configuration.
     pub fn config(&self) -> &DilosConfig {
         &self.cfg
-    }
-
-    /// Current virtual time on `core`.
-    pub fn now(&self, core: usize) -> Ns {
-        self.clocks[core].now()
-    }
-
-    /// Charges `ns` of application compute to `core`.
-    pub fn compute(&mut self, core: usize, ns: Ns) {
-        self.clocks[core].advance(ns);
-    }
-
-    /// Synchronizes all cores (fork/join barrier); returns the join time.
-    pub fn barrier(&mut self) -> Ns {
-        let t = self.clocks.iter().map(CoreClock::now).max().unwrap_or(0);
-        for c in &mut self.clocks {
-            c.wait_until(t);
-        }
-        t
-    }
-
-    /// Completion time across all cores.
-    pub fn max_now(&self) -> Ns {
-        self.clocks.iter().map(CoreClock::now).max().unwrap_or(0)
     }
 
     // ------------------------------------------------------------------
@@ -651,22 +564,23 @@ impl Dilos {
     /// Frees `len` bytes at `va` (`ddc_free`): unmaps pages, releasing local
     /// frames and any in-flight or action state.
     pub fn ddc_free(&mut self, va: u64, len: usize) {
-        let t = self.max_now();
+        let t = self.m.max_now();
         self.drain_events(t);
         let start = va >> 12;
         let end = (va + len as u64 + PAGE_SIZE as u64 - 1) >> 12;
         for vpn in start..end {
             match self.pt.get(vpn) {
                 Pte::Local { frame, .. } => {
-                    self.trace
+                    self.m
+                        .trace
                         .emit(t, TraceEvent::LruRemove { vpn: frame as u64 });
                     self.lru.remove(frame as u64);
                     self.frames.push_free(frame, 0);
                 }
                 Pte::Fetching { inflight } => {
                     let e = self.take_inflight(inflight);
-                    self.cal.cancel(e.event);
-                    self.trace.emit(t, TraceEvent::PrefetchCancel { vpn });
+                    self.m.cal.cancel(e.event);
+                    self.m.trace.emit(t, TraceEvent::PrefetchCancel { vpn });
                     // The frame may be reused once the fetch has landed.
                     self.frames.push_free(e.frame, e.ready_at);
                 }
@@ -711,7 +625,7 @@ impl Dilos {
             let n = span.len();
             let frame = self.touch(core, vpn, false);
             buf[span].copy_from_slice(&self.frames.bytes(frame)[off..off + n]);
-            self.charge_copy(core, n);
+            self.m.charge_copy(core, n);
         }
     }
 
@@ -730,7 +644,7 @@ impl Dilos {
             let frame = self.touch(core, vpn, true);
             self.frames.bytes_mut(frame)[off..end].copy_from_slice(&buf[span]);
             self.frames.note_write(frame, end);
-            self.charge_copy(core, end - off);
+            self.m.charge_copy(core, end - off);
         }
     }
 
@@ -746,18 +660,12 @@ impl Dilos {
         self.write(core, va, &v.to_le_bytes());
     }
 
-    fn charge_copy(&mut self, core: usize, bytes: usize) {
-        let ns =
-            self.cfg.sim.local_access_ns + (bytes as f64 * self.cfg.costs.dram_per_byte_ns) as Ns;
-        self.clocks[core].advance(ns);
-    }
-
     fn local_read(&mut self, core: usize, va: u64, buf: &mut [u8]) {
         for (vpn, off, span) in page_chunks(va, buf.len()) {
             let n = span.len();
             buf[span].copy_from_slice(&self.local_page(vpn)[off..off + n]);
         }
-        self.charge_copy(core, buf.len());
+        self.m.charge_copy(core, buf.len());
     }
 
     fn local_write(&mut self, core: usize, va: u64, buf: &[u8]) {
@@ -765,7 +673,7 @@ impl Dilos {
             let n = span.len();
             self.local_page(vpn)[off..off + n].copy_from_slice(&buf[span]);
         }
-        self.charge_copy(core, buf.len());
+        self.m.charge_copy(core, buf.len());
     }
 
     /// The local-only page backing `vpn`, zero-filled on first touch.
@@ -784,7 +692,7 @@ impl Dilos {
         // anything up: prefetch landings map their pages, reclaim ticks
         // evict, writebacks return frames — all at their true virtual times,
         // so this access observes the state the background work produced.
-        self.drain_events(self.clocks[core].now());
+        self.drain_events(self.m.now(core));
         // TLB fast path. The way index is hashed so that arrays laid out at
         // power-of-two strides (columnar tables) don't alias pathologically.
         let way = ((vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 52) as usize % TLB_WAYS;
@@ -822,12 +730,12 @@ impl Dilos {
         match self.pt.get(vpn) {
             Pte::Local { frame, .. } => {
                 // TLB miss to a resident page: hardware walk only.
-                self.clocks[core].advance(self.cfg.costs.tlb_miss_walk_ns);
+                self.m.advance(core, self.cfg.costs.tlb_miss_walk_ns);
                 let ready = self.frames.meta(frame).ready_at;
-                let now = self.clocks[core].now();
+                let now = self.m.now(core);
                 if ready > now {
                     // Mapped but the payload is still on the wire: stall.
-                    self.clocks[core].wait_until(ready);
+                    self.m.wait_until(core, ready);
                 }
                 self.pt.mark_access(vpn, is_write);
                 self.stats.local_hits += 1;
@@ -869,83 +777,53 @@ impl Dilos {
         let entry = self.take_inflight(idx);
         // This access consumes the fetch; the scheduled landing must not
         // fire later against a reused slot.
-        self.cal.cancel(entry.event);
-        let now = self.clocks[core].now();
+        self.m.cal.cancel(entry.event);
+        let now = self.m.now(core);
         let costs = self.cfg.costs;
         if entry.ready_at <= now {
             // Completed in the past; mapping it cost the completion path,
             // not this access. The landing closes the *prefetch's* span.
-            let prev_req = self.trace.set_request(entry.req);
-            self.trace.emit(now, TraceEvent::PrefetchLand { vpn });
+            let prev_req = self.m.trace.set_request(entry.req);
+            self.m.trace.emit(now, TraceEvent::PrefetchLand { vpn });
             self.map_page(now, vpn, entry.frame, 0);
-            self.trace.set_request(prev_req);
+            self.m.trace.set_request(prev_req);
             self.pt.mark_access(vpn, is_write);
             self.stats.local_hits += 1;
-            self.clocks[core].advance(costs.tlb_miss_walk_ns);
+            self.m.advance(core, costs.tlb_miss_walk_ns);
             return entry.frame;
         }
         // Minor fault: pay the exception, wait out the fetch, map. The wait
         // is its own causal request; the landing still closes the prefetch.
-        let prev_req = self.trace.begin_request();
-        self.trace.emit(
-            now,
-            TraceEvent::FaultBegin {
-                core: core as u8,
-                vpn,
-                kind: FaultKind::Minor,
-            },
-        );
+        let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Minor);
         self.stats.minor_faults += 1;
         let mut t = now + self.cfg.sim.hw_exception_ns + costs.pte_check_ns;
         if entry.swap_cached {
             t += costs.swapcache_minor_ns;
         }
         t = t.max(entry.ready_at) + costs.map_ns;
-        self.clocks[core].wait_until(t);
-        let minor_req = self.trace.set_request(entry.req);
-        self.trace.emit(t, TraceEvent::PrefetchLand { vpn });
-        self.trace.set_request(minor_req);
+        self.m.wait_until(core, t);
+        let minor_req = self.m.trace.set_request(entry.req);
+        self.m.trace.emit(t, TraceEvent::PrefetchLand { vpn });
+        self.m.trace.set_request(minor_req);
         self.map_page(t, vpn, entry.frame, 0);
         self.pt.mark_access(vpn, is_write);
-        self.trace.emit(
-            t,
-            TraceEvent::FaultEnd {
-                core: core as u8,
-                vpn,
-            },
-        );
-        self.trace.set_request(prev_req);
+        self.m.end_fault(t, core, vpn, prev_req);
         entry.frame
     }
 
     /// First touch of a DDC page: zero-fill, no network.
     fn fault_zero_fill(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
-        let now = self.clocks[core].now();
-        let prev_req = self.trace.begin_request();
-        self.trace.emit(
-            now,
-            TraceEvent::FaultBegin {
-                core: core as u8,
-                vpn,
-                kind: FaultKind::ZeroFill,
-            },
-        );
+        let now = self.m.now(core);
+        let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::ZeroFill);
         let t = now + self.cfg.sim.hw_exception_ns + self.cfg.costs.pte_check_ns;
         let (frame, t_alloc, reclaim_ns) = self.alloc_frame(core, t);
         self.frames.zero(frame);
         let t_done = t_alloc + self.cfg.costs.zero_fill_ns + self.cfg.costs.map_ns + reclaim_ns;
-        self.clocks[core].wait_until(t_done);
+        self.m.wait_until(core, t_done);
         self.stats.zero_fills += 1;
         self.map_page(t_done, vpn, frame, 0);
         self.pt.mark_access(vpn, is_write);
-        self.trace.emit(
-            t_done,
-            TraceEvent::FaultEnd {
-                core: core as u8,
-                vpn,
-            },
-        );
-        self.trace.set_request(prev_req);
+        self.m.end_fault(t_done, core, vpn, prev_req);
         frame
     }
 
@@ -957,16 +835,8 @@ impl Dilos {
         is_write: bool,
         vector: Option<FetchVector>,
     ) -> u32 {
-        let now = self.clocks[core].now();
-        let prev_req = self.trace.begin_request();
-        self.trace.emit(
-            now,
-            TraceEvent::FaultBegin {
-                core: core as u8,
-                vpn,
-                kind: FaultKind::Major,
-            },
-        );
+        let now = self.m.now(core);
+        let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Major);
         let hw = self.cfg.sim.hw_exception_ns;
         let costs = self.cfg.costs;
         let mut check = costs.pte_check_ns;
@@ -998,7 +868,7 @@ impl Dilos {
 
         let t_ready = done.max(hidden_done) + reclaim_ns;
         let t_end = t_ready + costs.map_ns;
-        self.clocks[core].wait_until(t_end);
+        self.m.wait_until(core, t_end);
         self.stats.major_faults += 1;
         let b = &mut self.stats.breakdown;
         b.exception += hw;
@@ -1008,7 +878,7 @@ impl Dilos {
         b.map += costs.map_ns;
         b.reclaim += reclaim_ns;
         b.count += 1;
-        if self.trace.is_enabled() {
+        if self.m.trace.is_enabled() {
             for (phase, dur) in [
                 (FaultPhase::Exception, hw),
                 (FaultPhase::Check, check),
@@ -1017,7 +887,7 @@ impl Dilos {
                 (FaultPhase::Map, costs.map_ns),
                 (FaultPhase::Reclaim, reclaim_ns),
             ] {
-                self.trace.emit(
+                self.m.trace.emit(
                     t_end,
                     TraceEvent::FaultPhase {
                         core: core as u8,
@@ -1030,14 +900,7 @@ impl Dilos {
 
         self.map_page(t_end, vpn, frame, 0);
         self.pt.mark_access(vpn, is_write);
-        self.trace.emit(
-            t_end,
-            TraceEvent::FaultEnd {
-                core: core as u8,
-                vpn,
-            },
-        );
-        self.trace.set_request(prev_req);
+        self.m.end_fault(t_end, core, vpn, prev_req);
         frame
     }
 
@@ -1117,7 +980,8 @@ impl Dilos {
         // pipelined with the demand fetch).
         if let Some(g) = self.prefetch_guide.clone() {
             let va = vpn << 12;
-            self.trace
+            self.m
+                .trace
                 .emit(sw, TraceEvent::GuideInvoke { vpn, fetch: true });
             let mut ops = NodeGuideOps {
                 node: self,
@@ -1147,8 +1011,8 @@ impl Dilos {
         // The prefetch is its own causal request from here on: verbs and the
         // eventual landing attribute to it, not to the fault whose hidden
         // window issued it.
-        let prev_req = self.trace.begin_request();
-        let req = self.trace.current_request();
+        let prev_req = self.m.trace.begin_request();
+        let req = self.m.trace.current_request();
         let filled = self.try_alloc_prefetch_frame(t).and_then(|frame| {
             let class = ServiceClass::Prefetch;
             match self.fill_frame(t, core, class, vpn, frame, vector.as_ref()) {
@@ -1172,7 +1036,7 @@ impl Dilos {
                 let idx = self.actions.insert(v);
                 self.set_pte(t, vpn, Pte::Action { action: idx });
             }
-            self.trace.set_request(prev_req);
+            self.m.trace.set_request(prev_req);
             return;
         };
         let idx = match self.inflight_free.pop() {
@@ -1186,9 +1050,8 @@ impl Dilos {
         // reaches `ready_at` the page is mapped then, not lazily at the next
         // reclaim pass (§4.3: completed prefetches are "mapped into the
         // unified page table immediately").
-        let event = self
-            .cal
-            .schedule(ready_at, SchedEvent::PrefetchLand { vpn, token: idx });
+        let land = SchedEvent::PrefetchLand { vpn, token: idx };
+        let event = self.m.cal.schedule(ready_at, land);
         self.inflight[idx as usize] = Some(InflightEntry {
             frame,
             ready_at,
@@ -1197,13 +1060,13 @@ impl Dilos {
             event,
             req,
         });
-        self.trace.emit(t, TraceEvent::PrefetchIssue { vpn });
+        self.m.trace.emit(t, TraceEvent::PrefetchIssue { vpn });
         self.set_pte(t, vpn, Pte::Fetching { inflight: idx });
         self.stats.prefetch_issued += 1;
         if self.cfg.hit_tracker {
             self.tracker.track(vpn);
         }
-        self.trace.set_request(prev_req);
+        self.m.trace.set_request(prev_req);
     }
 
     /// Claims a frame for a prefetch without ever stalling; `None` when the
@@ -1273,7 +1136,7 @@ impl Dilos {
                     next = Some(avail);
                 }
             }
-            if let Some(due) = self.cal.next_due() {
+            if let Some(due) = self.m.cal.next_due() {
                 if due > now {
                     next = Some(next.map_or(due, |n| n.min(due)));
                 }
@@ -1292,7 +1155,8 @@ impl Dilos {
 
     /// Maps `vpn` to `frame` as a local page and inserts it in the LRU.
     fn map_page(&mut self, t: Ns, vpn: u64, frame: u32, ready_at: Ns) {
-        self.trace
+        self.m
+            .trace
             .emit(t, TraceEvent::LruInsert { vpn: frame as u64 });
         self.lru.insert(frame as u64);
         let m = self.frames.meta_mut(frame);
@@ -1311,8 +1175,8 @@ impl Dilos {
 
     /// Installs `pte` for `vpn`, tracing the state-class transition.
     fn set_pte(&mut self, t: Ns, vpn: u64, pte: Pte) {
-        if self.trace.is_enabled() {
-            self.trace.emit(
+        if self.m.trace.is_enabled() {
+            self.m.trace.emit(
                 t,
                 TraceEvent::PteTransition {
                     vpn,
@@ -1327,74 +1191,6 @@ impl Dilos {
     // ------------------------------------------------------------------
     // Event calendar: the background half of the node (§4.3/§4.4).
     // ------------------------------------------------------------------
-
-    /// Delivers every calendar event due at or before `now`.
-    fn drain_events(&mut self, now: Ns) {
-        self.deliver_due(now);
-        // Gauge snapshots are taken here, at the node's existing drain
-        // points; the sampler schedules nothing.
-        while let Some(t) = self.metrics.next_sample_due(now) {
-            self.record_gauges(t);
-        }
-    }
-
-    /// Snapshots every sampled gauge at virtual time `t`.
-    fn record_gauges(&mut self, t: Ns) {
-        self.metrics
-            .set_gauge("free_frames", self.frames.free_count() as u64);
-        self.metrics.set_gauge("lru_pages", self.lru.len() as u64);
-        self.metrics.set_gauge(
-            "inflight_fetches",
-            (self.inflight.len() - self.inflight_free.len()) as u64,
-        );
-        self.metrics
-            .set_gauge("pending_clean", self.pending_clean as u64);
-        self.metrics
-            .set_gauge("resident_pages", self.pt.resident() as u64);
-        self.metrics
-            .set_gauge("busy_qps", self.rdma.busy_qps(t) as u64);
-        self.metrics
-            .set_gauge("link_busy_ns", self.rdma.link_busy());
-        self.metrics.record_sample(t);
-    }
-
-    /// Runs the calendar's delivery loop up to `bound` against
-    /// [`Dilos::dispatch`]: nothing due is one borrow-free probe, otherwise
-    /// a handle clone keeps the node unborrowed while a handler runs.
-    fn deliver_due(&mut self, bound: Ns) {
-        if self.cal.has_due(bound) {
-            let cal = self.cal.clone();
-            cal.deliver_due(bound, |t, ev| self.dispatch(t, ev));
-        }
-    }
-
-    /// Delivers one calendar event at its scheduled time `t`, returning
-    /// the follow-up the handler wants delivered next, if any.
-    fn dispatch(&mut self, t: Ns, ev: SchedEvent) -> Option<(Ns, SchedEvent)> {
-        // Calendar work is background: it must never inherit the request id
-        // of whatever handler happened to drain it (e.g. a reclaim tick
-        // delivered inside a fault's allocation spin). Handlers that know
-        // better (prefetch landings, deferred completions) re-attribute.
-        let drained_req = self.trace.set_request(None);
-        let mut follow_up = None;
-        match ev {
-            SchedEvent::PrefetchLand { vpn, token } => self.on_prefetch_land(t, vpn, token),
-            SchedEvent::ReclaimTick => follow_up = self.on_reclaim_tick(t),
-            SchedEvent::CleanerWriteback { frame } => {
-                self.pending_clean -= 1;
-                self.frames.push_free(frame, t);
-            }
-            SchedEvent::RdmaCompletion {
-                class,
-                write,
-                node,
-                core,
-            } => self.rdma.deliver_completion(t, class, write, node, core),
-            SchedEvent::NodeRepair { node } => self.rdma.repair_node_at(t, node),
-        }
-        self.trace.set_request(drained_req);
-        follow_up
-    }
 
     /// A (pre)fetch completed at `t`: map the page into the unified page
     /// table at its true completion time (§4.3: "mapped immediately").
@@ -1413,12 +1209,12 @@ impl Dilos {
         self.inflight_free.push(token);
         // The landing closes the span of the prefetch that started the
         // fetch, so the map/PTE events join its request tree.
-        let prev_req = self.trace.set_request(entry.req);
-        self.trace.emit(t, TraceEvent::PrefetchLand { vpn });
+        let prev_req = self.m.trace.set_request(entry.req);
+        self.m.trace.emit(t, TraceEvent::PrefetchLand { vpn });
         // The payload is on the frame exactly at `t`; a core whose clock
         // lags behind the landing stalls until then (resolve's Local path).
         self.map_page(t, vpn, entry.frame, t);
-        self.trace.set_request(prev_req);
+        self.m.trace.set_request(prev_req);
     }
 
     /// Schedules the next reclaim tick if the watermark asks for one and no
@@ -1430,8 +1226,8 @@ impl Dilos {
             return;
         }
         self.tick_pending = true;
-        self.cal
-            .schedule(self.bg.next_free(now), SchedEvent::ReclaimTick);
+        let at = self.bg.next_free(now);
+        self.m.cal.schedule(at, SchedEvent::ReclaimTick);
     }
 
     /// One reclaimer tick: scan for a victim, evict it, and chain the next
@@ -1455,7 +1251,7 @@ impl Dilos {
         if !self.episode_open {
             self.episode_open = true;
             self.episode_freed = 0;
-            self.trace.emit(
+            self.m.trace.emit(
                 t,
                 TraceEvent::ReclaimBegin {
                     free: self.frames.free_count() as u32,
@@ -1474,7 +1270,7 @@ impl Dilos {
             return;
         }
         self.episode_open = false;
-        self.trace.emit(
+        self.m.trace.emit(
             t,
             TraceEvent::ReclaimEnd {
                 freed: self.episode_freed,
@@ -1531,10 +1327,11 @@ impl Dilos {
     fn evict(&mut self, vpn: u64, frame: u32, dirty: bool, t: Ns, class: ServiceClass) -> Ns {
         // Each eviction is its own causal request (whether it runs on the
         // background reclaimer or as direct reclaim inside a fault).
-        let prev_req = self.trace.begin_request();
-        self.trace.emit(t, TraceEvent::Evict { vpn, dirty });
+        let prev_req = self.m.trace.begin_request();
+        self.m.trace.emit(t, TraceEvent::Evict { vpn, dirty });
         if self.paging_guide.is_some() {
-            self.trace
+            self.m
+                .trace
                 .emit(t, TraceEvent::GuideInvoke { vpn, fetch: false });
         }
         // What survives the eviction: `None` is the whole page, `Some` only
@@ -1563,7 +1360,8 @@ impl Dilos {
             }
         };
 
-        self.trace
+        self.m
+            .trace
             .emit(t, TraceEvent::LruRemove { vpn: frame as u64 });
         self.lru.remove(frame as u64);
         self.set_pte(t, vpn, new_pte);
@@ -1574,13 +1372,13 @@ impl Dilos {
             // the handler pays for the wait, which is the point of that
             // ablation.
             self.pending_clean += 1;
-            self.cal
-                .schedule(available_at, SchedEvent::CleanerWriteback { frame });
+            let cleaned = SchedEvent::CleanerWriteback { frame };
+            self.m.cal.schedule(available_at, cleaned);
         } else {
             self.frames.push_free(frame, available_at);
         }
         self.stats.evictions += 1;
-        self.trace.set_request(prev_req);
+        self.m.trace.set_request(prev_req);
         available_at
     }
 
@@ -1638,7 +1436,7 @@ impl Dilos {
     /// must flag the second return.
     #[cfg(test)]
     fn inject_double_frame_free(&mut self) {
-        let t = self.max_now();
+        let t = self.m.max_now();
         let frame = self.frames.pop_free(t).expect("a free frame to corrupt");
         self.frames.push_free(frame, t);
         self.frames.push_free(frame, t);
@@ -1656,6 +1454,49 @@ impl Dilos {
             }
         }
         false
+    }
+}
+
+impl ComputeNode for Dilos {
+    #[inline]
+    fn machine(&self) -> &Machine {
+        &self.m
+    }
+
+    #[inline]
+    fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.m
+    }
+
+    fn endpoint(&mut self) -> &mut dyn DeliverCompletion {
+        &mut self.rdma
+    }
+
+    fn dispatch(&mut self, t: Ns, ev: SchedEvent) -> Option<(Ns, SchedEvent)> {
+        match ev {
+            SchedEvent::PrefetchLand { vpn, token } => self.on_prefetch_land(t, vpn, token),
+            SchedEvent::ReclaimTick => return self.on_reclaim_tick(t),
+            SchedEvent::CleanerWriteback { frame } => {
+                self.pending_clean -= 1;
+                self.frames.push_free(frame, t);
+            }
+            SchedEvent::NodeRepair { node } => self.rdma.repair_node_at(t, node),
+            SchedEvent::RdmaCompletion { .. } => {}
+        }
+        None
+    }
+
+    fn record_gauges(&self, t: Ns, g: &MetricsRegistry) {
+        g.set_gauge("free_frames", self.frames.free_count() as u64);
+        g.set_gauge("lru_pages", self.lru.len() as u64);
+        let inflight = self.inflight.len() - self.inflight_free.len();
+        g.set_gauge("inflight_fetches", inflight as u64);
+        g.set_gauge("pending_clean", self.pending_clean as u64);
+        g.set_gauge("resident_pages", self.pt.resident() as u64);
+        // Endpoint-wide: in a shared pool the queue pairs and wire are too.
+        let ep = self.rdma.endpoint();
+        g.set_gauge("busy_qps", ep.busy_qps(t) as u64);
+        g.set_gauge("link_busy_ns", ep.fabric().link_busy());
     }
 }
 
@@ -1804,7 +1645,7 @@ mod tests {
             node.write_u64(0, va + i * PAGE_SIZE as u64, i);
         }
         node.fail_memory_node(0);
-        node.schedule_memory_node_repair(node.now(0) + 1_000_000, 0);
+        node.schedule_memory_node_repair(node.m.now(0) + 1_000_000, 0);
         let report = node.audit_report();
         assert!(report.is_empty(), "unexpected violations: {report:#?}");
         let stats = node.recovery_stats();
@@ -1827,7 +1668,7 @@ mod tests {
         let dropped = node.inject_dropped_intent(0);
         assert!(dropped.is_some(), "evictions should have logged intents");
         node.fail_memory_node(0);
-        node.schedule_memory_node_repair(node.now(0) + 1_000_000, 0);
+        node.schedule_memory_node_repair(node.m.now(0) + 1_000_000, 0);
         let report = node.audit_report();
         assert!(
             report.iter().any(|m| m.contains("acknowledged write lost")),
@@ -1844,7 +1685,7 @@ mod tests {
         for i in 0..8u64 {
             node.write_u64(0, va + i * PAGE_SIZE as u64, i);
         }
-        let frame = node.inject_resurrected_frame(node.now(0));
+        let frame = node.inject_resurrected_frame(node.m.now(0));
         assert!(frame.is_some(), "free list should not be empty");
         let report = node.audit_report();
         assert!(

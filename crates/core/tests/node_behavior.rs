@@ -8,7 +8,7 @@ use dilos_alloc::Heap;
 use dilos_core::{
     Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Pte, Readahead, MAP_DDC,
 };
-use dilos_sim::ServiceClass;
+use dilos_sim::{ComputeNode, ServiceClass};
 
 const PAGE: usize = 4096;
 
@@ -163,7 +163,7 @@ fn readahead_cuts_major_faults_on_sequential_scan() {
         for p in 0..pages as u64 {
             assert_eq!(n.read_u64(0, va + p * PAGE as u64), p);
         }
-        (*n.stats(), n.now(0))
+        (*n.stats(), n.machine().now(0))
     };
     let (no_pf, t_none) = run(false);
     let (with_pf, t_ra) = run(true);
@@ -211,7 +211,7 @@ fn virtual_time_is_deterministic() {
         for p in 0..200u64 {
             acc = acc.wrapping_add(n.read_u64(0, va + p * PAGE as u64));
         }
-        (acc, n.now(0))
+        (acc, n.machine().now(0))
     };
     assert_eq!(run(), run());
 }
@@ -232,7 +232,7 @@ fn tcp_mode_is_slower() {
         for p in 0..256u64 {
             let _ = n.read_u64(0, va + p * PAGE as u64);
         }
-        n.now(0)
+        n.machine().now(0)
     };
     assert!(run(true) > run(false));
 }
@@ -468,10 +468,10 @@ fn multicore_barrier_joins_clocks() {
             n.write_u64(c, va + (c as u64 * 8 + p) * PAGE as u64, p);
         }
     }
-    let t = n.barrier();
+    let t = n.machine_mut().barrier();
     assert!(t > 0);
     for c in 0..4 {
-        assert_eq!(n.now(c), t);
+        assert_eq!(n.machine().now(c), t);
     }
 }
 
@@ -505,7 +505,7 @@ fn per_core_queue_pairs_let_cores_fault_in_parallel() {
                 assert_eq!(n.read_u64(c, va + idx * 4096), idx);
             }
         }
-        n.max_now()
+        n.machine().max_now()
     };
     let one_core = run(1, 128);
     let two_cores = run(2, 64);
@@ -537,7 +537,7 @@ fn barrier_free_cores_share_the_fabric_fairly() {
         assert_eq!(n.read_u64(c, va + p * 4096), p);
     }
     // No core should lag wildly behind the others (fair wire sharing).
-    let times: Vec<u64> = (0..4).map(|c| n.now(c)).collect();
+    let times: Vec<u64> = (0..4).map(|c| n.machine().now(c)).collect();
     let max = *times.iter().max().expect("4 cores");
     let min = *times.iter().min().expect("4 cores");
     assert!(

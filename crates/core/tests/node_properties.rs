@@ -6,6 +6,7 @@
 //! invisible — every read returns exactly what a flat memory would.
 
 use dilos_core::{Dilos, DilosConfig, NoPrefetch, Readahead, TrendBased};
+use dilos_sim::ComputeNode;
 use proptest::prelude::*;
 
 const REGION_PAGES: usize = 64;
@@ -77,11 +78,11 @@ proptest! {
                     node.read(0, base + at as u64, &mut buf);
                     prop_assert_eq!(&buf[..], &model[at..at + len], "read at {} len {}", at, len);
                 }
-                Op::Compute(ns) => node.compute(0, ns),
+                Op::Compute(ns) => node.machine_mut().advance(0, ns),
             }
             // Virtual time is monotone.
-            prop_assert!(node.now(0) >= last_now);
-            last_now = node.now(0);
+            prop_assert!(node.machine().now(0) >= last_now);
+            last_now = node.machine().now(0);
         }
 
         // Final full verification: every byte survives the paging churn.
@@ -122,11 +123,11 @@ proptest! {
                             digest = digest.wrapping_mul(31).wrapping_add(b as u64);
                         }
                     }
-                    Op::Compute(ns) => node.compute(0, ns),
+                    Op::Compute(ns) => node.machine_mut().advance(0, ns),
                 }
             }
             let s = node.stats();
-            (digest, node.now(0), s.major_faults, s.minor_faults, s.evictions)
+            (digest, node.machine().now(0), s.major_faults, s.minor_faults, s.evictions)
         };
         prop_assert_eq!(run(), run());
     }

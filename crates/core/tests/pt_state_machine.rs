@@ -9,7 +9,7 @@
 //! final answer came out right.
 
 use dilos_core::{legal_pte_transition, Dilos, DilosConfig, NoPrefetch, Readahead, TrendBased};
-use dilos_sim::PteClass;
+use dilos_sim::{ComputeNode, PteClass};
 use proptest::prelude::*;
 
 const REGION_PAGES: usize = 48;
@@ -101,7 +101,7 @@ proptest! {
                     }
                     node.ddc_free(base + (page * 4096) as u64, pages * 4096);
                 }
-                Op::Compute(ns) => node.compute(0, ns),
+                Op::Compute(ns) => node.machine_mut().advance(0, ns),
             }
         }
 

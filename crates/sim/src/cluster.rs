@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::fabric::ServiceClass;
+use crate::machine::DeliverCompletion;
 use crate::obs::Observability;
 use crate::rdma::{Local, RdmaEndpoint, RdmaError, Segment};
 use crate::sched::Calendar;
@@ -266,29 +267,11 @@ impl RdmaPort {
             .map(|(t, _)| t)
     }
 
-    /// Emits the deferred completion for a calendar-delivered
-    /// [`SchedEvent::RdmaCompletion`](crate::sched::SchedEvent::RdmaCompletion).
-    pub fn deliver_completion(&self, t: Ns, class: ServiceClass, write: bool, node: u8, core: u8) {
-        self.ep_mut()
-            .deliver_completion(t, class, write, node, core);
-    }
-
     /// Wire bytes attributed to this port's tenant and `class`: `(tx, rx)`.
     /// An exclusive port never activates a tenant, so all of the endpoint's
     /// traffic is on tenant 0's rows — its own.
     pub fn class_bytes(&self, class: ServiceClass) -> (u64, u64) {
         self.ep.borrow().tenant_class_bytes(self.tenant, class)
-    }
-
-    /// Queue pairs still occupied at `now` (endpoint-wide gauge).
-    pub fn busy_qps(&self, now: Ns) -> usize {
-        self.ep.borrow().busy_qps(now)
-    }
-
-    /// Total link busy time of the primary node's fabric (endpoint-wide
-    /// gauge; the wire is shared).
-    pub fn link_busy(&self) -> Ns {
-        self.ep.borrow().fabric().link_busy()
     }
 
     /// Kills memory node `i` on the shared pool.
@@ -317,6 +300,14 @@ impl RdmaPort {
     /// acknowledged intent record, returning its sequence number.
     pub fn corrupt_drop_intent(&mut self, i: usize) -> Option<u64> {
         self.ep.borrow_mut().corrupt_drop_intent(i)
+    }
+}
+
+/// Completions are delivered with the port's tenant activated.
+impl DeliverCompletion for RdmaPort {
+    fn deliver_completion(&mut self, t: Ns, class: ServiceClass, write: bool, node: u8, core: u8) {
+        self.ep_mut()
+            .deliver_completion(t, class, write, node, core);
     }
 }
 

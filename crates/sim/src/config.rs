@@ -81,6 +81,9 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// Local DRAM copy cost per byte, on top of [`local_access_ns`](Self::local_access_ns).
+    pub const DRAM_NS_PER_BYTE: f64 = 0.05;
+
     /// A far-memory profile over a modern NVMe drive instead of RDMA
     /// (§5.1: "Modern NVMe drives provide enough performance to be used
     /// for far memory; thereby, DiLOS' design would be valid for NVMe

@@ -10,7 +10,9 @@
 //!
 //! The crate provides:
 //!
-//! - [`time`]: virtual-time primitives ([`Ns`], per-core [`CoreClock`]s).
+//! - [`time`]: virtual-time primitives ([`Ns`], [`PAGE_SIZE`]).
+//! - [`machine`]: the chassis every compute node stands on ([`Machine`])
+//!   and its one calendar-delivery loop ([`ComputeNode`]).
 //! - [`timeline`]: serially-occupied resources ([`Timeline`]).
 //! - [`sched`]: the deterministic discrete-event calendar ([`Calendar`])
 //!   that delivers background work — prefetch landings, reclaim ticks,
@@ -58,6 +60,7 @@ pub mod config;
 pub mod ec;
 pub mod fabric;
 pub mod lru;
+pub mod machine;
 pub mod memnode;
 pub mod metrics;
 pub mod obs;
@@ -77,6 +80,7 @@ pub use config::SimConfig;
 pub use ec::{EcError, Gf256, ReedSolomon};
 pub use fabric::{Fabric, ServiceClass};
 pub use lru::LruChain;
+pub use machine::{ComputeNode, DeliverCompletion, Machine};
 pub use memnode::{MemoryNode, RegionHandle};
 pub use metrics::{MetricsRegistry, SpanProfiler, SAMPLE_INTERVAL_NS};
 pub use obs::Observability;
@@ -86,6 +90,6 @@ pub use rng::{MixedSizes, SplitMix64, Zipf};
 pub use sched::{Calendar, EventId, SchedEvent};
 pub use stats::{BandwidthRecorder, LatencyHistogram};
 pub use store::{FlatStore, MemStore};
-pub use time::{page_chunks, CoreClock, Ns, PAGE_SIZE};
+pub use time::{page_chunks, Ns, PAGE_SIZE};
 pub use timeline::Timeline;
 pub use trace::{FaultKind, FaultPhase, PteClass, ReqId, TraceEvent, TraceObserver, TraceSink};

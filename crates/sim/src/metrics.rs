@@ -9,11 +9,11 @@
 //! 1. [`MetricsRegistry`] — named gauges (`BTreeMap`-keyed, so no
 //!    enumeration can leak hash order) and the **gauge sampler**: a
 //!    `next_sample` time advanced by [`SAMPLE_INTERVAL_NS`]. A system sets
-//!    its gauges from state no event carries (free frames, busy QPs) and
-//!    polls [`MetricsRegistry::next_sample_due`] at its existing
-//!    event-drain points to snapshot every gauge into a virtual-time
-//!    series; nothing is scheduled on any calendar. Only the three systems
-//!    hold a registry handle — no `sim` component does.
+//!    its gauges from state no event carries (free frames, busy QPs); its
+//!    [`Machine`](crate::machine::Machine) chassis polls
+//!    [`MetricsRegistry::next_sample_due`] at the node's event-drain points
+//!    to snapshot every gauge into a virtual-time series; nothing is
+//!    scheduled on any calendar. Only the chassis holds a registry handle.
 //! 2. [`SpanProfiler`] — a [`TraceObserver`] that folds the existing
 //!    [`TraceEvent`] stream into per-core hierarchical spans (fault
 //!    begin/phase/end, RDMA verbs, reclaim episodes: a
@@ -139,6 +139,7 @@ impl MetricsRegistry {
     }
 
     /// Whether metrics are being recorded.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
@@ -161,14 +162,8 @@ impl MetricsRegistry {
     }
 
     /// The next sample time `k · interval` at or before `now`, advancing the
-    /// sampler past it. Hosts call this in a `while let` at their
-    /// event-drain points and record a gauge snapshot per returned tick:
-    ///
-    /// ```text
-    /// while let Some(t) = self.metrics.next_sample_due(now) {
-    ///     self.record_gauges(t);
-    /// }
-    /// ```
+    /// sampler past it. The chassis's drain loop records a gauge snapshot
+    /// per returned tick.
     ///
     /// Sampling is drain-point semantics, deterministically: a tick due at
     /// virtual time `T` is observed at the host's first drain at or after

@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use crate::config::SimConfig;
 use crate::ec::ReedSolomon;
 use crate::fabric::{Fabric, ServiceClass};
+use crate::machine::DeliverCompletion;
 use crate::memnode::{MemNodeError, MemoryNode, RegionHandle};
 use crate::obs::Observability;
 use crate::recover::{RecoverConfig, RecoveryStats};
@@ -119,15 +120,6 @@ struct RemoteNode {
     death_detected: bool,
 }
 
-/// The compute node's RDMA endpoint: QPs, per-node fabrics, and the memory
-/// node pool.
-///
-/// The default is the paper's configuration — one memory node (§5.1: "a
-/// computing node only supports one memory node, just as in Fastswap and
-/// AIFM"). [`connect_cluster`](Self::connect_cluster) implements the §5.1
-/// future-work extension: pages are striped across `n` nodes and optionally
-/// replicated `r` ways; reads fail over to surviving replicas when a node
-/// dies.
 /// Erasure-coding state for the Carbink-style redundancy mode.
 #[derive(Debug)]
 struct EcState {
@@ -148,6 +140,15 @@ struct RecoverState {
     stats: RecoveryStats,
 }
 
+/// The compute node's RDMA endpoint: QPs, per-node fabrics, and the memory
+/// node pool.
+///
+/// The default is the paper's configuration — one memory node (§5.1: "a
+/// computing node only supports one memory node, just as in Fastswap and
+/// AIFM"). [`connect_cluster`](Self::connect_cluster) implements the §5.1
+/// future-work extension: pages are striped across `n` nodes and optionally
+/// replicated `r` ways; reads fail over to surviving replicas when a node
+/// dies.
 #[derive(Debug)]
 pub struct RdmaEndpoint {
     nodes: Vec<RemoteNode>,
@@ -384,9 +385,8 @@ impl RdmaEndpoint {
 
     /// Attaches the shared event calendar. Traced completions are then
     /// posted as [`SchedEvent::RdmaCompletion`] entries and surface in the
-    /// trace when the owner drains the calendar (via
-    /// [`deliver_completion`](Self::deliver_completion)), so the
-    /// `RdmaComplete` event appears at its delivery time rather than
+    /// trace when the owner drains the calendar (via [`DeliverCompletion`]),
+    /// so the `RdmaComplete` event appears at its delivery time rather than
     /// wherever in the issue sequence the verb happened to be posted.
     pub fn set_calendar(&mut self, cal: Calendar) {
         self.calendar = Some(cal);
@@ -429,33 +429,6 @@ impl RdmaEndpoint {
                 done,
             },
         );
-    }
-
-    /// Emits the deferred `RdmaComplete` trace event for a calendar-delivered
-    /// [`SchedEvent::RdmaCompletion`] (the dispatch half of the pair created
-    /// by [`set_calendar`](Self::set_calendar)).
-    pub fn deliver_completion(
-        &mut self,
-        t: Ns,
-        class: ServiceClass,
-        write: bool,
-        node: u8,
-        core: u8,
-    ) {
-        let idx = self.pending_idx(node as usize, core as usize, class, write);
-        let req = self.pending_req[idx].pop_front().flatten();
-        let prev_req = self.trace.set_request(req);
-        self.trace.emit(
-            t,
-            TraceEvent::RdmaComplete {
-                class,
-                write,
-                node,
-                core,
-                done: t,
-            },
-        );
-        self.trace.set_request(prev_req);
     }
 
     /// Connects with Carbink-style erasure coding: pages are grouped into
@@ -1333,6 +1306,26 @@ impl RdmaEndpoint {
             bytes += s.len;
         }
         Ok(bytes)
+    }
+}
+
+/// Re-attributes each deferred `RdmaComplete` to the request that issued it.
+impl DeliverCompletion for RdmaEndpoint {
+    fn deliver_completion(&mut self, t: Ns, class: ServiceClass, write: bool, node: u8, core: u8) {
+        let idx = self.pending_idx(node as usize, core as usize, class, write);
+        let req = self.pending_req[idx].pop_front().flatten();
+        let prev_req = self.trace.set_request(req);
+        self.trace.emit(
+            t,
+            TraceEvent::RdmaComplete {
+                class,
+                write,
+                node,
+                core,
+                done: t,
+            },
+        );
+        self.trace.set_request(prev_req);
     }
 }
 

@@ -1,10 +1,8 @@
 //! Virtual-time primitives.
 //!
 //! All durations and instants in the simulation are expressed in virtual
-//! nanoseconds ([`Ns`]). Each simulated CPU core owns a [`CoreClock`]; the
-//! clock only moves forward, and every cost the paper measures (exception
-//! delivery, handler software, RDMA completion waits) is charged by advancing
-//! it.
+//! nanoseconds ([`Ns`]). Each simulated CPU core's clock lives on its
+//! node's [`Machine`](crate::machine::Machine).
 
 /// A virtual-time instant or duration, in nanoseconds.
 pub type Ns = u64;
@@ -45,55 +43,9 @@ pub fn cycles_to_ns(cycles: u64, ghz: f64) -> Ns {
     (cycles as f64 / ghz) as Ns
 }
 
-/// One simulated CPU core's monotonically increasing clock.
-///
-/// The simulation is logically single-threaded: workload drivers interleave
-/// per-core work explicitly and the shared resources ([`Timeline`]s) resolve
-/// contention. A `CoreClock` never moves backwards.
-///
-/// [`Timeline`]: crate::timeline::Timeline
-#[derive(Debug, Clone, Default)]
-pub struct CoreClock {
-    now: Ns,
-}
-
-impl CoreClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        Self { now: 0 }
-    }
-
-    /// Returns the current virtual time.
-    pub fn now(&self) -> Ns {
-        self.now
-    }
-
-    /// Charges `dur` nanoseconds of work to this core.
-    pub fn advance(&mut self, dur: Ns) {
-        self.now += dur;
-    }
-
-    /// Blocks this core until `deadline` (no-op if already past it).
-    pub fn wait_until(&mut self, deadline: Ns) {
-        self.now = self.now.max(deadline);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_advances_and_waits() {
-        let mut c = CoreClock::new();
-        assert_eq!(c.now(), 0);
-        c.advance(100);
-        assert_eq!(c.now(), 100);
-        c.wait_until(50);
-        assert_eq!(c.now(), 100, "waiting for the past is a no-op");
-        c.wait_until(250);
-        assert_eq!(c.now(), 250);
-    }
 
     #[test]
     fn cycles_conversion_matches_paper_handicap() {

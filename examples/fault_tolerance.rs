@@ -11,6 +11,7 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
+use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, Readahead};
 use dilos::sim::{Observability, RecoverConfig};
 

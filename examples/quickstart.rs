@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, Readahead};
 
 fn main() {

@@ -19,6 +19,7 @@
 //! # Quickstart
 //!
 //! ```
+//! use dilos::apps::farmem::FarMemory;
 //! use dilos::core::{Dilos, DilosConfig};
 //!
 //! // Boot a DiLOS compute node with 256 KiB of local DRAM backed by a

@@ -6,6 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos::alloc::{Heap, PageLiveness};
+use dilos::apps::farmem::FarMemory;
 use dilos::core::{
     Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Pte, SymbolKind, SymbolPatcher,
     SymbolTable, MAP_DDC,

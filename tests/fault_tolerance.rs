@@ -7,6 +7,7 @@
 //! future research direction"); this reproduction implements synchronous
 //! replication over a sharded pool.
 
+use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, Readahead};
 use dilos::sim::Observability;
 

@@ -1,12 +1,13 @@
 //! Integration tests for the multi-tenant serving cluster: determinism of
-//! the open-loop load generator, QoS noisy-neighbor isolation, and the
-//! per-tenant frame-quota invariant.
+//! the open-loop load generator, QoS noisy-neighbor isolation, the
+//! per-tenant frame-quota invariant, and disjoint queue-pair lanes.
 
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use dilos::core::{Auditor, ClusterConfig, ServingCluster, TenantSpec};
-use dilos::sim::{Ns, Observability, TraceEvent, TraceSink};
+use dilos::core::{Auditor, ClusterConfig, ServingCluster, TenantSpec, LANES_PER_TENANT};
+use dilos::sim::{Ns, Observability, TraceEvent, TraceObserver, TraceSink};
 use dilos_bench::loadgen::{drive, Arrival, RequestKind, TenantLoad};
 use dilos_bench::serve::{serve_qos, ServeScale};
 
@@ -194,4 +195,76 @@ fn frame_quota_invariant_flags_an_over_quota_tenant() {
         "violation must name the invariant: {:?}",
         a.violations()
     );
+}
+
+/// The lanes a tenant's verbs were traced on.
+#[derive(Default)]
+struct Lanes(BTreeSet<u8>);
+
+impl TraceObserver for Lanes {
+    fn on_event(&mut self, _t: Ns, ev: &TraceEvent) {
+        if let TraceEvent::RdmaIssue { core, .. } = *ev {
+            self.0.insert(core);
+        }
+    }
+}
+
+/// Lane ids are `u8` in the trace and in the calendar's completions, so the
+/// largest cluster is the one whose last tenant's last core is lane 255:
+/// every tenant's verbs stay inside its own lane range up to there.
+#[test]
+fn thirty_two_tenants_keep_their_lanes_apart_up_to_lane_255() {
+    let tenants = 256 / LANES_PER_TENANT;
+    let lanes: Vec<_> = (0..tenants)
+        .map(|_| Rc::new(RefCell::new(Lanes::default())))
+        .collect();
+    let specs = lanes
+        .iter()
+        .map(|l| {
+            let obs = Observability::tracing();
+            obs.trace().attach(l.clone());
+            TenantSpec {
+                local_quota: 16,
+                local_demand: 16,
+                remote_bytes: 64 * 4096,
+                cores: LANES_PER_TENANT,
+                obs,
+                ..TenantSpec::default()
+            }
+        })
+        .collect();
+    let mut cluster = ServingCluster::boot(ClusterConfig {
+        tenants: specs,
+        ..ClusterConfig::default()
+    });
+    let core = LANES_PER_TENANT - 1;
+    for id in 0..tenants {
+        let node = cluster.tenant(id);
+        let va = node.ddc_alloc(64 * 4096);
+        for p in 0..64 {
+            node.write_u64(core, va + p * 4096, p + 1);
+        }
+        // Page 0 was evicted long ago: a demand fetch on the tenant's last
+        // lane.
+        assert_eq!(node.read_u64(core, va), 1);
+        node.trace_digest();
+    }
+    for (id, l) in lanes.iter().enumerate() {
+        let own = id * LANES_PER_TENANT..(id + 1) * LANES_PER_TENANT;
+        let seen = &l.borrow().0;
+        assert!(
+            seen.iter().all(|&lane| own.contains(&usize::from(lane))),
+            "tenant {id} traced lanes {seen:?} outside {own:?}"
+        );
+    }
+    assert!(lanes[tenants - 1].borrow().0.contains(&255));
+}
+
+#[test]
+#[should_panic(expected = "lane ids fit u8")]
+fn thirty_three_tenants_would_overflow_the_lane_ids() {
+    ServingCluster::boot(ClusterConfig {
+        tenants: vec![TenantSpec::default(); 256 / LANES_PER_TENANT + 1],
+        ..ClusterConfig::default()
+    });
 }
