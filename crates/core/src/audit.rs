@@ -31,7 +31,8 @@
 //! - **No frame resurrected** — a freed frame must be re-allocated (a
 //!   fresh `FrameAlloc`) before it may re-enter the LRU; an `LruInsert` of
 //!   a frame sitting on the free list means recovery or repair revived
-//!   stale state.
+//!   stale state. The rule relies on DiLOS keying its chain by frame: the
+//!   `vpn` field of `LruInsert`/`LruRemove` carries a *frame number* here.
 //!
 //! Violations are recorded as human-readable strings, in event order, and
 //! capped so a broken run cannot exhaust memory. A clean run reports none.

@@ -167,9 +167,11 @@ pub enum TraceEvent {
         from: PteClass,
         to: PteClass,
     },
-    /// `vpn` entered the LRU chain.
+    /// A key entered the LRU chain. Despite its name, `vpn` is a *frame
+    /// number* on DiLOS (the auditor's "no frame resurrected" rule relies
+    /// on it) and a VPN on Fastswap.
     LruInsert { vpn: u64 },
-    /// `vpn` left the LRU chain.
+    /// A key left the LRU chain (`vpn` as in `LruInsert`).
     LruRemove { vpn: u64 },
     /// A background reclaim episode starts with `free` frames available.
     ReclaimBegin { free: u32 },

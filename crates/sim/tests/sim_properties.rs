@@ -94,38 +94,63 @@ proptest! {
         }
     }
 
-    /// LruChain behaves exactly like a naive recency list.
+    /// LruChain behaves exactly like a naive recency list. Keys come from a
+    /// window at a high base, the shape of Fastswap's VPNs; the first insert
+    /// lands anywhere in it, so a lower key rebases the chain. Touches and
+    /// removes of keys just below, just above and far above the window are
+    /// mixed in, and change nothing.
     #[test]
     fn lru_chain_matches_naive_list(
-        ops in prop::collection::vec((0u64..32, 0u8..3), 1..300),
+        first in 0u64..48,
+        ops in prop::collection::vec((0u64..64, 0u8..3), 1..300),
     ) {
+        const BASE: u64 = 0x1_0000_0000;
+        const WINDOW: u64 = 48;
         let mut chain = LruChain::new();
+        chain.insert(BASE + first);
         // Naive model: most recent at the back.
-        let mut model: Vec<u64> = Vec::new();
+        let mut model: Vec<u64> = vec![BASE + first];
         for &(k, op) in &ops {
-            match op {
-                0 => {
-                    chain.insert(k);
-                    model.retain(|&x| x != k);
-                    model.push(k);
-                }
-                1 => {
-                    chain.touch(k);
-                    if model.contains(&k) {
+            if k < WINDOW {
+                let k = BASE + k;
+                match op {
+                    0 => {
+                        chain.insert(k);
                         model.retain(|&x| x != k);
                         model.push(k);
                     }
+                    1 => {
+                        chain.touch(k);
+                        if model.contains(&k) {
+                            model.retain(|&x| x != k);
+                            model.push(k);
+                        }
+                    }
+                    _ => {
+                        prop_assert_eq!(chain.remove(k), model.contains(&k));
+                        model.retain(|&x| x != k);
+                    }
                 }
-                _ => {
-                    chain.remove(k);
-                    model.retain(|&x| x != k);
+            } else {
+                // Eight keys just below the window, then eight from just
+                // above it to 7 × 2^28 above it.
+                let j = k - WINDOW;
+                let outside = if j < 8 { BASE - 1 - j } else { BASE + WINDOW + ((j - 8) << 28) };
+                if op == 2 {
+                    prop_assert!(!chain.remove(outside));
+                } else {
+                    chain.touch(outside);
                 }
+                prop_assert!(!chain.contains(outside));
             }
             prop_assert_eq!(chain.len(), model.len());
             prop_assert_eq!(chain.coldest(), model.first().copied());
+            for key in BASE..BASE + WINDOW {
+                prop_assert_eq!(chain.contains(key), model.contains(&key), "key {:#x}", key);
+            }
+            let cold_order: Vec<u64> = chain.iter_cold().collect();
+            prop_assert_eq!(&cold_order, &model);
         }
-        let cold_order: Vec<u64> = chain.iter_cold().collect();
-        prop_assert_eq!(cold_order, model);
     }
 
     /// Replication never changes what reads observe, regardless of the
