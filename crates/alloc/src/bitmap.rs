@@ -54,12 +54,21 @@ impl PageBitmap {
     /// Whether block `i` is live.
     pub fn is_set(&self, i: usize) -> bool {
         debug_assert!(i < self.blocks as usize);
-        self.words[i / 64] & (1 << (i % 64)) != 0
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers keep i < blocks (debug-asserted) and `new` bounds blocks by 512, so i / 64 < 8"
+        )]
+        let word = self.words[i / 64];
+        word & (1 << (i % 64)) != 0
     }
 
     /// Marks block `i` live. Returns `false` if it already was.
     pub fn set(&mut self, i: usize) -> bool {
         debug_assert!(i < self.blocks as usize);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers keep i < blocks (debug-asserted) and `new` bounds blocks by 512, so i / 64 < 8"
+        )]
         let w = &mut self.words[i / 64];
         let bit = 1u64 << (i % 64);
         if *w & bit != 0 {
@@ -73,6 +82,10 @@ impl PageBitmap {
     /// Marks block `i` free. Returns `false` if it already was.
     pub fn clear(&mut self, i: usize) -> bool {
         debug_assert!(i < self.blocks as usize);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers keep i < blocks (debug-asserted) and `new` bounds blocks by 512, so i / 64 < 8"
+        )]
         let w = &mut self.words[i / 64];
         let bit = 1u64 << (i % 64);
         if *w & bit == 0 {
@@ -112,6 +125,10 @@ impl PageBitmap {
             let bit = i % 64;
             // Flip free-run words so the run's blocks read as ones; the
             // shift feeds zeros in at the top, so `run <= 64 - bit`.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the loop keeps i < n = blocks, which `new` bounds by 512, so i / 64 < 8"
+            )]
             let w = self.words[i / 64] ^ if live { 0 } else { u64::MAX };
             let run = (w >> bit).trailing_ones() as usize;
             i += run;

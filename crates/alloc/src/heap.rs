@@ -152,6 +152,7 @@ impl Heap {
         // First-fit keeps the heap compact, which maximizes block reuse of
         // low pages — the behaviour the guided-paging eval relies on.
         for idx in 0..self.npages {
+            #[expect(clippy::indexing_slicing, reason = "idx < npages == pages.len()")]
             if matches!(self.pages[idx], PageState::Free) {
                 self.free_count -= 1;
                 self.stats.used_pages += 1;
@@ -161,6 +162,10 @@ impl Heap {
         None
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass a page of a live allocation, so idx < npages == pages.len()"
+    )]
     fn release_page(&mut self, idx: usize) {
         self.pages[idx] = PageState::Free;
         self.free_count += 1;
@@ -181,6 +186,10 @@ impl Heap {
     fn malloc_small(&mut self, class: SizeClass) -> Result<u64, AllocError> {
         let ci = class.index();
         // Pop stale (full or recycled) entries until a usable page surfaces.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ci < SIZE_CLASSES.len() == class_pages.len(); queued pages are < npages == pages.len()"
+        )]
         let page_idx = loop {
             match self.class_pages[ci].last().copied() {
                 Some(idx) => match &mut self.pages[idx] {
@@ -203,6 +212,10 @@ impl Heap {
                 None => break None,
             }
         };
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "claim_free_page returns idx < npages == pages.len(); ci < class_pages.len()"
+        )]
         let idx = match page_idx {
             Some(idx) => idx,
             None => {
@@ -217,6 +230,11 @@ impl Heap {
                 idx
             }
         };
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::unreachable,
+            reason = "idx is a small page < npages: the loop found it on class ci's queue, or it was just created"
+        )]
         let PageState::Small {
             bitmap,
             queued,
@@ -234,6 +252,7 @@ impl Heap {
         bitmap.set(block);
         cached.set(None);
         if bitmap.is_full() {
+            #[expect(clippy::indexing_slicing, reason = "ci < class_pages.len()")]
             self.class_pages[ci].retain(|&p| p != idx);
             *queued = false;
         }
@@ -251,6 +270,10 @@ impl Heap {
         // that first-fit is fine; runs never wrap).
         let mut run_start = 0usize;
         let mut run = 0usize;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "idx < npages == pages.len(), and the run run_start..run_start + need ends at idx"
+        )]
         for idx in 0..self.npages {
             if matches!(self.pages[idx], PageState::Free) {
                 if run == 0 {
@@ -282,13 +305,13 @@ impl Heap {
     pub fn free(&mut self, va: u64) -> Result<(), AllocError> {
         let idx = self.page_idx(va).ok_or(AllocError::InvalidFree)?;
         let page_va = self.page_va(idx);
-        match &mut self.pages[idx] {
-            PageState::Small {
+        match self.pages.get_mut(idx) {
+            Some(PageState::Small {
                 class,
                 bitmap,
                 queued,
                 cached,
-            } => {
+            }) => {
                 let class = *class;
                 let off = (va - page_va) as usize;
                 if !off.is_multiple_of(class.block_size()) {
@@ -301,6 +324,10 @@ impl Heap {
                 cached.set(None);
                 self.stats.frees += 1;
                 self.stats.live_bytes -= class.block_size() as u64;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "class.index() < SIZE_CLASSES.len() == class_pages.len()"
+                )]
                 if bitmap.is_empty() {
                     self.class_pages[class.index()].retain(|&p| p != idx);
                     self.release_page(idx);
@@ -311,7 +338,7 @@ impl Heap {
                 }
                 Ok(())
             }
-            PageState::LargeHead { pages, .. } => {
+            Some(PageState::LargeHead { pages, .. }) => {
                 if va != page_va {
                     return Err(AllocError::InvalidFree);
                 }
@@ -330,7 +357,7 @@ impl Heap {
     /// Returns the usable size of the live allocation at `va`, if any.
     pub fn alloc_size(&self, va: u64) -> Option<usize> {
         let idx = self.page_idx(va)?;
-        match &self.pages[idx] {
+        match self.pages.get(idx)? {
             PageState::Small { class, bitmap, .. } => {
                 let off = (va - self.page_va(idx)) as usize;
                 if !off.is_multiple_of(class.block_size()) {

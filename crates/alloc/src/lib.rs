@@ -21,6 +21,23 @@
 //! The allocator manages *virtual addresses* in a disaggregated heap; it
 //! never touches the bytes itself, so the same instance can serve a DiLOS
 //! node, the Redis workload, and the paging guide simultaneously.
+//!
+//! `alloc` is the only crate the fault path (`dilos-core`, `dilos-sim`)
+//! calls into, so it holds itself to their panic policy and more: on top of
+//! the workspace's `unwrap`/`expect`/`panic!` denial, every index, slice and
+//! `unreachable!` in non-test code is an error unless an `#[expect]` states
+//! the bound that makes it safe. Tests index freely, as they unwrap freely.
+
+#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod bitmap;
 mod heap;

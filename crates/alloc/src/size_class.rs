@@ -20,8 +20,11 @@ pub struct SizeClass(pub(crate) u8);
 
 impl SizeClass {
     /// The block size of this class, in bytes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "SizeClass wraps a validated index: size_class_of is the only non-test constructor and bounds it"
+    )]
     pub fn block_size(self) -> usize {
-        // dilos-lint: allow(transitive-panic-freedom, "SizeClass wraps a validated index: size_class_of is the only non-test constructor and bounds it")
         SIZE_CLASSES[self.0 as usize]
     }
 
@@ -39,7 +42,12 @@ impl SizeClass {
 /// Returns the smallest size class holding `size` bytes, or `None` if the
 /// request is a large allocation (> half page).
 pub fn size_class_of(size: usize) -> Option<SizeClass> {
-    if size == 0 || size > SIZE_CLASSES[SIZE_CLASSES.len() - 1] {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "evaluated at compile time: an out-of-bounds index fails the build"
+    )]
+    const LARGEST: usize = SIZE_CLASSES[SIZE_CLASSES.len() - 1];
+    if size == 0 || size > LARGEST {
         return None;
     }
     let idx = SIZE_CLASSES.partition_point(|&c| c < size);

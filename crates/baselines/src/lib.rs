@@ -13,6 +13,8 @@
 //!   with per-dereference checks, a user-level miss path over TCP, and a
 //!   background streaming prefetcher.
 
+#![forbid(unsafe_code)]
+
 pub mod aifm;
 pub mod fastswap;
 

@@ -271,6 +271,7 @@ fn phase_idx(phase: FaultPhase) -> usize {
 }
 
 impl TraceObserver for Auditor {
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_event(&mut self, t: Ns, ev: &TraceEvent) {
         match *ev {
             TraceEvent::FaultBegin { core, vpn, kind } => {

@@ -1472,6 +1472,7 @@ impl ComputeNode for Dilos {
         &mut self.rdma
     }
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn dispatch(&mut self, t: Ns, ev: SchedEvent) -> Option<(Ns, SchedEvent)> {
         match ev {
             SchedEvent::PrefetchLand { vpn, token } => self.on_prefetch_land(t, vpn, token),

@@ -267,18 +267,25 @@ fn skip_raw_or_byte_string(b: &[u8], mut i: usize, line: &mut u32) -> usize {
     }
 }
 
-/// Marks every token inside `#[cfg(test)]` / `#[test]`-attributed items.
+/// Marks every token inside `#[cfg(test)]` / `#[test]`-attributed elements.
 ///
 /// Heuristic, not a parser: when an attribute's tokens contain the
-/// identifier `test` (not negated via `not(test)`), the next braced block
-/// — the attributed `mod` or `fn` body — is marked, nested braces
-/// included. An attributed item that ends in `;` before any `{` (e.g.
-/// `#[cfg(test)] use foo;`) clears the mark.
+/// identifier `test` (not negated via `not(test)`), the attributed element
+/// is marked. The element sits at the attribute's nesting depth (counting
+/// `(`, `[` and `{`) and ends at the first of:
+///
+/// - its first braced group, nested braces included — the body of an
+///   attributed `mod` or `fn` (unless `=>` follows: then it was a match
+///   arm's pattern, and the arm goes on);
+/// - a `,` or `;` at its own depth — a field, a struct-literal field, a
+///   match arm, or a bodiless item such as `#[cfg(test)] use foo;`;
+/// - the close of the group that encloses it (a last field with no comma).
 fn mark_test_scopes(tokens: &mut [Token]) {
-    let mut depth: i32 = 0;
+    let mut nest: i32 = 0;
     // Depths at which a test region closes (stack of open test braces).
     let mut test_close: Vec<i32> = Vec::new();
-    let mut pending_test_attr = false;
+    // The depth of the element a test attribute is pending on.
+    let mut pending: Option<i32> = None;
     let mut i = 0usize;
     while i < tokens.len() {
         // Attribute detection: `#` `[` ... `]` (outer) or `#` `!` `[` ... `]`.
@@ -307,7 +314,7 @@ fn mark_test_scopes(tokens: &mut [Token]) {
                     k += 1;
                 }
                 if has_test {
-                    pending_test_attr = true;
+                    pending = Some(nest);
                 }
                 // Attribute tokens themselves inherit the current scope.
                 let in_test = !test_close.is_empty();
@@ -319,26 +326,32 @@ fn mark_test_scopes(tokens: &mut [Token]) {
             }
         }
         match tokens[i].kind {
+            TokKind::Punct('(') | TokKind::Punct('[') => nest += 1,
             TokKind::Punct('{') => {
-                depth += 1;
-                if pending_test_attr {
-                    test_close.push(depth);
-                    pending_test_attr = false;
+                if pending == Some(nest) {
+                    test_close.push(nest + 1);
+                    pending = None;
                 }
+                nest += 1;
             }
-            TokKind::Punct('}') => {
-                if test_close.last() == Some(&depth) {
+            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
+                if test_close.last() == Some(&nest) {
                     test_close.pop();
+                    let arm = matches!(tokens.get(i + 1..i + 3), Some([eq, gt])
+                        if eq.kind == TokKind::Punct('=') && gt.kind == TokKind::Punct('>'));
+                    if arm {
+                        pending = Some(nest - 1);
+                    }
                 }
-                depth -= 1;
+                nest -= 1;
+                if pending.is_some_and(|p| p > nest) {
+                    pending = None;
+                }
             }
-            TokKind::Punct(';') if pending_test_attr && test_close.is_empty() => {
-                // `#[cfg(test)] use ...;` — no body to mark.
-                pending_test_attr = false;
-            }
+            TokKind::Punct(',') | TokKind::Punct(';') if pending == Some(nest) => pending = None,
             _ => {}
         }
-        tokens[i].in_test = tokens[i].in_test || !test_close.is_empty() || pending_test_attr;
+        tokens[i].in_test = tokens[i].in_test || !test_close.is_empty() || pending.is_some();
         i += 1;
     }
 }
@@ -435,6 +448,33 @@ mod tests {
                     assert!(!t.in_test);
                 }
             }
+        }
+    }
+
+    /// Whether the identifier `name` is test-marked at each occurrence.
+    fn marks(src: &str, name: &str) -> Vec<bool> {
+        lex(src)
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident(name.to_string()))
+            .map(|t| t.in_test)
+            .collect()
+    }
+
+    #[test]
+    fn test_attr_on_a_field_arm_or_literal_marks_only_that_element() {
+        let live = "fn live(now: Ns, d: Ns) -> Ns { now + d }";
+        for element in [
+            "struct S { #[cfg(test)] probe: u32, real: u32 }",
+            "struct S { real: u32, #[cfg(test)] probe: u32 }",
+            "fn boot() -> S { S { #[cfg(test)] probe: 0, real: 1 } }",
+            "fn f(e: E) { match e { #[cfg(test)] E::A => probe(), E::B => {} } }",
+            "fn f(e: E) { match e { #[cfg(test)] E::A { .. } => { probe() } E::B => {} } }",
+        ] {
+            let src = format!("{element}\n{live}");
+            assert_eq!(marks(&src, "probe"), [true], "{element}");
+            assert!(!marks(&src, "real").contains(&true), "{element}");
+            assert_eq!(marks(&src, "now"), [false, false], "{element} leaked");
         }
     }
 

@@ -5,17 +5,6 @@
 //! iterates a hash container, so two runs over the same tree produce
 //! byte-identical output.
 
-/// One step of an interprocedural call path.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PathStep {
-    /// `Type::fn` or `fn`.
-    pub label: String,
-    /// Workspace-relative path of the function's file.
-    pub file: String,
-    /// 1-indexed declaration line.
-    pub line: u32,
-}
-
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Violation {
@@ -23,15 +12,12 @@ pub struct Violation {
     pub file: String,
     /// 1-indexed line of the offending token.
     pub line: u32,
-    /// Short rule id: `R4`, `R6`..`R10`.
+    /// Short rule id: `R4`, `R8` or `R10`.
     pub rule: &'static str,
-    /// Rule slug: `calendar-time-only`, `transitive-panic-freedom`, ...
+    /// Rule slug: `calendar-time-only`, `ns-arithmetic-safety`, ...
     pub id: &'static str,
     /// Human explanation of this site.
     pub message: String,
-    /// For interprocedural findings (R6/R7): the offending call chain,
-    /// outermost caller first. Empty for single-site findings.
-    pub path: Vec<PathStep>,
 }
 
 /// One `// dilos-lint: allow(<rule>, "<reason>")` directive.
@@ -95,20 +81,7 @@ impl Report {
             s.push_str(&v.line.to_string());
             s.push_str(", \"message\": ");
             json_str(&mut s, &v.message);
-            s.push_str(", \"path\": [");
-            for (k, p) in v.path.iter().enumerate() {
-                if k > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str("{\"label\": ");
-                json_str(&mut s, &p.label);
-                s.push_str(", \"file\": ");
-                json_str(&mut s, &p.file);
-                s.push_str(", \"line\": ");
-                s.push_str(&p.line.to_string());
-                s.push('}');
-            }
-            s.push_str("]}");
+            s.push('}');
         }
         if !sorted.violations.is_empty() {
             s.push_str("\n  ");
@@ -153,9 +126,6 @@ impl Report {
                     "{}:{}: [{} {}] {}\n",
                     v.file, v.line, v.rule, v.id, v.message
                 ));
-                for p in &v.path {
-                    s.push_str(&format!("    via {} ({}:{})\n", p.label, p.file, p.line));
-                }
             }
             s.push_str(&format!(
                 "dilos-lint: {} violation(s) across {} files scanned\n",
@@ -217,19 +187,13 @@ mod tests {
             rule: "R4",
             id: "calendar-time-only",
             message: "say \"no\"".into(),
-            path: vec![],
         });
         r.violations.push(Violation {
             file: "a.rs".into(),
             line: 3,
-            rule: "R6",
-            id: "transitive-panic-freedom",
+            rule: "R8",
+            id: "ns-arithmetic-safety",
             message: "x".into(),
-            path: vec![PathStep {
-                label: "Node::fault".into(),
-                file: "c.rs".into(),
-                line: 1,
-            }],
         });
         let j = r.to_json();
         let a = j.find("a.rs").unwrap();

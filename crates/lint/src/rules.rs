@@ -1,57 +1,87 @@
-//! The rule table, the per-file pass, R4, and the inline suppression
+//! The rule table, the three token rules, and the inline suppression
 //! ledger.
 //!
-//! R4 is a token-pattern heuristic, not a type-checked analysis — the
-//! fixtures in `tests/fixtures/` pin exactly what it catches.
+//! Every rule is a per-file token-pattern heuristic, not a type-checked
+//! analysis — the fixtures in `tests/fixtures/` pin exactly what each one
+//! catches. Scope:
+//!
+//! | rule | slug | scope |
+//! |------|------|-------|
+//! | R4 | `calendar-time-only` | `.emit(...)` calls everywhere but `crates/bench` |
+//! | R8 | `ns-arithmetic-safety` | `crates/sim` files named `sched`/`fabric`/`rdma`/`timeline` |
+//! | R10 | `schedule-time-monotonicity` | `.schedule*(...)` call sites and returned `(time, SchedEvent::…)` follow-ups in `crates/core`/`crates/sim`/`crates/baselines` |
+//!
+//! Test targets and `#[cfg(test)]`/`#[test]` scopes are exempt from all
+//! three.
 
-use crate::lexer::{Comment, TokKind, Token};
-use crate::report::{PathStep, Report, Suppression, Violation};
-use crate::rules2::{ident_at, punct_at};
+use std::collections::BTreeSet;
 
-/// `(code, slug)` for every rule, in order. R4 is token-level; R6–R10 are
-/// the v2 interprocedural families (see [`crate::rules2`]). Codes are not
-/// renumbered, so `--json`/SARIF ids stay stable: R1–R3 and R5 left for
-/// clippy or were retired (see the crate docs).
-pub const RULES: [(&str, &str); 6] = [
+use crate::lexer::{lex, Comment, TokKind, Token};
+use crate::report::{Report, Suppression, Violation};
+
+/// `(code, slug)` for every rule, in order. Codes are not renumbered, so
+/// `--json`/SARIF ids stay stable: R1–R3, R5, R6, R7 and R9 left for the
+/// toolchain or were retired (see the crate docs).
+pub const RULES: [(&str, &str); 3] = [
     ("R4", "calendar-time-only"),
-    ("R6", "transitive-panic-freedom"),
-    ("R7", "refcell-borrow-overlap"),
     ("R8", "ns-arithmetic-safety"),
-    ("R9", "trace-event-coverage"),
     ("R10", "schedule-time-monotonicity"),
 ];
 
-/// Lints one file's source under its workspace-relative path.
-///
-/// Interprocedural rules see only this one file; use
-/// [`crate::lint_files`] to analyze a set together.
+/// Lints one file's source under its workspace-relative path: the rules
+/// in scope for the path, then the file's suppressions.
 pub fn lint_source(rel_path: &str, src: &str) -> Report {
-    crate::lint_files(&[(rel_path.to_string(), src.to_string())])
+    let lexed = lex(src);
+    let tokens = &lexed.tokens;
+    let mut violations = Vec::new();
+    if !is_test_target(rel_path) {
+        if !rel_path.starts_with("crates/bench/") {
+            rule_calendar_time(rel_path, tokens, &mut violations);
+        }
+        if r8_in_scope(rel_path) {
+            rule_ns_arithmetic(rel_path, tokens, &mut violations);
+        }
+        if is_hot_crate(rel_path) || rel_path.starts_with("crates/baselines/") {
+            rule_schedule_time(rel_path, tokens, &mut violations);
+        }
+    }
+    let mut suppressions = parse_suppressions(rel_path, &lexed.comments);
+    let mut report = Report {
+        violations: apply_suppressions(violations, &mut suppressions),
+        suppressions,
+        files_scanned: 1,
+    };
+    report.sort();
+    report
 }
 
-/// Whether R4 applies to this path: everywhere except `crates/bench`
-/// (which legitimately measures host time) and test targets.
-fn r4_in_scope(path: &str) -> bool {
-    !path.starts_with("crates/bench/") && !crate::graph::is_test_target(path)
+/// Whether a path is a test, bench, or example target.
+fn is_test_target(path: &str) -> bool {
+    path.starts_with("tests/")
+        || path.starts_with("examples/")
+        || path.contains("/tests/")
+        || path.contains("/benches/")
+        || path.contains("/examples/")
 }
 
-/// Runs the per-file rules (R4, plus R8/R10 from the v2 families) on one
-/// file's tokens.
-pub(crate) fn run_intra(rel_path: &str, tokens: &[Token], violations: &mut Vec<Violation>) {
-    if r4_in_scope(rel_path) {
-        rule_calendar_time(rel_path, tokens, violations);
+/// Whether a path is in the hot-path crates (`crates/core`, `crates/sim`).
+fn is_hot_crate(path: &str) -> bool {
+    path.starts_with("crates/core/") || path.starts_with("crates/sim/")
+}
+
+fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
+    match tokens.get(i).map(|t| &t.kind) {
+        Some(TokKind::Ident(s)) => Some(s.as_str()),
+        _ => None,
     }
-    if crate::rules2::r8_in_scope(rel_path) {
-        crate::rules2::rule_ns_arithmetic(rel_path, tokens, violations);
-    }
-    if crate::rules2::r10_in_scope(rel_path) {
-        crate::rules2::rule_schedule_time(rel_path, tokens, violations);
-    }
+}
+
+fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
+    matches!(tokens.get(i).map(|t| &t.kind), Some(TokKind::Punct(p)) if *p == c)
 }
 
 /// Identifier prefixes that mark a cached/stale time value.
-pub(crate) const STALE_TIME_PREFIXES: [&str; 6] =
-    ["cached", "saved", "stale", "old_", "prev_", "last_"];
+const STALE_TIME_PREFIXES: [&str; 6] = ["cached", "saved", "stale", "old_", "prev_", "last_"];
 
 /// R4: the time argument of a `TraceSink::emit` call must come from the
 /// live virtual clock (calendar, timeline, stamped access time), never a
@@ -84,13 +114,13 @@ fn rule_calendar_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
             j += 1;
         }
         if arg.len() == 1 && arg[0].kind == TokKind::Number {
-            out.push(violation(file, tokens[i].line, 0, vec![], "trace emitted at a literal time; every emit must carry the live virtual time (Calendar/Timeline/stamped access clock)".to_string()));
+            out.push(violation(file, tokens[i].line, 0, "trace emitted at a literal time; every emit must carry the live virtual time (Calendar/Timeline/stamped access clock)".to_string()));
             continue;
         }
         for t in &arg {
             if let TokKind::Ident(s) = &t.kind {
                 if STALE_TIME_PREFIXES.iter().any(|p| s.starts_with(p)) {
-                    out.push(violation(file, tokens[i].line, 0, vec![], format!(
+                    out.push(violation(file, tokens[i].line, 0, format!(
                         "trace emitted at `{s}`, which looks like a cached/stale time; take the time from the Calendar/Timeline at the emit site"
                     )));
                     break;
@@ -100,25 +130,171 @@ fn rule_calendar_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
     }
 }
 
-pub(crate) fn violation(
-    file: &str,
-    line: u32,
-    rule_idx: usize,
-    path: Vec<PathStep>,
-    message: String,
-) -> Violation {
+/// File stems whose arithmetic is dominated by virtual-time math.
+const R8_STEMS: [&str; 4] = ["sched", "fabric", "rdma", "timeline"];
+
+/// Whether R8 applies to this (non-test) path.
+fn r8_in_scope(path: &str) -> bool {
+    if !path.starts_with("crates/sim/") {
+        return false;
+    }
+    let stem = path
+        .rsplit('/')
+        .next()
+        .unwrap_or(path)
+        .trim_end_matches(".rs");
+    R8_STEMS.contains(&stem)
+}
+
+/// R8: `+`/`*` on `Ns` values must be `saturating_`/`checked_`.
+///
+/// Taint is statement-granular: a statement mentions virtual time when it
+/// uses a name ascribed `: Ns` anywhere in the file, an identifier
+/// containing `_ns`, or the conventional `now`. Every *binary* `+`/`*`
+/// (including `+=`/`*=`) in such a statement is flagged.
+fn rule_ns_arithmetic(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
+    // Pass 1: names ascribed `: Ns` (params, lets, fields).
+    let mut tainted: BTreeSet<&str> = BTreeSet::new();
+    for i in 0..tokens.len() {
+        if ident_at(tokens, i) == Some("Ns")
+            && i >= 2
+            && punct_at(tokens, i - 1, ':')
+            && !punct_at(tokens, i - 2, ':')
+        {
+            if let Some(name) = ident_at(tokens, i - 2) {
+                tainted.insert(name);
+            }
+        }
+    }
+    // Pass 2: statement segmentation and op flagging.
+    let mut stmt_start = 0usize;
+    let mut i = 0usize;
+    let mut flagged_lines: BTreeSet<u32> = BTreeSet::new();
+    while i <= tokens.len() {
+        let boundary = i == tokens.len()
+            || matches!(
+                &tokens[i].kind,
+                TokKind::Punct(';') | TokKind::Punct('{') | TokKind::Punct('}')
+            );
+        if boundary {
+            let stmt = &tokens[stmt_start..i];
+            let live = stmt.iter().any(|t| !t.in_test);
+            let has_time = stmt.iter().any(|t| match &t.kind {
+                TokKind::Ident(s) => {
+                    tainted.contains(s.as_str()) || s.contains("_ns") || s == "now"
+                }
+                _ => false,
+            });
+            if live && has_time {
+                for (k, t) in stmt.iter().enumerate() {
+                    let op = match &t.kind {
+                        TokKind::Punct('+') => "+",
+                        TokKind::Punct('*') => "*",
+                        _ => continue,
+                    };
+                    // Binary position: preceded by a value.
+                    let binary = k > 0
+                        && match &stmt[k - 1].kind {
+                            TokKind::Ident(s) => s != "as" && s != "return" && s != "in",
+                            TokKind::Number | TokKind::Punct(')') | TokKind::Punct(']') => true,
+                            _ => false,
+                        };
+                    if binary && flagged_lines.insert(t.line) {
+                        out.push(violation(file, t.line, 1, format!(
+                            "unchecked `{op}` in virtual-time (`Ns`) arithmetic; use saturating_add/saturating_mul (or checked_) so a pathological time sum cannot wrap the timeline"
+                        )));
+                    }
+                }
+            }
+            stmt_start = i + 1;
+        }
+        i += 1;
+    }
+}
+
+/// Identifier prefixes that mark a foreign (host/wall) clock.
+const HOST_CLOCK_PREFIXES: [&str; 2] = ["host_", "wall_"];
+
+/// R10: the delivery time of every schedule site must derive from a live
+/// virtual-time expression — never a bare literal, never a cached/stale
+/// value, never a host clock. A schedule site is the first argument of a
+/// `.schedule*(...)` call, or the first element of a `(time, SchedEvent::…)`
+/// tuple: the follow-up a delivery handler returns for
+/// `Calendar::deliver_due` to deliver in place or schedule on its behalf.
+fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
+    for i in 0..tokens.len() {
+        if tokens[i].in_test || !punct_at(tokens, i, '(') {
+            continue;
+        }
+        // The paren opens the argument list of a `.schedule*(` call, or
+        // possibly a follow-up tuple (decided once its first element ends).
+        let call = ident_at(tokens, i.wrapping_sub(1)).filter(|name| {
+            name.starts_with("schedule") && punct_at(tokens, i.wrapping_sub(2), '.')
+        });
+        // The time: tokens up to the first top-level comma.
+        let mut depth = 0i32;
+        let mut arg: Vec<&Token> = Vec::new();
+        let mut j = i + 1;
+        while j < tokens.len() {
+            match &tokens[j].kind {
+                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
+                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') if depth == 0 => {
+                    break
+                }
+                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth -= 1,
+                TokKind::Punct(',') if depth == 0 => break,
+                _ => {}
+            }
+            arg.push(&tokens[j]);
+            j += 1;
+        }
+        let site = match call {
+            Some(name) => format!("`.{name}()`"),
+            None if punct_at(tokens, j, ',')
+                && ident_at(tokens, j + 1) == Some("SchedEvent")
+                && punct_at(tokens, j + 2, ':') =>
+            {
+                "a returned follow-up".to_string()
+            }
+            None => continue,
+        };
+        if arg.is_empty() {
+            continue;
+        }
+        let has_ident = arg.iter().any(|t| matches!(&t.kind, TokKind::Ident(_)));
+        if !has_ident {
+            out.push(violation(file, tokens[i].line, 2, format!(
+                "{site} given a raw literal delivery time; schedule times must derive from `now`/config so the calendar stays monotone with the causing access"
+            )));
+            continue;
+        }
+        for t in &arg {
+            if let TokKind::Ident(s) = &t.kind {
+                if STALE_TIME_PREFIXES.iter().any(|p| s.starts_with(p))
+                    || HOST_CLOCK_PREFIXES.iter().any(|p| s.starts_with(p))
+                {
+                    out.push(violation(file, tokens[i].line, 2, format!(
+                        "{site} delivery time derives from `{s}`, a cached/foreign clock; recompute from the live virtual `now` at the schedule site"
+                    )));
+                    break;
+                }
+            }
+        }
+    }
+}
+
+fn violation(file: &str, line: u32, rule_idx: usize, message: String) -> Violation {
     Violation {
         file: file.to_string(),
         line,
         rule: RULES[rule_idx].0,
         id: RULES[rule_idx].1,
         message,
-        path,
     }
 }
 
 /// Parses `// dilos-lint: allow(<rule>, "<reason>")` directives.
-pub(crate) fn parse_suppressions(file: &str, comments: &[Comment]) -> Vec<Suppression> {
+fn parse_suppressions(file: &str, comments: &[Comment]) -> Vec<Suppression> {
     let mut out = Vec::new();
     for c in comments {
         // Doc comments (`///`, `//!`, `/** */`, `/*! */`) describe the
@@ -162,10 +338,8 @@ pub(crate) fn parse_suppressions(file: &str, comments: &[Comment]) -> Vec<Suppre
 
 /// Drops violations shielded by a matching suppression (same file, same
 /// line or the line directly below the directive), marking the
-/// suppression used. Interprocedural findings are anchored at file-local
-/// lines (R6 at the sink, R9 at the variant declaration), so the same
-/// mechanism covers them.
-pub(crate) fn apply_suppressions(
+/// suppression used.
+fn apply_suppressions(
     violations: Vec<Violation>,
     suppressions: &mut [Suppression],
 ) -> Vec<Violation> {
@@ -182,4 +356,70 @@ pub(crate) fn apply_suppressions(
             true
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lines(file: &str, src: &str, rule: &str) -> Vec<u32> {
+        lint_source(file, src)
+            .violations
+            .iter()
+            .filter(|v| v.rule == rule)
+            .map(|v| v.line)
+            .collect()
+    }
+
+    #[test]
+    fn suppression_shields_next_line_and_lands_in_ledger() {
+        let src = "\
+// dilos-lint: allow(ns-arithmetic-safety, \"bounded by the link rate\")
+let t = now + 1;
+let u = now + 2;
+";
+        let r = lint_source("crates/sim/src/fabric.rs", src);
+        assert_eq!(r.violations.len(), 1, "only the unshielded line remains");
+        assert_eq!(r.violations[0].line, 3);
+        assert_eq!(r.suppressions.len(), 1);
+        assert!(r.suppressions[0].used);
+        assert_eq!(r.suppressions[0].reason, "bounded by the link rate");
+    }
+
+    #[test]
+    fn unused_suppression_is_reported_unused() {
+        let src = "// dilos-lint: allow(calendar-time-only, \"nothing here\")\nlet x = 1;\n";
+        let r = lint_source("crates/sim/src/x.rs", src);
+        assert!(r.violations.is_empty());
+        assert_eq!(r.suppressions.len(), 1);
+        assert!(!r.suppressions[0].used);
+    }
+
+    #[test]
+    fn r8_flags_bare_ops_only_in_time_statements() {
+        let src = "fn cost(start: Ns, wire: Ns, n: u64) -> Ns {\n\
+                   let count = n + 1;\n\
+                   let end = start + wire;\n\
+                   end\n}\n";
+        let r8 = lines("crates/sim/src/fabric.rs", src, "R8");
+        assert_eq!(r8, [3], "the count arithmetic is not time math");
+    }
+
+    #[test]
+    fn r10_flags_literal_schedule_times() {
+        let src = "fn arm(cal: &Calendar, now: Ns) {\n\
+                   cal.schedule(1000, SchedEvent::ReclaimTick);\n\
+                   cal.schedule(now + 10, SchedEvent::ReclaimTick);\n}\n";
+        assert_eq!(lines("crates/sim/src/pump.rs", src, "R10"), [2]);
+    }
+
+    #[test]
+    fn r10_checks_returned_follow_ups_like_schedule_calls() {
+        let src = "fn tick(&mut self, t: Ns) -> Option<(Ns, SchedEvent)> {\n\
+                   if self.idle { return Some((1000, SchedEvent::ReclaimTick)); }\n\
+                   if self.lazy { return Some((last_tick, SchedEvent::ReclaimTick)); }\n\
+                   let (at, ev) = (t, SchedEvent::ReclaimTick);\n\
+                   Some((self.bg.next_free(t), SchedEvent::ReclaimTick))\n}\n";
+        assert_eq!(lines("crates/core/src/pump.rs", src, "R10"), [2, 3]);
+    }
 }

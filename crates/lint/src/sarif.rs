@@ -1,21 +1,17 @@
 //! SARIF 2.1.0 output for CI code-scanning upload.
 //!
-//! Hand-rolled like the JSON writer: one run, the full six-rule table in
-//! `tool.driver.rules`, one `result` per violation with the physical
-//! location, and a `codeFlow` carrying the interprocedural call chain
-//! when the finding has one (R6/R7). The report is sorted before
-//! rendering, so two scans of the same tree emit byte-identical SARIF.
+//! Hand-rolled like the JSON writer: one run, the full three-rule table in
+//! `tool.driver.rules`, and one `result` per violation with its physical
+//! location. The report is sorted before rendering, so two scans of the
+//! same tree emit byte-identical SARIF.
 
 use crate::report::{json_str, Report};
 use crate::rules::RULES;
 
 /// Short description per rule, indexed like [`RULES`].
-const RULE_HELP: [&str; 6] = [
+const RULE_HELP: [&str; 3] = [
     "TraceSink::emit must be passed the live clock, not a stored timestamp.",
-    "Hot-path functions must not reach a panic site through any call chain.",
-    "A live borrow_mut() guard must not span a call that re-borrows the same RefCell.",
     "Ns addition/multiplication in sched/fabric/rdma/timeline must be saturating_ or checked_.",
-    "Every TraceEvent/SchedEvent variant must be both emitted and consumed.",
     "Calendar schedule times must derive from now/config, never literals or host clocks.",
 ];
 
@@ -28,7 +24,7 @@ pub fn to_sarif(report: &Report) -> String {
     s.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
     s.push_str("  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n");
     s.push_str("          \"name\": \"dilos-lint\",\n");
-    s.push_str("          \"version\": \"2.0.0\",\n");
+    s.push_str("          \"version\": \"3.0.0\",\n");
     s.push_str("          \"informationUri\": \"https://example.invalid/dilos-lint\",\n");
     s.push_str("          \"rules\": [\n");
     for (i, (code, slug)) in RULES.iter().enumerate() {
@@ -58,22 +54,12 @@ pub fn to_sarif(report: &Report) -> String {
         s.push_str(&format!(", \"ruleIndex\": {rule_index}"));
         s.push_str(", \"level\": \"error\", \"message\": {\"text\": ");
         json_str(&mut s, &v.message);
-        s.push_str("}, \"locations\": [");
-        push_location(&mut s, &v.file, v.line);
-        s.push(']');
-        if !v.path.is_empty() {
-            s.push_str(", \"codeFlows\": [{\"threadFlows\": [{\"locations\": [");
-            for (k, p) in v.path.iter().enumerate() {
-                if k > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str("{\"location\": ");
-                push_flow_location(&mut s, &p.label, &p.file, p.line);
-                s.push('}');
-            }
-            s.push_str("]}]}]");
-        }
-        s.push('}');
+        s.push_str("}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": ");
+        json_str(&mut s, &v.file);
+        s.push_str(&format!(
+            "}}, \"region\": {{\"startLine\": {}}}}}}}]}}",
+            v.line
+        ));
     }
     if !sorted.violations.is_empty() {
         s.push_str("\n      ");
@@ -82,27 +68,13 @@ pub fn to_sarif(report: &Report) -> String {
     s
 }
 
-fn push_location(s: &mut String, file: &str, line: u32) {
-    s.push_str("{\"physicalLocation\": {\"artifactLocation\": {\"uri\": ");
-    json_str(s, file);
-    s.push_str(&format!("}}, \"region\": {{\"startLine\": {line}}}}}}}"));
-}
-
-fn push_flow_location(s: &mut String, label: &str, file: &str, line: u32) {
-    s.push_str("{\"message\": {\"text\": ");
-    json_str(s, label);
-    s.push_str("}, \"physicalLocation\": {\"artifactLocation\": {\"uri\": ");
-    json_str(s, file);
-    s.push_str(&format!("}}, \"region\": {{\"startLine\": {line}}}}}}}"));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{PathStep, Violation};
+    use crate::report::Violation;
 
     #[test]
-    fn sarif_lists_all_rules_and_carries_code_flows() {
+    fn sarif_lists_all_rules_and_locates_results() {
         let mut r = Report {
             files_scanned: 1,
             ..Default::default()
@@ -110,14 +82,9 @@ mod tests {
         r.violations.push(Violation {
             file: "crates/sim/src/x.rs".into(),
             line: 7,
-            rule: "R6",
-            id: "transitive-panic-freedom",
-            message: "reaches unwrap".into(),
-            path: vec![PathStep {
-                label: "Node::fault".into(),
-                file: "crates/core/src/node.rs".into(),
-                line: 3,
-            }],
+            rule: "R8",
+            id: "ns-arithmetic-safety",
+            message: "unchecked `+`".into(),
         });
         let s = to_sarif(&r);
         assert!(s.contains("\"version\": \"2.1.0\""));
@@ -125,8 +92,7 @@ mod tests {
             assert!(s.contains(&format!("\"id\": \"{slug}\"")), "missing {slug}");
         }
         assert!(s.contains("\"ruleIndex\": 1"));
-        assert!(s.contains("codeFlows"));
-        assert!(s.contains("Node::fault"));
+        assert!(s.contains("\"uri\": \"crates/sim/src/x.rs\""));
         assert!(s.contains("\"startLine\": 7"));
     }
 

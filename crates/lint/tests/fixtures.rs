@@ -4,21 +4,12 @@
 //! file, and line — so any drift in a rule's detection surface fails here
 //! first.
 //!
-//! `fixtures/r2_*.rs` and `fixtures/r3_*.rs` are not linted here: they pin
-//! the retired R2/R3, now clippy's, and CI's "Clippy" step compiles each
-//! as a module of `dilos-core` to show the workspace lint policy bites.
+//! `fixtures/r2_*.rs`, `r3_*.rs` and `r6_*.rs` are not linted here: they
+//! pin retired rules that clippy now enforces, and CI's "Clippy" step
+//! compiles each as a module of the crate that holds the policy
+//! (`dilos-core` for R2/R3, `dilos-alloc` for R6) to show it bites.
 
-use dilos_lint::{lint_files, lint_source, Report};
-
-/// Lints several virtual files together so the interprocedural rules
-/// (R6/R7/R9) see the whole set.
-fn lint_set(files: &[(&str, &str)]) -> Report {
-    let owned: Vec<(String, String)> = files
-        .iter()
-        .map(|(p, s)| (p.to_string(), s.to_string()))
-        .collect();
-    lint_files(&owned)
-}
+use dilos_lint::{lint_source, Report};
 
 /// Asserts that `report` holds exactly `expect` violations, as
 /// `(rule, id, line)` triples in report (sorted) order, and that each one
@@ -66,64 +57,6 @@ fn r4_calendar_time() {
 }
 
 #[test]
-fn r6_transitive_panic_freedom() {
-    let hot = include_str!("fixtures/r6_hot.rs");
-    let heap = include_str!("fixtures/r6_heap_violating.rs");
-    let r = lint_set(&[
-        ("crates/core/src/node_fixture.rs", hot),
-        ("crates/alloc/src/heap_fixture.rs", heap),
-    ]);
-    assert_eq!(r.violations.len(), 1, "{}", r.to_human());
-    let v = &r.violations[0];
-    assert_eq!(
-        (v.rule, v.id, v.file.as_str(), v.line),
-        (
-            "R6",
-            "transitive-panic-freedom",
-            "crates/alloc/src/heap_fixture.rs",
-            7
-        )
-    );
-    // The full call chain, outermost hot-path root first.
-    let labels: Vec<&str> = v.path.iter().map(|p| p.label.as_str()).collect();
-    assert_eq!(labels, ["Node::fault", "Heap::carve"]);
-    assert_eq!(v.path[0].file, "crates/core/src/node_fixture.rs");
-    let json = r.to_json();
-    assert!(
-        json.contains("\"path\": [{\"label\": \"Node::fault\""),
-        "call path must round-trip into JSON:\n{json}"
-    );
-    // The .get() version panics nowhere, so the same root is clean.
-    let r = lint_set(&[
-        ("crates/core/src/node_fixture.rs", hot),
-        (
-            "crates/alloc/src/heap_fixture.rs",
-            include_str!("fixtures/r6_heap_clean.rs"),
-        ),
-    ]);
-    assert!(r.violations.is_empty(), "{}", r.to_human());
-}
-
-#[test]
-fn r7_refcell_borrow_overlap() {
-    let file = "crates/sim/src/pool_fixture.rs";
-    let r = lint_source(file, include_str!("fixtures/r7_violating.rs"));
-    assert_violations(&r, file, &[("R7", "refcell-borrow-overlap", 20)]);
-    let v = &r.violations[0];
-    assert!(
-        v.message.contains("Endpoint"),
-        "names the re-borrowed cell: {}",
-        v.message
-    );
-    assert!(!v.path.is_empty(), "carries the borrow chain");
-    // Dropping the guard before the call resolves the overlap.
-    clean(
-        &lint_source(file, include_str!("fixtures/r7_clean.rs")),
-        file,
-    );
-}
-
-#[test]
 fn r8_ns_arithmetic() {
     let src = include_str!("fixtures/r8_violating.rs");
     let file = "crates/sim/src/timeline.rs";
@@ -139,74 +72,6 @@ fn r8_ns_arithmetic() {
         &lint_source(file, include_str!("fixtures/r8_clean.rs")),
         file,
     );
-}
-
-#[test]
-fn r9_trace_event_coverage() {
-    let events = include_str!("fixtures/r9_events.rs");
-    let r = lint_set(&[
-        ("crates/sim/src/trace_fixture.rs", events),
-        (
-            "crates/core/src/audit.rs",
-            include_str!("fixtures/r9_audit_violating.rs"),
-        ),
-    ]);
-    assert_eq!(r.violations.len(), 1, "{}", r.to_human());
-    let v = &r.violations[0];
-    assert_eq!(
-        (v.rule, v.id, v.file.as_str(), v.line),
-        (
-            "R9",
-            "trace-event-coverage",
-            "crates/sim/src/trace_fixture.rs",
-            3
-        )
-    );
-    assert!(v.message.contains("Evict"), "{}", v.message);
-    // Matching every variant in the auditor clears the census.
-    let r = lint_set(&[
-        ("crates/sim/src/trace_fixture.rs", events),
-        (
-            "crates/core/src/audit.rs",
-            include_str!("fixtures/r9_audit_clean.rs"),
-        ),
-    ]);
-    assert!(r.violations.is_empty(), "{}", r.to_human());
-}
-
-/// The causal tracer consumes every `TraceEvent` variant when assembling
-/// span trees, but it is a passive observer: R9 must keep demanding an
-/// audit/digest-stem consumer even when a causal-style file matches every
-/// variant. (Guards the PR 9 tracing layer from silently becoming the only
-/// consumer of an event.)
-#[test]
-fn r9_causal_consumer_is_not_audit_coverage() {
-    let events = include_str!("fixtures/r9_events.rs");
-    let causal = include_str!("fixtures/r9_causal_consumer.rs");
-    // Full match in the causal observer, wildcard in the auditor: the
-    // unaudited variant still flags.
-    let r = lint_set(&[
-        ("crates/sim/src/trace_fixture.rs", events),
-        ("crates/sim/src/causal_fixture.rs", causal),
-        (
-            "crates/core/src/audit.rs",
-            include_str!("fixtures/r9_audit_violating.rs"),
-        ),
-    ]);
-    assert_eq!(r.violations.len(), 1, "{}", r.to_human());
-    let v = &r.violations[0];
-    assert_eq!((v.rule, v.id), ("R9", "trace-event-coverage"));
-    assert!(v.message.contains("Evict"), "{}", v.message);
-    // A full auditor match clears it; the causal observer stays legal.
-    let r = lint_set(&[
-        ("crates/sim/src/trace_fixture.rs", events),
-        ("crates/sim/src/causal_fixture.rs", causal),
-        (
-            "crates/core/src/audit.rs",
-            include_str!("fixtures/r9_audit_clean.rs"),
-        ),
-    ]);
-    assert!(r.violations.is_empty(), "{}", r.to_human());
 }
 
 #[test]

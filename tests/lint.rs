@@ -1,6 +1,5 @@
-//! Tier-1 gate: the workspace is `dilos-lint` clean, every suppression in
-//! the tree is both justified (has a reason) and live (actually shields a
-//! violation), and the linter's machine output is deterministic.
+//! Tier-1 gate: the workspace is `dilos-lint` clean, its suppression
+//! ledger is empty, and the linter's machine output is deterministic.
 
 use std::path::Path;
 
@@ -22,24 +21,12 @@ fn workspace_is_lint_clean() {
 
 #[test]
 fn every_suppression_is_justified_and_live() {
+    // Every escape is a compiler-checked `#[expect(lint, reason)]` now, so
+    // the ledger holds nothing: justified and live holds vacuously.
     let report = scan();
-    for s in &report.suppressions {
-        assert!(
-            !s.reason.is_empty(),
-            "suppression at {}:{} has no reason",
-            s.file,
-            s.line
-        );
-        assert!(
-            s.used,
-            "suppression at {}:{} shields nothing — remove it",
-            s.file, s.line
-        );
-    }
-    // A ratchet, not a budget: lower it whenever an entry is retired.
     assert!(
-        report.suppressions.len() <= 1,
-        "the suppression ledger grew:\n{}",
+        report.suppressions.is_empty(),
+        "the suppression ledger is not empty:\n{}",
         report.to_human()
     );
 }
@@ -57,7 +44,7 @@ fn lint_output_is_deterministic() {
 #[test]
 fn sarif_output_is_deterministic_and_well_formed() {
     // SARIF is what CI uploads; two scans must be byte-identical and the
-    // log must carry the full six-rule table even on a clean tree.
+    // log must carry the full three-rule table even on a clean tree.
     let a = dilos_lint::sarif::to_sarif(&scan());
     let b = dilos_lint::sarif::to_sarif(&scan());
     assert_eq!(
@@ -78,7 +65,7 @@ fn sarif_output_is_deterministic_and_well_formed() {
 #[test]
 fn deterministic_crates_forbid_unsafe_code() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for krate in ["core", "sim", "lint", "bench"] {
+    for krate in ["core", "sim", "alloc", "baselines", "lint", "bench"] {
         let lib = root.join("crates").join(krate).join("src/lib.rs");
         let src = std::fs::read_to_string(&lib).expect("crate root");
         assert!(
