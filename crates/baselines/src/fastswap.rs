@@ -14,10 +14,12 @@
 //! DiLOS removes (swap-cache management, minor-fault storms, in-handler
 //! reclaim, TLB shootdowns on unmap) is present here and absent there.
 
+use std::rc::Rc;
+
 use dilos_sim::{
     page_chunks, ComputeNode, DeliverCompletion, FaultKind, LruChain, Machine, MetricsRegistry, Ns,
-    Observability, RdmaEndpoint, SchedEvent, Segment, ServiceClass, SimConfig, Timeline,
-    TraceEvent, TraceSink, PAGE_SIZE,
+    Observability, Page, RdmaEndpoint, SchedEvent, ServiceClass, SimConfig, Timeline, TraceEvent,
+    TraceSink, PAGE_SIZE,
 };
 
 /// Fastswap software costs, in virtual nanoseconds.
@@ -187,7 +189,10 @@ pub struct Fastswap {
     /// is brk-allocated, so offsets are small and contiguous). `None` means
     /// never touched / unmapped. Grown lazily to the high-water VPN.
     state: Vec<Option<PageState>>,
-    frames: Vec<Box<[u8; PAGE_SIZE]>>,
+    /// Frame page images: a swap-in shares the memory node's image, and the
+    /// first store copies it (`Rc::make_mut`); a swap-out hands the image
+    /// back. All frames start as one shared zero page.
+    frames: Vec<Page>,
     /// Per-frame upper bound on the non-zero prefix (bytes past it are
     /// zero): fills set it, stores raise it, and the write-back hands it to
     /// the store so mostly-zero pages skip the trailing-zero scan.
@@ -236,14 +241,13 @@ impl Fastswap {
         let mut rdma = RdmaEndpoint::connect(cfg.sim.clone(), cfg.remote_bytes);
         rdma.observe(&cfg.obs);
         rdma.set_calendar(m.cal.clone());
+        let zero: Page = Rc::new([0; PAGE_SIZE]);
         Self {
             rdma,
             m,
             reclaim_due: Vec::new(),
             state: Vec::new(),
-            frames: (0..cfg.local_pages)
-                .map(|_| Box::new([0u8; PAGE_SIZE]))
-                .collect(),
+            frames: vec![zero; cfg.local_pages],
             frame_live: vec![0; cfg.local_pages],
             free: (0..cfg.local_pages as u32).rev().collect(),
             pending_free: Vec::new(),
@@ -335,7 +339,7 @@ impl Fastswap {
         for (vpn, off, span) in page_chunks(va, buf.len()) {
             let end = off + span.len();
             let frame = self.touch(core, vpn, true);
-            self.frames[frame as usize][off..end].copy_from_slice(&buf[span]);
+            Rc::make_mut(&mut self.frames[frame as usize])[off..end].copy_from_slice(&buf[span]);
             let live = &mut self.frame_live[frame as usize];
             *live = (*live).max(end as u32);
             self.m.charge_copy(core, end - off);
@@ -434,9 +438,16 @@ impl Fastswap {
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::ZeroFill);
         let t = now + costs.exception_ns + costs.page_alloc_ns;
         let (frame, t_frame, _) = self.get_frame(core, t);
-        let live = self.frame_live[frame as usize] as usize;
-        self.frames[frame as usize][..live].fill(0);
-        self.frame_live[frame as usize] = 0;
+        // Clear the live prefix in place, unless the store still shares the
+        // page: then a fresh zero page replaces it.
+        let f = frame as usize;
+        let live = self.frame_live[f] as usize;
+        match Rc::get_mut(&mut self.frames[f]) {
+            Some(bytes) => bytes[..live].fill(0),
+            None if live > 0 => self.frames[f] = Rc::new([0; PAGE_SIZE]),
+            None => {}
+        }
+        self.frame_live[f] = 0;
         let t_end = t_frame + costs.map_ns;
         self.m.wait_until(core, t_end);
         self.stats.zero_fills += 1;
@@ -482,16 +493,13 @@ impl Fastswap {
     }
 
     /// Reads the page at `remote` into `frame`, posting at `t`; returns when
-    /// it lands. The verb fills the whole frame (dead bytes read as zeros),
-    /// so it lands directly — no bounce buffer — and the frame's old extent
-    /// tells the store how much of the recycled frame is left to zero.
+    /// it lands. The frame's page becomes the memory node's image, shared
+    /// until the first store copies it — no bounce buffer, no copy.
     fn swap_in(&mut self, t: Ns, core: usize, class: ServiceClass, remote: u64, frame: u32) -> Ns {
         let f = frame as usize;
-        let seg = [Segment::whole(remote, PAGE_SIZE)];
-        let live_in = self.frame_live[f] as usize;
         let (done, live) = self
             .rdma
-            .read_hinted(t, core, class, &seg, &mut self.frames[f][..], live_in)
+            .read_page(t, core, class, remote, &mut self.frames[f])
             .expect("swap-in inside swap device");
         self.frame_live[f] = live as u32;
         done
@@ -720,14 +728,15 @@ impl Fastswap {
                 let mut available_at = if offloaded { t } else { t + spent };
                 if dirty {
                     let remote = (vpn - (BASE_VA >> 12)) << 12;
+                    // The frame's image goes to the store shared, not copied.
                     let done = self
                         .rdma
-                        .write_live(
+                        .write_page(
                             t + spent,
                             0,
                             ServiceClass::Cleaner,
                             remote,
-                            &self.frames[frame as usize][..],
+                            &self.frames[frame as usize],
                             self.frame_live[frame as usize] as usize,
                         )
                         .expect("swap-out inside swap device");

@@ -1,20 +1,23 @@
 //! The local DRAM cache: a fixed arena of 4 KiB frames.
 //!
-//! The compute node's local memory is a contiguous arena sized at boot (the
+//! The compute node's local memory is a fixed set of frames sized at boot (the
 //! "local cache" the evaluation sweeps from 12.5 % to 100 % of the working
 //! set). Frames carry the metadata the page manager needs: the VPN they back
 //! and, for frames filled by an in-flight fetch, the virtual time at which
 //! the payload actually arrives.
 //!
-//! Frames are recycled without being wiped. Instead each carries a *live
-//! extent* — an upper bound on its non-zero prefix — that bounds the work
-//! in both directions of the data path: a write-back promises the store
-//! that `buf[live..]` is zero, a fill promises it that `buf[live..]` is
-//! *already* zero, and so neither scans nor rewrites a cold tail (DESIGN.md,
-//! "The extent contract"). The arena owns the bound; whoever writes a
-//! frame's bytes keeps it one (`set_live` / `note_write` / `zero`).
+//! Each frame holds a copy-on-write [`Page`] image: a whole-page fill shares
+//! the memory node's, and the first store copies it (`Rc::make_mut`), so no
+//! frame write reaches the store before a write verb (DESIGN.md, "A page is
+//! shared until written"). Each frame also carries a *live extent*, an upper
+//! bound on its non-zero prefix: a write-back promises the store that
+//! `buf[live..]` is zero, and [`zero`](FrameArena::zero) clears only that
+//! prefix (DESIGN.md, "The extent contract"). Whoever writes a frame's bytes
+//! keeps the bound (`set_live` / `note_write` / `zero`).
 
-use dilos_sim::{Ns, Observability, TraceEvent, TraceSink, PAGE_SIZE};
+use std::rc::Rc;
+
+use dilos_sim::{Ns, Observability, Page, TraceEvent, TraceSink, PAGE_SIZE};
 
 /// Per-frame metadata.
 #[derive(Debug, Clone, Copy)]
@@ -28,12 +31,6 @@ pub struct FrameMeta {
 
 const NO_VPN: u64 = u64::MAX;
 
-/// Frame-to-frame distance: a page plus one cache line, so that the first
-/// lines of all frames do not share one L1d set (at a 4 KiB stride a workload
-/// touching 8 B per page misses to L3 on every fill). Host-only: the pad is
-/// never handed out, and no modelled number depends on it.
-const FRAME_STRIDE: usize = PAGE_SIZE + 64;
-
 /// A free frame and the time at which it may be reused (its previous
 /// content's writeback completion).
 #[derive(Debug, Clone, Copy)]
@@ -42,17 +39,16 @@ struct FreeFrame {
     available_at: Ns,
 }
 
-/// The frame arena: backing bytes, metadata, and the free list.
+/// The frame arena: page images, metadata, and the free list.
 #[derive(Debug)]
 pub struct FrameArena {
-    data: Vec<u8>,
+    pages: Vec<Page>,
     meta: Vec<FrameMeta>,
     free: Vec<FreeFrame>,
     /// Per-frame live extent: an upper bound on the frame's non-zero prefix
     /// (every byte at offset `>= live[f]` is zero). Fill paths set it, app
     /// writes raise it; eviction hands it to the store so write-back never
-    /// re-scans a mostly-zero page for its content length, and the next fill
-    /// hands it to the store so only the stale prefix is cleared.
+    /// re-scans a mostly-zero page for its content length.
     live: Vec<u32>,
     trace: TraceSink,
 }
@@ -65,8 +61,10 @@ impl FrameArena {
     /// Panics if `frames` is zero.
     pub fn new(frames: usize) -> Self {
         assert!(frames > 0, "local cache needs at least one frame");
+        // Every frame starts as one shared zero page.
+        let zero: Page = Rc::new([0; PAGE_SIZE]);
         Self {
-            data: vec![0; frames * FRAME_STRIDE],
+            pages: vec![zero; frames],
             meta: vec![
                 FrameMeta {
                     vpn: NO_VPN,
@@ -87,8 +85,8 @@ impl FrameArena {
     }
 
     /// Upper bound on the frame's non-zero prefix; bytes past it are zero.
-    /// It is the `live` of a write-back ([`bytes`](Self::bytes) is what
-    /// goes out) and the `live_in` of the fill that recycles the frame.
+    /// It is the `live` of a write-back (the frame's page is what goes
+    /// out).
     pub fn live(&self, frame: u32) -> usize {
         self.live[frame as usize] as usize
     }
@@ -105,12 +103,17 @@ impl FrameArena {
         *e = (*e).max(end.min(PAGE_SIZE) as u32);
     }
 
-    /// Zeroes the frame, touching only its live prefix.
+    /// Zeroes the frame, touching only its live prefix: in place, or — when
+    /// the page is shared (with the store, say) — by taking a fresh one.
     pub fn zero(&mut self, frame: u32) {
-        let o = frame as usize * FRAME_STRIDE;
-        let n = self.live[frame as usize] as usize;
-        self.data[o..o + n].fill(0);
-        self.live[frame as usize] = 0;
+        let f = frame as usize;
+        let n = self.live[f] as usize;
+        match Rc::get_mut(&mut self.pages[f]) {
+            Some(bytes) => bytes[..n].fill(0),
+            None if n > 0 => self.pages[f] = Rc::new([0; PAGE_SIZE]),
+            None => {}
+        }
+        self.live[f] = 0;
     }
 
     /// Routes frame alloc/free events into the bundle's trace sink.
@@ -166,27 +169,28 @@ impl FrameArena {
         &mut self.meta[frame as usize]
     }
 
-    /// The frame's 4 KiB of backing bytes.
+    /// The frame's 4 KiB of bytes.
     pub fn bytes(&self, frame: u32) -> &[u8] {
-        let o = frame as usize * FRAME_STRIDE;
-        &self.data[o..o + PAGE_SIZE]
+        &self.pages[frame as usize][..]
     }
 
-    /// The frame's bytes together with its live extent — the two halves of
-    /// a hinted fill (`buf`, `live_in`), borrowed in one call so a fill
-    /// cannot pair one frame's buffer with another frame's extent. The
-    /// filler reports the new extent through [`set_live`](Self::set_live).
-    pub(crate) fn bytes_mut_with_live(&mut self, frame: u32) -> (&mut [u8], usize) {
-        let live = self.live(frame);
-        (self.bytes_mut(frame), live)
+    /// The frame's page image, for a whole-page write-back to share.
+    pub(crate) fn page(&self, frame: u32) -> &Page {
+        &self.pages[frame as usize]
     }
 
-    /// Mutable backing bytes. Callers that write non-zero content must pair
-    /// the write with [`note_write`](Self::note_write)/[`set_live`](Self::set_live)
-    /// to keep the live extent an upper bound.
+    /// The frame's page image, for a whole-page fill to replace. The filler
+    /// reports the new extent through [`set_live`](Self::set_live).
+    pub(crate) fn page_mut(&mut self, frame: u32) -> &mut Page {
+        &mut self.pages[frame as usize]
+    }
+
+    /// Mutable bytes, copied first if the page is shared (`Rc::make_mut`).
+    /// Callers that write non-zero content must pair the write with
+    /// [`note_write`](Self::note_write)/[`set_live`](Self::set_live) to keep
+    /// the live extent an upper bound.
     pub fn bytes_mut(&mut self, frame: u32) -> &mut [u8] {
-        let o = frame as usize * FRAME_STRIDE;
-        &mut self.data[o..o + PAGE_SIZE]
+        &mut Rc::make_mut(&mut self.pages[frame as usize])[..]
     }
 }
 

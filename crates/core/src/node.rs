@@ -919,34 +919,32 @@ impl Dilos {
         vector: Option<&FetchVector>,
     ) -> Result<Ns, RdmaError> {
         let remote = (vpn - DDC_BASE_VPN) << 12;
-        let mut segs = std::mem::take(&mut self.seg_buf);
-        segs.clear();
-        match vector {
-            // The whole page lands on top of whatever the recycled frame
-            // last held (absent remote ranges read as zeros); the frame's
-            // old extent tells the store how much of that is left to zero.
-            None => segs.push(Segment::whole(remote, PAGE_SIZE)),
-            // A vectored verb touches only its segments; the rest of the
-            // frame must read as dead zeros, so it is zeroed first and the
-            // verb is told there is nothing left to clear.
-            Some(v) => {
-                self.frames.zero(frame);
-                segs.extend(v.iter().map(|&range| page_segment(remote, range)));
-            }
-        }
-        let posted = if segs.is_empty() {
-            Ok((t, 0))
-        } else {
-            let (buf, live_in) = self.frames.bytes_mut_with_live(frame);
-            self.rdma.read_hinted(t, core, class, &segs, buf, live_in)
+        // The whole page replaces the frame's: it becomes the memory node's
+        // own image, shared until the first store into the frame copies it.
+        let Some(v) = vector else {
+            let page = self.frames.page_mut(frame);
+            let (done, live) = self.rdma.read_page(t, core, class, remote, page)?;
+            self.frames.set_live(frame, live);
+            return Ok(done);
         };
-        self.seg_buf = segs;
-        let (done, live) = posted?;
-        self.frames.set_live(frame, live);
-        if let Some(v) = vector {
-            self.stats.guided_fetches += 1;
-            self.stats.fetch_bytes_saved += (PAGE_SIZE - v.live_bytes()) as u64;
+        // A vectored verb touches only its segments; the rest of the frame
+        // must read as dead zeros, so it is zeroed first, and nothing lies
+        // past the furthest segment end.
+        self.frames.zero(frame);
+        let mut done = t;
+        if let Some(end) = v.iter().map(|&(o, l)| usize::from(o + l)).max() {
+            let mut segs = std::mem::take(&mut self.seg_buf);
+            segs.clear();
+            segs.extend(v.iter().map(|&range| page_segment(remote, range)));
+            let posted = self
+                .rdma
+                .read_v(t, core, class, &segs, self.frames.bytes_mut(frame));
+            self.seg_buf = segs;
+            self.frames.set_live(frame, end);
+            done = posted?;
         }
+        self.stats.guided_fetches += 1;
+        self.stats.fetch_bytes_saved += (PAGE_SIZE - v.live_bytes()) as u64;
         Ok(done)
     }
 
@@ -1397,9 +1395,11 @@ impl Dilos {
         let remote = (vpn - DDC_BASE_VPN) << 12;
         let buf = self.frames.bytes(frame);
         let posted = match ranges {
+            // The store shares the frame's image, not a copy of it.
             None => {
                 let live = self.frames.live(frame);
-                self.rdma.write_live(t, 0, class, remote, buf, live)
+                let page = self.frames.page(frame);
+                self.rdma.write_page(t, 0, class, remote, page, live)
             }
             Some(ranges) => {
                 self.stats.writeback_bytes_saved += (PAGE_SIZE - ranges.live_bytes()) as u64;

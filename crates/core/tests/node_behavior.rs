@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use dilos_alloc::Heap;
 use dilos_core::{
-    Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Pte, Readahead, MAP_DDC,
+    Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Pte, Readahead, DDC_BASE, MAP_DDC,
 };
 use dilos_sim::{ComputeNode, ServiceClass};
 
@@ -60,13 +60,97 @@ fn data_survives_eviction() {
     assert_eq!(s.zero_fills, pages as u64);
 }
 
+/// Page `slot`'s stored bytes on every replica (empty if absent): node 0's
+/// directly, and with a second replica node 1's too, seen by failing node 0
+/// and resyncing it from node 1 (the resync copies node 1's page verbatim).
+fn replica_images(n: &mut Dilos, slot: u64) -> Vec<Vec<u8>> {
+    let image = |n: &Dilos| {
+        let stored = n.rdma().node().page_snapshot(slot).map(|p| p.to_vec());
+        stored.unwrap_or_default()
+    };
+    let mut out = vec![image(n)];
+    if n.config().replication > 1 {
+        n.fail_memory_node(0);
+        let now = n.machine().max_now();
+        n.schedule_memory_node_repair(now, 0);
+        n.drain_events(now);
+        out.push(image(n));
+    }
+    out
+}
+
+#[test]
+fn a_fetched_page_reaches_the_store_only_at_write_back() {
+    // A whole-page fault shares the stored image with the frame, and the
+    // app's first store copies it: the memory node changes only when the
+    // write-back posts, on every replica.
+    for replication in [1, 2] {
+        let mut n = Dilos::new(DilosConfig {
+            local_pages: 16,
+            remote_bytes: 1 << 24,
+            memory_nodes: replication,
+            replication,
+            ..DilosConfig::default()
+        });
+        let pages = 48usize;
+        let va = n.ddc_alloc(pages * PAGE);
+        let at = |p: usize| va + (p * PAGE) as u64;
+        let slot = (va - DDC_BASE) >> 12;
+        let remote = |n: &Dilos| matches!(n.pte_of(at(0)), Pte::Remote { .. });
+        for p in 0..pages {
+            n.write(0, at(p), &[p as u8 + 1; PAGE]);
+        }
+        assert!(remote(&n), "r = {replication}: page 0 was written back");
+        let seeded = vec![1u8; PAGE];
+        assert_eq!(
+            replica_images(&mut n, slot),
+            vec![seeded.clone(); replication]
+        );
+
+        // Fault the page in whole, then store into it.
+        assert_eq!(n.read_u64(0, at(0)), 0x0101_0101_0101_0101);
+        n.write_u64(0, at(0) + 8, 0xB0B0);
+        let mut frame = vec![0u8; PAGE];
+        n.read(0, at(0), &mut frame);
+        assert_eq!(frame[8..16], 0xB0B0u64.to_le_bytes());
+        assert_eq!(
+            replica_images(&mut n, slot),
+            vec![seeded; replication],
+            "r = {replication}: a frame store reached the memory node"
+        );
+
+        // Evict it: the write-back is what changes the memory node.
+        for p in 1..pages {
+            if remote(&n) {
+                break;
+            }
+            n.read_u64(0, at(p));
+        }
+        assert!(remote(&n), "r = {replication}: page 0 was evicted");
+        assert_eq!(
+            replica_images(&mut n, slot),
+            vec![frame.clone(); replication]
+        );
+
+        // A second store after the write-back leaves the store alone again.
+        n.write_u64(0, at(0) + 16, 0xC0C0);
+        assert_eq!(n.read_u64(0, at(0) + 8), 0xB0B0);
+        assert_eq!(n.read_u64(0, at(0) + 16), 0xC0C0);
+        assert_eq!(
+            replica_images(&mut n, slot),
+            vec![frame; replication],
+            "r = {replication}: a second store reached the memory node"
+        );
+    }
+}
+
 #[test]
 fn recycled_frames_show_nothing_of_their_previous_page() {
-    // Frames are recycled without being wiped: a fill lands on top of the
-    // previous page's bytes and clears only what the frame's tracked extent
-    // says can be stale. Walk every frame through full page → sparse page →
-    // never-written page; a fill that is told the *new* page's extent (or
-    // none) instead of the old one leaves 0xC7 bytes behind.
+    // Frames are recycled without being wiped: a zero-fill clears only what
+    // the frame's tracked extent says can be non-zero, and a fill replaces
+    // the frame's page with the stored image. Walk every frame through full
+    // page → sparse page → never-written page; an extent that undercounts,
+    // or an image written where it is shared, leaves 0xC7 bytes behind.
     let group = 48usize;
     let mut n = node(16);
     let va = n.ddc_alloc(3 * group * PAGE);

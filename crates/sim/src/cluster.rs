@@ -27,6 +27,7 @@ use crate::machine::DeliverCompletion;
 use crate::obs::Observability;
 use crate::rdma::{Local, RdmaEndpoint, RdmaError, Segment};
 use crate::sched::Calendar;
+use crate::store::Page;
 use crate::time::Ns;
 
 /// A shared memory-node pool: one endpoint, many tenants.
@@ -190,25 +191,20 @@ impl RdmaPort {
         remote: u64,
         buf: &mut [u8],
     ) -> Result<(Ns, usize), RdmaError> {
-        let seg = [Segment::whole(remote, buf.len())];
-        let live_in = buf.len();
-        self.read_hinted(now, core, class, &seg, buf, live_in)
+        self.post_whole(now, core, class, remote, Local::Read(buf))
     }
 
-    /// The general read — tenant-relative segments into `buf`, with the
-    /// caller's promise that `buf[live_in..]` is already all zero (see
-    /// [`RdmaEndpoint::read_hinted`]).
-    pub fn read_hinted(
+    /// Reads the whole page at tenant-relative `remote` as a shared image
+    /// (see [`RdmaEndpoint::read_page`]).
+    pub fn read_page(
         &mut self,
         now: Ns,
         core: usize,
         class: ServiceClass,
-        segments: &[Segment],
-        buf: &mut [u8],
-        live_in: usize,
+        remote: u64,
+        page: &mut Page,
     ) -> Result<(Ns, usize), RdmaError> {
-        let local = Local::Read { buf, live: live_in };
-        self.post(now, core, class, segments, local)
+        self.post_whole(now, core, class, remote, Local::ReadPage(page))
     }
 
     /// Posts a one-sided write (tenant-relative `remote`).
@@ -234,9 +230,36 @@ impl RdmaPort {
         buf: &[u8],
         live: usize,
     ) -> Result<Ns, RdmaError> {
-        let seg = [Segment::whole(remote, buf.len())];
-        self.post(now, core, class, &seg, Local::Write { buf, live })
+        self.post_whole(now, core, class, remote, Local::Write { buf, live })
             .map(|(t, _)| t)
+    }
+
+    /// Writes a whole image to the page at tenant-relative `remote`, which
+    /// every live replica then shares (see [`RdmaEndpoint::write_page`]).
+    pub fn write_page(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        remote: u64,
+        page: &Page,
+        live: usize,
+    ) -> Result<Ns, RdmaError> {
+        self.post_whole(now, core, class, remote, Local::WritePage { page, live })
+            .map(|(t, _)| t)
+    }
+
+    /// The plain verbs' one body: the whole local buffer as one segment.
+    fn post_whole(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        remote: u64,
+        local: Local<'_>,
+    ) -> Result<(Ns, usize), RdmaError> {
+        let seg = [Segment::whole(remote, local.shape().1)];
+        self.post(now, core, class, &seg, local)
     }
 
     /// Posts a vectored read; segment addresses are tenant-relative.
@@ -248,8 +271,7 @@ impl RdmaPort {
         segments: &[Segment],
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
-        let live_in = buf.len();
-        self.read_hinted(now, core, class, segments, buf, live_in)
+        self.post(now, core, class, segments, Local::Read(buf))
             .map(|(t, _)| t)
     }
 

@@ -89,7 +89,7 @@ pub use recover::{RecoverConfig, RecoveryStats};
 pub use rng::{MixedSizes, SplitMix64, Zipf};
 pub use sched::{Calendar, EventId, SchedEvent};
 pub use stats::{BandwidthRecorder, LatencyHistogram};
-pub use store::{FlatStore, MemStore};
+pub use store::{FlatStore, MemStore, Page};
 pub use time::{page_chunks, Ns, PAGE_SIZE};
 pub use timeline::Timeline;
 pub use trace::{FaultKind, FaultPhase, PteClass, ReqId, TraceEvent, TraceObserver, TraceSink};

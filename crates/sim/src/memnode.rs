@@ -6,17 +6,19 @@
 //! from the computing node." The node is entirely passive on the data path —
 //! one-sided verbs — which this module mirrors: registration is the only
 //! control-path operation, and all data-path access goes through
-//! [`MemoryNode::read`]/[`MemoryNode::write`] after an rkey + bounds check.
+//! [`MemoryNode::read`]/[`MemoryNode::write`] (or their page-sharing
+//! forms) after an rkey + bounds check.
 //!
 //! Backing storage is sparse: pages that were never written read back as
 //! zeros, exactly like freshly-registered (zeroed) host memory.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::obs::Observability;
 use crate::recover::DurableState;
-use crate::store::{FlatStore, MemStore};
+use crate::store::{FlatStore, MemStore, Page};
 use crate::time::{page_chunks, Ns, PAGE_SIZE};
 use crate::trace::{TraceEvent, TraceSink};
 
@@ -176,54 +178,56 @@ impl MemoryNode {
         Ok(())
     }
 
-    /// Reads `buf.len()` bytes starting at `addr` (may span pages).
+    /// Reads `buf.len()` bytes starting at `addr` (may span pages). Every
+    /// byte of `buf` is written.
     ///
     /// Returns an upper bound on the non-zero prefix of `buf` (every byte at
     /// or past the bound is zero), so callers that cache the payload can
-    /// track its live extent without re-scanning it. Every byte of `buf` is
-    /// written: this is the hinted read the verbs use (`read_hinted`) with
-    /// nothing known about the buffer (`live_in = buf.len()`).
+    /// track its live extent without re-scanning it.
     pub fn read(
         &self,
         key: RegionHandle,
         addr: u64,
         buf: &mut [u8],
     ) -> Result<usize, MemNodeError> {
-        self.read_hinted(key, addr, buf, buf.len())
-    }
-
-    /// [`read`](Self::read) with a caller promise that `buf[live_in..]` is
-    /// already all zero. Checks, tracing, the bytes `buf` ends up
-    /// holding and the returned bound are identical; the hint only lets the
-    /// store skip re-zeroing the part of the tail that is zero already.
-    pub(crate) fn read_hinted(
-        &self,
-        key: RegionHandle,
-        addr: u64,
-        buf: &mut [u8],
-        live_in: usize,
-    ) -> Result<usize, MemNodeError> {
-        self.check(key, addr, buf.len())?;
-        self.trace.emit(
-            self.access_time.get(),
-            TraceEvent::MemAccess {
-                write: false,
-                offset: addr,
-                len: buf.len() as u32,
-            },
-        );
+        self.serve_read(key, addr, buf.len())?;
         let mut bound = 0usize;
         for (page, in_page, span) in page_chunks(addr, buf.len()) {
             let off = span.start;
-            let chunk_live = live_in.saturating_sub(off).min(span.len());
-            let live = self
-                .pages
-                .read_hinted(page, in_page, &mut buf[span], chunk_live);
+            let live = self.pages.read_into(page, in_page, &mut buf[span]);
             if live > 0 {
                 bound = off + live;
             }
         }
         Ok(bound)
+    }
+
+    /// [`read`](Self::read) of the page at aligned `addr` with no copy:
+    /// `page` becomes a shared image of the stored page.
+    pub(crate) fn read_page(
+        &self,
+        key: RegionHandle,
+        addr: u64,
+        page: &mut Page,
+    ) -> Result<usize, MemNodeError> {
+        self.serve_read(key, addr, PAGE_SIZE)?;
+        let (image, live) = self.pages.share(addr / PAGE_SIZE as u64);
+        *page = image;
+        Ok(live)
+    }
+
+    /// The checks and trace of one served read.
+    fn serve_read(&self, key: RegionHandle, addr: u64, len: usize) -> Result<(), MemNodeError> {
+        self.check(key, addr, len)?;
+        self.trace.emit(
+            self.access_time.get(),
+            TraceEvent::MemAccess {
+                write: false,
+                offset: addr,
+                len: len as u32,
+            },
+        );
+        Ok(())
     }
 
     /// Writes `buf` starting at `addr` (may span pages).
@@ -248,6 +252,33 @@ impl MemoryNode {
         buf: &[u8],
         live: usize,
     ) -> Result<(), MemNodeError> {
+        self.serve_write(key, addr, buf, |n| n.copy_in(addr, buf, live))
+    }
+
+    /// [`write_live`](Self::write_live) of a whole image at aligned `addr`
+    /// with no copy: the stored page becomes `page` itself.
+    pub(crate) fn write_page(
+        &mut self,
+        key: RegionHandle,
+        addr: u64,
+        page: &Page,
+        live: usize,
+    ) -> Result<(), MemNodeError> {
+        let p = addr / PAGE_SIZE as u64;
+        self.serve_write(key, addr, &page[..], |n| {
+            n.pages.put(p, Rc::clone(page), live)
+        })
+    }
+
+    /// One served write: checks, the durable intent, the trace, `store`
+    /// (the bytes themselves), then a checkpoint if the log is due.
+    fn serve_write(
+        &mut self,
+        key: RegionHandle,
+        addr: u64,
+        buf: &[u8],
+        store: impl FnOnce(&mut Self),
+    ) -> Result<(), MemNodeError> {
         self.check(key, addr, buf.len())?;
         let t = self.access_time.get();
         if let Some(d) = self.durable.as_mut() {
@@ -268,7 +299,7 @@ impl MemoryNode {
                 len: buf.len() as u32,
             },
         );
-        self.copy_in(addr, buf, live);
+        store(self);
         if self.durable.as_ref().is_some_and(|d| d.should_checkpoint()) {
             self.checkpoint_now(t);
         }

@@ -17,6 +17,7 @@
 //! completion (§6.2) for the AIFM-comparable configuration.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::config::SimConfig;
 use crate::ec::ReedSolomon;
@@ -26,6 +27,7 @@ use crate::memnode::{MemNodeError, MemoryNode, RegionHandle};
 use crate::obs::Observability;
 use crate::recover::{RecoverConfig, RecoveryStats};
 use crate::sched::{Calendar, SchedEvent};
+use crate::store::Page;
 use crate::time::{Ns, PAGE_SIZE};
 use crate::timeline::Timeline;
 use crate::trace::{ReqId, TraceEvent, TraceSink};
@@ -57,12 +59,27 @@ impl Segment {
 /// The local side of a verb: which way the payload moves, and the buffer
 /// the segments' offsets index into.
 pub(crate) enum Local<'a> {
-    /// Remote → local (one-sided read). `buf[live..]` is promised all zero
-    /// on entry; the hint only spares the store re-zeroing that tail.
-    Read { buf: &'a mut [u8], live: usize },
+    /// Remote → local (one-sided read) into every byte the segments name.
+    Read(&'a mut [u8]),
     /// Local → remote (one-sided write). `buf[live..]` is promised all
     /// zero; the hint only bounds the store's trailing-zero scan.
     Write { buf: &'a [u8], live: usize },
+    /// [`Read`](Self::Read) of a whole aligned page into a shared image.
+    ReadPage(&'a mut Page),
+    /// [`Write`](Self::Write) of a whole aligned page as a shared image.
+    WritePage { page: &'a Page, live: usize },
+}
+
+impl Local<'_> {
+    /// `(write, bytes, whole page)`: the direction and the local buffer.
+    pub(crate) fn shape(&self) -> (bool, usize, bool) {
+        match self {
+            Local::Read(buf) => (false, buf.len(), false),
+            Local::Write { buf, .. } => (true, buf.len(), false),
+            Local::ReadPage(_) => (false, PAGE_SIZE, true),
+            Local::WritePage { .. } => (true, PAGE_SIZE, true),
+        }
+    }
 }
 
 /// Errors surfaced by the verb layer.
@@ -870,7 +887,7 @@ impl RdmaEndpoint {
     /// traces issue and completion, moves the bytes under the endpoint's
     /// redundancy strategy, and runs the crash injector's completion hook.
     /// Returns the completion time and, for reads, an upper bound on the
-    /// non-zero prefix of the buffer.
+    /// non-zero prefix of what the verb landed.
     pub(crate) fn post(
         &mut self,
         now: Ns,
@@ -879,11 +896,11 @@ impl RdmaEndpoint {
         segments: &[Segment],
         mut local: Local<'_>,
     ) -> Result<(Ns, usize), RdmaError> {
-        let (write, buf_len) = match &local {
-            Local::Read { buf, .. } => (false, buf.len()),
-            Local::Write { buf, .. } => (true, buf.len()),
-        };
+        let (write, buf_len, page) = local.shape();
         let bytes = Self::check_segments(segments, buf_len)?;
+        if page && !segments[0].remote.is_multiple_of(PAGE_SIZE as u64) {
+            return Err(RdmaError::BadSegment);
+        }
         let counts = &mut self.ops[class.idx()];
         if write {
             counts.writes += 1;
@@ -894,18 +911,26 @@ impl RdmaEndpoint {
         self.trace_issue(now, core, class, write, shard, bytes);
         let moved = if self.ec.is_some() {
             // One degraded-capable transfer per segment (a slight overcharge
-            // vs a true vectored verb), decoded straight into the buffer. A
-            // decode writes every byte of its segment, so the read hint is
-            // ignored and the live bound is the end of the last segment.
+            // vs a true vectored verb), decoded straight into the buffer — a
+            // whole page into a fresh image, never one the caller shares. A
+            // decode writes every byte of its segment, so the live bound is
+            // the end of the last segment.
             let end = segments.iter().map(|s| s.offset + s.len).max();
             let mut xfer = |s: &Segment| {
                 let span = s.offset..s.offset + s.len;
                 match &mut local {
-                    Local::Read { buf, .. } => {
-                        self.ec_read(now, core, class, s.remote, &mut buf[span])
+                    Local::Read(buf) => self.ec_read(now, core, class, s.remote, &mut buf[span]),
+                    Local::ReadPage(page) => {
+                        let mut fresh = [0; PAGE_SIZE];
+                        let done = self.ec_read(now, core, class, s.remote, &mut fresh[span]);
+                        **page = Rc::new(fresh);
+                        done
                     }
                     Local::Write { buf, .. } => {
                         self.ec_write(now, core, class, s.remote, &buf[span])
+                    }
+                    Local::WritePage { page, .. } => {
+                        self.ec_write(now, core, class, s.remote, &page[span])
                     }
                 }
             };
@@ -928,10 +953,11 @@ impl RdmaEndpoint {
     /// Striping + replication: a read is served by the page's first live
     /// replica, a write goes to every live replica and completes with the
     /// slowest (the writes ride distinct links, so with symmetric nodes the
-    /// cost is one write plus doorbells). Returns the completion time, the
-    /// node it is attributed to (serving replica for a read, primary for a
-    /// write), and the read's live bound. `shard` is the page's primary
-    /// node (vectored verbs address one page, so every segment shares it).
+    /// cost is one write plus doorbells; a page image is shared by them all).
+    /// Returns the completion time, the node it is attributed to (serving
+    /// replica for a read, primary for a write), and the read's live bound.
+    /// `shard` is the page's primary node (vectored verbs address one page,
+    /// so every segment shares it).
     #[expect(clippy::too_many_arguments, reason = "post's verb, decomposed")]
     fn replica_transfer(
         &mut self,
@@ -943,13 +969,13 @@ impl RdmaEndpoint {
         bytes: usize,
         local: &mut Local<'_>,
     ) -> Result<(Ns, u8, usize), RdmaError> {
-        let write = matches!(local, Local::Write { .. });
+        let write = local.shape().0;
         let n = self.nodes.len();
         let shard = usize::from(shard);
         let mut served = shard;
         let mut penalty: Ns = 0;
         let mut done: Option<Ns> = None;
-        let mut live = 0usize;
+        let mut bound = 0usize;
         for rank in 0..self.replication {
             let ni = (shard + rank) % n;
             if !self.nodes[ni].alive {
@@ -971,21 +997,21 @@ impl RdmaEndpoint {
             let node = &mut self.nodes[ni].node;
             for s in segments {
                 let span = s.offset..s.offset + s.len;
-                match local {
-                    Local::Read { buf, live: hint } => {
-                        // What may be non-zero by now: the caller's bound,
-                        // or what an earlier segment of this verb landed.
-                        let seg_hint = (*hint).max(live).saturating_sub(s.offset).min(s.len);
-                        let seg_live =
-                            node.read_hinted(region, s.remote, &mut buf[span], seg_hint)?;
-                        if seg_live > 0 {
-                            live = live.max(s.offset + seg_live);
-                        }
-                    }
-                    Local::Write { buf, live: hint } => {
-                        let seg_live = hint.saturating_sub(s.offset).min(s.len);
+                let seg_live = match local {
+                    Local::Read(buf) => node.read(region, s.remote, &mut buf[span])?,
+                    Local::ReadPage(page) => node.read_page(region, s.remote, page)?,
+                    Local::Write { buf, live } => {
+                        let seg_live = live.saturating_sub(s.offset).min(s.len);
                         node.write_live(region, s.remote, &buf[span], seg_live)?;
+                        0
                     }
+                    Local::WritePage { page, live } => {
+                        node.write_page(region, s.remote, page, *live)?;
+                        0
+                    }
+                };
+                if seg_live > 0 {
+                    bound = bound.max(s.offset + seg_live);
                 }
             }
             done = Some(done.map_or(d, |x| x.max(d)));
@@ -994,7 +1020,7 @@ impl RdmaEndpoint {
                 break;
             }
         }
-        Ok((done.ok_or(RdmaError::AllReplicasDown)?, served as u8, live))
+        Ok((done.ok_or(RdmaError::AllReplicasDown)?, served as u8, bound))
     }
 
     /// Posts a one-sided read of `buf.len()` bytes from `remote`.
@@ -1016,8 +1042,7 @@ impl RdmaEndpoint {
     /// [`read`](Self::read), additionally returning an upper bound on the
     /// non-zero prefix of `buf` (bytes at or past it are zero). Callers that
     /// cache the payload use the bound to track its live extent without
-    /// scanning it. Every byte of `buf` is written — the
-    /// `live_in = buf.len()` case of [`read_hinted`](Self::read_hinted).
+    /// scanning it. Every byte of `buf` is written.
     pub fn read_live(
         &mut self,
         now: Ns,
@@ -1026,34 +1051,21 @@ impl RdmaEndpoint {
         remote: u64,
         buf: &mut [u8],
     ) -> Result<(Ns, usize), RdmaError> {
-        let seg = [Segment::whole(remote, buf.len())];
-        let live_in = buf.len();
-        self.read_hinted(now, core, class, &seg, buf, live_in)
+        self.post_whole(now, core, class, remote, Local::Read(buf))
     }
 
-    /// The general read: each segment lands at its offset in `buf`, given
-    /// the caller's promise that `buf[live_in..]` is already all zero — what
-    /// a frame's tracked live extent says about a recycled frame. Wire
-    /// traffic, timing, tracing, the bytes `buf` ends up holding and the
-    /// returned bound are identical for every `live_in` that keeps the
-    /// promise; the hint only spares the memory node's store re-zeroing a
-    /// tail that is zero already (erasure-coded endpoints ignore it).
-    ///
-    /// Returns the completion time and a bound `live` such that every byte
-    /// the verb landed at or past `live` is zero: after a whole-buffer read
-    /// `buf[live..]` is zero; after a vector, `buf[live.max(live_in)..]` is
-    /// (bytes between segments are not touched).
-    pub fn read_hinted(
+    /// [`read_live`](Self::read_live) of the page at aligned `remote`: `page`
+    /// becomes a shared image of the stored page instead of a copy. An
+    /// unaligned `remote` is [`RdmaError::BadSegment`].
+    pub fn read_page(
         &mut self,
         now: Ns,
         core: usize,
         class: ServiceClass,
-        segments: &[Segment],
-        buf: &mut [u8],
-        live_in: usize,
+        remote: u64,
+        page: &mut Page,
     ) -> Result<(Ns, usize), RdmaError> {
-        let local = Local::Read { buf, live: live_in };
-        self.post(now, core, class, segments, local)
+        self.post_whole(now, core, class, remote, Local::ReadPage(page))
     }
 
     /// Posts a one-sided write of `buf` to `remote`.
@@ -1081,14 +1093,42 @@ impl RdmaEndpoint {
         buf: &[u8],
         live: usize,
     ) -> Result<Ns, RdmaError> {
-        let seg = [Segment::whole(remote, buf.len())];
-        self.post(now, core, class, &seg, Local::Write { buf, live })
+        self.post_whole(now, core, class, remote, Local::Write { buf, live })
             .map(|(t, _)| t)
     }
 
+    /// [`write_live`](Self::write_live) of the page at aligned `remote`:
+    /// every live replica stores `page` itself instead of a copy. An
+    /// unaligned `remote` is [`RdmaError::BadSegment`].
+    pub fn write_page(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        remote: u64,
+        page: &Page,
+        live: usize,
+    ) -> Result<Ns, RdmaError> {
+        self.post_whole(now, core, class, remote, Local::WritePage { page, live })
+            .map(|(t, _)| t)
+    }
+
+    /// The plain verbs' one body: the whole local buffer as one segment.
+    fn post_whole(
+        &mut self,
+        now: Ns,
+        core: usize,
+        class: ServiceClass,
+        remote: u64,
+        local: Local<'_>,
+    ) -> Result<(Ns, usize), RdmaError> {
+        let seg = [Segment::whole(remote, local.shape().1)];
+        self.post(now, core, class, &seg, local)
+    }
+
     /// Posts a vectored (scatter) read: each segment lands at its offset in
-    /// `buf`. Guided paging uses this to fetch only the live chunks of a
-    /// page (§4.4).
+    /// `buf`, and the bytes between segments are not touched. Guided paging
+    /// uses this to fetch only the live chunks of a page (§4.4).
     pub fn read_v(
         &mut self,
         now: Ns,
@@ -1097,8 +1137,7 @@ impl RdmaEndpoint {
         segments: &[Segment],
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
-        let live_in = buf.len();
-        self.read_hinted(now, core, class, segments, buf, live_in)
+        self.post(now, core, class, segments, Local::Read(buf))
             .map(|(t, _)| t)
     }
 
@@ -1499,6 +1538,20 @@ mod tests {
         e.read_v(0, 0, ServiceClass::Guide, &same_page, &mut page)
             .unwrap();
         assert!(page[..64].iter().all(|&b| b == 7));
+        // A page verb moves one whole page: an unaligned one is refused
+        // before it is counted or posted, in both directions.
+        let mut img: Page = Rc::new([0; PAGE_SIZE]);
+        let posted = e.total_bytes();
+        assert_eq!(
+            e.read_page(0, 0, ServiceClass::Fault, 4096 + 64, &mut img),
+            Err(RdmaError::BadSegment)
+        );
+        assert_eq!(
+            e.write_page(0, 0, ServiceClass::Cleaner, 64, &img, PAGE_SIZE),
+            Err(RdmaError::BadSegment)
+        );
+        assert_eq!(e.total_bytes(), posted);
+        assert_eq!(e.ops(ServiceClass::Fault).reads, 0);
     }
 
     /// Everything a caller can observe about an endpoint after a run.
@@ -1554,121 +1607,103 @@ mod tests {
         }
     }
 
-    /// The read hint is invisible: for any prior buffer content that keeps
-    /// the promise (`buf[live_in..]` zero), the hinted read and the
-    /// full-fill read (`live_in = buf.len()`, what the un-hinted verbs post)
-    /// leave the same bytes and return the same completion time and live
-    /// bound, with equal wire bytes, op counts and trace — on every
-    /// redundancy strategy, for whole-page, multi-page and vectored shapes.
-    /// Both run the one store body, so a third endpoint on the reference
-    /// store (which ignores the hint) vouches for the bytes themselves.
+    /// The shared-page verbs are the copying verbs without the copy: on
+    /// every redundancy strategy, healthy and with a node down,
+    /// `read_page`/`write_page` return what `read_live`/`write_live` return
+    /// (completion time, live bound, errors), land the same bytes in the
+    /// caller's image and in every node's store, and leave equal wire
+    /// bytes, op counts and trace. Images the page side holds never change
+    /// under later writes, and a third endpoint on the reference store
+    /// vouches for the bytes themselves.
     #[test]
-    fn hinted_reads_equal_full_fill_reads() {
+    fn page_verbs_equal_copying_verbs() {
         use crate::rng::SplitMix64;
         const PAGES: u64 = 12;
         type Boot = fn() -> RdmaEndpoint;
-        // (boot, kill node 0 after the writes, erasure-coded)
-        let boots: [(Boot, bool, bool); 4] = [
+        // (boot, kill node 0 halfway)
+        let boots: [(Boot, bool); 3] = [
             (
                 || RdmaEndpoint::connect(SimConfig::default(), 1 << 22),
-                false,
-                false,
-            ),
-            (
-                || RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 22, 2, 1),
-                false,
                 false,
             ),
             (
                 || RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 22, 3, 2),
                 true,
-                false,
             ),
             (
                 || RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 5, 3, 2),
-                false,
                 true,
             ),
         ];
         let class = ServiceClass::App;
-        for (bi, (boot, kill0, ec)) in boots.into_iter().enumerate() {
-            let mut rng = SplitMix64::new(0x0014_0000 + bi as u64);
+        for (bi, (boot, kill0)) in boots.into_iter().enumerate() {
+            let mut rng = SplitMix64::new(0x0021_0000 + bi as u64);
             let mut below = |n: usize| rng.gen_range(n as u64) as usize;
-            let (mut hinted, mut full, mut oracle) = (boot(), boot(), boot());
+            let (mut paged, mut copied, mut oracle) = (boot(), boot(), boot());
             oracle.use_reference_stores();
-            let (obs_h, obs_f) = (Observability::tracing(), Observability::tracing());
-            hinted.observe(&obs_h);
-            full.observe(&obs_f);
-            // Seeded store: absent pages, fully non-zero pages, sparse ones.
-            for page in 0..PAGES {
-                let extent = match below(4) {
-                    0 => continue,
-                    1 => PAGE_SIZE,
-                    _ => 1 + below(PAGE_SIZE - 1),
-                };
-                let data: Vec<u8> = (0..extent).map(|_| below(255) as u8 + 1).collect();
-                for e in [&mut hinted, &mut full, &mut oracle] {
-                    e.write(0, 0, class, page << 12, &data).unwrap();
-                }
-            }
-            if kill0 {
-                for e in [&mut hinted, &mut full, &mut oracle] {
-                    e.fail_node(0);
-                }
-            }
+            let (obs_p, obs_c) = (Observability::tracing(), Observability::tracing());
+            paged.observe(&obs_p);
+            copied.observe(&obs_c);
+            let mut held: Vec<(Page, [u8; PAGE_SIZE])> = Vec::new();
             for round in 0..300u64 {
+                if kill0 && round == 150 {
+                    for e in [&mut paged, &mut copied, &mut oracle] {
+                        e.fail_node(0);
+                    }
+                }
                 let t = 1_000_000 + round * 50_000;
-                let base = (below(PAGES as usize) as u64) << 12;
-                let shape = below(3);
-                let (segs, len) = match shape {
-                    0 => (vec![Segment::whole(base, PAGE_SIZE)], PAGE_SIZE),
-                    // An unaligned span over three or four pages (an EC
-                    // transfer never crosses a page).
-                    1 if !ec => {
-                        let len = (2 + below(2)) * PAGE_SIZE;
-                        let start = base + below(PAGE_SIZE) as u64;
-                        (vec![Segment::whole(start, len)], len)
+                let remote = (below(PAGES as usize) as u64) << 12;
+                match below(3) {
+                    // A whole-page write: absent, full or sparse content,
+                    // with an exact or a loose live hint.
+                    0 => {
+                        let extent = [0, PAGE_SIZE, 1 + below(PAGE_SIZE - 1)][below(3)];
+                        let mut bytes = [0u8; PAGE_SIZE];
+                        bytes[..extent].fill_with(|| below(255) as u8 + 1);
+                        let live = if below(2) == 0 { extent } else { PAGE_SIZE };
+                        let img = Rc::new(bytes);
+                        let w_p = paged.write_page(t, 1, class, remote, &img, live);
+                        let w_c = copied.write_live(t, 1, class, remote, &bytes, live);
+                        assert_eq!(w_p, w_c, "boot {bi} round {round}");
+                        oracle.write(t, 1, class, remote, &bytes).unwrap();
                     }
-                    // One to three segments of the page, anywhere in the
-                    // buffer — overlapping ones included.
+                    // A sub-page write, through the copying verb on both: it
+                    // lands in slots the page side's images may share.
+                    1 => {
+                        let len = 1 + below(512);
+                        let at = remote + below(PAGE_SIZE - len + 1) as u64;
+                        let data: Vec<u8> = (0..len).map(|_| below(256) as u8).collect();
+                        for e in [&mut paged, &mut copied, &mut oracle] {
+                            e.write(t, 1, class, at, &data).unwrap();
+                        }
+                    }
                     _ => {
-                        let segs = (0..1 + below(3))
-                            .map(|_| {
-                                let len = 1 + below(1024);
-                                Segment {
-                                    remote: base + below(PAGE_SIZE - len + 1) as u64,
-                                    offset: below(PAGE_SIZE - len + 1),
-                                    len,
-                                }
-                            })
-                            .collect();
-                        (segs, PAGE_SIZE)
+                        let mut img = Rc::new([0x5A; PAGE_SIZE]);
+                        let mut buf = vec![0xA5; PAGE_SIZE];
+                        let r_p = paged.read_page(t, 1, class, remote, &mut img);
+                        let r_c = copied.read_live(t, 1, class, remote, &mut buf);
+                        assert!(r_p.is_ok(), "boot {bi} round {round}: {r_p:?}");
+                        assert_eq!(r_p, r_c, "boot {bi} round {round}");
+                        assert_eq!(img[..], buf[..], "boot {bi} round {round}");
+                        let mut want = vec![0u8; PAGE_SIZE];
+                        oracle.read(t, 1, class, remote, &mut want).unwrap();
+                        assert_eq!(buf, want, "boot {bi} round {round} vs reference");
+                        held.push((Rc::clone(&img), *img));
                     }
-                };
-                let live_in = below(len + 1);
-                let mut buf_h = vec![0u8; len];
-                buf_h[..live_in].fill_with(|| below(256) as u8);
-                let (mut buf_f, mut buf_o) = (buf_h.clone(), buf_h.clone());
-                let r_h = hinted.read_hinted(t, 1, class, &segs, &mut buf_h, live_in);
-                // The whole-page case goes through the un-hinted verb, so
-                // the shim is held to the same equality.
-                let r_f = if shape == 0 {
-                    full.read_live(t, 1, class, base, &mut buf_f)
-                } else {
-                    full.read_hinted(t, 1, class, &segs, &mut buf_f, len)
-                };
-                assert!(r_h.is_ok(), "boot {bi} round {round}: {r_h:?}");
-                assert_eq!(r_h, r_f, "boot {bi} round {round} {segs:?}");
-                assert_eq!(buf_h, buf_f, "boot {bi} round {round} {segs:?}");
-                let r_o = oracle.read_v(t, 1, class, &segs, &mut buf_o);
-                assert_eq!(r_o, r_h.map(|(done, _)| done));
-                assert_eq!(
-                    buf_h, buf_o,
-                    "boot {bi} round {round} {segs:?} vs reference"
-                );
+                }
             }
-            assert_eq!(observable(&hinted, &obs_h), observable(&full, &obs_f));
-            assert_ne!(obs_h.trace().digest(), 0, "the runs were traced");
+            for (img, bytes) in &held {
+                assert_eq!(**img, *bytes, "boot {bi}: a held image changed");
+            }
+            for (np, nc) in paged.nodes.iter().zip(&copied.nodes) {
+                let pages = np.node.resident_page_numbers();
+                assert_eq!(pages, nc.node.resident_page_numbers(), "boot {bi}");
+                for p in pages {
+                    assert_eq!(np.node.page_snapshot(p), nc.node.page_snapshot(p));
+                }
+            }
+            assert_eq!(observable(&paged, &obs_p), observable(&copied, &obs_c));
+            assert_ne!(obs_p.trace().digest(), 0, "the runs were traced");
         }
     }
 
@@ -1676,13 +1711,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Differential test for the page-store backends: the same verb
-    /// sequence driven through a flat-store cluster and a reference
-    /// `BTreeStore` cluster produces byte-identical trace digests, the
-    /// same read contents, and the same resident-page enumeration.
+    /// sequence — copying and shared-page verbs alike — driven through a
+    /// flat-store cluster and a reference `BTreeStore` cluster produces
+    /// byte-identical trace digests, the same read contents, and the same
+    /// resident-page enumeration.
     #[test]
     fn flat_and_reference_stores_trace_identically(
         ops in prop::collection::vec(
-            (0u64..60, 1usize..9_000, any::<u8>(), any::<bool>(), 0usize..4),
+            (0u64..60, 1usize..9_000, any::<u8>(), 0u8..4, 0usize..4),
             1..80,
         ),
     ) {
@@ -1699,25 +1735,42 @@ mod tests {
         let (mut flat, flat_obs) = mk(false);
         let (mut reference, ref_obs) = mk(true);
         let mut now = 0;
-        for &(page, len, stamp, is_write, core) in &ops {
-            let at = page * 4096 + u64::from(stamp % 64);
-            let len = len.min((SIZE - at) as usize);
-            if len == 0 {
-                continue;
-            }
-            if is_write {
-                // Trailing zeros exercise the extent-trim path.
-                let mut data = vec![stamp; len];
-                let keep = len - (len * usize::from(stamp % 4) / 4);
-                data[keep..].fill(0);
-                flat.write(now, core, ServiceClass::Cleaner, at, &data).expect("in bounds");
-                reference.write(now, core, ServiceClass::Cleaner, at, &data).expect("in bounds");
+        for &(page, len, stamp, verb, core) in &ops {
+            // The page verbs move one aligned page; the others any span.
+            let (at, len) = if verb >= 2 {
+                (page * 4096, PAGE_SIZE)
             } else {
-                let mut a = vec![0u8; len];
-                let mut b = vec![1u8; len];
-                flat.read(now, core, ServiceClass::Fault, at, &mut a).expect("in bounds");
-                reference.read(now, core, ServiceClass::Fault, at, &mut b).expect("in bounds");
-                prop_assert_eq!(a, b, "read contents at {}", at);
+                let at = page * 4096 + u64::from(stamp % 64);
+                (at, len.min((SIZE - at) as usize))
+            };
+            // Trailing zeros exercise the extent-trim path.
+            let mut data = vec![stamp; len];
+            let keep = len - (len * usize::from(stamp % 4) / 4);
+            data[keep..].fill(0);
+            let (w, r) = (ServiceClass::Cleaner, ServiceClass::Fault);
+            match verb {
+                0 => {
+                    flat.write(now, core, w, at, &data).expect("in bounds");
+                    reference.write(now, core, w, at, &data).expect("in bounds");
+                }
+                1 => {
+                    let mut a = vec![0u8; len];
+                    let mut b = vec![1u8; len];
+                    flat.read(now, core, r, at, &mut a).expect("in bounds");
+                    reference.read(now, core, r, at, &mut b).expect("in bounds");
+                    prop_assert_eq!(a, b, "read contents at {}", at);
+                }
+                2 => {
+                    let img: Page = Rc::new(data[..].try_into().expect("one page"));
+                    flat.write_page(now, core, w, at, &img, keep).expect("in bounds");
+                    reference.write_page(now, core, w, at, &img, keep).expect("in bounds");
+                }
+                _ => {
+                    let (mut a, mut b) = (Rc::new([0; PAGE_SIZE]), Rc::new([1; PAGE_SIZE]));
+                    flat.read_page(now, core, r, at, &mut a).expect("in bounds");
+                    reference.read_page(now, core, r, at, &mut b).expect("in bounds");
+                    prop_assert_eq!(a, b, "page contents at {}", at);
+                }
             }
             now += 1_000;
         }
@@ -1728,19 +1781,6 @@ mod tests {
             reference.node().resident_page_numbers()
         );
     }
-    }
-
-    /// A caller that breaks the promise would leak stale bytes into its
-    /// buffer; debug builds (tier-1 tests) refuse instead.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "read hint broken")]
-    fn a_dirty_byte_past_the_read_hint_panics_in_debug() {
-        let mut e = ep();
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[100] = 7;
-        let seg = [Segment::whole(0, PAGE_SIZE)];
-        let _ = e.read_hinted(0, 0, ServiceClass::App, &seg, &mut buf, 100);
     }
 
     #[test]
