@@ -193,10 +193,6 @@ pub struct Fastswap {
     /// first store copies it (`Rc::make_mut`); a swap-out hands the image
     /// back. All frames start as one shared zero page.
     frames: Vec<Page>,
-    /// Per-frame upper bound on the non-zero prefix (bytes past it are
-    /// zero): fills set it, stores raise it, and the write-back hands it to
-    /// the store so mostly-zero pages skip the trailing-zero scan.
-    frame_live: Vec<u32>,
     free: Vec<u32>,
     /// Frames whose previous writeback completes at `Ns`.
     pending_free: Vec<(u32, Ns)>,
@@ -248,7 +244,6 @@ impl Fastswap {
             reclaim_due: Vec::new(),
             state: Vec::new(),
             frames: vec![zero; cfg.local_pages],
-            frame_live: vec![0; cfg.local_pages],
             free: (0..cfg.local_pages as u32).rev().collect(),
             pending_free: Vec::new(),
             lru: LruChain::new(),
@@ -340,8 +335,6 @@ impl Fastswap {
             let end = off + span.len();
             let frame = self.touch(core, vpn, true);
             Rc::make_mut(&mut self.frames[frame as usize])[off..end].copy_from_slice(&buf[span]);
-            let live = &mut self.frame_live[frame as usize];
-            *live = (*live).max(end as u32);
             self.m.charge_copy(core, end - off);
         }
     }
@@ -438,16 +431,13 @@ impl Fastswap {
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::ZeroFill);
         let t = now + costs.exception_ns + costs.page_alloc_ns;
         let (frame, t_frame, _) = self.get_frame(core, t);
-        // Clear the live prefix in place, unless the store still shares the
-        // page: then a fresh zero page replaces it.
-        let f = frame as usize;
-        let live = self.frame_live[f] as usize;
-        match Rc::get_mut(&mut self.frames[f]) {
-            Some(bytes) => bytes[..live].fill(0),
-            None if live > 0 => self.frames[f] = Rc::new([0; PAGE_SIZE]),
-            None => {}
+        // Clear the page in place, unless the store still shares it: then a
+        // fresh zero page replaces it.
+        let page = &mut self.frames[frame as usize];
+        match Rc::get_mut(page) {
+            Some(bytes) => bytes.fill(0),
+            None => *page = Rc::new([0; PAGE_SIZE]),
         }
-        self.frame_live[f] = 0;
         let t_end = t_frame + costs.map_ns;
         self.m.wait_until(core, t_end);
         self.stats.zero_fills += 1;
@@ -496,13 +486,9 @@ impl Fastswap {
     /// it lands. The frame's page becomes the memory node's image, shared
     /// until the first store copies it — no bounce buffer, no copy.
     fn swap_in(&mut self, t: Ns, core: usize, class: ServiceClass, remote: u64, frame: u32) -> Ns {
-        let f = frame as usize;
-        let (done, live) = self
-            .rdma
-            .read_page(t, core, class, remote, &mut self.frames[f])
-            .expect("swap-in inside swap device");
-        self.frame_live[f] = live as u32;
-        done
+        self.rdma
+            .read_page(t, core, class, remote, &mut self.frames[frame as usize])
+            .expect("swap-in inside swap device")
     }
 
     /// Linux-style cluster readahead into the swap cache.
@@ -737,7 +723,6 @@ impl Fastswap {
                             ServiceClass::Cleaner,
                             remote,
                             &self.frames[frame as usize],
-                            self.frame_live[frame as usize] as usize,
                         )
                         .expect("swap-out inside swap device");
                     self.stats.writebacks += 1;
@@ -901,6 +886,28 @@ mod tests {
             n.write_u64(0, vb + p * PAGE_SIZE as u64, p);
         }
         assert_eq!(n.stats().zero_fills, 32 + 48);
+    }
+
+    #[test]
+    fn a_freed_frame_reads_as_zeros_after_a_zero_fill() {
+        // Pages written in place and freed before any swap-out: each frame
+        // holds the only reference to its page, so the next zero-fill must
+        // clear it in place.
+        let mut n = node(64);
+        let va = n.alloc(16 * PAGE_SIZE);
+        for p in 0..16u64 {
+            n.write(0, va + p * PAGE_SIZE as u64, &[0xC7; PAGE_SIZE]);
+        }
+        n.free(va, 16 * PAGE_SIZE);
+        let vb = n.alloc(16 * PAGE_SIZE);
+        let mut page = [0xFF; PAGE_SIZE];
+        for p in 0..16u64 {
+            n.read(0, vb + p * PAGE_SIZE as u64, &mut page);
+            let stale = page.iter().position(|&b| b != 0);
+            assert_eq!(stale, None, "page {p} shows stale bytes");
+        }
+        assert_eq!(n.stats().zero_fills, 32);
+        assert_eq!(n.stats().writebacks, 0, "no page was swapped out");
     }
 
     #[test]

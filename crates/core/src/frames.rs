@@ -9,11 +9,9 @@
 //! Each frame holds a copy-on-write [`Page`] image: a whole-page fill shares
 //! the memory node's, and the first store copies it (`Rc::make_mut`), so no
 //! frame write reaches the store before a write verb (DESIGN.md, "A page is
-//! shared until written"). Each frame also carries a *live extent*, an upper
-//! bound on its non-zero prefix: a write-back promises the store that
-//! `buf[live..]` is zero, and [`zero`](FrameArena::zero) clears only that
-//! prefix (DESIGN.md, "The extent contract"). Whoever writes a frame's bytes
-//! keeps the bound (`set_live` / `note_write` / `zero`).
+//! shared until written"). A frame is just its page's bytes: frames are
+//! recycled without being wiped, and [`zero`](FrameArena::zero) clears the
+//! whole page before a zero-fill.
 
 use std::rc::Rc;
 
@@ -45,11 +43,6 @@ pub struct FrameArena {
     pages: Vec<Page>,
     meta: Vec<FrameMeta>,
     free: Vec<FreeFrame>,
-    /// Per-frame live extent: an upper bound on the frame's non-zero prefix
-    /// (every byte at offset `>= live[f]` is zero). Fill paths set it, app
-    /// writes raise it; eviction hands it to the store so write-back never
-    /// re-scans a mostly-zero page for its content length.
-    live: Vec<u32>,
     trace: TraceSink,
 }
 
@@ -79,41 +72,23 @@ impl FrameArena {
                     available_at: 0,
                 })
                 .collect(),
-            live: vec![0; frames],
             trace: TraceSink::disabled(),
         }
     }
 
-    /// Upper bound on the frame's non-zero prefix; bytes past it are zero.
-    /// It is the `live` of a write-back (the frame's page is what goes
-    /// out).
-    pub fn live(&self, frame: u32) -> usize {
-        self.live[frame as usize] as usize
-    }
+    /// Does nothing. A compatibility shim for existing callers, going with
+    /// the verb shims (ROADMAP item 4).
+    pub fn set_live(&mut self, _frame: u32, _n: usize) {}
 
-    /// Declares the frame's non-zero content to end before `n` (a fill path
-    /// that wrote the whole frame knows exactly how much of it is non-zero).
-    pub fn set_live(&mut self, frame: u32, n: usize) {
-        self.live[frame as usize] = n.min(PAGE_SIZE) as u32;
-    }
-
-    /// Raises the live extent to cover a write ending at `end`.
-    pub fn note_write(&mut self, frame: u32, end: usize) {
-        let e = &mut self.live[frame as usize];
-        *e = (*e).max(end.min(PAGE_SIZE) as u32);
-    }
-
-    /// Zeroes the frame, touching only its live prefix: in place, or — when
-    /// the page is shared (with the store, say) — by taking a fresh one.
+    /// Zeroes the frame: in place when it holds the only reference to its
+    /// page, or — when the page is shared (with the store, say) — by taking
+    /// a fresh one.
     pub fn zero(&mut self, frame: u32) {
-        let f = frame as usize;
-        let n = self.live[f] as usize;
-        match Rc::get_mut(&mut self.pages[f]) {
-            Some(bytes) => bytes[..n].fill(0),
-            None if n > 0 => self.pages[f] = Rc::new([0; PAGE_SIZE]),
-            None => {}
+        let page = &mut self.pages[frame as usize];
+        match Rc::get_mut(page) {
+            Some(bytes) => bytes.fill(0),
+            None => *page = Rc::new([0; PAGE_SIZE]),
         }
-        self.live[f] = 0;
     }
 
     /// Routes frame alloc/free events into the bundle's trace sink.
@@ -179,16 +154,12 @@ impl FrameArena {
         &self.pages[frame as usize]
     }
 
-    /// The frame's page image, for a whole-page fill to replace. The filler
-    /// reports the new extent through [`set_live`](Self::set_live).
+    /// The frame's page image, for a whole-page fill to replace.
     pub(crate) fn page_mut(&mut self, frame: u32) -> &mut Page {
         &mut self.pages[frame as usize]
     }
 
     /// Mutable bytes, copied first if the page is shared (`Rc::make_mut`).
-    /// Callers that write non-zero content must pair the write with
-    /// [`note_write`](Self::note_write)/[`set_live`](Self::set_live) to keep
-    /// the live extent an upper bound.
     pub fn bytes_mut(&mut self, frame: u32) -> &mut [u8] {
         &mut Rc::make_mut(&mut self.pages[frame as usize])[..]
     }

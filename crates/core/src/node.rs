@@ -643,7 +643,6 @@ impl Dilos {
             let end = off + span.len();
             let frame = self.touch(core, vpn, true);
             self.frames.bytes_mut(frame)[off..end].copy_from_slice(&buf[span]);
-            self.frames.note_write(frame, end);
             self.m.charge_copy(core, end - off);
         }
     }
@@ -923,16 +922,13 @@ impl Dilos {
         // own image, shared until the first store into the frame copies it.
         let Some(v) = vector else {
             let page = self.frames.page_mut(frame);
-            let (done, live) = self.rdma.read_page(t, core, class, remote, page)?;
-            self.frames.set_live(frame, live);
-            return Ok(done);
+            return self.rdma.read_page(t, core, class, remote, page);
         };
         // A vectored verb touches only its segments; the rest of the frame
-        // must read as dead zeros, so it is zeroed first, and nothing lies
-        // past the furthest segment end.
+        // must read as dead zeros, so it is zeroed first.
         self.frames.zero(frame);
         let mut done = t;
-        if let Some(end) = v.iter().map(|&(o, l)| usize::from(o + l)).max() {
+        if !v.is_empty() {
             let mut segs = std::mem::take(&mut self.seg_buf);
             segs.clear();
             segs.extend(v.iter().map(|&range| page_segment(remote, range)));
@@ -940,7 +936,6 @@ impl Dilos {
                 .rdma
                 .read_v(t, core, class, &segs, self.frames.bytes_mut(frame));
             self.seg_buf = segs;
-            self.frames.set_live(frame, end);
             done = posted?;
         }
         self.stats.guided_fetches += 1;
@@ -1016,9 +1011,6 @@ impl Dilos {
             match self.fill_frame(t, core, class, vpn, frame, vector.as_ref()) {
                 Ok(done) => Some((frame, done)),
                 Err(_) => {
-                    // The failed verb may have landed partial segment
-                    // payloads, so the frame's content bound is unknown.
-                    self.frames.set_live(frame, PAGE_SIZE);
                     self.frames.push_free(frame, t);
                     None
                 }
@@ -1397,9 +1389,8 @@ impl Dilos {
         let posted = match ranges {
             // The store shares the frame's image, not a copy of it.
             None => {
-                let live = self.frames.live(frame);
                 let page = self.frames.page(frame);
-                self.rdma.write_page(t, 0, class, remote, page, live)
+                self.rdma.write_page(t, 0, class, remote, page)
             }
             Some(ranges) => {
                 self.stats.writeback_bytes_saved += (PAGE_SIZE - ranges.live_bytes()) as u64;

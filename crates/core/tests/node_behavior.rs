@@ -146,11 +146,12 @@ fn a_fetched_page_reaches_the_store_only_at_write_back() {
 
 #[test]
 fn recycled_frames_show_nothing_of_their_previous_page() {
-    // Frames are recycled without being wiped: a zero-fill clears only what
-    // the frame's tracked extent says can be non-zero, and a fill replaces
-    // the frame's page with the stored image. Walk every frame through full
-    // page → sparse page → never-written page; an extent that undercounts,
-    // or an image written where it is shared, leaves 0xC7 bytes behind.
+    // Frames are recycled without being wiped: a zero-fill clears the
+    // frame's page (swapping a shared one for a fresh zero page), and a fill
+    // replaces the frame's page with the stored image. Walk every frame
+    // through full page → sparse page → never-written page; a clear that
+    // misses, or an image written where it is shared, leaves 0xC7 bytes
+    // behind. A page only its frame holds is the next two tests' case.
     let group = 48usize;
     let mut n = node(16);
     let va = n.ddc_alloc(3 * group * PAGE);
@@ -191,6 +192,65 @@ fn recycled_frames_show_nothing_of_their_previous_page() {
         s.major_faults + s.minor_faults >= 6 * group as u64 - 16,
         "every page was re-fetched on every pass"
     );
+}
+
+#[test]
+fn a_freed_frame_reads_as_zeros_after_a_zero_fill() {
+    // Pages written in place and freed before any write-back: each frame
+    // holds the only reference to its page, so the zero-fill that recycles
+    // it must clear it in place.
+    let mut n = node(64);
+    let va = n.ddc_alloc(32 * PAGE);
+    for p in 0..32 {
+        n.write(0, va + (p * PAGE) as u64, &[0xC7; PAGE]);
+    }
+    n.ddc_free(va, 32 * PAGE);
+    let fresh = n.ddc_alloc(64 * PAGE);
+    let mut page = vec![0xFF; PAGE];
+    for p in 0..64 {
+        n.read(0, fresh + (p * PAGE) as u64, &mut page);
+        let stale = page.iter().position(|&b| b != 0);
+        assert_eq!(stale, None, "page {p} shows stale bytes");
+    }
+    let s = n.stats();
+    assert_eq!(s.zero_fills, 32 + 64);
+    assert_eq!(s.writebacks, 0, "no page was written back");
+}
+
+#[test]
+fn a_frame_written_back_by_a_guide_reads_as_zeros_after_a_zero_fill() {
+    // A guided write-back copies the live ranges out (`write_v`), so the
+    // evicted frame keeps the only reference to its page; the zero-fill
+    // that recycles it must clear it in place. Eight 512 B objects fill a
+    // heap page; freeing the last one makes the page partly live.
+    let (mut n, heap) = guided_node(3);
+    let objs: Vec<u64> = (0..8 * 32)
+        .map(|_| heap.borrow_mut().malloc(512).unwrap())
+        .collect();
+    for (i, &obj) in objs.iter().enumerate() {
+        if i % 8 == 0 {
+            assert_eq!(obj % PAGE as u64, 0, "eight objects fill each heap page");
+            n.write(0, obj, &[0xC7; PAGE]);
+        }
+        if i % 8 == 7 {
+            heap.borrow_mut().free(obj).unwrap();
+        }
+    }
+    // Fresh pages, each stamped at its first word: everything past the
+    // stamp must read as zeros, before and after its own round trip.
+    let churn = n.ddc_alloc(256 * PAGE);
+    let at = |p: usize| churn + (p * PAGE) as u64;
+    for p in 0..256 {
+        n.write_u64(0, at(p), p as u64 + 1);
+    }
+    let mut page = vec![0u8; PAGE];
+    for p in 0..256 {
+        n.read(0, at(p), &mut page);
+        assert_eq!(page[..8], (p as u64 + 1).to_le_bytes());
+        let stale = page[8..].iter().position(|&b| b != 0);
+        assert_eq!(stale, None, "page {p} shows stale bytes");
+    }
+    assert_eq!(n.stats().guided_evictions, 32);
 }
 
 #[test]

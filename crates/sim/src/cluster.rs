@@ -152,7 +152,7 @@ impl RdmaPort {
         class: ServiceClass,
         segments: &[Segment],
         local: Local<'_>,
-    ) -> Result<(Ns, usize), RdmaError> {
+    ) -> Result<Ns, RdmaError> {
         let core = self.lane_base + core;
         if self.base == 0 {
             return self.ep_mut().post(now, core, class, segments, local);
@@ -177,12 +177,10 @@ impl RdmaPort {
         remote: u64,
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
-        self.read_live(now, core, class, remote, buf)
-            .map(|(t, _)| t)
+        self.post_whole(now, core, class, remote, Local::Read(buf))
     }
 
-    /// [`read`](Self::read), also returning the payload's non-zero bound
-    /// (see [`RdmaEndpoint::read_live`]).
+    /// [`read`](Self::read) (see [`RdmaEndpoint::read_live`]).
     pub fn read_live(
         &mut self,
         now: Ns,
@@ -190,8 +188,8 @@ impl RdmaPort {
         class: ServiceClass,
         remote: u64,
         buf: &mut [u8],
-    ) -> Result<(Ns, usize), RdmaError> {
-        self.post_whole(now, core, class, remote, Local::Read(buf))
+    ) -> Result<Ns, RdmaError> {
+        self.read(now, core, class, remote, buf)
     }
 
     /// Reads the whole page at tenant-relative `remote` as a shared image
@@ -203,7 +201,7 @@ impl RdmaPort {
         class: ServiceClass,
         remote: u64,
         page: &mut Page,
-    ) -> Result<(Ns, usize), RdmaError> {
+    ) -> Result<Ns, RdmaError> {
         self.post_whole(now, core, class, remote, Local::ReadPage(page))
     }
 
@@ -216,11 +214,10 @@ impl RdmaPort {
         remote: u64,
         buf: &[u8],
     ) -> Result<Ns, RdmaError> {
-        self.write_live(now, core, class, remote, buf, buf.len())
+        self.post_whole(now, core, class, remote, Local::Write(buf))
     }
 
-    /// [`write`](Self::write) with the caller's promise that `buf[live..]`
-    /// is all zero (see [`RdmaEndpoint::write_live`]).
+    /// [`write`](Self::write) (see [`RdmaEndpoint::write_live`]).
     pub fn write_live(
         &mut self,
         now: Ns,
@@ -228,10 +225,9 @@ impl RdmaPort {
         class: ServiceClass,
         remote: u64,
         buf: &[u8],
-        live: usize,
+        _live: usize,
     ) -> Result<Ns, RdmaError> {
-        self.post_whole(now, core, class, remote, Local::Write { buf, live })
-            .map(|(t, _)| t)
+        self.write(now, core, class, remote, buf)
     }
 
     /// Writes a whole image to the page at tenant-relative `remote`, which
@@ -243,10 +239,8 @@ impl RdmaPort {
         class: ServiceClass,
         remote: u64,
         page: &Page,
-        live: usize,
     ) -> Result<Ns, RdmaError> {
-        self.post_whole(now, core, class, remote, Local::WritePage { page, live })
-            .map(|(t, _)| t)
+        self.post_whole(now, core, class, remote, Local::WritePage(page))
     }
 
     /// The plain verbs' one body: the whole local buffer as one segment.
@@ -257,7 +251,7 @@ impl RdmaPort {
         class: ServiceClass,
         remote: u64,
         local: Local<'_>,
-    ) -> Result<(Ns, usize), RdmaError> {
+    ) -> Result<Ns, RdmaError> {
         let seg = [Segment::whole(remote, local.shape().1)];
         self.post(now, core, class, &seg, local)
     }
@@ -272,7 +266,6 @@ impl RdmaPort {
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
         self.post(now, core, class, segments, Local::Read(buf))
-            .map(|(t, _)| t)
     }
 
     /// Posts a vectored write; segment addresses are tenant-relative.
@@ -284,9 +277,7 @@ impl RdmaPort {
         segments: &[Segment],
         buf: &[u8],
     ) -> Result<Ns, RdmaError> {
-        let live = buf.len();
-        self.post(now, core, class, segments, Local::Write { buf, live })
-            .map(|(t, _)| t)
+        self.post(now, core, class, segments, Local::Write(buf))
     }
 
     /// Wire bytes attributed to this port's tenant and `class`: `(tx, rx)`.

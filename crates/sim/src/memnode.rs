@@ -10,7 +10,9 @@
 //! forms) after an rkey + bounds check.
 //!
 //! Backing storage is sparse: pages that were never written read back as
-//! zeros, exactly like freshly-registered (zeroed) host memory.
+//! zeros, exactly like freshly-registered (zeroed) host memory. A page is
+//! just its bytes: the page-sharing forms move one [`Page`] image, every
+//! other access copies the bytes it names.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -180,26 +182,12 @@ impl MemoryNode {
 
     /// Reads `buf.len()` bytes starting at `addr` (may span pages). Every
     /// byte of `buf` is written.
-    ///
-    /// Returns an upper bound on the non-zero prefix of `buf` (every byte at
-    /// or past the bound is zero), so callers that cache the payload can
-    /// track its live extent without re-scanning it.
-    pub fn read(
-        &self,
-        key: RegionHandle,
-        addr: u64,
-        buf: &mut [u8],
-    ) -> Result<usize, MemNodeError> {
+    pub fn read(&self, key: RegionHandle, addr: u64, buf: &mut [u8]) -> Result<(), MemNodeError> {
         self.serve_read(key, addr, buf.len())?;
-        let mut bound = 0usize;
         for (page, in_page, span) in page_chunks(addr, buf.len()) {
-            let off = span.start;
-            let live = self.pages.read_into(page, in_page, &mut buf[span]);
-            if live > 0 {
-                bound = off + live;
-            }
+            self.pages.read_into(page, in_page, &mut buf[span]);
         }
-        Ok(bound)
+        Ok(())
     }
 
     /// [`read`](Self::read) of the page at aligned `addr` with no copy:
@@ -209,11 +197,10 @@ impl MemoryNode {
         key: RegionHandle,
         addr: u64,
         page: &mut Page,
-    ) -> Result<usize, MemNodeError> {
+    ) -> Result<(), MemNodeError> {
         self.serve_read(key, addr, PAGE_SIZE)?;
-        let (image, live) = self.pages.share(addr / PAGE_SIZE as u64);
-        *page = image;
-        Ok(live)
+        *page = self.pages.share(addr / PAGE_SIZE as u64);
+        Ok(())
     }
 
     /// The checks and trace of one served read.
@@ -238,36 +225,31 @@ impl MemoryNode {
     /// at any later instant must not lose it. The log seals into a fresh
     /// checkpoint once it reaches the configured depth.
     pub fn write(&mut self, key: RegionHandle, addr: u64, buf: &[u8]) -> Result<(), MemNodeError> {
-        self.write_live(key, addr, buf, buf.len())
+        self.serve_write(key, addr, buf, |n| n.copy_in(addr, buf))
     }
 
-    /// [`write`](Self::write) with a caller promise that `buf[live..]` is all
-    /// zero. Timing, tracing, and stored bytes are identical; the hint only
-    /// bounds the store's trailing-zero scan (page write-backs of
-    /// mostly-zero frames skip re-reading cold zeros).
+    /// [`write`](Self::write); `_live` is unused. A compatibility shim for
+    /// existing callers, going with the verb shims (ROADMAP item 4).
     pub fn write_live(
         &mut self,
         key: RegionHandle,
         addr: u64,
         buf: &[u8],
-        live: usize,
+        _live: usize,
     ) -> Result<(), MemNodeError> {
-        self.serve_write(key, addr, buf, |n| n.copy_in(addr, buf, live))
+        self.write(key, addr, buf)
     }
 
-    /// [`write_live`](Self::write_live) of a whole image at aligned `addr`
-    /// with no copy: the stored page becomes `page` itself.
+    /// [`write`](Self::write) of a whole image at aligned `addr` with no
+    /// copy: the stored page becomes `page` itself.
     pub(crate) fn write_page(
         &mut self,
         key: RegionHandle,
         addr: u64,
         page: &Page,
-        live: usize,
     ) -> Result<(), MemNodeError> {
         let p = addr / PAGE_SIZE as u64;
-        self.serve_write(key, addr, &page[..], |n| {
-            n.pages.put(p, Rc::clone(page), live)
-        })
+        self.serve_write(key, addr, &page[..], |n| n.pages.put(p, Rc::clone(page)))
     }
 
     /// One served write: checks, the durable intent, the trace, `store`
@@ -307,11 +289,10 @@ impl MemoryNode {
     }
 
     /// The page-copy loop shared by the data-path write and intent replay.
-    /// `live` bounds the non-zero prefix of `buf` (`buf.len()` if unknown).
-    fn copy_in(&mut self, addr: u64, buf: &[u8], live: usize) {
+    fn copy_in(&mut self, addr: u64, buf: &[u8]) {
         for (page, in_page, span) in page_chunks(addr, buf.len()) {
-            let chunk_live = live.saturating_sub(span.start).min(span.len());
-            self.pages.write_at(page, in_page, &buf[span], chunk_live);
+            let data = &buf[span];
+            self.pages.write_at(page, in_page, data, data.len());
         }
     }
 
@@ -442,7 +423,7 @@ impl MemoryNode {
                     seq: rec.seq,
                 },
             );
-            self.copy_in(rec.addr, &rec.data, rec.data.len());
+            self.copy_in(rec.addr, &rec.data);
         }
         d.log = log;
         self.durable = Some(d);

@@ -61,13 +61,12 @@ impl Segment {
 pub(crate) enum Local<'a> {
     /// Remote → local (one-sided read) into every byte the segments name.
     Read(&'a mut [u8]),
-    /// Local → remote (one-sided write). `buf[live..]` is promised all
-    /// zero; the hint only bounds the store's trailing-zero scan.
-    Write { buf: &'a [u8], live: usize },
+    /// Local → remote (one-sided write).
+    Write(&'a [u8]),
     /// [`Read`](Self::Read) of a whole aligned page into a shared image.
     ReadPage(&'a mut Page),
     /// [`Write`](Self::Write) of a whole aligned page as a shared image.
-    WritePage { page: &'a Page, live: usize },
+    WritePage(&'a Page),
 }
 
 impl Local<'_> {
@@ -75,9 +74,9 @@ impl Local<'_> {
     pub(crate) fn shape(&self) -> (bool, usize, bool) {
         match self {
             Local::Read(buf) => (false, buf.len(), false),
-            Local::Write { buf, .. } => (true, buf.len(), false),
+            Local::Write(buf) => (true, buf.len(), false),
             Local::ReadPage(_) => (false, PAGE_SIZE, true),
-            Local::WritePage { .. } => (true, PAGE_SIZE, true),
+            Local::WritePage(_) => (true, PAGE_SIZE, true),
         }
     }
 }
@@ -886,8 +885,7 @@ impl RdmaEndpoint {
     /// [`Local`] buffer posted here. Checks the vector, counts the op,
     /// traces issue and completion, moves the bytes under the endpoint's
     /// redundancy strategy, and runs the crash injector's completion hook.
-    /// Returns the completion time and, for reads, an upper bound on the
-    /// non-zero prefix of what the verb landed.
+    /// Returns the completion time.
     pub(crate) fn post(
         &mut self,
         now: Ns,
@@ -895,7 +893,7 @@ impl RdmaEndpoint {
         class: ServiceClass,
         segments: &[Segment],
         mut local: Local<'_>,
-    ) -> Result<(Ns, usize), RdmaError> {
+    ) -> Result<Ns, RdmaError> {
         let (write, buf_len, page) = local.shape();
         let bytes = Self::check_segments(segments, buf_len)?;
         if page && !segments[0].remote.is_multiple_of(PAGE_SIZE as u64) {
@@ -912,10 +910,7 @@ impl RdmaEndpoint {
         let moved = if self.ec.is_some() {
             // One degraded-capable transfer per segment (a slight overcharge
             // vs a true vectored verb), decoded straight into the buffer — a
-            // whole page into a fresh image, never one the caller shares. A
-            // decode writes every byte of its segment, so the live bound is
-            // the end of the last segment.
-            let end = segments.iter().map(|s| s.offset + s.len).max();
+            // whole page into a fresh image, never one the caller shares.
             let mut xfer = |s: &Segment| {
                 let span = s.offset..s.offset + s.len;
                 match &mut local {
@@ -926,10 +921,8 @@ impl RdmaEndpoint {
                         **page = Rc::new(fresh);
                         done
                     }
-                    Local::Write { buf, .. } => {
-                        self.ec_write(now, core, class, s.remote, &buf[span])
-                    }
-                    Local::WritePage { page, .. } => {
+                    Local::Write(buf) => self.ec_write(now, core, class, s.remote, &buf[span]),
+                    Local::WritePage(page) => {
                         self.ec_write(now, core, class, s.remote, &page[span])
                     }
                 }
@@ -937,25 +930,25 @@ impl RdmaEndpoint {
             segments
                 .iter()
                 .try_fold(now, |done, s| Ok(done.max(xfer(s)?)))
-                .map(|done| (done, shard, end.unwrap_or(0)))
+                .map(|done| (done, shard))
         } else {
             self.replica_transfer(now, core, class, shard, segments, bytes, &mut local)
         };
         // A failed verb still completes — the RNIC reports the error in a
         // CQE — so every traced issue is paired with a completion.
-        let (done, node, live) =
+        let (done, node) =
             moved.inspect_err(|_| self.trace_complete(core, class, write, shard, now))?;
         self.trace_complete(core, class, write, node, done);
         self.maybe_crash(done);
-        Ok((done, live))
+        Ok(done)
     }
 
     /// Striping + replication: a read is served by the page's first live
     /// replica, a write goes to every live replica and completes with the
     /// slowest (the writes ride distinct links, so with symmetric nodes the
     /// cost is one write plus doorbells; a page image is shared by them all).
-    /// Returns the completion time, the node it is attributed to (serving
-    /// replica for a read, primary for a write), and the read's live bound.
+    /// Returns the completion time and the node it is attributed to (serving
+    /// replica for a read, primary for a write).
     /// `shard` is the page's primary node (vectored verbs address one page,
     /// so every segment shares it).
     #[expect(clippy::too_many_arguments, reason = "post's verb, decomposed")]
@@ -968,14 +961,13 @@ impl RdmaEndpoint {
         segments: &[Segment],
         bytes: usize,
         local: &mut Local<'_>,
-    ) -> Result<(Ns, u8, usize), RdmaError> {
+    ) -> Result<(Ns, u8), RdmaError> {
         let write = local.shape().0;
         let n = self.nodes.len();
         let shard = usize::from(shard);
         let mut served = shard;
         let mut penalty: Ns = 0;
         let mut done: Option<Ns> = None;
-        let mut bound = 0usize;
         for rank in 0..self.replication {
             let ni = (shard + rank) % n;
             if !self.nodes[ni].alive {
@@ -997,21 +989,11 @@ impl RdmaEndpoint {
             let node = &mut self.nodes[ni].node;
             for s in segments {
                 let span = s.offset..s.offset + s.len;
-                let seg_live = match local {
+                match local {
                     Local::Read(buf) => node.read(region, s.remote, &mut buf[span])?,
                     Local::ReadPage(page) => node.read_page(region, s.remote, page)?,
-                    Local::Write { buf, live } => {
-                        let seg_live = live.saturating_sub(s.offset).min(s.len);
-                        node.write_live(region, s.remote, &buf[span], seg_live)?;
-                        0
-                    }
-                    Local::WritePage { page, live } => {
-                        node.write_page(region, s.remote, page, *live)?;
-                        0
-                    }
-                };
-                if seg_live > 0 {
-                    bound = bound.max(s.offset + seg_live);
+                    Local::Write(buf) => node.write(region, s.remote, &buf[span])?,
+                    Local::WritePage(page) => node.write_page(region, s.remote, page)?,
                 }
             }
             done = Some(done.map_or(d, |x| x.max(d)));
@@ -1020,10 +1002,11 @@ impl RdmaEndpoint {
                 break;
             }
         }
-        Ok((done.ok_or(RdmaError::AllReplicasDown)?, served as u8, bound))
+        Ok((done.ok_or(RdmaError::AllReplicasDown)?, served as u8))
     }
 
-    /// Posts a one-sided read of `buf.len()` bytes from `remote`.
+    /// Posts a one-sided read of `buf.len()` bytes from `remote`. Every
+    /// byte of `buf` is written.
     ///
     /// Returns the virtual completion time; the caller decides whether to
     /// block on it (demand fetch) or continue (asynchronous prefetch).
@@ -1035,14 +1018,11 @@ impl RdmaEndpoint {
         remote: u64,
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
-        self.read_live(now, core, class, remote, buf)
-            .map(|(t, _)| t)
+        self.post_whole(now, core, class, remote, Local::Read(buf))
     }
 
-    /// [`read`](Self::read), additionally returning an upper bound on the
-    /// non-zero prefix of `buf` (bytes at or past it are zero). Callers that
-    /// cache the payload use the bound to track its live extent without
-    /// scanning it. Every byte of `buf` is written.
+    /// [`read`](Self::read). A compatibility shim for existing callers,
+    /// going with the verb shims (ROADMAP item 4).
     pub fn read_live(
         &mut self,
         now: Ns,
@@ -1050,13 +1030,13 @@ impl RdmaEndpoint {
         class: ServiceClass,
         remote: u64,
         buf: &mut [u8],
-    ) -> Result<(Ns, usize), RdmaError> {
-        self.post_whole(now, core, class, remote, Local::Read(buf))
+    ) -> Result<Ns, RdmaError> {
+        self.read(now, core, class, remote, buf)
     }
 
-    /// [`read_live`](Self::read_live) of the page at aligned `remote`: `page`
-    /// becomes a shared image of the stored page instead of a copy. An
-    /// unaligned `remote` is [`RdmaError::BadSegment`].
+    /// [`read`](Self::read) of the page at aligned `remote`: `page` becomes
+    /// a shared image of the stored page instead of a copy. An unaligned
+    /// `remote` is [`RdmaError::BadSegment`].
     pub fn read_page(
         &mut self,
         now: Ns,
@@ -1064,7 +1044,7 @@ impl RdmaEndpoint {
         class: ServiceClass,
         remote: u64,
         page: &mut Page,
-    ) -> Result<(Ns, usize), RdmaError> {
+    ) -> Result<Ns, RdmaError> {
         self.post_whole(now, core, class, remote, Local::ReadPage(page))
     }
 
@@ -1077,13 +1057,11 @@ impl RdmaEndpoint {
         remote: u64,
         buf: &[u8],
     ) -> Result<Ns, RdmaError> {
-        self.write_live(now, core, class, remote, buf, buf.len())
+        self.post_whole(now, core, class, remote, Local::Write(buf))
     }
 
-    /// [`write`](Self::write) with a caller promise that `buf[live..]` is
-    /// all zero. Wire traffic, timing, and tracing are byte-identical — the
-    /// hint only spares the memory node's store a trailing-zero scan over
-    /// the cold tail of a mostly-zero page.
+    /// [`write`](Self::write); `_live` is unused. A compatibility shim for
+    /// existing callers, going with the verb shims (ROADMAP item 4).
     pub fn write_live(
         &mut self,
         now: Ns,
@@ -1091,15 +1069,14 @@ impl RdmaEndpoint {
         class: ServiceClass,
         remote: u64,
         buf: &[u8],
-        live: usize,
+        _live: usize,
     ) -> Result<Ns, RdmaError> {
-        self.post_whole(now, core, class, remote, Local::Write { buf, live })
-            .map(|(t, _)| t)
+        self.write(now, core, class, remote, buf)
     }
 
-    /// [`write_live`](Self::write_live) of the page at aligned `remote`:
-    /// every live replica stores `page` itself instead of a copy. An
-    /// unaligned `remote` is [`RdmaError::BadSegment`].
+    /// [`write`](Self::write) of the page at aligned `remote`: every live
+    /// replica stores `page` itself instead of a copy. An unaligned
+    /// `remote` is [`RdmaError::BadSegment`].
     pub fn write_page(
         &mut self,
         now: Ns,
@@ -1107,10 +1084,8 @@ impl RdmaEndpoint {
         class: ServiceClass,
         remote: u64,
         page: &Page,
-        live: usize,
     ) -> Result<Ns, RdmaError> {
-        self.post_whole(now, core, class, remote, Local::WritePage { page, live })
-            .map(|(t, _)| t)
+        self.post_whole(now, core, class, remote, Local::WritePage(page))
     }
 
     /// The plain verbs' one body: the whole local buffer as one segment.
@@ -1121,7 +1096,7 @@ impl RdmaEndpoint {
         class: ServiceClass,
         remote: u64,
         local: Local<'_>,
-    ) -> Result<(Ns, usize), RdmaError> {
+    ) -> Result<Ns, RdmaError> {
         let seg = [Segment::whole(remote, local.shape().1)];
         self.post(now, core, class, &seg, local)
     }
@@ -1138,7 +1113,6 @@ impl RdmaEndpoint {
         buf: &mut [u8],
     ) -> Result<Ns, RdmaError> {
         self.post(now, core, class, segments, Local::Read(buf))
-            .map(|(t, _)| t)
     }
 
     /// Posts a vectored (gather) write: each segment is taken from its
@@ -1151,9 +1125,7 @@ impl RdmaEndpoint {
         segments: &[Segment],
         buf: &[u8],
     ) -> Result<Ns, RdmaError> {
-        let live = buf.len();
-        self.post(now, core, class, segments, Local::Write { buf, live })
-            .map(|(t, _)| t)
+        self.post(now, core, class, segments, Local::Write(buf))
     }
 
     // ------------------------------------------------------------------
@@ -1547,7 +1519,7 @@ mod tests {
             Err(RdmaError::BadSegment)
         );
         assert_eq!(
-            e.write_page(0, 0, ServiceClass::Cleaner, 64, &img, PAGE_SIZE),
+            e.write_page(0, 0, ServiceClass::Cleaner, 64, &img),
             Err(RdmaError::BadSegment)
         );
         assert_eq!(e.total_bytes(), posted);
@@ -1609,8 +1581,8 @@ mod tests {
 
     /// The shared-page verbs are the copying verbs without the copy: on
     /// every redundancy strategy, healthy and with a node down,
-    /// `read_page`/`write_page` return what `read_live`/`write_live` return
-    /// (completion time, live bound, errors), land the same bytes in the
+    /// `read_page`/`write_page` return what `read`/`write` return
+    /// (completion time, errors), land the same bytes in the
     /// caller's image and in every node's store, and leave equal wire
     /// bytes, op counts and trace. Images the page side holds never change
     /// under later writes, and a third endpoint on the reference store
@@ -1654,16 +1626,14 @@ mod tests {
                 let t = 1_000_000 + round * 50_000;
                 let remote = (below(PAGES as usize) as u64) << 12;
                 match below(3) {
-                    // A whole-page write: absent, full or sparse content,
-                    // with an exact or a loose live hint.
+                    // A whole-page write: absent, full or sparse content.
                     0 => {
-                        let extent = [0, PAGE_SIZE, 1 + below(PAGE_SIZE - 1)][below(3)];
+                        let filled = [0, PAGE_SIZE, 1 + below(PAGE_SIZE - 1)][below(3)];
                         let mut bytes = [0u8; PAGE_SIZE];
-                        bytes[..extent].fill_with(|| below(255) as u8 + 1);
-                        let live = if below(2) == 0 { extent } else { PAGE_SIZE };
+                        bytes[..filled].fill_with(|| below(255) as u8 + 1);
                         let img = Rc::new(bytes);
-                        let w_p = paged.write_page(t, 1, class, remote, &img, live);
-                        let w_c = copied.write_live(t, 1, class, remote, &bytes, live);
+                        let w_p = paged.write_page(t, 1, class, remote, &img);
+                        let w_c = copied.write(t, 1, class, remote, &bytes);
                         assert_eq!(w_p, w_c, "boot {bi} round {round}");
                         oracle.write(t, 1, class, remote, &bytes).unwrap();
                     }
@@ -1681,7 +1651,7 @@ mod tests {
                         let mut img = Rc::new([0x5A; PAGE_SIZE]);
                         let mut buf = vec![0xA5; PAGE_SIZE];
                         let r_p = paged.read_page(t, 1, class, remote, &mut img);
-                        let r_c = copied.read_live(t, 1, class, remote, &mut buf);
+                        let r_c = copied.read(t, 1, class, remote, &mut buf);
                         assert!(r_p.is_ok(), "boot {bi} round {round}: {r_p:?}");
                         assert_eq!(r_p, r_c, "boot {bi} round {round}");
                         assert_eq!(img[..], buf[..], "boot {bi} round {round}");
@@ -1743,7 +1713,8 @@ mod tests {
                 let at = page * 4096 + u64::from(stamp % 64);
                 (at, len.min((SIZE - at) as usize))
             };
-            // Trailing zeros exercise the extent-trim path.
+            // Zero-tailed payloads: zeros written over stored bytes must
+            // land as zeros.
             let mut data = vec![stamp; len];
             let keep = len - (len * usize::from(stamp % 4) / 4);
             data[keep..].fill(0);
@@ -1762,8 +1733,8 @@ mod tests {
                 }
                 2 => {
                     let img: Page = Rc::new(data[..].try_into().expect("one page"));
-                    flat.write_page(now, core, w, at, &img, keep).expect("in bounds");
-                    reference.write_page(now, core, w, at, &img, keep).expect("in bounds");
+                    flat.write_page(now, core, w, at, &img).expect("in bounds");
+                    reference.write_page(now, core, w, at, &img).expect("in bounds");
                 }
                 _ => {
                     let (mut a, mut b) = (Rc::new([0; PAGE_SIZE]), Rc::new([1; PAGE_SIZE]));

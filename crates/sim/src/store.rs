@@ -7,18 +7,13 @@
 //! node itself does not care how pages are laid out.
 //!
 //! [`FlatStore`] implements it: a chunked page directory mapping page
-//! numbers to dense slots, with a per-slot *extent* — the byte length of
-//! the non-zero prefix. Lookups are two array indexes instead of a
+//! numbers to dense slots. Lookups are two array indexes instead of a
 //! `BTreeMap` walk. Whole pages move as shared [`Page`] images
 //! ([`MemStore::share`], [`MemStore::put`]), never copied; sub-page reads
-//! and writes copy only the live prefix. Every write to an image's bytes
+//! and writes copy the bytes they name. Every write to an image's bytes
 //! goes through `Rc::make_mut`, so an image a reader holds never changes
 //! under it. Unit tests hold it against `BTreeStore`, the original
 //! ordered-map layout kept as their reference implementation.
-//!
-//! The extent invariant: every byte of a slot at offset `>= extent` is zero.
-//! Writes maintain it by trimming trailing zeros off the incoming data and
-//! explicitly zeroing any stale bytes the trimmed write would have covered.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -44,33 +39,24 @@ pub trait MemStore: std::fmt::Debug {
     /// Copies `out.len()` bytes of `page` starting at `in_page` into `out`.
     /// Bytes that were never written read as zero; every byte of `out` is
     /// written.
-    ///
-    /// Returns an upper bound on the non-zero prefix of `out`: every byte of
-    /// `out` at or past the returned index is zero. Backends without extent
-    /// metadata may return `out.len()` — the bound is a performance hint for
-    /// the caller's own extent bookkeeping, never a semantic contract.
-    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]) -> usize;
+    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]);
 
     /// The whole of `page` as a shared image (all zeros if the page is
-    /// absent), with the bound [`read_into`](Self::read_into) would return
-    /// for the whole page. Reading does not materialize the page.
-    fn share(&self, page: u64) -> (Page, usize);
+    /// absent). Reading does not materialize the page.
+    fn share(&self, page: u64) -> Page;
 
     /// Copies `data` into `page` at `in_page`, materializing the page if
     /// absent (even for all-zero data — materialization is observable via
     /// [`page_numbers`](Self::page_numbers)).
     ///
-    /// `live` is the caller's promise that `data[live..]` is all zero (pass
-    /// `data.len()` when unknown). It lets extent-tracking backends bound
-    /// their trailing-zero scan to the prefix the writer actually touched
-    /// instead of re-reading a page of cold zeros; it never changes the
-    /// stored bytes.
-    fn write_at(&mut self, page: u64, in_page: usize, data: &[u8], live: usize);
+    /// `_live` is unused. It is a compatibility shim for existing callers
+    /// and goes with the verb shims (ROADMAP item 4).
+    fn write_at(&mut self, page: u64, in_page: usize, data: &[u8], _live: usize);
 
     /// Replaces the whole of `page` with `image`, materializing the page if
     /// absent: the bytes [`write_at`](Self::write_at) of the full image
-    /// would store, without copying them. `live` is `write_at`'s promise.
-    fn put(&mut self, page: u64, image: Page, live: usize);
+    /// would store, without copying them.
+    fn put(&mut self, page: u64, image: Page);
 
     /// Number of materialized pages.
     fn len(&self) -> usize;
@@ -97,41 +83,14 @@ pub trait MemStore: std::fmt::Debug {
     fn snapshot_all(&self) -> BTreeMap<u64, Box<[u8; PAGE_SIZE]>>;
 }
 
-/// Length of `data` with trailing zeros trimmed: the index one past the
-/// last non-zero byte, 0 for all-zero input.
-fn content_len(data: &[u8]) -> usize {
-    let mut n = data.len();
-    // Wide scan first: drop 64-byte all-zero blocks with eight u64 loads
-    // (a mostly-zero 4 KiB page costs ~64 iterations instead of ~512).
-    while n >= 64 {
-        let mut acc = 0u64;
-        for w in data[n - 64..n].chunks_exact(8) {
-            acc |= u64::from_le_bytes(w.try_into().unwrap_or([0u8; 8]));
-        }
-        if acc != 0 {
-            break;
-        }
-        n -= 64;
-    }
-    while n >= 8 && data[n - 8..n] == [0u8; 8] {
-        n -= 8;
-    }
-    while n > 0 && data[n - 1] == 0 {
-        n -= 1;
-    }
-    n
-}
-
-/// Chunked-directory page store with per-page live extents (default).
+/// Chunked-directory page store (default).
 #[derive(Debug)]
 pub struct FlatStore {
     /// `page >> CHUNK_SHIFT` indexes a chunk; each chunk maps the low bits
     /// to a slot index, [`NO_SLOT`] marking absent pages.
     dir: Vec<Option<Box<[u32; CHUNK_PAGES]>>>,
-    /// Page contents. Invariant: bytes at offset `>= extents[i]` are zero.
+    /// Page contents.
     slots: Vec<Page>,
-    /// Non-zero prefix length of each slot.
-    extents: Vec<u32>,
     /// What a new slot starts as and an absent page is shared as; the
     /// store's own reference keeps every holder from writing it in place.
     zero: Page,
@@ -142,7 +101,6 @@ impl Default for FlatStore {
         Self {
             dir: Vec::new(),
             slots: Vec::new(),
-            extents: Vec::new(),
             zero: Rc::new([0; PAGE_SIZE]),
         }
     }
@@ -162,6 +120,11 @@ impl FlatStore {
         }
     }
 
+    /// The stored image of `page`, the zero image if absent.
+    fn image(&self, page: u64) -> &Page {
+        self.slot_of(page).map_or(&self.zero, |s| &self.slots[s])
+    }
+
     fn slot_or_insert(&mut self, page: u64) -> usize {
         let c = (page >> CHUNK_SHIFT) as usize;
         if c >= self.dir.len() {
@@ -173,58 +136,29 @@ impl FlatStore {
         if *entry == NO_SLOT {
             *entry = next;
             self.slots.push(Rc::clone(&self.zero));
-            self.extents.push(0);
         }
         *entry as usize
     }
 }
 
 impl MemStore for FlatStore {
-    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]) -> usize {
-        let live = match self.slot_of(page) {
-            Some(s) => {
-                let live = (self.extents[s] as usize)
-                    .saturating_sub(in_page)
-                    .min(out.len());
-                out[..live].copy_from_slice(&self.slots[s][in_page..in_page + live]);
-                live
-            }
-            None => 0,
-        };
-        out[live..].fill(0);
-        live
+    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]) {
+        let image = self.image(page);
+        out.copy_from_slice(&image[in_page..in_page + out.len()]);
     }
 
-    fn share(&self, page: u64) -> (Page, usize) {
-        match self.slot_of(page) {
-            Some(s) => (Rc::clone(&self.slots[s]), self.extents[s] as usize),
-            None => (Rc::clone(&self.zero), 0),
-        }
+    fn share(&self, page: u64) -> Page {
+        Rc::clone(self.image(page))
     }
 
-    fn write_at(&mut self, page: u64, in_page: usize, data: &[u8], live: usize) {
+    fn write_at(&mut self, page: u64, in_page: usize, data: &[u8], _live: usize) {
         let s = self.slot_or_insert(page);
-        let eff = content_len(&data[..live.min(data.len())]);
-        // The trimmed tail of the write may cover stale bytes below the old
-        // extent; zero them to restore the extent invariant. At or above the
-        // old extent the slot is already zero.
-        let old_ext = self.extents[s] as usize;
-        let zero_end = (in_page + data.len()).min(old_ext);
-        let zero_start = (in_page + eff).min(zero_end);
-        if eff > 0 || zero_start < zero_end {
-            let slot = Rc::make_mut(&mut self.slots[s]);
-            slot[in_page..in_page + eff].copy_from_slice(&data[..eff]);
-            slot[zero_start..zero_end].fill(0);
-        }
-        self.extents[s] = old_ext.max(in_page + eff) as u32;
+        Rc::make_mut(&mut self.slots[s])[in_page..in_page + data.len()].copy_from_slice(data);
     }
 
-    fn put(&mut self, page: u64, image: Page, live: usize) {
-        let extent = content_len(&image[..live.min(PAGE_SIZE)]) as u32;
+    fn put(&mut self, page: u64, image: Page) {
         let s = self.slot_or_insert(page);
         self.slots[s] = image;
-        // As after a `write_at` of the image: the old extent still bounds.
-        self.extents[s] = self.extents[s].max(extent);
     }
 
     fn len(&self) -> usize {
@@ -251,13 +185,11 @@ impl MemStore for FlatStore {
     fn install(&mut self, page: u64, data: &[u8; PAGE_SIZE]) {
         let s = self.slot_or_insert(page);
         self.slots[s] = Rc::new(*data);
-        self.extents[s] = content_len(data) as u32;
     }
 
     fn clear(&mut self) {
         self.dir.clear();
         self.slots.clear();
-        self.extents.clear();
     }
 
     fn snapshot_all(&self) -> BTreeMap<u64, Box<[u8; PAGE_SIZE]>> {
@@ -289,23 +221,17 @@ impl From<BTreeMap<u64, Box<[u8; PAGE_SIZE]>>> for BTreeStore {
 
 #[cfg(test)]
 impl MemStore for BTreeStore {
-    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]) -> usize {
+    fn read_into(&self, page: u64, in_page: usize, out: &mut [u8]) {
         match self.pages.get(&page) {
-            Some(p) => {
-                out.copy_from_slice(&p[in_page..in_page + out.len()]);
-                out.len()
-            }
-            None => {
-                out.fill(0);
-                0
-            }
+            Some(p) => out.copy_from_slice(&p[in_page..in_page + out.len()]),
+            None => out.fill(0),
         }
     }
 
-    fn share(&self, page: u64) -> (Page, usize) {
+    fn share(&self, page: u64) -> Page {
         match self.pages.get(&page) {
-            Some(p) => (Rc::clone(p), PAGE_SIZE),
-            None => (Rc::new([0; PAGE_SIZE]), 0),
+            Some(p) => Rc::clone(p),
+            None => Rc::new([0; PAGE_SIZE]),
         }
     }
 
@@ -317,7 +243,7 @@ impl MemStore for BTreeStore {
         Rc::make_mut(p)[in_page..in_page + data.len()].copy_from_slice(data);
     }
 
-    fn put(&mut self, page: u64, image: Page, _live: usize) {
+    fn put(&mut self, page: u64, image: Page) {
         self.pages.insert(page, image);
     }
 
@@ -353,25 +279,12 @@ impl MemStore for BTreeStore {
 mod tests {
     use super::*;
 
-    #[test]
-    fn content_len_trims_trailing_zeros_only() {
-        assert_eq!(content_len(&[]), 0);
-        assert_eq!(content_len(&[0; 64]), 0);
-        assert_eq!(content_len(&[1, 0, 0]), 1);
-        assert_eq!(content_len(&[0, 0, 7]), 3);
-        let mut page = [0u8; PAGE_SIZE];
-        page[100] = 5;
-        assert_eq!(content_len(&page), 101);
-        page[PAGE_SIZE - 1] = 9;
-        assert_eq!(content_len(&page), PAGE_SIZE);
-    }
-
-    /// One step of the differential: a sub-page write `(page, off, data,
-    /// live)`, or a put `(page, stamp, extent, live)` of an image whose
-    /// first `extent` bytes are `stamp`.
+    /// One step of the differential: a sub-page write `(page, off, data)`,
+    /// or a put `(page, stamp, len)` of an image whose first `len` bytes
+    /// are `stamp`.
     enum Op {
-        Write(u64, usize, &'static [u8], usize),
-        Put(u64, u8, usize, usize),
+        Write(u64, usize, &'static [u8]),
+        Put(u64, u8, usize),
     }
 
     /// Drives both backends through the same mixed op sequence and checks
@@ -385,37 +298,35 @@ mod tests {
         // store write may reach it.
         let mut held: Option<(Page, [u8; PAGE_SIZE])> = None;
         // Deterministic mix of aligned/misaligned, zero/non-zero writes,
-        // overwrites that shrink the live prefix, whole-page puts (one that
-        // shrinks the extent, one over a slot a caller holds), and
-        // far-apart pages. `live` is the caller hint — sometimes exact,
-        // sometimes the loose bound.
+        // overwrites with zeros, whole-page puts (one over a slot a caller
+        // holds), and far-apart pages.
         let ops = [
-            Op::Write(0, 0, &[1, 2, 3, 4, 5, 6, 7, 8], 8),
-            Op::Write(0, 4, &[0, 0, 0, 0], 0), // zeros stale bytes mid-prefix
-            Op::Write(3, 4090, &[9; 6], 6),    // tail of a page
-            Op::Put(700, 0xAB, 3000, PAGE_SIZE),
-            Op::Write(700, 128, &[0xCD; 256], 256), // into the held slot
-            Op::Put(700, 0x11, 40, 40),             // shrinks the content
-            Op::Write(700, 128, &[0; 256], 256),
-            Op::Put(5, 0x22, 10, PAGE_SIZE), // materializes a page
-            Op::Write(u64::from(u32::MAX) + 5, 0, &[42], 1), // far chunk
-            Op::Write(1, 0, &[0; 16], 16),   // all-zero write still materializes
-            Op::Put(6, 0, 0, 0),             // an all-zero put too
+            Op::Write(0, 0, &[1, 2, 3, 4, 5, 6, 7, 8]),
+            Op::Write(0, 4, &[0, 0, 0, 0]), // zeros over written bytes
+            Op::Write(3, 4090, &[9; 6]),    // tail of a page
+            Op::Put(700, 0xAB, 3000),
+            Op::Write(700, 128, &[0xCD; 256]), // into the held slot
+            Op::Put(700, 0x11, 40),
+            Op::Write(700, 128, &[0; 256]),
+            Op::Put(5, 0x22, 10),                         // materializes a page
+            Op::Write(u64::from(u32::MAX) + 5, 0, &[42]), // far chunk
+            Op::Write(1, 0, &[0; 16]),                    // all-zero write still materializes
+            Op::Put(6, 0, 0),                             // an all-zero put too
         ];
         for op in ops {
             match op {
-                Op::Write(page, off, data, live) => {
-                    flat.write_at(page, off, data, live);
-                    btree.write_at(page, off, data, live);
+                Op::Write(page, off, data) => {
+                    flat.write_at(page, off, data, data.len());
+                    btree.write_at(page, off, data, data.len());
                 }
-                Op::Put(page, stamp, extent, live) => {
+                Op::Put(page, stamp, len) => {
                     let mut img = [0; PAGE_SIZE];
-                    img[..extent].fill(stamp);
+                    img[..len].fill(stamp);
                     let img = Rc::new(img);
-                    flat.put(page, Rc::clone(&img), live);
-                    btree.put(page, img, live);
+                    flat.put(page, Rc::clone(&img));
+                    btree.put(page, img);
                     if page == 700 && held.is_none() {
-                        let (shared, _) = flat.share(700);
+                        let shared = flat.share(700);
                         held = Some((Rc::clone(&shared), *shared));
                     }
                 }
@@ -428,9 +339,7 @@ mod tests {
                 flat.read_into(p, 37, &mut a);
                 btree.read_into(p, 37, &mut b);
                 assert_eq!(a, b, "partial read of page {p}");
-                let ((fa, flive), (fb, _)) = (flat.share(p), btree.share(p));
-                assert_eq!(fa, fb, "shared image of page {p}");
-                assert!(fa[flive..].iter().all(|&b| b == 0), "bound of page {p}");
+                assert_eq!(flat.share(p), btree.share(p), "shared image of page {p}");
             }
             if let Some((img, bytes)) = &held {
                 assert_eq!(**img, *bytes, "a held image changed under its holder");
@@ -443,8 +352,7 @@ mod tests {
         btree.read_into(999_999, 0, &mut b);
         assert_eq!(a, [0; 64]);
         assert_eq!(b, [0; 64]);
-        let (z, live) = flat.share(999_999);
-        assert_eq!((*z, live), ([0; PAGE_SIZE], 0));
+        assert_eq!(*flat.share(999_999), [0; PAGE_SIZE]);
         assert_eq!(flat.len(), btree.len());
         // Full images agree, and survive a clear.
         assert_eq!(flat.snapshot_all(), btree.snapshot_all());
@@ -453,22 +361,5 @@ mod tests {
         assert_eq!(flat.len(), 0);
         assert_eq!(btree.len(), 0);
         assert!(flat.page_numbers().is_empty());
-    }
-
-    #[test]
-    fn extent_invariant_holds_after_shrinking_overwrites() {
-        let mut s = FlatStore::new();
-        s.write_at(5, 0, &[0xFF; 1024], 1024);
-        // Overwrite most of the prefix with zeros: the trimmed write must
-        // still zero the stale 0xFF bytes it covers — even when the caller's
-        // live hint says the payload has no non-zero content at all.
-        s.write_at(5, 8, &[0; 1016], 0);
-        let snap = s.snapshot(5).unwrap();
-        assert!(snap[..8].iter().all(|&b| b == 0xFF));
-        assert!(snap[8..].iter().all(|&b| b == 0));
-        let mut out = [9u8; 2048];
-        s.read_into(5, 0, &mut out);
-        assert_eq!(&out[..8], &[0xFF; 8]);
-        assert!(out[8..].iter().all(|&b| b == 0));
     }
 }
