@@ -16,7 +16,7 @@
 //! write lost, no frame resurrected) and digest-pinned.
 
 use dilos_core::{Dilos, DilosConfig, Readahead};
-use dilos_sim::{Observability, RecoverConfig, RecoveryStats, SplitMix64};
+use dilos_sim::{Fault, Observability, RecoverConfig, RecoveryStats, SplitMix64, When};
 
 use crate::table::{us, Report};
 
@@ -52,12 +52,19 @@ fn boot(scale: RecoverScale, checkpoint_every: u64, crash_at: Option<u64>) -> Di
         memory_nodes: 3,
         replication: 2,
         recovery: Some(RecoverConfig {
-            crash_at_event: crash_at,
-            victim: 1,
             checkpoint_every,
-            repair_delay_ns: 1_500_000,
             ..RecoverConfig::default()
         }),
+        faults: crash_at
+            .map(|at| {
+                let crash = Fault::Crash {
+                    node: 1,
+                    down_for: 1_500_000,
+                };
+                (When::Completion(at), crash)
+            })
+            .into_iter()
+            .collect(),
         obs: Observability::audited(),
         ..DilosConfig::default()
     });

@@ -25,10 +25,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos_sim::{
-    page_chunks, ComputeNode, DeliverCompletion, EventId, FaultKind, FaultPhase, Machine,
-    MetricsRegistry, Ns, Observability, PteClass, RdmaEndpoint, RdmaError, RdmaPort, RecoverConfig,
-    RecoveryStats, ReqId, SchedEvent, Segment, ServiceClass, SimConfig, TraceEvent, TraceSink,
-    PAGE_SIZE,
+    page_chunks, ComputeNode, DeliverCompletion, EventId, Fault, FaultKind, FaultPhase, FaultPlan,
+    Machine, MetricsRegistry, Ns, Observability, PteClass, RdmaEndpoint, RdmaError, RdmaPort,
+    RecoverConfig, RecoveryStats, ReqId, SchedEvent, Segment, ServiceClass, SimConfig, TraceEvent,
+    TraceSink, When, PAGE_SIZE,
 };
 
 use crate::audit::Auditor;
@@ -128,11 +128,16 @@ pub struct DilosConfig {
     pub erasure: Option<(usize, usize)>,
     /// Memnode crash–recovery: arms durable state (periodic checkpoints +
     /// a write-intent log acknowledged ahead of every remote write) on all
-    /// memory nodes and, when `crash_at_event` is set, a calendar-driven
-    /// injector that kills the victim mid-run and schedules its repair.
-    /// Ignored in a shared-pool boot ([`Dilos::with_port`]) — recovery is
-    /// a property of the endpoint, which the pool owns.
+    /// memory nodes, so a repaired node replays what it acknowledged. The
+    /// crashes themselves come from `faults`. Ignored in a shared-pool boot
+    /// ([`Dilos::with_port`]) — durability is a property of the endpoint,
+    /// which the pool owns.
     pub recovery: Option<RecoverConfig>,
+    /// Faults injected at boot (empty by default): each entry crashes,
+    /// fails, repairs or corrupts a memory node at a completion index or a
+    /// virtual instant. More can be added at run time with
+    /// [`Dilos::inject`].
+    pub faults: FaultPlan,
     /// The observability bundle: trace sink, metrics registry, span
     /// profiler, and audit flag, built once via [`Observability`]'s
     /// constructors and threaded down to every component. Pure observation
@@ -157,6 +162,7 @@ impl Default for DilosConfig {
             replication: 1,
             erasure: None,
             recovery: None,
+            faults: FaultPlan::default(),
             obs: Observability::none(),
         }
     }
@@ -268,7 +274,7 @@ impl Dilos {
         rdma.set_shared_queue(cfg.shared_queue);
         rdma.set_tcp_mode(cfg.tcp_mode);
         if let Some(rc) = cfg.recovery {
-            rdma.arm_recovery(rc);
+            rdma.arm_durability(rc);
         }
         Self::boot(cfg, RdmaPort::exclusive(rdma))
     }
@@ -301,6 +307,9 @@ impl Dilos {
         let wm = Watermarks::for_cache(cfg.local_pages);
         // The endpoint posts its traced completions on the node's calendar.
         rdma.bind(cfg.obs.clone(), m.cal.clone());
+        for &(when, fault) in &cfg.faults {
+            rdma.inject(0, when, fault);
+        }
         Self {
             frames,
             rdma,
@@ -489,35 +498,25 @@ impl Dilos {
         v
     }
 
-    /// Kills memory node `i` (failure injection). With replication, reads
-    /// transparently fail over; without it, fetches of lost pages panic —
-    /// the unikernel's fate on unrecoverable data loss.
-    pub fn fail_memory_node(&mut self, i: usize) {
-        self.rdma.fail_node(i);
-    }
-
-    /// Schedules memory node `i` to come back online at virtual time `at`:
-    /// a `NodeRepair` calendar event that, when delivered, resynchronizes
-    /// the node's pages from the surviving redundancy (replica copy or
-    /// erasure-coded reconstruction).
-    pub fn schedule_memory_node_repair(&mut self, at: Ns, node: usize) {
-        self.m.cal.schedule(at, SchedEvent::NodeRepair { node });
+    /// Adds `fault` to the endpoint's plan, applied at once if `when` is
+    /// already due at the node's latest clock. A failed node's pages are
+    /// served by the surviving redundancy; without any, fetches of lost
+    /// pages panic — the unikernel's fate on unrecoverable data loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault names a memory node outside the pool.
+    pub fn inject(&mut self, when: When, fault: Fault) {
+        self.rdma.inject(self.m.max_now(), when, fault);
     }
 
     /// Crash–recovery counters: crashes fired, recoveries completed, log
     /// depth at the crash, records replayed, pages reconciled from the
-    /// surviving redundancy, and the modeled recovery latency. All zero
-    /// unless booted with [`DilosConfig::recovery`].
+    /// surviving redundancy, and the modeled recovery latency (see
+    /// [`RecoveryStats`] for which accumulate). All zero unless booted with
+    /// [`DilosConfig::recovery`].
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.rdma.recovery_stats()
-    }
-
-    /// Test hook (invariant proving): drops the most recent acknowledged
-    /// intent-log record on memory node `i`, simulating a durability bug.
-    /// The auditor must flag the replay gap as an acknowledged write lost.
-    #[cfg(test)]
-    pub(crate) fn inject_dropped_intent(&mut self, i: usize) -> Option<u64> {
-        self.rdma.corrupt_drop_intent(i)
+        self.rdma.endpoint().recovery_stats()
     }
 
     /// Test hook (invariant proving): re-inserts a freed frame into the
@@ -1472,7 +1471,7 @@ impl ComputeNode for Dilos {
                 self.pending_clean -= 1;
                 self.frames.push_free(frame, t);
             }
-            SchedEvent::NodeRepair { node } => self.rdma.repair_node_at(t, node),
+            SchedEvent::FaultDue => self.rdma.fault_due(t),
             SchedEvent::RdmaCompletion { .. } => {}
         }
         None
@@ -1607,67 +1606,6 @@ mod tests {
         );
     }
 
-    fn recovering_node(crash_at_event: Option<u64>) -> Dilos {
-        let mut node = Dilos::new(DilosConfig {
-            local_pages: 32,
-            remote_bytes: 1 << 24,
-            recovery: Some(RecoverConfig {
-                crash_at_event,
-                victim: 0,
-                // A huge interval keeps every ack in the log, so a dropped
-                // record cannot hide behind a checkpoint seal.
-                checkpoint_every: 1 << 20,
-                ..RecoverConfig::default()
-            }),
-            obs: dilos_sim::Observability::audited(),
-            ..DilosConfig::default()
-        });
-        node.set_prefetcher(Box::new(Readahead::new()));
-        node
-    }
-
-    /// Streams writes through an armed node, crashes and recovers it, and
-    /// expects both new invariants (no acknowledged write lost, no frame
-    /// resurrected) to hold alongside every existing check.
-    #[test]
-    fn crash_and_recovery_audit_clean() {
-        let mut node = recovering_node(None);
-        let va = node.ddc_alloc(64 * PAGE_SIZE);
-        for i in 0..64u64 {
-            node.write_u64(0, va + i * PAGE_SIZE as u64, i);
-        }
-        node.fail_memory_node(0);
-        node.schedule_memory_node_repair(node.m.now(0) + 1_000_000, 0);
-        let report = node.audit_report();
-        assert!(report.is_empty(), "unexpected violations: {report:#?}");
-        let stats = node.recovery_stats();
-        assert_eq!(stats.recoveries, 1);
-        assert!(stats.replayed > 0, "evictions should have logged intents");
-        for i in 0..64u64 {
-            assert_eq!(node.read_u64(0, va + i * PAGE_SIZE as u64), i);
-        }
-    }
-
-    /// Deliberately drops an acknowledged intent-log record: the auditor
-    /// must flag exactly an acknowledged-write-lost violation at recovery.
-    #[test]
-    fn auditor_catches_acknowledged_write_lost() {
-        let mut node = recovering_node(None);
-        let va = node.ddc_alloc(64 * PAGE_SIZE);
-        for i in 0..64u64 {
-            node.write_u64(0, va + i * PAGE_SIZE as u64, i);
-        }
-        let dropped = node.inject_dropped_intent(0);
-        assert!(dropped.is_some(), "evictions should have logged intents");
-        node.fail_memory_node(0);
-        node.schedule_memory_node_repair(node.m.now(0) + 1_000_000, 0);
-        let report = node.audit_report();
-        assert!(
-            report.iter().any(|m| m.contains("acknowledged write lost")),
-            "dropped intent not detected: {report:#?}"
-        );
-    }
-
     /// Deliberately re-inserts a freed frame into the LRU without a fresh
     /// allocation: the auditor must flag the resurrection.
     #[test]
@@ -1746,7 +1684,7 @@ mod tests {
             let before = logged(&mut node);
             assert_eq!(before, guided.then(|| [(0, 64)].into()));
 
-            node.fail_memory_node(1);
+            node.inject(When::At(node.m.now(0)), Fault::Fail { node: 1 });
             let issued = node.stats().prefetch_issued;
             let posted = node.rdma().ops(ServiceClass::Prefetch).reads;
             let traced = || {

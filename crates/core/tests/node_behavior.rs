@@ -8,7 +8,7 @@ use dilos_alloc::Heap;
 use dilos_core::{
     Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Pte, Readahead, DDC_BASE, MAP_DDC,
 };
-use dilos_sim::{ComputeNode, ServiceClass};
+use dilos_sim::{ComputeNode, Fault, Observability, RecoverConfig, ServiceClass, When};
 
 const PAGE: usize = 4096;
 
@@ -70,9 +70,9 @@ fn replica_images(n: &mut Dilos, slot: u64) -> Vec<Vec<u8>> {
     };
     let mut out = vec![image(n)];
     if n.config().replication > 1 {
-        n.fail_memory_node(0);
         let now = n.machine().max_now();
-        n.schedule_memory_node_repair(now, 0);
+        n.inject(When::At(now), Fault::Fail { node: 0 });
+        n.inject(When::At(now), Fault::Repair { node: 0 });
         n.drain_events(now);
         out.push(image(n));
     }
@@ -687,5 +687,68 @@ fn barrier_free_cores_share_the_fabric_fairly() {
     assert!(
         max < min * 3,
         "core clocks too skewed under fair sharing: {times:?}"
+    );
+}
+
+fn recovering_node() -> Dilos {
+    let mut node = Dilos::new(DilosConfig {
+        local_pages: 32,
+        remote_bytes: 1 << 24,
+        recovery: Some(RecoverConfig {
+            // A huge interval keeps every ack in the log, so a dropped
+            // record cannot hide behind a checkpoint seal.
+            checkpoint_every: 1 << 20,
+            ..RecoverConfig::default()
+        }),
+        obs: Observability::audited(),
+        ..DilosConfig::default()
+    });
+    node.set_prefetcher(Box::new(Readahead::new()));
+    node
+}
+
+/// Streams writes through an armed node, crashes and recovers it, and
+/// expects both new invariants (no acknowledged write lost, no frame
+/// resurrected) to hold alongside every existing check.
+#[test]
+fn crash_and_recovery_audit_clean() {
+    let mut node = recovering_node();
+    let va = node.ddc_alloc(64 * PAGE);
+    for i in 0..64u64 {
+        node.write_u64(0, va + i * PAGE as u64, i);
+    }
+    let now = node.machine().max_now();
+    node.inject(When::At(now), Fault::Fail { node: 0 });
+    node.inject(When::At(now + 1_000_000), Fault::Repair { node: 0 });
+    let report = node.audit_report();
+    assert!(report.is_empty(), "unexpected violations: {report:#?}");
+    let stats = node.recovery_stats();
+    assert_eq!(stats.recoveries, 1);
+    assert!(stats.replayed > 0, "evictions should have logged intents");
+    for i in 0..64u64 {
+        assert_eq!(node.read_u64(0, va + i * PAGE as u64), i);
+    }
+}
+
+/// Deliberately drops an acknowledged intent-log record: the auditor
+/// must flag exactly an acknowledged-write-lost violation at recovery.
+#[test]
+fn auditor_catches_acknowledged_write_lost() {
+    let mut node = recovering_node();
+    let va = node.ddc_alloc(64 * PAGE);
+    for i in 0..64u64 {
+        node.write_u64(0, va + i * PAGE as u64, i);
+    }
+    let depth = node.rdma().node().intent_log_depth();
+    assert!(depth > 0, "evictions should have logged intents");
+    let now = node.machine().max_now();
+    node.inject(When::At(now), Fault::DropIntent { node: 0 });
+    assert_eq!(node.rdma().node().intent_log_depth(), depth - 1);
+    node.inject(When::At(now), Fault::Fail { node: 0 });
+    node.inject(When::At(now + 1_000_000), Fault::Repair { node: 0 });
+    let report = node.audit_report();
+    assert!(
+        report.iter().any(|m| m.contains("acknowledged write lost")),
+        "dropped intent not detected: {report:#?}"
     );
 }

@@ -26,6 +26,7 @@ use crate::fabric::ServiceClass;
 use crate::machine::DeliverCompletion;
 use crate::obs::Observability;
 use crate::rdma::{Local, RdmaEndpoint, RdmaError, Segment};
+use crate::recover::{Fault, When};
 use crate::sched::Calendar;
 use crate::store::Page;
 use crate::time::Ns;
@@ -287,32 +288,16 @@ impl RdmaPort {
         self.ep.borrow().tenant_class_bytes(self.tenant, class)
     }
 
-    /// Kills memory node `i` on the shared pool.
-    pub fn fail_node(&mut self, i: usize) {
-        self.ep.borrow_mut().fail_node(i);
+    /// Adds a fault to the shared pool's plan, with this port's tenant
+    /// activated (see [`RdmaEndpoint::inject`]).
+    pub fn inject(&mut self, now: Ns, when: When, fault: Fault) {
+        self.ep_mut().inject(now, when, fault);
     }
 
-    /// Brings memory node `i` back online at virtual time `now`, running
-    /// the full recovery protocol (checkpoint restore + intent replay +
-    /// reconciliation) when crash recovery is armed.
-    pub fn repair_node_at(&mut self, now: Ns, i: usize) {
-        self.ep.borrow_mut().repair_node_at(now, i);
-    }
-
-    /// Arms the crash-recovery machinery on the shared pool.
-    pub fn arm_recovery(&mut self, cfg: crate::recover::RecoverConfig) {
-        self.ep.borrow_mut().arm_recovery(cfg);
-    }
-
-    /// Counters of the most recent crash/recovery cycle.
-    pub fn recovery_stats(&self) -> crate::recover::RecoveryStats {
-        self.ep.borrow().recovery_stats()
-    }
-
-    /// Fault injection for negative tests: drops node `i`'s most recent
-    /// acknowledged intent record, returning its sequence number.
-    pub fn corrupt_drop_intent(&mut self, i: usize) -> Option<u64> {
-        self.ep.borrow_mut().corrupt_drop_intent(i)
+    /// Applies the earliest planned fault due by `now`: the handler of a
+    /// delivered [`SchedEvent::FaultDue`](crate::sched::SchedEvent::FaultDue).
+    pub fn fault_due(&mut self, now: Ns) {
+        self.ep_mut().fault_due(now);
     }
 }
 

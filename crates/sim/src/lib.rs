@@ -16,7 +16,7 @@
 //! - [`timeline`]: serially-occupied resources ([`Timeline`]).
 //! - [`sched`]: the deterministic discrete-event calendar ([`Calendar`])
 //!   that delivers background work — prefetch landings, reclaim ticks,
-//!   cleaner writebacks, RDMA completions, node repairs — at its true
+//!   cleaner writebacks, RDMA completions, planned faults — at its true
 //!   virtual time.
 //! - [`config`]: the calibration constants ([`SimConfig`]), sourced from the
 //!   paper's Figures 1, 2, and 6 and §6.2.
@@ -45,10 +45,10 @@
 //! - [`cluster`]: multi-tenant sharing of one endpoint ([`SharedPool`],
 //!   [`RdmaPort`]) with per-tenant protection keys, QP lanes, and QoS
 //!   bandwidth arbitration.
-//! - [`recover`]: memnode crash–recovery — durable checkpoints, a
-//!   write-intent log acknowledged ahead of every remote write, a
-//!   calendar-driven crash injector ([`RecoverConfig`]), and detectable
-//!   replay on rejoin.
+//! - [`recover`]: memnode crash–recovery — durable checkpoints and a
+//!   write-intent log acknowledged ahead of every remote write
+//!   ([`RecoverConfig`]), the [`FaultPlan`] of `(When, Fault)` entries the
+//!   endpoint applies at one site, and detectable replay on rejoin.
 //!
 //! [EuroSys '23]: https://doi.org/10.1145/3552326.3567488
 
@@ -85,7 +85,7 @@ pub use memnode::{MemoryNode, RegionHandle};
 pub use metrics::{MetricsRegistry, SpanProfiler, SAMPLE_INTERVAL_NS};
 pub use obs::Observability;
 pub use rdma::{RdmaEndpoint, RdmaError, Segment};
-pub use recover::{RecoverConfig, RecoveryStats};
+pub use recover::{Fault, FaultPlan, RecoverConfig, RecoveryStats, When};
 pub use rng::{MixedSizes, SplitMix64, Zipf};
 pub use sched::{Calendar, EventId, SchedEvent};
 pub use stats::{BandwidthRecorder, LatencyHistogram};

@@ -25,7 +25,7 @@ use crate::fabric::{Fabric, ServiceClass};
 use crate::machine::DeliverCompletion;
 use crate::memnode::{MemNodeError, MemoryNode, RegionHandle};
 use crate::obs::Observability;
-use crate::recover::{RecoverConfig, RecoveryStats};
+use crate::recover::{Fault, FaultPlan, RecoverConfig, RecoveryStats, When};
 use crate::sched::{Calendar, SchedEvent};
 use crate::store::Page;
 use crate::time::{Ns, PAGE_SIZE};
@@ -144,18 +144,6 @@ struct EcState {
     parity_base: u64,
 }
 
-/// Crash-injector state: the completed-verb counter the injector watches,
-/// and the stats of the most recent crash/recovery cycle.
-#[derive(Debug)]
-struct RecoverState {
-    cfg: RecoverConfig,
-    /// Data-path verbs completed since arming (the injector's event index).
-    completed: u64,
-    /// The injector fires at most once per arming.
-    fired: bool,
-    stats: RecoveryStats,
-}
-
 /// The compute node's RDMA endpoint: QPs, per-node fabrics, and the memory
 /// node pool.
 ///
@@ -198,9 +186,17 @@ pub struct RdmaEndpoint {
     /// single-tenant (exclusive) endpoints never activate, so their wiring
     /// is untouched by the multi-tenant machinery.
     active: Option<u8>,
-    /// Crash injector + recovery bookkeeping; `None` keeps every data-path
-    /// completion free of the event-counting branch's bookkeeping.
-    recover: Option<RecoverState>,
+    /// Faults still to fire (see [`inject`](Self::inject)).
+    faults: FaultPlan,
+    /// `faults.next_completion()`, cached: the completion hook's compare.
+    next_completion: u64,
+    /// Verbs that completed with an error: posted, but not completions.
+    failed_verbs: u64,
+    /// The recovery cost model, once durable state is armed.
+    recover: Option<RecoverConfig>,
+    /// Counters of the crash/recovery cycles so far (`completions` is
+    /// filled in when they are read).
+    stats: RecoveryStats,
     /// Causal request ids of calendar-deferred completions, FIFO per queue
     /// pair. `SchedEvent::RdmaCompletion` carries no id (the calendar is
     /// not part of the digest contract but its events are shared with
@@ -282,7 +278,11 @@ impl RdmaEndpoint {
             calendar: None,
             tenants: BTreeMap::new(),
             active: None,
+            faults: FaultPlan::default(),
+            next_completion: u64::MAX,
+            failed_verbs: 0,
             recover: None,
+            stats: RecoveryStats::default(),
             pending_req: Vec::new(),
             pending_cores: 0,
         }
@@ -472,49 +472,28 @@ impl RdmaEndpoint {
         ep
     }
 
-    /// Kills memory node `i`: its contents become unreachable. Reads fail
-    /// over to replicas (or return [`RdmaError::AllReplicasDown`]).
-    pub fn fail_node(&mut self, i: usize) {
-        self.nodes[i].alive = false;
-    }
-
     /// Whether memory node `i` is currently online.
     pub fn node_alive(&self, i: usize) -> bool {
         self.nodes[i].alive
     }
 
     /// Brings memory node `i` back online at virtual time `now` and
-    /// resynchronizes its contents from the surviving redundancy: replica
-    /// copies in replication mode, Reed–Solomon reconstruction in
-    /// erasure-coding mode. A no-op if the node is already alive.
-    ///
-    /// This is the dispatch target of a [`SchedEvent::NodeRepair`] calendar
-    /// event, so an operator can schedule the repair at a future virtual
-    /// time; it is also safe to call directly. Resync is a control-path
-    /// operation: it moves bytes without charging verb latency or emitting
-    /// data-path trace events. `now` stamps the crash-recovery protocol's
-    /// trace events: with recovery armed on the node, the repair runs the
-    /// full protocol:
-    ///
-    /// 1. restore the last durable checkpoint,
-    /// 2. replay the write-intent log (each replay emits
-    ///    [`TraceEvent::RecoveryReplay`] — detectable replay),
-    /// 3. reconcile with surviving replicas/EC stripes (the existing
-    ///    resync),
-    /// 4. emit [`TraceEvent::RecoveryComplete`] and seal a fresh
-    ///    checkpoint.
-    ///
-    /// `RecoveryComplete` is deliberately emitted *before* the fresh
-    /// checkpoint: the auditor closes its no-acknowledged-write-lost window
-    /// on `RecoveryComplete`, so a checkpoint sealed first would mask a
-    /// dropped intent.
-    pub fn repair_node_at(&mut self, now: Ns, i: usize) {
+    /// resyncs it from the surviving redundancy (replica copy, or
+    /// Reed–Solomon reconstruction) on the control path: no verb latency,
+    /// no data-path events. With durable state armed it runs the recovery
+    /// protocol around the resync: restore the checkpoint, replay the
+    /// intent log ([`TraceEvent::RecoveryReplay`] per record), then emit
+    /// [`TraceEvent::RecoveryComplete`] and seal a fresh checkpoint — in
+    /// that order, since the auditor closes its no-acknowledged-write-lost
+    /// window on `RecoveryComplete` and an earlier seal would mask a
+    /// dropped intent. A no-op on a live node.
+    fn repair(&mut self, now: Ns, i: usize) {
         if self.nodes[i].alive {
             return;
         }
         self.nodes[i].alive = true;
         self.nodes[i].death_detected = false;
-        let armed = self.recover.is_some() && self.nodes[i].node.persistence_armed();
+        let armed = self.nodes[i].node.persistence_armed();
         let replayed = if armed {
             self.nodes[i].node.recover_from_durable(now)
         } else {
@@ -539,13 +518,13 @@ impl RdmaEndpoint {
             },
         );
         self.nodes[i].node.checkpoint_now(now);
-        if let Some(rec) = self.recover.as_mut() {
-            rec.stats.recoveries += 1;
-            rec.stats.replayed = replayed;
-            rec.stats.reconciled = reconciled;
-            rec.stats.recovery_ns = replayed
-                .saturating_mul(rec.cfg.replay_ns_per_record)
-                .saturating_add(reconciled.saturating_mul(rec.cfg.resync_ns_per_page));
+        if let Some(cost) = self.recover {
+            self.stats.recoveries += 1;
+            self.stats.replayed = replayed;
+            self.stats.reconciled = reconciled;
+            self.stats.recovery_ns = replayed
+                .saturating_mul(cost.replay_ns_per_record)
+                .saturating_add(reconciled.saturating_mul(cost.resync_ns_per_page));
         }
     }
 
@@ -653,88 +632,101 @@ impl RdmaEndpoint {
     }
 
     // ------------------------------------------------------------------
-    // Crash injection + recovery (dilos_sim::recover).
+    // Fault plan + recovery (dilos_sim::recover).
     // ------------------------------------------------------------------
 
-    /// Arms the crash-recovery machinery: every memory node gets the
-    /// persistent-state model (checkpoints + write-intent log), and — when
-    /// `cfg.crash_at_event` is set — the injector kills `cfg.victim` after
-    /// that many completed data-path verbs, scheduling its repair
-    /// `cfg.repair_delay_ns` later through [`SchedEvent::NodeRepair`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.victim` is not a valid node index.
-    pub fn arm_recovery(&mut self, cfg: RecoverConfig) {
-        assert!(cfg.victim < self.nodes.len(), "victim out of range");
+    /// Arms durable state on every memory node (periodic checkpoints + a
+    /// write-intent log) and the recovery cost model `cfg`.
+    pub fn arm_durability(&mut self, cfg: RecoverConfig) {
         for n in &mut self.nodes {
             n.node.arm_persistence(cfg.checkpoint_every);
         }
-        self.recover = Some(RecoverState {
-            cfg,
-            completed: 0,
-            fired: false,
-            stats: RecoveryStats::default(),
-        });
+        self.recover = Some(cfg);
     }
 
-    /// Counters of the most recent crash/recovery cycle (zeroes when the
-    /// machinery is disarmed or the injector has not fired).
+    /// Counters of the crash/recovery cycles so far (zeroes unless durable
+    /// state is armed).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.recover
-            .as_ref()
-            .map_or_else(RecoveryStats::default, |r| RecoveryStats {
-                completions: r.completed,
-                ..r.stats
-            })
+        let completions = self.completions();
+        let stats = RecoveryStats {
+            completions,
+            ..self.stats
+        };
+        self.recover.map_or_else(RecoveryStats::default, |_| stats)
     }
 
-    /// Fault injection for negative tests: drops node `i`'s most recent
-    /// acknowledged intent record, returning its sequence number.
-    pub fn corrupt_drop_intent(&mut self, i: usize) -> Option<u64> {
-        self.nodes[i].node.corrupt_drop_last_intent()
+    /// Data-path verbs completed so far: every posted verb but the failed.
+    fn completions(&self) -> u64 {
+        let posted: u64 = self.ops.iter().map(|c| c.reads + c.writes).sum();
+        posted - self.failed_verbs
     }
 
-    /// The injector's completion hook, called after every successful
-    /// data-path verb: counts the completion and, at the configured event
-    /// index, crashes the victim (volatile state lost, liveness down,
-    /// [`TraceEvent::NodeCrash`] emitted) and schedules its repair on the
-    /// calendar. Without a calendar the node stays down until repaired
-    /// directly — the injector never repairs eagerly.
-    fn maybe_crash(&mut self, done: Ns) {
-        let fire = match self.recover.as_mut() {
-            None => return,
-            Some(rec) => {
-                rec.completed += 1;
-                let hit = !rec.fired && rec.cfg.crash_at_event == Some(rec.completed);
-                if hit {
-                    rec.fired = true;
-                }
-                hit
+    /// Adds `fault` to the plan, or applies it at once if `when` is due by
+    /// `now`. A planned instant gets a [`SchedEvent::FaultDue`] wake-up on
+    /// the attached calendar (without one it never fires).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault names a node outside the pool.
+    pub fn inject(&mut self, now: Ns, when: When, fault: Fault) {
+        let (Fault::Crash { node, .. }
+        | Fault::Fail { node }
+        | Fault::Repair { node }
+        | Fault::DropIntent { node }) = fault;
+        assert!(node < self.nodes.len(), "fault node {node} out of range");
+        let due = match when {
+            When::Completion(n) => n <= self.completions(),
+            When::At(t) => t <= now,
+        };
+        if due {
+            return self.apply(now, fault);
+        }
+        if let (When::At(t), Some(cal)) = (when, &self.calendar) {
+            cal.schedule(t, SchedEvent::FaultDue);
+        }
+        self.faults.push(when, fault);
+        self.next_completion = self.faults.next_completion();
+    }
+
+    /// The [`SchedEvent::FaultDue`] handler: applies the earliest planned
+    /// instant fault due by `now` (each has its own wake-up).
+    pub fn fault_due(&mut self, now: Ns) {
+        if let Some(fault) = self.faults.pop_due(now) {
+            self.apply(now, fault);
+        }
+    }
+
+    /// The completion hook's slow path, taken while a `Completion` entry
+    /// is planned: applies every entry due at the completion just counted.
+    #[inline(never)]
+    fn completed(&mut self, done: Ns) {
+        let n = self.completions();
+        while let Some(fault) = self.faults.pop_completion(n) {
+            self.apply(done, fault);
+        }
+        self.next_completion = self.faults.next_completion();
+    }
+
+    /// Applies one fault at virtual time `now`: the only place a fault
+    /// takes effect. A crash plans its node's repair `down_for` later.
+    #[inline(never)]
+    fn apply(&mut self, now: Ns, fault: Fault) {
+        match fault {
+            Fault::Crash { node, down_for } => {
+                self.stats.crashes += 1;
+                self.stats.log_depth_at_crash = self.nodes[node].node.intent_log_depth();
+                self.nodes[node].alive = false;
+                self.nodes[node].node.crash();
+                self.trace
+                    .emit(now, TraceEvent::NodeCrash { node: node as u8 });
+                let back = When::At(now.saturating_add(down_for));
+                self.inject(now, back, Fault::Repair { node });
             }
-        };
-        if !fire {
-            return;
-        }
-        let Some(rec) = self.recover.as_ref() else {
-            return;
-        };
-        let victim = rec.cfg.victim;
-        let delay = rec.cfg.repair_delay_ns;
-        let depth = self.nodes[victim].node.intent_log_depth();
-        if let Some(rec) = self.recover.as_mut() {
-            rec.stats.crashes += 1;
-            rec.stats.log_depth_at_crash = depth;
-        }
-        self.nodes[victim].alive = false;
-        self.nodes[victim].node.crash();
-        self.trace
-            .emit(done, TraceEvent::NodeCrash { node: victim as u8 });
-        if let Some(cal) = &self.calendar {
-            cal.schedule(
-                done.saturating_add(delay),
-                SchedEvent::NodeRepair { node: victim },
-            );
+            Fault::Fail { node } => self.nodes[node].alive = false,
+            Fault::Repair { node } => self.repair(now, node),
+            Fault::DropIntent { node } => {
+                self.nodes[node].node.corrupt_drop_last_intent();
+            }
         }
     }
 
@@ -884,7 +876,7 @@ impl RdmaEndpoint {
     /// The one verb body: every public verb is a segment list plus a
     /// [`Local`] buffer posted here. Checks the vector, counts the op,
     /// traces issue and completion, moves the bytes under the endpoint's
-    /// redundancy strategy, and runs the crash injector's completion hook.
+    /// redundancy strategy, and runs the fault plan's completion hook.
     /// Returns the completion time.
     pub(crate) fn post(
         &mut self,
@@ -936,10 +928,14 @@ impl RdmaEndpoint {
         };
         // A failed verb still completes — the RNIC reports the error in a
         // CQE — so every traced issue is paired with a completion.
-        let (done, node) =
-            moved.inspect_err(|_| self.trace_complete(core, class, write, shard, now))?;
+        let (done, node) = moved.inspect_err(|_| {
+            self.failed_verbs += 1;
+            self.trace_complete(core, class, write, shard, now);
+        })?;
         self.trace_complete(core, class, write, node, done);
-        self.maybe_crash(done);
+        if self.next_completion != u64::MAX {
+            self.completed(done);
+        }
         Ok(done)
     }
 
@@ -1571,8 +1567,8 @@ mod tests {
                     vectored.read_v(t, 1, class, &seg, &mut out_v)
                 );
                 assert_eq!(out_p, out_v);
-                plain.fail_node(0);
-                vectored.fail_node(0);
+                plain.inject(0, When::At(0), Fault::Fail { node: 0 });
+                vectored.inject(0, When::At(0), Fault::Fail { node: 0 });
             }
             assert_eq!(observable(&plain, &obs_p), observable(&vectored, &obs_v));
             assert_ne!(obs_p.trace().digest(), 0, "the runs were traced");
@@ -1620,7 +1616,7 @@ mod tests {
             for round in 0..300u64 {
                 if kill0 && round == 150 {
                     for e in [&mut paged, &mut copied, &mut oracle] {
-                        e.fail_node(0);
+                        e.inject(0, When::At(0), Fault::Fail { node: 0 });
                     }
                 }
                 let t = 1_000_000 + round * 50_000;
@@ -1791,7 +1787,7 @@ mod tests {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0xAB; 32])
                 .unwrap();
         }
-        e.fail_node(0);
+        e.inject(0, When::At(0), Fault::Fail { node: 0 });
         let mut buf = [0u8; 32];
         let mut first_hit_penalized = false;
         for p in 0..6u64 {
@@ -1811,7 +1807,7 @@ mod tests {
         let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 2, 1);
         e.write(0, 0, ServiceClass::App, 0, &[1; 16]).unwrap();
         e.write(0, 0, ServiceClass::App, 4096, &[2; 16]).unwrap();
-        e.fail_node(0);
+        e.inject(0, When::At(0), Fault::Fail { node: 0 });
         let mut buf = [0u8; 16];
         // Page 0 lives on node 0 (shard 0): lost.
         assert_eq!(
@@ -1828,7 +1824,7 @@ mod tests {
         let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 2, 2);
         e.write(0, 0, ServiceClass::App, 0, &[7; 16]).unwrap();
         // Kill the primary; the replica must serve the data.
-        e.fail_node(0);
+        e.inject(0, When::At(0), Fault::Fail { node: 0 });
         let mut buf = [0u8; 16];
         e.read(0, 0, ServiceClass::App, 0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 7));
@@ -1860,8 +1856,8 @@ mod tests {
             e.write(0, 0, ServiceClass::App, p * 4096 + 16, &[stamp; 64])
                 .unwrap();
         }
-        e.fail_node(0);
-        e.fail_node(3);
+        e.inject(0, When::At(0), Fault::Fail { node: 0 });
+        e.inject(0, When::At(0), Fault::Fail { node: 3 });
         let mut buf = [0u8; 64];
         for p in 0..pages {
             let stamp = (p as u8).wrapping_mul(7).wrapping_add(1);
@@ -1882,8 +1878,8 @@ mod tests {
             e.write(0, 0, ServiceClass::App, p * 4096, &[9; 32])
                 .unwrap();
         }
-        e.fail_node(0);
-        e.fail_node(1);
+        e.inject(0, When::At(0), Fault::Fail { node: 0 });
+        e.inject(0, When::At(0), Fault::Fail { node: 1 });
         // With m = 1 parity, two dead nodes lose some spans.
         let mut lost = 0;
         let mut buf = [0u8; 32];
@@ -1903,7 +1899,7 @@ mod tests {
         e.write(0, 0, ServiceClass::App, 0, &[1; 128]).unwrap();
         e.write(0, 0, ServiceClass::App, 0, &[2; 128]).unwrap();
         e.write(0, 0, ServiceClass::App, 64, &[3; 32]).unwrap();
-        e.fail_node(0);
+        e.inject(0, When::At(0), Fault::Fail { node: 0 });
         let mut buf = [0u8; 128];
         e.read(0, 0, ServiceClass::App, 0, &mut buf).unwrap();
         assert!(buf[..64].iter().all(|&b| b == 2));
@@ -1918,7 +1914,7 @@ mod tests {
         let mut buf = [0u8; 4096];
         let t0 = 10_000_000u64;
         let direct = e.read(t0, 0, ServiceClass::App, 0, &mut buf).unwrap() - t0;
-        e.fail_node(0);
+        e.inject(0, When::At(0), Fault::Fail { node: 0 });
         // Skip past the one-time detection penalty with a first probe.
         let t1 = 2 * t0;
         let _ = e.read(t1, 0, ServiceClass::App, 0, &mut buf).unwrap();
@@ -1937,13 +1933,13 @@ mod tests {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0x11; 32])
                 .unwrap();
         }
-        e.fail_node(0);
+        e.inject(0, When::At(0), Fault::Fail { node: 0 });
         // Writes during the outage reach only the survivors.
         for p in 0..6u64 {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0x22; 32])
                 .unwrap();
         }
-        e.repair_node_at(0, 0);
+        e.inject(0, When::At(0), Fault::Repair { node: 0 });
         let failovers_before = e.failovers();
         let mut buf = [0u8; 32];
         for p in 0..6u64 {
@@ -1961,7 +1957,7 @@ mod tests {
     fn repair_is_a_noop_on_a_live_node() {
         let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 3, 2);
         e.write(0, 0, ServiceClass::App, 0, &[5; 16]).unwrap();
-        e.repair_node_at(0, 1);
+        e.inject(0, When::At(0), Fault::Repair { node: 1 });
         let mut buf = [0u8; 16];
         e.read(0, 0, ServiceClass::App, 0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 5));
@@ -1978,14 +1974,14 @@ mod tests {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0x31; 96])
                 .unwrap();
         }
-        e.fail_node(0);
+        e.inject(0, When::At(0), Fault::Fail { node: 0 });
         for p in 0..pages {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0x32; 96])
                 .unwrap();
         }
-        e.repair_node_at(0, 0);
-        e.fail_node(1);
-        e.fail_node(2);
+        e.inject(0, When::At(0), Fault::Repair { node: 0 });
+        e.inject(0, When::At(0), Fault::Fail { node: 1 });
+        e.inject(0, When::At(0), Fault::Fail { node: 2 });
         let mut buf = [0u8; 96];
         for p in 0..pages {
             e.read(0, 0, ServiceClass::App, p * 4096, &mut buf).unwrap();

@@ -1,51 +1,38 @@
-//! Memnode crash–recovery: persistent state, write-intent logging, and
-//! detectable replay.
+//! Memnode crash–recovery: persistent state, the fault plan, and
+//! detectable replay — the paper's §5.1 future work, where a memory node
+//! *crashes and rejoins* rather than merely failing over.
 //!
-//! The paper's §5.1 future work (and the ROADMAP's crash-recovery item)
-//! asks what happens when a memory node *crashes and rejoins* rather than
-//! merely failing over. This module supplies the three pieces:
+//! 1. **Persistent state** (`DurableState`, sized by [`RecoverConfig`]):
+//!    an armed memory node keeps a periodic checkpoint of its page and
+//!    region tables plus a write-intent log. A record is appended —
+//!    durably — *before* the write's page copy is acknowledged, so every
+//!    acknowledged write is inside the checkpoint or inside the log.
+//! 2. **The fault plan** ([`FaultPlan`]): sorted `(When, Fault)` entries,
+//!    each a crash, fail, repair or intent drop on one node, due after a
+//!    data-path completion index or at a virtual instant. The endpoint
+//!    applies them at one site, from its completion hook or from a
+//!    [`SchedEvent::FaultDue`] wake-up; a crash plans its node's repair,
+//!    so a run may hold any number of crash/recovery cycles.
+//! 3. **Recovery**: on repair the node restores its checkpoint, replays
+//!    the log record by record (each replay emits
+//!    [`TraceEvent::RecoveryReplay`], which the auditor checks against the
+//!    acknowledged intents), and reconciles with surviving replicas or EC
+//!    stripes. Its cost is modelled, not charged to the calendar:
+//!    [`RecoveryStats::recovery_ns`] is `replayed × replay_ns_per_record +
+//!    reconciled × resync_ns_per_page`.
 //!
-//! 1. **A persistent-state model** (`DurableState`): each armed memory
-//!    node keeps a periodic checkpoint of its page and region tables plus a
-//!    write-intent log. An intent record is appended — durably — *before*
-//!    the write's page copy is acknowledged, so every acknowledged write is
-//!    either inside the checkpoint or inside the log.
-//! 2. **A calendar-driven fault injector** ([`RecoverConfig`]): the RDMA
-//!    endpoint counts completed data-path verbs and kills the victim node
-//!    at the configured event index, then schedules the repair through the
-//!    existing [`SchedEvent::NodeRepair`] path at its virtual time.
-//! 3. **A recovery protocol**: on repair, the node restores the last
-//!    checkpoint, replays the intent log record by record (each replay is
-//!    *detectable* — it emits [`TraceEvent::RecoveryReplay`], which the
-//!    auditor cross-checks against the acknowledged intents), reconciles
-//!    with surviving replicas or EC stripes, and rejoins the replica set.
-//!
-//! The cost model is explicit rather than charged to the calendar: recovery
-//! runs on the control path (like resync), and [`RecoveryStats::recovery_ns`]
-//! reports `replayed × replay_ns_per_record + reconciled × resync_ns_per_page`
-//! so benchmarks can plot recovery latency against intent-log depth without
-//! perturbing data-path timings.
-//!
-//! [`SchedEvent::NodeRepair`]: crate::sched::SchedEvent::NodeRepair
+//! [`SchedEvent::FaultDue`]: crate::sched::SchedEvent::FaultDue
 //! [`TraceEvent::RecoveryReplay`]: crate::trace::TraceEvent::RecoveryReplay
 
 use std::collections::BTreeMap;
 
 use crate::time::{Ns, PAGE_SIZE};
 
-/// Configuration of the crash injector and the recovery cost model.
+/// The durability model: checkpoint interval and recovery cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoverConfig {
-    /// Completed-verb index (1-based) at which the victim crashes. `None`
-    /// arms persistence and logging without ever firing the injector — the
-    /// disarmed mode pinned by the tab01 digests.
-    pub crash_at_event: Option<u64>,
-    /// Index of the memory node the injector kills.
-    pub victim: usize,
     /// Seal a checkpoint once the intent log holds this many records.
     pub checkpoint_every: u64,
-    /// Virtual delay between the crash and its scheduled repair.
-    pub repair_delay_ns: Ns,
     /// Modeled replay cost per intent-log record.
     pub replay_ns_per_record: Ns,
     /// Modeled reconciliation cost per page resynced from survivors.
@@ -55,34 +42,117 @@ pub struct RecoverConfig {
 impl Default for RecoverConfig {
     fn default() -> Self {
         Self {
-            crash_at_event: None,
-            victim: 0,
             checkpoint_every: 64,
-            repair_delay_ns: 2_000_000,
             replay_ns_per_record: 500,
             resync_ns_per_page: 2_000,
         }
     }
 }
 
-/// Counters describing the most recent crash/recovery cycle.
+/// When a planned fault fires. Every `Completion` entry sorts before every
+/// `At` entry; each kind has its own trigger.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum When {
+    /// Right after the endpoint's `n`-th completed data-path verb
+    /// (1-based, counted from connect).
+    Completion(u64),
+    /// At virtual time `t`.
+    At(Ns),
+}
+
+/// What a planned fault does to memory node `node`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Volatile state lost, liveness down, `NodeCrash` emitted, and a
+    /// `Repair` planned `down_for` later.
+    Crash { node: usize, down_for: Ns },
+    /// Liveness down; the contents stay as they were.
+    Fail { node: usize },
+    /// Back online and resynced from the surviving redundancy, through the
+    /// recovery protocol when durable state is armed. A live node is left
+    /// alone.
+    Repair { node: usize },
+    /// The most recent acknowledged intent record is silently dropped: a
+    /// durability bug the auditor must catch at the next recovery.
+    DropIntent { node: usize },
+}
+
+/// Faults still to fire, sorted by [`When`] (ties keep insertion order).
+/// Build one with `collect()` over `(When, Fault)` pairs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FaultPlan(Vec<(When, Fault)>);
+
+impl FromIterator<(When, Fault)> for FaultPlan {
+    fn from_iter<I: IntoIterator<Item = (When, Fault)>>(iter: I) -> Self {
+        let mut entries: Vec<_> = iter.into_iter().collect();
+        entries.sort_by_key(|&(when, _)| when);
+        Self(entries)
+    }
+}
+
+impl<'a> IntoIterator for &'a FaultPlan {
+    type Item = &'a (When, Fault);
+    type IntoIter = std::slice::Iter<'a, (When, Fault)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl FaultPlan {
+    /// Inserts `fault` after every entry due no later than `when`.
+    pub(crate) fn push(&mut self, when: When, fault: Fault) {
+        let at = self.0.partition_point(|&(w, _)| w <= when);
+        self.0.insert(at, (when, fault));
+    }
+
+    /// The completion index the first entry waits for (`u64::MAX` when it
+    /// waits for none).
+    pub(crate) fn next_completion(&self) -> u64 {
+        match self.0.first() {
+            Some(&(When::Completion(n), _)) => n,
+            _ => u64::MAX,
+        }
+    }
+
+    /// Removes the first entry if it waits for completion `n`.
+    pub(crate) fn pop_completion(&mut self, n: u64) -> Option<Fault> {
+        (self.next_completion() == n).then(|| self.0.remove(0).1)
+    }
+
+    /// Removes the earliest `At` entry due by `now`.
+    pub(crate) fn pop_due(&mut self, now: Ns) -> Option<Fault> {
+        let i = self.0.partition_point(|&(w, _)| w < When::At(0));
+        match self.0.get(i) {
+            Some(&(When::At(t), _)) if t <= now => Some(self.0.remove(i).1),
+            _ => None,
+        }
+    }
+}
+
+/// Counters of the run's crash/recovery cycles. `completions`, `crashes`
+/// and `recoveries` accumulate over the whole run; `log_depth_at_crash`,
+/// `replayed`, `reconciled` and `recovery_ns` describe the last cycle
+/// (the last crash, and the last recovery).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Data-path verb completions observed by the injector — the event
-    /// index space `RecoverConfig::crash_at_event` addresses. A sweep
-    /// takes this from a crash-free run to know the valid crash points.
+    /// Data-path verb completions so far — the index space
+    /// [`When::Completion`] addresses. A sweep takes this from a
+    /// crash-free run to know the valid crash points.
     pub completions: u64,
-    /// Crashes the injector has fired.
+    /// Crashes fired.
     pub crashes: u64,
     /// Recoveries completed through the repair path.
     pub recoveries: u64,
-    /// Intent-log depth on the victim at the instant of the crash.
+    /// Intent-log depth on the last crashed node at the instant of its
+    /// crash.
     pub log_depth_at_crash: u64,
     /// Intent records replayed during the last recovery.
     pub replayed: u64,
-    /// Pages reconciled from surviving replicas/EC stripes.
+    /// Pages reconciled from surviving replicas/EC stripes during the last
+    /// recovery.
     pub reconciled: u64,
-    /// Modeled recovery latency (replay + reconciliation).
+    /// Modeled latency of the last recovery (replay + reconciliation).
     pub recovery_ns: Ns,
 }
 
@@ -211,10 +281,19 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_disarmed() {
-        let cfg = RecoverConfig::default();
-        assert_eq!(cfg.crash_at_event, None);
-        assert!(cfg.checkpoint_every > 0);
-        assert!(cfg.repair_delay_ns > 0);
+    fn plan_sorts_by_when_and_keeps_ties_in_order() {
+        let fail = |node| Fault::Fail { node };
+        let mut plan: FaultPlan = [(When::At(50), fail(0)), (When::Completion(9), fail(1))]
+            .into_iter()
+            .collect();
+        plan.push(When::At(50), fail(2));
+        plan.push(When::Completion(3), fail(3));
+        assert_eq!(plan.pop_completion(9), None, "completion 3 comes first");
+        assert_eq!(plan.pop_completion(3), Some(fail(3)));
+        assert_eq!(plan.pop_due(49), None, "not due yet");
+        assert_eq!(plan.pop_due(50), Some(fail(0)));
+        assert_eq!(plan.pop_due(60), Some(fail(2)));
+        assert_eq!(plan.pop_completion(9), Some(fail(1)));
+        assert_eq!(plan, FaultPlan::default());
     }
 }

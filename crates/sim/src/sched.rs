@@ -4,7 +4,7 @@
 //! true completion times and the owning node has everything due
 //! *delivered* before each access, through one loop
 //! ([`Calendar::deliver_due`]) — so prefetch landings, incremental reclaim
-//! ticks, cleaner writebacks, RDMA completions, and node repairs all
+//! ticks, cleaner writebacks, RDMA completions, and planned faults all
 //! interleave with foreground faults on one shared virtual timeline.
 //!
 //! Determinism is part of the contract: entries are ordered by `(Ns, seq)`
@@ -82,8 +82,9 @@ pub enum SchedEvent {
         node: u8,
         core: u8,
     },
-    /// A failed memory node comes back and must be resynced.
-    NodeRepair { node: usize },
+    /// A fault planned for this instant is due: the endpoint applies the
+    /// earliest one (see [`FaultPlan`](crate::recover::FaultPlan)).
+    FaultDue,
 }
 
 /// One lane or heap entry. Ordered by `(at, seq)` — earliest first,

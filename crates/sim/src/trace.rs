@@ -188,7 +188,7 @@ pub enum TraceEvent {
     /// Memory node `node` appended (acknowledged) write-intent `seq` before
     /// copying the payload into its page table.
     IntentAppend { node: u8, seq: u64 },
-    /// The fault injector crashed memory node `node`: its volatile state is
+    /// A planned `Fault::Crash` struck memory node `node`: its volatile state is
     /// gone; only the durable checkpoint + intent log survive.
     NodeCrash { node: u8 },
     /// Recovery replayed intent `seq` onto node `node`'s restored

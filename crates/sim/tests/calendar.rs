@@ -1,8 +1,8 @@
 //! The event calendar's contract through its public API: time order,
 //! insertion-order ties, the delivery bound, cancellation and stale
 //! handles, the `has_due` probe, same-instant groups, shared handles,
-//! re-entrant scheduling, and the scheduled = delivered + cancelled +
-//! pending ledger.
+//! re-entrant scheduling, the scheduled = delivered + cancelled + pending
+//! ledger, and the 16-byte event size.
 
 use dilos_sim::rng::SplitMix64;
 use dilos_sim::sched::{Calendar, SchedEvent};
@@ -23,17 +23,24 @@ fn delivers_in_time_order() {
     let c = Calendar::new();
     c.schedule(300, SchedEvent::ReclaimTick);
     c.schedule(100, SchedEvent::CleanerWriteback { frame: 1 });
-    c.schedule(200, SchedEvent::NodeRepair { node: 0 });
+    c.schedule(200, SchedEvent::FaultDue);
     assert_eq!(c.next_due(), Some(100));
     assert_eq!(
         delivered(&c, Ns::MAX),
         vec![
             (100, SchedEvent::CleanerWriteback { frame: 1 }),
-            (200, SchedEvent::NodeRepair { node: 0 }),
+            (200, SchedEvent::FaultDue),
             (300, SchedEvent::ReclaimTick),
         ]
     );
     assert!(c.is_empty());
+}
+
+/// The arena slot holds one payload per pending event: no variant may grow
+/// it past two words.
+#[test]
+fn an_event_is_sixteen_bytes() {
+    assert_eq!(size_of::<SchedEvent>(), 16);
 }
 
 #[test]

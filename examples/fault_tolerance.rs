@@ -2,10 +2,12 @@
 //!
 //! Boots DiLOS against a pool of three memory nodes with 2-way page
 //! replication and durable crash-recovery state (checkpoints + a
-//! write-intent log), pushes a working set out to the pool, kills a node,
-//! and keeps running. The whole run is audited: beyond correct reads, every
-//! traced invariant — including "no acknowledged write lost" and "no frame
-//! resurrected" — must hold through the outage and the repair.
+//! write-intent log), pushes a working set out to the pool, injects a node
+//! failure into the fault plan, and keeps running; a second plan entry
+//! repairs the node at a later virtual instant. The whole run is audited:
+//! beyond correct reads, every traced invariant — including "no
+//! acknowledged write lost" and "no frame resurrected" — must hold through
+//! the outage and the repair.
 //!
 //! ```text
 //! cargo run --release --example fault_tolerance
@@ -13,7 +15,7 @@
 
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, Readahead};
-use dilos::sim::{Observability, RecoverConfig};
+use dilos::sim::{Fault, Observability, RecoverConfig, When};
 
 fn main() {
     let mut node = Dilos::new(DilosConfig {
@@ -42,8 +44,8 @@ fn main() {
         tx as f64 / (1 << 20) as f64
     );
 
-    // Disaster strikes.
-    node.fail_memory_node(1);
+    // Disaster strikes: a fault due now applies at once.
+    node.inject(When::At(node.now(0)), Fault::Fail { node: 1 });
     println!("\n*** memory node 1 just died ***\n");
 
     // The application never notices: every page reads back correctly.
@@ -78,12 +80,12 @@ fn main() {
         "\nnew working set allocated, evicted, and re-fetched on the surviving nodes — all good"
     );
 
-    // An operator schedules the repair for 5 ms out (virtual time). The
-    // event calendar dispatches it mid-workload: node 1 comes back online
-    // and resynchronizes from the surviving replicas, and subsequent reads
-    // stop paying the failover path.
+    // An operator plans the repair for 5 ms out (virtual time). The event
+    // calendar wakes the plan mid-workload: node 1 comes back online and
+    // resynchronizes from the surviving replicas, and subsequent reads stop
+    // paying the failover path.
     let repair_at = node.now(0) + 5_000_000;
-    node.schedule_memory_node_repair(repair_at, 1);
+    node.inject(When::At(repair_at), Fault::Repair { node: 1 });
     println!(
         "\nrepair of node 1 scheduled at t = {:.2} ms",
         repair_at as f64 / 1e6

@@ -4,10 +4,10 @@
 //! The recovery model gives every memory node durable state — a periodic
 //! checkpoint of its page/region tables plus a write-intent log appended
 //! *before* any remote write or eviction writeback is acknowledged — and a
-//! calendar-driven injector that can kill the victim at any data-path
-//! completion index. Recovery replays the intent log onto the last
-//! checkpoint, reconciles with the surviving replicas, and rejoins through
-//! the scheduled `NodeRepair` path.
+//! fault plan that can crash any node at any data-path completion index.
+//! Recovery replays the intent log onto the last checkpoint, reconciles
+//! with the surviving replicas, and rejoins through the repair the crash
+//! planned on the calendar.
 //!
 //! The sweep boots the same seeded workload, crashes at every sampled event
 //! index, recovers, and asserts three things for each crash point:
@@ -18,9 +18,16 @@
 //!    crash-free run's.
 //! 3. **Deterministic**: a second boot at the same (seed, crash-point)
 //!    pair emits a byte-identical trace digest.
+//!
+//! A second case plans two crash/recovery cycles, on two nodes, in one run.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use dilos::core::{Dilos, DilosConfig, Readahead};
-use dilos::sim::{Observability, RecoverConfig, RecoveryStats};
+use dilos::sim::{
+    Fault, Ns, Observability, RecoverConfig, RecoveryStats, TraceEvent, TraceObserver, When,
+};
 
 /// SplitMix64: a tiny deterministic PRNG for the driver workload.
 struct Rng(u64);
@@ -40,20 +47,29 @@ const SEED: u64 = 0xC4A5;
 /// Crash points sampled from the crash-free run's completion count.
 const SWEEP_SAMPLES: u64 = 12;
 
-fn boot(crash_at: Option<u64>) -> Dilos {
+/// Boots with one planned crash per `(completion index, node)` pair, each
+/// node down for 1.5 ms.
+fn boot(crashes: &[(u64, usize)], obs: Observability) -> Dilos {
     let mut n = Dilos::new(DilosConfig {
         local_pages: 64,
         remote_bytes: 1 << 24,
         memory_nodes: 3,
         replication: 2,
         recovery: Some(RecoverConfig {
-            crash_at_event: crash_at,
-            victim: 1,
             checkpoint_every: 32,
-            repair_delay_ns: 1_500_000,
             ..RecoverConfig::default()
         }),
-        obs: Observability::audited(),
+        faults: crashes
+            .iter()
+            .map(|&(at, node)| {
+                let crash = Fault::Crash {
+                    node,
+                    down_for: 1_500_000,
+                };
+                (When::Completion(at), crash)
+            })
+            .collect(),
+        obs,
         ..DilosConfig::default()
     });
     n.set_prefetcher(Box::new(Readahead::new()));
@@ -87,23 +103,72 @@ fn drive(n: &mut Dilos, seed: u64) -> u64 {
     fold
 }
 
+/// One crash or recovery completion, as the trace reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cycle {
+    /// Node crashed with this many intents logged since its last seal.
+    Crash { node: u8, log_depth: u64 },
+    Recovered {
+        node: u8,
+        replayed: u64,
+        reconciled: u64,
+    },
+}
+
+/// Records every [`Cycle`] in trace order, tracking each node's intent-log
+/// depth (appends since its last checkpoint) to report it at a crash.
+#[derive(Default)]
+struct Cycles {
+    depth: [u64; 3],
+    seen: Vec<Cycle>,
+}
+
+impl TraceObserver for Cycles {
+    fn on_event(&mut self, _t: Ns, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::IntentAppend { node, .. } => self.depth[usize::from(node)] += 1,
+            TraceEvent::Checkpoint { node, .. } => self.depth[usize::from(node)] = 0,
+            TraceEvent::NodeCrash { node } => self.seen.push(Cycle::Crash {
+                node,
+                log_depth: self.depth[usize::from(node)],
+            }),
+            TraceEvent::RecoveryComplete {
+                node,
+                replayed,
+                reconciled,
+            } => self.seen.push(Cycle::Recovered {
+                node,
+                replayed,
+                reconciled,
+            }),
+            _ => {}
+        }
+    }
+}
+
 struct Run {
     digest: u64,
     fold: u64,
     stats: RecoveryStats,
     report: Vec<String>,
+    cycles: Vec<Cycle>,
 }
 
-fn run(crash_at: Option<u64>) -> Run {
-    let mut n = boot(crash_at);
+fn run(crashes: &[(u64, usize)]) -> Run {
+    let obs = Observability::audited();
+    let cycles = Rc::new(RefCell::new(Cycles::default()));
+    obs.trace().attach(cycles.clone());
+    let mut n = boot(crashes, obs);
     let fold = drive(&mut n, SEED);
     let report = n.audit_report();
     let digest = n.trace_digest();
+    let cycles = cycles.borrow().seen.clone();
     Run {
         digest,
         fold,
         stats: n.recovery_stats(),
         report,
+        cycles,
     }
 }
 
@@ -112,7 +177,7 @@ fn run(crash_at: Option<u64>) -> Run {
 /// byte-identical digest on a second boot of the same crash point.
 #[test]
 fn crash_at_any_sampled_event_recovers_clean_and_deterministic() {
-    let baseline = run(None);
+    let baseline = run(&[]);
     assert!(
         baseline.report.is_empty(),
         "crash-free run must audit clean: {:#?}",
@@ -136,7 +201,7 @@ fn crash_at_any_sampled_event_recovers_clean_and_deterministic() {
         at += stride;
     }
     for &crash_at in &crash_points {
-        let a = run(Some(crash_at));
+        let a = run(&[(crash_at, 1)]);
         assert!(
             a.report.is_empty(),
             "crash at event {crash_at}: audit violations: {:#?}",
@@ -151,7 +216,7 @@ fn crash_at_any_sampled_event_recovers_clean_and_deterministic() {
             a.fold, baseline.fold,
             "crash at event {crash_at}: post-recovery data diverged — a write was lost"
         );
-        let b = run(Some(crash_at));
+        let b = run(&[(crash_at, 1)]);
         assert_eq!(
             a.digest, b.digest,
             "crash at event {crash_at}: nondeterministic crash/recovery trace"
@@ -165,8 +230,8 @@ fn crash_at_any_sampled_event_recovers_clean_and_deterministic() {
 /// crash right after a checkpoint seal replays less than one right before.
 #[test]
 fn recovery_latency_reflects_intent_log_depth() {
-    let baseline = run(None);
-    let late = run(Some(baseline.stats.completions * 3 / 4));
+    let baseline = run(&[]);
+    let late = run(&[(baseline.stats.completions * 3 / 4, 1)]);
     assert!(late.report.is_empty(), "{:#?}", late.report);
     assert_eq!(late.stats.recoveries, 1);
     assert!(
@@ -207,11 +272,60 @@ fn disarmed_boot_has_no_recovery_surface() {
     assert_eq!(fold_a, fold_b);
     // Arming changes the trace (intent/checkpoint events are real events);
     // the armed-but-uncrashed run still computes the same data.
-    let armed = run(None);
+    let armed = run(&[]);
     assert_eq!(armed.fold, fold_a, "arming must not change the data");
     assert_ne!(
         armed.digest, digest_a,
         "armed boots emit durability events; identical digests mean the \
          intent log never engaged"
     );
+}
+
+/// Two cycles in one run, which a single crash point cannot express: node
+/// 1 crashes a quarter of the way through and rejoins, then node 2 crashes
+/// three quarters of the way through. Both points come from the crash-free
+/// run. `crashes`, `recoveries` and `completions` accumulate over the run;
+/// `log_depth_at_crash`, `replayed`, `reconciled` and `recovery_ns`
+/// describe the last cycle.
+#[test]
+fn two_crashes_in_one_run_recover_clean_and_deterministic() {
+    let baseline = run(&[]);
+    let total = baseline.stats.completions;
+    let crashes = [(total / 4, 1), (total * 3 / 4, 2)];
+    let a = run(&crashes);
+    assert!(a.report.is_empty(), "audit violations: {:#?}", a.report);
+    assert_eq!(a.fold, baseline.fold, "two crashes lost a write");
+    assert_eq!((a.stats.crashes, a.stats.recoveries), (2, 2));
+    assert!(a.stats.completions > total * 3 / 4);
+
+    let nodes: Vec<(bool, u8)> = a
+        .cycles
+        .iter()
+        .map(|c| match *c {
+            Cycle::Crash { node, .. } => (true, node),
+            Cycle::Recovered { node, .. } => (false, node),
+        })
+        .collect();
+    assert_eq!(
+        nodes,
+        [(true, 1), (false, 1), (true, 2), (false, 2)],
+        "node 1 must rejoin before node 2 crashes"
+    );
+    let [Cycle::Crash { log_depth, .. }, Cycle::Recovered {
+        replayed,
+        reconciled,
+        ..
+    }] = a.cycles[2..]
+    else {
+        panic!("the last cycle is a crash and a recovery: {:?}", a.cycles);
+    };
+    assert_eq!(a.stats.log_depth_at_crash, log_depth);
+    assert_eq!(
+        (a.stats.replayed, a.stats.reconciled),
+        (replayed, reconciled)
+    );
+    assert_eq!(a.stats.recovery_ns, replayed * 500 + reconciled * 2_000);
+
+    let b = run(&crashes);
+    assert_eq!(a.digest, b.digest, "nondeterministic two-crash trace");
 }

@@ -285,7 +285,7 @@ fn trace_derived_metrics_match_hand_counters() {
 fn degraded_reads_with_concurrent_crash_match_healthy_systems() {
     use dilos::apps::farmem::FarMemory;
     use dilos::core::{Dilos, DilosConfig, Readahead};
-    use dilos::sim::RecoverConfig;
+    use dilos::sim::{Fault, RecoverConfig, When};
 
     const WS_PAGES: u64 = 128;
     const SEED: u64 = 0xEC0;
@@ -340,18 +340,26 @@ fn degraded_reads_with_concurrent_crash_match_healthy_systems() {
             memory_nodes: 4,
             erasure: Some((2, 2)),
             recovery: Some(RecoverConfig {
-                crash_at_event: crash_at,
-                victim: 2,
                 checkpoint_every: 32,
-                repair_delay_ns: 1_500_000,
                 ..RecoverConfig::default()
             }),
+            faults: crash_at
+                .map(|at| {
+                    let crash = Fault::Crash {
+                        node: 2,
+                        down_for: 1_500_000,
+                    };
+                    (When::Completion(at), crash)
+                })
+                .into_iter()
+                .collect(),
             obs: Observability::audited(),
             ..DilosConfig::default()
         });
         n.set_prefetcher(Box::new(Readahead::new()));
         let base = populate(&mut n);
-        n.fail_memory_node(0); // degraded reads from here on
+        // Degraded reads from here on.
+        n.inject(When::At(n.now(0)), Fault::Fail { node: 0 });
         let fold = storm_and_fold(&mut n, base);
         let report = n.audit_report();
         let reconstructions = n.rdma().reconstructions();

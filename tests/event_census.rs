@@ -1,7 +1,7 @@
 //! The event census: every `TraceEvent` kind is emitted, and every
 //! `SchedEvent` variant is delivered, by three small DiLOS boots — guided
-//! paging with readahead, recovery armed with a crash, and a replicated
-//! node that fails and is repaired on the calendar.
+//! paging with readahead, recovery armed with a planned crash, and a
+//! replicated node that fails and is repaired through the fault plan.
 //!
 //! The consuming side is held by the compiler: `Auditor::on_event` and
 //! `Dilos::dispatch` match every variant and deny wildcard arms. This test
@@ -17,7 +17,8 @@ use dilos::alloc::Heap;
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Readahead};
 use dilos::sim::{
-    Ns, Observability, RecoverConfig, SchedEvent, ServiceClass, TraceEvent, TraceObserver,
+    Fault, FaultPlan, Ns, Observability, RecoverConfig, SchedEvent, ServiceClass, TraceEvent,
+    TraceObserver, When,
 };
 
 /// How many times each `TraceEvent` kind was emitted. `Debug` lists every
@@ -96,8 +97,9 @@ impl Census {
             // The cleaned frame rejoins the free list: `FrameFree`.
             SchedEvent::CleanerWriteback { .. } => self.frame_free,
             SchedEvent::RdmaCompletion { .. } => self.rdma_complete,
-            // Only `repair_node_at` with recovery armed reports completion.
-            SchedEvent::NodeRepair { .. } => self.recovery_complete,
+            // The census's timed faults are repairs; only a repair with
+            // recovery armed reports completion.
+            SchedEvent::FaultDue => self.recovery_complete,
         }
     }
 }
@@ -109,13 +111,19 @@ fn observed(census: &Rc<RefCell<Census>>) -> Observability {
     obs
 }
 
-fn boot(obs: Observability, replication: usize, recovery: Option<RecoverConfig>) -> Dilos {
+fn boot(
+    obs: Observability,
+    replication: usize,
+    recovery: Option<RecoverConfig>,
+    faults: FaultPlan,
+) -> Dilos {
     let mut n = Dilos::new(DilosConfig {
         local_pages: 64,
         remote_bytes: 1 << 24,
         memory_nodes: 3,
         replication,
         recovery,
+        faults,
         obs,
         ..DilosConfig::default()
     });
@@ -144,7 +152,7 @@ impl PrefetchGuide for FarAhead {
 /// region freed right behind a prefetch guide's fault cancels the fetches
 /// still in flight.
 fn guided(obs: Observability) {
-    let mut n = boot(obs, 1, None);
+    let mut n = boot(obs, 1, None, FaultPlan::default());
     let region = n.ddc_alloc(1 << 22);
     let heap = Rc::new(RefCell::new(Heap::new(region, 1 << 22)));
     n.set_paging_guide(Rc::new(RefCell::new(HeapPagingGuide::new(
@@ -185,12 +193,18 @@ fn recovery(obs: Observability) {
         obs,
         2,
         Some(RecoverConfig {
-            crash_at_event: Some(200),
-            victim: 1,
             checkpoint_every: 32,
-            repair_delay_ns: 1_500_000,
             ..RecoverConfig::default()
         }),
+        [(
+            When::Completion(200),
+            Fault::Crash {
+                node: 1,
+                down_for: 1_500_000,
+            },
+        )]
+        .into_iter()
+        .collect(),
     );
     let va = n.ddc_alloc(256 * 4096);
     for round in 0..4u64 {
@@ -202,17 +216,17 @@ fn recovery(obs: Observability) {
     assert_audit_clean(&mut n, "recovery");
 }
 
-/// Fail-stop and repair: a replicated node dies, and the repair scheduled
-/// on the calendar resyncs it mid-workload.
+/// Fail-stop and repair: a replicated node dies, and the repair planned
+/// for a later instant wakes on the calendar and resyncs it mid-workload.
 fn fail_and_repair(obs: Observability) {
-    let mut n = boot(obs, 2, None);
+    let mut n = boot(obs, 2, None, FaultPlan::default());
     let va = n.ddc_alloc(256 * 4096);
     for p in 0..256u64 {
         n.write_u64(0, va + p * 4096, p);
     }
-    n.fail_memory_node(1);
-    let repair_at = n.now(0) + 2_000_000;
-    n.schedule_memory_node_repair(repair_at, 1);
+    let now = n.now(0);
+    n.inject(When::At(now), Fault::Fail { node: 1 });
+    n.inject(When::At(now + 2_000_000), Fault::Repair { node: 1 });
     while !n.rdma().node_alive(1) {
         for p in 0..256u64 {
             assert_eq!(n.read_u64(0, va + p * 4096), p);
@@ -247,7 +261,7 @@ fn every_event_kind_is_emitted_and_every_sched_event_delivered() {
             node: 0,
             core: 0,
         },
-        SchedEvent::NodeRepair { node: 0 },
+        SchedEvent::FaultDue,
     ] {
         assert!(census.delivered(ev) > 0, "{ev:?} never delivered");
     }

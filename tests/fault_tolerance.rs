@@ -9,7 +9,7 @@
 
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, Readahead};
-use dilos::sim::Observability;
+use dilos::sim::{Fault, Observability, When};
 
 fn ec_node(memory_nodes: usize, k: usize, m: usize) -> Dilos {
     let mut n = Dilos::new(DilosConfig {
@@ -43,6 +43,11 @@ fn node(memory_nodes: usize, replication: usize) -> Dilos {
 fn assert_audit_clean(n: &mut Dilos, ctx: &str) {
     let report = n.audit_report();
     assert!(report.is_empty(), "{ctx}: audit violations: {report:#?}");
+}
+
+/// Fails memory node `node` now.
+fn fail(n: &mut Dilos, node: usize) {
+    n.inject(When::At(n.now(0)), Fault::Fail { node });
 }
 
 /// Populates a working set 4× the cache and returns its base (so a good
@@ -84,7 +89,7 @@ fn replicated_node_survives_memory_node_failure() {
     let va = populate(&mut n, pages);
 
     // Kill one node mid-run; every page must still read back correctly.
-    n.fail_memory_node(1);
+    fail(&mut n, 1);
     for p in 0..pages {
         assert_eq!(
             n.read_u64(0, va + p * 4096),
@@ -109,9 +114,9 @@ fn scheduled_repair_lands_at_its_virtual_time() {
     let pages = 256u64;
     let va = populate(&mut n, pages);
 
-    n.fail_memory_node(1);
+    fail(&mut n, 1);
     let repair_at = n.now(0) + 2_000_000;
-    n.schedule_memory_node_repair(repair_at, 1);
+    n.inject(When::At(repair_at), Fault::Repair { node: 1 });
     assert!(!n.rdma().node_alive(1), "repair must not apply eagerly");
 
     // Sweep the working set until the calendar brings node 1 back
@@ -133,7 +138,7 @@ fn scheduled_repair_lands_at_its_virtual_time() {
 
     // After repair the node serves reads again: kill a *different* node
     // and the pool still has a live copy of everything.
-    n.fail_memory_node(0);
+    fail(&mut n, 0);
     for p in 0..pages {
         assert_eq!(
             n.read_u64(0, va + p * 4096),
@@ -149,7 +154,7 @@ fn failover_costs_the_detection_timeout_once_per_node() {
     let mut n = node(2, 2);
     let va = populate(&mut n, 128);
     let before = n.now(0);
-    n.fail_memory_node(0);
+    fail(&mut n, 0);
     for p in 0..128u64 {
         let _ = n.read_u64(0, va + p * 4096);
     }
@@ -165,12 +170,30 @@ fn failover_costs_the_detection_timeout_once_per_node() {
     );
 }
 
+/// Every plan entry is checked at boot (and every `inject` call on the
+/// same path): a fault naming a node outside the pool is refused up front.
+#[test]
+#[should_panic(expected = "fault node 3 out of range")]
+fn a_fault_on_a_missing_node_is_refused_at_boot() {
+    let faults = [
+        (When::Completion(10), Fault::Fail { node: 1 }),
+        (When::At(5_000), Fault::Repair { node: 3 }),
+    ];
+    let _ = Dilos::new(DilosConfig {
+        remote_bytes: 1 << 24,
+        memory_nodes: 3,
+        replication: 2,
+        faults: faults.into_iter().collect(),
+        ..DilosConfig::default()
+    });
+}
+
 #[test]
 #[should_panic(expected = "all replicas")]
 fn unreplicated_failure_is_fatal() {
     let mut n = node(2, 1);
     let va = populate(&mut n, 256);
-    n.fail_memory_node(0);
+    fail(&mut n, 0);
     // Touching enough pages guarantees hitting a lost shard.
     for p in 0..256u64 {
         let _ = n.read_u64(0, va + p * 4096);
@@ -225,8 +248,8 @@ fn erasure_coded_node_survives_failure_with_less_overhead() {
     );
 
     // Both survive a single node death with intact data.
-    repl.fail_memory_node(0);
-    ec.fail_memory_node(0);
+    fail(&mut repl, 0);
+    fail(&mut ec, 0);
     for p in 0..pages {
         assert_eq!(repl.read_u64(0, va + p * 4096), p.wrapping_mul(0x9E37));
         assert_eq!(ec.read_u64(0, vb + p * 4096), p.wrapping_mul(0x9E37));
@@ -244,7 +267,7 @@ fn erasure_coded_degraded_reads_are_slower_than_failover() {
     let pages = 192u64;
     let run = |mut n: Dilos| {
         let va = populate(&mut n, pages);
-        n.fail_memory_node(0);
+        fail(&mut n, 0);
         let t0 = n.now(0);
         for p in 0..pages {
             let _ = n.read_u64(0, va + p * 4096);
