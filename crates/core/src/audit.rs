@@ -21,8 +21,7 @@
 //! - **Fault nesting** — a core never opens a second fault before closing
 //!   the first.
 //! - **Link-bandwidth conservation** — per-class byte totals accumulated
-//!   from `LinkTransfer` events equal the fabric's own accounting (checked
-//!   by [`Dilos::audit_report`](crate::Dilos::audit_report)).
+//!   from `LinkTransfer` events equal the fabric's own accounting.
 //! - **No acknowledged write lost** — every `IntentAppend` (a memnode
 //!   acknowledging a write after durably logging its intent) must be
 //!   covered by a later `Checkpoint` or redone by a `RecoveryReplay`
@@ -36,12 +35,19 @@
 //!
 //! Violations are recorded as human-readable strings, in event order, and
 //! capped so a broken run cannot exhaust memory. A clean run reports none.
+//!
+//! At the end of a run, [`Dilos::audit_report`](crate::Dilos::audit_report)
+//! hands the auditor a census of the node's own state — frames in use, the
+//! in-flight table, the counters, the LRU length and the fabric's per-class
+//! bytes — and the auditor cross-checks each against its trace totals.
 
 // Ordered containers: the auditor iterates these into reports, and
 // report order must be deterministic run-to-run.
 use std::collections::{BTreeMap, BTreeSet};
 
 use dilos_sim::{FaultKind, FaultPhase, Ns, PteClass, ServiceClass, TraceEvent, TraceObserver};
+
+use crate::stats::DilosStats;
 
 /// Cap on recorded violations (further ones are counted, not stored).
 const MAX_VIOLATIONS: usize = 64;
@@ -92,19 +98,16 @@ pub struct Auditor {
     majors: u64,
     minors: u64,
     zero_fills: u64,
-    fault_ends: u64,
     phase_sums: [Ns; 6],
 
     evictions: u64,
-    guide_invocations: u64,
 
     rdma_issued: [u64; 5],
     rdma_completed: [u64; 5],
-    link_tx: [u64; 5],
-    link_rx: [u64; 5],
+    /// `(tx, rx)` wire bytes per service class.
+    link: [(u64, u64); 5],
 
     reclaim_open: bool,
-    reclaim_episodes: u64,
 
     /// Per-memnode acknowledged intents not yet covered by a checkpoint
     /// (mirrors each node's durable write-intent log).
@@ -155,11 +158,6 @@ impl Auditor {
         self.violations.len() as u64 + self.suppressed
     }
 
-    /// Frames currently allocated according to the trace.
-    pub fn frames_in_use(&self) -> usize {
-        self.allocated.len()
-    }
-
     /// Arms the per-tenant frame-conservation invariant: the set of live
     /// frames must never exceed `quota` (the tenant's local-memory
     /// allotment).
@@ -167,76 +165,12 @@ impl Auditor {
         self.frame_quota = Some(quota);
     }
 
-    /// VPNs with an issued but not yet landed/cancelled fetch, sorted.
-    pub fn outstanding_fetches(&self) -> Vec<u64> {
-        self.outstanding.iter().copied().collect()
-    }
-
-    /// `(issued, landed, cancelled)` prefetch lifecycle counts.
-    pub fn prefetch_flow(&self) -> (u64, u64, u64) {
-        (self.issues, self.lands, self.cancels)
-    }
-
-    /// Current LRU membership count according to the trace.
-    pub fn lru_members(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// `(major, minor, zero_fill)` fault counts from `FaultBegin` events.
-    pub fn fault_counts(&self) -> (u64, u64, u64) {
-        (self.majors, self.minors, self.zero_fills)
-    }
-
-    /// `FaultEnd` events observed (equals the sum of
-    /// [`fault_counts`](Self::fault_counts) on a clean run).
-    pub fn fault_ends(&self) -> u64 {
-        self.fault_ends
-    }
-
-    /// Accumulated duration of one fault phase across all faults.
-    pub fn phase_sum(&self, phase: FaultPhase) -> Ns {
-        self.phase_sums[phase_idx(phase)]
-    }
-
-    /// Evictions observed.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Guide invocations observed.
-    pub fn guide_invocations(&self) -> u64 {
-        self.guide_invocations
-    }
-
-    /// Reclaim episodes observed.
-    pub fn reclaim_episodes(&self) -> u64 {
-        self.reclaim_episodes
-    }
-
-    /// Acknowledged intents not yet covered by a checkpoint, summed over
-    /// all memory nodes (mirrors the pool's total intent-log depth).
-    pub fn pending_intents(&self) -> u64 {
-        self.pending_intents.values().map(|s| s.len() as u64).sum()
-    }
-
-    /// `(tx, rx)` bytes the trace attributes to `class` on the wire.
-    pub fn link_bytes(&self, class: ServiceClass) -> (u64, u64) {
-        (self.link_tx[class.idx()], self.link_rx[class.idx()])
-    }
-
-    /// `(issued, completed)` RDMA verbs for `class`.
-    pub fn rdma_flow(&self, class: ServiceClass) -> (u64, u64) {
-        (
-            self.rdma_issued[class.idx()],
-            self.rdma_completed[class.idx()],
-        )
-    }
-
     /// End-of-run checks that only make sense once the system is quiescent:
     /// open faults and verb issue/complete pairing. (Outstanding fetches are
-    /// *not* flagged here — the owner cross-checks them against its in-flight
-    /// table, since prefetches may legitimately be pending at shutdown.)
-    pub fn final_checks(&mut self) {
+    /// *not* flagged here — [`report`](Self::report) cross-checks them
+    /// against the node's in-flight table, since prefetches may
+    /// legitimately be pending at shutdown.)
+    fn final_checks(&mut self) {
         let open: Vec<(u8, u64)> = self.open_fault.iter().map(|(&c, &v)| (c, v)).collect();
         for (core, vpn) in open {
             self.flag(
@@ -245,7 +179,8 @@ impl Auditor {
             );
         }
         for class in ServiceClass::ALL {
-            let (i, c) = self.rdma_flow(class);
+            let i = self.rdma_issued[class.idx()];
+            let c = self.rdma_completed[class.idx()];
             if i != c {
                 self.flag(
                     0,
@@ -257,17 +192,105 @@ impl Auditor {
             self.flag(0, "reclaim episode never ended".to_string());
         }
     }
+
+    /// Runs the end-of-run checks, then cross-checks the trace's totals
+    /// against the node's own `census`. Returns every violation recorded
+    /// (capped, in event order) followed by one `[cross-check]` line per
+    /// disagreement.
+    pub(crate) fn report(&mut self, census: &NodeCensus) -> Vec<String> {
+        self.final_checks();
+        let mut cross = Vec::new();
+
+        // Frame conservation: allocs − frees must equal the frames in use.
+        let (traced, held) = (self.allocated.len(), census.frames_in_use);
+        if traced as i64 != held {
+            cross.push(format!(
+                "trace says {traced} frames in use, the arena says {held}"
+            ));
+        }
+
+        // No lost in-flight fetches: the traced outstanding set must equal
+        // the node's in-flight table (pending prefetches at shutdown are
+        // fine — silently dropped ones are not).
+        for vpn in self.outstanding.difference(&census.inflight) {
+            cross.push(format!(
+                "lost in-flight fetch: vpn {vpn:#x} was issued but never landed or cancelled"
+            ));
+        }
+        for vpn in census.inflight.difference(&self.outstanding) {
+            cross.push(format!("untraced in-flight fetch for vpn {vpn:#x}"));
+        }
+
+        // Ad-hoc counters must be derivable from the trace.
+        let s = &census.stats;
+        for (name, traced, counted) in [
+            ("major faults", self.majors, s.major_faults),
+            ("minor faults", self.minors, s.minor_faults),
+            ("zero fills", self.zero_fills, s.zero_fills),
+            ("prefetch issues", self.issues, s.prefetch_issued),
+            ("evictions", self.evictions, s.evictions),
+        ] {
+            if traced != counted {
+                cross.push(format!("trace counts {traced} {name}, stats say {counted}"));
+            }
+        }
+
+        // Fault-phase sums must reproduce the recorded latency breakdown.
+        let b = &s.breakdown;
+        for (phase, sum) in [
+            (FaultPhase::Exception, b.exception),
+            (FaultPhase::Check, b.check),
+            (FaultPhase::Alloc, b.alloc_wait),
+            (FaultPhase::Fetch, b.fetch),
+            (FaultPhase::Map, b.map),
+            (FaultPhase::Reclaim, b.reclaim),
+        ] {
+            let traced = self.phase_sums[phase as usize];
+            if traced != sum {
+                cross.push(format!("{phase:?} phase sum {traced} != breakdown's {sum}"));
+            }
+        }
+
+        // LRU membership.
+        let (traced, chain) = (self.lru.len(), census.lru_len);
+        if traced != chain {
+            cross.push(format!(
+                "trace says {traced} LRU members, the chain holds {chain}"
+            ));
+        }
+
+        // Link-bandwidth conservation, per service class.
+        for class in ServiceClass::ALL {
+            let traced = self.link[class.idx()];
+            let fabric = census.link_bytes[class.idx()];
+            if traced != fabric {
+                let class = class.label();
+                cross.push(format!(
+                    "{class} link bytes {traced:?} != fabric accounting {fabric:?}"
+                ));
+            }
+        }
+        let cross = cross.into_iter().map(|c| format!("[cross-check] {c}"));
+        self.violations.iter().cloned().chain(cross).collect()
+    }
 }
 
-fn phase_idx(phase: FaultPhase) -> usize {
-    match phase {
-        FaultPhase::Exception => 0,
-        FaultPhase::Check => 1,
-        FaultPhase::Alloc => 2,
-        FaultPhase::Fetch => 3,
-        FaultPhase::Map => 4,
-        FaultPhase::Reclaim => 5,
-    }
+/// The node's own account of what its trace should add up to, taken after
+/// quiescing and cross-checked by [`Auditor::report`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeCensus {
+    /// Frames off the arena's free list. Signed: a corrupted free list can
+    /// exceed the arena's total.
+    pub(crate) frames_in_use: i64,
+    /// VPNs with an entry in the node's in-flight table.
+    pub(crate) inflight: BTreeSet<u64>,
+    /// The node's counters and fault-latency breakdown.
+    pub(crate) stats: DilosStats,
+    /// Members of the node's LRU chain.
+    pub(crate) lru_len: usize,
+    /// The fabric's `(tx, rx)` bytes per service class, in
+    /// [`ServiceClass::ALL`] order.
+    pub(crate) link_bytes: [(u64, u64); ServiceClass::ALL.len()],
 }
 
 impl TraceObserver for Auditor {
@@ -295,7 +318,7 @@ impl TraceObserver for Auditor {
                 if !self.open_fault.contains_key(&core) {
                     self.flag(t, format!("fault phase on core {core} with no open fault"));
                 }
-                self.phase_sums[phase_idx(phase)] += dur;
+                self.phase_sums[phase as usize] += dur;
             }
             TraceEvent::FaultEnd { core, vpn } => {
                 if self.open_fault.remove(&core).is_none() {
@@ -304,7 +327,6 @@ impl TraceObserver for Auditor {
                         format!("core {core} ended a fault on vpn {vpn:#x} it never began"),
                     );
                 }
-                self.fault_ends += 1;
             }
             TraceEvent::RdmaIssue { class, .. } => {
                 self.rdma_issued[class.idx()] += 1;
@@ -324,11 +346,8 @@ impl TraceObserver for Auditor {
                 inbound,
                 ..
             } => {
-                if inbound {
-                    self.link_rx[class.idx()] += bytes as u64;
-                } else {
-                    self.link_tx[class.idx()] += bytes as u64;
-                }
+                let (tx, rx) = &mut self.link[class.idx()];
+                *if inbound { rx } else { tx } += bytes as u64;
             }
             TraceEvent::MemAccess { .. } => {}
             TraceEvent::PrefetchIssue { vpn } => {
@@ -419,7 +438,6 @@ impl TraceObserver for Auditor {
                     self.flag(t, "nested reclaim episode".to_string());
                 }
                 self.reclaim_open = true;
-                self.reclaim_episodes += 1;
             }
             TraceEvent::ReclaimEnd { .. } => {
                 if !self.reclaim_open {
@@ -430,9 +448,7 @@ impl TraceObserver for Auditor {
             TraceEvent::Evict { .. } => {
                 self.evictions += 1;
             }
-            TraceEvent::GuideInvoke { .. } => {
-                self.guide_invocations += 1;
-            }
+            TraceEvent::GuideInvoke { .. } => {}
             TraceEvent::IntentAppend { node, seq } => {
                 if !self.pending_intents.entry(node).or_default().insert(seq) {
                     self.flag(t, format!("node {node} acknowledged intent {seq} twice"));
@@ -498,21 +514,15 @@ mod tests {
     #[test]
     fn clean_stream_stays_clean() {
         let (s, a) = audited_sink();
+        let (vpn, from, to) = (9, PteClass::None, PteClass::Local);
         s.emit(1, TraceEvent::FrameAlloc { frame: 3 });
-        s.emit(
-            2,
-            TraceEvent::PteTransition {
-                vpn: 9,
-                from: PteClass::None,
-                to: PteClass::Local,
-            },
-        );
+        s.emit(2, TraceEvent::PteTransition { vpn, from, to });
         s.emit(3, TraceEvent::LruInsert { vpn: 3 });
         s.emit(4, TraceEvent::LruRemove { vpn: 3 });
         s.emit(5, TraceEvent::FrameFree { frame: 3 });
         a.borrow_mut().final_checks();
         assert!(a.borrow().is_clean(), "{:?}", a.borrow().violations());
-        assert_eq!(a.borrow().frames_in_use(), 0);
+        assert_eq!(a.borrow().allocated.len(), 0);
     }
 
     #[test]
@@ -562,14 +572,8 @@ mod tests {
         assert!(legal_pte_transition(PteClass::Action, PteClass::Action));
         assert!(legal_pte_transition(PteClass::Local, PteClass::None));
         let (s, a) = audited_sink();
-        s.emit(
-            1,
-            TraceEvent::PteTransition {
-                vpn: 4,
-                from: PteClass::Remote,
-                to: PteClass::Local,
-            },
-        );
+        let (vpn, from, to) = (4, PteClass::Remote, PteClass::Local);
+        s.emit(1, TraceEvent::PteTransition { vpn, from, to });
         assert!(a.borrow().violations()[0].contains("illegal PTE transition"));
     }
 
@@ -582,28 +586,15 @@ mod tests {
         s.emit(4, TraceEvent::PrefetchCancel { vpn: 12 });
         let a = a.borrow();
         assert_eq!(a.violation_count(), 2);
-        assert_eq!(a.prefetch_flow(), (1, 2, 1));
+        assert_eq!((a.issues, a.lands, a.cancels), (1, 2, 1));
     }
 
     #[test]
     fn fault_nesting_is_flagged() {
         let (s, a) = audited_sink();
-        s.emit(
-            1,
-            TraceEvent::FaultBegin {
-                core: 0,
-                vpn: 1,
-                kind: FaultKind::Major,
-            },
-        );
-        s.emit(
-            2,
-            TraceEvent::FaultBegin {
-                core: 0,
-                vpn: 2,
-                kind: FaultKind::Major,
-            },
-        );
+        let (core, kind) = (0, FaultKind::Major);
+        s.emit(1, TraceEvent::FaultBegin { core, vpn: 1, kind });
+        s.emit(2, TraceEvent::FaultBegin { core, vpn: 2, kind });
         assert_eq!(a.borrow().violation_count(), 1);
     }
 
@@ -620,14 +611,8 @@ mod tests {
                 bytes: 4096,
             },
         );
-        s.emit(
-            2,
-            TraceEvent::FaultBegin {
-                core: 1,
-                vpn: 5,
-                kind: FaultKind::Minor,
-            },
-        );
+        let (core, vpn, kind) = (1, 5, FaultKind::Minor);
+        s.emit(2, TraceEvent::FaultBegin { core, vpn, kind });
         let mut aud = a.borrow_mut();
         assert!(aud.is_clean());
         aud.final_checks();
@@ -656,7 +641,7 @@ mod tests {
         let mut aud = a.borrow_mut();
         aud.final_checks();
         assert!(aud.is_clean(), "{:?}", aud.violations());
-        assert_eq!(aud.pending_intents(), 0);
+        assert!(aud.pending_intents.values().all(BTreeSet::is_empty));
     }
 
     #[test]
@@ -756,6 +741,85 @@ mod tests {
         s.emit(5, TraceEvent::FrameAlloc { frame: 4 });
         s.emit(6, TraceEvent::LruInsert { vpn: 4 });
         assert!(a.borrow().is_clean(), "{:?}", a.borrow().violations());
+    }
+
+    /// Each cross-check, fed a census that disagrees with a clean trace in
+    /// that check alone, reports exactly its own line.
+    #[test]
+    fn each_cross_check_flags_only_its_own_disagreement() {
+        // One frame in use and in the LRU, one major fault with a fetch
+        // phase, one fetch in flight, one eviction, 4 KiB of fault bytes in.
+        let (s, a) = audited_sink();
+        let (core, vpn, kind, phase, dur) = (0, 9, FaultKind::Major, FaultPhase::Fetch, 2_000);
+        let (class, bytes, inbound, done) = (ServiceClass::Fault, 4_096, true, 0);
+        let dirty = false;
+        for ev in [
+            TraceEvent::FrameAlloc { frame: 3 },
+            TraceEvent::FaultBegin { core, vpn, kind },
+            TraceEvent::FaultPhase { core, phase, dur },
+            TraceEvent::FaultEnd { core, vpn },
+            TraceEvent::LruInsert { vpn: 3 },
+            TraceEvent::PrefetchIssue { vpn: 10 },
+            TraceEvent::Evict { vpn, dirty },
+            TraceEvent::LinkTransfer {
+                class,
+                bytes,
+                inbound,
+                done,
+            },
+        ] {
+            s.emit(1, ev);
+        }
+        let mut matching = NodeCensus {
+            frames_in_use: 1,
+            inflight: BTreeSet::from([10]),
+            lru_len: 1,
+            ..NodeCensus::default()
+        };
+        matching.stats.major_faults = 1;
+        matching.stats.prefetch_issued = 1;
+        matching.stats.evictions = 1;
+        matching.stats.breakdown.fetch = 2_000;
+        matching.link_bytes[class.idx()] = (0, 4_096);
+        let mut a = a.borrow_mut();
+        assert_eq!(a.report(&matching), Vec::<String>::new());
+
+        type Skew = fn(&mut NodeCensus);
+        let skews: [(Skew, &str); 7] = [
+            (
+                |c| c.frames_in_use = 2,
+                "trace says 1 frames in use, the arena says 2",
+            ),
+            (
+                |c| c.inflight.clear(),
+                "lost in-flight fetch: vpn 0xa was issued but never landed or cancelled",
+            ),
+            (
+                |c| _ = c.inflight.insert(11),
+                "untraced in-flight fetch for vpn 0xb",
+            ),
+            (
+                |c| c.stats.major_faults = 2,
+                "trace counts 1 major faults, stats say 2",
+            ),
+            (
+                |c| c.stats.breakdown.fetch = 1,
+                "Fetch phase sum 2000 != breakdown's 1",
+            ),
+            (
+                |c| c.lru_len = 0,
+                "trace says 1 LRU members, the chain holds 0",
+            ),
+            (
+                |c| c.link_bytes[0] = (0, 0),
+                "fault link bytes (0, 4096) != fabric accounting (0, 0)",
+            ),
+        ];
+        for (skew, line) in skews {
+            let mut census = matching.clone();
+            skew(&mut census);
+            assert_eq!(a.report(&census), [format!("[cross-check] {line}")]);
+        }
     }
 
     #[test]

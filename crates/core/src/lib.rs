@@ -8,14 +8,16 @@
 //! - [`pt`] — the **unified page table** (§4.1): one hardware-format table
 //!   encoding local/remote/fetching/action states in PTE tag bits, replacing
 //!   the Linux swap cache entirely.
-//! - [`node`] — the compute node tying everything together: the short-path
-//!   **page fault handler** (§4.2), demand-fetch window scheduling, and the
-//!   `ddc_malloc`/`mmap(MAP_DDC)` memory API.
-//! - [`prefetch`] — the **page prefetcher** (§4.3): readahead and Leap-style
-//!   trend prefetchers plus the PTE **hit tracker** that replaces swap-cache
-//!   statistics.
-//! - [`pagemgr`] — the **page manager** (§4.4): the watermarks for eager
-//!   background reclamation (eviction order is the node's exact LRU).
+//! - [`node`] — the compute node tying everything together: the
+//!   `ddc_malloc`/`mmap(MAP_DDC)` memory API and the access path, with one
+//!   child module per part of §4 — the short-path **page fault handler**
+//!   (§4.2, `node/fault.rs`), the demand-fetch window where prefetches are
+//!   issued (§4.3, `node/prefetch.rs`), and the **page manager** (§4.4,
+//!   `node/pagemgr.rs`): watermarks, the background reclaimer and eviction
+//!   in the node's exact LRU order.
+//! - [`prefetch`] — the **page prefetcher** policies (§4.3): readahead and
+//!   Leap-style trend prefetchers plus the PTE **hit tracker** that replaces
+//!   swap-cache statistics.
 //! - [`guide`] — the **app-aware guide API** (§4.1/§4.3/§4.4): prefetch
 //!   guides with subpage fetches, paging guides, action PTE vectors, and the
 //!   allocator-bitmap paging guide.
@@ -37,7 +39,6 @@ pub mod compat;
 pub mod frames;
 pub mod guide;
 pub mod node;
-pub mod pagemgr;
 pub mod prefetch;
 pub mod pt;
 pub mod stats;
@@ -47,7 +48,6 @@ pub use cluster::{ClusterConfig, ServingCluster, TenantSpec, LANES_PER_TENANT};
 pub use compat::{PatchReport, SymbolKind, SymbolPatcher, SymbolTable, MAP_DDC};
 pub use guide::{ActionTable, FetchVector, GuideOps, HeapPagingGuide, PagingGuide, PrefetchGuide};
 pub use node::{Dilos, DilosConfig, SoftCosts, DDC_BASE, LOCAL_BASE};
-pub use pagemgr::Watermarks;
 pub use prefetch::{HitTracker, NoPrefetch, Prefetcher, Readahead, TrendBased};
 pub use pt::{PageTable, Pte};
 pub use stats::{DilosStats, FaultBreakdown};

@@ -1,19 +1,12 @@
-//! The DiLOS compute node: fault handler, page manager, and access path.
-//!
-//! This is the system §4 describes, assembled: an application address space
-//! whose DDC range is backed by a local frame cache plus a remote memory
-//! node, with
-//!
-//! - a **page fault handler** (§4.2) that checks exactly one data structure
-//!   (the unified page table) before posting the demand RDMA read,
-//! - a **prefetcher** (§4.3) whose decisions and hit-tracker sweeps run
-//!   inside the demand fetch's 2–3 µs window,
-//! - a **page manager** (§4.4) that keeps free frames above a watermark by
-//!   evicting in the background, so reclamation never blocks the handler,
-//! - a **communication module** (§4.5) with per-core, per-module queue
-//!   pairs (realized as [`ServiceClass`]-keyed QPs in the fabric), and
-//! - the **guide API** (§4.1/§4.3/§4.4) with subpage fetches and action
-//!   PTEs.
+//! The DiLOS compute node (§4): configuration, boot, the memory API and the
+//! access entry points. Each decision §4 names is a child module holding one
+//! `impl Dilos` block over the state declared here: `fault`, the §4.2 page
+//! fault handler, which checks only the unified page table before posting
+//! the demand read; `prefetch`, the §4.3 prefetcher, run inside the demand
+//! fetch's window; and `pagemgr`, the §4.4 page manager, which evicts in the
+//! background so reclamation never blocks the handler. The §4.5
+//! communication module is the [`RdmaPort`], with per-module queue pairs
+//! ([`ServiceClass`]-keyed QPs in the fabric).
 //!
 //! Prefetched pages are *not* mapped until their fetch completes: the PTE
 //! holds the `fetching` tag, and a touch before completion is DiLOS's minor
@@ -21,26 +14,28 @@
 //! after completion sees a mapped page and pays nothing, which is exactly
 //! why Table 3 shows fewer minor faults than Fastswap's swap cache.
 
+mod fault;
+mod pagemgr;
+mod prefetch;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos_sim::{
-    page_chunks, ComputeNode, DeliverCompletion, EventId, Fault, FaultKind, FaultPhase, FaultPlan,
-    Machine, MetricsRegistry, Ns, Observability, PteClass, RdmaEndpoint, RdmaError, RdmaPort,
-    RecoverConfig, RecoveryStats, ReqId, SchedEvent, Segment, ServiceClass, SimConfig, TraceEvent,
-    TraceSink, When, PAGE_SIZE,
+    page_chunks, ComputeNode, DeliverCompletion, EventId, Fault, FaultPlan, Machine,
+    MetricsRegistry, Ns, Observability, PteClass, RdmaEndpoint, RdmaPort, RecoverConfig,
+    RecoveryStats, ReqId, SchedEvent, Segment, ServiceClass, SimConfig, TraceEvent, TraceSink,
+    When, PAGE_SIZE,
 };
 
-use crate::audit::Auditor;
+use crate::audit::{Auditor, NodeCensus};
 use crate::compat::MAP_DDC;
 use crate::frames::FrameArena;
-use crate::guide::{ActionTable, FetchVector, GuideOps, PagingGuide, PrefetchGuide};
-use crate::pagemgr::Watermarks;
+use crate::guide::{ActionTable, PagingGuide, PrefetchGuide};
 use crate::prefetch::{HitTracker, NoPrefetch, Prefetcher};
 use crate::pt::{PageTable, Pte};
 use crate::stats::DilosStats;
-
-use dilos_alloc::PageLiveness;
+use pagemgr::Watermarks;
 
 /// Base virtual address of the disaggregated (DDC) region.
 pub const DDC_BASE: u64 = 0x1000_0000_0000;
@@ -401,101 +396,14 @@ impl Dilos {
         let Some(aud) = &self.audit else {
             return Vec::new();
         };
-        aud.borrow_mut().final_checks();
-        let a = aud.borrow();
-        let mut v: Vec<String> = a.violations().to_vec();
-
-        // Frame conservation: allocs − frees must equal the frames in use.
-        // Signed: a corrupted free list can exceed the arena's total.
-        let in_use = self.frames.total() as i64 - self.frames.free_count() as i64;
-        if a.frames_in_use() as i64 != in_use {
-            v.push(format!(
-                "[cross-check] trace says {} frames in use, the arena says {in_use}",
-                a.frames_in_use()
-            ));
-        }
-
-        // No lost in-flight fetches: the traced outstanding set must equal
-        // the node's in-flight table (pending prefetches at shutdown are
-        // fine — silently dropped ones are not).
-        let actual: std::collections::BTreeSet<u64> =
-            self.inflight.iter().flatten().map(|e| e.vpn).collect();
-        for vpn in a.outstanding_fetches() {
-            if !actual.contains(&vpn) {
-                v.push(format!(
-                    "[cross-check] lost in-flight fetch: vpn {vpn:#x} was issued but \
-                     never landed or cancelled"
-                ));
-            }
-        }
-        let traced: std::collections::BTreeSet<u64> = a.outstanding_fetches().into_iter().collect();
-        for &vpn in &actual {
-            if !traced.contains(&vpn) {
-                v.push(format!(
-                    "[cross-check] untraced in-flight fetch for vpn {vpn:#x}"
-                ));
-            }
-        }
-
-        // Ad-hoc counters must be derivable from the trace.
-        let (majors, minors, zero_fills) = a.fault_counts();
-        for (name, traced, counted) in [
-            ("major faults", majors, self.stats.major_faults),
-            ("minor faults", minors, self.stats.minor_faults),
-            ("zero fills", zero_fills, self.stats.zero_fills),
-            (
-                "prefetch issues",
-                a.prefetch_flow().0,
-                self.stats.prefetch_issued,
-            ),
-            ("evictions", a.evictions(), self.stats.evictions),
-        ] {
-            if traced != counted {
-                v.push(format!(
-                    "[cross-check] trace counts {traced} {name}, stats say {counted}"
-                ));
-            }
-        }
-
-        // Fault-phase sums must reproduce the recorded latency breakdown.
-        let b = &self.stats.breakdown;
-        for (phase, sum) in [
-            (FaultPhase::Exception, b.exception),
-            (FaultPhase::Check, b.check),
-            (FaultPhase::Alloc, b.alloc_wait),
-            (FaultPhase::Fetch, b.fetch),
-            (FaultPhase::Map, b.map),
-            (FaultPhase::Reclaim, b.reclaim),
-        ] {
-            if a.phase_sum(phase) != sum {
-                v.push(format!(
-                    "[cross-check] {phase:?} phase sum {} != breakdown's {sum}",
-                    a.phase_sum(phase)
-                ));
-            }
-        }
-
-        // LRU membership.
-        if a.lru_members() != self.lru.len() {
-            v.push(format!(
-                "[cross-check] trace says {} LRU members, the chain holds {}",
-                a.lru_members(),
-                self.lru.len()
-            ));
-        }
-
-        // Link-bandwidth conservation, per service class.
-        for class in ServiceClass::ALL {
-            let traced = a.link_bytes(class);
-            let fabric = self.rdma.class_bytes(class);
-            if traced != fabric {
-                v.push(format!(
-                    "[cross-check] {} link bytes {traced:?} != fabric accounting {fabric:?}",
-                    class.label()
-                ));
-            }
-        }
-        v
+        let census = NodeCensus {
+            frames_in_use: self.frames.total() as i64 - self.frames.free_count() as i64,
+            inflight: self.inflight.iter().flatten().map(|e| e.vpn).collect(),
+            stats: self.stats,
+            lru_len: self.lru.len(),
+            link_bytes: ServiceClass::ALL.map(|class| self.rdma.class_bytes(class)),
+        };
+        aud.borrow_mut().report(&census)
     }
 
     /// Adds `fault` to the endpoint's plan, applied at once if `when` is
@@ -517,19 +425,6 @@ impl Dilos {
     /// [`DilosConfig::recovery`].
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.rdma.endpoint().recovery_stats()
-    }
-
-    /// Test hook (invariant proving): re-inserts a freed frame into the
-    /// LRU without re-allocating it, simulating a use-after-free in the
-    /// page manager. The auditor must flag the resurrection.
-    #[cfg(test)]
-    pub(crate) fn inject_resurrected_frame(&mut self, t: Ns) -> Option<u32> {
-        let frame = self.frames.pop_free(t)?;
-        self.frames.push_free(frame, t);
-        let vpn = u64::from(frame);
-        self.m.trace.emit(t, TraceEvent::LruInsert { vpn });
-        self.lru.insert(vpn);
-        Some(frame)
     }
 
     /// The node configuration.
@@ -606,7 +501,7 @@ impl Dilos {
     }
 
     // ------------------------------------------------------------------
-    // Access path.
+    // Access path (the fault handler behind it is in `fault`).
     // ------------------------------------------------------------------
 
     /// Reads `buf.len()` bytes at `va` on `core`.
@@ -683,463 +578,11 @@ impl Dilos {
         self.local_pages[idx].get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
-    /// Resolves `vpn` to a resident frame, faulting as needed, and marks the
-    /// access (A/D bits) — the software MMU.
-    fn touch(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
-        // Deliver every calendar event whose time has passed before looking
-        // anything up: prefetch landings map their pages, reclaim ticks
-        // evict, writebacks return frames — all at their true virtual times,
-        // so this access observes the state the background work produced.
-        self.drain_events(self.m.now(core));
-        // TLB fast path. The way index is hashed so that arrays laid out at
-        // power-of-two strides (columnar tables) don't alias pathologically.
-        let way = ((vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 52) as usize % TLB_WAYS;
-        let gen = self.pt.generation();
-        let e = self.tlb[core][way];
-        if e.valid && e.vpn == vpn && e.generation == gen {
-            if is_write && !e.dirty_marked {
-                self.pt.mark_access(vpn, true);
-                self.tlb[core][way].dirty_marked = true;
-            }
-            self.stats.local_hits += 1;
-            self.lru.touch(e.frame as u64);
-            return e.frame;
-        }
-        let frame = self.resolve(core, vpn, is_write);
-        self.lru.touch(frame as u64);
-        let gen = self.pt.generation();
-        self.tlb[core][way] = TlbEntry {
-            vpn,
-            frame,
-            generation: gen,
-            valid: true,
-            dirty_marked: is_write,
-        };
-        frame
-    }
-
-    /// Page-table walk plus fault handling (slow path).
-    fn resolve(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
-        assert!(
-            vpn >= DDC_BASE_VPN && ((vpn - DDC_BASE_VPN) << 12) < self.cfg.remote_bytes,
-            "segmentation fault: access to unmapped VA {:#x}",
-            vpn << 12
-        );
-        match self.pt.get(vpn) {
-            Pte::Local { frame, .. } => {
-                // TLB miss to a resident page: hardware walk only.
-                self.m.advance(core, self.cfg.costs.tlb_miss_walk_ns);
-                let ready = self.frames.meta(frame).ready_at;
-                let now = self.m.now(core);
-                if ready > now {
-                    // Mapped but the payload is still on the wire: stall.
-                    self.m.wait_until(core, ready);
-                }
-                self.pt.mark_access(vpn, is_write);
-                self.stats.local_hits += 1;
-                frame
-            }
-            Pte::Fetching { inflight } => self.fault_on_inflight(core, vpn, inflight, is_write),
-            Pte::None => self.fault_zero_fill(core, vpn, is_write),
-            Pte::Remote { .. } => self.fault_remote(core, vpn, is_write, None),
-            Pte::Action { action } => {
-                let vector = self.actions.take(action);
-                self.fault_remote(core, vpn, is_write, Some(vector))
-            }
-        }
-    }
-
-    /// Consumes the in-flight entry behind a `Pte::Fetching` and recycles
-    /// its slot.
-    ///
-    /// # Panics
-    ///
-    /// A `Fetching` PTE always names a live slot: the entry is installed
-    /// before the PTE and the PTE is rewritten before the entry is taken,
-    /// so an empty slot is page-table corruption and unrecoverable.
-    #[expect(clippy::expect_used, reason = "a Fetching PTE names a live slot")]
-    fn take_inflight(&mut self, idx: u32) -> InflightEntry {
-        let entry = self.inflight[idx as usize]
-            .take()
-            .expect("fetching PTE has an in-flight entry");
-        self.inflight_free.push(idx);
-        entry
-    }
-
-    /// A fault on a page whose (pre)fetch is in flight.
-    ///
-    /// If the fetch already completed, the completion handler has mapped the
-    /// page in the past: no fault is charged. Otherwise this is DiLOS's
-    /// minor fault — exception, wait, map.
-    fn fault_on_inflight(&mut self, core: usize, vpn: u64, idx: u32, is_write: bool) -> u32 {
-        let entry = self.take_inflight(idx);
-        // This access consumes the fetch; the scheduled landing must not
-        // fire later against a reused slot.
-        self.m.cal.cancel(entry.event);
-        let now = self.m.now(core);
-        let costs = self.cfg.costs;
-        if entry.ready_at <= now {
-            // Completed in the past; mapping it cost the completion path,
-            // not this access. The landing closes the *prefetch's* span.
-            let prev_req = self.m.trace.set_request(entry.req);
-            self.m.trace.emit(now, TraceEvent::PrefetchLand { vpn });
-            self.map_page(now, vpn, entry.frame, 0);
-            self.m.trace.set_request(prev_req);
-            self.pt.mark_access(vpn, is_write);
-            self.stats.local_hits += 1;
-            self.m.advance(core, costs.tlb_miss_walk_ns);
-            return entry.frame;
-        }
-        // Minor fault: pay the exception, wait out the fetch, map. The wait
-        // is its own causal request; the landing still closes the prefetch.
-        let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Minor);
-        self.stats.minor_faults += 1;
-        let mut t = now + self.cfg.sim.hw_exception_ns + costs.pte_check_ns;
-        if entry.swap_cached {
-            t += costs.swapcache_minor_ns;
-        }
-        t = t.max(entry.ready_at) + costs.map_ns;
-        self.m.wait_until(core, t);
-        let minor_req = self.m.trace.set_request(entry.req);
-        self.m.trace.emit(t, TraceEvent::PrefetchLand { vpn });
-        self.m.trace.set_request(minor_req);
-        self.map_page(t, vpn, entry.frame, 0);
-        self.pt.mark_access(vpn, is_write);
-        self.m.end_fault(t, core, vpn, prev_req);
-        entry.frame
-    }
-
-    /// First touch of a DDC page: zero-fill, no network.
-    fn fault_zero_fill(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
-        let now = self.m.now(core);
-        let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::ZeroFill);
-        let t = now + self.cfg.sim.hw_exception_ns + self.cfg.costs.pte_check_ns;
-        let (frame, t_alloc, reclaim_ns) = self.alloc_frame(core, t);
-        self.frames.zero(frame);
-        let t_done = t_alloc + self.cfg.costs.zero_fill_ns + self.cfg.costs.map_ns + reclaim_ns;
-        self.m.wait_until(core, t_done);
-        self.stats.zero_fills += 1;
-        self.map_page(t_done, vpn, frame, 0);
-        self.pt.mark_access(vpn, is_write);
-        self.m.end_fault(t_done, core, vpn, prev_req);
-        frame
-    }
-
-    /// A major fault: demand-fetch the page (whole or via an action vector).
-    fn fault_remote(
-        &mut self,
-        core: usize,
-        vpn: u64,
-        is_write: bool,
-        vector: Option<FetchVector>,
-    ) -> u32 {
-        let now = self.m.now(core);
-        let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Major);
-        let hw = self.cfg.sim.hw_exception_ns;
-        let costs = self.cfg.costs;
-        let mut check = costs.pte_check_ns;
-        if self.cfg.swap_cache_mode {
-            check += costs.swapcache_mgmt_ns;
-        }
-        let t = now + hw + check;
-        // Transition through the `fetching` tag, exactly as §4.2 describes
-        // (other cores reading the PTE would wait instead of re-fetching).
-        self.set_pte(t, vpn, Pte::Fetching { inflight: u32::MAX });
-        let (frame, t_alloc, reclaim_ns) = self.alloc_frame(core, t);
-        let class = ServiceClass::Fault;
-        // A demand fault cannot degrade gracefully: the faulting load needs
-        // the bytes now, so data loss here is fatal by design (mirrors a
-        // real machine taking SIGBUS).
-        #[expect(clippy::expect_used, reason = "all replicas down is unrecoverable")]
-        let mut done = self
-            .fill_frame(t_alloc, core, class, vpn, frame, vector.as_ref())
-            .expect("demand fetch failed: address out of region or all replicas down");
-        if vector.is_some_and(|v| v.is_empty()) {
-            // Fully-dead page: the handler zero-fills instead of waiting.
-            done += costs.zero_fill_ns;
-        }
-
-        // Hidden-window work: hit-tracker sweep + prefetch decision/issue,
-        // plus the app-aware guide. All of it runs while the demand fetch is
-        // on the wire; only overflow beyond the window costs latency.
-        let hidden_done = self.fetch_window_work(core, vpn, t_alloc);
-
-        let t_ready = done.max(hidden_done) + reclaim_ns;
-        let t_end = t_ready + costs.map_ns;
-        self.m.wait_until(core, t_end);
-        self.stats.major_faults += 1;
-        let b = &mut self.stats.breakdown;
-        b.exception += hw;
-        b.check += check;
-        b.alloc_wait += t_alloc - t;
-        b.fetch += t_ready - t_alloc;
-        b.map += costs.map_ns;
-        b.reclaim += reclaim_ns;
-        b.count += 1;
-        if self.m.trace.is_enabled() {
-            for (phase, dur) in [
-                (FaultPhase::Exception, hw),
-                (FaultPhase::Check, check),
-                (FaultPhase::Alloc, t_alloc - t),
-                (FaultPhase::Fetch, t_ready - t_alloc),
-                (FaultPhase::Map, costs.map_ns),
-                (FaultPhase::Reclaim, reclaim_ns),
-            ] {
-                self.m.trace.emit(
-                    t_end,
-                    TraceEvent::FaultPhase {
-                        core: core as u8,
-                        phase,
-                        dur,
-                    },
-                );
-            }
-        }
-
-        self.map_page(t_end, vpn, frame, 0);
-        self.pt.mark_access(vpn, is_write);
-        self.m.end_fault(t_end, core, vpn, prev_req);
-        frame
-    }
-
-    /// Fills `frame` with `vpn`'s remote content, posting at `t`: the whole
-    /// page, or only the live chunks an action `vector` names (an empty
-    /// vector is a fully-dead page — nothing on the wire). The demand fault
-    /// and the prefetch both fill through here; they differ only in `class`
-    /// and in whether an `Err` is fatal. Returns when the payload lands.
-    fn fill_frame(
-        &mut self,
-        t: Ns,
-        core: usize,
-        class: ServiceClass,
-        vpn: u64,
-        frame: u32,
-        vector: Option<&FetchVector>,
-    ) -> Result<Ns, RdmaError> {
-        let remote = (vpn - DDC_BASE_VPN) << 12;
-        // The whole page replaces the frame's: it becomes the memory node's
-        // own image, shared until the first store into the frame copies it.
-        let Some(v) = vector else {
-            let page = self.frames.page_mut(frame);
-            return self.rdma.read_page(t, core, class, remote, page);
-        };
-        // A vectored verb touches only its segments; the rest of the frame
-        // must read as dead zeros, so it is zeroed first.
-        self.frames.zero(frame);
-        let mut done = t;
-        if !v.is_empty() {
-            let mut segs = std::mem::take(&mut self.seg_buf);
-            segs.clear();
-            segs.extend(v.iter().map(|&range| page_segment(remote, range)));
-            let posted = self
-                .rdma
-                .read_v(t, core, class, &segs, self.frames.bytes_mut(frame));
-            self.seg_buf = segs;
-            done = posted?;
-        }
-        self.stats.guided_fetches += 1;
-        self.stats.fetch_bytes_saved += (PAGE_SIZE - v.live_bytes()) as u64;
-        Ok(done)
-    }
-
-    /// Runs the tracker sweep, the prefetcher, and the prefetch guide in the
-    /// demand-fetch window starting at `t0`; returns when that software
-    /// finishes (usually before the fetch completes).
-    fn fetch_window_work(&mut self, core: usize, vpn: u64, t0: Ns) -> Ns {
-        let costs = self.cfg.costs;
-        let mut sw = t0;
-        if self.cfg.hit_tracker {
-            if let Some((hits, total)) = self.tracker.sweep_if_due(&self.pt) {
-                sw += total as Ns * costs.tracker_per_pte_ns;
-                self.prefetcher.feedback(hits, total);
-                self.stats.prefetch_hits += hits as u64;
-            }
-        }
-        // General-purpose prefetcher.
-        let mut targets = std::mem::take(&mut self.prefetch_buf);
-        targets.clear();
-        self.prefetcher.on_fault(vpn, &mut targets);
-        // `targets` is moved back into `prefetch_buf` below, so iterate by
-        // index rather than borrowing across the `prefetch_vpn` call.
-        for i in 0..targets.len() {
-            if let Some(&target) = targets.get(i) {
-                sw += costs.prefetch_issue_ns;
-                self.prefetch_vpn(core, target, sw);
-            }
-        }
-        self.prefetch_buf = targets;
-        // App-aware guide (its subpage reads ride the guide queue and are
-        // pipelined with the demand fetch).
-        if let Some(g) = self.prefetch_guide.clone() {
-            let va = vpn << 12;
-            self.m
-                .trace
-                .emit(sw, TraceEvent::GuideInvoke { vpn, fetch: true });
-            let mut ops = NodeGuideOps {
-                node: self,
-                core,
-                now: sw,
-            };
-            g.borrow_mut().on_fault(va, &mut ops);
-            sw = sw.max(ops.now);
-        }
-        sw
-    }
-
-    /// Issues one asynchronous page prefetch at virtual time `t`.
-    ///
-    /// Skips pages that are resident, already in flight, never touched, or
-    /// when free frames are at the reserve watermark (prefetch must not
-    /// force eviction stalls).
-    fn prefetch_vpn(&mut self, core: usize, vpn: u64, t: Ns) {
-        if vpn < DDC_BASE_VPN || ((vpn - DDC_BASE_VPN) << 12) >= self.cfg.remote_bytes {
-            return;
-        }
-        let vector = match self.pt.get(vpn) {
-            Pte::Remote { .. } => None,
-            Pte::Action { action } => Some(self.actions.take(action)),
-            _ => return,
-        };
-        // The prefetch is its own causal request from here on: verbs and the
-        // eventual landing attribute to it, not to the fault whose hidden
-        // window issued it.
-        let prev_req = self.m.trace.begin_request();
-        let req = self.m.trace.current_request();
-        let filled = self.try_alloc_prefetch_frame(t).and_then(|frame| {
-            let class = ServiceClass::Prefetch;
-            match self.fill_frame(t, core, class, vpn, frame, vector.as_ref()) {
-                Ok(done) => Some((frame, done)),
-                Err(_) => {
-                    self.frames.push_free(frame, t);
-                    None
-                }
-            }
-        });
-        let Some((frame, ready_at)) = filled else {
-            // Out of reserve, or the fetch failed. Prefetch is best-effort:
-            // on a degraded fabric (all replicas of this page down) drop the
-            // attempt and put an action vector back if we took one, so the
-            // demand path can retry — and surface the failure — if the page
-            // is ever actually touched.
-            if let Some(v) = vector {
-                let idx = self.actions.insert(v);
-                self.set_pte(t, vpn, Pte::Action { action: idx });
-            }
-            self.m.trace.set_request(prev_req);
-            return;
-        };
-        let idx = match self.inflight_free.pop() {
-            Some(i) => i,
-            None => {
-                self.inflight.push(None);
-                (self.inflight.len() - 1) as u32
-            }
-        };
-        // The landing is a first-class calendar event: when virtual time
-        // reaches `ready_at` the page is mapped then, not lazily at the next
-        // reclaim pass (§4.3: completed prefetches are "mapped into the
-        // unified page table immediately").
-        let land = SchedEvent::PrefetchLand { vpn, token: idx };
-        let event = self.m.cal.schedule(ready_at, land);
-        self.inflight[idx as usize] = Some(InflightEntry {
-            frame,
-            ready_at,
-            vpn,
-            swap_cached: self.cfg.swap_cache_mode,
-            event,
-            req,
-        });
-        self.m.trace.emit(t, TraceEvent::PrefetchIssue { vpn });
-        self.set_pte(t, vpn, Pte::Fetching { inflight: idx });
-        self.stats.prefetch_issued += 1;
-        if self.cfg.hit_tracker {
-            self.tracker.track(vpn);
-        }
-        self.m.trace.set_request(prev_req);
-    }
-
-    /// Claims a frame for a prefetch without ever stalling; `None` when the
-    /// free reserve is needed for demand faults.
-    fn try_alloc_prefetch_frame(&mut self, now: Ns) -> Option<u32> {
-        if self.cfg.direct_reclaim {
-            // Ablation: no background reclaimer exists; prefetch may only
-            // use frames that happen to be free already.
-            return self.frames.pop_free(now);
-        }
-        if self.frames.free_count() <= self.wm.low {
-            self.kick_reclaim(now);
-            // An idle reclaimer's first tick is due immediately; let it run
-            // so the watermark reacts to prefetch pressure, not just faults.
-            self.drain_events(now);
-        }
-        if self.frames.free_count() <= self.wm.low / 2 + 1 {
-            return None;
-        }
-        self.frames.pop_free(now)
-    }
-
-    /// Claims a frame for a demand fault at time `t`, waiting if necessary.
-    ///
-    /// Returns `(frame, time_frame_held, direct_reclaim_ns)`. With eager
-    /// background eviction the wait is almost always zero; the
-    /// `direct_reclaim` ablation instead charges the reclaim to the handler.
-    fn alloc_frame(&mut self, _core: usize, t: Ns) -> (u32, Ns, Ns) {
-        if self.cfg.direct_reclaim {
-            // Fastswap-style: reclaim inside the handler when low.
-            let mut reclaim_ns = 0;
-            if self.frames.free_count() == 0 {
-                reclaim_ns = self.direct_reclaim_one(t);
-            }
-            let mut now = t;
-            loop {
-                if let Some(f) = self.frames.pop_free(now) {
-                    return (f, now, reclaim_ns);
-                }
-                match self.frames.earliest_available() {
-                    Some(avail) => now = now.max(avail),
-                    None => {
-                        reclaim_ns += self.direct_reclaim_one(now);
-                    }
-                }
-            }
-        }
-        let mut now = t;
-        let mut spins = 0u32;
-        loop {
-            self.drain_events(now);
-            if self.frames.free_count() <= self.wm.low {
-                self.kick_reclaim(now);
-                // The tick may be due at `now` (idle reclaimer): run it.
-                self.drain_events(now);
-            }
-            if let Some(f) = self.frames.pop_free(now) {
-                return (f, now, 0);
-            }
-            // Free list empty at `now`: wait for whichever comes first — a
-            // frame already committed to the free list becoming available,
-            // or the next calendar event (reclaim tick, cleaner writeback,
-            // prefetch landing) that can produce one.
-            let mut next: Option<Ns> = None;
-            if let Some(avail) = self.frames.earliest_available() {
-                if avail > now {
-                    next = Some(avail);
-                }
-            }
-            if let Some(due) = self.m.cal.next_due() {
-                if due > now {
-                    next = Some(next.map_or(due, |n| n.min(due)));
-                }
-            }
-            now = next.unwrap_or(now + 1);
-            spins += 1;
-            assert!(
-                spins < 100_000,
-                "local cache thrashing: no frame became reclaimable \
-                 (local_pages={} resident={})",
-                self.cfg.local_pages,
-                self.pt.resident()
-            );
-        }
+    /// Byte offset of `vpn`'s page in the remote region, or `None` when
+    /// `vpn` lies outside the DDC range the node registered.
+    fn remote_offset(&self, vpn: u64) -> Option<u64> {
+        let offset = vpn.checked_sub(DDC_BASE_VPN)? << 12;
+        (offset < self.cfg.remote_bytes).then_some(offset)
     }
 
     /// Maps `vpn` to `frame` as a local page and inserts it in the LRU.
@@ -1177,240 +620,6 @@ impl Dilos {
         self.pt.set(vpn, pte);
     }
 
-    // ------------------------------------------------------------------
-    // Event calendar: the background half of the node (§4.3/§4.4).
-    // ------------------------------------------------------------------
-
-    /// A (pre)fetch completed at `t`: map the page into the unified page
-    /// table at its true completion time (§4.3: "mapped immediately").
-    ///
-    /// The event may be stale — test hooks can drop the in-flight entry
-    /// without cancelling, and a stale delivery must not touch a reused
-    /// slot — so the entry is validated against the event's vpn first.
-    fn on_prefetch_land(&mut self, t: Ns, vpn: u64, token: u32) {
-        let Some(entry) = self.inflight.get(token as usize).copied().flatten() else {
-            return;
-        };
-        if entry.vpn != vpn {
-            return;
-        }
-        self.inflight[token as usize] = None;
-        self.inflight_free.push(token);
-        // The landing closes the span of the prefetch that started the
-        // fetch, so the map/PTE events join its request tree.
-        let prev_req = self.m.trace.set_request(entry.req);
-        self.m.trace.emit(t, TraceEvent::PrefetchLand { vpn });
-        // The payload is on the frame exactly at `t`; a core whose clock
-        // lags behind the landing stalls until then (resolve's Local path).
-        self.map_page(t, vpn, entry.frame, t);
-        self.m.trace.set_request(prev_req);
-    }
-
-    /// Schedules the next reclaim tick if the watermark asks for one and no
-    /// tick is already pending. The tick runs when the background core is
-    /// next free — not "now", which is the lie the old single-instant
-    /// reclaim episode told.
-    fn kick_reclaim(&mut self, now: Ns) {
-        if self.cfg.direct_reclaim || self.tick_pending {
-            return;
-        }
-        self.tick_pending = true;
-        let at = self.bg.next_free(now);
-        self.m.cal.schedule(at, SchedEvent::ReclaimTick);
-    }
-
-    /// One reclaimer tick: scan for a victim, evict it, and chain the next
-    /// tick — one victim per tick, each at the background core's true time,
-    /// so an episode's evictions spread across virtual time instead of
-    /// collapsing onto a single instant. The next tick is *returned*: the
-    /// delivery loop runs it in place when nothing else is due first.
-    fn on_reclaim_tick(&mut self, t: Ns) -> Option<(Ns, SchedEvent)> {
-        self.tick_pending = false;
-        // Target met? Frames whose cleaner writeback is in flight count:
-        // they are already committed to return.
-        if self.frames.free_count() + self.pending_clean >= self.wm.high {
-            self.close_episode(t);
-            return None;
-        }
-        let Some((vpn, frame, dirty, scan_end)) = self.pick_victim(t) else {
-            // Nothing evictable this round (everything cold is in flight).
-            self.close_episode(t);
-            return None;
-        };
-        if !self.episode_open {
-            self.episode_open = true;
-            self.episode_freed = 0;
-            self.m.trace.emit(
-                t,
-                TraceEvent::ReclaimBegin {
-                    free: self.frames.free_count() as u32,
-                },
-            );
-        }
-        let _ = self.evict(vpn, frame, dirty, scan_end, ServiceClass::Cleaner);
-        self.episode_freed += 1;
-        self.tick_pending = true;
-        Some((self.bg.next_free(scan_end), SchedEvent::ReclaimTick))
-    }
-
-    /// Emits `ReclaimEnd` for the open episode, if any.
-    fn close_episode(&mut self, t: Ns) {
-        if !self.episode_open {
-            return;
-        }
-        self.episode_open = false;
-        self.m.trace.emit(
-            t,
-            TraceEvent::ReclaimEnd {
-                freed: self.episode_freed,
-            },
-        );
-        self.episode_freed = 0;
-    }
-
-    /// Chooses the eviction victim: the least-recently-used resident frame
-    /// whose payload is not in flight (§4.4's LRU list, exactly).
-    fn pick_victim(&mut self, now: Ns) -> Option<(u64, u32, bool, Ns)> {
-        let mut chosen: Option<u32> = None;
-        let mut scan_end = now;
-        for (i, key) in self.lru.iter_cold().enumerate() {
-            if i >= 64 {
-                break; // Everything cold is in flight: give up this round.
-            }
-            let frame = key as u32;
-            let (_, t) = self.bg.acquire(now, self.cfg.costs.reclaim_scan_ns);
-            scan_end = t;
-            if self.frames.meta(frame).ready_at > scan_end {
-                continue; // In-flight payload: not evictable yet.
-            }
-            chosen = Some(frame);
-            break;
-        }
-        let frame = chosen?;
-        let vpn = self.frames.meta(frame).vpn;
-        let Pte::Local { dirty, .. } = self.pt.get(vpn) else {
-            return None;
-        };
-        Some((vpn, frame, dirty, scan_end))
-    }
-
-    /// Fastswap-ablation direct reclaim: evict one page synchronously,
-    /// returning the handler time consumed.
-    fn direct_reclaim_one(&mut self, now: Ns) -> Ns {
-        let bg0 = self.bg.busy_until().max(now);
-        if let Some((vpn, frame, dirty, scan_end)) = self.pick_victim(now) {
-            // Direct reclaim runs in the handler: it pays the scan *and*
-            // waits for any writeback before the frame is reusable — the
-            // cost Fastswap's Figure 1 "reclaim" bar charges.
-            let avail = self.evict(vpn, frame, dirty, scan_end, ServiceClass::Cleaner);
-            return avail
-                .max(scan_end)
-                .saturating_sub(bg0)
-                .max(self.cfg.costs.reclaim_scan_ns);
-        }
-        self.cfg.costs.reclaim_scan_ns
-    }
-
-    /// Evicts `vpn` (writing back if dirty), freeing its frame. Returns
-    /// when the frame becomes reusable (writeback completion).
-    fn evict(&mut self, vpn: u64, frame: u32, dirty: bool, t: Ns, class: ServiceClass) -> Ns {
-        // Each eviction is its own causal request (whether it runs on the
-        // background reclaimer or as direct reclaim inside a fault).
-        let prev_req = self.m.trace.begin_request();
-        self.m.trace.emit(t, TraceEvent::Evict { vpn, dirty });
-        if self.paging_guide.is_some() {
-            self.m
-                .trace
-                .emit(t, TraceEvent::GuideInvoke { vpn, fetch: false });
-        }
-        // What survives the eviction: `None` is the whole page, `Some` only
-        // the ranges the guide calls live (none at all for an empty page).
-        let guide = self.paging_guide.as_ref();
-        let live_ranges = guide.and_then(|g| match g.borrow().live_ranges(vpn << 12) {
-            PageLiveness::Full => None,
-            PageLiveness::Empty => Some(FetchVector::new()),
-            PageLiveness::Partial(ranges) => Some(ranges),
-        });
-        let mut available_at = t;
-        if dirty {
-            available_at = self.flush_frame(t, class, vpn, frame, live_ranges.as_ref());
-        }
-        let new_pte = match live_ranges {
-            None => Pte::Remote {
-                slot: vpn - DDC_BASE_VPN,
-            },
-            Some(vector) => {
-                // Log the live ranges so the later fetch is guided too (an
-                // empty vector makes it a zero-fill).
-                self.stats.guided_evictions += 1;
-                Pte::Action {
-                    action: self.actions.insert(vector),
-                }
-            }
-        };
-
-        self.m
-            .trace
-            .emit(t, TraceEvent::LruRemove { vpn: frame as u64 });
-        self.lru.remove(frame as u64);
-        self.set_pte(t, vpn, new_pte);
-        if !self.cfg.direct_reclaim && available_at > t {
-            // Background eviction with the writeback still on the wire: the
-            // frame rejoins the free list when the cleaner's completion
-            // event delivers, not before. Direct reclaim stays synchronous —
-            // the handler pays for the wait, which is the point of that
-            // ablation.
-            self.pending_clean += 1;
-            let cleaned = SchedEvent::CleanerWriteback { frame };
-            self.m.cal.schedule(available_at, cleaned);
-        } else {
-            self.frames.push_free(frame, available_at);
-        }
-        self.stats.evictions += 1;
-        self.m.trace.set_request(prev_req);
-        available_at
-    }
-
-    /// Writes dirty `frame` back to `vpn`'s remote slot, posting at `t`: the
-    /// whole page, or only the `ranges` a paging guide reports live (none
-    /// at all for an empty page — nothing on the wire). Returns when the
-    /// write-back completes.
-    fn flush_frame(
-        &mut self,
-        t: Ns,
-        class: ServiceClass,
-        vpn: u64,
-        frame: u32,
-        ranges: Option<&FetchVector>,
-    ) -> Ns {
-        let remote = (vpn - DDC_BASE_VPN) << 12;
-        let buf = self.frames.bytes(frame);
-        let posted = match ranges {
-            // The store shares the frame's image, not a copy of it.
-            None => {
-                let page = self.frames.page(frame);
-                self.rdma.write_page(t, 0, class, remote, page)
-            }
-            Some(ranges) => {
-                self.stats.writeback_bytes_saved += (PAGE_SIZE - ranges.live_bytes()) as u64;
-                if ranges.is_empty() {
-                    return t;
-                }
-                let mut segs = std::mem::take(&mut self.seg_buf);
-                segs.clear();
-                segs.extend(ranges.iter().map(|&range| page_segment(remote, range)));
-                let r = self.rdma.write_v(t, 0, class, &segs, buf);
-                self.seg_buf = segs;
-                r
-            }
-        };
-        self.stats.writebacks += 1;
-        // Dropping a dirty writeback would silently lose the application's
-        // stores; fatal by design.
-        #[expect(clippy::expect_used, reason = "a lost dirty writeback corrupts data")]
-        posted.expect("writeback failed: all replicas of the page are down")
-    }
-
     /// Page-table residency (for tests/diagnostics).
     pub fn resident_pages(&self) -> usize {
         self.pt.resident()
@@ -1419,31 +628,6 @@ impl Dilos {
     /// Raw PTE inspection (tests/diagnostics).
     pub fn pte_of(&self, va: u64) -> Pte {
         self.pt.get(va >> 12)
-    }
-
-    /// Fault injection for auditor tests: returns an allocated frame to the
-    /// free list twice. A healthy run can never double-free, so the auditor
-    /// must flag the second return.
-    #[cfg(test)]
-    fn inject_double_frame_free(&mut self) {
-        let t = self.m.max_now();
-        let frame = self.frames.pop_free(t).expect("a free frame to corrupt");
-        self.frames.push_free(frame, t);
-        self.frames.push_free(frame, t);
-    }
-
-    /// Fault injection for auditor tests: silently drops one in-flight fetch
-    /// so its traced `PrefetchIssue` never lands or cancels. Returns `false`
-    /// when nothing was in flight.
-    #[cfg(test)]
-    fn inject_lost_fetch(&mut self) -> bool {
-        for (idx, slot) in self.inflight.iter_mut().enumerate() {
-            if slot.take().is_some() {
-                self.inflight_free.push(idx as u32);
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -1512,55 +696,47 @@ fn pte_class(p: &Pte) -> PteClass {
     }
 }
 
-/// [`GuideOps`] implementation bridging guides to the node.
-struct NodeGuideOps<'a> {
-    node: &'a mut Dilos,
-    core: usize,
-    now: Ns,
-}
-
-impl GuideOps for NodeGuideOps<'_> {
-    fn subpage_read(&mut self, va: u64, buf: &mut [u8]) -> Option<(usize, Ns)> {
-        let vpn = va >> 12;
-        if vpn < DDC_BASE_VPN || ((vpn - DDC_BASE_VPN) << 12) >= self.node.cfg.remote_bytes {
-            return None;
-        }
-        // Subpage reads never cross the page boundary: with a sharded pool
-        // the next page may live on a different memory node.
-        let off = (va & 0xFFF) as usize;
-        let n = buf.len().min(PAGE_SIZE - off);
-        let data = &mut buf[..n];
-        // Resident pages are read directly (no wire traffic).
-        if let Pte::Local { frame, .. } = self.node.pt.get(vpn) {
-            data.copy_from_slice(&self.node.frames.bytes(frame)[off..off + n]);
-            return Some((n, self.now));
-        }
-        let remote = va - DDC_BASE;
-        let done = self
-            .node
-            .rdma
-            .read(self.now, self.core, ServiceClass::Guide, remote, data)
-            .ok()?;
-        self.node.stats.subpage_fetches += 1;
-        // The guide's decision logic runs when the subpage lands.
-        self.now = self.now.max(done);
-        Some((n, done))
-    }
-
-    fn prefetch_page(&mut self, va: u64) {
-        let t = self.now;
-        self.node.prefetch_vpn(self.core, va >> 12, t);
-    }
-
-    fn now(&self) -> Ns {
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prefetch::Readahead;
+    use dilos_alloc::PageLiveness;
+
+    /// Corruptions the auditor must catch, injected behind the node's back.
+    impl Dilos {
+        /// Re-inserts a freed frame into the LRU without re-allocating it,
+        /// simulating a use-after-free in the page manager.
+        fn inject_resurrected_frame(&mut self, t: Ns) -> Option<u32> {
+            let frame = self.frames.pop_free(t)?;
+            self.frames.push_free(frame, t);
+            let vpn = u64::from(frame);
+            self.m.trace.emit(t, TraceEvent::LruInsert { vpn });
+            self.lru.insert(vpn);
+            Some(frame)
+        }
+
+        /// Returns an allocated frame to the free list twice. A healthy run
+        /// can never double-free.
+        fn inject_double_frame_free(&mut self) {
+            let t = self.m.max_now();
+            let frame = self.frames.pop_free(t).expect("a free frame to corrupt");
+            self.frames.push_free(frame, t);
+            self.frames.push_free(frame, t);
+        }
+
+        /// Silently drops one in-flight fetch so its traced `PrefetchIssue`
+        /// never lands or cancels. Returns `false` when nothing was in
+        /// flight.
+        fn inject_lost_fetch(&mut self) -> bool {
+            for (idx, slot) in self.inflight.iter_mut().enumerate() {
+                if slot.take().is_some() {
+                    self.inflight_free.push(idx as u32);
+                    return true;
+                }
+            }
+            false
+        }
+    }
 
     fn audited_node() -> Dilos {
         let mut node = Dilos::new(DilosConfig {

@@ -249,11 +249,6 @@ impl BandwidthRecorder {
             })
             .collect()
     }
-
-    /// Bucket width.
-    pub fn bucket_ns(&self) -> Ns {
-        self.bucket_ns
-    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,115 @@
+//! An analytic oracle for virtual time: where the model has a closed form,
+//! the fault latency it reports must equal that form, term by term.
+//!
+//! Every other virtual-time check in the workspace is a pin (a digest, a
+//! byte-stable `results/` file) or an ordering against the paper; a pin
+//! catches change, not error. These cases derive each expected value from
+//! the node's own [`SimConfig`](dilos::sim::SimConfig) and
+//! [`SoftCosts`](dilos::core::SoftCosts), never from a literal, so a model
+//! that stops computing what its constants say fails here even when it is
+//! deterministic.
+
+use dilos::apps::farmem::FarMemory;
+use dilos::core::{Dilos, DilosConfig, FaultBreakdown};
+use dilos::sim::{Fault, When, PAGE_SIZE};
+
+/// Local cache of the oracle boots: far smaller than the region, so every
+/// read-back misses.
+const LOCAL_PAGES: usize = 64;
+
+/// Boots `cfg`, writes `pages` pages (the page index into each), and
+/// returns the node with the base of the region.
+fn written(cfg: DilosConfig, pages: u64) -> (Dilos, u64) {
+    let mut node = Dilos::new(cfg);
+    let va = node.ddc_alloc(pages as usize * PAGE_SIZE);
+    for i in 0..pages {
+        node.write_u64(0, va + i * PAGE_SIZE as u64, i);
+    }
+    (node, va)
+}
+
+/// Reads the `pages` pages back in order and returns, per read, the
+/// fault-latency breakdown it added. Asserts each read took exactly one
+/// major fault and returned the page's own index.
+fn read_back(node: &mut Dilos, va: u64, pages: u64) -> Vec<FaultBreakdown> {
+    (0..pages)
+        .map(|i| {
+            let before = *node.stats();
+            assert_eq!(node.read_u64(0, va + i * PAGE_SIZE as u64), i);
+            let after = node.stats();
+            assert_eq!(after.major_faults - before.major_faults, 1, "page {i}");
+            assert_eq!(after.minor_faults, before.minor_faults, "page {i}");
+            assert_eq!(after.zero_fills, before.zero_fills, "page {i}");
+            let (a, b) = (after.breakdown, before.breakdown);
+            FaultBreakdown {
+                exception: a.exception - b.exception,
+                check: a.check - b.check,
+                alloc_wait: a.alloc_wait - b.alloc_wait,
+                fetch: a.fetch - b.fetch,
+                map: a.map - b.map,
+                reclaim: a.reclaim - b.reclaim,
+                count: a.count - b.count,
+            }
+        })
+        .collect()
+}
+
+/// One demand fault of the default boot, in closed form: the exception, the
+/// one page-table check, a 4 KiB one-sided read less the memory node's
+/// huge-page saving, and the map. No frame wait and no reclaim: the
+/// background reclaimer keeps the free list above its watermark.
+fn demand_fault(cfg: &DilosConfig) -> FaultBreakdown {
+    FaultBreakdown {
+        exception: cfg.sim.hw_exception_ns,
+        check: cfg.costs.pte_check_ns,
+        alloc_wait: 0,
+        fetch: cfg.sim.rdma_read_ns(PAGE_SIZE) - cfg.sim.memnode_hugepage_saving_ns,
+        map: cfg.costs.map_ns,
+        reclaim: 0,
+        count: 1,
+    }
+}
+
+/// (a) With no prefetcher, every read-back of a region 64× the cache is a
+/// major fault whose phases are exactly the closed form.
+#[test]
+fn every_demand_fault_costs_its_closed_form() {
+    let cfg = DilosConfig {
+        local_pages: LOCAL_PAGES,
+        ..DilosConfig::default()
+    };
+    let expected = demand_fault(&cfg);
+    let pages = 4_096;
+    let (mut node, va) = written(cfg, pages);
+    for (i, fault) in read_back(&mut node, va, pages).into_iter().enumerate() {
+        assert_eq!(fault, expected, "read-back of page {i}");
+    }
+}
+
+/// (b) A replicated pair loses node 0 after the writes. The first fetch
+/// that reaches the dead node pays the transport-retry timeout once before
+/// failing over; every other fetch, before and after it, costs exactly what
+/// case (a)'s does.
+#[test]
+fn the_first_fetch_to_a_dead_replica_adds_exactly_the_failover_timeout() {
+    let cfg = DilosConfig {
+        local_pages: LOCAL_PAGES,
+        memory_nodes: 2,
+        replication: 2,
+        ..DilosConfig::default()
+    };
+    let expected = demand_fault(&cfg);
+    let failover = FaultBreakdown {
+        fetch: expected.fetch + cfg.sim.failover_detect_ns,
+        ..expected
+    };
+    let pages = 512;
+    let (mut node, va) = written(cfg, pages);
+    node.inject(When::At(node.now(0)), Fault::Fail { node: 0 });
+    let faults = read_back(&mut node, va, pages);
+    let slow: Vec<usize> = (0..faults.len())
+        .filter(|&i| faults[i] != expected)
+        .collect();
+    assert_eq!(slow.len(), 1, "exactly one fetch fails over: {slow:?}");
+    assert_eq!(faults[slow[0]], failover);
+}
