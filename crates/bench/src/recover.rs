@@ -16,7 +16,7 @@
 //! write lost, no frame resurrected) and digest-pinned.
 
 use dilos_core::{Dilos, DilosConfig, Readahead};
-use dilos_sim::{Fault, Observability, RecoverConfig, RecoveryStats, SplitMix64, When};
+use dilos_sim::{Fault, Observability, RecoverConfig, RecoveryStats, Redundancy, SplitMix64, When};
 
 use crate::table::{us, Report};
 
@@ -50,7 +50,7 @@ fn boot(scale: RecoverScale, checkpoint_every: u64, crash_at: Option<u64>) -> Di
         local_pages: scale.local_pages,
         remote_bytes: 1 << 24,
         memory_nodes: 3,
-        replication: 2,
+        redundancy: Redundancy::Replicas(2),
         recovery: Some(RecoverConfig {
             checkpoint_every,
             ..RecoverConfig::default()

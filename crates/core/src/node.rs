@@ -24,8 +24,8 @@ use std::rc::Rc;
 use dilos_sim::{
     page_chunks, ComputeNode, DeliverCompletion, EventId, Fault, FaultPlan, Machine,
     MetricsRegistry, Ns, Observability, PteClass, RdmaEndpoint, RdmaPort, RecoverConfig,
-    RecoveryStats, ReqId, SchedEvent, Segment, ServiceClass, SimConfig, TraceEvent, TraceSink,
-    When, PAGE_SIZE,
+    RecoveryStats, Redundancy, ReqId, SchedEvent, Segment, ServiceClass, SimConfig, TraceEvent,
+    TraceSink, When, PAGE_SIZE,
 };
 
 use crate::audit::{Auditor, NodeCensus};
@@ -116,11 +116,9 @@ pub struct DilosConfig {
     /// Memory nodes to stripe pages across (§5.1 future work; default 1,
     /// the paper's configuration).
     pub memory_nodes: usize,
-    /// Replication factor across the pool (1 = no replication).
-    pub replication: usize,
-    /// Carbink-style erasure coding `(k, m)` across the pool; overrides
-    /// `replication` when set (requires `memory_nodes ≥ k + m`).
-    pub erasure: Option<(usize, usize)>,
+    /// How the pool keeps pages through memory-node failures: `r`-way
+    /// replication or Carbink-style erasure coding (default one copy).
+    pub redundancy: Redundancy,
     /// Memnode crash–recovery: arms durable state (periodic checkpoints +
     /// a write-intent log acknowledged ahead of every remote write) on all
     /// memory nodes, so a repaired node replays what it acknowledged. The
@@ -154,8 +152,7 @@ impl Default for DilosConfig {
             hit_tracker: true,
             tcp_mode: false,
             memory_nodes: 1,
-            replication: 1,
-            erasure: None,
+            redundancy: Redundancy::default(),
             recovery: None,
             faults: FaultPlan::default(),
             obs: Observability::none(),
@@ -255,17 +252,12 @@ impl Dilos {
     ///
     /// Panics if the configuration is degenerate (no cores, no local pages).
     pub fn new(cfg: DilosConfig) -> Self {
-        let mut rdma = match cfg.erasure {
-            Some((k, m)) => {
-                RdmaEndpoint::connect_ec(cfg.sim.clone(), cfg.remote_bytes, cfg.memory_nodes, k, m)
-            }
-            None => RdmaEndpoint::connect_cluster(
-                cfg.sim.clone(),
-                cfg.remote_bytes,
-                cfg.memory_nodes,
-                cfg.replication,
-            ),
-        };
+        let mut rdma = RdmaEndpoint::connect_cluster(
+            cfg.sim.clone(),
+            cfg.remote_bytes,
+            cfg.memory_nodes,
+            cfg.redundancy,
+        );
         rdma.set_shared_queue(cfg.shared_queue);
         rdma.set_tcp_mode(cfg.tcp_mode);
         if let Some(rc) = cfg.recovery {
@@ -277,9 +269,9 @@ impl Dilos {
     /// Boots a node as one tenant of a shared memory pool: the port carries
     /// the tenant's protection keys, remote-address base, and queue-pair
     /// lanes on an endpoint other tenants also use. Transport-level config
-    /// knobs (`shared_queue`, `tcp_mode`, `memory_nodes`, `replication`,
-    /// `erasure`) are properties of the shared endpoint and are ignored
-    /// here; `remote_bytes` must be the tenant's slice size.
+    /// knobs (`shared_queue`, `tcp_mode`, `memory_nodes`, `redundancy`)
+    /// are properties of the shared endpoint and are ignored here;
+    /// `remote_bytes` must be the tenant's slice size.
     pub fn with_port(cfg: DilosConfig, port: RdmaPort) -> Self {
         Self::boot(cfg, port)
     }

@@ -8,7 +8,7 @@ use dilos_alloc::Heap;
 use dilos_core::{
     Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Pte, Readahead, DDC_BASE, MAP_DDC,
 };
-use dilos_sim::{ComputeNode, Fault, Observability, RecoverConfig, ServiceClass, When};
+use dilos_sim::{ComputeNode, Fault, Observability, RecoverConfig, Redundancy, ServiceClass, When};
 
 const PAGE: usize = 4096;
 
@@ -69,7 +69,7 @@ fn replica_images(n: &mut Dilos, slot: u64) -> Vec<Vec<u8>> {
         stored.unwrap_or_default()
     };
     let mut out = vec![image(n)];
-    if n.config().replication > 1 {
+    if n.config().redundancy == Redundancy::Replicas(2) {
         let now = n.machine().max_now();
         n.inject(When::At(now), Fault::Fail { node: 0 });
         n.inject(When::At(now), Fault::Repair { node: 0 });
@@ -89,7 +89,7 @@ fn a_fetched_page_reaches_the_store_only_at_write_back() {
             local_pages: 16,
             remote_bytes: 1 << 24,
             memory_nodes: replication,
-            replication,
+            redundancy: Redundancy::Replicas(replication),
             ..DilosConfig::default()
         });
         let pages = 48usize;

@@ -313,6 +313,7 @@ impl DeliverCompletion for RdmaPort {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::rdma::Redundancy::Replicas;
     use crate::time::PAGE_SIZE;
 
     #[test]
@@ -338,7 +339,7 @@ mod tests {
     fn exclusive_port_owns_all_the_endpoints_traffic() {
         use ServiceClass::{Cleaner, Fault};
         // Two nodes, so the totals sum over more than one link.
-        let ep = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 2, 1);
+        let ep = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 2, Replicas(1));
         let mut port = RdmaPort::exclusive(ep);
         let mut buf = [0x5Au8; PAGE_SIZE];
         for (page, class) in [(0, Cleaner), (1, Fault), (2, Cleaner), (3, Fault)] {

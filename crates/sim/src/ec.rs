@@ -17,21 +17,15 @@
 /// (0x11D), under which α = 2 is primitive — the field every classic RS
 /// deployment (CCSDS, RAID-6, par2) uses.
 #[derive(Debug, Clone)]
-pub struct Gf256 {
+struct Gf256 {
     exp: [u8; 512],
     log: [u8; 256],
-}
-
-impl Default for Gf256 {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Gf256 {
     /// Builds the log/antilog tables.
     #[expect(clippy::needless_range_loop, reason = "index-coupled table fills")]
-    pub fn new() -> Self {
+    fn new() -> Self {
         let mut exp = [0u8; 512];
         let mut log = [0u8; 256];
         let mut x: u16 = 1;
@@ -50,7 +44,7 @@ impl Gf256 {
     }
 
     /// Multiplication in GF(256).
-    pub fn mul(&self, a: u8, b: u8) -> u8 {
+    fn mul(&self, a: u8, b: u8) -> u8 {
         if a == 0 || b == 0 {
             return 0;
         }
@@ -62,7 +56,7 @@ impl Gf256 {
     /// # Panics
     ///
     /// Panics on zero (no inverse exists).
-    pub fn inv(&self, a: u8) -> u8 {
+    fn inv(&self, a: u8) -> u8 {
         assert!(a != 0, "zero has no inverse in GF(256)");
         self.exp[255 - self.log[a as usize] as usize]
     }
@@ -124,11 +118,7 @@ impl ReedSolomon {
 
     /// Cauchy coefficient of data shard `i` in parity row `j`:
     /// `1 / (x_j ⊕ y_i)` with `x_j = k + j` and `y_i = i` (all distinct).
-    ///
-    /// Public because delta-updates (`new_parity = old_parity ⊕ c·Δdata`)
-    /// need the per-lane coefficient — the linearity the `encode_is_linear`
-    /// test pins down.
-    pub fn coeff(&self, j: usize, i: usize) -> u8 {
+    fn coeff(&self, j: usize, i: usize) -> u8 {
         self.gf.inv(((self.k + j) as u8) ^ (i as u8))
     }
 
@@ -154,14 +144,8 @@ impl ReedSolomon {
         for (j, p) in parity.iter_mut().enumerate() {
             for (i, d) in data.iter().enumerate() {
                 let c = self.coeff(j, i);
-                if c == 1 {
-                    for (pb, &db) in p.iter_mut().zip(*d) {
-                        *pb ^= db;
-                    }
-                } else {
-                    for (pb, &db) in p.iter_mut().zip(*d) {
-                        *pb ^= self.gf.mul(c, db);
-                    }
+                for (pb, &db) in p.iter_mut().zip(*d) {
+                    *pb ^= self.gf.mul(c, db);
                 }
             }
         }
@@ -215,9 +199,6 @@ impl ReedSolomon {
                 let mut out = vec![0u8; len];
                 for (r, rv) in rhs.iter().enumerate() {
                     let c = inverse[i][r];
-                    if c == 0 {
-                        continue;
-                    }
                     for (ob, &sb) in out.iter_mut().zip(*rv) {
                         *ob ^= self.gf.mul(c, sb);
                     }

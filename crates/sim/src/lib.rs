@@ -77,14 +77,14 @@ pub mod trace;
 pub use causal::{critical_path, CausalTracer, PhaseBreakdown, ReqKind, RequestTrace};
 pub use cluster::{RdmaPort, SharedPool};
 pub use config::SimConfig;
-pub use ec::{EcError, Gf256, ReedSolomon};
+pub use ec::{EcError, ReedSolomon};
 pub use fabric::{Fabric, ServiceClass};
 pub use lru::LruChain;
 pub use machine::{ComputeNode, DeliverCompletion, Machine};
 pub use memnode::{MemoryNode, RegionHandle};
 pub use metrics::{MetricsRegistry, SpanProfiler, SAMPLE_INTERVAL_NS};
 pub use obs::Observability;
-pub use rdma::{RdmaEndpoint, RdmaError, Segment};
+pub use rdma::{RdmaEndpoint, RdmaError, Redundancy, Segment};
 pub use recover::{Fault, FaultPlan, RecoverConfig, RecoveryStats, When};
 pub use rng::{MixedSizes, SplitMix64, Zipf};
 pub use sched::{Calendar, EventId, SchedEvent};

@@ -49,7 +49,7 @@ use crate::trace::{FaultKind, FaultPhase, TraceEvent, TraceObserver, TraceSink};
 pub const SAMPLE_INTERVAL_NS: Ns = 50_000;
 
 /// Stable label for a fault kind (histogram keys, folded-stack frames).
-pub fn kind_label(kind: FaultKind) -> &'static str {
+fn kind_label(kind: FaultKind) -> &'static str {
     match kind {
         FaultKind::Major => "major",
         FaultKind::Minor => "minor",
@@ -59,7 +59,7 @@ pub fn kind_label(kind: FaultKind) -> &'static str {
 
 /// Stable label for a fault phase (folded-stack frames, cross-checks
 /// against the hand-maintained `FaultBreakdown` fields).
-pub fn phase_label(phase: FaultPhase) -> &'static str {
+fn phase_label(phase: FaultPhase) -> &'static str {
     match phase {
         FaultPhase::Exception => "exception",
         FaultPhase::Check => "check",

@@ -17,10 +17,8 @@
 //! completion (§6.2) for the AIFM-comparable configuration.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use crate::config::SimConfig;
-use crate::ec::ReedSolomon;
 use crate::fabric::{Fabric, ServiceClass};
 use crate::machine::DeliverCompletion;
 use crate::memnode::{MemNodeError, MemoryNode, RegionHandle};
@@ -31,6 +29,11 @@ use crate::store::Page;
 use crate::time::{Ns, PAGE_SIZE};
 use crate::timeline::Timeline;
 use crate::trace::{ReqId, TraceEvent, TraceSink};
+
+mod redundancy;
+
+pub use redundancy::Redundancy;
+use redundancy::Scheme;
 
 /// One entry of a scatter/gather vector: `len` bytes at remote address
 /// `remote`, landing at `offset` within the local page buffer.
@@ -136,28 +139,18 @@ struct RemoteNode {
     death_detected: bool,
 }
 
-/// Erasure-coding state for the Carbink-style redundancy mode.
-#[derive(Debug)]
-struct EcState {
-    rs: ReedSolomon,
-    /// Parity shards live above the data address space.
-    parity_base: u64,
-}
-
 /// The compute node's RDMA endpoint: QPs, per-node fabrics, and the memory
 /// node pool.
 ///
 /// The default is the paper's configuration — one memory node (§5.1: "a
 /// computing node only supports one memory node, just as in Fastswap and
 /// AIFM"). [`connect_cluster`](Self::connect_cluster) implements the §5.1
-/// future-work extension: pages are striped across `n` nodes and optionally
-/// replicated `r` ways; reads fail over to surviving replicas when a node
-/// dies.
+/// future-work extension: pages are striped across `n` nodes and kept
+/// through node deaths by one [`Redundancy`] scheme.
 #[derive(Debug)]
 pub struct RdmaEndpoint {
     nodes: Vec<RemoteNode>,
-    replication: usize,
-    ec: Option<EcState>,
+    scheme: Scheme,
     /// Degraded reads served by erasure-decode.
     reconstructions: u64,
     /// Queue-pair timelines in a dense core-major layout:
@@ -215,77 +208,7 @@ impl RdmaEndpoint {
     /// This performs the one-time control path: region registration and
     /// protection-key exchange.
     pub fn connect(cfg: SimConfig, remote_bytes: u64) -> Self {
-        Self::connect_cluster(cfg, remote_bytes, 1, 1)
-    }
-
-    /// Connects to a pool of `nodes` memory nodes with `replication`-way
-    /// page-granular replication (§5.1 future work).
-    ///
-    /// Pages are striped by page number; each page's replicas live on the
-    /// `replication` nodes following its shard. Writes go to every live
-    /// replica (synchronous — erasure coding à la Carbink is out of scope);
-    /// reads prefer the primary and fail over on node death.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0` or `replication` is zero or exceeds `nodes`.
-    pub fn connect_cluster(
-        cfg: SimConfig,
-        remote_bytes: u64,
-        nodes: usize,
-        replication: usize,
-    ) -> Self {
-        assert!(nodes > 0, "at least one memory node");
-        assert!(
-            (1..=nodes).contains(&replication),
-            "replication must be in 1..=nodes"
-        );
-        let mut ep = Self::connect_cluster_inner(cfg, remote_bytes, nodes);
-        ep.replication = replication;
-        ep
-    }
-
-    fn connect_cluster_inner(cfg: SimConfig, remote_bytes: u64, nodes: usize) -> Self {
-        // Figure 12 plots bandwidth in ~minutes; a 10 ms virtual bucket gives
-        // smooth series at bench scale.
-        let nodes = (0..nodes)
-            .map(|i| {
-                let mut node = MemoryNode::new();
-                node.set_huge_pages(true);
-                node.set_node_id(i as u8);
-                let region = node.register_region(0, remote_bytes);
-                RemoteNode {
-                    node,
-                    region,
-                    fabric: Fabric::new(cfg.clone(), 10_000_000),
-                    alive: true,
-                    death_detected: false,
-                }
-            })
-            .collect();
-        Self {
-            nodes,
-            replication: 1,
-            ec: None,
-            reconstructions: 0,
-            qps: Vec::new(),
-            qp_cores: 0,
-            ops: [OpCounts::default(); 5],
-            shared_queue: false,
-            tcp_mode: false,
-            failovers: 0,
-            trace: TraceSink::disabled(),
-            calendar: None,
-            tenants: BTreeMap::new(),
-            active: None,
-            faults: FaultPlan::default(),
-            next_completion: u64::MAX,
-            failed_verbs: 0,
-            recover: None,
-            stats: RecoveryStats::default(),
-            pending_req: Vec::new(),
-            pending_cores: 0,
-        }
+        Self::connect_cluster(cfg, remote_bytes, 1, Redundancy::default())
     }
 
     /// Routes verb events into the bundle's trace sink and fans the bundle
@@ -447,31 +370,6 @@ impl RdmaEndpoint {
         );
     }
 
-    /// Connects with Carbink-style erasure coding: pages are grouped into
-    /// spans of `k` across the pool, protected by `m` Reed–Solomon parity
-    /// shards on further nodes. Any `m` node failures are survivable at a
-    /// storage overhead of `m/k` (vs `r−1` for replication).
-    ///
-    /// Writes cost one old-data read plus `m` parity-delta writes on top of
-    /// the data write; reads are direct until a node dies, after which the
-    /// lost page is rebuilt from `k` surviving shards per access.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `nodes ≥ k + m` (each shard of a span must live on a
-    /// distinct node).
-    pub fn connect_ec(cfg: SimConfig, remote_bytes: u64, nodes: usize, k: usize, m: usize) -> Self {
-        assert!(nodes >= k + m, "erasure coding needs nodes >= k + m");
-        // Each node's region also hosts parity shards above the data space.
-        let parity_base = remote_bytes.next_multiple_of(4096);
-        let mut ep = Self::connect_cluster_inner(cfg, parity_base * 2, nodes);
-        ep.ec = Some(EcState {
-            rs: ReedSolomon::new(k, m),
-            parity_base,
-        });
-        ep
-    }
-
     /// Whether memory node `i` is currently online.
     pub fn node_alive(&self, i: usize) -> bool {
         self.nodes[i].alive
@@ -499,13 +397,7 @@ impl RdmaEndpoint {
         } else {
             0
         };
-        let reconciled = if self.ec.is_some() {
-            self.ec_resync(i)
-        } else if self.replication > 1 {
-            self.replica_resync(i)
-        } else {
-            0
-        };
+        let reconciled = self.resync(i);
         if !armed {
             return;
         }
@@ -526,109 +418,6 @@ impl RdmaEndpoint {
                 .saturating_mul(cost.replay_ns_per_record)
                 .saturating_add(reconciled.saturating_mul(cost.resync_ns_per_page));
         }
-    }
-
-    /// Replication-mode resync: every page whose replica set includes `i`
-    /// is copied from its first other live replica. Pages written during
-    /// the outage only reached the survivors, so the full copy restores
-    /// them; pages `i` alone replicated are unrecoverable and left as-is.
-    /// Returns the number of pages installed.
-    fn replica_resync(&mut self, i: usize) -> u64 {
-        let mut installed = 0u64;
-        let mut todo: Vec<u64> = Vec::new();
-        for (j, n) in self.nodes.iter().enumerate() {
-            if j == i || !n.alive {
-                continue;
-            }
-            for p in n.node.resident_page_numbers() {
-                if self.replicas(p << 12).any(|r| r == i) {
-                    todo.push(p);
-                }
-            }
-        }
-        todo.sort_unstable();
-        todo.dedup();
-        for p in todo {
-            let src = self
-                .replicas(p << 12)
-                .find(|&r| r != i && self.nodes[r].alive);
-            let Some(src) = src else { continue };
-            let Some(page) = self.nodes[src].node.page_snapshot(p).copied() else {
-                continue;
-            };
-            self.nodes[i].node.install_page(p, &page);
-            installed += 1;
-        }
-        installed
-    }
-
-    /// Erasure-coding resync: for every span group with any materialized
-    /// shard, node `i`'s shard (one data lane or one parity, by placement)
-    /// is rebuilt from the surviving shards. Dead nodes' shards are treated
-    /// as unknowns — their volatile copies are stale for anything written
-    /// during their outage — so a group decodes only while at least `k`
-    /// *live* shards remain. Returns the number of shards installed.
-    fn ec_resync(&mut self, i: usize) -> u64 {
-        let mut installed = 0u64;
-        let (ec_k, ec_m, parity_base) = {
-            let ec = self.ec_state();
-            (ec.rs.k(), ec.rs.m(), ec.parity_base)
-        };
-        let parity_page0 = parity_base >> 12;
-        let mut groups: Vec<u64> = Vec::new();
-        for n in &self.nodes {
-            for p in n.node.resident_page_numbers() {
-                groups.push(if p >= parity_page0 {
-                    (p - parity_page0) / ec_m as u64
-                } else {
-                    p / ec_k as u64
-                });
-            }
-        }
-        groups.sort_unstable();
-        groups.dedup();
-        for g in groups {
-            // Node i hosts at most one shard of each group (all k + m shard
-            // nodes are distinct). Gather the others; leave i's slot as the
-            // unknown for reconstruction.
-            let mut mine: Option<(usize, u64)> = None;
-            let mut shards: Vec<Option<Vec<u8>>> = (0..ec_k + ec_m)
-                .map(|slot| {
-                    let (n, page) = if slot < ec_k {
-                        (self.ec_data_node(g, slot), g * ec_k as u64 + slot as u64)
-                    } else {
-                        let (n, pbase) = self.ec_parity_loc(g, slot - ec_k);
-                        (n, pbase >> 12)
-                    };
-                    if n == i {
-                        mine = Some((slot, page));
-                        return None;
-                    }
-                    if !self.nodes[n].alive {
-                        return None;
-                    }
-                    Some(
-                        self.nodes[n]
-                            .node
-                            .page_snapshot(page)
-                            .map_or_else(|| vec![0u8; PAGE_SIZE], |p| p.to_vec()),
-                    )
-                })
-                .collect();
-            let Some((slot, page)) = mine else { continue };
-            if self.ec_state().rs.reconstruct(&mut shards).is_err() {
-                continue;
-            }
-            let Some(data) = shards[slot]
-                .as_deref()
-                .and_then(|s| <&[u8; PAGE_SIZE]>::try_from(s).ok())
-            else {
-                continue;
-            };
-            self.nodes[i].node.install_page(page, data);
-            installed += 1;
-        }
-        installed
     }
 
     // ------------------------------------------------------------------
@@ -746,13 +535,6 @@ impl RdmaEndpoint {
         self.nodes.iter().map(|n| n.node.resident_pages()).sum()
     }
 
-    /// The replica node indices for the page containing `remote`.
-    fn replicas(&self, remote: u64) -> impl Iterator<Item = usize> + '_ {
-        let n = self.nodes.len();
-        let shard = ((remote >> 12) as usize) % n;
-        (0..self.replication).map(move |i| (shard + i) % n)
-    }
-
     /// Enables the shared-queue ablation (head-of-line blocking returns).
     pub fn set_shared_queue(&mut self, on: bool) {
         self.shared_queue = on;
@@ -761,11 +543,6 @@ impl RdmaEndpoint {
     /// Enables the emulated TCP delay per completion.
     pub fn set_tcp_mode(&mut self, on: bool) {
         self.tcp_mode = on;
-    }
-
-    /// Whether TCP emulation is active.
-    pub fn tcp_mode(&self) -> bool {
-        self.tcp_mode
     }
 
     /// The calibration constants in force.
@@ -899,33 +676,7 @@ impl RdmaEndpoint {
         }
         let shard = self.shard_of(segments[0].remote);
         self.trace_issue(now, core, class, write, shard, bytes);
-        let moved = if self.ec.is_some() {
-            // One degraded-capable transfer per segment (a slight overcharge
-            // vs a true vectored verb), decoded straight into the buffer — a
-            // whole page into a fresh image, never one the caller shares.
-            let mut xfer = |s: &Segment| {
-                let span = s.offset..s.offset + s.len;
-                match &mut local {
-                    Local::Read(buf) => self.ec_read(now, core, class, s.remote, &mut buf[span]),
-                    Local::ReadPage(page) => {
-                        let mut fresh = [0; PAGE_SIZE];
-                        let done = self.ec_read(now, core, class, s.remote, &mut fresh[span]);
-                        **page = Rc::new(fresh);
-                        done
-                    }
-                    Local::Write(buf) => self.ec_write(now, core, class, s.remote, &buf[span]),
-                    Local::WritePage(page) => {
-                        self.ec_write(now, core, class, s.remote, &page[span])
-                    }
-                }
-            };
-            segments
-                .iter()
-                .try_fold(now, |done, s| Ok(done.max(xfer(s)?)))
-                .map(|done| (done, shard))
-        } else {
-            self.replica_transfer(now, core, class, shard, segments, bytes, &mut local)
-        };
+        let moved = self.transfer(now, core, class, shard, segments, bytes, &mut local);
         // A failed verb still completes — the RNIC reports the error in a
         // CQE — so every traced issue is paired with a completion.
         let (done, node) = moved.inspect_err(|_| {
@@ -937,68 +688,6 @@ impl RdmaEndpoint {
             self.completed(done);
         }
         Ok(done)
-    }
-
-    /// Striping + replication: a read is served by the page's first live
-    /// replica, a write goes to every live replica and completes with the
-    /// slowest (the writes ride distinct links, so with symmetric nodes the
-    /// cost is one write plus doorbells; a page image is shared by them all).
-    /// Returns the completion time and the node it is attributed to (serving
-    /// replica for a read, primary for a write).
-    /// `shard` is the page's primary node (vectored verbs address one page,
-    /// so every segment shares it).
-    #[expect(clippy::too_many_arguments, reason = "post's verb, decomposed")]
-    fn replica_transfer(
-        &mut self,
-        now: Ns,
-        core: usize,
-        class: ServiceClass,
-        shard: u8,
-        segments: &[Segment],
-        bytes: usize,
-        local: &mut Local<'_>,
-    ) -> Result<(Ns, u8), RdmaError> {
-        let write = local.shape().0;
-        let n = self.nodes.len();
-        let shard = usize::from(shard);
-        let mut served = shard;
-        let mut penalty: Ns = 0;
-        let mut done: Option<Ns> = None;
-        for rank in 0..self.replication {
-            let ni = (shard + rank) % n;
-            if !self.nodes[ni].alive {
-                if !write && !self.nodes[ni].death_detected {
-                    // First contact after the failure: the RNIC retries
-                    // until its transport timeout fires.
-                    self.nodes[ni].death_detected = true;
-                    let detect = self.nodes[ni].fabric.cfg().failover_detect_ns;
-                    penalty = penalty.saturating_add(detect);
-                }
-                continue;
-            }
-            if !write && rank > 0 {
-                self.failovers += 1;
-            }
-            let start = now.saturating_add(penalty);
-            let d = self.verb_timing(ni, start, core, class, bytes, segments.len(), !write);
-            let region = self.region_of(ni);
-            let node = &mut self.nodes[ni].node;
-            for s in segments {
-                let span = s.offset..s.offset + s.len;
-                match local {
-                    Local::Read(buf) => node.read(region, s.remote, &mut buf[span])?,
-                    Local::ReadPage(page) => node.read_page(region, s.remote, page)?,
-                    Local::Write(buf) => node.write(region, s.remote, &buf[span])?,
-                    Local::WritePage(page) => node.write_page(region, s.remote, page)?,
-                }
-            }
-            done = Some(done.map_or(d, |x| x.max(d)));
-            if !write {
-                served = ni;
-                break;
-            }
-        }
-        Ok((done.ok_or(RdmaError::AllReplicasDown)?, served as u8))
     }
 
     /// Posts a one-sided read of `buf.len()` bytes from `remote`. Every
@@ -1124,179 +813,6 @@ impl RdmaEndpoint {
         self.post(now, core, class, segments, Local::Write(buf))
     }
 
-    // ------------------------------------------------------------------
-    // Erasure-coded data path (Carbink-style, §5.1/§7).
-    // ------------------------------------------------------------------
-
-    /// The erasure-coding state. Every `ec_*` data-path function is only
-    /// dispatched when [`connect_ec`](Self::connect_ec) configured EC mode;
-    /// reaching one without it is a mode-dispatch bug in [`post`](Self::post),
-    /// and a deterministic panic here beats silently mis-routing a verb.
-    #[expect(clippy::expect_used, reason = "ec_* is only entered in EC mode")]
-    fn ec_state(&self) -> &EcState {
-        self.ec.as_ref().expect("ec mode")
-    }
-
-    /// `(group, lane)` of the data page holding `addr`.
-    fn ec_span(&self, addr: u64) -> (u64, usize) {
-        let k = self.ec_state().rs.k() as u64;
-        let page = addr >> 12;
-        ((page / k), (page % k) as usize)
-    }
-
-    /// Node hosting data lane `lane` of group `group`.
-    fn ec_data_node(&self, group: u64, lane: usize) -> usize {
-        ((group as usize) + lane) % self.nodes.len()
-    }
-
-    /// `(node, shard_base_addr)` of parity shard `j` of `group`.
-    fn ec_parity_loc(&self, group: u64, j: usize) -> (usize, u64) {
-        let ec = self.ec_state();
-        let k = ec.rs.k();
-        let m = ec.rs.m() as u64;
-        let node = ((group as usize) + k + j) % self.nodes.len();
-        (node, ec.parity_base + (group * m + j as u64) * 4096)
-    }
-
-    /// Erasure-coded write: data write + old-data read + parity deltas.
-    fn ec_write(
-        &mut self,
-        now: Ns,
-        core: usize,
-        class: ServiceClass,
-        addr: u64,
-        data: &[u8],
-    ) -> Result<Ns, RdmaError> {
-        debug_assert!(
-            (addr >> 12) == ((addr + data.len() as u64 - 1) >> 12),
-            "EC writes must not cross pages"
-        );
-        let (group, lane) = self.ec_span(addr);
-        let dn = self.ec_data_node(group, lane);
-        let mut old = vec![0u8; data.len()];
-        let (read_done, mut done);
-        if self.nodes[dn].alive {
-            // Old data (for the parity delta): one read verb.
-            let region = self.region_of(dn);
-            self.nodes[dn].node.read(region, addr, &mut old)?;
-            read_done = self.verb_timing(dn, now, core, class, data.len(), 1, true);
-            // The data write itself.
-            self.nodes[dn].node.write(region, addr, data)?;
-            done = self.verb_timing(dn, read_done, core, class, data.len(), 1, false);
-        } else {
-            // Degraded write: the data lane is gone, so the old value comes
-            // from a reconstruction and only the parities are updated —
-            // future reads of this lane reconstruct through them.
-            read_done = self.ec_read(now, core, class, addr, &mut old)?;
-            done = read_done;
-        }
-        // Parity deltas, one write per live parity node.
-        let delta: Vec<u8> = old.iter().zip(data).map(|(o, n)| o ^ n).collect();
-        let m = self.ec_state().rs.m();
-        let in_page = addr & 0xFFF;
-        for j in 0..m {
-            let (pn, pbase) = self.ec_parity_loc(group, j);
-            if !self.nodes[pn].alive {
-                continue;
-            }
-            let paddr = pbase + in_page;
-            let mut parity = vec![0u8; delta.len()];
-            let pregion = self.region_of(pn);
-            self.nodes[pn].node.read(pregion, paddr, &mut parity)?;
-            self.ec_state().rs.apply_delta(j, lane, &delta, &mut parity);
-            self.nodes[pn].node.write(pregion, paddr, &parity)?;
-            let d = self.verb_timing(pn, read_done, core, class, delta.len(), 1, false);
-            done = done.max(d);
-        }
-        Ok(done)
-    }
-
-    /// Erasure-coded read: direct when the data node lives, otherwise a
-    /// degraded read rebuilding the range from `k` surviving shards.
-    #[expect(clippy::needless_range_loop, reason = "lane indices drive shard slots")]
-    fn ec_read(
-        &mut self,
-        now: Ns,
-        core: usize,
-        class: ServiceClass,
-        addr: u64,
-        buf: &mut [u8],
-    ) -> Result<Ns, RdmaError> {
-        debug_assert!(
-            (addr >> 12) == ((addr + buf.len() as u64 - 1) >> 12),
-            "EC reads must not cross pages"
-        );
-        let (group, lane) = self.ec_span(addr);
-        let dn = self.ec_data_node(group, lane);
-        if self.nodes[dn].alive {
-            let region = self.region_of(dn);
-            self.nodes[dn].node.read(region, addr, buf)?;
-            return Ok(self.verb_timing(dn, now, core, class, buf.len(), 1, true));
-        }
-        // Degraded read. First observation of the death pays the timeout.
-        let mut t = now;
-        if !self.nodes[dn].death_detected {
-            self.nodes[dn].death_detected = true;
-            t = t.saturating_add(self.nodes[dn].fabric.cfg().failover_detect_ns);
-        }
-        self.failovers += 1;
-        self.reconstructions += 1;
-        let (ec_k, ec_m) = {
-            let rs = &self.ec_state().rs;
-            (rs.k(), rs.m())
-        };
-        let in_page = addr & 0xFFF;
-        let len = buf.len();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; ec_k + ec_m];
-        let mut fetched = 0usize;
-        let mut done = t;
-        // Data shards of the span (same in-page range on each lane's page).
-        for l in 0..ec_k {
-            if l == lane || fetched >= ec_k {
-                continue;
-            }
-            let n = self.ec_data_node(group, l);
-            if !self.nodes[n].alive {
-                continue;
-            }
-            let saddr = ((group * ec_k as u64 + l as u64) << 12) + in_page;
-            let mut s = vec![0u8; len];
-            let region = self.region_of(n);
-            self.nodes[n].node.read(region, saddr, &mut s)?;
-            done = done.max(self.verb_timing(n, t, core, class, len, 1, true));
-            shards[l] = Some(s);
-            fetched += 1;
-        }
-        // Parity shards as needed.
-        for j in 0..ec_m {
-            if fetched >= ec_k {
-                break;
-            }
-            let (n, pbase) = self.ec_parity_loc(group, j);
-            if !self.nodes[n].alive {
-                continue;
-            }
-            let mut s = vec![0u8; len];
-            let region = self.region_of(n);
-            self.nodes[n].node.read(region, pbase + in_page, &mut s)?;
-            done = done.max(self.verb_timing(n, t, core, class, len, 1, true));
-            shards[ec_k + j] = Some(s);
-            fetched += 1;
-        }
-        if fetched < ec_k {
-            return Err(RdmaError::AllReplicasDown);
-        }
-        self.ec_state()
-            .rs
-            .reconstruct(&mut shards)
-            .map_err(|_| RdmaError::AllReplicasDown)?;
-        let shard = shards[lane].as_deref().ok_or(RdmaError::AllReplicasDown)?;
-        buf.copy_from_slice(shard);
-        // Decode cost: a GF multiply-accumulate per byte per source shard.
-        let decode_ns = (len as Ns).saturating_mul(ec_k as Ns) / 2;
-        Ok(done.saturating_add(decode_ns))
-    }
-
     /// Validates a scatter/gather vector against a `buf_len`-byte local
     /// buffer and returns its payload size. A vectored verb addresses one
     /// page — the serving shard is chosen from the first segment — so a
@@ -1341,6 +857,13 @@ mod tests {
     use super::*;
     use crate::time::PAGE_SIZE;
     use proptest::prelude::*;
+    use std::rc::Rc;
+    use Redundancy::{Erasure, Replicas};
+
+    /// A pool of `nodes` memory nodes under `redundancy`.
+    fn pool(bytes: u64, nodes: usize, redundancy: Redundancy) -> RdmaEndpoint {
+        RdmaEndpoint::connect_cluster(SimConfig::default(), bytes, nodes, redundancy)
+    }
 
     fn ep() -> RdmaEndpoint {
         RdmaEndpoint::connect(SimConfig::default(), 1 << 30)
@@ -1486,7 +1009,7 @@ mod tests {
         // On a striped pool the shard comes from the first segment, so a
         // segment starting in another page would be served from the wrong
         // memory node: rejected, in both directions.
-        let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 2, 1);
+        let mut e = pool(1 << 24, 2, Replicas(1));
         e.write(0, 0, ServiceClass::App, 4096, &[7; 64]).unwrap();
         let seg = |remote, offset| Segment {
             remote,
@@ -1535,9 +1058,9 @@ mod tests {
     #[test]
     fn plain_verbs_equal_one_segment_vectors() {
         let boots: [fn() -> RdmaEndpoint; 3] = [
-            || RdmaEndpoint::connect(SimConfig::default(), 1 << 22),
-            || RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 22, 3, 2),
-            || RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 5, 3, 2),
+            || pool(1 << 22, 1, Replicas(1)),
+            || pool(1 << 22, 3, Replicas(2)),
+            || pool(1 << 22, 5, Erasure { k: 3, m: 2 }),
         ];
         let class = ServiceClass::App;
         // Page 0 lives on node 0 under every placement (stripe, EC lane).
@@ -1590,18 +1113,9 @@ mod tests {
         type Boot = fn() -> RdmaEndpoint;
         // (boot, kill node 0 halfway)
         let boots: [(Boot, bool); 3] = [
-            (
-                || RdmaEndpoint::connect(SimConfig::default(), 1 << 22),
-                false,
-            ),
-            (
-                || RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 22, 3, 2),
-                true,
-            ),
-            (
-                || RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 5, 3, 2),
-                true,
-            ),
+            (|| pool(1 << 22, 1, Replicas(1)), false),
+            (|| pool(1 << 22, 3, Replicas(2)), true),
+            (|| pool(1 << 22, 5, Erasure { k: 3, m: 2 }), true),
         ];
         let class = ServiceClass::App;
         for (bi, (boot, kill0)) in boots.into_iter().enumerate() {
@@ -1690,7 +1204,7 @@ mod tests {
     ) {
         const SIZE: u64 = 1 << 18;
         let mk = |reference: bool| {
-            let mut ep = RdmaEndpoint::connect_cluster(SimConfig::default(), SIZE, 3, 2);
+            let mut ep = pool(SIZE, 3, Replicas(2));
             if reference {
                 ep.use_reference_stores();
             }
@@ -1766,7 +1280,7 @@ mod tests {
 
     #[test]
     fn cluster_stripes_pages_across_nodes() {
-        let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 4, 1);
+        let mut e = pool(1 << 24, 4, Replicas(1));
         assert_eq!(e.nodes.len(), 4);
         // Write one page to each shard and read them back.
         for p in 0..8u64 {
@@ -1782,7 +1296,7 @@ mod tests {
 
     #[test]
     fn replicated_reads_survive_a_node_failure() {
-        let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 3, 2);
+        let mut e = pool(1 << 24, 3, Replicas(2));
         for p in 0..6u64 {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0xAB; 32])
                 .unwrap();
@@ -1804,7 +1318,7 @@ mod tests {
 
     #[test]
     fn unreplicated_data_is_lost_with_its_node() {
-        let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 2, 1);
+        let mut e = pool(1 << 24, 2, Replicas(1));
         e.write(0, 0, ServiceClass::App, 0, &[1; 16]).unwrap();
         e.write(0, 0, ServiceClass::App, 4096, &[2; 16]).unwrap();
         e.inject(0, When::At(0), Fault::Fail { node: 0 });
@@ -1821,7 +1335,7 @@ mod tests {
 
     #[test]
     fn replicated_writes_reach_every_live_replica() {
-        let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 2, 2);
+        let mut e = pool(1 << 24, 2, Replicas(2));
         e.write(0, 0, ServiceClass::App, 0, &[7; 16]).unwrap();
         // Kill the primary; the replica must serve the data.
         e.inject(0, When::At(0), Fault::Fail { node: 0 });
@@ -1834,22 +1348,27 @@ mod tests {
         assert!(buf.iter().all(|&b| b == 8));
     }
 
+    /// Every geometry is checked in the one pool constructor.
     #[test]
     fn degenerate_cluster_configs_are_rejected() {
-        let r = std::panic::catch_unwind(|| {
-            RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 20, 2, 3)
-        });
-        assert!(r.is_err(), "replication > nodes must panic");
-        let r = std::panic::catch_unwind(|| {
-            RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 20, 0, 0)
-        });
-        assert!(r.is_err(), "zero nodes must panic");
+        let rejected = [
+            (2, Replicas(3), "replication > nodes"),
+            (0, Replicas(1), "zero nodes"),
+            (2, Replicas(0), "zero replicas"),
+            (3, Erasure { k: 2, m: 2 }, "fewer nodes than k + m"),
+            (3, Erasure { k: 0, m: 1 }, "no data lane"),
+            (3, Erasure { k: 1, m: 0 }, "no parity"),
+        ];
+        for (nodes, redundancy, why) in rejected {
+            let r = std::panic::catch_unwind(|| pool(1 << 20, nodes, redundancy));
+            assert!(r.is_err(), "{why} must panic");
+        }
     }
 
     #[test]
     fn erasure_coding_roundtrips_and_survives_m_failures() {
         // 5 nodes, k=3 data + m=2 parity: any two node deaths survivable.
-        let mut e = RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 5, 3, 2);
+        let mut e = pool(1 << 22, 5, Erasure { k: 3, m: 2 });
         let pages = 24u64;
         for p in 0..pages {
             let stamp = (p as u8).wrapping_mul(7).wrapping_add(1);
@@ -1873,7 +1392,7 @@ mod tests {
 
     #[test]
     fn erasure_coding_rejects_k_plus_one_failures() {
-        let mut e = RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 4, 2, 1);
+        let mut e = pool(1 << 22, 4, Erasure { k: 2, m: 1 });
         for p in 0..8u64 {
             e.write(0, 0, ServiceClass::App, p * 4096, &[9; 32])
                 .unwrap();
@@ -1893,7 +1412,7 @@ mod tests {
 
     #[test]
     fn erasure_writes_update_parity_incrementally() {
-        let mut e = RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 4, 2, 2);
+        let mut e = pool(1 << 22, 4, Erasure { k: 2, m: 2 });
         // Write, overwrite, then fail the data node: the reconstruction
         // must return the *latest* contents (parity deltas applied).
         e.write(0, 0, ServiceClass::App, 0, &[1; 128]).unwrap();
@@ -1909,7 +1428,7 @@ mod tests {
 
     #[test]
     fn degraded_reads_cost_more_than_direct_reads() {
-        let mut e = RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 5, 3, 1);
+        let mut e = pool(1 << 22, 5, Erasure { k: 3, m: 1 });
         e.write(0, 0, ServiceClass::App, 0, &[5; 4096]).unwrap();
         let mut buf = [0u8; 4096];
         let t0 = 10_000_000u64;
@@ -1928,7 +1447,7 @@ mod tests {
 
     #[test]
     fn repaired_replica_node_catches_up_on_downtime_writes() {
-        let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 3, 2);
+        let mut e = pool(1 << 24, 3, Replicas(2));
         for p in 0..6u64 {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0x11; 32])
                 .unwrap();
@@ -1955,7 +1474,7 @@ mod tests {
 
     #[test]
     fn repair_is_a_noop_on_a_live_node() {
-        let mut e = RdmaEndpoint::connect_cluster(SimConfig::default(), 1 << 24, 3, 2);
+        let mut e = pool(1 << 24, 3, Replicas(2));
         e.write(0, 0, ServiceClass::App, 0, &[5; 16]).unwrap();
         e.inject(0, When::At(0), Fault::Repair { node: 1 });
         let mut buf = [0u8; 16];
@@ -1968,7 +1487,7 @@ mod tests {
         // 5 nodes, k=3, m=2. Fail one node, mutate during the outage,
         // repair — then fail two *other* nodes: correct reads now depend on
         // the repaired node's reconstructed shards.
-        let mut e = RdmaEndpoint::connect_ec(SimConfig::default(), 1 << 22, 5, 3, 2);
+        let mut e = pool(1 << 22, 5, Erasure { k: 3, m: 2 });
         let pages = 24u64;
         for p in 0..pages {
             e.write(0, 0, ServiceClass::App, p * 4096, &[0x31; 96])
@@ -1996,7 +1515,7 @@ mod tests {
     fn calendar_defers_traced_completions_to_delivery_time() {
         use crate::sched::{Calendar, SchedEvent};
         use crate::trace::TraceObserver;
-        use std::{cell::RefCell, rc::Rc};
+        use std::cell::RefCell;
 
         struct Recorder(Vec<(Ns, TraceEvent)>);
         impl TraceObserver for Recorder {

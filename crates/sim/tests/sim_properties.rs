@@ -9,8 +9,8 @@
 use std::collections::BTreeMap;
 
 use dilos_sim::{
-    Fabric, LatencyHistogram, LruChain, MemoryNode, Ns, RdmaEndpoint, ServiceClass, SimConfig,
-    Timeline,
+    Fabric, LatencyHistogram, LruChain, MemoryNode, Ns, RdmaEndpoint, Redundancy, ServiceClass,
+    SimConfig, Timeline,
 };
 use proptest::prelude::*;
 
@@ -166,7 +166,7 @@ proptest! {
             SimConfig::default(),
             1 << 20,
             nodes,
-            replication,
+            Redundancy::Replicas(replication),
         );
         let mut model = std::collections::BTreeMap::new();
         for &(page, stamp) in &writes {

@@ -15,14 +15,14 @@
 
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, Readahead};
-use dilos::sim::{Fault, Observability, RecoverConfig, When};
+use dilos::sim::{Fault, Observability, RecoverConfig, Redundancy, When};
 
 fn main() {
     let mut node = Dilos::new(DilosConfig {
         local_pages: 128,
         remote_bytes: 1 << 26,
         memory_nodes: 3,
-        replication: 2,
+        redundancy: Redundancy::Replicas(2),
         recovery: Some(RecoverConfig::default()),
         obs: Observability::audited(),
         ..DilosConfig::default()

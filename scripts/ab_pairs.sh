@@ -4,9 +4,14 @@
 #
 # usage: scripts/ab_pairs.sh <workload> <pairs> <seconds> <seed> [base]
 #
-# Builds the base commit (default: HEAD when the working tree has
-# uncommitted changes, HEAD~1 when it is clean) and the working tree, each
-# once, into separate target directories with identical settings. Then runs
+# Exports the base commit (default: HEAD when the working tree has
+# uncommitted changes, HEAD~1 when it is clean) and the working tree
+# (tracked files plus untracked ones that are not ignored) into the sibling
+# directories $AB_DIR/base and $AB_DIR/head, and builds each once with
+# identical settings into $AB_DIR/target-base and $AB_DIR/target-head. The
+# equal-length paths matter: the dependencies' absolute source paths land in
+# the binary's .rodata, ahead of .text, and two builds of one source from
+# paths of different lengths have differed in speed by up to 40 %. Then runs
 # `pairs` pairs, swapping which side goes first every pair, and prints:
 #   - each pair's two values and which side won;
 #   - the change's win count;
@@ -38,21 +43,24 @@ else
 fi
 base_rev=$(git -C "$root" rev-parse --short "$base")
 dir=${AB_DIR:-$(mktemp -d)}
-rm -rf "$dir/base-src" "$dir/logs"
-mkdir -p "$dir/base-src" "$dir/logs"
+rm -rf "$dir/base" "$dir/head" "$dir/logs"
+mkdir -p "$dir/base" "$dir/head" "$dir/logs"
 echo "base $base_rev vs working tree; $workload, $pairs pairs of ${seconds} s, seed $seed; work dir $dir"
 
-# The base as a plain export: no worktree registration is left behind.
-git -C "$root" archive "$base_rev" | tar -x -C "$dir/base-src"
-build() { # <source root> <target dir>
+# Both sides as plain exports: no worktree registration is left behind.
+git -C "$root" archive "$base_rev" | tar -x -C "$dir/base"
+git -C "$root" ls-files -z --cached --others --exclude-standard |
+    (cd "$root" && while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+        tar --null -T - -cf -) | tar -x -C "$dir/head"
+build() { # <side>
     cargo build --release --locked --quiet \
-        --manifest-path "$1/crates/bench/src/bin/dilos_perf/Cargo.toml" \
-        --target-dir "$2"
+        --manifest-path "$dir/$1/crates/bench/src/bin/dilos_perf/Cargo.toml" \
+        --target-dir "$dir/target-$1"
 }
-build "$dir/base-src" "$dir/target-base"
-build "$root" "$dir/target-change"
+build base
+build head
 
-run() { # <side> <pair>
+run() { # <side: base | head> <pair>
     local log="$dir/logs/$1-$2.jsonl"
     "$dir/target-$1/release/dilos_perf" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 > "$log"
@@ -62,9 +70,9 @@ run() { # <side> <pair>
 base_vals=() change_vals=() wins=0
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then
-        b=$(run base "$i"); c=$(run change "$i")
+        b=$(run base "$i"); c=$(run head "$i")
     else
-        c=$(run change "$i"); b=$(run base "$i")
+        c=$(run head "$i"); b=$(run base "$i")
     fi
     base_vals+=("$b") change_vals+=("$c")
     if [ "$better" = lower ]; then won=$(jq -n "$c < $b"); else won=$(jq -n "$c > $b"); fi

@@ -26,7 +26,8 @@ use std::rc::Rc;
 
 use dilos::core::{Dilos, DilosConfig, Readahead};
 use dilos::sim::{
-    Fault, Ns, Observability, RecoverConfig, RecoveryStats, TraceEvent, TraceObserver, When,
+    Fault, Ns, Observability, RecoverConfig, RecoveryStats, Redundancy, TraceEvent, TraceObserver,
+    When,
 };
 
 /// SplitMix64: a tiny deterministic PRNG for the driver workload.
@@ -54,7 +55,7 @@ fn boot(crashes: &[(u64, usize)], obs: Observability) -> Dilos {
         local_pages: 64,
         remote_bytes: 1 << 24,
         memory_nodes: 3,
-        replication: 2,
+        redundancy: Redundancy::Replicas(2),
         recovery: Some(RecoverConfig {
             checkpoint_every: 32,
             ..RecoverConfig::default()
@@ -255,7 +256,7 @@ fn disarmed_boot_has_no_recovery_surface() {
             local_pages: 64,
             remote_bytes: 1 << 24,
             memory_nodes: 3,
-            replication: 2,
+            redundancy: Redundancy::Replicas(2),
             obs: Observability::audited(),
             ..DilosConfig::default()
         });

@@ -285,7 +285,7 @@ fn trace_derived_metrics_match_hand_counters() {
 fn degraded_reads_with_concurrent_crash_match_healthy_systems() {
     use dilos::apps::farmem::FarMemory;
     use dilos::core::{Dilos, DilosConfig, Readahead};
-    use dilos::sim::{Fault, RecoverConfig, When};
+    use dilos::sim::{Fault, RecoverConfig, Redundancy, When};
 
     const WS_PAGES: u64 = 128;
     const SEED: u64 = 0xEC0;
@@ -338,7 +338,7 @@ fn degraded_reads_with_concurrent_crash_match_healthy_systems() {
             local_pages: 32,
             remote_bytes: 1 << 24,
             memory_nodes: 4,
-            erasure: Some((2, 2)),
+            redundancy: Redundancy::Erasure { k: 2, m: 2 },
             recovery: Some(RecoverConfig {
                 checkpoint_every: 32,
                 ..RecoverConfig::default()

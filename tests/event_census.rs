@@ -17,8 +17,8 @@ use dilos::alloc::Heap;
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, GuideOps, HeapPagingGuide, PrefetchGuide, Readahead};
 use dilos::sim::{
-    Fault, FaultPlan, Ns, Observability, RecoverConfig, SchedEvent, ServiceClass, TraceEvent,
-    TraceObserver, When,
+    Fault, FaultPlan, Ns, Observability, RecoverConfig, Redundancy, SchedEvent, ServiceClass,
+    TraceEvent, TraceObserver, When,
 };
 
 /// How many times each `TraceEvent` kind was emitted. `Debug` lists every
@@ -121,7 +121,7 @@ fn boot(
         local_pages: 64,
         remote_bytes: 1 << 24,
         memory_nodes: 3,
-        replication,
+        redundancy: Redundancy::Replicas(replication),
         recovery,
         faults,
         obs,

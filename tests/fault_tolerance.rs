@@ -9,14 +9,14 @@
 
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, Readahead};
-use dilos::sim::{Fault, Observability, When};
+use dilos::sim::{Fault, Observability, Redundancy, When};
 
 fn ec_node(memory_nodes: usize, k: usize, m: usize) -> Dilos {
     let mut n = Dilos::new(DilosConfig {
         local_pages: 64,
         remote_bytes: 1 << 24,
         memory_nodes,
-        erasure: Some((k, m)),
+        redundancy: Redundancy::Erasure { k, m },
         obs: Observability::audited(),
         ..DilosConfig::default()
     });
@@ -29,7 +29,7 @@ fn node(memory_nodes: usize, replication: usize) -> Dilos {
         local_pages: 64,
         remote_bytes: 1 << 24,
         memory_nodes,
-        replication,
+        redundancy: Redundancy::Replicas(replication),
         obs: Observability::audited(),
         ..DilosConfig::default()
     });
@@ -182,7 +182,7 @@ fn a_fault_on_a_missing_node_is_refused_at_boot() {
     let _ = Dilos::new(DilosConfig {
         remote_bytes: 1 << 24,
         memory_nodes: 3,
-        replication: 2,
+        redundancy: Redundancy::Replicas(2),
         faults: faults.into_iter().collect(),
         ..DilosConfig::default()
     });

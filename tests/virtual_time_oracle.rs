@@ -11,7 +11,7 @@
 
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, FaultBreakdown};
-use dilos::sim::{Fault, When, PAGE_SIZE};
+use dilos::sim::{Fault, Redundancy, When, PAGE_SIZE};
 
 /// Local cache of the oracle boots: far smaller than the region, so every
 /// read-back misses.
@@ -95,7 +95,7 @@ fn the_first_fetch_to_a_dead_replica_adds_exactly_the_failover_timeout() {
     let cfg = DilosConfig {
         local_pages: LOCAL_PAGES,
         memory_nodes: 2,
-        replication: 2,
+        redundancy: Redundancy::Replicas(2),
         ..DilosConfig::default()
     };
     let expected = demand_fault(&cfg);
@@ -112,4 +112,66 @@ fn the_first_fetch_to_a_dead_replica_adds_exactly_the_failover_timeout() {
         .collect();
     assert_eq!(slow.len(), 1, "exactly one fetch fails over: {slow:?}");
     assert_eq!(faults[slow[0]], failover);
+}
+
+/// The erasure-coded pool of cases (c) and (d): four memory nodes, k = 2
+/// data lanes and m = 2 parity shards per span.
+const EC_K: usize = 2;
+const EC_NODES: usize = 4;
+
+/// The memory node holding remote page `page`'s data lane: spans of `k`
+/// pages, lane `l` of span `g` on node `(g + l) mod nodes`.
+fn ec_data_node(page: u64) -> usize {
+    let k = EC_K as u64;
+    ((page / k + page % k) % EC_NODES as u64) as usize
+}
+
+/// (c) and (d), one boot. The pool idles after the writes so the cleaner's
+/// write-backs drain, then reads everything back twice.
+///
+/// (c) Healthy, a read is one verb to the page's data node, so every
+/// read-back costs case (a)'s closed form. The pass also writes back every
+/// dirty page, so (d) runs on a clean cache with no write-back on the wire.
+///
+/// (d) Then data node 0 fails. A fetch whose data node died reads `k`
+/// surviving shards in parallel from distinct nodes and decodes them at
+/// `PAGE_SIZE · k / 2`; the first such fetch also pays the transport-retry
+/// timeout. Every fetch whose data node lives still costs case (a)'s form.
+#[test]
+fn an_erasure_coded_fetch_costs_the_closed_form_plus_exactly_the_decode_when_degraded() {
+    let cfg = DilosConfig {
+        local_pages: LOCAL_PAGES,
+        memory_nodes: EC_NODES,
+        redundancy: Redundancy::Erasure { k: EC_K, m: 2 },
+        ..DilosConfig::default()
+    };
+    let expected = demand_fault(&cfg);
+    let degraded = FaultBreakdown {
+        fetch: expected.fetch + (PAGE_SIZE * EC_K / 2) as u64,
+        ..expected
+    };
+    let detected = FaultBreakdown {
+        fetch: degraded.fetch + cfg.sim.failover_detect_ns,
+        ..degraded
+    };
+    let pages = 512;
+    let (mut node, va) = written(cfg, pages);
+    // 10 ms of idle virtual time: ample for the write-backs in flight.
+    node.compute(0, 10_000_000);
+    for (i, fault) in read_back(&mut node, va, pages).into_iter().enumerate() {
+        assert_eq!(fault, expected, "(c) read-back of page {i}");
+    }
+    node.inject(When::At(node.now(0)), Fault::Fail { node: 0 });
+    let mut first = true;
+    for (i, fault) in read_back(&mut node, va, pages).into_iter().enumerate() {
+        if ec_data_node(i as u64) != 0 {
+            assert_eq!(fault, expected, "(d) page {i}: its data node lives");
+        } else if first {
+            assert_eq!(fault, detected, "(d) page {i}: the first degraded fetch");
+            first = false;
+        } else {
+            assert_eq!(fault, degraded, "(d) page {i}: degraded");
+        }
+    }
+    assert!(!first, "(d) some fetch was degraded");
 }
