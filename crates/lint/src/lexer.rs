@@ -5,8 +5,7 @@
 //! classifies every byte of the source before any rule runs. It is not a
 //! full Rust lexer — it only distinguishes the shapes the rules care
 //! about: identifiers, punctuation, integer literals, string/char
-//! literals, lifetimes, and comments (kept separately, because inline
-//! `dilos-lint: allow(...)` suppressions live in them).
+//! literals and lifetimes. Comments are skipped.
 
 /// What a token is, as far as the rules need to know.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,30 +35,16 @@ pub struct Token {
     pub in_test: bool,
 }
 
-/// One `//` or `/* */` comment, with the line it starts on.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    pub line: u32,
-    pub text: String,
-}
-
-/// A fully lexed file: code tokens (test-scope marked) plus comments.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
-}
-
 /// Lexes `src`, then marks test scopes (`#[cfg(test)]`/`#[test]` blocks).
-pub fn lex(src: &str) -> Lexed {
-    let mut lexed = raw_lex(src);
-    mark_test_scopes(&mut lexed.tokens);
-    lexed
+pub fn lex(src: &str) -> Vec<Token> {
+    let mut tokens = raw_lex(src);
+    mark_test_scopes(&mut tokens);
+    tokens
 }
 
-fn raw_lex(src: &str) -> Lexed {
+fn raw_lex(src: &str) -> Vec<Token> {
     let b = src.as_bytes();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
     while i < b.len() {
@@ -71,18 +56,11 @@ fn raw_lex(src: &str) -> Lexed {
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                let start = i;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
-                out.comments.push(Comment {
-                    line,
-                    text: src[start..i].to_string(),
-                });
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                let start = i;
-                let start_line = line;
                 let mut depth = 1u32;
                 i += 2;
                 while i < b.len() && depth > 0 {
@@ -99,15 +77,11 @@ fn raw_lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                out.comments.push(Comment {
-                    line: start_line,
-                    text: src[start..i].to_string(),
-                });
             }
             b'"' => {
                 let start_line = line;
                 i = skip_string(b, i + 1, &mut line);
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Str,
                     line: start_line,
                     in_test: false,
@@ -116,7 +90,7 @@ fn raw_lex(src: &str) -> Lexed {
             b'r' | b'b' if starts_raw_or_byte_string(b, i) => {
                 let start_line = line;
                 i = skip_raw_or_byte_string(b, i, &mut line);
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Str,
                     line: start_line,
                     in_test: false,
@@ -133,7 +107,7 @@ fn raw_lex(src: &str) -> Lexed {
                         j += 1;
                     }
                     if j > ident_start && (j >= b.len() || b[j] != b'\'') {
-                        out.tokens.push(Token {
+                        out.push(Token {
                             kind: TokKind::Lifetime,
                             line,
                             in_test: false,
@@ -150,7 +124,7 @@ fn raw_lex(src: &str) -> Lexed {
                     }
                     j += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Char,
                     line,
                     in_test: false,
@@ -163,7 +137,7 @@ fn raw_lex(src: &str) -> Lexed {
                 while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Number,
                     line,
                     in_test: false,
@@ -174,14 +148,14 @@ fn raw_lex(src: &str) -> Lexed {
                 while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Ident(src[start..i].to_string()),
                     line,
                     in_test: false,
                 });
             }
             _ => {
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Punct(c as char),
                     line,
                     in_test: false,
@@ -362,7 +336,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .iter()
             .filter_map(|t| match &t.kind {
                 TokKind::Ident(s) => Some(s.clone()),
@@ -392,12 +365,8 @@ mod tests {
     fn lifetimes_are_not_char_literals() {
         let src = "fn f<'a>(x: &'a str) -> &'a str { x } let c = 'x'; let n = '\\n';";
         let l = lex(src);
-        let lifetimes = l
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokKind::Lifetime)
-            .count();
-        let chars = l.tokens.iter().filter(|t| t.kind == TokKind::Char).count();
+        let lifetimes = l.iter().filter(|t| t.kind == TokKind::Lifetime).count();
+        let chars = l.iter().filter(|t| t.kind == TokKind::Char).count();
         assert_eq!(lifetimes, 3);
         assert_eq!(chars, 2);
     }
@@ -413,7 +382,7 @@ mod tests {
             }
         "#;
         let l = lex(src);
-        for t in &l.tokens {
+        for t in &l {
             if let TokKind::Ident(s) = &t.kind {
                 if s == "unwrap" {
                     assert!(t.in_test, "unwrap inside #[cfg(test)] must be test-scoped");
@@ -429,7 +398,7 @@ mod tests {
     fn cfg_not_test_is_not_marked() {
         let src = "#[cfg(not(test))] fn live() { x.unwrap(); }";
         let l = lex(src);
-        for t in &l.tokens {
+        for t in &l {
             if let TokKind::Ident(s) = &t.kind {
                 if s == "unwrap" {
                     assert!(!t.in_test, "not(test) must stay live code");
@@ -442,7 +411,7 @@ mod tests {
     fn test_attr_on_use_does_not_leak() {
         let src = "#[cfg(test)] use foo::bar; fn live() { x.unwrap(); }";
         let l = lex(src);
-        for t in &l.tokens {
+        for t in &l {
             if let TokKind::Ident(s) = &t.kind {
                 if s == "unwrap" {
                     assert!(!t.in_test);
@@ -454,7 +423,6 @@ mod tests {
     /// Whether the identifier `name` is test-marked at each occurrence.
     fn marks(src: &str, name: &str) -> Vec<bool> {
         lex(src)
-            .tokens
             .iter()
             .filter(|t| t.kind == TokKind::Ident(name.to_string()))
             .map(|t| t.in_test)
@@ -476,14 +444,5 @@ mod tests {
             assert!(!marks(&src, "real").contains(&true), "{element}");
             assert_eq!(marks(&src, "now"), [false, false], "{element} leaked");
         }
-    }
-
-    #[test]
-    fn comment_text_is_captured_with_line() {
-        let src = "let a = 1;\n// dilos-lint: allow(calendar-time-only, \"why\")\nlet b = 2;\n";
-        let l = lex(src);
-        assert_eq!(l.comments.len(), 1);
-        assert_eq!(l.comments[0].line, 2);
-        assert!(l.comments[0].text.contains("dilos-lint"));
     }
 }

@@ -1,5 +1,5 @@
-//! `dilos-lint`: registry-free determinism & simulation-hygiene static
-//! analysis for the DiLOS workspace.
+//! `dilos-lint`: the three token rules about virtual time that the
+//! toolchain cannot hold while `Ns` is a bare `u64`.
 //!
 //! The whole reproduction rests on one property: the simulator is
 //! deterministic, so same-seed runs produce identical trace digests and
@@ -9,13 +9,16 @@
 //! and schedule timestamps and wrapping time sums cannot be reintroduced
 //! silently.
 //!
-//! Three per-file token rules (see [`rules::RULES`]):
+//! [`lint_source`] lints one file and [`scan_workspace`] every `.rs` file
+//! of a checkout; the tier-1 test `tests/lint.rs` fails on any
+//! [`Violation`]. The rules (see [`Rule`] and the scope table in
+//! [`rules`]):
 //!
-//! | rule | slug | invariant it protects |
-//! |------|------|-----------------------|
-//! | R4 | `calendar-time-only` | trace fidelity — `TraceSink::emit` times come from the live clock |
-//! | R8 | `ns-arithmetic-safety` | no silent time wraparound — `+`/`*` on `Ns` in sched/fabric/rdma/timeline must be `saturating_`/`checked_` |
-//! | R10 | `schedule-time-monotonicity` | calendar sanity — `schedule(...)` times, and the follow-up times delivery handlers return, derive from `now`, never literals or host clocks |
+//! | rule | invariant it protects |
+//! |------|-----------------------|
+//! | R4 | trace fidelity — `TraceSink::emit` times come from the live clock |
+//! | R8 | no silent time wraparound — `+`/`*` on `Ns` in the `sched`/`fabric`/`rdma`/`timeline` modules of `crates/sim` must be `saturating_`/`checked_` |
+//! | R10 | calendar sanity — `schedule(...)` times, and the follow-up times delivery handlers return, derive from `now`, never literals or host clocks |
 //!
 //! All three exist only because virtual time is a bare `u64` (`Ns`); a
 //! time type would retire them. Every other rule this crate once ran now
@@ -34,29 +37,16 @@
 //!   overlap) never caught anything outside their own fixtures; `RefCell`
 //!   checks itself at runtime under every test suite.
 //!
-//! Sites that are individually justified carry an inline suppression:
-//!
-//! ```text
-//! // dilos-lint: allow(ns-arithmetic-safety, "bounded by the link rate")
-//! ```
-//!
-//! which shields the same line and the next, and is itself counted in the
-//! report's suppression ledger (unused suppressions are called out). The
-//! tree's ledger is empty.
-//!
-//! Like the vendored `crates/proptest` shim, this crate has **zero
-//! registry dependencies**: the tokenizer, rules, and JSON writer are all
-//! hand-rolled.
+//! There is no escape: a justified site is rewritten, and a site the rules
+//! misjudge is a fixture case and a rule fix. Like the vendored
+//! `crates/proptest` shim, this crate has **zero registry dependencies**.
 
 #![forbid(unsafe_code)]
 
-pub mod lexer;
-pub mod report;
+mod lexer;
 pub mod rules;
-pub mod sarif;
 
-pub use report::{Report, Suppression, Violation};
-pub use rules::{lint_source, RULES};
+pub use rules::{lint_source, Rule, Violation};
 
 use std::fs;
 use std::io;
@@ -70,25 +60,31 @@ const SKIP_DIRS: [&str; 3] = ["target", ".git", "node_modules"];
 /// purpose, so the tree scan must not see them.
 const FIXTURE_DIR: &str = "crates/lint/tests/fixtures";
 
-/// Scans every `.rs` file under `root` (a workspace checkout) and returns
-/// the merged, sorted report.
-///
-/// Traversal order is deterministic (directory entries sorted by name), so
-/// two scans of the same tree produce byte-identical reports.
+/// The outcome of a workspace scan.
+#[derive(Debug)]
+pub struct Report {
+    /// Every violation, in `(file, line, rule)` order.
+    pub violations: Vec<Violation>,
+    pub files_scanned: usize,
+}
+
+/// Scans every `.rs` file under `root` (a workspace checkout).
 pub fn scan_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut report = Report::default();
-    for rel in files {
-        let src = fs::read_to_string(root.join(&rel))?;
+    let mut violations = Vec::new();
+    for rel in &files {
+        let src = fs::read_to_string(root.join(rel))?;
         let rel_str = rel
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
-        report.absorb(lint_source(&rel_str, &src));
+        violations.extend(lint_source(&rel_str, &src));
     }
-    report.sort();
-    Ok(report)
+    violations.sort();
+    Ok(Report {
+        violations,
+        files_scanned: files.len(),
+    })
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

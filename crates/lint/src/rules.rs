@@ -1,38 +1,61 @@
-//! The rule table, the three token rules, and the inline suppression
-//! ledger.
+//! The three token rules.
 //!
 //! Every rule is a per-file token-pattern heuristic, not a type-checked
 //! analysis — the fixtures in `tests/fixtures/` pin exactly what each one
 //! catches. Scope:
 //!
-//! | rule | slug | scope |
-//! |------|------|-------|
-//! | R4 | `calendar-time-only` | `.emit(...)` calls everywhere but `crates/bench` |
-//! | R8 | `ns-arithmetic-safety` | `crates/sim` files named `sched`/`fabric`/`rdma`/`timeline` |
-//! | R10 | `schedule-time-monotonicity` | `.schedule*(...)` call sites and returned `(time, SchedEvent::…)` follow-ups in `crates/core`/`crates/sim`/`crates/baselines` |
+//! | rule | scope |
+//! |------|-------|
+//! | R4 | `.emit(...)` calls everywhere but `crates/bench` |
+//! | R8 | the `sched`, `fabric`, `rdma` and `timeline` modules of `crates/sim` (every file under `crates/sim/src/rdma/` is `rdma`) |
+//! | R10 | `.schedule*(...)` call sites and returned `(time, SchedEvent::…)` follow-ups in `crates/core`/`crates/sim`/`crates/baselines` |
 //!
 //! Test targets and `#[cfg(test)]`/`#[test]` scopes are exempt from all
 //! three.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
-use crate::lexer::{lex, Comment, TokKind, Token};
-use crate::report::{Report, Suppression, Violation};
+use crate::lexer::{lex, TokKind, Token};
 
-/// `(code, slug)` for every rule, in order. Codes are not renumbered, so
-/// `--json`/SARIF ids stay stable: R1–R3, R5, R6, R7 and R9 left for the
-/// toolchain or were retired (see the crate docs).
-pub const RULES: [(&str, &str); 3] = [
-    ("R4", "calendar-time-only"),
-    ("R8", "ns-arithmetic-safety"),
-    ("R10", "schedule-time-monotonicity"),
-];
+/// A rule, named by its code. Codes are not renumbered: R1–R3, R5, R6,
+/// R7 and R9 left for the toolchain or were retired (see the crate docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rule {
+    /// Trace-emit times come from the live clock.
+    R4,
+    /// `+`/`*` on virtual time saturates or is checked.
+    R8,
+    /// Schedule times derive from `now`.
+    R10,
+}
 
-/// Lints one file's source under its workspace-relative path: the rules
-/// in scope for the path, then the file's suppressions.
-pub fn lint_source(rel_path: &str, src: &str) -> Report {
-    let lexed = lex(src);
-    let tokens = &lexed.tokens;
+/// One rule violation.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Violation {
+    /// Workspace-relative path (forward slashes).
+    pub file: String,
+    /// 1-indexed line of the offending token.
+    pub line: u32,
+    pub rule: Rule,
+    /// Human explanation of this site.
+    pub message: String,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{:?}] {}",
+            self.file, self.line, self.rule, self.message
+        )
+    }
+}
+
+/// Lints one file's source under its workspace-relative path with the
+/// rules in scope for the path, in `(line, rule)` order.
+pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
+    let tokens = &lex(src);
     let mut violations = Vec::new();
     if !is_test_target(rel_path) {
         if !rel_path.starts_with("crates/bench/") {
@@ -45,14 +68,8 @@ pub fn lint_source(rel_path: &str, src: &str) -> Report {
             rule_schedule_time(rel_path, tokens, &mut violations);
         }
     }
-    let mut suppressions = parse_suppressions(rel_path, &lexed.comments);
-    let mut report = Report {
-        violations: apply_suppressions(violations, &mut suppressions),
-        suppressions,
-        files_scanned: 1,
-    };
-    report.sort();
-    report
+    violations.sort();
+    violations
 }
 
 /// Whether a path is a test, bench, or example target.
@@ -114,13 +131,13 @@ fn rule_calendar_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
             j += 1;
         }
         if arg.len() == 1 && arg[0].kind == TokKind::Number {
-            out.push(violation(file, tokens[i].line, 0, "trace emitted at a literal time; every emit must carry the live virtual time (Calendar/Timeline/stamped access clock)".to_string()));
+            out.push(violation(file, tokens[i].line, Rule::R4, "trace emitted at a literal time; every emit must carry the live virtual time (Calendar/Timeline/stamped access clock)".to_string()));
             continue;
         }
         for t in &arg {
             if let TokKind::Ident(s) = &t.kind {
                 if STALE_TIME_PREFIXES.iter().any(|p| s.starts_with(p)) {
-                    out.push(violation(file, tokens[i].line, 0, format!(
+                    out.push(violation(file, tokens[i].line, Rule::R4, format!(
                         "trace emitted at `{s}`, which looks like a cached/stale time; take the time from the Calendar/Timeline at the emit site"
                     )));
                     break;
@@ -130,20 +147,20 @@ fn rule_calendar_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
     }
 }
 
-/// File stems whose arithmetic is dominated by virtual-time math.
-const R8_STEMS: [&str; 4] = ["sched", "fabric", "rdma", "timeline"];
+/// Modules of `crates/sim` whose arithmetic is dominated by virtual-time
+/// math.
+const R8_MODULES: [&str; 4] = ["sched", "fabric", "rdma", "timeline"];
 
-/// Whether R8 applies to this (non-test) path.
+/// Whether R8 applies to this (non-test) path: a file whose module path
+/// under `crates/sim/src` names an R8 module, so `rdma.rs` and every file
+/// under `rdma/` are in scope.
 fn r8_in_scope(path: &str) -> bool {
-    if !path.starts_with("crates/sim/") {
-        return false;
-    }
-    let stem = path
-        .rsplit('/')
-        .next()
-        .unwrap_or(path)
-        .trim_end_matches(".rs");
-    R8_STEMS.contains(&stem)
+    path.strip_prefix("crates/sim/src/").is_some_and(|module| {
+        module
+            .trim_end_matches(".rs")
+            .split('/')
+            .any(|m| R8_MODULES.contains(&m))
+    })
 }
 
 /// R8: `+`/`*` on `Ns` values must be `saturating_`/`checked_`.
@@ -200,7 +217,7 @@ fn rule_ns_arithmetic(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
                             _ => false,
                         };
                     if binary && flagged_lines.insert(t.line) {
-                        out.push(violation(file, t.line, 1, format!(
+                        out.push(violation(file, t.line, Rule::R8, format!(
                             "unchecked `{op}` in virtual-time (`Ns`) arithmetic; use saturating_add/saturating_mul (or checked_) so a pathological time sum cannot wrap the timeline"
                         )));
                     }
@@ -263,7 +280,7 @@ fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
         }
         let has_ident = arg.iter().any(|t| matches!(&t.kind, TokKind::Ident(_)));
         if !has_ident {
-            out.push(violation(file, tokens[i].line, 2, format!(
+            out.push(violation(file, tokens[i].line, Rule::R10, format!(
                 "{site} given a raw literal delivery time; schedule times must derive from `now`/config so the calendar stays monotone with the causing access"
             )));
             continue;
@@ -273,7 +290,7 @@ fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
                 if STALE_TIME_PREFIXES.iter().any(|p| s.starts_with(p))
                     || HOST_CLOCK_PREFIXES.iter().any(|p| s.starts_with(p))
                 {
-                    out.push(violation(file, tokens[i].line, 2, format!(
+                    out.push(violation(file, tokens[i].line, Rule::R10, format!(
                         "{site} delivery time derives from `{s}`, a cached/foreign clock; recompute from the live virtual `now` at the schedule site"
                     )));
                     break;
@@ -283,116 +300,25 @@ fn rule_schedule_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
     }
 }
 
-fn violation(file: &str, line: u32, rule_idx: usize, message: String) -> Violation {
+fn violation(file: &str, line: u32, rule: Rule, message: String) -> Violation {
     Violation {
         file: file.to_string(),
         line,
-        rule: RULES[rule_idx].0,
-        id: RULES[rule_idx].1,
+        rule,
         message,
     }
-}
-
-/// Parses `// dilos-lint: allow(<rule>, "<reason>")` directives.
-fn parse_suppressions(file: &str, comments: &[Comment]) -> Vec<Suppression> {
-    let mut out = Vec::new();
-    for c in comments {
-        // Doc comments (`///`, `//!`, `/** */`, `/*! */`) describe the
-        // directive syntax without invoking it; only plain comments count.
-        if c.text.starts_with("///")
-            || c.text.starts_with("//!")
-            || c.text.starts_with("/**")
-            || c.text.starts_with("/*!")
-        {
-            continue;
-        }
-        let Some(pos) = c.text.find("dilos-lint:") else {
-            continue;
-        };
-        let rest = c.text[pos + "dilos-lint:".len()..].trim_start();
-        let Some(body) = rest.strip_prefix("allow(") else {
-            continue;
-        };
-        let Some(close) = body.find(')') else {
-            continue;
-        };
-        let inner = &body[..close];
-        let (id, reason_part) = match inner.find(',') {
-            Some(comma) => (&inner[..comma], &inner[comma + 1..]),
-            None => (inner, ""),
-        };
-        let reason = match (reason_part.find('"'), reason_part.rfind('"')) {
-            (Some(a), Some(b)) if b > a => reason_part[a + 1..b].to_string(),
-            _ => reason_part.trim().to_string(),
-        };
-        out.push(Suppression {
-            file: file.to_string(),
-            line: c.line,
-            id: id.trim().to_string(),
-            reason,
-            used: false,
-        });
-    }
-    out
-}
-
-/// Drops violations shielded by a matching suppression (same file, same
-/// line or the line directly below the directive), marking the
-/// suppression used.
-fn apply_suppressions(
-    violations: Vec<Violation>,
-    suppressions: &mut [Suppression],
-) -> Vec<Violation> {
-    violations
-        .into_iter()
-        .filter(|v| {
-            for s in suppressions.iter_mut() {
-                let names_rule = s.id == v.id || s.id == v.rule;
-                if names_rule && s.file == v.file && (v.line == s.line || v.line == s.line + 1) {
-                    s.used = true;
-                    return false;
-                }
-            }
-            true
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lines(file: &str, src: &str, rule: &str) -> Vec<u32> {
+    fn lines(file: &str, src: &str, rule: Rule) -> Vec<u32> {
         lint_source(file, src)
-            .violations
             .iter()
             .filter(|v| v.rule == rule)
             .map(|v| v.line)
             .collect()
-    }
-
-    #[test]
-    fn suppression_shields_next_line_and_lands_in_ledger() {
-        let src = "\
-// dilos-lint: allow(ns-arithmetic-safety, \"bounded by the link rate\")
-let t = now + 1;
-let u = now + 2;
-";
-        let r = lint_source("crates/sim/src/fabric.rs", src);
-        assert_eq!(r.violations.len(), 1, "only the unshielded line remains");
-        assert_eq!(r.violations[0].line, 3);
-        assert_eq!(r.suppressions.len(), 1);
-        assert!(r.suppressions[0].used);
-        assert_eq!(r.suppressions[0].reason, "bounded by the link rate");
-    }
-
-    #[test]
-    fn unused_suppression_is_reported_unused() {
-        let src = "// dilos-lint: allow(calendar-time-only, \"nothing here\")\nlet x = 1;\n";
-        let r = lint_source("crates/sim/src/x.rs", src);
-        assert!(r.violations.is_empty());
-        assert_eq!(r.suppressions.len(), 1);
-        assert!(!r.suppressions[0].used);
     }
 
     #[test]
@@ -401,7 +327,7 @@ let u = now + 2;
                    let count = n + 1;\n\
                    let end = start + wire;\n\
                    end\n}\n";
-        let r8 = lines("crates/sim/src/fabric.rs", src, "R8");
+        let r8 = lines("crates/sim/src/fabric.rs", src, Rule::R8);
         assert_eq!(r8, [3], "the count arithmetic is not time math");
     }
 
@@ -410,7 +336,7 @@ let u = now + 2;
         let src = "fn arm(cal: &Calendar, now: Ns) {\n\
                    cal.schedule(1000, SchedEvent::ReclaimTick);\n\
                    cal.schedule(now + 10, SchedEvent::ReclaimTick);\n}\n";
-        assert_eq!(lines("crates/sim/src/pump.rs", src, "R10"), [2]);
+        assert_eq!(lines("crates/sim/src/pump.rs", src, Rule::R10), [2]);
     }
 
     #[test]
@@ -420,6 +346,6 @@ let u = now + 2;
                    if self.lazy { return Some((last_tick, SchedEvent::ReclaimTick)); }\n\
                    let (at, ev) = (t, SchedEvent::ReclaimTick);\n\
                    Some((self.bg.next_free(t), SchedEvent::ReclaimTick))\n}\n";
-        assert_eq!(lines("crates/core/src/pump.rs", src, "R10"), [2, 3]);
+        assert_eq!(lines("crates/core/src/pump.rs", src, Rule::R10), [2, 3]);
     }
 }

@@ -175,3 +175,30 @@ fn an_erasure_coded_fetch_costs_the_closed_form_plus_exactly_the_decode_when_deg
     }
     assert!(!first, "(d) some fetch was degraded");
 }
+
+/// (e) Case (a)'s boot in TCP mode. The emulated transport adds its
+/// per-completion handicap, `tcp_extra_cycles` at `cpu_ghz`, to every
+/// verb, so every read-back costs case (a)'s closed form with exactly that
+/// added to the fetch. The write pass's last write-backs complete later by
+/// the same handicap; without the idle gap the first read-back waits for
+/// their frames.
+#[test]
+fn a_tcp_mode_fetch_costs_the_closed_form_plus_exactly_the_tcp_handicap() {
+    let cfg = DilosConfig {
+        tcp_mode: true,
+        local_pages: LOCAL_PAGES,
+        ..DilosConfig::default()
+    };
+    let demand = demand_fault(&cfg);
+    let expected = FaultBreakdown {
+        fetch: demand.fetch + cfg.sim.tcp_extra_ns(),
+        ..demand
+    };
+    let pages = 512;
+    let (mut node, va) = written(cfg, pages);
+    // 10 ms of idle virtual time, as in (c): the write-backs drain.
+    node.compute(0, 10_000_000);
+    for (i, fault) in read_back(&mut node, va, pages).into_iter().enumerate() {
+        assert_eq!(fault, expected, "read-back of page {i}");
+    }
+}
