@@ -198,6 +198,12 @@ impl FarMemory for Dilos {
     fn write(&mut self, core: usize, va: u64, buf: &[u8]) {
         Dilos::write(self, core, va, buf);
     }
+    fn read_u64(&mut self, core: usize, va: u64) -> u64 {
+        Dilos::read_u64(self, core, va)
+    }
+    fn write_u64(&mut self, core: usize, va: u64, v: u64) {
+        Dilos::write_u64(self, core, va, v);
+    }
     fn compute(&mut self, core: usize, ns: Ns) {
         self.machine_mut().advance(core, ns);
     }

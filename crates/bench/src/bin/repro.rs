@@ -7,9 +7,12 @@
 //! ```
 //!
 //! Ids: fig01 fig02 fig06 tab01 tab02 tab03 fig07a fig07b fig07cd fig08
-//! fig09 fig10 tab04 fig12 ablation serve recover (`tab03` is an alias
-//! for `tab01` — both tables come from the same fault-count run). `--only`
-//! accepts any number of ids. Default writes reports to `results/` and
+//! fig09 fig10 tab04 fig12 ablation serve recover hostprof (`tab03` is an
+//! alias for `tab01` — both tables come from the same fault-count run).
+//! `--only` accepts any number of ids. `hostprof` runs only when named: it
+//! times host work rather than virtual time, so it prints its table and
+//! writes `target/hostprof.json`, never anything under `--out` (see
+//! `dilos_bench::hostprof`). Default writes reports to `results/` and
 //! prints them; `--full` runs larger (slower) configurations. Alongside
 //! the per-id markdown, a machine-readable `bench.json` maps each
 //! experiment id that ran to its measured rows, notes, and trace digests;
@@ -80,6 +83,18 @@ fn main() {
             eprintln!("[repro] --only requires at least one experiment id");
             std::process::exit(2);
         }
+    }
+    // `hostprof` is not one of the reports: it runs last, and alone when it
+    // is the only id, so that it writes nothing under `--out`.
+    let mut only = only;
+    let hostprof = only.as_mut().is_some_and(|ids| {
+        let n = ids.len();
+        ids.retain(|id| id != "hostprof");
+        ids.len() < n
+    });
+    if hostprof && only.as_ref().is_some_and(Vec::is_empty) {
+        run_hostprof();
+        return;
     }
     // Artifacts are renderings of the experiments' own runs, so a flag needs
     // its experiments selected.
@@ -225,7 +240,7 @@ fn main() {
     if let Some(ids) = &only {
         if let Some(bad) = ids.iter().find(|o| !known.contains(&o.as_str())) {
             eprintln!(
-                "[repro] unknown experiment id {bad:?}; known: {}",
+                "[repro] unknown experiment id {bad:?}; known: {} hostprof",
                 known.join(" ")
             );
             std::process::exit(2);
@@ -288,4 +303,34 @@ fn main() {
              {out_dir}/serve_timeline.json; tail report in {out_dir}/tail.md, {out_dir}/tail.json"
         );
     }
+    if hostprof {
+        run_hostprof();
+    }
+}
+
+/// `repro --only hostprof`: the host-time ledger on tab01 (at the `--full`
+/// region size) and on `serve` (at eight times the `--full` victim
+/// requests), 24 runs each, so every row has about a thousand sampled
+/// faults or more; plus the hit timing on fig07a's quicksort. Prints the
+/// table and writes `target/hostprof.json`.
+fn run_hostprof() {
+    use dilos_bench::hostprof::{profile, SAMPLE_EVERY};
+    eprintln!("[repro] running hostprof …");
+    let t0 = std::time::Instant::now();
+    let micro = MicroScale {
+        pages: 32_768,
+        ratio: 13,
+    };
+    let serve = ServeScale {
+        victim_requests: 16_000,
+        victim_mean_ns: 50_000,
+        noisy_requests: 6_000,
+    };
+    let sort_elements = SimpleScale::default().sort_elements;
+    let prof = profile(micro, serve, sort_elements, SAMPLE_EVERY, 24);
+    eprintln!("[repro] hostprof done in {:.1?}", t0.elapsed());
+    println!("{}", prof.report().render());
+    std::fs::create_dir_all("target").expect("create target dir");
+    json::write_file("target/hostprof.json", |w| prof.write_json(w)).expect("write hostprof.json");
+    eprintln!("[repro] host-time ledger written to target/hostprof.json");
 }

@@ -176,6 +176,12 @@ impl<W: io::Write> JsonWriter<W> {
         self.raw_fmt(format_args!("{}", v.into()));
     }
 
+    /// Writes a signed integer, exactly.
+    pub fn int(&mut self, v: impl Into<i128>) {
+        self.member();
+        self.raw_fmt(format_args!("{}", v.into()));
+    }
+
     /// Writes a `u64` as a 16-digit hex string (`"0x0123…"`): digests and
     /// anything else that must survive a reader's 2^53 mantissa.
     pub fn hex(&mut self, v: u64) {

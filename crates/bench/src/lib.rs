@@ -9,6 +9,7 @@
 
 pub mod ablation;
 pub mod apps_exp;
+pub mod hostprof;
 pub mod json;
 pub mod loadgen;
 pub mod micro;

@@ -144,7 +144,7 @@ fn run_pass(
     scale: ServeScale,
     with_noisy: bool,
     qos: bool,
-    arm: fn(Observability) -> Observability,
+    arm: &dyn Fn(Observability) -> Observability,
 ) -> Pass {
     let mut obs = vec![arm(Observability::audited()), arm(Observability::tracing())];
     let mut tenants: Vec<TenantSpec> = obs.iter().cloned().map(victim_spec).collect();
@@ -194,7 +194,7 @@ fn run_pass(
 /// track group per tenant.
 pub fn serve_qos(
     scale: ServeScale,
-    arm: fn(Observability) -> Observability,
+    arm: impl Fn(Observability) -> Observability,
 ) -> (Report, Vec<(String, Observability)>) {
     let mut report = Report::new(
         "Serve — multi-tenant tail latency under a noisy neighbor",
@@ -204,9 +204,9 @@ pub fn serve_qos(
         ],
     );
     let passes = [
-        ("solo", run_pass(scale, false, false, |obs| obs)),
-        ("qos-off", run_pass(scale, true, false, arm)),
-        ("qos-on", run_pass(scale, true, true, arm)),
+        ("solo", run_pass(scale, false, false, &|obs| obs)),
+        ("qos-off", run_pass(scale, true, false, &arm)),
+        ("qos-on", run_pass(scale, true, true, &arm)),
     ];
     let role_of = |id: usize| if id < 2 { "victim" } else { "noisy" };
     let mut solo_p999 = 0u64;

@@ -52,15 +52,6 @@ impl SymbolTable {
     pub fn resolve(&self, name: &str) -> Option<&str> {
         self.symbols.get(name).map(|(_, t)| t.as_str())
     }
-
-    fn rebind(&mut self, name: &str, target: &str) -> bool {
-        if let Some((_, t)) = self.symbols.get_mut(name) {
-            *t = target.to_string();
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// The patch report: which symbols were rerouted and which hooks installed.
@@ -102,14 +93,10 @@ impl SymbolPatcher {
     /// break loading).
     pub fn patch(&self, table: &mut SymbolTable, hooks: &[&str]) -> PatchReport {
         let mut report = PatchReport::default();
-        let names: Vec<String> = table.symbols.keys().cloned().collect();
-        for name in names {
-            let (kind, _) = table.symbols[&name];
-            if kind == SymbolKind::Alloc {
-                if let Some(&target) = self.routes.get(name.as_str()) {
-                    table.rebind(&name, target);
-                    report.patched.push((name.clone(), target.to_string()));
-                }
+        for (name, (kind, resolved)) in &mut table.symbols {
+            if let (SymbolKind::Alloc, Some(&target)) = (*kind, self.routes.get(name.as_str())) {
+                *resolved = target.to_string();
+                report.patched.push((name.clone(), target.to_string()));
             }
         }
         for &h in hooks {

@@ -263,7 +263,7 @@ impl Dilos {
         if let Some(rc) = cfg.recovery {
             rdma.arm_durability(rc);
         }
-        Self::boot(cfg, RdmaPort::exclusive(rdma))
+        Self::with_port(cfg, RdmaPort::exclusive(rdma))
     }
 
     /// Boots a node as one tenant of a shared memory pool: the port carries
@@ -272,11 +272,7 @@ impl Dilos {
     /// knobs (`shared_queue`, `tcp_mode`, `memory_nodes`, `redundancy`)
     /// are properties of the shared endpoint and are ignored here;
     /// `remote_bytes` must be the tenant's slice size.
-    pub fn with_port(cfg: DilosConfig, port: RdmaPort) -> Self {
-        Self::boot(cfg, port)
-    }
-
-    fn boot(cfg: DilosConfig, mut rdma: RdmaPort) -> Self {
+    pub fn with_port(cfg: DilosConfig, mut rdma: RdmaPort) -> Self {
         let m = Machine::new(cfg.cores, &cfg.sim, &cfg.obs);
         assert!(
             cfg.local_pages >= 16,
@@ -504,8 +500,11 @@ impl Dilos {
     /// segmentation fault).
     pub fn read(&mut self, core: usize, va: u64, buf: &mut [u8]) {
         if va >= LOCAL_BASE {
-            self.local_read(core, va, buf);
-            return;
+            for (vpn, off, span) in page_chunks(va, buf.len()) {
+                let n = span.len();
+                buf[span].copy_from_slice(&self.local_page(vpn)[off..off + n]);
+            }
+            return self.m.charge_copy(core, buf.len());
         }
         for (vpn, off, span) in page_chunks(va, buf.len()) {
             let n = span.len();
@@ -522,8 +521,11 @@ impl Dilos {
     /// Panics on access outside any mapping.
     pub fn write(&mut self, core: usize, va: u64, buf: &[u8]) {
         if va >= LOCAL_BASE {
-            self.local_write(core, va, buf);
-            return;
+            for (vpn, off, span) in page_chunks(va, buf.len()) {
+                let n = span.len();
+                self.local_page(vpn)[off..off + n].copy_from_slice(&buf[span]);
+            }
+            return self.m.charge_copy(core, buf.len());
         }
         for (vpn, off, span) in page_chunks(va, buf.len()) {
             let end = off + span.len();
@@ -533,32 +535,33 @@ impl Dilos {
         }
     }
 
-    /// Reads a little-endian `u64` at `va`.
+    /// Reads a little-endian `u64` at `va`: for a word inside one DDC page,
+    /// exactly the byte loop's one touch, 8-byte copy and charge, inlined.
+    #[inline]
     pub fn read_u64(&mut self, core: usize, va: u64) -> u64 {
         let mut b = [0u8; 8];
-        self.read(core, va, &mut b);
+        let off = (va % PAGE_SIZE as u64) as usize;
+        if va >= LOCAL_BASE || off > PAGE_SIZE - 8 {
+            self.read(core, va, &mut b);
+        } else {
+            let frame = self.touch(core, va >> 12, false);
+            b.copy_from_slice(&self.frames.bytes(frame)[off..off + 8]);
+            self.m.charge_copy(core, 8);
+        }
         u64::from_le_bytes(b)
     }
 
-    /// Writes a little-endian `u64` at `va`.
+    /// Writes a little-endian `u64` at `va`, on the word path of
+    /// [`read_u64`](Self::read_u64).
+    #[inline]
     pub fn write_u64(&mut self, core: usize, va: u64, v: u64) {
-        self.write(core, va, &v.to_le_bytes());
-    }
-
-    fn local_read(&mut self, core: usize, va: u64, buf: &mut [u8]) {
-        for (vpn, off, span) in page_chunks(va, buf.len()) {
-            let n = span.len();
-            buf[span].copy_from_slice(&self.local_page(vpn)[off..off + n]);
+        let off = (va % PAGE_SIZE as u64) as usize;
+        if va >= LOCAL_BASE || off > PAGE_SIZE - 8 {
+            return self.write(core, va, &v.to_le_bytes());
         }
-        self.m.charge_copy(core, buf.len());
-    }
-
-    fn local_write(&mut self, core: usize, va: u64, buf: &[u8]) {
-        for (vpn, off, span) in page_chunks(va, buf.len()) {
-            let n = span.len();
-            self.local_page(vpn)[off..off + n].copy_from_slice(&buf[span]);
-        }
-        self.m.charge_copy(core, buf.len());
+        let frame = self.touch(core, va >> 12, true);
+        self.frames.bytes_mut(frame)[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        self.m.charge_copy(core, 8);
     }
 
     /// The local-only page backing `vpn`, zero-filled on first touch.

@@ -632,7 +632,7 @@ impl RdmaEndpoint {
         // borrows below don't force a per-verb SimConfig clone.
         let cfg = self.nodes[node].fabric.cfg();
         let doorbell = cfg.qp_doorbell_ns;
-        let mut rest = total.saturating_sub(wire + doorbell);
+        let mut rest = total.saturating_sub(wire.saturating_add(doorbell));
         rest = rest.saturating_add(cfg.sg_extra_ns(segments));
         if self.nodes[node].node.huge_pages() {
             rest = rest.saturating_sub(cfg.memnode_hugepage_saving_ns);

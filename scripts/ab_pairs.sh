@@ -18,6 +18,11 @@
 #   - both medians, their ratio, and the base's interquartile range;
 #   - whether the claim rule holds (wins >= 9/10 of the pairs and a
 #     median gap larger than the base's IQR);
+#   - a table of every end-to-end metric BENCHMARK.json declares: both
+#     medians, their ratio, the base's IQR, the change's wins in that
+#     metric's better direction, and whether the change's median stays
+#     within the metric's bound of the base's;
+#   - the share of failed operations on each side;
 #   - whether every run's sim_fingerprint matched.
 #
 # Environment:
@@ -96,6 +101,34 @@ jq -n -r \
       "base IQR \($iqr); median gap in the better direction \($gap)",
       "claim rule (>= 9/10 wins and gap > IQR): \(
         if $wins * 10 >= 9 * ($base | length) and $gap > $iqr then "met" else "not met" end)"'
+
+# Every end-to-end metric, from the same runs: one row each.
+side() { # <base | head>: each pair's metrics line, in pair order
+    for ((i = 1; i <= pairs; i++)); do jq -c 'select(.metrics)' "$dir/logs/$1-$i.jsonl"; done
+}
+echo
+jq -n -r --slurpfile spec "$root/BENCHMARK.json" \
+    --slurpfile base <(side base) --slurpfile change <(side head) '
+    def q($p): sort | ((length - 1) * $p) as $h | ($h | floor) as $lo
+        | .[$lo] + ($h - $lo) * (.[($h | ceil)] - .[$lo]);
+    def share: (map(.failed) | add) / ([map(.attempted) | add, 1] | max);
+    ["metric", "better", "base", "change", "ratio", "base_IQR", "wins", "bound", "within"],
+    ($spec[0].end_to_end[] as $m
+     | [$base[] | .metrics[$m.name].value] as $b
+     | [$change[] | .metrics[$m.name].value] as $c
+     | ($b | q(0.5)) as $mb | ($c | q(0.5)) as $mc
+     | (if $mb == 0 then (if $mc == 0 then 1 else infinite end) else $mc / $mb end) as $r
+     | [range(0; $b | length)
+        | select(if $m.better == "lower" then $c[.] < $b[.] else $c[.] > $b[.] end)] as $w
+     | [$m.name, $m.better, $mb, $mc, $r, (($b | q(0.75)) - ($b | q(0.25))),
+        "\($w | length)/\($b | length)", $m.bound,
+        (if $m.better == "lower" then $r <= 1 + $m.bound else $r >= 1 - $m.bound end
+         | if . then "yes" else "NO" end)]),
+    ["failed share: base \($base | share)  change \($change | share)"]
+    | @tsv' | awk -F'\t' '
+    NF == 1 { print; next }
+    NR == 1 { printf "%-16s %-6s %14s %14s %8s %12s %6s %6s %s\n", $1, $2, $3, $4, $5, $6, $7, $8, $9; next }
+    { printf "%-16s %-6s %14.6g %14.6g %8.4f %12.4g %6s %6s %s\n", $1, $2, $3, $4, $5, $6, $7, $8, $9 }'
 
 fingerprints=$(cat "$dir"/logs/*.jsonl | jq -r 'select(.sim_fingerprint) | .sim_fingerprint' | sort -u)
 if [ "$(echo "$fingerprints" | wc -l)" -eq 1 ]; then

@@ -24,6 +24,7 @@ use dilos::apps::farmem::{SystemKind, SystemSpec};
 use dilos::apps::seqrw::SeqWorkload;
 use dilos::sim::trace::{FaultKind, FaultPhase, PteClass, TraceEvent, TraceObserver};
 use dilos::sim::{Observability, ServiceClass};
+use dilos_bench::hostprof::{profile, HostLedger, LAYERS};
 use dilos_bench::json;
 use dilos_bench::micro::{tab01_tab03_fault_counts, MicroScale};
 use dilos_bench::recover::{recover_crash_sweep, RecoverScale};
@@ -559,4 +560,90 @@ fn timeline_artifacts_are_byte_identical_across_boots() {
         assert_eq!(a[i], b[i], "{f} differs across fresh boots");
         assert!(!a[i].is_empty(), "{f} is empty");
     }
+}
+
+/// `repro --only hostprof` on a tiny run: its JSON parses back to its
+/// schema, no layer comes out negative, both hit runs leave one digest, and
+/// attaching the ledger leaves tab01's table and digests as they were.
+/// Host time is not byte-stable, so no value is pinned.
+#[test]
+fn the_host_time_ledger_holds_its_schema_and_observes_only() {
+    let prof = profile(TINY, TINY_SERVE, 1 << 12, 2, 1);
+    let doc = Json::parse(&json::document(|w| prof.write_json(w))).expect("hostprof.json parses");
+    assert_eq!(
+        doc.keys(),
+        [
+            "hot_loop_clock_ns",
+            "sample_every",
+            "layers",
+            "systems",
+            "hit"
+        ]
+    );
+    let layers: Vec<&str> = doc["layers"]
+        .items()
+        .iter()
+        .filter_map(Json::as_str)
+        .collect();
+    assert_eq!(layers, LAYERS);
+    let ids: Vec<&str> = prof.rows.iter().map(|r| r.id.as_str()).collect();
+    assert_eq!(
+        ids,
+        [
+            "fastswap",
+            "dilos-noprefetch",
+            "dilos-readahead",
+            "dilos-trend",
+            "serve"
+        ]
+    );
+    assert_eq!(doc["systems"].keys(), ids);
+    for r in &prof.rows {
+        let s = &doc["systems"][&r.id];
+        assert_eq!(
+            s.keys(),
+            [
+                "faults",
+                "sampled",
+                "events",
+                "layer_ns_per_fault",
+                "sum_ns_per_fault",
+                "timed",
+                "timed_ns_per_fault",
+                "sum_over_timed",
+                "probe_ns"
+            ]
+        );
+        assert_eq!(s["layer_ns_per_fault"].keys(), LAYERS);
+        assert!(
+            r.totals.sampled > 0 && r.totals.timed > 0,
+            "{}: nothing sampled",
+            r.id
+        );
+        assert!(r.no_negative_layer(), "{}: {:?}", r.id, r.layer_ns);
+    }
+    assert_eq!(
+        doc["hit"].keys(),
+        [
+            "calls",
+            "word_ns_per_call",
+            "byte_ns_per_call",
+            "word_digest",
+            "byte_digest"
+        ]
+    );
+    assert!(prof.hit.calls > 0);
+    assert_eq!(
+        prof.hit.word_digest, prof.hit.byte_digest,
+        "word and byte runs diverged"
+    );
+
+    let with_ledger = tab01_tab03_fault_counts(TINY, || {
+        let obs = Observability::tracing();
+        obs.trace()
+            .attach(Rc::new(RefCell::new(HostLedger::new(2))));
+        obs
+    });
+    let without = tab01_tab03_fault_counts(TINY, Observability::tracing);
+    assert_eq!(with_ledger.0.to_json(), without.0.to_json());
 }

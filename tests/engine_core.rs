@@ -445,3 +445,17 @@ fn calendar_lane_matches_a_sorted_reference() {
         );
     }
 }
+
+/// Heap layout moves host speed: a boot-time object 8 or 16 bytes smaller
+/// has shifted every later heap chunk and cost `seq_fault` 10–50 %. So the
+/// size of each is pinned, and a change that moves one re-pins it here on
+/// purpose, beside its A/B on every workload.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn boot_time_objects_keep_their_size() {
+    use std::mem::size_of;
+    assert_eq!(size_of::<dilos::core::Dilos>(), 1_216);
+    assert_eq!(size_of::<dilos::sim::RdmaEndpoint>(), 1_160);
+    assert_eq!(size_of::<dilos::baselines::Fastswap>(), 1_808);
+    assert_eq!(size_of::<dilos::sim::SchedEvent>(), 16);
+}

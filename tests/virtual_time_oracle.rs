@@ -9,9 +9,14 @@
 //! that stops computing what its constants say fails here even when it is
 //! deterministic.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, FaultBreakdown};
-use dilos::sim::{Fault, Redundancy, When, PAGE_SIZE};
+use dilos::sim::{
+    Fault, Ns, Observability, Redundancy, ServiceClass, TraceEvent, TraceObserver, When, PAGE_SIZE,
+};
 
 /// Local cache of the oracle boots: far smaller than the region, so every
 /// read-back misses.
@@ -201,4 +206,87 @@ fn a_tcp_mode_fetch_costs_the_closed_form_plus_exactly_the_tcp_handicap() {
     for (i, fault) in read_back(&mut node, va, pages).into_iter().enumerate() {
         assert_eq!(fault, expected, "read-back of page {i}");
     }
+}
+
+/// The cleaner's write-back verbs of one run, in issue order: when each was
+/// posted and when it completed.
+#[derive(Default)]
+struct WriteBacks {
+    issued: Vec<Ns>,
+    done: Vec<Ns>,
+}
+
+impl TraceObserver for WriteBacks {
+    fn on_event(&mut self, t: Ns, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::RdmaIssue {
+                class: ServiceClass::Cleaner,
+                write: true,
+                bytes,
+                ..
+            } => {
+                assert_eq!(bytes as usize, PAGE_SIZE, "a write-back moves one page");
+                self.issued.push(t);
+            }
+            TraceEvent::RdmaComplete {
+                class: ServiceClass::Cleaner,
+                write: true,
+                done,
+                ..
+            } => self.done.push(done),
+            _ => {}
+        }
+    }
+}
+
+/// (f) The write-back verb. Writing a region 16× the cache evicts a dirty
+/// page for nearly every write, and the cleaner writes each back as one
+/// whole-page verb on its own queue pair. The verb holds that QP for the
+/// doorbell plus the page's wire time, first in first out, and completes
+/// the rest of the one-sided write latency, less the memory node's
+/// huge-page saving, after it leaves the QP. So a write-back posted to an
+/// idle QP costs exactly `rdma_write_ns(PAGE_SIZE) - saving`, and one
+/// posted behind another starts when that one leaves the QP.
+#[test]
+fn every_write_back_costs_its_closed_form_behind_the_one_before_it() {
+    let log = Rc::new(RefCell::new(WriteBacks::default()));
+    let obs = Observability::tracing();
+    obs.trace().attach(log.clone());
+    let cfg = DilosConfig {
+        local_pages: LOCAL_PAGES,
+        obs,
+        ..DilosConfig::default()
+    };
+    let s = &cfg.sim;
+    let alone = s.rdma_write_ns(PAGE_SIZE) - s.memnode_hugepage_saving_ns;
+    let hold = s.qp_doorbell_ns + s.wire_ns(PAGE_SIZE);
+    let rest = alone - hold;
+    let pages = 1_024;
+    let (mut node, _) = written(cfg, pages);
+    // Digesting quiesces: every write-back in flight completes.
+    node.trace_digest();
+    let log = log.borrow();
+    assert_eq!(
+        log.issued.len(),
+        log.done.len(),
+        "issues and completions pair up"
+    );
+    assert!(
+        log.issued.len() as u64 > pages / 2,
+        "too few write-backs: {}",
+        log.issued.len()
+    );
+    let (mut qp_free, mut idle, mut queued) = (0, 0, 0);
+    for (i, (&t, &done)) in log.issued.iter().zip(&log.done).enumerate() {
+        let start = t.max(qp_free);
+        if start > t {
+            queued += 1;
+        } else {
+            idle += 1;
+            assert_eq!(done - t, alone, "write-back {i} on an idle QP");
+        }
+        qp_free = start + hold;
+        assert_eq!(done, qp_free + rest, "write-back {i} posted at {t}");
+    }
+    assert!(idle > 0 && queued > 0, "idle {idle}, queued {queued}");
 }
