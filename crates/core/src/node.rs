@@ -499,6 +499,9 @@ impl Dilos {
     /// Panics on access outside any mapping (the LibOS equivalent of a
     /// segmentation fault).
     pub fn read(&mut self, core: usize, va: u64, buf: &mut [u8]) {
+        if buf.is_empty() {
+            return;
+        }
         if va >= LOCAL_BASE {
             for (vpn, off, span) in page_chunks(va, buf.len()) {
                 let n = span.len();
@@ -520,6 +523,9 @@ impl Dilos {
     ///
     /// Panics on access outside any mapping.
     pub fn write(&mut self, core: usize, va: u64, buf: &[u8]) {
+        if buf.is_empty() {
+            return;
+        }
         if va >= LOCAL_BASE {
             for (vpn, off, span) in page_chunks(va, buf.len()) {
                 let n = span.len();

@@ -16,29 +16,33 @@
 /// GF(256) arithmetic with the Reed–Solomon polynomial `x⁸+x⁴+x³+x²+1`
 /// (0x11D), under which α = 2 is primitive — the field every classic RS
 /// deployment (CCSDS, RAID-6, par2) uses.
-#[derive(Debug, Clone)]
 struct Gf256 {
     exp: [u8; 512],
     log: [u8; 256],
 }
 
+/// The field's log/antilog tables, built once, at compile time.
+static GF: Gf256 = Gf256::new();
+
 impl Gf256 {
     /// Builds the log/antilog tables.
-    #[expect(clippy::needless_range_loop, reason = "index-coupled table fills")]
-    fn new() -> Self {
+    const fn new() -> Self {
         let mut exp = [0u8; 512];
         let mut log = [0u8; 256];
         let mut x: u16 = 1;
-        for i in 0..255 {
+        let mut i = 0;
+        while i < 255 {
             exp[i] = x as u8;
             log[x as usize] = i as u8;
             x <<= 1;
             if x & 0x100 != 0 {
                 x ^= 0x11D;
             }
+            i += 1;
         }
-        for i in 255..512 {
+        while i < 512 {
             exp[i] = exp[i - 255];
+            i += 1;
         }
         Self { exp, log }
     }
@@ -63,16 +67,17 @@ impl Gf256 {
 }
 
 /// A systematic Reed–Solomon coder: `k` data shards, `m` parity shards.
-#[derive(Debug, Clone)]
-pub struct ReedSolomon {
-    gf: Gf256,
-    k: usize,
-    m: usize,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReedSolomon {
+    /// Data shards.
+    pub(crate) k: usize,
+    /// Parity shards.
+    pub(crate) m: usize,
 }
 
 /// Erasure-coding errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EcError {
+pub(crate) enum EcError {
     /// Fewer than `k` shards survive: the data is unrecoverable.
     TooFewShards,
     /// Shard lengths disagree.
@@ -88,8 +93,6 @@ impl std::fmt::Display for EcError {
     }
 }
 
-impl std::error::Error for EcError {}
-
 impl ReedSolomon {
     /// Creates a coder for `k` data + `m` parity shards.
     ///
@@ -97,37 +100,23 @@ impl ReedSolomon {
     ///
     /// Panics unless `1 ≤ k`, `1 ≤ m`, and `k + m ≤ 256` (the Cauchy
     /// construction needs `k + m` distinct field elements).
-    pub fn new(k: usize, m: usize) -> Self {
+    pub(crate) fn new(k: usize, m: usize) -> Self {
         assert!(k >= 1 && m >= 1 && k + m <= 256, "invalid RS geometry");
-        Self {
-            gf: Gf256::new(),
-            k,
-            m,
-        }
-    }
-
-    /// Data shards.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Parity shards.
-    pub fn m(&self) -> usize {
-        self.m
+        Self { k, m }
     }
 
     /// Cauchy coefficient of data shard `i` in parity row `j`:
     /// `1 / (x_j ⊕ y_i)` with `x_j = k + j` and `y_i = i` (all distinct).
-    fn coeff(&self, j: usize, i: usize) -> u8 {
-        self.gf.inv(((self.k + j) as u8) ^ (i as u8))
+    fn coeff(self, j: usize, i: usize) -> u8 {
+        GF.inv(((self.k + j) as u8) ^ (i as u8))
     }
 
     /// Applies a data delta to a parity buffer in place:
     /// `parity ⊕= coeff(j, lane) · delta`.
-    pub fn apply_delta(&self, j: usize, lane: usize, delta: &[u8], parity: &mut [u8]) {
+    pub(crate) fn apply_delta(self, j: usize, lane: usize, delta: &[u8], parity: &mut [u8]) {
         let c = self.coeff(j, lane);
         for (p, &d) in parity.iter_mut().zip(delta) {
-            *p ^= self.gf.mul(c, d);
+            *p ^= GF.mul(c, d);
         }
     }
 
@@ -136,7 +125,7 @@ impl ReedSolomon {
     /// # Panics
     ///
     /// Panics if `data.len() != k` or shard lengths differ.
-    pub fn encode(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
+    pub(crate) fn encode(self, data: &[&[u8]]) -> Vec<Vec<u8>> {
         assert_eq!(data.len(), self.k, "expected k data shards");
         let len = data[0].len();
         assert!(data.iter().all(|d| d.len() == len), "shard sizes differ");
@@ -145,7 +134,7 @@ impl ReedSolomon {
             for (i, d) in data.iter().enumerate() {
                 let c = self.coeff(j, i);
                 for (pb, &db) in p.iter_mut().zip(*d) {
-                    *pb ^= self.gf.mul(c, db);
+                    *pb ^= GF.mul(c, db);
                 }
             }
         }
@@ -158,7 +147,7 @@ impl ReedSolomon {
     /// marks an erasure. On success every entry is `Some` and the data
     /// shards carry their original contents.
     #[expect(clippy::needless_range_loop, reason = "the indices are the math")]
-    pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
+    pub(crate) fn reconstruct(self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         assert_eq!(shards.len(), self.k + self.m, "expected k+m shards");
         let present: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_some()).collect();
         if present.len() < self.k {
@@ -174,7 +163,7 @@ impl ReedSolomon {
         let missing_data: Vec<usize> = (0..self.k).filter(|&i| shards[i].is_none()).collect();
         if !missing_data.is_empty() {
             // Build the generalized system: each surviving row (identity for
-            // data, Vandermonde for parity) gives one equation over the k
+            // data, Cauchy for parity) gives one equation over the k
             // data shards. Take the first k surviving rows and invert.
             let rows: Vec<usize> = present.iter().take(self.k).copied().collect();
             let mut matrix = vec![vec![0u8; self.k]; self.k];
@@ -200,7 +189,7 @@ impl ReedSolomon {
                 for (r, rv) in rhs.iter().enumerate() {
                     let c = inverse[i][r];
                     for (ob, &sb) in out.iter_mut().zip(*rv) {
-                        *ob ^= self.gf.mul(c, sb);
+                        *ob ^= GF.mul(c, sb);
                     }
                 }
                 rebuilt.push(out);
@@ -231,7 +220,7 @@ impl ReedSolomon {
     }
 
     /// Gauss–Jordan inversion over GF(256).
-    fn invert(&self, mut a: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, EcError> {
+    fn invert(self, mut a: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, EcError> {
         let n = a.len();
         let mut inv: Vec<Vec<u8>> = (0..n)
             .map(|i| (0..n).map(|j| u8::from(i == j)).collect())
@@ -243,10 +232,10 @@ impl ReedSolomon {
                 .ok_or(EcError::TooFewShards)?;
             a.swap(col, pivot);
             inv.swap(col, pivot);
-            let d = self.gf.inv(a[col][col]);
+            let d = GF.inv(a[col][col]);
             for j in 0..n {
-                a[col][j] = self.gf.mul(a[col][j], d);
-                inv[col][j] = self.gf.mul(inv[col][j], d);
+                a[col][j] = GF.mul(a[col][j], d);
+                inv[col][j] = GF.mul(inv[col][j], d);
             }
             for r in 0..n {
                 if r == col || a[r][col] == 0 {
@@ -254,9 +243,9 @@ impl ReedSolomon {
                 }
                 let f = a[r][col];
                 for j in 0..n {
-                    let av = self.gf.mul(f, a[col][j]);
+                    let av = GF.mul(f, a[col][j]);
                     a[r][j] ^= av;
-                    let iv = self.gf.mul(f, inv[col][j]);
+                    let iv = GF.mul(f, inv[col][j]);
                     inv[r][j] ^= iv;
                 }
             }

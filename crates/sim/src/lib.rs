@@ -57,7 +57,7 @@
 pub mod causal;
 pub mod cluster;
 pub mod config;
-pub mod ec;
+mod ec;
 pub mod fabric;
 pub mod lru;
 pub mod machine;
@@ -77,7 +77,6 @@ pub mod trace;
 pub use causal::{critical_path, CausalTracer, PhaseBreakdown, ReqKind, RequestTrace};
 pub use cluster::{RdmaPort, SharedPool};
 pub use config::SimConfig;
-pub use ec::{EcError, ReedSolomon};
 pub use fabric::{Fabric, ServiceClass};
 pub use lru::LruChain;
 pub use machine::{ComputeNode, DeliverCompletion, Machine};

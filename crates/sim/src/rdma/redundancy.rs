@@ -42,44 +42,22 @@ impl Default for Redundancy {
     }
 }
 
-/// A [`Redundancy`] whose geometry the pool has checked, its code built.
-#[derive(Debug)]
-#[expect(
-    clippy::large_enum_variant,
-    reason = "one per endpoint: a Box would resize it"
-)]
+/// A [`Redundancy`] whose geometry the pool has checked.
+#[derive(Debug, Clone, Copy)]
 pub(super) enum Scheme {
     Replicas(usize),
-    Erasure(EcState),
+    Erasure(Stripe),
 }
 
-/// The erasure code and where its parity lives.
-#[derive(Debug)]
-pub(super) struct EcState {
+/// An erasure-coded pool: its code, and where a span's shards live. A
+/// `Copy` value, so each verb holds its own across the `&mut self` timing.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Stripe {
     rs: ReedSolomon,
+    /// Memory nodes in the pool.
+    nodes: usize,
     /// Parity shards live above the data address space.
     parity_base: u64,
-}
-
-/// Where a span's shards live: copied out of [`EcState`] so the data path
-/// can hold it across the `&mut self` verb timing.
-#[derive(Clone, Copy)]
-struct Stripe {
-    k: usize,
-    m: usize,
-    nodes: usize,
-    parity_base: u64,
-}
-
-impl EcState {
-    fn stripe(&self, nodes: usize) -> Stripe {
-        Stripe {
-            k: self.rs.k(),
-            m: self.rs.m(),
-            nodes,
-            parity_base: self.parity_base,
-        }
-    }
 }
 
 impl Stripe {
@@ -88,7 +66,7 @@ impl Stripe {
     fn data(self, addr: u64, len: usize) -> (u64, usize, usize) {
         let (page, last) = (addr >> 12, (addr + len as u64 - 1) >> 12);
         debug_assert_eq!(page, last, "EC access crosses a page");
-        let (group, lane) = (page / self.k as u64, (page % self.k as u64) as usize);
+        let (group, lane) = (page / self.rs.k as u64, (page % self.rs.k as u64) as usize);
         (group, lane, self.shard(group, lane).0)
     }
 
@@ -96,9 +74,9 @@ impl Stripe {
     /// lanes `0..k`, then the parities. All `k + m` nodes are distinct.
     fn shard(self, group: u64, slot: usize) -> (usize, u64) {
         let node = (group as usize + slot) % self.nodes;
-        let addr = match slot.checked_sub(self.k) {
-            None => (group * self.k as u64 + slot as u64) << 12,
-            Some(j) => self.parity_base + ((group * self.m as u64 + j as u64) << 12),
+        let addr = match slot.checked_sub(self.rs.k) {
+            None => (group * self.rs.k as u64 + slot as u64) << 12,
+            Some(j) => self.parity_base + ((group * self.rs.m as u64 + j as u64) << 12),
         };
         (node, addr)
     }
@@ -112,8 +90,9 @@ impl RdmaEndpoint {
     /// # Panics
     ///
     /// Panics unless `1 ≤ r ≤ nodes` for [`Redundancy::Replicas`], or
-    /// `nodes ≥ k + m` (each shard of a span on a distinct node) with
-    /// [`ReedSolomon::new`]'s own checks for [`Redundancy::Erasure`].
+    /// `1 ≤ k`, `1 ≤ m` and `k + m ≤ min(nodes, 256)` (each shard of a span
+    /// on a distinct node, each a distinct field element) for
+    /// [`Redundancy::Erasure`].
     pub fn connect_cluster(
         cfg: SimConfig,
         remote_bytes: u64,
@@ -129,11 +108,12 @@ impl RdmaEndpoint {
                 assert!(nodes >= k + m, "erasure coding needs nodes >= k + m");
                 // Each node's region also hosts parity shards above the data.
                 let parity_base = remote_bytes.next_multiple_of(4096);
-                let ec = EcState {
+                let st = Stripe {
                     rs: ReedSolomon::new(k, m),
+                    nodes,
                     parity_base,
                 };
-                (Scheme::Erasure(ec), parity_base * 2)
+                (Scheme::Erasure(st), parity_base * 2)
             }
         };
         // Figure 12 plots bandwidth in ~minutes; a 10 ms virtual bucket gives
@@ -196,7 +176,7 @@ impl RdmaEndpoint {
             Scheme::Replicas(r) => {
                 return self.replica_transfer(now, core, class, r, shard, segments, bytes, local)
             }
-            Scheme::Erasure(ref ec) => ec.stripe(self.nodes.len()),
+            Scheme::Erasure(st) => st,
         };
         let done = self.ec_transfer(now, core, class, st, segments, local)?;
         Ok((done, shard))
@@ -330,8 +310,8 @@ impl RdmaEndpoint {
         }
         // Parity deltas, one write per live parity node.
         let delta: Vec<u8> = old.iter().zip(data).map(|(o, n)| o ^ n).collect();
-        for j in 0..st.m {
-            let (pn, pbase) = st.shard(group, st.k + j);
+        for j in 0..st.rs.m {
+            let (pn, pbase) = st.shard(group, st.rs.k + j);
             if !self.nodes[pn].alive {
                 continue;
             }
@@ -339,11 +319,7 @@ impl RdmaEndpoint {
             let mut parity = vec![0u8; delta.len()];
             let pregion = self.region_of(pn);
             self.nodes[pn].node.read(pregion, paddr, &mut parity)?;
-            // Borrowed per step: it cannot be held across the verb timing.
-            let Scheme::Erasure(ec) = &self.scheme else {
-                return Err(RdmaError::AllReplicasDown);
-            };
-            ec.rs.apply_delta(j, lane, &delta, &mut parity);
+            st.rs.apply_delta(j, lane, &delta, &mut parity);
             self.nodes[pn].node.write(pregion, paddr, &parity)?;
             let d = self.verb_timing(pn, read_done, core, class, delta.len(), 1, false);
             done = done.max(d);
@@ -372,13 +348,14 @@ impl RdmaEndpoint {
         self.failovers += 1;
         self.reconstructions += 1;
         let len = buf.len();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; st.k + st.m];
+        let (k, m) = (st.rs.k, st.rs.m);
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; k + m];
         let mut fetched = 0usize;
         let mut done = t;
         // The same in-page range of the first `k` live shards: the other
         // data lanes, then parities as needed.
-        for slot in (0..st.k + st.m).filter(|&slot| slot != lane) {
-            if fetched >= st.k {
+        for slot in (0..k + m).filter(|&slot| slot != lane) {
+            if fetched >= k {
                 break;
             }
             let (n, base) = st.shard(group, slot);
@@ -394,19 +371,16 @@ impl RdmaEndpoint {
             shards[slot] = Some(s);
             fetched += 1;
         }
-        if fetched < st.k {
+        if fetched < k {
             return Err(RdmaError::AllReplicasDown);
         }
-        let Scheme::Erasure(ec) = &self.scheme else {
-            return Err(RdmaError::AllReplicasDown);
-        };
-        ec.rs
+        st.rs
             .reconstruct(&mut shards)
             .map_err(|_| RdmaError::AllReplicasDown)?;
         let shard = shards[lane].as_deref().ok_or(RdmaError::AllReplicasDown)?;
         buf.copy_from_slice(shard);
         // Decode cost: a GF multiply-accumulate per byte per source shard.
-        let decode_ns = (len as Ns).saturating_mul(st.k as Ns) / 2;
+        let decode_ns = (len as Ns).saturating_mul(k as Ns) / 2;
         Ok(done.saturating_add(decode_ns))
     }
 
@@ -415,7 +389,7 @@ impl RdmaEndpoint {
     pub(super) fn resync(&mut self, i: usize) -> u64 {
         match self.scheme {
             Scheme::Replicas(r) => self.replica_resync(i, r),
-            Scheme::Erasure(ref ec) => Self::ec_resync(ec, &mut self.nodes, i),
+            Scheme::Erasure(st) => self.ec_resync(st, i),
         }
     }
 
@@ -455,16 +429,16 @@ impl RdmaEndpoint {
     /// as unknowns — their volatile copies are stale for anything written
     /// during their outage — so a group decodes only while at least `k`
     /// *live* shards remain.
-    fn ec_resync(ec: &EcState, nodes: &mut [RemoteNode], i: usize) -> u64 {
-        let st = ec.stripe(nodes.len());
+    fn ec_resync(&mut self, st: Stripe, i: usize) -> u64 {
+        let (k, m, nodes) = (st.rs.k, st.rs.m, &mut self.nodes);
         let mut installed = 0u64;
         let parity_page0 = st.parity_base >> 12;
         let mut groups: Vec<u64> = nodes
             .iter()
             .flat_map(|n| n.node.resident_page_numbers())
             .map(|p| match p.checked_sub(parity_page0) {
-                Some(q) => q / st.m as u64,
-                None => p / st.k as u64,
+                Some(q) => q / m as u64,
+                None => p / k as u64,
             })
             .collect();
         groups.sort_unstable();
@@ -473,7 +447,7 @@ impl RdmaEndpoint {
             // Node i hosts at most one shard of each group. Gather the
             // others; leave i's slot as the unknown for reconstruction.
             let mut mine: Option<(usize, u64)> = None;
-            let mut shards: Vec<Option<Vec<u8>>> = (0..st.k + st.m)
+            let mut shards: Vec<Option<Vec<u8>>> = (0..k + m)
                 .map(|slot| {
                     let (n, addr) = st.shard(g, slot);
                     if n == i {
@@ -487,7 +461,7 @@ impl RdmaEndpoint {
                 })
                 .collect();
             let Some((slot, page)) = mine else { continue };
-            if ec.rs.reconstruct(&mut shards).is_err() {
+            if st.rs.reconstruct(&mut shards).is_err() {
                 continue;
             }
             let Some(data) = shards[slot]

@@ -455,7 +455,7 @@ fn calendar_lane_matches_a_sorted_reference() {
 fn boot_time_objects_keep_their_size() {
     use std::mem::size_of;
     assert_eq!(size_of::<dilos::core::Dilos>(), 1_216);
-    assert_eq!(size_of::<dilos::sim::RdmaEndpoint>(), 1_160);
-    assert_eq!(size_of::<dilos::baselines::Fastswap>(), 1_808);
+    assert_eq!(size_of::<dilos::sim::RdmaEndpoint>(), 400);
+    assert_eq!(size_of::<dilos::baselines::Fastswap>(), 1_048);
     assert_eq!(size_of::<dilos::sim::SchedEvent>(), 16);
 }

@@ -15,7 +15,8 @@ use std::rc::Rc;
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, FaultBreakdown};
 use dilos::sim::{
-    Fault, Ns, Observability, Redundancy, ServiceClass, TraceEvent, TraceObserver, When, PAGE_SIZE,
+    Fault, Ns, Observability, RdmaEndpoint, Redundancy, Segment, ServiceClass, SimConfig,
+    TraceEvent, TraceObserver, When, PAGE_SIZE,
 };
 
 /// Local cache of the oracle boots: far smaller than the region, so every
@@ -289,4 +290,33 @@ fn every_write_back_costs_its_closed_form_behind_the_one_before_it() {
         assert_eq!(done, qp_free + rest, "write-back {i} posted at {t}");
     }
     assert!(idle > 0 && queued > 0, "idle {idle}, queued {queued}");
+}
+
+/// (g) The vectored verb. A scatter read of `k` segments totalling `b`
+/// bytes holds an idle endpoint's QP for the doorbell plus `b`'s wire time
+/// and completes the rest of the one-sided read latency after it, less the
+/// memory node's huge-page saving, plus the scatter/gather surcharge for
+/// `k` entries: `rdma_read_ns(b) - saving + sg_extra_ns(k)`. One entry,
+/// the last on the fast path, and one past it.
+#[test]
+fn a_vectored_read_on_an_idle_endpoint_costs_its_closed_form() {
+    let s = SimConfig::default();
+    let now = 1_000;
+    for k in [1, s.sg_fast_segments, 6] {
+        let mut ep = RdmaEndpoint::connect(s.clone(), 1 << 20);
+        let segments: Vec<Segment> = (0..k)
+            .map(|i| Segment {
+                remote: (i * 512) as u64,
+                offset: i * 512,
+                len: 256,
+            })
+            .collect();
+        let b = 256 * k;
+        let mut buf = [0u8; PAGE_SIZE];
+        let done = ep
+            .read_v(now, 0, ServiceClass::Guide, &segments, &mut buf)
+            .expect("an idle endpoint serves the vector");
+        let expected = s.rdma_read_ns(b) - s.memnode_hugepage_saving_ns + s.sg_extra_ns(k);
+        assert_eq!(done - now, expected, "{k} segments, {b} bytes");
+    }
 }

@@ -5,7 +5,7 @@
 //! counters, in the trace and in the audit.
 
 use dilos::apps::farmem::FarMemory;
-use dilos::core::{Dilos, DilosConfig, Readahead, MAP_DDC};
+use dilos::core::{Dilos, DilosConfig, Readahead, LOCAL_BASE, MAP_DDC};
 use dilos::sim::{Observability, SplitMix64, PAGE_SIZE};
 
 /// DDC pages the ops range over: four times the cache, so hits, minor
@@ -108,10 +108,17 @@ fn word_accesses_are_byte_accesses_in_value_time_stats_trace_and_audit() {
 fn a_zero_length_access_moves_no_clock_and_faults_nothing() {
     let mut node = boot();
     let va = node.ddc_alloc(4 * PAGE_SIZE);
+    let local = node.mmap(4 * PAGE_SIZE, 0);
+    assert!(
+        local >= LOCAL_BASE,
+        "a mapping without MAP_DDC is local-only"
+    );
     let before = (node.now(0), format!("{:?}", node.stats()));
-    for off in [0, 8, PAGE_SIZE as u64 - 3, 3 * PAGE_SIZE as u64] {
-        node.read(0, va + off, &mut []);
-        node.write(0, va + off, &[]);
+    for base in [va, local] {
+        for off in [0, 8, PAGE_SIZE as u64 - 3, 3 * PAGE_SIZE as u64] {
+            node.read(0, base + off, &mut []);
+            node.write(0, base + off, &[]);
+        }
     }
     assert_eq!((node.now(0), format!("{:?}", node.stats())), before);
     assert_eq!(node.resident_pages(), 0, "nothing was touched");
