@@ -378,6 +378,21 @@ impl SystemKind {
     }
 }
 
+/// The experiments' one cache-sizing rule: `(local_pages, remote_bytes)`
+/// for a working set of `working_set` bytes. The local cache holds
+/// `ratio_percent` of the working set's pages (the paper's 12.5/25/50/100
+/// sweeps), at least 32; the remote region is twice the working set
+/// rounded up to a power of two, at least 16 MiB (headroom for allocator
+/// metadata and rounding).
+pub fn cache_sizing(working_set: u64, ratio_percent: u32) -> (usize, u64) {
+    let ws_pages = working_set.div_ceil(4096);
+    let local_pages = ((ws_pages * ratio_percent as u64) / 100).max(32) as usize;
+    (
+        local_pages,
+        (working_set * 2).next_power_of_two().max(1 << 24),
+    )
+}
+
 /// A bootable system description: kind + sizing.
 #[derive(Debug, Clone)]
 pub struct SystemSpec {
@@ -400,13 +415,11 @@ impl SystemSpec {
     /// A spec with enough remote memory for `working_set` bytes and a local
     /// cache of `ratio_percent` of it (the paper's 12.5/25/50/100 sweeps).
     pub fn for_working_set(kind: SystemKind, working_set: u64, ratio_percent: u32) -> Self {
-        let ws_pages = working_set.div_ceil(4096);
-        let local_pages = ((ws_pages * ratio_percent as u64) / 100).max(32) as usize;
+        let (local_pages, remote_bytes) = cache_sizing(working_set, ratio_percent);
         Self {
             kind,
             local_pages,
-            // Headroom for allocator metadata and rounding.
-            remote_bytes: (working_set * 2).next_power_of_two().max(1 << 24),
+            remote_bytes,
             cores: 1,
             obs: Observability::none(),
         }

@@ -25,27 +25,12 @@ use dilos_sim::{
     Observability, RdmaEndpoint, SchedEvent, ServiceClass, SimConfig, TraceEvent, PAGE_SIZE,
 };
 
-/// AIFM runtime costs, in virtual nanoseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct AifmCosts {
-    /// Smart-pointer locality check per dereference (the "extra
-    /// instructions" §6.2 blames for AIFM's 100 %-local slowdown).
-    pub deref_check_ns: Ns,
-    /// User-level miss handling (runtime dispatch, no kernel crossing).
-    pub miss_handling_ns: Ns,
-    /// Evacuator software cost per evicted chunk (background).
-    pub evict_scan_ns: Ns,
-}
-
-impl Default for AifmCosts {
-    fn default() -> Self {
-        Self {
-            deref_check_ns: 6,
-            miss_handling_ns: 600,
-            evict_scan_ns: 150,
-        }
-    }
-}
+/// Smart-pointer locality check per dereference, in virtual ns (the
+/// "extra instructions" §6.2 blames for AIFM's 100 %-local slowdown).
+const DEREF_CHECK_NS: Ns = 6;
+/// User-level miss handling, in virtual ns (runtime dispatch, no kernel
+/// crossing).
+const MISS_HANDLING_NS: Ns = 600;
 
 /// AIFM configuration.
 #[derive(Debug, Clone)]
@@ -56,14 +41,8 @@ pub struct AifmConfig {
     pub remote_bytes: u64,
     /// Simulated cores.
     pub cores: usize,
-    /// Fabric calibration.
-    pub sim: SimConfig,
-    /// Runtime costs.
-    pub costs: AifmCosts,
     /// Background prefetcher's maximum stream depth.
     pub prefetch_depth: usize,
-    /// Use TCP (AIFM's transport; adds the per-completion handicap).
-    pub tcp: bool,
     /// The observability bundle (trace + metrics + profiler) threaded to
     /// every component at boot. Pure observation — trace digests are
     /// identical whether metrics are on or off. Use a fresh bundle per
@@ -77,10 +56,7 @@ impl Default for AifmConfig {
             local_chunks: 1024,
             remote_bytes: 1 << 32,
             cores: 1,
-            sim: SimConfig::default(),
-            costs: AifmCosts::default(),
             prefetch_depth: 16,
-            tcp: true,
             obs: Observability::none(),
         }
     }
@@ -160,10 +136,12 @@ impl Aifm {
     ///
     /// Panics on a degenerate configuration.
     pub fn new(cfg: AifmConfig) -> Self {
-        let m = Machine::new(cfg.cores, &cfg.sim, &cfg.obs);
+        let sim = SimConfig::default();
+        let m = Machine::new(cfg.cores, &sim, &cfg.obs);
         assert!(cfg.local_chunks >= 16, "cache too small");
-        let mut rdma = RdmaEndpoint::connect(cfg.sim.clone(), cfg.remote_bytes);
-        rdma.set_tcp_mode(cfg.tcp);
+        let mut rdma = RdmaEndpoint::connect(sim, cfg.remote_bytes);
+        // AIFM's transport is TCP: every completion pays the handicap.
+        rdma.set_tcp_mode(true);
         rdma.observe(&cfg.obs);
         rdma.set_calendar(m.cal.clone());
         Self {
@@ -268,7 +246,7 @@ impl Aifm {
     /// The smart-pointer dereference: check, localize if needed.
     fn deref(&mut self, core: usize, chunk: u64, _is_write: bool) {
         self.stats.derefs += 1;
-        self.m.advance(core, self.cfg.costs.deref_check_ns);
+        self.m.advance(core, DEREF_CHECK_NS);
         // Deliver the background streamer's completed landings first: a
         // chunk that finished streaming in the past is simply local by now.
         self.drain_events(self.m.now(core));
@@ -333,8 +311,7 @@ impl Aifm {
             },
         );
         self.make_room(core, 1, Some(chunk));
-        let costs = self.cfg.costs;
-        let t = self.m.now(core) + costs.miss_handling_ns;
+        let t = self.m.now(core) + MISS_HANDLING_NS;
         let remote = (chunk - (BASE_VA >> 12)) << 12;
         let mut data = vec![0u8; CHUNK].into_boxed_slice();
         let done = self
@@ -585,7 +562,7 @@ mod tests {
         assert_eq!(n.stats().derefs - d0, 1_000);
         let per_access = (n.m.now(0) - t0) / 1_000;
         assert!(
-            per_access >= n.cfg.costs.deref_check_ns,
+            per_access >= DEREF_CHECK_NS,
             "deref tax missing: {per_access}"
         );
     }

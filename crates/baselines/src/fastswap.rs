@@ -22,51 +22,30 @@ use dilos_sim::{
     TraceSink, PAGE_SIZE,
 };
 
-/// Fastswap software costs, in virtual nanoseconds.
-///
-/// Calibrated against Figure 1 (average major fault ≈ 6.3 µs: 46 % fetch,
-/// 9 % exception, 29 % reclaim, the rest swap-cache bookkeeping) and the
-/// sequential-read throughput of Table 2.
-#[derive(Debug, Clone, Copy)]
-pub struct FastswapCosts {
-    /// Hardware exception + kernel entry (shared with DiLOS: 0.57 µs).
-    pub exception_ns: Ns,
-    /// Swap-cache lookup/insertion and swap-entry management.
-    pub swap_cache_ns: Ns,
-    /// Kernel page allocation (alloc_page + charge + LRU insert).
-    pub page_alloc_ns: Ns,
-    /// Kernel I/O submission overhead on top of the raw RDMA latency
-    /// (frontswap indirection, DMA mapping).
-    pub kernel_io_ns: Ns,
-    /// Mapping the page (PTE install, rmap, unlock).
-    pub map_ns: Ns,
-    /// Minor fault service: exception + swap-cache hit + map under LRU/page
-    /// lock contention.
-    pub minor_fault_ns: Ns,
-    /// Direct-reclaim software cost per page scanned in the fault path.
-    pub reclaim_scan_ns: Ns,
-    /// TLB shootdown (IPI round) when unmapping a victim page.
-    pub tlb_shootdown_ns: Ns,
-    /// Fraction (0–100) of reclaim batches the dedicated offload thread
-    /// absorbs; the rest run in the fault handler (Fastswap's design).
-    pub offload_percent: u32,
-}
+// Fastswap's kernel-path costs, in virtual nanoseconds, calibrated against
+// Figure 1 (average major fault ≈ 6.3 µs: 46 % fetch, 9 % exception, 29 %
+// reclaim, the rest swap-cache bookkeeping) and the sequential-read
+// throughput of Table 2. The exception itself is `SimConfig::hw_exception_ns`,
+// the cost DiLOS pays too.
 
-impl Default for FastswapCosts {
-    fn default() -> Self {
-        Self {
-            exception_ns: 570,
-            swap_cache_ns: 1_000,
-            page_alloc_ns: 400,
-            kernel_io_ns: 850,
-            map_ns: 300,
-            minor_fault_ns: 2_500,
-            reclaim_scan_ns: 100,
-            tlb_shootdown_ns: 2_000,
-            offload_percent: 50,
-        }
-    }
-}
+/// Swap-cache lookup/insertion and swap-entry management.
+const SWAP_CACHE_NS: Ns = 1_000;
+/// Kernel page allocation (alloc_page + charge + LRU insert).
+const PAGE_ALLOC_NS: Ns = 400;
+/// Kernel I/O submission overhead on top of the raw RDMA latency
+/// (frontswap indirection, DMA mapping).
+const KERNEL_IO_NS: Ns = 850;
+/// Mapping the page (PTE install, rmap, unlock).
+const MAP_NS: Ns = 300;
+/// Minor fault service: exception + swap-cache hit + map under LRU/page
+/// lock contention.
+const MINOR_FAULT_NS: Ns = 2_500;
+/// Direct-reclaim software cost per page scanned in the fault path.
+const RECLAIM_SCAN_NS: Ns = 100;
+/// TLB shootdown (IPI round) when unmapping a victim page.
+const TLB_SHOOTDOWN_NS: Ns = 2_000;
+/// Readahead cluster size in pages (Linux `page-cluster` default: 8).
+const READAHEAD_CLUSTER: u64 = 8;
 
 /// Fastswap configuration.
 #[derive(Debug, Clone)]
@@ -79,10 +58,9 @@ pub struct FastswapConfig {
     pub cores: usize,
     /// Fabric calibration.
     pub sim: SimConfig,
-    /// Kernel-path costs.
-    pub costs: FastswapCosts,
-    /// Readahead cluster size (Linux `page-cluster` default: 8 pages).
-    pub readahead_cluster: usize,
+    /// Fraction (0–100) of reclaim batches the dedicated offload thread
+    /// absorbs; the rest run in the fault handler (Fastswap's design).
+    pub offload_percent: u32,
     /// The observability bundle (trace + metrics + profiler) threaded to
     /// every component at boot. Pure observation — trace digests are
     /// identical whether metrics are on or off. Use a fresh bundle per
@@ -97,8 +75,7 @@ impl Default for FastswapConfig {
             remote_bytes: 1 << 32,
             cores: 1,
             sim: SimConfig::default(),
-            costs: FastswapCosts::default(),
-            readahead_cluster: 8,
+            offload_percent: 50,
             obs: Observability::none(),
         }
     }
@@ -412,11 +389,10 @@ impl Fastswap {
         ready_at: Ns,
         is_write: bool,
     ) -> u32 {
-        let costs = self.cfg.costs;
         self.stats.minor_faults += 1;
         let now = self.m.now(core);
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Minor);
-        let t = (now + costs.minor_fault_ns).max(ready_at);
+        let t = (now + MINOR_FAULT_NS).max(ready_at);
         self.m.wait_until(core, t);
         // First touch consumes the readahead.
         self.m.trace.emit(t, TraceEvent::PrefetchLand { vpn });
@@ -426,10 +402,9 @@ impl Fastswap {
     }
 
     fn zero_fill(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
-        let costs = self.cfg.costs;
         let now = self.m.now(core);
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::ZeroFill);
-        let t = now + costs.exception_ns + costs.page_alloc_ns;
+        let t = now + self.cfg.sim.hw_exception_ns + PAGE_ALLOC_NS;
         let (frame, t_frame, _) = self.get_frame(core, t);
         // Clear the page in place, unless the store still shares it: then a
         // fresh zero page replaces it.
@@ -438,7 +413,7 @@ impl Fastswap {
             Some(bytes) => bytes.fill(0),
             None => *page = Rc::new([0; PAGE_SIZE]),
         }
-        let t_end = t_frame + costs.map_ns;
+        let t_end = t_frame + MAP_NS;
         self.m.wait_until(core, t_end);
         self.stats.zero_fills += 1;
         self.map(t_end, vpn, frame, is_write);
@@ -448,34 +423,28 @@ impl Fastswap {
 
     /// A major fault: swap-in through the swap cache, with readahead.
     fn major_fault(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
-        let costs = self.cfg.costs;
         let now = self.m.now(core);
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Major);
-        let mut t = now + costs.exception_ns + costs.swap_cache_ns;
-        let (frame, t_frame, reclaim_ns) = self.get_frame(core, t + costs.page_alloc_ns);
+        let exception = self.cfg.sim.hw_exception_ns;
+        let mut t = now + exception + SWAP_CACHE_NS;
+        let (frame, t_frame, reclaim_ns) = self.get_frame(core, t + PAGE_ALLOC_NS);
         t = t_frame;
         // Demand fetch (synchronous).
         let remote = (vpn - (BASE_VA >> 12)) << 12;
-        let done = self.swap_in(
-            t + costs.kernel_io_ns,
-            core,
-            ServiceClass::Fault,
-            remote,
-            frame,
-        );
+        let done = self.swap_in(t + KERNEL_IO_NS, core, ServiceClass::Fault, remote, frame);
         // Readahead the rest of the cluster into the swap cache
         // (asynchronous; pages cost a minor fault on first touch).
         self.readahead(core, vpn, done);
-        let t_end = done + costs.map_ns;
+        let t_end = done + MAP_NS;
         self.m.wait_until(core, t_end);
         self.stats.major_faults += 1;
         let b = &mut self.stats.breakdown;
-        b.exception += costs.exception_ns;
-        b.swap_cache += costs.swap_cache_ns;
-        b.page_alloc += costs.page_alloc_ns;
-        b.fetch += costs.kernel_io_ns + (done - (t + costs.kernel_io_ns));
+        b.exception += exception;
+        b.swap_cache += SWAP_CACHE_NS;
+        b.page_alloc += PAGE_ALLOC_NS;
+        b.fetch += KERNEL_IO_NS + (done - (t + KERNEL_IO_NS));
         b.reclaim += reclaim_ns;
-        b.map += costs.map_ns;
+        b.map += MAP_NS;
         b.count += 1;
         self.map(t_end, vpn, frame, is_write);
         self.m.end_fault(t_end, core, vpn, prev_req);
@@ -497,8 +466,8 @@ impl Fastswap {
     /// fault may be produced by extra reclaim, bounding cache pollution
     /// under pressure (the kernel's GFP_NORETRY behaviour for readahead).
     fn readahead(&mut self, core: usize, vpn: u64, t: Ns) {
-        let mut reclaim_budget = self.cfg.readahead_cluster as u32;
-        for i in 1..self.cfg.readahead_cluster as u64 {
+        let mut reclaim_budget = READAHEAD_CLUSTER as u32;
+        for i in 1..READAHEAD_CLUSTER {
             let target = vpn + i;
             if ((target - (BASE_VA >> 12)) << 12) >= self.cfg.remote_bytes {
                 break;
@@ -615,8 +584,8 @@ impl Fastswap {
             // about to complete. This is the cost Figure 1 charges to
             // "reclaim" on the average fault.
             self.reclaim_round += 1;
-            let offloaded = (self.reclaim_round * self.cfg.costs.offload_percent / 100) as u64
-                != ((self.reclaim_round - 1) * self.cfg.costs.offload_percent / 100) as u64;
+            let offloaded = (self.reclaim_round * self.cfg.offload_percent / 100) as u64
+                != ((self.reclaim_round - 1) * self.cfg.offload_percent / 100) as u64;
             if offloaded {
                 // The dedicated thread runs the batch when its CPU is next
                 // free — a calendar event, not an instantaneous favour. If
@@ -661,14 +630,13 @@ impl Fastswap {
     /// charged to the offload timeline, and clean frames are available
     /// immediately from the handler's perspective.
     fn reclaim_batch(&mut self, _core: usize, t: Ns, offloaded: bool) -> Ns {
-        let costs = self.cfg.costs;
         let mut spent = 0;
         // Victim: the LRU tail (Linux's inactive-list tail). Swap-cache
         // pages that were read ahead but never touched are first-class
         // victims — dropping them costs no shootdown and no writeback.
         let mut victim: Option<(u64, PageState)> = None;
         for vpn in self.lru.iter_cold().take(64) {
-            spent += costs.reclaim_scan_ns;
+            spent += RECLAIM_SCAN_NS;
             match self.st_get(vpn) {
                 Some(st @ PageState::Cached { ready_at, .. }) if ready_at <= t + spent => {
                     victim = Some((vpn, st));
@@ -710,7 +678,7 @@ impl Fastswap {
             }
             PageState::Mapped { frame, dirty, .. } => {
                 // Unmap: TLB shootdown, then write back if dirty.
-                spent += costs.tlb_shootdown_ns;
+                spent += TLB_SHOOTDOWN_NS;
                 let mut available_at = if offloaded { t } else { t + spent };
                 if dirty {
                     let remote = (vpn - (BASE_VA >> 12)) << 12;

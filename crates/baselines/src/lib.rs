@@ -18,5 +18,5 @@
 pub mod aifm;
 pub mod fastswap;
 
-pub use aifm::{Aifm, AifmConfig, AifmCosts, AifmStats};
-pub use fastswap::{Fastswap, FastswapBreakdown, FastswapConfig, FastswapCosts, FastswapStats};
+pub use aifm::{Aifm, AifmConfig, AifmStats};
+pub use fastswap::{Fastswap, FastswapBreakdown, FastswapConfig, FastswapStats};

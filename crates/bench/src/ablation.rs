@@ -9,17 +9,18 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos_alloc::Heap;
-use dilos_apps::farmem::{FarMemory, Introspect};
+use dilos_apps::farmem::{cache_sizing, FarMemory, Introspect};
 use dilos_apps::seqrw::SeqWorkload;
 use dilos_core::{Dilos, DilosConfig, HeapPagingGuide, Readahead};
+use dilos_sim::PAGE_SIZE;
 
 use crate::table::{f2, us, Report};
 
 fn boot(pages: usize, ratio: u32, tweak: impl Fn(&mut DilosConfig)) -> Dilos {
-    let local_pages = ((pages as u64 * ratio as u64) / 100).max(32) as usize;
+    let (local_pages, remote_bytes) = cache_sizing((pages * PAGE_SIZE) as u64, ratio);
     let mut cfg = DilosConfig {
         local_pages,
-        remote_bytes: ((pages * 4096 * 2) as u64).next_power_of_two().max(1 << 24),
+        remote_bytes,
         ..DilosConfig::default()
     };
     tweak(&mut cfg);
@@ -95,7 +96,7 @@ pub fn ablation_transport(pages: usize) -> Report {
         "Ablation — transport: RDMA vs NVMe far memory (12.5 % local, seq read)",
         &["transport", "system", "GB/s", "avg fault (µs)"],
     );
-    let local_pages = ((pages as u64 * 13) / 100).max(32) as usize;
+    let (local_pages, remote_bytes) = cache_sizing((pages * PAGE_SIZE) as u64, 13);
     for (label, sim) in [
         ("RDMA 100GbE", SimConfig::default()),
         ("NVMe", SimConfig::nvme()),
@@ -103,7 +104,7 @@ pub fn ablation_transport(pages: usize) -> Report {
         // DiLOS.
         let mut cfg = DilosConfig {
             local_pages,
-            remote_bytes: ((pages * 4096 * 2) as u64).next_power_of_two().max(1 << 24),
+            remote_bytes,
             ..DilosConfig::default()
         };
         cfg.sim = sim.clone();
@@ -121,7 +122,7 @@ pub fn ablation_transport(pages: usize) -> Report {
         // Fastswap.
         let mut fcfg = FastswapConfig {
             local_pages,
-            remote_bytes: ((pages * 4096 * 2) as u64).next_power_of_two().max(1 << 24),
+            remote_bytes,
             ..FastswapConfig::default()
         };
         fcfg.sim = sim;

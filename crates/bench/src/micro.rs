@@ -1,6 +1,6 @@
 //! Microbenchmark experiments: Figures 1, 2, 6 and Tables 1, 2, 3.
 
-use dilos_apps::farmem::{Introspect, SystemKind, SystemSpec};
+use dilos_apps::farmem::{cache_sizing, Introspect, SystemKind, SystemSpec};
 use dilos_apps::seqrw::SeqWorkload;
 use dilos_baselines::{Fastswap, FastswapConfig};
 use dilos_sim::{Observability, RdmaEndpoint, ServiceClass, SimConfig, PAGE_SIZE};
@@ -27,16 +27,14 @@ impl Default for MicroScale {
 }
 
 fn fastswap_at(pages: usize, ratio: u32, offload_percent: u32, obs: Observability) -> Fastswap {
-    let ws = (pages * PAGE_SIZE) as u64;
-    let local_pages = ((pages as u64 * ratio as u64) / 100).max(32) as usize;
-    let mut cfg = FastswapConfig {
+    let (local_pages, remote_bytes) = cache_sizing((pages * PAGE_SIZE) as u64, ratio);
+    Fastswap::new(FastswapConfig {
         local_pages,
-        remote_bytes: (ws * 2).next_power_of_two().max(1 << 24),
+        remote_bytes,
+        offload_percent,
         obs,
         ..FastswapConfig::default()
-    };
-    cfg.costs.offload_percent = offload_percent;
-    Fastswap::new(cfg)
+    })
 }
 
 /// Figure 1: Fastswap's page-fault latency breakdown, average vs

@@ -51,10 +51,7 @@ fn boot(scale: RecoverScale, checkpoint_every: u64, crash_at: Option<u64>) -> Di
         remote_bytes: 1 << 24,
         memory_nodes: 3,
         redundancy: Redundancy::Replicas(2),
-        recovery: Some(RecoverConfig {
-            checkpoint_every,
-            ..RecoverConfig::default()
-        }),
+        recovery: Some(RecoverConfig { checkpoint_every }),
         faults: crash_at
             .map(|at| {
                 let crash = Fault::Crash {

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos_alloc::Heap;
-use dilos_apps::farmem::{FarMemory, SystemKind, SystemSpec};
+use dilos_apps::farmem::{cache_sizing, FarMemory, SystemKind, SystemSpec};
 use dilos_apps::redis::{
     BenchResult, LrangeBench, RedisBench, RedisGuide, RedisServer, ValueSizes,
 };
@@ -62,12 +62,14 @@ pub fn boot_redis(
     zl_cap: u32,
     guided_paging: bool,
 ) -> RedisSetup {
+    // Local cache is a ratio of the *working set*; the remote region must
+    // still hold the whole heap.
+    let (local_pages, ws_remote) = cache_sizing(working_set, ratio);
+    let remote_bytes = ws_remote.max((heap_bytes * 2).next_power_of_two());
     match sys {
         RedisSystem::Kind(kind) => {
-            // Local cache is a ratio of the *working set*; the remote region
-            // must still hold the whole heap.
             let mut spec = SystemSpec::for_working_set(kind, working_set, ratio);
-            spec.remote_bytes = spec.remote_bytes.max((heap_bytes * 2).next_power_of_two());
+            spec.remote_bytes = remote_bytes;
             let mut mem = spec.boot();
             let base = mem.alloc(heap_bytes as usize);
             let heap = Rc::new(RefCell::new(Heap::new(base, heap_bytes)));
@@ -79,11 +81,9 @@ pub fn boot_redis(
             }
         }
         RedisSystem::AppAware => {
-            let ws_pages = working_set.div_ceil(4096);
-            let local_pages = ((ws_pages * ratio as u64) / 100).max(32) as usize;
             let mut node = Dilos::new(DilosConfig {
                 local_pages,
-                remote_bytes: (heap_bytes * 2).next_power_of_two().max(1 << 24),
+                remote_bytes,
                 ..DilosConfig::default()
             });
             node.set_prefetcher(Box::new(Readahead::new()));

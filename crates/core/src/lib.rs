@@ -47,7 +47,11 @@ pub use audit::{legal_pte_transition, Auditor};
 pub use cluster::{ClusterConfig, ServingCluster, TenantSpec, LANES_PER_TENANT};
 pub use compat::{PatchReport, SymbolKind, SymbolPatcher, SymbolTable, MAP_DDC};
 pub use guide::{ActionTable, FetchVector, GuideOps, HeapPagingGuide, PagingGuide, PrefetchGuide};
-pub use node::{Dilos, DilosConfig, SoftCosts, DDC_BASE, LOCAL_BASE};
+pub use node::{
+    Dilos, DilosConfig, DDC_BASE, LOCAL_BASE, MAP_NS, PREFETCH_ISSUE_NS, PTE_CHECK_NS,
+    RECLAIM_SCAN_NS, SWAPCACHE_MGMT_NS, SWAPCACHE_MINOR_NS, TLB_MISS_WALK_NS, TRACKER_PER_PTE_NS,
+    ZERO_FILL_NS,
+};
 pub use prefetch::{HitTracker, NoPrefetch, Prefetcher, Readahead, TrendBased};
 pub use pt::{PageTable, Pte};
 pub use stats::{DilosStats, FaultBreakdown};

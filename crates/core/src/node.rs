@@ -44,49 +44,31 @@ pub const LOCAL_BASE: u64 = 0x2000_0000_0000;
 
 const DDC_BASE_VPN: u64 = DDC_BASE >> 12;
 
-/// Software-path costs of the DiLOS handler, in virtual nanoseconds.
-///
-/// These are the *short* paths the paper claims: the handler touches one
-/// data structure before the RDMA post. Fastswap's far larger equivalents
-/// live in `dilos-baselines`.
-#[derive(Debug, Clone, Copy)]
-pub struct SoftCosts {
-    /// Unified-page-table check in the fault handler.
-    pub pte_check_ns: Ns,
-    /// Mapping a fetched page (PTE write + LRU insert).
-    pub map_ns: Ns,
-    /// Zero-filling a first-touch page.
-    pub zero_fill_ns: Ns,
-    /// Hit-tracker cost per PTE scanned (hidden in the fetch window).
-    pub tracker_per_pte_ns: Ns,
-    /// Issuing one asynchronous prefetch (hidden in the fetch window).
-    pub prefetch_issue_ns: Ns,
-    /// Reclaimer cost per page scanned (background thread).
-    pub reclaim_scan_ns: Ns,
-    /// Hardware page-table walk on a TLB miss to a resident page.
-    pub tlb_miss_walk_ns: Ns,
-    /// Swap-cache management cost per fault (only in the `swap_cache_mode`
-    /// ablation, mirroring the Linux path DiLOS removed).
-    pub swapcache_mgmt_ns: Ns,
-    /// Minor-fault service from the swap cache (ablation only).
-    pub swapcache_minor_ns: Ns,
-}
+// Software-path costs of the DiLOS handler, in virtual nanoseconds: the
+// *short* paths the paper claims (Fig. 6: ~0.2 µs of handler software
+// against Fastswap's ~1.0 µs), because the handler touches one data
+// structure before the RDMA post. Fastswap's far larger equivalents live in
+// `dilos-baselines`.
 
-impl Default for SoftCosts {
-    fn default() -> Self {
-        Self {
-            pte_check_ns: 100,
-            map_ns: 150,
-            zero_fill_ns: 350,
-            tracker_per_pte_ns: 15,
-            prefetch_issue_ns: 60,
-            reclaim_scan_ns: 150,
-            tlb_miss_walk_ns: 30,
-            swapcache_mgmt_ns: 900,
-            swapcache_minor_ns: 800,
-        }
-    }
-}
+/// Unified-page-table check in the fault handler.
+pub const PTE_CHECK_NS: Ns = 100;
+/// Mapping a fetched page (PTE write + LRU insert).
+pub const MAP_NS: Ns = 150;
+/// Zero-filling a first-touch page.
+pub const ZERO_FILL_NS: Ns = 350;
+/// Hit-tracker cost per PTE scanned (hidden in the fetch window).
+pub const TRACKER_PER_PTE_NS: Ns = 15;
+/// Issuing one asynchronous prefetch (hidden in the fetch window).
+pub const PREFETCH_ISSUE_NS: Ns = 60;
+/// Reclaimer cost per page scanned (background thread).
+pub const RECLAIM_SCAN_NS: Ns = 150;
+/// Hardware page-table walk on a TLB miss to a resident page.
+pub const TLB_MISS_WALK_NS: Ns = 30;
+/// Swap-cache management cost per fault (only in the `swap_cache_mode`
+/// ablation, mirroring the Linux path DiLOS removed).
+pub const SWAPCACHE_MGMT_NS: Ns = 900;
+/// Minor-fault service from the swap cache (ablation only).
+pub const SWAPCACHE_MINOR_NS: Ns = 800;
 
 /// DiLOS node configuration.
 #[derive(Debug, Clone)]
@@ -99,8 +81,6 @@ pub struct DilosConfig {
     pub cores: usize,
     /// Fabric/latency calibration.
     pub sim: SimConfig,
-    /// Handler software costs.
-    pub costs: SoftCosts,
     /// Ablation: route every verb through one shared queue pair.
     pub shared_queue: bool,
     /// Ablation: emulate a Linux-style swap cache in front of the page
@@ -145,7 +125,6 @@ impl Default for DilosConfig {
             remote_bytes: 1 << 32,
             cores: 1,
             sim: SimConfig::default(),
-            costs: SoftCosts::default(),
             shared_queue: false,
             swap_cache_mode: false,
             direct_reclaim: false,

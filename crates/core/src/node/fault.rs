@@ -8,7 +8,10 @@ use dilos_sim::{
     ComputeNode, FaultKind, FaultPhase, Ns, RdmaError, ServiceClass, TraceEvent, PAGE_SIZE,
 };
 
-use super::{page_segment, Dilos, InflightEntry, TlbEntry, TLB_WAYS};
+use super::{
+    page_segment, Dilos, InflightEntry, TlbEntry, MAP_NS, PTE_CHECK_NS, SWAPCACHE_MGMT_NS,
+    SWAPCACHE_MINOR_NS, TLB_MISS_WALK_NS, TLB_WAYS, ZERO_FILL_NS,
+};
 use crate::guide::FetchVector;
 use crate::pt::Pte;
 
@@ -58,7 +61,7 @@ impl Dilos {
         match self.pt.get(vpn) {
             Pte::Local { frame, .. } => {
                 // TLB miss to a resident page: hardware walk only.
-                self.m.advance(core, self.cfg.costs.tlb_miss_walk_ns);
+                self.m.advance(core, TLB_MISS_WALK_NS);
                 let ready = self.frames.meta(frame).ready_at;
                 let now = self.m.now(core);
                 if ready > now {
@@ -107,7 +110,6 @@ impl Dilos {
         // fire later against a reused slot.
         self.m.cal.cancel(entry.event);
         let now = self.m.now(core);
-        let costs = self.cfg.costs;
         if entry.ready_at <= now {
             // Completed in the past; mapping it cost the completion path,
             // not this access. The landing closes the *prefetch's* span.
@@ -117,18 +119,18 @@ impl Dilos {
             self.m.trace.set_request(prev_req);
             self.pt.mark_access(vpn, is_write);
             self.stats.local_hits += 1;
-            self.m.advance(core, costs.tlb_miss_walk_ns);
+            self.m.advance(core, TLB_MISS_WALK_NS);
             return entry.frame;
         }
         // Minor fault: pay the exception, wait out the fetch, map. The wait
         // is its own causal request; the landing still closes the prefetch.
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Minor);
         self.stats.minor_faults += 1;
-        let mut t = now + self.cfg.sim.hw_exception_ns + costs.pte_check_ns;
+        let mut t = now + self.cfg.sim.hw_exception_ns + PTE_CHECK_NS;
         if entry.swap_cached {
-            t += costs.swapcache_minor_ns;
+            t += SWAPCACHE_MINOR_NS;
         }
-        t = t.max(entry.ready_at) + costs.map_ns;
+        t = t.max(entry.ready_at) + MAP_NS;
         self.m.wait_until(core, t);
         let minor_req = self.m.trace.set_request(entry.req);
         self.m.trace.emit(t, TraceEvent::PrefetchLand { vpn });
@@ -143,10 +145,10 @@ impl Dilos {
     fn fault_zero_fill(&mut self, core: usize, vpn: u64, is_write: bool) -> u32 {
         let now = self.m.now(core);
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::ZeroFill);
-        let t = now + self.cfg.sim.hw_exception_ns + self.cfg.costs.pte_check_ns;
+        let t = now + self.cfg.sim.hw_exception_ns + PTE_CHECK_NS;
         let (frame, t_alloc, reclaim_ns) = self.alloc_frame(core, t);
         self.frames.zero(frame);
-        let t_done = t_alloc + self.cfg.costs.zero_fill_ns + self.cfg.costs.map_ns + reclaim_ns;
+        let t_done = t_alloc + ZERO_FILL_NS + MAP_NS + reclaim_ns;
         self.m.wait_until(core, t_done);
         self.stats.zero_fills += 1;
         self.map_page(t_done, vpn, frame, 0);
@@ -166,10 +168,9 @@ impl Dilos {
         let now = self.m.now(core);
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Major);
         let hw = self.cfg.sim.hw_exception_ns;
-        let costs = self.cfg.costs;
-        let mut check = costs.pte_check_ns;
+        let mut check = PTE_CHECK_NS;
         if self.cfg.swap_cache_mode {
-            check += costs.swapcache_mgmt_ns;
+            check += SWAPCACHE_MGMT_NS;
         }
         let t = now + hw + check;
         // Transition through the `fetching` tag, exactly as §4.2 describes
@@ -186,7 +187,7 @@ impl Dilos {
             .expect("demand fetch failed: address out of region or all replicas down");
         if vector.is_some_and(|v| v.is_empty()) {
             // Fully-dead page: the handler zero-fills instead of waiting.
-            done += costs.zero_fill_ns;
+            done += ZERO_FILL_NS;
         }
 
         // Hidden-window work: hit-tracker sweep + prefetch decision/issue,
@@ -195,7 +196,7 @@ impl Dilos {
         let hidden_done = self.fetch_window_work(core, vpn, t_alloc);
 
         let t_ready = done.max(hidden_done) + reclaim_ns;
-        let t_end = t_ready + costs.map_ns;
+        let t_end = t_ready + MAP_NS;
         self.m.wait_until(core, t_end);
         self.stats.major_faults += 1;
         let b = &mut self.stats.breakdown;
@@ -203,7 +204,7 @@ impl Dilos {
         b.check += check;
         b.alloc_wait += t_alloc - t;
         b.fetch += t_ready - t_alloc;
-        b.map += costs.map_ns;
+        b.map += MAP_NS;
         b.reclaim += reclaim_ns;
         b.count += 1;
         if self.m.trace.is_enabled() {
@@ -212,7 +213,7 @@ impl Dilos {
                 (FaultPhase::Check, check),
                 (FaultPhase::Alloc, t_alloc - t),
                 (FaultPhase::Fetch, t_ready - t_alloc),
-                (FaultPhase::Map, costs.map_ns),
+                (FaultPhase::Map, MAP_NS),
                 (FaultPhase::Reclaim, reclaim_ns),
             ] {
                 self.m.trace.emit(

@@ -6,7 +6,7 @@
 use dilos_alloc::PageLiveness;
 use dilos_sim::{ComputeNode, Ns, SchedEvent, ServiceClass, TraceEvent, PAGE_SIZE};
 
-use super::{page_segment, Dilos, DDC_BASE_VPN};
+use super::{page_segment, Dilos, DDC_BASE_VPN, RECLAIM_SCAN_NS};
 use crate::guide::FetchVector;
 use crate::pt::Pte;
 
@@ -170,7 +170,7 @@ impl Dilos {
                 break; // Everything cold is in flight: give up this round.
             }
             let frame = key as u32;
-            let (_, t) = self.bg.acquire(now, self.cfg.costs.reclaim_scan_ns);
+            let (_, t) = self.bg.acquire(now, RECLAIM_SCAN_NS);
             scan_end = t;
             if self.frames.meta(frame).ready_at > scan_end {
                 continue; // In-flight payload: not evictable yet.
@@ -195,12 +195,9 @@ impl Dilos {
             // waits for any writeback before the frame is reusable — the
             // cost Fastswap's Figure 1 "reclaim" bar charges.
             let avail = self.evict(vpn, frame, dirty, scan_end, ServiceClass::Cleaner);
-            return avail
-                .max(scan_end)
-                .saturating_sub(bg0)
-                .max(self.cfg.costs.reclaim_scan_ns);
+            return avail.max(scan_end).saturating_sub(bg0).max(RECLAIM_SCAN_NS);
         }
-        self.cfg.costs.reclaim_scan_ns
+        RECLAIM_SCAN_NS
     }
 
     /// Evicts `vpn` (writing back if dirty), freeing its frame. Returns

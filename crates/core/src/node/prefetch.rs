@@ -4,7 +4,7 @@
 
 use dilos_sim::{Ns, SchedEvent, ServiceClass, TraceEvent, PAGE_SIZE};
 
-use super::{Dilos, InflightEntry};
+use super::{Dilos, InflightEntry, PREFETCH_ISSUE_NS, TRACKER_PER_PTE_NS};
 use crate::guide::GuideOps;
 use crate::pt::Pte;
 
@@ -13,11 +13,10 @@ impl Dilos {
     /// demand-fetch window starting at `t0`; returns when that software
     /// finishes (usually before the fetch completes).
     pub(super) fn fetch_window_work(&mut self, core: usize, vpn: u64, t0: Ns) -> Ns {
-        let costs = self.cfg.costs;
         let mut sw = t0;
         if self.cfg.hit_tracker {
             if let Some((hits, total)) = self.tracker.sweep_if_due(&self.pt) {
-                sw += total as Ns * costs.tracker_per_pte_ns;
+                sw += total as Ns * TRACKER_PER_PTE_NS;
                 self.prefetcher.feedback(hits, total);
                 self.stats.prefetch_hits += hits as u64;
             }
@@ -30,7 +29,7 @@ impl Dilos {
         // index rather than borrowing across the `prefetch_vpn` call.
         for i in 0..targets.len() {
             if let Some(&target) = targets.get(i) {
-                sw += costs.prefetch_issue_ns;
+                sw += PREFETCH_ISSUE_NS;
                 self.prefetch_vpn(core, target, sw);
             }
         }

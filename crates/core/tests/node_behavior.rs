@@ -698,7 +698,6 @@ fn recovering_node() -> Dilos {
             // A huge interval keeps every ack in the log, so a dropped
             // record cannot hide behind a checkpoint seal.
             checkpoint_every: 1 << 20,
-            ..RecoverConfig::default()
         }),
         obs: Observability::audited(),
         ..DilosConfig::default()

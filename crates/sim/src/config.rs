@@ -10,8 +10,9 @@ use crate::time::{cycles_to_ns, Ns};
 /// Calibrated latency and bandwidth model for the simulated testbed.
 ///
 /// The defaults reproduce the paper's two-node ConnectX-5 100 GbE setup with
-/// 2.3 GHz Xeon cores. Experiments that sweep a parameter (e.g. the ablation
-/// benches) clone and mutate a config.
+/// 2.3 GHz Xeon cores. The one other profile is [`nvme`](Self::nvme), which
+/// the transport ablation boots DiLOS and Fastswap on; no experiment sets a
+/// single field.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// CPU clock rate in GHz (testbed: Intel E5-2670 v3, 2.3 GHz).

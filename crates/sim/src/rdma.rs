@@ -23,7 +23,9 @@ use crate::fabric::{Fabric, ServiceClass};
 use crate::machine::DeliverCompletion;
 use crate::memnode::{MemNodeError, MemoryNode, RegionHandle};
 use crate::obs::Observability;
-use crate::recover::{Fault, FaultPlan, RecoverConfig, RecoveryStats, When};
+use crate::recover::{
+    Fault, FaultPlan, RecoverConfig, RecoveryStats, When, REPLAY_NS_PER_RECORD, RESYNC_NS_PER_PAGE,
+};
 use crate::sched::{Calendar, SchedEvent};
 use crate::store::Page;
 use crate::time::{Ns, PAGE_SIZE};
@@ -185,8 +187,6 @@ pub struct RdmaEndpoint {
     next_completion: u64,
     /// Verbs that completed with an error: posted, but not completions.
     failed_verbs: u64,
-    /// The recovery cost model, once durable state is armed.
-    recover: Option<RecoverConfig>,
     /// Counters of the crash/recovery cycles so far (`completions` is
     /// filled in when they are read).
     stats: RecoveryStats,
@@ -410,38 +410,36 @@ impl RdmaEndpoint {
             },
         );
         self.nodes[i].node.checkpoint_now(now);
-        if let Some(cost) = self.recover {
-            self.stats.recoveries += 1;
-            self.stats.replayed = replayed;
-            self.stats.reconciled = reconciled;
-            self.stats.recovery_ns = replayed
-                .saturating_mul(cost.replay_ns_per_record)
-                .saturating_add(reconciled.saturating_mul(cost.resync_ns_per_page));
-        }
+        self.stats.recoveries += 1;
+        self.stats.replayed = replayed;
+        self.stats.reconciled = reconciled;
+        self.stats.recovery_ns = replayed
+            .saturating_mul(REPLAY_NS_PER_RECORD)
+            .saturating_add(reconciled.saturating_mul(RESYNC_NS_PER_PAGE));
     }
 
     // ------------------------------------------------------------------
     // Fault plan + recovery (dilos_sim::recover).
     // ------------------------------------------------------------------
 
-    /// Arms durable state on every memory node (periodic checkpoints + a
-    /// write-intent log) and the recovery cost model `cfg`.
+    /// Arms durable state on every memory node: a write-intent log and a
+    /// checkpoint sealed every `cfg.checkpoint_every` records.
     pub fn arm_durability(&mut self, cfg: RecoverConfig) {
         for n in &mut self.nodes {
             n.node.arm_persistence(cfg.checkpoint_every);
         }
-        self.recover = Some(cfg);
     }
 
     /// Counters of the crash/recovery cycles so far (zeroes unless durable
     /// state is armed).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        let completions = self.completions();
-        let stats = RecoveryStats {
-            completions,
+        if !self.nodes[0].node.persistence_armed() {
+            return RecoveryStats::default();
+        }
+        RecoveryStats {
+            completions: self.completions(),
             ..self.stats
-        };
-        self.recover.map_or_else(RecoveryStats::default, |_| stats)
+        }
     }
 
     /// Data-path verbs completed so far: every posted verb but the failed.
@@ -1424,6 +1422,22 @@ mod tests {
         assert!(buf[..64].iter().all(|&b| b == 2));
         assert!(buf[64..96].iter().all(|&b| b == 3));
         assert!(buf[96..].iter().all(|&b| b == 2));
+    }
+
+    #[test]
+    fn an_erasure_coded_pool_accepts_a_zero_length_segment() {
+        // `check_segments` accepts an empty segment; the stripe must
+        // address its start page, at remote 0 as on any later page.
+        let mut e = pool(1 << 22, 4, Erasure { k: 2, m: 2 });
+        let mut buf = [0u8; 8];
+        for remote in [0, PAGE_SIZE as u64] {
+            let seg = [Segment {
+                remote,
+                offset: 0,
+                len: 0,
+            }];
+            assert!(e.read_v(0, 0, ServiceClass::App, &seg, &mut buf).is_ok());
+        }
     }
 
     #[test]

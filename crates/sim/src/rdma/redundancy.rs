@@ -62,9 +62,9 @@ pub(super) struct Stripe {
 
 impl Stripe {
     /// `(group, lane, node)` of the data page holding `[addr, addr + len)`,
-    /// which must not cross a page.
+    /// which must not cross a page; an empty range names `addr`'s page.
     fn data(self, addr: u64, len: usize) -> (u64, usize, usize) {
-        let (page, last) = (addr >> 12, (addr + len as u64 - 1) >> 12);
+        let (page, last) = (addr >> 12, (addr + (len as u64).saturating_sub(1)) >> 12);
         debug_assert_eq!(page, last, "EC access crosses a page");
         let (group, lane) = (page / self.rs.k as u64, (page % self.rs.k as u64) as usize);
         (group, lane, self.shard(group, lane).0)
@@ -150,7 +150,6 @@ impl RdmaEndpoint {
             faults: FaultPlan::default(),
             next_completion: u64::MAX,
             failed_verbs: 0,
-            recover: None,
             stats: RecoveryStats::default(),
             pending_req: Vec::new(),
             pending_cores: 0,

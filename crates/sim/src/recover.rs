@@ -18,8 +18,8 @@
 //!    [`TraceEvent::RecoveryReplay`], which the auditor checks against the
 //!    acknowledged intents), and reconciles with surviving replicas or EC
 //!    stripes. Its cost is modelled, not charged to the calendar:
-//!    [`RecoveryStats::recovery_ns`] is `replayed × replay_ns_per_record +
-//!    reconciled × resync_ns_per_page`.
+//!    [`RecoveryStats::recovery_ns`] is `replayed ×`
+//!    [`REPLAY_NS_PER_RECORD`] `+ reconciled ×` [`RESYNC_NS_PER_PAGE`].
 //!
 //! [`SchedEvent::FaultDue`]: crate::sched::SchedEvent::FaultDue
 //! [`TraceEvent::RecoveryReplay`]: crate::trace::TraceEvent::RecoveryReplay
@@ -28,23 +28,23 @@ use std::collections::BTreeMap;
 
 use crate::time::{Ns, PAGE_SIZE};
 
-/// The durability model: checkpoint interval and recovery cost.
+/// Modeled replay cost per intent-log record, in virtual ns.
+pub const REPLAY_NS_PER_RECORD: Ns = 500;
+/// Modeled reconciliation cost per page resynced from survivors, in
+/// virtual ns.
+pub const RESYNC_NS_PER_PAGE: Ns = 2_000;
+
+/// The durability model: the checkpoint interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoverConfig {
     /// Seal a checkpoint once the intent log holds this many records.
     pub checkpoint_every: u64,
-    /// Modeled replay cost per intent-log record.
-    pub replay_ns_per_record: Ns,
-    /// Modeled reconciliation cost per page resynced from survivors.
-    pub resync_ns_per_page: Ns,
 }
 
 impl Default for RecoverConfig {
     fn default() -> Self {
         Self {
             checkpoint_every: 64,
-            replay_ns_per_record: 500,
-            resync_ns_per_page: 2_000,
         }
     }
 }

@@ -25,6 +25,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos::core::{Dilos, DilosConfig, Readahead};
+use dilos::sim::recover::{REPLAY_NS_PER_RECORD, RESYNC_NS_PER_PAGE};
 use dilos::sim::{
     Fault, Ns, Observability, RecoverConfig, RecoveryStats, Redundancy, TraceEvent, TraceObserver,
     When,
@@ -58,7 +59,6 @@ fn boot(crashes: &[(u64, usize)], obs: Observability) -> Dilos {
         redundancy: Redundancy::Replicas(2),
         recovery: Some(RecoverConfig {
             checkpoint_every: 32,
-            ..RecoverConfig::default()
         }),
         faults: crashes
             .iter()
@@ -325,7 +325,10 @@ fn two_crashes_in_one_run_recover_clean_and_deterministic() {
         (a.stats.replayed, a.stats.reconciled),
         (replayed, reconciled)
     );
-    assert_eq!(a.stats.recovery_ns, replayed * 500 + reconciled * 2_000);
+    assert_eq!(
+        a.stats.recovery_ns,
+        replayed * REPLAY_NS_PER_RECORD + reconciled * RESYNC_NS_PER_PAGE
+    );
 
     let b = run(&crashes);
     assert_eq!(a.digest, b.digest, "nondeterministic two-crash trace");

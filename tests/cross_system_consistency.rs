@@ -341,7 +341,6 @@ fn degraded_reads_with_concurrent_crash_match_healthy_systems() {
             redundancy: Redundancy::Erasure { k: 2, m: 2 },
             recovery: Some(RecoverConfig {
                 checkpoint_every: 32,
-                ..RecoverConfig::default()
             }),
             faults: crash_at
                 .map(|at| {

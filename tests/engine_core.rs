@@ -454,8 +454,8 @@ fn calendar_lane_matches_a_sorted_reference() {
 #[test]
 fn boot_time_objects_keep_their_size() {
     use std::mem::size_of;
-    assert_eq!(size_of::<dilos::core::Dilos>(), 1_216);
-    assert_eq!(size_of::<dilos::sim::RdmaEndpoint>(), 400);
-    assert_eq!(size_of::<dilos::baselines::Fastswap>(), 1_048);
+    assert_eq!(size_of::<dilos::core::Dilos>(), 1_128);
+    assert_eq!(size_of::<dilos::sim::RdmaEndpoint>(), 368);
+    assert_eq!(size_of::<dilos::baselines::Fastswap>(), 944);
     assert_eq!(size_of::<dilos::sim::SchedEvent>(), 16);
 }

@@ -194,7 +194,6 @@ fn recovery(obs: Observability) {
         2,
         Some(RecoverConfig {
             checkpoint_every: 32,
-            ..RecoverConfig::default()
         }),
         [(
             When::Completion(200),

@@ -4,16 +4,16 @@
 //! Every other virtual-time check in the workspace is a pin (a digest, a
 //! byte-stable `results/` file) or an ordering against the paper; a pin
 //! catches change, not error. These cases derive each expected value from
-//! the node's own [`SimConfig`](dilos::sim::SimConfig) and
-//! [`SoftCosts`](dilos::core::SoftCosts), never from a literal, so a model
-//! that stops computing what its constants say fails here even when it is
-//! deterministic.
+//! the node's own [`SimConfig`](dilos::sim::SimConfig) and the handler's
+//! cost constants ([`PTE_CHECK_NS`], [`MAP_NS`]), never from a literal, so
+//! a model that stops computing what its constants say fails here even
+//! when it is deterministic.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos::apps::farmem::FarMemory;
-use dilos::core::{Dilos, DilosConfig, FaultBreakdown};
+use dilos::core::{Dilos, DilosConfig, FaultBreakdown, MAP_NS, PTE_CHECK_NS};
 use dilos::sim::{
     Fault, Ns, Observability, RdmaEndpoint, Redundancy, Segment, ServiceClass, SimConfig,
     TraceEvent, TraceObserver, When, PAGE_SIZE,
@@ -67,10 +67,10 @@ fn read_back(node: &mut Dilos, va: u64, pages: u64) -> Vec<FaultBreakdown> {
 fn demand_fault(cfg: &DilosConfig) -> FaultBreakdown {
     FaultBreakdown {
         exception: cfg.sim.hw_exception_ns,
-        check: cfg.costs.pte_check_ns,
+        check: PTE_CHECK_NS,
         alloc_wait: 0,
         fetch: cfg.sim.rdma_read_ns(PAGE_SIZE) - cfg.sim.memnode_hugepage_saving_ns,
-        map: cfg.costs.map_ns,
+        map: MAP_NS,
         reclaim: 0,
         count: 1,
     }
@@ -318,5 +318,32 @@ fn a_vectored_read_on_an_idle_endpoint_costs_its_closed_form() {
             .expect("an idle endpoint serves the vector");
         let expected = s.rdma_read_ns(b) - s.memnode_hugepage_saving_ns + s.sg_extra_ns(k);
         assert_eq!(done - now, expected, "{k} segments, {b} bytes");
+    }
+}
+
+/// (h) Head-of-line blocking. With the shared-queue ablation every verb
+/// of every core and class rides one queue pair, so a `Fault` read posted
+/// behind a `Cleaner` write-back on another core waits for the write-back
+/// to leave that QP (its doorbell plus the page's wire time) and then costs
+/// exactly the read's closed form, `rdma_read_ns(PAGE_SIZE) - saving`. The
+/// link is full duplex, so with per-core, per-module QPs the same read
+/// costs the closed form alone.
+#[test]
+fn a_shared_queue_read_waits_exactly_for_the_write_back_ahead_of_it() {
+    let s = SimConfig::default();
+    let now = 1_000;
+    let read_alone = s.rdma_read_ns(PAGE_SIZE) - s.memnode_hugepage_saving_ns;
+    let write_leaves = now + s.qp_doorbell_ns + s.wire_ns(PAGE_SIZE);
+    for (shared, expected) in [(false, now + read_alone), (true, write_leaves + read_alone)] {
+        let mut ep = RdmaEndpoint::connect(s.clone(), 1 << 20);
+        ep.set_shared_queue(shared);
+        let page = [0u8; PAGE_SIZE];
+        ep.write(now, 1, ServiceClass::Cleaner, 0, &page)
+            .expect("an idle endpoint takes the write-back");
+        let mut buf = [0u8; PAGE_SIZE];
+        let done = ep
+            .read(now, 0, ServiceClass::Fault, PAGE_SIZE as u64, &mut buf)
+            .expect("the read follows the write-back");
+        assert_eq!(done, expected, "shared queue {shared}");
     }
 }
