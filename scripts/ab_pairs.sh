@@ -8,11 +8,16 @@
 # uncommitted changes, HEAD~1 when it is clean) and the working tree
 # (tracked files plus untracked ones that are not ignored) into the sibling
 # directories $AB_DIR/base and $AB_DIR/head, and builds each once with
-# identical settings into $AB_DIR/target-base and $AB_DIR/target-head. The
-# equal-length paths matter: the dependencies' absolute source paths land in
-# the binary's .rodata, ahead of .text, and two builds of one source from
-# paths of different lengths have differed in speed by up to 40 %. Then runs
-# `pairs` pairs, swapping which side goes first every pair, and prints:
+# identical settings into $AB_DIR/target-base and $AB_DIR/target-head. Each
+# side builds from inside its own export, because cargo reads
+# `.cargo/config.toml` (the release profile) from the directory it runs in:
+# a side built from elsewhere takes that directory's profile, not its own.
+# The script prints each side's dilos_perf size, so a build setting that
+# reaches only one side shows. The equal-length paths matter: the
+# dependencies' absolute source paths land in the binary's .rodata, ahead of
+# .text, and two builds of one source from paths of different lengths have
+# differed in speed by up to 40 %. Then runs `pairs` pairs, swapping which
+# side goes first every pair, and prints:
 #   - each pair's two values and which side won;
 #   - the change's win count;
 #   - both medians, their ratio, and the base's interquartile range;
@@ -25,10 +30,20 @@
 #   - the share of failed operations on each side;
 #   - whether every run's sim_fingerprint matched.
 #
+# With LAYOUTS=K, each side is built K times, with RUSTFLAGS="-C
+# metadata=lay<i>" into $AB_DIR/target-<side>-<i> (i = 1..K), which moves
+# code and data without changing the source. Pair i runs both sides' layout
+# ((i - 1) mod K) + 1, and the script also prints each layout's pair count,
+# base median and change/base ratio, and the spread of each side's medians
+# across layouts ((max - min) / median). One layout is a sample of one.
+#
 # Environment:
 #   METRIC   end-to-end metric to compare (default ops_per_s)
 #   BETTER   higher | lower (default higher)
-#   AB_DIR   work directory for sources, builds and logs (default: mktemp -d)
+#   LAYOUTS  number of -C metadata layouts per side (default: one plain build)
+#   AB_DIR   work directory for sources, builds and logs (default: mktemp -d);
+#            it must lie outside the repository, whose .cargo/config.toml
+#            cargo would otherwise also read for the base side
 set -euo pipefail
 
 if [ "$#" -lt 4 ] || [ "$#" -gt 5 ]; then
@@ -38,6 +53,7 @@ fi
 workload=$1 pairs=$2 seconds=$3 seed=$4
 metric=${METRIC:-ops_per_s}
 better=${BETTER:-higher}
+layouts=${LAYOUTS:-0}
 root=$(git rev-parse --show-toplevel)
 if [ "$#" -eq 5 ]; then
     base=$5
@@ -47,7 +63,13 @@ else
     base=HEAD~1
 fi
 base_rev=$(git -C "$root" rev-parse --short "$base")
-dir=${AB_DIR:-$(mktemp -d)}
+dir=$(realpath -m "${AB_DIR:-$(mktemp -d)}")
+case "$dir/" in
+"$(realpath "$root")/"*)
+    echo "AB_DIR $dir lies inside the repository: both sides would read its .cargo/config.toml" >&2
+    exit 2
+    ;;
+esac
 rm -rf "$dir/base" "$dir/head" "$dir/logs"
 mkdir -p "$dir/base" "$dir/head" "$dir/logs"
 echo "base $base_rev vs working tree; $workload, $pairs pairs of ${seconds} s, seed $seed; work dir $dir"
@@ -57,42 +79,53 @@ git -C "$root" archive "$base_rev" | tar -x -C "$dir/base"
 git -C "$root" ls-files -z --cached --others --exclude-standard |
     (cd "$root" && while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
         tar --null -T - -cf -) | tar -x -C "$dir/head"
-build() { # <side>
-    cargo build --release --locked --quiet \
-        --manifest-path "$dir/$1/crates/bench/src/bin/dilos_perf/Cargo.toml" \
-        --target-dir "$dir/target-$1"
+target() { # <side> <layout: 0 for the plain build>
+    if (($2)); then echo "$dir/target-$1-$2"; else echo "$dir/target-$1"; fi
 }
-build base
-build head
+build() { # <side> <layout>
+    local flags=${RUSTFLAGS:-}
+    (($2)) && flags="$flags -C metadata=lay$2"
+    (cd "$dir/$1" && RUSTFLAGS=$flags cargo build --release --locked --quiet \
+        --manifest-path crates/bench/src/bin/dilos_perf/Cargo.toml \
+        --target-dir "$(target "$1" "$2")")
+    echo "dilos_perf $1$( (($2)) && echo " layout $2"): $(stat -c %s "$(target "$1" "$2")/release/dilos_perf") B"
+}
+if ((layouts)); then lays=($(seq 1 "$layouts")); else lays=(0); fi
+for l in "${lays[@]}"; do
+    build base "$l"
+    build head "$l"
+done
 
-run() { # <side: base | head> <pair>
+run() { # <side: base | head> <pair> <layout>
     local log="$dir/logs/$1-$2.jsonl"
-    "$dir/target-$1/release/dilos_perf" --workload "$workload" --seed "$seed" \
+    "$(target "$1" "$3")/release/dilos_perf" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 > "$log"
     jq -r --arg m "$metric" 'select(.metrics) | .metrics[$m].value' "$log"
 }
 
-base_vals=() change_vals=() wins=0
+base_vals=() change_vals=() pair_lays=() wins=0
 for ((i = 1; i <= pairs; i++)); do
+    l=${lays[$(((i - 1) % ${#lays[@]}))]}
     if ((i % 2)); then
-        b=$(run base "$i"); c=$(run head "$i")
+        b=$(run base "$i" "$l"); c=$(run head "$i" "$l")
     else
-        c=$(run head "$i"); b=$(run base "$i")
+        c=$(run head "$i" "$l"); b=$(run base "$i" "$l")
     fi
-    base_vals+=("$b") change_vals+=("$c")
+    base_vals+=("$b") change_vals+=("$c") pair_lays+=("$l")
     if [ "$better" = lower ]; then won=$(jq -n "$c < $b"); else won=$(jq -n "$c > $b"); fi
     [ "$won" = true ] && wins=$((wins + 1))
-    printf 'pair %2d: base %14.6g  change %14.6g  ratio %.4f  %s\n' \
-        "$i" "$b" "$c" "$(jq -n "$c / $b")" "$([ "$won" = true ] && echo win || echo loss)"
+    printf 'pair %2d: base %14.6g  change %14.6g  ratio %.4f  %s%s\n' \
+        "$i" "$b" "$c" "$(jq -n "$c / $b")" "$([ "$won" = true ] && echo win || echo loss)" \
+        "$( ((l)) && echo "  layout $l")"
 done
 
+# Linear interpolation between closest ranks.
+quantile='def q($p): sort | ((length - 1) * $p) as $h | ($h | floor) as $lo
+    | .[$lo] + ($h - $lo) * (.[($h | ceil)] - .[$lo]);'
 jq -n -r \
     --argjson base "[$(IFS=,; echo "${base_vals[*]}")]" \
     --argjson change "[$(IFS=,; echo "${change_vals[*]}")]" \
-    --argjson wins "$wins" --arg better "$better" --arg metric "$metric" '
-    # Linear interpolation between closest ranks.
-    def q($p): sort | ((length - 1) * $p) as $h | ($h | floor) as $lo
-        | .[$lo] + ($h - $lo) * (.[($h | ceil)] - .[$lo]);
+    --argjson wins "$wins" --arg better "$better" --arg metric "$metric" "$quantile"'
     ($base | q(0.5)) as $mb | ($change | q(0.5)) as $mc
     | (($base | q(0.75)) - ($base | q(0.25))) as $iqr
     | (if $better == "lower" then $mb - $mc else $mc - $mb end) as $gap
@@ -102,15 +135,29 @@ jq -n -r \
       "claim rule (>= 9/10 wins and gap > IQR): \(
         if $wins * 10 >= 9 * ($base | length) and $gap > $iqr then "met" else "not met" end)"'
 
+if ((layouts)); then
+    echo
+    jq -n -r \
+        --argjson base "[$(IFS=,; echo "${base_vals[*]}")]" \
+        --argjson change "[$(IFS=,; echo "${change_vals[*]}")]" \
+        --argjson lay "[$(IFS=,; echo "${pair_lays[*]}")]" "$quantile"'
+        [$lay | unique[] as $l | [range(0; $lay | length) | select($lay[.] == $l)] as $ix
+         | {l: $l, n: ($ix | length), b: ([$ix[] | $base[.]] | q(0.5)),
+            c: ([$ix[] | $change[.]] | q(0.5))}] as $rows
+        | def spread($side): ($rows | map(.[$side])) as $m
+            | "min \($m | min)  max \($m | max)  spread \((($m | max) - ($m | min)) / ($m | q(0.5)))";
+        ($rows[] | "layout \(.l): \(.n) pairs  median base \(.b)  change \(.c)  ratio \(.c / .b)"),
+        "base medians across layouts: \(spread("b"))",
+        "change medians across layouts: \(spread("c"))"'
+fi
+
 # Every end-to-end metric, from the same runs: one row each.
 side() { # <base | head>: each pair's metrics line, in pair order
     for ((i = 1; i <= pairs; i++)); do jq -c 'select(.metrics)' "$dir/logs/$1-$i.jsonl"; done
 }
 echo
 jq -n -r --slurpfile spec "$root/BENCHMARK.json" \
-    --slurpfile base <(side base) --slurpfile change <(side head) '
-    def q($p): sort | ((length - 1) * $p) as $h | ($h | floor) as $lo
-        | .[$lo] + ($h - $lo) * (.[($h | ceil)] - .[$lo]);
+    --slurpfile base <(side base) --slurpfile change <(side head) "$quantile"'
     def share: (map(.failed) | add) / ([map(.attempted) | add, 1] | max);
     ["metric", "better", "base", "change", "ratio", "base_IQR", "wins", "bound", "within"],
     ($spec[0].end_to_end[] as $m
