@@ -232,8 +232,7 @@ impl Introspect for Fastswap {
         (s.major_faults, s.minor_faults)
     }
     fn net_bytes(&self) -> (u64, u64) {
-        let bw = self.rdma().fabric().bandwidth();
-        (bw.total_tx(), bw.total_rx())
+        self.rdma().total_bytes()
     }
     fn trace_digest(&mut self) -> u64 {
         self.quiesce();
@@ -287,8 +286,7 @@ impl Introspect for Aifm {
         (s.misses, s.inflight_waits)
     }
     fn net_bytes(&self) -> (u64, u64) {
-        let bw = self.rdma().fabric().bandwidth();
-        (bw.total_tx(), bw.total_rx())
+        self.rdma().total_bytes()
     }
     fn trace_digest(&mut self) -> u64 {
         self.quiesce();

@@ -153,7 +153,7 @@ impl Dict {
         }
     }
 
-    fn maybe_grow(&mut self, mem: &mut dyn FarMemory, _core: usize) {
+    fn maybe_grow(&mut self, mem: &mut dyn FarMemory) {
         if self.t1.is_none() && self.len >= self.t0.size {
             let size = self.t0.size * 2;
             let buckets = Self::alloc_table(&self.heap, mem, size);
@@ -197,7 +197,7 @@ impl Dict {
             write_entry(mem, core, entry_va, &Entry { val, ..e });
             return Some(old_val);
         }
-        self.maybe_grow(mem, core);
+        self.maybe_grow(mem);
         self.rehash_step(mem, core, 1);
         let h = hash_key(key);
         let target = self.t1.unwrap_or(self.t0);

@@ -208,7 +208,7 @@ impl Aifm {
     pub fn read(&mut self, core: usize, va: u64, buf: &mut [u8]) {
         for (chunk, off, span) in page_chunks(va, buf.len()) {
             let n = span.len();
-            self.deref(core, chunk, false);
+            self.deref(core, chunk);
             let ChunkState::Local { data, .. } = &self.chunks[&chunk] else {
                 unreachable!("deref localizes the chunk");
             };
@@ -221,7 +221,7 @@ impl Aifm {
     pub fn write(&mut self, core: usize, va: u64, buf: &[u8]) {
         for (chunk, off, span) in page_chunks(va, buf.len()) {
             let n = span.len();
-            self.deref(core, chunk, true);
+            self.deref(core, chunk);
             let Some(ChunkState::Local { data, dirty, .. }) = self.chunks.get_mut(&chunk) else {
                 unreachable!("deref localizes the chunk");
             };
@@ -244,7 +244,7 @@ impl Aifm {
     }
 
     /// The smart-pointer dereference: check, localize if needed.
-    fn deref(&mut self, core: usize, chunk: u64, _is_write: bool) {
+    fn deref(&mut self, core: usize, chunk: u64) {
         self.stats.derefs += 1;
         self.m.advance(core, DEREF_CHECK_NS);
         // Deliver the background streamer's completed landings first: a
@@ -517,7 +517,7 @@ impl ComputeNode for Aifm {
         g.set_gauge("lru_chunks", self.lru.len() as u64);
         g.set_gauge("pending_land", self.pending_land.len() as u64);
         g.set_gauge("busy_qps", self.rdma.busy_qps(t) as u64);
-        g.set_gauge("link_busy_ns", self.rdma.fabric().link_busy());
+        g.set_gauge("link_busy_ns", self.rdma.link_busy());
     }
 }
 

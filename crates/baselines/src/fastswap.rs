@@ -237,7 +237,7 @@ impl Fastswap {
         &self.stats
     }
 
-    /// The RDMA endpoint (bandwidth accounting).
+    /// The RDMA endpoint (wire bytes, link utilization).
     pub fn rdma(&self) -> &RdmaEndpoint {
         &self.rdma
     }
@@ -405,7 +405,7 @@ impl Fastswap {
         let now = self.m.now(core);
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::ZeroFill);
         let t = now + self.cfg.sim.hw_exception_ns + PAGE_ALLOC_NS;
-        let (frame, t_frame, _) = self.get_frame(core, t);
+        let (frame, t_frame, _) = self.get_frame(t);
         // Clear the page in place, unless the store still shares it: then a
         // fresh zero page replaces it.
         let page = &mut self.frames[frame as usize];
@@ -427,7 +427,7 @@ impl Fastswap {
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::Major);
         let exception = self.cfg.sim.hw_exception_ns;
         let mut t = now + exception + SWAP_CACHE_NS;
-        let (frame, t_frame, reclaim_ns) = self.get_frame(core, t + PAGE_ALLOC_NS);
+        let (frame, t_frame, reclaim_ns) = self.get_frame(t + PAGE_ALLOC_NS);
         t = t_frame;
         // Demand fetch (synchronous).
         let remote = (vpn - (BASE_VA >> 12)) << 12;
@@ -544,7 +544,7 @@ impl Fastswap {
     /// the tail is by definition the coldest page, so no extra care is
     /// needed to avoid stripping the hot set.
     fn reclaim_gentle(&mut self, t: Ns) {
-        self.reclaim_batch(0, t, true);
+        self.reclaim_batch(t, true);
         self.stats.offloaded_reclaims += 1;
     }
 
@@ -569,7 +569,7 @@ impl Fastswap {
     /// Returns `(frame, time, direct_reclaim_ns)`. Every other reclaim
     /// round is absorbed by the offload thread; the rest run here, in the
     /// fault path — Fastswap's partial offload (§3.1).
-    fn get_frame(&mut self, core: usize, t: Ns) -> (u32, Ns, Ns) {
+    fn get_frame(&mut self, t: Ns) -> (u32, Ns, Ns) {
         let mut now = t;
         let mut direct_ns = 0;
         let mut spins = 0;
@@ -596,7 +596,7 @@ impl Fastswap {
                 self.reclaim_due.push(due);
                 self.drain_events(now);
             } else {
-                let spent = self.reclaim_batch(core, now, false);
+                let spent = self.reclaim_batch(now, false);
                 self.stats.direct_reclaims += 1;
                 direct_ns += spent;
                 now += spent;
@@ -629,7 +629,7 @@ impl Fastswap {
     /// work hides under the fault's in-flight RDMA: their software time is
     /// charged to the offload timeline, and clean frames are available
     /// immediately from the handler's perspective.
-    fn reclaim_batch(&mut self, _core: usize, t: Ns, offloaded: bool) -> Ns {
+    fn reclaim_batch(&mut self, t: Ns, offloaded: bool) -> Ns {
         let mut spent = 0;
         // Victim: the LRU tail (Linux's inactive-list tail). Swap-cache
         // pages that were read ahead but never touched are first-class
@@ -751,7 +751,7 @@ impl ComputeNode for Fastswap {
             }
             // One offloaded reclaim batch, running at the offload thread's
             // true time.
-            self.reclaim_batch(0, t, true);
+            self.reclaim_batch(t, true);
             self.stats.offloaded_reclaims += 1;
         }
         None
@@ -762,7 +762,7 @@ impl ComputeNode for Fastswap {
         g.set_gauge("lru_pages", self.lru.len() as u64);
         g.set_gauge("pending_writebacks", self.pending_free.len() as u64);
         g.set_gauge("busy_qps", self.rdma.busy_qps(t) as u64);
-        g.set_gauge("link_busy_ns", self.rdma.fabric().link_busy());
+        g.set_gauge("link_busy_ns", self.rdma.link_busy());
     }
 }
 

@@ -651,7 +651,7 @@ impl ComputeNode for Dilos {
         // Endpoint-wide: in a shared pool the queue pairs and wire are too.
         let ep = self.rdma.endpoint();
         g.set_gauge("busy_qps", ep.busy_qps(t) as u64);
-        g.set_gauge("link_busy_ns", ep.fabric().link_busy());
+        g.set_gauge("link_busy_ns", ep.link_busy());
     }
 }
 

@@ -146,7 +146,7 @@ impl Dilos {
         let now = self.m.now(core);
         let prev_req = self.m.begin_fault(now, core, vpn, FaultKind::ZeroFill);
         let t = now + self.cfg.sim.hw_exception_ns + PTE_CHECK_NS;
-        let (frame, t_alloc, reclaim_ns) = self.alloc_frame(core, t);
+        let (frame, t_alloc, reclaim_ns) = self.alloc_frame(t);
         self.frames.zero(frame);
         let t_done = t_alloc + ZERO_FILL_NS + MAP_NS + reclaim_ns;
         self.m.wait_until(core, t_done);
@@ -176,7 +176,7 @@ impl Dilos {
         // Transition through the `fetching` tag, exactly as §4.2 describes
         // (other cores reading the PTE would wait instead of re-fetching).
         self.set_pte(t, vpn, Pte::Fetching { inflight: u32::MAX });
-        let (frame, t_alloc, reclaim_ns) = self.alloc_frame(core, t);
+        let (frame, t_alloc, reclaim_ns) = self.alloc_frame(t);
         let class = ServiceClass::Fault;
         // A demand fault cannot degrade gracefully: the faulting load needs
         // the bytes now, so data loss here is fatal by design (mirrors a

@@ -39,7 +39,7 @@ impl Dilos {
     /// Returns `(frame, time_frame_held, direct_reclaim_ns)`. With eager
     /// background eviction the wait is almost always zero; the
     /// `direct_reclaim` ablation instead charges the reclaim to the handler.
-    pub(super) fn alloc_frame(&mut self, _core: usize, t: Ns) -> (u32, Ns, Ns) {
+    pub(super) fn alloc_frame(&mut self, t: Ns) -> (u32, Ns, Ns) {
         if self.cfg.direct_reclaim {
             // Fastswap-style: reclaim inside the handler when low.
             let mut reclaim_ns = 0;

@@ -41,8 +41,9 @@ pub struct SimConfig {
     pub sg_slow_per_segment_ns: Ns,
     /// Number of scatter/gather segments served at full speed.
     pub sg_fast_segments: usize,
-    /// Latency reduction on the memory node when its region is backed by
-    /// 2 MB huge pages (the RNIC page table fits in NIC cache; §5).
+    /// Latency reduction on the memory node, whose region is backed by
+    /// 2 MB huge pages (the RNIC page table fits in NIC cache; §5). Every
+    /// verb subtracts it; a profile without huge pages sets it to zero.
     pub memnode_hugepage_saving_ns: Ns,
     /// Hardware page-fault exception delivery plus OS exception entry
     /// (Figure 1: 0.57 µs, 9 % of the average Fastswap fault).

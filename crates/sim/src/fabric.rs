@@ -4,14 +4,14 @@
 //! gets its own per-core RDMA queue so that "the page fault handler's
 //! requests must not be blocked by other low prioritized requests from a
 //! prefetcher or a manager (head-of-line blocking)". The fabric models the
-//! part all queues *do* share — the 100 GbE wire — and records per-class
-//! byte counts so Figure 12 (bandwidth over time) can be regenerated.
+//! part all queues *do* share — the 100 GbE wire — and counts its bytes per
+//! (tenant, class) row, the one ledger every wire-byte total reads (Figure
+//! 12's per-phase traffic, the auditor's census, `net_bytes`).
 
 use std::collections::BTreeMap;
 
 use crate::config::SimConfig;
 use crate::obs::Observability;
-use crate::stats::BandwidthRecorder;
 use crate::time::Ns;
 use crate::timeline::Timeline;
 use crate::trace::{TraceEvent, TraceSink};
@@ -115,7 +115,7 @@ impl VerbCost {
     }
 }
 
-/// The shared wire plus bandwidth accounting.
+/// The shared wire plus per-(tenant, class) byte accounting.
 #[derive(Debug)]
 pub struct Fabric {
     cfg: SimConfig,
@@ -127,7 +127,6 @@ pub struct Fabric {
     /// Memory-node → compute-node direction (fetches). RoCE links are full
     /// duplex, so the two directions do not contend.
     link_down: Timeline,
-    bw: BandwidthRecorder,
     /// Tenant whose traffic is currently on the wire (single-tenant boots
     /// never change this from 0). Set by the cluster layer around each verb.
     active_tenant: u8,
@@ -142,15 +141,15 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Creates a fabric with the given calibration; bandwidth is bucketed at
-    /// `bw_bucket_ns` for the Figure 12 time series.
-    pub fn new(cfg: SimConfig, bw_bucket_ns: Ns) -> Self {
+    /// Creates a fabric with the given calibration. `_bw_bucket_ns` is
+    /// ignored: a compatibility shim for existing callers, going with the
+    /// verb shims (ROADMAP item 5).
+    pub fn new(cfg: SimConfig, _bw_bucket_ns: Ns) -> Self {
         Self {
             memo: [VerbCost::of(&cfg, 0, false), VerbCost::of(&cfg, 0, true)],
             cfg,
             link_up: Timeline::new(),
             link_down: Timeline::new(),
-            bw: BandwidthRecorder::new(bw_bucket_ns),
             active_tenant: 0,
             tenant_tx: Vec::new(),
             tenant_rx: Vec::new(),
@@ -243,13 +242,15 @@ impl Fabric {
             }
         };
         let ti = tenant as usize * 5 + class.idx();
-        if inbound {
-            self.bw.record_rx(end, bytes as u64);
-            Self::bump(&mut self.tenant_rx, ti, bytes as u64);
+        let rows = if inbound {
+            &mut self.tenant_rx
         } else {
-            self.bw.record_tx(end, bytes as u64);
-            Self::bump(&mut self.tenant_tx, ti, bytes as u64);
+            &mut self.tenant_tx
+        };
+        if rows.len() <= ti {
+            rows.resize(ti + 1, 0);
         }
+        rows[ti] += bytes as u64;
         self.trace.emit(
             t,
             TraceEvent::LinkTransfer {
@@ -262,16 +263,10 @@ impl Fabric {
         end
     }
 
-    /// The bandwidth time series recorder.
-    pub fn bandwidth(&self) -> &BandwidthRecorder {
-        &self.bw
-    }
-
-    fn bump(v: &mut Vec<u64>, i: usize, by: u64) {
-        if v.len() <= i {
-            v.resize(i + 1, 0);
-        }
-        v[i] += by;
+    /// Total bytes on this link, `(tx, rx)`: the sum of every
+    /// per-(tenant, class) row.
+    pub fn total_bytes(&self) -> (u64, u64) {
+        (self.tenant_tx.iter().sum(), self.tenant_rx.iter().sum())
     }
 
     /// Outbound bytes attributed to `(tenant, class)`.
@@ -322,8 +317,7 @@ mod tests {
         let mut f = Fabric::new(SimConfig::default(), 1_000_000);
         f.transfer(0, ServiceClass::Cleaner, 100, false);
         f.transfer(0, ServiceClass::Fault, 200, true);
-        assert_eq!(f.bandwidth().total_tx(), 100);
-        assert_eq!(f.bandwidth().total_rx(), 200);
+        assert_eq!(f.total_bytes(), (100, 200));
         // Single-tenant traffic lands on tenant 0's ledger.
         assert_eq!(f.tenant_rx(0, ServiceClass::Fault), 200);
         assert_eq!(f.tenant_tx(0, ServiceClass::Cleaner), 100);
@@ -339,7 +333,7 @@ mod tests {
         f.transfer(0, ServiceClass::Fault, 8192, true);
         assert_eq!(f.tenant_rx(1, ServiceClass::Fault), 4096);
         assert_eq!(f.tenant_rx(2, ServiceClass::Fault), 8192);
-        assert_eq!(f.bandwidth().total_rx(), 4096 + 8192);
+        assert_eq!(f.total_bytes().1, 4096 + 8192);
     }
 
     #[test]
@@ -372,10 +366,9 @@ mod tests {
                 rx += f.tenant_rx(t, class);
             }
         }
-        assert_eq!(tx, f.bandwidth().total_tx());
-        assert_eq!(rx, f.bandwidth().total_rx());
-        assert_eq!(f.bandwidth().total_rx(), 4096 + 64 + 4096);
-        assert_eq!(f.bandwidth().total_tx(), 512 + 4096 + 128);
+        assert_eq!((tx, rx), f.total_bytes());
+        assert_eq!(f.total_bytes().1, 4096 + 64 + 4096);
+        assert_eq!(f.total_bytes().0, 512 + 4096 + 128);
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //!   paper's Figures 1, 2, and 6 and §6.2.
 //! - [`memnode`]: the memory node — a registered remote memory region served
 //!   by a simulated RNIC ([`MemoryNode`]).
-//! - [`fabric`]: the network link model with per-class bandwidth accounting
-//!   ([`Fabric`], [`ServiceClass`]).
+//! - [`fabric`]: the network link model with per-(tenant, class) byte
+//!   accounting ([`Fabric`], [`ServiceClass`]).
 //! - [`rdma`]: one-sided verbs over per-core, per-module queue pairs
 //!   ([`RdmaEndpoint`]), including the scatter/gather verbs guided paging
 //!   uses.
-//! - [`stats`]: latency histograms and bandwidth time series used to
-//!   regenerate the paper's tables and figures.
+//! - [`stats`]: the latency histogram used to regenerate the paper's
+//!   tail-latency table.
 //! - [`metrics`]: the virtual-time telemetry layer — a deterministic
 //!   [`MetricsRegistry`] of sampled gauges, plus the [`SpanProfiler`] that
 //!   folds the trace stream into counters, flamegraph stacks and
@@ -87,7 +87,7 @@ pub use rdma::{RdmaEndpoint, RdmaError, Redundancy, Segment};
 pub use recover::{Fault, FaultPlan, RecoverConfig, RecoveryStats, When};
 pub use rng::{MixedSizes, SplitMix64, Zipf};
 pub use sched::{Calendar, EventId, SchedEvent};
-pub use stats::{BandwidthRecorder, LatencyHistogram};
+pub use stats::LatencyHistogram;
 pub use store::{FlatStore, MemStore, Page};
 pub use time::{page_chunks, Ns, PAGE_SIZE};
 pub use timeline::Timeline;

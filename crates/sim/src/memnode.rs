@@ -73,7 +73,6 @@ pub struct MemoryNode {
     /// sequentially, so the table is dense).
     regions: Vec<Option<Region>>,
     next_key: u32,
-    huge_pages: bool,
     trace: TraceSink,
     /// Virtual time of the in-flight verb, stamped by the endpoint before
     /// each data-path access (the passive node has no clock of its own).
@@ -95,7 +94,6 @@ impl Default for MemoryNode {
             pages,
             regions: Vec::new(),
             next_key: 0,
-            huge_pages: false,
             trace: TraceSink::default(),
             access_time: Cell::new(0),
             node_id: 0,
@@ -118,21 +116,13 @@ impl MemoryNode {
         self.pages = Box::new(crate::store::BTreeStore::from(self.pages.snapshot_all()));
     }
 
-    /// Enables 2 MB huge-page backing for registered regions.
-    ///
-    /// §5: huge pages let the whole RNIC page table fit in NIC cache; the
-    /// fabric model shaves [`memnode_hugepage_saving_ns`] off each verb when
-    /// this is set.
+    /// Does nothing: every memory node is backed by 2 MB huge pages, and
+    /// the calibration alone says what they save
+    /// ([`memnode_hugepage_saving_ns`]). A compatibility shim for existing
+    /// callers, going with the verb shims (ROADMAP item 5).
     ///
     /// [`memnode_hugepage_saving_ns`]: crate::config::SimConfig::memnode_hugepage_saving_ns
-    pub fn set_huge_pages(&mut self, on: bool) {
-        self.huge_pages = on;
-    }
-
-    /// Whether huge-page backing is enabled.
-    pub fn huge_pages(&self) -> bool {
-        self.huge_pages
-    }
+    pub fn set_huge_pages(&mut self, _on: bool) {}
 
     /// Routes this node's served accesses into the bundle's trace sink.
     pub fn observe(&mut self, obs: &Observability) {

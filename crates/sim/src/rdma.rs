@@ -548,7 +548,7 @@ impl RdmaEndpoint {
         self.nodes[0].fabric.cfg()
     }
 
-    /// The primary node's fabric (bandwidth accounting, link utilization).
+    /// The primary node's fabric (byte rows, link utilization).
     pub fn fabric(&self) -> &Fabric {
         &self.nodes[0].fabric
     }
@@ -556,9 +556,16 @@ impl RdmaEndpoint {
     /// Total bytes on the wire across every node's link: `(tx, rx)`.
     pub fn total_bytes(&self) -> (u64, u64) {
         self.nodes.iter().fold((0, 0), |(tx, rx), n| {
-            let bw = n.fabric.bandwidth();
-            (tx + bw.total_tx(), rx + bw.total_rx())
+            let (out, inb) = n.fabric.total_bytes();
+            (tx + out, rx + inb)
         })
+    }
+
+    /// Link busy time summed over every node's link.
+    pub fn link_busy(&self) -> Ns {
+        self.nodes
+            .iter()
+            .fold(0, |busy: Ns, n| busy.saturating_add(n.fabric.link_busy()))
     }
 
     /// Direct access to a remote node (tests and verification only; real
@@ -631,10 +638,9 @@ impl RdmaEndpoint {
         let cfg = self.nodes[node].fabric.cfg();
         let doorbell = cfg.qp_doorbell_ns;
         let mut rest = total.saturating_sub(wire.saturating_add(doorbell));
-        rest = rest.saturating_add(cfg.sg_extra_ns(segments));
-        if self.nodes[node].node.huge_pages() {
-            rest = rest.saturating_sub(cfg.memnode_hugepage_saving_ns);
-        }
+        rest = rest
+            .saturating_add(cfg.sg_extra_ns(segments))
+            .saturating_sub(cfg.memnode_hugepage_saving_ns);
         let tcp_extra = if self.tcp_mode { cfg.tcp_extra_ns() } else { 0 };
         let (_, qp_end) = self
             .qp(node, core, class)

@@ -116,18 +116,15 @@ impl RdmaEndpoint {
                 (Scheme::Erasure(st), parity_base * 2)
             }
         };
-        // Figure 12 plots bandwidth in ~minutes; a 10 ms virtual bucket gives
-        // smooth series at bench scale.
         let nodes = (0..nodes)
             .map(|i| {
                 let mut node = MemoryNode::new();
-                node.set_huge_pages(true);
                 node.set_node_id(i as u8);
                 let region = node.register_region(0, region_bytes);
                 RemoteNode {
                     node,
                     region,
-                    fabric: Fabric::new(cfg.clone(), 10_000_000),
+                    fabric: Fabric::new(cfg.clone(), 0),
                     alive: true,
                     death_detected: false,
                 }

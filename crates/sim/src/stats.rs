@@ -1,8 +1,7 @@
-//! Measurement machinery: latency histograms and bandwidth time series.
+//! Measurement machinery: the latency histogram.
 //!
-//! Table 4 reports 99th/99.9th percentile request latencies and Figure 12
-//! plots network bandwidth over time; this module provides the recorders the
-//! benches use to regenerate both.
+//! Table 4 reports 99th/99.9th percentile request latencies; this module
+//! provides the recorder the benches use to regenerate them.
 
 use crate::time::Ns;
 
@@ -183,74 +182,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Byte counts bucketed by virtual time, per direction.
-///
-/// `record_tx` is compute-node → memory-node traffic (evictions/writebacks);
-/// `record_rx` is fetch traffic. Figure 12 plots the sum as MB/s over time.
-#[derive(Debug, Clone)]
-pub struct BandwidthRecorder {
-    bucket_ns: Ns,
-    tx: Vec<u64>,
-    rx: Vec<u64>,
-}
-
-impl BandwidthRecorder {
-    /// Creates a recorder with the given time-bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_ns` is zero.
-    pub fn new(bucket_ns: Ns) -> Self {
-        assert!(bucket_ns > 0, "bucket width must be positive");
-        Self {
-            bucket_ns,
-            tx: Vec::new(),
-            rx: Vec::new(),
-        }
-    }
-
-    fn slot(buf: &mut Vec<u64>, idx: usize) -> &mut u64 {
-        if buf.len() <= idx {
-            buf.resize(idx + 1, 0);
-        }
-        &mut buf[idx]
-    }
-
-    /// Records `bytes` of outbound (eviction) traffic at time `t`.
-    pub fn record_tx(&mut self, t: Ns, bytes: u64) {
-        *Self::slot(&mut self.tx, (t / self.bucket_ns) as usize) += bytes;
-    }
-
-    /// Records `bytes` of inbound (fetch) traffic at time `t`.
-    pub fn record_rx(&mut self, t: Ns, bytes: u64) {
-        *Self::slot(&mut self.rx, (t / self.bucket_ns) as usize) += bytes;
-    }
-
-    /// Total outbound bytes.
-    pub fn total_tx(&self) -> u64 {
-        self.tx.iter().sum()
-    }
-
-    /// Total inbound bytes.
-    pub fn total_rx(&self) -> u64 {
-        self.rx.iter().sum()
-    }
-
-    /// Returns `(bucket_start_ns, tx_bytes, rx_bytes)` rows for plotting.
-    pub fn series(&self) -> Vec<(Ns, u64, u64)> {
-        let n = self.tx.len().max(self.rx.len());
-        (0..n)
-            .map(|i| {
-                (
-                    i as Ns * self.bucket_ns,
-                    self.tx.get(i).copied().unwrap_or(0),
-                    self.rx.get(i).copied().unwrap_or(0),
-                )
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,19 +281,6 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
             assert_eq!(h.quantile(q), 7_777);
         }
-    }
-
-    #[test]
-    fn bandwidth_buckets_accumulate() {
-        let mut bw = BandwidthRecorder::new(1_000);
-        bw.record_tx(0, 10);
-        bw.record_tx(999, 5);
-        bw.record_rx(1_500, 7);
-        let s = bw.series();
-        assert_eq!(s[0], (0, 15, 0));
-        assert_eq!(s[1], (1_000, 0, 7));
-        assert_eq!(bw.total_tx(), 15);
-        assert_eq!(bw.total_rx(), 7);
     }
 
     #[test]

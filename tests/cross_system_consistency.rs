@@ -253,7 +253,7 @@ fn trace_derived_metrics_match_hand_counters() {
             }
             // The profiler's counters are folded from the stream; pin each
             // against a ledger that never reads it. Wire bytes: the fabric's
-            // bandwidth recorder, on every system.
+            // per-(tenant, class) rows, on every system.
             let wire = (
                 profiler.counter_total("fabric_tx_bytes"),
                 profiler.counter_total("fabric_rx_bytes"),

@@ -74,11 +74,41 @@ fn sharded_pool_behaves_like_one_big_node() {
         );
     }
     // Sharding spreads traffic over the four links.
-    let per_node_rx = sharded.rdma().fabric().bandwidth().total_rx();
+    let (_, per_node_rx) = sharded.rdma().fabric().total_bytes();
     let (_, total_rx) = sharded.rdma().total_bytes();
     assert!(
         per_node_rx * 3 < total_rx,
         "node 0 carries {per_node_rx} of {total_rx} bytes — not spread"
+    );
+}
+
+/// The `link_busy_ns` gauge is endpoint-wide: on a striped pool it counts
+/// every node's link, not only node 0's.
+#[test]
+fn link_busy_gauge_covers_every_link_of_a_sharded_pool() {
+    let obs = Observability::metered();
+    let mut n = Dilos::new(DilosConfig {
+        local_pages: 64,
+        remote_bytes: 1 << 24,
+        memory_nodes: 4,
+        obs: obs.clone(),
+        ..DilosConfig::default()
+    });
+    n.set_prefetcher(Box::new(Readahead::new()));
+    let va = populate(&mut n, 256);
+    for p in 0..256u64 {
+        n.read_u64(0, va + p * 4096);
+    }
+    let series = obs.metrics().series();
+    let last = series
+        .iter()
+        .find(|(name, _)| *name == "link_busy_ns")
+        .and_then(|(_, points)| points.last())
+        .map_or(0, |&(_, busy)| busy);
+    let node0 = n.rdma().fabric().link_busy();
+    assert!(
+        last > node0,
+        "gauge {last} ns does not exceed node 0's {node0} ns"
     );
 }
 

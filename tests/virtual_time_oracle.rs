@@ -15,7 +15,7 @@ use std::rc::Rc;
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, FaultBreakdown, MAP_NS, PTE_CHECK_NS};
 use dilos::sim::{
-    Fault, Ns, Observability, RdmaEndpoint, Redundancy, Segment, ServiceClass, SimConfig,
+    Fault, Ns, Observability, Page, RdmaEndpoint, Redundancy, Segment, ServiceClass, SimConfig,
     TraceEvent, TraceObserver, When, PAGE_SIZE,
 };
 
@@ -346,4 +346,27 @@ fn a_shared_queue_read_waits_exactly_for_the_write_back_ahead_of_it() {
             .expect("the read follows the write-back");
         assert_eq!(done, expected, "shared queue {shared}");
     }
+}
+
+/// (i) The NVMe profile. [`SimConfig::nvme`] sets the huge-page saving to
+/// zero, so on an idle endpoint a whole-page read completes exactly
+/// `rdma_read_ns(PAGE_SIZE)` after it is posted and a whole-page write
+/// exactly `rdma_write_ns(PAGE_SIZE)`: the saving lives in the
+/// calibration alone, with no switch on the memory node.
+#[test]
+fn an_nvme_page_verb_costs_its_closed_form_with_no_saving() {
+    let s = SimConfig::nvme();
+    assert_eq!(s.memnode_hugepage_saving_ns, 0);
+    let now = 1_000;
+    let mut ep = RdmaEndpoint::connect(s.clone(), 1 << 20);
+    let mut page: Page = Rc::new([0u8; PAGE_SIZE]);
+    let done = ep
+        .read_page(now, 0, ServiceClass::Fault, 0, &mut page)
+        .expect("an idle endpoint serves the page");
+    assert_eq!(done - now, s.rdma_read_ns(PAGE_SIZE), "read");
+    let mut ep = RdmaEndpoint::connect(s.clone(), 1 << 20);
+    let done = ep
+        .write_page(now, 0, ServiceClass::Cleaner, 0, &page)
+        .expect("an idle endpoint takes the page");
+    assert_eq!(done - now, s.rdma_write_ns(PAGE_SIZE), "write");
 }
