@@ -4,9 +4,10 @@
 //! binaries and patching their allocation symbols: "the ELF loader patches
 //! all malloc and free calls in the application's symbol table with
 //! corresponding DDC APIs". The real system rewrites ELF relocations; this
-//! reproduction models the same contract with a symbol-routing table — every
-//! workload in `dilos-apps` allocates through plain `malloc`-style names and
-//! the loader transparently reroutes them to `ddc_malloc`/`ddc_free`.
+//! reproduction models the same contract with a symbol-routing table that
+//! reroutes a table's `malloc`-family names to `ddc_malloc`/`ddc_free`. No
+//! workload loads through it: workloads call `FarMemory::alloc`, which on
+//! DiLOS is [`Dilos::ddc_alloc`](crate::Dilos::ddc_alloc).
 //!
 //! The loader also provides the *hooking interface* guides use to observe
 //! application state ("the prefetcher hooks the list traversing code and
@@ -42,7 +43,7 @@ impl SymbolTable {
         Self::default()
     }
 
-    /// Declares a symbol; `target` is what the PLT currently resolves to.
+    /// Declares a symbol, resolving to itself until a patch reroutes it.
     pub fn declare(&mut self, name: &str, kind: SymbolKind) {
         self.symbols
             .insert(name.to_string(), (kind, name.to_string()));

@@ -77,7 +77,7 @@ impl FrameArena {
     }
 
     /// Does nothing. A compatibility shim for existing callers, going with
-    /// the verb shims (ROADMAP item 4).
+    /// the verb shims (ROADMAP item 5).
     pub fn set_live(&mut self, _frame: u32, _n: usize) {}
 
     /// Zeroes the frame: in place when it holds the only reference to its

@@ -14,9 +14,9 @@
 //! keys — so interleaved verbs from different tenants each observe into
 //! their own streams while contending on the shared wire timelines. All
 //! tenant state is keyed by tenant id in `BTreeMap`s; nothing iterates in
-//! hash order. A single-tenant boot uses an *exclusive* port, which never
-//! activates and therefore leaves the endpoint byte-for-byte identical to
-//! the pre-cluster wiring (the tab01 digests pin this).
+//! hash order. A single-tenant boot is tenant 0 of a one-tenant pool:
+//! tenant 0 registers no slice, so its verbs carry the full-pool keys, and
+//! its traffic lands on the fabric's tenant-0 rows, the default.
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::collections::BTreeMap;
@@ -66,7 +66,6 @@ impl SharedPool {
             tenant,
             base,
             lane_base,
-            exclusive: false,
             obs: Observability::none(),
             cal: Calendar::new(),
             seg_scratch: Vec::new(),
@@ -83,16 +82,13 @@ impl SharedPool {
 ///
 /// The port mirrors the endpoint's verb surface; each call activates the
 /// owning tenant (observability, calendar, protection keys) and forwards
-/// with the tenant's address base and lane base applied. An *exclusive*
-/// port (single-tenant boot) skips activation entirely and forwards
-/// verbatim — zero behavioural delta against the pre-cluster endpoint.
+/// with the tenant's address base and lane base applied.
 #[derive(Debug, Clone)]
 pub struct RdmaPort {
     ep: Rc<RefCell<RdmaEndpoint>>,
     tenant: u8,
     base: u64,
     lane_base: usize,
-    exclusive: bool,
     obs: Observability,
     cal: Calendar,
     /// Reusable buffer for tenant-base-shifted segments (vectored verbs).
@@ -100,29 +96,15 @@ pub struct RdmaPort {
 }
 
 impl RdmaPort {
-    /// Wraps `ep` as a single-tenant port owning the whole endpoint.
+    /// Wraps `ep` as tenant 0 of a one-tenant pool, owning the whole
+    /// endpoint.
     pub fn exclusive(ep: RdmaEndpoint) -> Self {
-        Self {
-            ep: Rc::new(RefCell::new(ep)),
-            tenant: 0,
-            base: 0,
-            lane_base: 0,
-            exclusive: true,
-            obs: Observability::none(),
-            cal: Calendar::new(),
-            seg_scratch: Vec::new(),
-        }
+        SharedPool::new(ep).port(0, 0, 0)
     }
 
-    /// Binds the owner's observability bundle and calendar. Called once at
-    /// node boot; an exclusive port installs both on the endpoint directly
-    /// (there is no activation to do it later).
+    /// Binds the owner's observability bundle and calendar, which the first
+    /// verb installs on the endpoint. Called once at node boot.
     pub fn bind(&mut self, obs: Observability, cal: Calendar) {
-        if self.exclusive {
-            let mut ep = self.ep.borrow_mut();
-            ep.observe(&obs);
-            ep.set_calendar(cal.clone());
-        }
         self.obs = obs;
         self.cal = cal;
     }
@@ -137,9 +119,7 @@ impl RdmaPort {
     /// that follows, so every port call costs exactly one borrow.
     fn ep_mut(&self) -> RefMut<'_, RdmaEndpoint> {
         let mut ep = self.ep.borrow_mut();
-        if !self.exclusive {
-            ep.activate_tenant(self.tenant, &self.obs, &self.cal);
-        }
+        ep.activate_tenant(self.tenant, &self.obs, &self.cal);
         ep
     }
 
@@ -282,8 +262,8 @@ impl RdmaPort {
     }
 
     /// Wire bytes attributed to this port's tenant and `class`: `(tx, rx)`.
-    /// An exclusive port never activates a tenant, so all of the endpoint's
-    /// traffic is on tenant 0's rows — its own.
+    /// The only port of a one-tenant pool is tenant 0, so all of the
+    /// endpoint's traffic is on its rows.
     pub fn class_bytes(&self, class: ServiceClass) -> (u64, u64) {
         self.ep.borrow().tenant_class_bytes(self.tenant, class)
     }

@@ -219,7 +219,7 @@ impl MemoryNode {
     }
 
     /// [`write`](Self::write); `_live` is unused. A compatibility shim for
-    /// existing callers, going with the verb shims (ROADMAP item 4).
+    /// existing callers, going with the verb shims (ROADMAP item 5).
     pub fn write_live(
         &mut self,
         key: RegionHandle,

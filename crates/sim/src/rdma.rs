@@ -177,9 +177,8 @@ pub struct RdmaEndpoint {
     /// Ordered by tenant id so enumeration can never leak hash order.
     tenants: BTreeMap<u8, Vec<RegionHandle>>,
     /// Tenant whose observability/calendar context is currently installed.
-    /// `None` until the first [`activate_tenant`](Self::activate_tenant):
-    /// single-tenant (exclusive) endpoints never activate, so their wiring
-    /// is untouched by the multi-tenant machinery.
+    /// `None` until the first [`activate_tenant`](Self::activate_tenant);
+    /// an endpoint driven directly (Fastswap, AIFM) never activates.
     active: Option<u8>,
     /// Faults still to fire (see [`inject`](Self::inject)).
     faults: FaultPlan,
@@ -711,7 +710,7 @@ impl RdmaEndpoint {
     }
 
     /// [`read`](Self::read). A compatibility shim for existing callers,
-    /// going with the verb shims (ROADMAP item 4).
+    /// going with the verb shims (ROADMAP item 5).
     pub fn read_live(
         &mut self,
         now: Ns,
@@ -750,7 +749,7 @@ impl RdmaEndpoint {
     }
 
     /// [`write`](Self::write); `_live` is unused. A compatibility shim for
-    /// existing callers, going with the verb shims (ROADMAP item 4).
+    /// existing callers, going with the verb shims (ROADMAP item 5).
     pub fn write_live(
         &mut self,
         now: Ns,

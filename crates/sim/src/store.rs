@@ -50,7 +50,7 @@ pub trait MemStore: std::fmt::Debug {
     /// [`page_numbers`](Self::page_numbers)).
     ///
     /// `_live` is unused. It is a compatibility shim for existing callers
-    /// and goes with the verb shims (ROADMAP item 4).
+    /// and goes with the verb shims (ROADMAP item 5).
     fn write_at(&mut self, page: u64, in_page: usize, data: &[u8], _live: usize);
 
     /// Replaces the whole of `page` with `image`, materializing the page if

@@ -14,6 +14,13 @@
 //!   clippy) must be on [`OUTSIDE`].
 //!
 //! Fenced code blocks are skipped: they show code, not references to it.
+//!
+//! A third rule holds the citations *into* DESIGN.md: where README.md,
+//! EXPERIMENTS.md or a workspace `.rs` comment names DESIGN.md and then
+//! quotes a section in parentheses, either as `DESIGN.md (` quote `)` or
+//! as `(DESIGN.md, ` quote `)`, the quoted text is the start of a DESIGN.md
+//! heading or of a bold lead (a paragraph or list item that opens in
+//! bold). Quoted text may run across line breaks and comment markers.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -23,15 +30,7 @@ use std::path::{Path, PathBuf};
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
 /// Paths named in the docs that live outside the workspace.
-const OUTSIDE: [&str; 7] = [
-    "Rc::make_mut",
-    "Vec::remove",
-    "Ns::MAX",
-    "u64::MAX",
-    "io::Write",
-    "std::collections::{HashMap, HashSet}",
-    "clippy::wildcard_enum_match_arm",
-];
+const OUTSIDE: [&str; 3] = ["Rc::make_mut", "Ns::MAX", "u64::MAX"];
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -190,6 +189,99 @@ fn item_path(span: &str) -> Option<(&str, Vec<&str>)> {
     (segments.len() > 1).then(|| (&span[..span.len() - rest.len()], segments))
 }
 
+/// `text` as single lines to search: for a `.rs` file, each run of comment
+/// lines with the markers stripped; for a document, all its lines. Each
+/// whitespace run becomes one space.
+fn joined(text: &str, rust: bool) -> Vec<String> {
+    let mut out = vec![String::new()];
+    for line in text.lines() {
+        let line = line.trim();
+        let body = if rust {
+            let Some(comment) = line.strip_prefix("//") else {
+                out.push(String::new());
+                continue;
+            };
+            comment.trim_start_matches(['/', '!'])
+        } else {
+            line
+        };
+        let last = out.last_mut().expect("one paragraph at least");
+        for word in body.split_whitespace() {
+            if !last.is_empty() {
+                last.push(' ');
+            }
+            last.push_str(word);
+        }
+    }
+    out
+}
+
+/// Each section `text` cites in DESIGN.md: the quoted text that opens
+/// right after `DESIGN.md (` or `(DESIGN.md, `, up to its closing quote.
+fn citations(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for opener in ["DESIGN.md (\"", "(DESIGN.md, \""] {
+        for (at, _) in text.match_indices(opener) {
+            let quote = &text[at + opener.len()..];
+            if let Some(end) = quote.find('"') {
+                out.push(quote[..end].to_string());
+            }
+        }
+    }
+    out
+}
+
+/// DESIGN.md's headings and bold leads, whitespace-normalised: the text
+/// after the `#`s of a heading line, and the bold span that opens a line
+/// (after an optional `- `), joined across the lines it spans.
+fn sections(design: &str) -> Vec<String> {
+    let lines: Vec<&str> = design.lines().map(str::trim).collect();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if line.starts_with('#') {
+            out.push(line.trim_start_matches('#').trim().to_string());
+        } else if let Some(lead) = line.trim_start_matches("- ").strip_prefix("**") {
+            let rest = std::iter::once(lead).chain(lines[i + 1..].iter().copied());
+            let text = rest
+                .take_while(|l| !l.is_empty())
+                .collect::<Vec<_>>()
+                .join(" ");
+            if let Some(end) = text.find("**") {
+                out.push(text[..end].split_whitespace().collect::<Vec<_>>().join(" "));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn every_citation_into_design_md_names_a_section() {
+    let root = root();
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md readable");
+    let sections = sections(&design);
+    let mut sources = vec![root.join("README.md"), root.join("EXPERIMENTS.md")];
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut sources);
+    }
+    let (mut cited, mut stale) = (0, Vec::new());
+    for source in sources {
+        let text = fs::read_to_string(&source).unwrap_or_default();
+        let rust = source.extension().is_some_and(|e| e == "rs");
+        for quote in joined(&text, rust).iter().flat_map(|p| citations(p)) {
+            cited += 1;
+            if !sections.iter().any(|s| s.starts_with(&quote)) {
+                stale.push(format!("{}: \"{quote}\"", source.display()));
+            }
+        }
+    }
+    assert!(cited > 0, "no citation found: the scan is broken");
+    assert!(
+        stale.is_empty(),
+        "citations of no DESIGN.md heading or bold lead:\n{}",
+        stale.join("\n")
+    );
+}
+
 #[test]
 fn every_backticked_path_and_item_in_the_docs_exists() {
     let root = root();
@@ -252,4 +344,16 @@ fn the_census_catches_what_it_claims_to() {
     );
     let group = item_path("PageLiveness::{Empty, Partial(LiveVector)}").expect("a group");
     assert_eq!(group.1, ["PageLiveness", "Empty", "Partial"]);
+    let rust =
+        "//! see (DESIGN.md, \"A page is\n    /// shared\") here\nfn f() {}\n// DESIGN.md (\"x\")";
+    let quotes: Vec<String> = joined(rust, true)
+        .iter()
+        .flat_map(|p| citations(p))
+        .collect();
+    assert_eq!(quotes, ["A page is shared", "x"]);
+    let design = "## Data path\n\n- **A page is shared\n  until written.** Text.\n**Not**";
+    assert_eq!(
+        sections(design),
+        ["Data path", "A page is shared until written.", "Not"]
+    );
 }

@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilos::apps::farmem::FarMemory;
-use dilos::core::{Dilos, DilosConfig, FaultBreakdown, MAP_NS, PTE_CHECK_NS};
+use dilos::core::{Dilos, DilosConfig, FaultBreakdown, Readahead, MAP_NS, PTE_CHECK_NS};
 use dilos::sim::{
     Fault, Ns, Observability, Page, RdmaEndpoint, Redundancy, Segment, ServiceClass, SimConfig,
     TraceEvent, TraceObserver, When, PAGE_SIZE,
@@ -369,4 +369,40 @@ fn an_nvme_page_verb_costs_its_closed_form_with_no_saving() {
         .write_page(now, 0, ServiceClass::Cleaner, 0, &page)
         .expect("an idle endpoint takes the page");
     assert_eq!(done - now, s.rdma_write_ns(PAGE_SIZE), "write");
+}
+
+/// (j) Readahead's bound. A sequential read-back of a region 64× the cache
+/// moves its pages over one link, so the pass's inbound bytes per second of
+/// virtual time are at most `link_bytes_per_sec`, with no prefetcher and
+/// with [`Readahead`] alike. A bound, not a closed form: the window's
+/// overlap with the faults is what a formula would add.
+#[test]
+fn a_sequential_read_back_never_outruns_the_link() {
+    for readahead in [false, true] {
+        let cfg = DilosConfig {
+            local_pages: LOCAL_PAGES,
+            ..DilosConfig::default()
+        };
+        let link = cfg.sim.link_bytes_per_sec;
+        let pages = 4_096;
+        let (mut node, va) = written(cfg, pages);
+        if readahead {
+            node.set_prefetcher(Box::new(Readahead::new()));
+        }
+        let (start, inbound) = (node.now(0), node.rdma().total_bytes().1);
+        for i in 0..pages {
+            assert_eq!(node.read_u64(0, va + i * PAGE_SIZE as u64), i, "page {i}");
+        }
+        let bytes = node.rdma().total_bytes().1 - inbound;
+        let elapsed = node.now(0) - start;
+        assert!(
+            bytes >= pages * PAGE_SIZE as u64,
+            "readahead {readahead}: {bytes} B"
+        );
+        let rate = bytes as f64 * 1e9 / elapsed as f64;
+        assert!(
+            rate <= link,
+            "readahead {readahead}: {rate:.4e} B/s over a {link:.4e} B/s link"
+        );
+    }
 }
