@@ -101,7 +101,7 @@ fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
 const STALE_TIME_PREFIXES: [&str; 6] = ["cached", "saved", "stale", "old_", "prev_", "last_"];
 
 /// R4: the time argument of a `TraceSink::emit` call must come from the
-/// live virtual clock (calendar, timeline, stamped access time), never a
+/// live virtual clock (calendar, timeline, a verb's post time), never a
 /// literal or an obviously cached local.
 fn rule_calendar_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
     for i in 0..tokens.len() {
@@ -131,7 +131,7 @@ fn rule_calendar_time(file: &str, tokens: &[Token], out: &mut Vec<Violation>) {
             j += 1;
         }
         if arg.len() == 1 && arg[0].kind == TokKind::Number {
-            out.push(violation(file, tokens[i].line, Rule::R4, "trace emitted at a literal time; every emit must carry the live virtual time (Calendar/Timeline/stamped access clock)".to_string()));
+            out.push(violation(file, tokens[i].line, Rule::R4, "trace emitted at a literal time; every emit must carry the live virtual time (Calendar/Timeline/verb post time)".to_string()));
             continue;
         }
         for t in &arg {

@@ -1,14 +1,14 @@
 //! Causal request tracing: per-request span trees over the event stream.
 //!
-//! PR 4's profiler answers "how much time did faults spend in each phase in
-//! aggregate"; this module answers "*which* phase dominated *this* fault".
+//! The span profiler answers "how much time did faults spend in each phase
+//! in aggregate"; this module answers "*which* phase dominated *this* fault".
 //! Every demand fault, prefetch, and eviction is assigned a stable
 //! [`ReqId`] at origin (see
 //! [`TraceSink::begin_request`](crate::trace::TraceSink::begin_request)) and
 //! the id rides the side band to observers: it is never folded into the
 //! digest, never schedules calendar work, and never perturbs data-path
 //! timing — arming a [`CausalTracer`] leaves a run's digest byte-identical
-//! to an unarmed run, exactly like the PR 4 sampler.
+//! to an unarmed run, exactly like the gauge sampler.
 //!
 //! The tracer is a passive [`TraceObserver`]: it groups events by their
 //! request id into [`RequestTrace`] records (span trees), tracks background

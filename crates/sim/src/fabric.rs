@@ -11,10 +11,8 @@
 use std::collections::BTreeMap;
 
 use crate::config::SimConfig;
-use crate::obs::Observability;
 use crate::time::Ns;
 use crate::timeline::Timeline;
-use crate::trace::{TraceEvent, TraceSink};
 
 /// The originating module of a verb, mapping onto DiLOS's per-module queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,7 +135,6 @@ pub struct Fabric {
     tenant_rx: Vec<u64>,
     /// QoS bandwidth arbitration; `None` (the default) is free-for-all.
     qos: Option<QosShaper>,
-    trace: TraceSink,
 }
 
 impl Fabric {
@@ -154,14 +151,7 @@ impl Fabric {
             tenant_tx: Vec::new(),
             tenant_rx: Vec::new(),
             qos: None,
-            trace: TraceSink::disabled(),
         }
-    }
-
-    /// Routes this fabric's wire-occupancy events into the bundle's trace
-    /// sink.
-    pub fn observe(&mut self, obs: &Observability) {
-        self.trace = obs.trace().clone();
     }
 
     /// Attributes subsequent transfers to `tenant` (accounting and, when
@@ -235,9 +225,6 @@ impl Fabric {
                 } else {
                     &mut self.link_up
                 };
-                // The trace event below is stamped with the *request* time
-                // `t`, not the queued start: queueing delay is visible as
-                // `done - t - wire_ns`.
                 link.acquire(t, wire).1
             }
         };
@@ -251,15 +238,6 @@ impl Fabric {
             rows.resize(ti + 1, 0);
         }
         rows[ti] += bytes as u64;
-        self.trace.emit(
-            t,
-            TraceEvent::LinkTransfer {
-                class,
-                bytes: bytes as u32,
-                inbound,
-                done: end,
-            },
-        );
         end
     }
 

@@ -7,22 +7,21 @@
 //! one-sided verbs — which this module mirrors: registration is the only
 //! control-path operation, and all data-path access goes through
 //! [`MemoryNode::read`]/[`MemoryNode::write`] (or their page-sharing
-//! forms) after an rkey + bounds check.
+//! forms) after an rkey + bounds check. The node has no clock and emits
+//! nothing: a write returns its [`Durability`], and the RDMA endpoint that
+//! drove the access traces it at the verb's time.
 //!
 //! Backing storage is sparse: pages that were never written read back as
 //! zeros, exactly like freshly-registered (zeroed) host memory. A page is
 //! just its bytes: the page-sharing forms move one [`Page`] image, every
 //! other access copies the bytes it names.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::obs::Observability;
 use crate::recover::DurableState;
 use crate::store::{FlatStore, MemStore, Page};
-use crate::time::{page_chunks, Ns, PAGE_SIZE};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::time::{page_chunks, PAGE_SIZE};
 
 /// A registered memory region's access handle (rkey analogue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,6 +53,16 @@ impl std::fmt::Display for MemNodeError {
 
 impl std::error::Error for MemNodeError {}
 
+/// What a served write left in the durable image: the intent it logged and
+/// the checkpoint it sealed (both `None` while persistence is off).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Durability {
+    /// Sequence number of the write-intent record appended.
+    pub intent: Option<u64>,
+    /// Last sequence number the checkpoint this write sealed covers.
+    pub sealed: Option<u64>,
+}
+
 /// The node's page store: [`FlatStore`], concretely, so the hottest read is
 /// a direct call. This crate's unit tests box it instead, so differential
 /// tests can swap in the reference `BTreeStore`.
@@ -73,12 +82,6 @@ pub struct MemoryNode {
     /// sequentially, so the table is dense).
     regions: Vec<Option<Region>>,
     next_key: u32,
-    trace: TraceSink,
-    /// Virtual time of the in-flight verb, stamped by the endpoint before
-    /// each data-path access (the passive node has no clock of its own).
-    access_time: Cell<Ns>,
-    /// Pool index, used to label crash/recovery trace events.
-    node_id: u8,
     /// Durable image (checkpoint + intent log) when persistence is armed;
     /// `None` keeps the write path free of any recovery overhead.
     durable: Option<DurableState>,
@@ -94,9 +97,6 @@ impl Default for MemoryNode {
             pages,
             regions: Vec::new(),
             next_key: 0,
-            trace: TraceSink::default(),
-            access_time: Cell::new(0),
-            node_id: 0,
             durable: None,
         }
     }
@@ -123,17 +123,6 @@ impl MemoryNode {
     ///
     /// [`memnode_hugepage_saving_ns`]: crate::config::SimConfig::memnode_hugepage_saving_ns
     pub fn set_huge_pages(&mut self, _on: bool) {}
-
-    /// Routes this node's served accesses into the bundle's trace sink.
-    pub fn observe(&mut self, obs: &Observability) {
-        self.trace = obs.trace().clone();
-    }
-
-    /// Stamps the virtual time of the next served access (set by the RDMA
-    /// endpoint when it posts a verb).
-    pub fn stamp_access(&self, t: Ns) {
-        self.access_time.set(t);
-    }
 
     /// Registers `[base, base + len)` and returns its protection key.
     ///
@@ -173,7 +162,7 @@ impl MemoryNode {
     /// Reads `buf.len()` bytes starting at `addr` (may span pages). Every
     /// byte of `buf` is written.
     pub fn read(&self, key: RegionHandle, addr: u64, buf: &mut [u8]) -> Result<(), MemNodeError> {
-        self.serve_read(key, addr, buf.len())?;
+        self.check(key, addr, buf.len())?;
         for (page, in_page, span) in page_chunks(addr, buf.len()) {
             self.pages.read_into(page, in_page, &mut buf[span]);
         }
@@ -188,22 +177,8 @@ impl MemoryNode {
         addr: u64,
         page: &mut Page,
     ) -> Result<(), MemNodeError> {
-        self.serve_read(key, addr, PAGE_SIZE)?;
+        self.check(key, addr, PAGE_SIZE)?;
         *page = self.pages.share(addr / PAGE_SIZE as u64);
-        Ok(())
-    }
-
-    /// The checks and trace of one served read.
-    fn serve_read(&self, key: RegionHandle, addr: u64, len: usize) -> Result<(), MemNodeError> {
-        self.check(key, addr, len)?;
-        self.trace.emit(
-            self.access_time.get(),
-            TraceEvent::MemAccess {
-                write: false,
-                offset: addr,
-                len: len as u32,
-            },
-        );
         Ok(())
     }
 
@@ -214,7 +189,12 @@ impl MemoryNode {
     /// the intent is logged the write counts as acknowledged, and a crash
     /// at any later instant must not lose it. The log seals into a fresh
     /// checkpoint once it reaches the configured depth.
-    pub fn write(&mut self, key: RegionHandle, addr: u64, buf: &[u8]) -> Result<(), MemNodeError> {
+    pub fn write(
+        &mut self,
+        key: RegionHandle,
+        addr: u64,
+        buf: &[u8],
+    ) -> Result<Durability, MemNodeError> {
         self.serve_write(key, addr, buf, |n| n.copy_in(addr, buf))
     }
 
@@ -226,7 +206,7 @@ impl MemoryNode {
         addr: u64,
         buf: &[u8],
         _live: usize,
-    ) -> Result<(), MemNodeError> {
+    ) -> Result<Durability, MemNodeError> {
         self.write(key, addr, buf)
     }
 
@@ -237,45 +217,26 @@ impl MemoryNode {
         key: RegionHandle,
         addr: u64,
         page: &Page,
-    ) -> Result<(), MemNodeError> {
+    ) -> Result<Durability, MemNodeError> {
         let p = addr / PAGE_SIZE as u64;
         self.serve_write(key, addr, &page[..], |n| n.pages.put(p, Rc::clone(page)))
     }
 
-    /// One served write: checks, the durable intent, the trace, `store`
-    /// (the bytes themselves), then a checkpoint if the log is due.
+    /// One served write: checks, the durable intent, `store` (the bytes
+    /// themselves), then a checkpoint if the log is due.
     fn serve_write(
         &mut self,
         key: RegionHandle,
         addr: u64,
         buf: &[u8],
         store: impl FnOnce(&mut Self),
-    ) -> Result<(), MemNodeError> {
+    ) -> Result<Durability, MemNodeError> {
         self.check(key, addr, buf.len())?;
-        let t = self.access_time.get();
-        if let Some(d) = self.durable.as_mut() {
-            let seq = d.append(addr, buf);
-            self.trace.emit(
-                t,
-                TraceEvent::IntentAppend {
-                    node: self.node_id,
-                    seq,
-                },
-            );
-        }
-        self.trace.emit(
-            t,
-            TraceEvent::MemAccess {
-                write: true,
-                offset: addr,
-                len: buf.len() as u32,
-            },
-        );
+        let intent = self.durable.as_mut().map(|d| d.append(addr, buf));
         store(self);
-        if self.durable.as_ref().is_some_and(|d| d.should_checkpoint()) {
-            self.checkpoint_now(t);
-        }
-        Ok(())
+        let due = self.durable.as_ref().is_some_and(|d| d.should_checkpoint());
+        let sealed = if due { self.seal() } else { None };
+        Ok(Durability { intent, sealed })
     }
 
     /// The page-copy loop shared by the data-path write and intent replay.
@@ -317,12 +278,6 @@ impl MemoryNode {
     // Crash–recovery: durable checkpoints + write-intent log.
     // ------------------------------------------------------------------
 
-    /// Labels this node with its pool index (used on crash/recovery trace
-    /// events; control path, never traced itself).
-    pub fn set_node_id(&mut self, id: u8) {
-        self.node_id = id;
-    }
-
     /// Arms the persistent-state model: from now on every acknowledged
     /// write appends a durable intent record, and the log seals into a
     /// checkpoint every `checkpoint_every` records. The arming checkpoint
@@ -363,37 +318,23 @@ impl MemoryNode {
         self.regions.clear();
     }
 
-    /// Seals a checkpoint over the live tables now, emitting
-    /// [`TraceEvent::Checkpoint`]. No-op when persistence is off.
-    pub fn checkpoint_now(&mut self, t: Ns) {
+    /// Seals a checkpoint over the live tables now and returns the last
+    /// sequence number it covers; `None` when persistence is off.
+    pub fn seal(&mut self) -> Option<u64> {
         let regions = self.region_table();
-        let pages = if self.durable.is_some() {
-            self.pages.snapshot_all()
-        } else {
-            BTreeMap::new()
-        };
-        if let Some(d) = self.durable.as_mut() {
-            let upto = d.seal(pages, regions);
-            self.trace.emit(
-                t,
-                TraceEvent::Checkpoint {
-                    node: self.node_id,
-                    upto,
-                },
-            );
-        }
+        let d = self.durable.as_mut()?;
+        Some(d.seal(self.pages.snapshot_all(), regions))
     }
 
     /// Recovery step 1 + 2: restores the last checkpoint into the live
-    /// tables, then replays the intent log record by record. Each replay
-    /// emits [`TraceEvent::RecoveryReplay`] — the detectability hook the
-    /// auditor uses to prove no acknowledged write was lost. Returns the
-    /// number of records replayed. The log is left intact; the caller
-    /// seals a fresh checkpoint (via [`checkpoint_now`](Self::checkpoint_now))
-    /// once reconciliation is done.
-    pub fn recover_from_durable(&mut self, t: Ns) -> u64 {
+    /// tables, then replays the intent log record by record. Returns the
+    /// sequence numbers replayed, in order: the endpoint traces one replay
+    /// event each, the hook the auditor uses to prove no acknowledged write
+    /// was lost. The log is left intact; the caller [`seal`](Self::seal)s a
+    /// fresh checkpoint once reconciliation is done.
+    pub fn recover_from_durable(&mut self) -> Vec<u64> {
         let Some(mut d) = self.durable.take() else {
-            return 0;
+            return Vec::new();
         };
         self.pages.clear();
         for (&page, data) in &d.checkpoint_pages {
@@ -404,15 +345,9 @@ impl MemoryNode {
             self.set_region(k, Region { base, len });
         }
         let log = std::mem::take(&mut d.log);
-        let replayed = log.len() as u64;
+        let mut replayed = Vec::with_capacity(log.len());
         for rec in &log {
-            self.trace.emit(
-                t,
-                TraceEvent::RecoveryReplay {
-                    node: self.node_id,
-                    seq: rec.seq,
-                },
-            );
+            replayed.push(rec.seq);
             self.copy_in(rec.addr, &rec.data);
         }
         d.log = log;
@@ -498,7 +433,7 @@ mod tests {
         assert_eq!(n.resident_pages(), 0);
         let mut buf = [0u8; 64];
         assert_eq!(n.read(k, 0, &mut buf), Err(MemNodeError::BadKey));
-        assert_eq!(n.recover_from_durable(0), 3);
+        assert_eq!(n.recover_from_durable(), [1, 2, 3]);
         for i in 0..3u64 {
             n.read(k, i * 4096, &mut buf).unwrap();
             assert!(buf.iter().all(|&b| b == i as u8 + 1), "page {i}");
@@ -509,16 +444,22 @@ mod tests {
     fn checkpoint_seals_at_the_configured_depth() {
         let (mut n, k) = node_with_region();
         n.arm_persistence(2);
-        n.write(k, 0, &[1; 8]).unwrap();
+        let logged = |seq, sealed| {
+            Ok(Durability {
+                intent: Some(seq),
+                sealed,
+            })
+        };
+        assert_eq!(n.write(k, 0, &[1; 8]), logged(1, None));
         assert_eq!(n.intent_log_depth(), 1);
-        n.write(k, 4096, &[2; 8]).unwrap();
+        assert_eq!(n.write(k, 4096, &[2; 8]), logged(2, Some(2)));
         // The second ack reached the depth: the log sealed into checkpoint 2
         // (the arming checkpoint was the first).
         assert_eq!(n.intent_log_depth(), 0);
         assert_eq!(n.durable.as_ref().map(|d| d.checkpoints), Some(2));
         // A crash now recovers everything from the checkpoint alone.
         n.crash();
-        assert_eq!(n.recover_from_durable(0), 0);
+        assert!(n.recover_from_durable().is_empty());
         let mut buf = [0u8; 8];
         n.read(k, 4096, &mut buf).unwrap();
         assert_eq!(buf, [2; 8]);
@@ -532,7 +473,7 @@ mod tests {
         n.write(k, 4096, &[0xBB; 8]).unwrap();
         assert_eq!(n.corrupt_drop_last_intent(), Some(2));
         n.crash();
-        assert_eq!(n.recover_from_durable(0), 1);
+        assert_eq!(n.recover_from_durable(), [1]);
         let mut buf = [0u8; 8];
         n.read(k, 0, &mut buf).unwrap();
         assert_eq!(buf, [0xAA; 8], "surviving intent must replay");
@@ -543,10 +484,10 @@ mod tests {
     #[test]
     fn unarmed_node_has_no_recovery_surface() {
         let (mut n, k) = node_with_region();
-        n.write(k, 0, &[1; 8]).unwrap();
+        assert_eq!(n.write(k, 0, &[1; 8]), Ok(Durability::default()));
         assert!(!n.persistence_armed());
         assert_eq!(n.intent_log_depth(), 0);
-        assert_eq!(n.recover_from_durable(0), 0);
+        assert!(n.recover_from_durable().is_empty());
         assert_eq!(n.corrupt_drop_last_intent(), None);
     }
 

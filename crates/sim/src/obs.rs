@@ -3,11 +3,12 @@
 //! An [`Observability`] value bundles the trace sink, the gauge registry,
 //! the span profiler, the causal tracer and the audit flag into one handle
 //! that is built once and handed to a system's boot path once. The system
-//! keeps the registry (it alone knows its gauges) and threads the bundle to
-//! its emitting components — rdma, fabric, memnode, frame arena — with one
-//! `observe(&Observability)` call each; all those take from it is the trace
-//! sink. Counters are not threaded anywhere: the profiler folds them from
-//! the stream (see `crate::metrics`).
+//! keeps the registry (it alone knows its gauges) and hands the bundle to
+//! the RDMA endpoint and the frame arena with one `observe(&Observability)`
+//! call each; all those take from it is the trace sink. The endpoint emits
+//! for the links and memory nodes it drives, which hold no sink. Counters
+//! are not threaded anywhere: the profiler folds them from the stream (see
+//! `crate::metrics`).
 //!
 //! The bundle is a set of `Rc` handles (the same "dark when disabled"
 //! pattern the sink and registry already use): cloning it shares the

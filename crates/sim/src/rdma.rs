@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use crate::config::SimConfig;
 use crate::fabric::{Fabric, ServiceClass};
 use crate::machine::DeliverCompletion;
-use crate::memnode::{MemNodeError, MemoryNode, RegionHandle};
+use crate::memnode::{Durability, MemNodeError, MemoryNode, RegionHandle};
 use crate::obs::Observability;
 use crate::recover::{
     Fault, FaultPlan, RecoverConfig, RecoveryStats, When, REPLAY_NS_PER_RECORD, RESYNC_NS_PER_PAGE,
@@ -210,14 +210,9 @@ impl RdmaEndpoint {
         Self::connect_cluster(cfg, remote_bytes, 1, Redundancy::default())
     }
 
-    /// Routes verb events into the bundle's trace sink and fans the bundle
-    /// out to every node's fabric and memory node — all components of one
-    /// endpoint share one stream.
+    /// Routes the events of the endpoint's verbs, and of the links and
+    /// memory nodes they drive, into the bundle's trace sink.
     pub fn observe(&mut self, obs: &Observability) {
-        for n in &mut self.nodes {
-            n.fabric.observe(obs);
-            n.node.observe(obs);
-        }
         self.trace = obs.trace().clone();
     }
 
@@ -244,9 +239,7 @@ impl RdmaEndpoint {
         }
         self.active = Some(tenant);
         for n in &mut self.nodes {
-            n.fabric.observe(obs);
             n.fabric.set_active_tenant(tenant);
-            n.node.observe(obs);
         }
         self.trace = obs.trace().clone();
         self.calendar = Some(cal.clone());
@@ -292,33 +285,20 @@ impl RdmaEndpoint {
         (((remote >> 12) as usize) % self.nodes.len()) as u8
     }
 
-    /// Emits the issue-side event for a verb and stamps every node's access
-    /// clock so memory-node accesses carry the right virtual time.
-    fn trace_issue(
-        &self,
-        now: Ns,
-        core: usize,
-        class: ServiceClass,
-        write: bool,
-        node: u8,
-        bytes: usize,
-    ) {
-        if !self.trace.is_enabled() {
-            return;
+    /// Traces one access to memory node `node` that a verb posted at `now`
+    /// drove: the write's intent, the access, then the checkpoint the write
+    /// sealed. `wrote` is `None` for a read.
+    fn served(&self, now: Ns, node: usize, offset: u64, len: usize, wrote: Option<Durability>) {
+        let (node, d) = (node as u8, wrote.unwrap_or_default());
+        if let Some(seq) = d.intent {
+            self.trace.emit(now, TraceEvent::IntentAppend { node, seq });
         }
-        for n in &self.nodes {
-            n.node.stamp_access(now);
+        let (write, len) = (wrote.is_some(), len as u32);
+        self.trace
+            .emit(now, TraceEvent::MemAccess { write, offset, len });
+        if let Some(upto) = d.sealed {
+            self.trace.emit(now, TraceEvent::Checkpoint { node, upto });
         }
-        self.trace.emit(
-            now,
-            TraceEvent::RdmaIssue {
-                class,
-                write,
-                node,
-                core: core as u8,
-                bytes: bytes as u32,
-            },
-        );
     }
 
     /// Attaches the shared event calendar. Traced completions are then
@@ -390,25 +370,29 @@ impl RdmaEndpoint {
         }
         self.nodes[i].alive = true;
         self.nodes[i].death_detected = false;
+        let node = i as u8;
         let armed = self.nodes[i].node.persistence_armed();
-        let replayed = if armed {
-            self.nodes[i].node.recover_from_durable(now)
-        } else {
-            0
-        };
+        let seqs = self.nodes[i].node.recover_from_durable();
+        for &seq in &seqs {
+            self.trace
+                .emit(now, TraceEvent::RecoveryReplay { node, seq });
+        }
         let reconciled = self.resync(i);
         if !armed {
             return;
         }
+        let replayed = seqs.len() as u64;
         self.trace.emit(
             now,
             TraceEvent::RecoveryComplete {
-                node: i as u8,
+                node,
                 replayed,
                 reconciled,
             },
         );
-        self.nodes[i].node.checkpoint_now(now);
+        if let Some(upto) = self.nodes[i].node.seal() {
+            self.trace.emit(now, TraceEvent::Checkpoint { node, upto });
+        }
         self.stats.recoveries += 1;
         self.stats.replayed = replayed;
         self.stats.reconciled = reconciled;
@@ -644,9 +628,19 @@ impl RdmaEndpoint {
         let (_, qp_end) = self
             .qp(node, core, class)
             .acquire(now, doorbell.saturating_add(wire));
-        let wire_end = self.nodes[node]
-            .fabric
-            .transfer(qp_end - wire, class, bytes, is_read);
+        let t = qp_end - wire;
+        let wire_end = self.nodes[node].fabric.transfer(t, class, bytes, is_read);
+        // Stamped with the *request* time `t`, not the queued start:
+        // queueing delay is visible as `done - t - wire_ns`.
+        self.trace.emit(
+            t,
+            TraceEvent::LinkTransfer {
+                class,
+                bytes: bytes as u32,
+                inbound: is_read,
+                done: wire_end,
+            },
+        );
         qp_end
             .max(wire_end)
             .saturating_add(rest)
@@ -678,7 +672,16 @@ impl RdmaEndpoint {
             counts.reads += 1;
         }
         let shard = self.shard_of(segments[0].remote);
-        self.trace_issue(now, core, class, write, shard, bytes);
+        self.trace.emit(
+            now,
+            TraceEvent::RdmaIssue {
+                class,
+                write,
+                node: shard,
+                core: core as u8,
+                bytes: bytes as u32,
+            },
+        );
         let moved = self.transfer(now, core, class, shard, segments, bytes, &mut local);
         // A failed verb still completes — the RNIC reports the error in a
         // CQE — so every traced issue is paired with a completion.

@@ -117,9 +117,8 @@ impl RdmaEndpoint {
             }
         };
         let nodes = (0..nodes)
-            .map(|i| {
+            .map(|_| {
                 let mut node = MemoryNode::new();
-                node.set_node_id(i as u8);
                 let region = node.register_region(0, region_bytes);
                 RemoteNode {
                     node,
@@ -257,15 +256,16 @@ impl RdmaEndpoint {
             let start = now.saturating_add(penalty);
             let d = self.verb_timing(ni, start, core, class, bytes, segments.len(), !write);
             let region = self.region_of(ni);
-            let node = &mut self.nodes[ni].node;
             for s in segments {
                 let span = s.offset..s.offset + s.len;
-                match local {
-                    Local::Read(buf) => node.read(region, s.remote, &mut buf[span])?,
-                    Local::ReadPage(page) => node.read_page(region, s.remote, page)?,
-                    Local::Write(buf) => node.write(region, s.remote, &buf[span])?,
-                    Local::WritePage(page) => node.write_page(region, s.remote, page)?,
-                }
+                let node = &mut self.nodes[ni].node;
+                let wrote = match local {
+                    Local::Read(buf) => node.read(region, s.remote, &mut buf[span]).map(|()| None),
+                    Local::ReadPage(page) => node.read_page(region, s.remote, page).map(|()| None),
+                    Local::Write(buf) => node.write(region, s.remote, &buf[span]).map(Some),
+                    Local::WritePage(page) => node.write_page(region, s.remote, page).map(Some),
+                }?;
+                self.served(now, ni, s.remote, s.len, wrote);
             }
             done = Some(done.map_or(d, |x| x.max(d)));
             if !write {
@@ -293,9 +293,11 @@ impl RdmaEndpoint {
             // Old data (for the parity delta): one read verb.
             let region = self.region_of(dn);
             self.nodes[dn].node.read(region, addr, &mut old)?;
+            self.served(now, dn, addr, old.len(), None);
             read_done = self.verb_timing(dn, now, core, class, data.len(), 1, true);
             // The data write itself.
-            self.nodes[dn].node.write(region, addr, data)?;
+            let wrote = self.nodes[dn].node.write(region, addr, data)?;
+            self.served(now, dn, addr, data.len(), Some(wrote));
             done = self.verb_timing(dn, read_done, core, class, data.len(), 1, false);
         } else {
             // Degraded write: the data lane is gone, so the old value comes
@@ -315,8 +317,10 @@ impl RdmaEndpoint {
             let mut parity = vec![0u8; delta.len()];
             let pregion = self.region_of(pn);
             self.nodes[pn].node.read(pregion, paddr, &mut parity)?;
+            self.served(now, pn, paddr, parity.len(), None);
             st.rs.apply_delta(j, lane, &delta, &mut parity);
-            self.nodes[pn].node.write(pregion, paddr, &parity)?;
+            let wrote = self.nodes[pn].node.write(pregion, paddr, &parity)?;
+            self.served(now, pn, paddr, parity.len(), Some(wrote));
             let d = self.verb_timing(pn, read_done, core, class, delta.len(), 1, false);
             done = done.max(d);
         }
@@ -338,6 +342,7 @@ impl RdmaEndpoint {
         if self.nodes[dn].alive {
             let region = self.region_of(dn);
             self.nodes[dn].node.read(region, addr, buf)?;
+            self.served(now, dn, addr, buf.len(), None);
             return Ok(self.verb_timing(dn, now, core, class, buf.len(), 1, true));
         }
         let t = now.saturating_add(self.detect_death(dn));
@@ -360,9 +365,9 @@ impl RdmaEndpoint {
             }
             let mut s = vec![0u8; len];
             let region = self.region_of(n);
-            self.nodes[n]
-                .node
-                .read(region, base + (addr & 0xFFF), &mut s)?;
+            let at = base + (addr & 0xFFF);
+            self.nodes[n].node.read(region, at, &mut s)?;
+            self.served(now, n, at, len, None);
             done = done.max(self.verb_timing(n, t, core, class, len, 1, true));
             shards[slot] = Some(s);
             fetched += 1;

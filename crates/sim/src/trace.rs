@@ -15,8 +15,8 @@
 //! default — `emit` is a single branch on a `None`, inlined into the caller)
 //! or lit: a running digest, an event count and a list of observers.
 //! Components hold their own clone of the sink, so one sink sees a whole
-//! system: node, page table, RDMA endpoint, fabric, and memory node all emit
-//! into the same ordered stream.
+//! system: node, page table and RDMA endpoint (for itself and the links and
+//! memory nodes it drives) all emit into the same ordered stream.
 //!
 //! # Reading the stream
 //!

@@ -9,7 +9,7 @@
 
 use dilos::apps::farmem::FarMemory;
 use dilos::core::{Dilos, DilosConfig, Readahead};
-use dilos::sim::{Fault, Observability, Redundancy, When};
+use dilos::sim::{Fault, Observability, RecoverConfig, Redundancy, When};
 
 fn ec_node(memory_nodes: usize, k: usize, m: usize) -> Dilos {
     let mut n = Dilos::new(DilosConfig {
@@ -310,5 +310,88 @@ fn erasure_coded_degraded_reads_are_slower_than_failover() {
     assert!(
         t_ec > t_repl,
         "degraded EC reads must cost more than replica reads: {t_ec} vs {t_repl}"
+    );
+}
+
+/// Boots a durable 3-node pool under `redundancy` (intent log sealed every
+/// 8 records), crashes node 0 mid-run, writes and reads back during the
+/// outage and after the repair, and returns the trace digest and event
+/// count. The stream covers the erasure-coded write, degraded read and
+/// recovery paths that no committed digest reaches.
+fn durable_crash_run(redundancy: Redundancy) -> (u64, u64) {
+    let mut n = Dilos::new(DilosConfig {
+        local_pages: 64,
+        remote_bytes: 1 << 24,
+        memory_nodes: 3,
+        redundancy,
+        recovery: Some(RecoverConfig {
+            checkpoint_every: 8,
+        }),
+        obs: Observability::audited(),
+        ..DilosConfig::default()
+    });
+    n.set_prefetcher(Box::new(Readahead::new()));
+    let pages = 256u64;
+    let va = populate(&mut n, pages);
+    let crash = Fault::Crash {
+        node: 0,
+        down_for: 2_000_000,
+    };
+    n.inject(When::At(n.now(0)), crash);
+    assert!(!n.rdma().node_alive(0), "the crash applies at once");
+    let second = |p: u64| p ^ 0x5A5A;
+    for p in 0..pages {
+        n.write_u64(0, va + p * 4096 + 8, second(p));
+    }
+    let read_back = |n: &mut Dilos, ctx: &str| {
+        for p in 0..pages {
+            assert_eq!(
+                n.read_u64(0, va + p * 4096),
+                p.wrapping_mul(0x9E37),
+                "{ctx}"
+            );
+            assert_eq!(n.read_u64(0, va + p * 4096 + 8), second(p), "{ctx}");
+        }
+    };
+    read_back(&mut n, "during the outage");
+    let mut sweeps = 0;
+    while !n.rdma().node_alive(0) {
+        read_back(&mut n, "until the repair");
+        sweeps += 1;
+        assert!(sweeps < 1_000, "repair never dispatched");
+    }
+    for p in 0..pages {
+        n.write_u64(0, va + p * 4096 + 16, !p);
+    }
+    read_back(&mut n, "after the repair");
+    for p in 0..pages {
+        assert_eq!(n.read_u64(0, va + p * 4096 + 16), !p, "after the repair");
+    }
+    let stats = n.recovery_stats();
+    assert!(stats.recoveries == 1 && stats.replayed > 0, "{stats:?}");
+    assert_audit_clean(&mut n, "durable crash run");
+    (n.trace_digest(), n.trace().count())
+}
+
+/// Pins the stream of a durable erasure-coded run through a crash and its
+/// recovery: every memory-node and link event, in order, at its time.
+#[test]
+fn durable_erasure_coded_crash_run_trace_is_pinned() {
+    let (digest, events) = durable_crash_run(Redundancy::Erasure { k: 2, m: 1 });
+    assert_eq!(
+        (digest, events),
+        (0xf884_4cc9_aecb_73cb, 34_832),
+        "digest {digest:#x}, {events} events"
+    );
+}
+
+/// [`durable_erasure_coded_crash_run_trace_is_pinned`] on 2-way replication.
+#[test]
+fn durable_replicated_crash_run_trace_is_pinned() {
+    let (digest, events) = durable_crash_run(Redundancy::Replicas(2));
+    assert_eq!(
+        (digest, events),
+        (0x1be6_bf23_76ef_0c04, 38_495),
+        "digest {digest:#x}, {events} events"
     );
 }
